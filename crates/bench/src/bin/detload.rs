@@ -1,41 +1,39 @@
-//! `detload` — open-loop load generator and determinism verifier for
-//! `detserved`.
+//! `detload` — load generator and determinism verifier for `detserved`.
 //!
-//! Fires a fixed job list (workload × seed grid) at the server at a target
-//! arrival rate — open loop: arrivals are scheduled by the clock, not by
-//! completions, so server slowdown shows up as latency rather than as a
-//! politely reduced load. The whole list is driven **twice**; the second
-//! sweep's receipts must be byte-for-byte identical to the first, job for
-//! job. Any difference is a determinism violation: detload prints it and
-//! exits nonzero. A request that is never definitively answered (all
-//! retries exhausted without an `ok` or a typed rejection) is a hard
-//! error too — silently missing data points don't count as passing.
+//! Fires a fixed job list (workload × seed grid) at the server from a
+//! single `poll(2)` loop over persistent keep-alive connections — tens of
+//! thousands are fine. Arrivals are **open loop**: frame *k* is released
+//! by the clock, not by completions, so server slowdown shows up as
+//! latency rather than as a politely reduced load. The whole list is
+//! driven **twice**; every receipt — including hot-key duplicates and
+//! post-reconnect reissues — must be byte-identical across sightings,
+//! sweeps, and (behind a group router) processes. Any difference is a
+//! determinism violation: detload prints it and exits nonzero. A job that
+//! is never definitively answered (reissues exhausted, or still shed at
+//! the phase deadline) is a hard error too — silently missing data points
+//! don't count as passing.
 //!
 //! ```text
 //! cargo run -p detlock-bench --release --bin detload -- --addr HOST:PORT \
-//!     [--ready-file PATH] [--rate JOBS_PER_SEC] [--jobs N] [--threads N] \
-//!     [--scale F] [--seeds A,B,C] [--json] [--out BENCH_serve.json] \
-//!     [--net-faults SEED] [--crash-faults SEED] [--cross-backends] \
-//!     [--schedulers kendo,chunk,dc-batch] [--shutdown] \
+//!     [--ready-file PATH] [--rate JOBS_PER_SEC | --sweep R1,R2,...] \
+//!     [--jobs N] [--threads N] [--scale F] [--seeds A,B,C] \
 //!     [--conns N] [--closed-conns N] [--pipeline D] [--hot-key P] \
-//!     [--sweep R1,R2,...]
+//!     [--net-faults SEED] [--crash-faults SEED] [--cross-backends] \
+//!     [--schedulers kendo,chunk,dc-batch] \
+//!     [--json] [--out BENCH_serve.json] [--shutdown]
 //! ```
 //!
-//! **Event-loop mode** (`--conns N`, N ≥ 1): instead of a thread per
-//! job, a single `poll(2)` loop drives N persistent keep-alive
-//! connections — tens of thousands are fine — with `--pipeline D` jobs
-//! per v2 `batch` frame, `--hot-key P` (per-1024) deterministic hot-key
-//! skew, and `--closed-conns M` closed-loop background connections
-//! alongside the open-loop schedule. `--sweep R1,R2,...` replaces the
-//! single `--rate` with an offered-load sweep; each rate becomes one
-//! point on a `latency_curve` (p50/p99 vs offered and achieved QPS) in
-//! the report, which `perfgate --max-p99-ms/--min-sustained-qps` gates.
-//! Under chaos the curve comes from the *clean* sweep (sweep 2 measures
-//! fault recovery, not service latency).
-//! The whole sweep still runs **twice** and every receipt — including
-//! hot-key duplicates and post-reconnect reissues — must be
-//! byte-identical across sightings, sweeps, and (behind a group router)
-//! processes.
+//! `--conns N` sizes the open-loop connection pool (frames round-robin
+//! over it), `--closed-conns M` adds closed-loop background connections
+//! that always keep one frame in flight, `--pipeline D` puts D jobs in
+//! each v2 `batch` frame (1 sends v1 `run` lines), and `--hot-key P`
+//! (per-1024) skews a deterministic share of slots onto one job.
+//! `--sweep R1,R2,...` walks several offered rates where `--rate` drives
+//! one; each rate becomes one point on the report's `latency_curve`
+//! (p50/p99 vs offered and achieved QPS), which `perfgate
+//! --max-p99-ms/--min-sustained-qps` gates. Under chaos the curve comes
+//! from the *clean* sweep (sweep 2 measures fault recovery, not service
+//! latency).
 //!
 //! `--ready-file PATH` waits for `detserved --ready-file PATH` to publish
 //! its bound address and uses that instead of (or as well as) `--addr` —
@@ -69,20 +67,19 @@
 use detlock_bench::loadgen::{Ledger, LoadGen, LoadOptions, PhaseReport};
 use detlock_bench::CliOptions;
 use detlock_passes::pipeline::OptLevel;
-use detlock_serve::client::{ClientError, RetryPolicy, RetryingClient};
 use detlock_serve::netfault::{CrashPlan, NetFaultPlan};
 use detlock_serve::protocol::{Client, JobSpec};
-use detlock_serve::receipt::Receipt;
-use detlock_serve::stats::LatencyHistogram;
+use detlock_serve::shard::ShardEngine;
 use detlock_shim::json::{Json, ToJson};
+use detlock_vm::{Backend, Sched};
+use std::collections::HashSet;
 use std::time::{Duration, Instant};
-
-/// How often a rejected (queue-full) submission is retried before the job
-/// counts as failed.
-const MAX_SUBMIT_RETRIES: u32 = 50;
 
 /// How long `--ready-file` waits for the server to publish its address.
 const READY_TIMEOUT: Duration = Duration::from_secs(120);
+
+/// Open-loop keep-alive connections unless `--conns` says otherwise.
+const DEFAULT_CONNS: usize = 16;
 
 /// Block until `path` exists (published atomically by `detserved
 /// --ready-file`) and return the address on its first line.
@@ -103,140 +100,94 @@ fn await_ready_file(path: &str) -> String {
     }
 }
 
-struct JobOutcome {
-    key: String,
-    canonical: Option<String>,
-    shard: Option<u64>,
-    latency_us: u64,
-    rejections: u32,
-    error: Option<String>,
-    /// True when the request exhausted its retries without ever getting a
-    /// definitive answer. Always a hard error for the run.
-    unanswered: bool,
-}
-
-/// Submit one job through the idempotent retrying client (reconnects,
-/// deterministic backoff, `retry_after_ms` honoring, receipt dedup).
-fn drive_job(addr: &str, spec: &JobSpec) -> JobOutcome {
-    let started = Instant::now();
-    let mut client = RetryingClient::new(
-        addr,
-        RetryPolicy {
-            max_attempts: 16,
-            max_shed_retries: MAX_SUBMIT_RETRIES,
-            base_backoff: Duration::from_millis(5),
-            ..RetryPolicy::default()
-        },
-    );
-    let result = client.run(spec);
-    let cs = client.stats();
-    let outcome = |canonical, shard, error, unanswered| JobOutcome {
-        key: spec.identity_key(),
-        canonical,
-        shard,
-        latency_us: started.elapsed().as_micros() as u64,
-        rejections: (cs.shed_retries + cs.io_retries) as u32,
-        error,
-        unanswered,
-    };
-    match result {
-        Ok(resp) => {
-            let canonical = resp
-                .get("receipt")
-                .and_then(Receipt::from_json)
-                .map(|r| r.canonical());
-            if canonical.is_none() {
-                return outcome(None, None, Some("malformed receipt".to_string()), false);
-            }
-            outcome(
-                canonical,
-                resp.get("shard").and_then(Json::as_u64),
-                None,
-                false,
-            )
-        }
-        Err(e @ ClientError::Unanswered { .. }) => outcome(None, None, Some(e.to_string()), true),
-        Err(e) => outcome(None, None, Some(e.to_string()), false),
-    }
-}
-
-struct SweepResult {
-    outcomes: Vec<JobOutcome>,
-    wall: Duration,
-}
-
-/// Drive one open-loop sweep: job `i` is released at `i / rate` seconds.
-fn sweep(addr: &str, jobs: &[JobSpec], rate: f64) -> SweepResult {
-    let period = Duration::from_secs_f64(1.0 / rate);
-    let t0 = Instant::now();
-    let handles: Vec<_> = jobs
+/// Drive one pass: the job list once per offered rate.
+fn run_pass(
+    gen: &mut LoadGen,
+    label: &str,
+    jobs: &[JobSpec],
+    rates: &[f64],
+) -> (Vec<PhaseReport>, Ledger) {
+    let mut ledger = Ledger::default();
+    let phases = rates
         .iter()
-        .enumerate()
-        .map(|(i, spec)| {
-            let addr = addr.to_string();
-            let spec = spec.clone();
-            let release = period * i as u32;
-            std::thread::spawn(move || {
-                let now = t0.elapsed();
-                if release > now {
-                    std::thread::sleep(release - now);
-                }
-                drive_job(&addr, &spec)
-            })
+        .map(|&rate| {
+            let p = gen.run_phase(jobs, rate, &mut ledger);
+            eprintln!(
+                "detload: {label} offered={:.0}qps achieved={:.0}qps p50={}us p99={}us \
+                 completed={} failed={} sheds={} reconnects={}",
+                p.offered_qps,
+                p.achieved_qps,
+                p.p50_us,
+                p.p99_us,
+                p.completed,
+                p.failed,
+                p.sheds,
+                p.reconnects
+            );
+            p
         })
         .collect();
-    let outcomes = handles.into_iter().map(|h| h.join().unwrap()).collect();
-    SweepResult {
-        outcomes,
-        wall: t0.elapsed(),
-    }
+    (phases, ledger)
 }
 
-fn sweep_json(s: &SweepResult) -> Json {
-    let hist = LatencyHistogram::default();
-    let mut completed = 0u64;
-    let mut failed = 0u64;
-    let mut unanswered = 0u64;
-    let mut rejections = 0u64;
-    let mut shards: Vec<u64> = Vec::new();
-    let mut failures: Vec<Json> = Vec::new();
-    for o in &s.outcomes {
-        if o.canonical.is_some() {
-            completed += 1;
-            hist.record_us(o.latency_us);
-        } else {
-            failed += 1;
-            if o.unanswered {
-                unanswered += 1;
-            }
-            failures.push(Json::obj([
-                ("job", o.key.to_json()),
-                ("error", o.error.clone().to_json()),
-                ("unanswered", o.unanswered.to_json()),
-            ]));
-        }
-        rejections += o.rejections as u64;
-        if let Some(sh) = o.shard {
-            if !shards.contains(&sh) {
-                shards.push(sh);
+/// Aggregate a pass (one trip over all sweep rates) into its report
+/// section.
+fn pass_json(phases: &[PhaseReport], ledger: &Ledger) -> Json {
+    let completed: u64 = phases.iter().map(|p| p.completed).sum();
+    let failed: u64 = phases.iter().map(|p| p.failed).sum();
+    let sheds: u64 = phases.iter().map(|p| p.sheds).sum();
+    let reconnects: u64 = phases.iter().map(|p| p.reconnects).sum();
+    let wall_ms: u64 = phases.iter().map(|p| p.wall.as_millis() as u64).sum();
+    let mut backends: Vec<u64> = Vec::new();
+    for p in phases {
+        for &b in &p.backends_seen {
+            if !backends.contains(&b) {
+                backends.push(b);
             }
         }
     }
-    shards.sort_unstable();
+    backends.sort_unstable();
     Json::obj([
         ("completed", completed.to_json()),
         ("failed", failed.to_json()),
-        ("unanswered", unanswered.to_json()),
-        ("rejections", rejections.to_json()),
-        ("wall_ms", (s.wall.as_millis() as u64).to_json()),
+        ("unanswered", ledger.unanswered.to_json()),
+        ("rejections", sheds.to_json()),
+        ("reconnects", reconnects.to_json()),
+        ("wall_ms", wall_ms.to_json()),
         (
             "throughput_jps",
-            (completed as f64 / s.wall.as_secs_f64()).to_json(),
+            (completed as f64 / (wall_ms as f64 / 1000.0).max(1e-9)).to_json(),
         ),
-        ("latency", hist.to_json()),
-        ("shards_used", shards.to_json()),
-        ("failures", Json::Arr(failures)),
+        (
+            "latency",
+            phases
+                .last()
+                .map(|p| p.latency.clone())
+                .unwrap_or(Json::Null),
+        ),
+        ("backends_seen", backends.to_json()),
+        (
+            "failures",
+            Json::Arr(ledger.failures.iter().take(50).cloned().collect()),
+        ),
     ])
+}
+
+/// Execute `spec` locally and return the canonical receipt (or the error,
+/// which then fails the comparison it feeds).
+fn local_receipt(engine: &mut ShardEngine, spec: &JobSpec) -> String {
+    engine
+        .execute(spec, u64::MAX)
+        .map(|r| r.canonical())
+        .unwrap_or_else(|e| format!("local execution failed: {e}"))
+}
+
+fn verdict(ok: bool, pass: &'static str) -> &'static str {
+    if ok {
+        pass
+    } else {
+        "MISMATCH"
+    }
 }
 
 fn main() {
@@ -248,8 +199,8 @@ fn main() {
     let mut net_seed: Option<u64> = None;
     let mut crash_seed: Option<u64> = None;
     let mut cross_backends = false;
-    let mut sched_sweep: Vec<detlock_vm::Sched> = Vec::new();
-    let mut conns = 0usize;
+    let mut sched_sweep: Vec<Sched> = Vec::new();
+    let mut conns = DEFAULT_CONNS;
     let mut closed_conns = 0usize;
     let mut pipeline = 1usize;
     let mut hot_key = 0u32;
@@ -259,6 +210,7 @@ fn main() {
             "--conns" => {
                 *i += 1;
                 conns = args[*i].parse().expect("--conns N");
+                assert!(conns >= 1, "--conns must be at least 1");
             }
             "--closed-conns" => {
                 *i += 1;
@@ -311,7 +263,7 @@ fn main() {
                 *i += 1;
                 sched_sweep = args[*i]
                     .split(',')
-                    .map(|s| detlock_vm::Sched::parse(s.trim()).unwrap_or_else(|e| panic!("{e}")))
+                    .map(|s| Sched::parse(s.trim()).unwrap_or_else(|e| panic!("{e}")))
                     .collect();
                 assert!(!sched_sweep.is_empty(), "--schedulers needs at least one");
             }
@@ -329,7 +281,13 @@ fn main() {
         !addr.is_empty(),
         "detload requires --addr HOST:PORT or --ready-file PATH"
     );
-    assert!(rate > 0.0, "--rate must be positive");
+    // `--rate` alone is a one-point sweep.
+    let rates = if rate_sweep.is_empty() {
+        vec![rate]
+    } else {
+        rate_sweep
+    };
+    assert!(rates.iter().all(|&r| r > 0.0), "rates must be positive");
     let scale = opts.scale_or(0.02); // service jobs are short episodes, not benchmarks
     if opts.threads == 4 {
         opts.threads = 2;
@@ -363,38 +321,29 @@ fn main() {
     } else {
         grid.iter().cycle().take(jobs_target).cloned().collect()
     };
+    // Each distinct job once, for the local re-execution sweeps.
+    let mut seen = HashSet::new();
+    let unique: Vec<(String, &JobSpec)> = jobs
+        .iter()
+        .map(|spec| (spec.identity_key(), spec))
+        .filter(|(key, _)| seen.insert(key.clone()))
+        .collect();
 
-    if conns > 0 {
-        evloop_mode(EvloopArgs {
-            addr: &addr,
-            jobs: &jobs,
-            rates: if rate_sweep.is_empty() {
-                vec![rate]
-            } else {
-                rate_sweep
-            },
-            conns,
-            closed_conns,
-            pipeline,
-            hot_key,
-            net_seed,
-            crash_seed,
-            do_shutdown,
-            cross_backends,
-            sched_sweep: &sched_sweep,
-            opts: &opts,
-            scale,
-        });
-    }
-
+    let total_conns = conns + closed_conns;
     eprintln!(
-        "detload: {} jobs x 2 sweeps at {} jobs/sec against {}{}",
+        "detload: {} jobs x {} rate(s) x 2 passes, {} open-loop + {} closed-loop conns, \
+         pipeline {}, hot-key {}/1024 against {}{}",
         jobs.len(),
-        rate,
+        rates.len(),
+        conns,
+        closed_conns,
+        pipeline,
+        hot_key,
         addr,
         if chaos { " (chaos mode)" } else { "" },
     );
-    // Chaos mode: sweep 1 is the clean reference, sweep 2 runs with the
+
+    // Chaos mode: pass 1 is the clean reference, pass 2 runs with the
     // server's seeded fault plans armed, then chaos is disarmed. The
     // `chaos` op is control-plane, so arming/disarming works even while
     // wire faults are active.
@@ -411,30 +360,44 @@ fn main() {
     if chaos {
         set_chaos(None, None);
     }
-    let first = sweep(&addr, &jobs, rate);
+
+    let mut gen = LoadGen::new(LoadOptions {
+        addr: addr.clone(),
+        conns,
+        closed_conns,
+        pipeline,
+        hot_per_1024: hot_key,
+        max_attempts: 32,
+    });
+    let open = gen.prewarm();
+    let conns_ok = open == total_conns;
+    eprintln!("detload: {open}/{total_conns} keep-alive connections established");
+
+    let (phases1, ledger1) = run_pass(&mut gen, "pass1", &jobs, &rates);
     let net_plan = net_seed.map(NetFaultPlan::new);
     let crash_plan = crash_seed.map(CrashPlan::new);
     if chaos {
         set_chaos(net_plan.as_ref(), crash_plan.as_ref());
     }
-    let second = sweep(&addr, &jobs, rate);
+    let (phases2, ledger2) = run_pass(&mut gen, "pass2", &jobs, &rates);
     if chaos {
         set_chaos(None, None);
     }
 
-    // Receipt identity, job for job. A job that failed in either sweep
-    // (e.g. ran out of submit retries) is reported but is not a
-    // determinism verdict; differing receipts are.
+    // Receipt identity: in-pass divergence (hot-key duplicates, reissues)
+    // plus cross-pass divergence, key for key.
     let mut mismatches: Vec<Json> = Vec::new();
-    let mut compared = 0u64;
-    for (a, b) in first.outcomes.iter().zip(&second.outcomes) {
-        if let (Some(ra), Some(rb)) = (&a.canonical, &b.canonical) {
+    mismatches.extend(ledger1.mismatches.iter().cloned());
+    mismatches.extend(ledger2.mismatches.iter().cloned());
+    let mut compared = mismatches.len() as u64;
+    for (key, r1) in &ledger1.receipts {
+        if let Some(r2) = ledger2.receipts.get(key) {
             compared += 1;
-            if ra != rb {
+            if r1 != r2 {
                 mismatches.push(Json::obj([
-                    ("job", a.key.to_json()),
-                    ("sweep1", ra.to_json()),
-                    ("sweep2", rb.to_json()),
+                    ("job", key.to_json()),
+                    ("sweep1", r1.to_json()),
+                    ("sweep2", r2.to_json()),
                 ]));
             }
         }
@@ -442,34 +405,23 @@ fn main() {
     let identical = mismatches.is_empty();
 
     // Cross-backend differential: every unique spec is re-executed locally
-    // on both engines; server receipt, local interp receipt, and local
-    // threaded receipt must be one and the same byte string.
+    // on both engines; the server's pass-1 receipt, the local interp
+    // receipt and the local threaded receipt must be one byte string.
     let mut backend_compared = 0u64;
     let mut backend_mismatches: Vec<Json> = Vec::new();
     if cross_backends {
-        use detlock_serve::shard::ShardEngine;
-        use detlock_vm::Backend;
         let mut interp = ShardEngine::new(usize::MAX - 1).with_backend(Backend::Interp);
         let mut threaded = ShardEngine::new(usize::MAX).with_backend(Backend::Threaded);
-        let mut seen = std::collections::HashSet::new();
-        for (spec, outcome) in jobs.iter().zip(&first.outcomes) {
-            let Some(server_receipt) = &outcome.canonical else {
+        for (key, spec) in &unique {
+            let Some(server) = ledger1.receipts.get(key) else {
                 continue;
             };
-            if !seen.insert(spec.identity_key()) {
-                continue;
-            }
-            let local = [&mut interp, &mut threaded].map(|engine| {
-                engine
-                    .execute(spec, u64::MAX)
-                    .map(|r| r.canonical())
-                    .unwrap_or_else(|e| format!("local execution failed: {e}"))
-            });
+            let local = [&mut interp, &mut threaded].map(|engine| local_receipt(engine, spec));
             backend_compared += 1;
-            if local[0] != *server_receipt || local[1] != *server_receipt {
+            if local.iter().any(|r| r != server) {
                 backend_mismatches.push(Json::obj([
-                    ("job", spec.identity_key().to_json()),
-                    ("server", server_receipt.to_json()),
+                    ("job", key.to_json()),
+                    ("server", server.to_json()),
                     ("interp", local[0].to_json()),
                     ("threaded", local[1].to_json()),
                 ]));
@@ -485,24 +437,15 @@ fn main() {
     let mut sched_compared = 0u64;
     let mut sched_mismatches: Vec<Json> = Vec::new();
     if !sched_sweep.is_empty() {
-        use detlock_serve::shard::ShardEngine;
         let mut engine = ShardEngine::new(usize::MAX - 2);
-        let mut seen = std::collections::HashSet::new();
-        for spec in &jobs {
-            if !seen.insert(spec.identity_key()) {
-                continue;
-            }
+        for (_, spec) in &unique {
             for &sched in &sched_sweep {
-                let mut spec = spec.clone();
+                let mut spec = (*spec).clone();
                 spec.scheduler = sched;
-                let pair: Vec<String> = (0..2)
-                    .map(|_| {
-                        engine
-                            .execute(&spec, u64::MAX)
-                            .map(|r| r.canonical())
-                            .unwrap_or_else(|e| format!("local execution failed: {e}"))
-                    })
-                    .collect();
+                let pair = [
+                    local_receipt(&mut engine, &spec),
+                    local_receipt(&mut engine, &spec),
+                ];
                 sched_compared += 1;
                 if pair[0] != pair[1] {
                     sched_mismatches.push(Json::obj([
@@ -528,11 +471,7 @@ fn main() {
             .unwrap_or(0)
     };
     let recoveries = server_counter("recoveries");
-    let unanswered_total: u64 = [&first, &second]
-        .iter()
-        .flat_map(|s| &s.outcomes)
-        .filter(|o| o.unanswered)
-        .count() as u64;
+    let unanswered_total = ledger1.unanswered + ledger2.unanswered;
 
     let chaos_json = Json::obj([
         ("enabled", chaos.to_json()),
@@ -558,438 +497,20 @@ fn main() {
     ]);
     let report = Json::obj([
         ("addr", addr.to_json()),
-        ("rate_jps", rate.to_json()),
+        ("rates", rates.to_json()),
         ("jobs_per_sweep", jobs.len().to_json()),
         ("threads", opts.threads.to_json()),
         ("scale", scale.to_json()),
         ("seeds", opts.seeds.to_json()),
-        ("chaos", chaos_json),
-        ("sweep1", sweep_json(&first)),
-        ("sweep2", sweep_json(&second)),
-        ("receipts_compared", compared.to_json()),
-        ("receipts_identical", identical.to_json()),
-        ("mismatches", Json::Arr(mismatches)),
-        (
-            "cross_backends",
-            Json::obj([
-                ("enabled", cross_backends.to_json()),
-                ("backend_receipts_compared", backend_compared.to_json()),
-                ("backend_receipts_identical", backends_identical.to_json()),
-                ("backend_mismatches", Json::Arr(backend_mismatches)),
-            ]),
-        ),
-        (
-            "schedulers",
-            Json::obj([
-                (
-                    "swept",
-                    Json::Arr(
-                        sched_sweep
-                            .iter()
-                            .map(|s| s.spec().to_json())
-                            .collect::<Vec<_>>(),
-                    ),
-                ),
-                ("sched_receipts_compared", sched_compared.to_json()),
-                ("sched_receipts_stable", schedulers_stable.to_json()),
-                ("sched_mismatches", Json::Arr(sched_mismatches)),
-            ]),
-        ),
-        ("server_stats", server_stats),
-    ]);
-    opts.emit_json(&report);
-    if !opts.json {
-        let show = |s: &SweepResult, label: &str| {
-            let j = sweep_json(s);
-            eprintln!(
-                "{label}: completed={} failed={} throughput={:.1} jobs/s p50={}us p99={}us shards={}",
-                j.get("completed").and_then(Json::as_u64).unwrap_or(0),
-                j.get("failed").and_then(Json::as_u64).unwrap_or(0),
-                j.get("throughput_jps").and_then(Json::as_f64).unwrap_or(0.0),
-                j.get("latency")
-                    .and_then(|l| l.get("p50_us"))
-                    .and_then(Json::as_u64)
-                    .unwrap_or(0),
-                j.get("latency")
-                    .and_then(|l| l.get("p99_us"))
-                    .and_then(Json::as_u64)
-                    .unwrap_or(0),
-                j.get("shards_used")
-                    .map(Json::to_string_compact)
-                    .unwrap_or_default(),
-            );
-        };
-        show(&first, "sweep 1");
-        show(&second, "sweep 2");
-        eprintln!(
-            "receipts: {} compared, {}",
-            compared,
-            if identical {
-                "all identical"
-            } else {
-                "MISMATCH"
-            }
-        );
-        if cross_backends {
-            eprintln!(
-                "cross-backend receipts: {} specs x (server, interp, threaded), {}",
-                backend_compared,
-                if backends_identical {
-                    "all identical"
-                } else {
-                    "MISMATCH"
-                }
-            );
-        }
-        if !sched_sweep.is_empty() {
-            eprintln!(
-                "scheduler sweep: {} (spec, policy) cells x 2 runs, {}",
-                sched_compared,
-                if schedulers_stable {
-                    "all per-policy receipts stable"
-                } else {
-                    "MISMATCH"
-                }
-            );
-        }
-    }
-
-    if do_shutdown {
-        if let Ok(mut c) = Client::connect(&addr) {
-            let _ = c.shutdown();
-        }
-    }
-    let mut failures: Vec<&str> = Vec::new();
-    if !identical || compared == 0 {
-        failures.push("no comparable receipts or receipt mismatch");
-    }
-    if unanswered_total > 0 {
-        failures.push("requests went unanswered (lost jobs are errors, not gaps)");
-    }
-    if crash_seed.is_some() && recoveries == 0 {
-        failures.push("crash chaos requested but zero checkpoint recoveries happened");
-    }
-    if cross_backends && (!backends_identical || backend_compared == 0) {
-        failures.push("cross-backend receipt mismatch (or nothing comparable)");
-    }
-    if !sched_sweep.is_empty() && (!schedulers_stable || sched_compared == 0) {
-        failures.push("per-scheduler receipt instability (or nothing comparable)");
-    }
-    if !failures.is_empty() {
-        eprintln!("detload: FAIL ({})", failures.join("; "));
-        std::process::exit(1);
-    }
-}
-
-/// Inputs for [`evloop_mode`] (the flag soup, bundled).
-struct EvloopArgs<'a> {
-    addr: &'a str,
-    jobs: &'a [JobSpec],
-    rates: Vec<f64>,
-    conns: usize,
-    closed_conns: usize,
-    pipeline: usize,
-    hot_key: u32,
-    net_seed: Option<u64>,
-    crash_seed: Option<u64>,
-    do_shutdown: bool,
-    cross_backends: bool,
-    sched_sweep: &'a [detlock_vm::Sched],
-    opts: &'a CliOptions,
-    scale: f64,
-}
-
-/// Aggregate a pass (one trip over all sweep rates) into the same JSON
-/// shape the legacy per-sweep report uses, so downstream consumers
-/// (perfgate, CI assertions) read both modes identically.
-fn pass_json(phases: &[PhaseReport], ledger: &Ledger) -> Json {
-    let completed: u64 = phases.iter().map(|p| p.completed).sum();
-    let failed: u64 = phases.iter().map(|p| p.failed).sum();
-    let sheds: u64 = phases.iter().map(|p| p.sheds).sum();
-    let reconnects: u64 = phases.iter().map(|p| p.reconnects).sum();
-    let wall_ms: u64 = phases.iter().map(|p| p.wall.as_millis() as u64).sum();
-    let mut backends: Vec<u64> = Vec::new();
-    for p in phases {
-        for &b in &p.backends_seen {
-            if !backends.contains(&b) {
-                backends.push(b);
-            }
-        }
-    }
-    backends.sort_unstable();
-    Json::obj([
-        ("completed", completed.to_json()),
-        ("failed", failed.to_json()),
-        ("unanswered", ledger.unanswered.to_json()),
-        ("rejections", sheds.to_json()),
-        ("reconnects", reconnects.to_json()),
-        ("wall_ms", wall_ms.to_json()),
-        (
-            "throughput_jps",
-            (completed as f64 / (wall_ms as f64 / 1000.0).max(1e-9)).to_json(),
-        ),
-        (
-            "latency",
-            phases
-                .last()
-                .map(|p| p.latency.clone())
-                .unwrap_or(Json::Null),
-        ),
-        ("backends_seen", backends.to_json()),
-        (
-            "failures",
-            Json::Arr(ledger.failures.iter().take(50).cloned().collect()),
-        ),
-    ])
-}
-
-/// The `--conns` driver: one poll loop, a persistent keep-alive pool,
-/// pipelined v2 frames, an offered-load sweep run twice, and the same
-/// receipt-identity verdicts as the legacy path.
-fn evloop_mode(a: EvloopArgs) -> ! {
-    let chaos = a.net_seed.is_some() || a.crash_seed.is_some();
-    let total_conns = a.conns + a.closed_conns;
-    eprintln!(
-        "detload: event-loop mode — {} jobs x {} rate(s) x 2 passes, {} open-loop + {} \
-         closed-loop conns, pipeline {}, hot-key {}/1024 against {}{}",
-        a.jobs.len(),
-        a.rates.len(),
-        a.conns,
-        a.closed_conns,
-        a.pipeline,
-        a.hot_key,
-        a.addr,
-        if chaos { " (chaos mode)" } else { "" },
-    );
-
-    let set_chaos = |net: Option<&NetFaultPlan>, crash: Option<&CrashPlan>| {
-        let mut c = Client::connect(a.addr).expect("connect for chaos op");
-        let resp = c.chaos(net, crash).expect("chaos op failed");
-        assert_eq!(
-            resp.get("ok").and_then(Json::as_bool),
-            Some(true),
-            "chaos op rejected: {}",
-            resp.to_string_compact()
-        );
-    };
-    if chaos {
-        set_chaos(None, None);
-    }
-
-    let mut gen = LoadGen::new(LoadOptions {
-        addr: a.addr.to_string(),
-        conns: a.conns,
-        closed_conns: a.closed_conns,
-        pipeline: a.pipeline,
-        hot_per_1024: a.hot_key,
-        max_attempts: 32,
-    });
-    let open = gen.prewarm();
-    let conns_ok = open == total_conns;
-    eprintln!("detload: {open}/{total_conns} keep-alive connections established");
-
-    // Pass 1: the clean reference.
-    let mut ledger1 = Ledger::default();
-    let phases1: Vec<PhaseReport> = a
-        .rates
-        .iter()
-        .map(|&r| {
-            let p = gen.run_phase(a.jobs, r, &mut ledger1);
-            eprintln!(
-                "detload: pass1 offered={:.0}qps achieved={:.0}qps p50={}us p99={}us \
-                 completed={} failed={} sheds={} reconnects={}",
-                p.offered_qps,
-                p.achieved_qps,
-                p.p50_us,
-                p.p99_us,
-                p.completed,
-                p.failed,
-                p.sheds,
-                p.reconnects
-            );
-            p
-        })
-        .collect();
-
-    // Pass 2: same schedule, optionally through armed fault plans.
-    let net_plan = a.net_seed.map(NetFaultPlan::new);
-    let crash_plan = a.crash_seed.map(CrashPlan::new);
-    if chaos {
-        set_chaos(net_plan.as_ref(), crash_plan.as_ref());
-    }
-    let mut ledger2 = Ledger::default();
-    let phases2: Vec<PhaseReport> = a
-        .rates
-        .iter()
-        .map(|&r| {
-            let p = gen.run_phase(a.jobs, r, &mut ledger2);
-            eprintln!(
-                "detload: pass2 offered={:.0}qps achieved={:.0}qps p50={}us p99={}us \
-                 completed={} failed={} sheds={} reconnects={}",
-                p.offered_qps,
-                p.achieved_qps,
-                p.p50_us,
-                p.p99_us,
-                p.completed,
-                p.failed,
-                p.sheds,
-                p.reconnects
-            );
-            p
-        })
-        .collect();
-    if chaos {
-        set_chaos(None, None);
-    }
-
-    // Receipt identity: in-pass divergence (hot-key duplicates, reissues)
-    // plus cross-pass divergence, key for key.
-    let mut mismatches: Vec<Json> = Vec::new();
-    mismatches.extend(ledger1.mismatches.iter().cloned());
-    mismatches.extend(ledger2.mismatches.iter().cloned());
-    let mut compared = ledger1.mismatches.len() as u64 + ledger2.mismatches.len() as u64;
-    for (key, r1) in &ledger1.receipts {
-        if let Some(r2) = ledger2.receipts.get(key) {
-            compared += 1;
-            if r1 != r2 {
-                mismatches.push(Json::obj([
-                    ("job", key.clone().to_json()),
-                    ("sweep1", r1.clone().to_json()),
-                    ("sweep2", r2.clone().to_json()),
-                ]));
-            }
-        }
-    }
-    let identical = mismatches.is_empty();
-
-    // Cross-backend differential against the pass-1 receipts.
-    let mut backend_compared = 0u64;
-    let mut backend_mismatches: Vec<Json> = Vec::new();
-    if a.cross_backends {
-        use detlock_serve::shard::ShardEngine;
-        use detlock_vm::Backend;
-        let mut interp = ShardEngine::new(usize::MAX - 1).with_backend(Backend::Interp);
-        let mut threaded = ShardEngine::new(usize::MAX).with_backend(Backend::Threaded);
-        let mut seen = std::collections::HashSet::new();
-        for spec in a.jobs {
-            let key = spec.identity_key();
-            if !seen.insert(key.clone()) {
-                continue;
-            }
-            let Some(server_receipt) = ledger1.receipts.get(&key) else {
-                continue;
-            };
-            let local = [&mut interp, &mut threaded].map(|engine| {
-                engine
-                    .execute(spec, u64::MAX)
-                    .map(|r| r.canonical())
-                    .unwrap_or_else(|e| format!("local execution failed: {e}"))
-            });
-            backend_compared += 1;
-            if local[0] != *server_receipt || local[1] != *server_receipt {
-                backend_mismatches.push(Json::obj([
-                    ("job", key.to_json()),
-                    ("server", server_receipt.clone().to_json()),
-                    ("interp", local[0].clone().to_json()),
-                    ("threaded", local[1].clone().to_json()),
-                ]));
-            }
-        }
-    }
-    let backends_identical = backend_mismatches.is_empty();
-
-    // Per-scheduler internal-determinism sweep (local re-execution).
-    let mut sched_compared = 0u64;
-    let mut sched_mismatches: Vec<Json> = Vec::new();
-    if !a.sched_sweep.is_empty() {
-        use detlock_serve::shard::ShardEngine;
-        let mut engine = ShardEngine::new(usize::MAX - 2);
-        let mut seen = std::collections::HashSet::new();
-        for spec in a.jobs {
-            if !seen.insert(spec.identity_key()) {
-                continue;
-            }
-            for &sched in a.sched_sweep {
-                let mut spec = spec.clone();
-                spec.scheduler = sched;
-                let pair: Vec<String> = (0..2)
-                    .map(|_| {
-                        engine
-                            .execute(&spec, u64::MAX)
-                            .map(|r| r.canonical())
-                            .unwrap_or_else(|e| format!("local execution failed: {e}"))
-                    })
-                    .collect();
-                sched_compared += 1;
-                if pair[0] != pair[1] {
-                    sched_mismatches.push(Json::obj([
-                        ("job", spec.identity_key().to_json()),
-                        ("scheduler", sched.spec().to_json()),
-                        ("run1", pair[0].clone().to_json()),
-                        ("run2", pair[1].clone().to_json()),
-                    ]));
-                }
-            }
-        }
-    }
-    let schedulers_stable = sched_mismatches.is_empty();
-
-    let server_stats = Client::connect(a.addr)
-        .and_then(|mut c| c.stats())
-        .unwrap_or_else(|e| Json::obj([("error", format!("stats: {e}").to_json())]));
-    let server_counter = |k: &str| {
-        server_stats
-            .get("counters")
-            .and_then(|c| c.get(k))
-            .and_then(Json::as_u64)
-            .unwrap_or(0)
-    };
-    let recoveries = server_counter("recoveries");
-    let unanswered_total = ledger1.unanswered + ledger2.unanswered;
-
-    let chaos_json = Json::obj([
-        ("enabled", chaos.to_json()),
-        (
-            "net_seed",
-            a.net_seed.map(|s| s.to_json()).unwrap_or(Json::Null),
-        ),
-        (
-            "crash_seed",
-            a.crash_seed.map(|s| s.to_json()).unwrap_or(Json::Null),
-        ),
-        ("recoveries", recoveries.to_json()),
-        ("cold_requeues", server_counter("cold_requeues").to_json()),
-        (
-            "net_faults_injected",
-            server_counter("net_faults_injected").to_json(),
-        ),
-        (
-            "crashes_injected",
-            server_counter("crashes_injected").to_json(),
-        ),
-        ("unanswered", unanswered_total.to_json()),
-    ]);
-
-    let report = Json::obj([
-        ("addr", a.addr.to_json()),
-        ("mode", "evloop".to_json()),
-        (
-            "rates",
-            Json::Arr(a.rates.iter().map(|r| r.to_json()).collect()),
-        ),
-        ("jobs_per_sweep", a.jobs.len().to_json()),
-        ("threads", a.opts.threads.to_json()),
-        ("scale", a.scale.to_json()),
-        ("seeds", a.opts.seeds.to_json()),
         (
             "load",
             Json::obj([
-                ("conns", a.conns.to_json()),
-                ("closed_conns", a.closed_conns.to_json()),
+                ("conns", conns.to_json()),
+                ("closed_conns", closed_conns.to_json()),
                 ("conns_requested", total_conns.to_json()),
                 ("conns_open", open.to_json()),
-                ("pipeline", a.pipeline.to_json()),
-                ("hot_key_per_1024", (a.hot_key as u64).to_json()),
+                ("pipeline", pipeline.to_json()),
+                ("hot_key_per_1024", (hot_key as u64).to_json()),
                 ("reconnects", gen.reconnects().to_json()),
             ]),
         ),
@@ -1014,7 +535,7 @@ fn evloop_mode(a: EvloopArgs) -> ! {
         (
             "cross_backends",
             Json::obj([
-                ("enabled", a.cross_backends.to_json()),
+                ("enabled", cross_backends.to_json()),
                 ("backend_receipts_compared", backend_compared.to_json()),
                 ("backend_receipts_identical", backends_identical.to_json()),
                 ("backend_mismatches", Json::Arr(backend_mismatches)),
@@ -1025,12 +546,7 @@ fn evloop_mode(a: EvloopArgs) -> ! {
             Json::obj([
                 (
                     "swept",
-                    Json::Arr(
-                        a.sched_sweep
-                            .iter()
-                            .map(|s| s.spec().to_json())
-                            .collect::<Vec<_>>(),
-                    ),
+                    Json::Arr(sched_sweep.iter().map(|s| s.spec().to_json()).collect()),
                 ),
                 ("sched_receipts_compared", sched_compared.to_json()),
                 ("sched_receipts_stable", schedulers_stable.to_json()),
@@ -1039,25 +555,31 @@ fn evloop_mode(a: EvloopArgs) -> ! {
         ),
         ("server_stats", server_stats),
     ]);
-    a.opts.emit_json(&report);
-    if !a.opts.json {
+    opts.emit_json(&report);
+    if !opts.json {
         eprintln!(
-            "receipts: {} compared, {}",
-            compared,
-            if identical {
-                "all identical"
-            } else {
-                "MISMATCH"
-            }
+            "receipts: {compared} compared, {}",
+            verdict(identical, "all identical")
         );
-    }
-
-    if a.do_shutdown {
-        if let Ok(mut c) = Client::connect(a.addr) {
-            let _ = c.shutdown();
+        if cross_backends {
+            eprintln!(
+                "cross-backend receipts: {backend_compared} specs x (server, interp, threaded), {}",
+                verdict(backends_identical, "all identical")
+            );
+        }
+        if !sched_sweep.is_empty() {
+            eprintln!(
+                "scheduler sweep: {sched_compared} (spec, policy) cells x 2 runs, {}",
+                verdict(schedulers_stable, "all per-policy receipts stable")
+            );
         }
     }
 
+    if do_shutdown {
+        if let Ok(mut c) = Client::connect(&addr) {
+            let _ = c.shutdown();
+        }
+    }
     let mut failures: Vec<&str> = Vec::new();
     if !identical || compared == 0 {
         failures.push("no comparable receipts or receipt mismatch");
@@ -1068,18 +590,17 @@ fn evloop_mode(a: EvloopArgs) -> ! {
     if !conns_ok {
         failures.push("failed to establish the requested keep-alive connection count");
     }
-    if a.crash_seed.is_some() && recoveries == 0 {
+    if crash_seed.is_some() && recoveries == 0 {
         failures.push("crash chaos requested but zero checkpoint recoveries happened");
     }
-    if a.cross_backends && (!backends_identical || backend_compared == 0) {
+    if cross_backends && (!backends_identical || backend_compared == 0) {
         failures.push("cross-backend receipt mismatch (or nothing comparable)");
     }
-    if !a.sched_sweep.is_empty() && (!schedulers_stable || sched_compared == 0) {
+    if !sched_sweep.is_empty() && (!schedulers_stable || sched_compared == 0) {
         failures.push("per-scheduler receipt instability (or nothing comparable)");
     }
     if !failures.is_empty() {
         eprintln!("detload: FAIL ({})", failures.join("; "));
         std::process::exit(1);
     }
-    std::process::exit(0);
 }

@@ -1,12 +1,11 @@
 //! Event-loop traffic driver for `detload`: tens of thousands of
 //! keep-alive connections from one thread.
 //!
-//! The legacy `detload` path spawns a thread per job — honest, but it
-//! tops out far below the connection counts a serving stack must handle.
-//! This module drives the same verified traffic through a single
-//! `poll(2)` loop (the shim's [`Poller`], the same primitive the server
-//! uses): a persistent pool of nonblocking keep-alive connections, v2
-//! pipelined `batch` frames, deterministic hot-key skew, and an
+//! A thread per job tops out far below the connection counts a serving
+//! stack must handle, so all traffic goes through a single `poll(2)` loop
+//! (the shim's [`Poller`] over [`FramedConn`]s, the same primitives the
+//! server uses): a persistent pool of nonblocking keep-alive connections,
+//! v2 pipelined `batch` frames, deterministic hot-key skew, and an
 //! open-loop/closed-loop mix.
 //!
 //! * **Open loop**: frame *k* is released at `k·depth/rate` seconds by
@@ -26,13 +25,13 @@
 //! retry policy trivially safe: re-running a job can only produce the
 //! same receipt.
 
-use detlock_serve::protocol::{batch_request, FrameBuffer, JobSpec};
+use detlock_serve::conn::FramedConn;
+use detlock_serve::protocol::{batch_request, JobSpec};
 use detlock_serve::receipt::Receipt;
 use detlock_serve::stats::LatencyHistogram;
-use detlock_shim::evloop::{Interest, Poller, RawFd};
+use detlock_shim::evloop::Poller;
 use detlock_shim::json::{Json, ToJson};
 use std::collections::VecDeque;
-use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
@@ -192,79 +191,34 @@ struct PendJob {
 }
 
 struct LoadConn {
-    stream: Option<TcpStream>,
-    rbuf: FrameBuffer,
-    out: Vec<u8>,
-    out_written: usize,
+    io: FramedConn,
     inflight: VecDeque<Frame>,
-    closed_loop: bool,
     next_dial: Instant,
 }
 
 impl LoadConn {
-    fn new(closed_loop: bool) -> LoadConn {
+    fn new() -> LoadConn {
         LoadConn {
-            stream: None,
-            rbuf: FrameBuffer::new(),
-            out: Vec::new(),
-            out_written: 0,
+            io: FramedConn::new(),
             inflight: VecDeque::new(),
-            closed_loop,
             next_dial: Instant::now(),
         }
     }
 
     fn dial(&mut self, addr: &str) -> bool {
-        if self.stream.is_some() {
+        if self.io.is_connected() {
             return true;
         }
-        if Instant::now() < self.next_dial {
+        let now = Instant::now();
+        if now < self.next_dial {
             return false;
         }
-        match TcpStream::connect(addr) {
-            Ok(s) => {
-                let _ = s.set_nodelay(true);
-                if s.set_nonblocking(true).is_err() {
-                    self.next_dial = Instant::now() + Duration::from_millis(50);
-                    return false;
-                }
-                self.stream = Some(s);
-                true
-            }
-            Err(_) => {
-                self.next_dial = Instant::now() + Duration::from_millis(50);
-                false
-            }
+        let dialed = TcpStream::connect(addr).is_ok_and(|s| self.io.attach(s).is_ok());
+        if !dialed {
+            self.next_dial = now + Duration::from_millis(50);
         }
+        dialed
     }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        let Some(stream) = self.stream.as_mut() else {
-            return Ok(());
-        };
-        while self.out_written < self.out.len() {
-            match stream.write(&self.out[self.out_written..]) {
-                Ok(0) => return Err(ErrorKind::WriteZero.into()),
-                Ok(n) => self.out_written += n,
-                Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(()),
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e),
-            }
-        }
-        self.out.clear();
-        self.out_written = 0;
-        Ok(())
-    }
-}
-
-#[cfg(unix)]
-fn raw_fd(s: &TcpStream) -> RawFd {
-    use std::os::unix::io::AsRawFd;
-    s.as_raw_fd()
-}
-#[cfg(not(unix))]
-fn raw_fd(_s: &TcpStream) -> RawFd {
-    0
 }
 
 /// The persistent connection pool + event loop. One `LoadGen` is reused
@@ -273,9 +227,7 @@ pub struct LoadGen {
     opts: LoadOptions,
     conns: Vec<LoadConn>,
     reconnects_total: u64,
-    /// Monotone slot counter feeding the hot-key draw (spans phases so
-    /// repeated passes see the identical skew pattern only if reset —
-    /// phases reset it, see `run_phase`).
+    /// Read buffer shared by every connection in the pool.
     scratch: Vec<u8>,
 }
 
@@ -284,8 +236,10 @@ impl LoadGen {
     pub fn new(opts: LoadOptions) -> LoadGen {
         assert!(opts.conns >= 1, "need at least one open-loop connection");
         assert!(opts.pipeline >= 1, "pipeline depth must be at least 1");
-        let mut conns: Vec<LoadConn> = (0..opts.conns).map(|_| LoadConn::new(false)).collect();
-        conns.extend((0..opts.closed_conns).map(|_| LoadConn::new(true)));
+        // Open-loop connections first, then the closed-loop pool.
+        let conns = (0..opts.conns + opts.closed_conns)
+            .map(|_| LoadConn::new())
+            .collect();
         LoadGen {
             opts,
             conns,
@@ -326,43 +280,34 @@ impl LoadGen {
     pub fn run_phase(&mut self, jobs: &[JobSpec], rate: f64, ledger: &mut Ledger) -> PhaseReport {
         assert!(!jobs.is_empty() && rate > 0.0);
         let depth = self.opts.pipeline.min(jobs.len());
-        let keys: Vec<String> = jobs.iter().map(|j| j.identity_key()).collect();
+        let hot_per_1024 = self.opts.hot_per_1024 as u64;
+        let hot = move |draw: u64| slot_hash(draw) % 1024 < hot_per_1024;
 
         // Open-loop schedule: frame k = jobs [k·depth, (k+1)·depth), with
-        // the deterministic hot-key substitution applied per slot, and a
-        // release time of k·depth/rate. The slot counter restarts at 0
-        // each phase so every pass over the same grid sees the same skew.
-        let mut frames: Vec<Vec<usize>> = Vec::new();
-        for (slot, idx) in (0..jobs.len()).enumerate() {
-            let idx = if self.opts.hot_per_1024 > 0
-                && slot_hash(slot as u64) % 1024 < self.opts.hot_per_1024 as u64
-            {
-                0 // the hot key
-            } else {
-                idx
-            };
-            if slot % depth == 0 {
-                frames.push(Vec::with_capacity(depth));
-            }
-            frames.last_mut().expect("just pushed").push(idx);
-        }
+        // the deterministic hot-key substitution (job 0) applied per slot,
+        // and a release time of k·depth/rate. The slot counter restarts at
+        // 0 each phase so every pass over the same grid sees the same skew.
+        let slots: Vec<usize> = (0..jobs.len())
+            .map(|slot| if hot(slot as u64) { 0 } else { slot })
+            .collect();
+        let frames: Vec<&[usize]> = slots.chunks(depth).collect();
         let period = Duration::from_secs_f64(depth as f64 / rate);
 
-        let hist = LatencyHistogram::default();
-        let mut completed = 0u64;
-        let mut failed = 0u64;
-        let mut sheds = 0u64;
+        let mut tally = Tally {
+            keys: jobs.iter().map(|j| j.identity_key()).collect(),
+            ledger,
+            hist: LatencyHistogram::default(),
+            completed: 0,
+            failed: 0,
+            sheds: 0,
+            outstanding: jobs.len() as u64,
+            retryq: Vec::new(),
+            backends_seen: Vec::new(),
+            reconnects: 0,
+        };
         let mut closed_frames = 0u64;
-        let reconnects_before = self.reconnects_total;
-        let mut backends_seen: Vec<u64> = Vec::new();
-
-        // Outstanding open-loop jobs: the phase ends when every one has
-        // been definitively resolved (receipt, typed failure, or retry
-        // exhaustion). Retries keep a job outstanding.
-        let mut outstanding: u64 = frames.iter().map(|f| f.len() as u64).sum();
         let mut next_frame = 0usize;
         let mut rr = 0usize; // open-loop round-robin cursor
-        let mut retryq: Vec<(Instant, PendJob)> = Vec::new();
         let mut closed_cursor = 0usize;
         let t0 = Instant::now();
         // Generous overall deadline: schedule length + drain allowance.
@@ -376,82 +321,65 @@ impl LoadGen {
 
             // 1. Release due open-loop frames.
             while next_frame < frames.len() && t0 + period * next_frame as u32 <= now {
-                let jobs_in = frames[next_frame]
+                let batch = frames[next_frame]
                     .iter()
                     .map(|&spec_idx| PendJob {
                         spec_idx,
                         attempts: 0,
                     })
                     .collect();
-                let conn = rr % self.opts.conns;
+                self.issue(rr % self.opts.conns, batch, jobs, false);
                 rr += 1;
-                self.issue(conn, jobs_in, jobs, false);
                 next_frame += 1;
             }
 
             // 2. Re-release due retries (grouped into fresh frames).
-            if !retryq.is_empty() {
-                let mut due: Vec<PendJob> = Vec::new();
-                let mut rest = Vec::with_capacity(retryq.len());
-                for (when, job) in std::mem::take(&mut retryq) {
-                    if when <= now {
-                        due.push(job);
-                    } else {
-                        rest.push((when, job));
-                    }
-                }
-                retryq = rest;
-                for chunk in due.chunks(depth) {
-                    let conn = rr % self.opts.conns;
-                    rr += 1;
-                    let batch: Vec<PendJob> = chunk
-                        .iter()
-                        .map(|j| PendJob {
-                            spec_idx: j.spec_idx,
-                            attempts: j.attempts,
-                        })
-                        .collect();
-                    self.issue(conn, batch, jobs, false);
-                }
+            let (due, later): (Vec<_>, Vec<_>) = std::mem::take(&mut tally.retryq)
+                .into_iter()
+                .partition(|(when, _)| *when <= now);
+            tally.retryq = later;
+            let mut due = due.into_iter().map(|(_, job)| job).peekable();
+            while due.peek().is_some() {
+                let batch = due.by_ref().take(depth).collect();
+                self.issue(rr % self.opts.conns, batch, jobs, false);
+                rr += 1;
             }
 
-            let open_work_left = outstanding > 0;
+            let open_work_left = tally.outstanding > 0;
 
             // 3. Closed-loop connections: keep one frame in flight while
             //    the open-loop phase is still running.
             if open_work_left {
                 for ci in self.opts.conns..self.conns.len() {
-                    if self.conns[ci].inflight.is_empty() {
-                        let mut batch = Vec::with_capacity(depth);
-                        for _ in 0..depth {
-                            let idx = if self.opts.hot_per_1024 > 0
-                                && slot_hash(0x9e37_79b9 ^ closed_cursor as u64) % 1024
-                                    < self.opts.hot_per_1024 as u64
-                            {
+                    if !self.conns[ci].inflight.is_empty() {
+                        continue;
+                    }
+                    let batch = (closed_cursor..closed_cursor + depth)
+                        .map(|c| PendJob {
+                            spec_idx: if hot(0x9e37_79b9 ^ c as u64) {
                                 0
                             } else {
-                                closed_cursor % jobs.len()
-                            };
-                            closed_cursor += 1;
-                            batch.push(PendJob {
-                                spec_idx: idx,
-                                attempts: 0,
-                            });
-                        }
-                        self.issue(ci, batch, jobs, true);
-                        closed_frames += 1;
-                    }
+                                c % jobs.len()
+                            },
+                            attempts: 0,
+                        })
+                        .collect();
+                    closed_cursor += depth;
+                    self.issue(ci, batch, jobs, true);
+                    closed_frames += 1;
                 }
             }
 
             // 4. Phase exit: all open-loop work resolved and every
             //    closed-loop tail frame answered.
-            let closed_idle = self
-                .conns
+            let closed_idle = self.conns[self.opts.conns..]
                 .iter()
-                .skip(self.opts.conns)
                 .all(|c| c.inflight.is_empty());
-            if next_frame == frames.len() && !open_work_left && retryq.is_empty() && closed_idle {
+            if next_frame == frames.len()
+                && !open_work_left
+                && tally.retryq.is_empty()
+                && closed_idle
+            {
                 break;
             }
             if now >= deadline {
@@ -459,27 +387,13 @@ impl LoadGen {
                 // data points are errors, not gaps.
                 for conn in &mut self.conns {
                     for frame in conn.inflight.drain(..) {
-                        for j in frame.jobs {
-                            ledger.fail(
-                                &keys[j.spec_idx],
-                                "phase deadline exceeded".to_string(),
-                                true,
-                            );
-                            if !frame.closed_loop {
-                                outstanding = outstanding.saturating_sub(1);
-                            }
-                            failed += 1;
+                        for j in &frame.jobs {
+                            tally.fail(j, "phase deadline exceeded", true, !frame.closed_loop);
                         }
                     }
                 }
-                for (_, j) in retryq.drain(..) {
-                    ledger.fail(
-                        &keys[j.spec_idx],
-                        "phase deadline exceeded".to_string(),
-                        true,
-                    );
-                    outstanding = outstanding.saturating_sub(1);
-                    failed += 1;
+                for (_, j) in std::mem::take(&mut tally.retryq) {
+                    tally.fail(&j, "phase deadline exceeded", true, true);
                 }
                 break;
             }
@@ -488,37 +402,18 @@ impl LoadGen {
             poller.clear();
             let mut order: Vec<(usize, usize)> = Vec::with_capacity(self.conns.len());
             for (ci, conn) in self.conns.iter_mut().enumerate() {
-                let wants_io = !conn.inflight.is_empty() || conn.out.len() > conn.out_written;
-                if wants_io && conn.stream.is_none() {
-                    conn.dial(&self.opts.addr);
-                }
-                if conn.flush().is_err() {
-                    // Handled below via fail path on next read; mark by
-                    // dropping the stream now.
-                    Self::fail_conn_inner(
-                        conn,
-                        &keys,
-                        &mut retryq,
-                        &mut outstanding,
-                        &mut failed,
-                        ledger,
-                        self.opts.max_attempts,
-                        &mut self.reconnects_total,
-                    );
+                // Idle keep-alive connections stay out of the poll set: a
+                // frame in flight is the only reason to touch the socket.
+                if conn.inflight.is_empty() {
                     continue;
                 }
-                let Some(stream) = conn.stream.as_ref() else {
-                    continue;
-                };
-                let reads = !conn.inflight.is_empty();
-                let writes = conn.out.len() > conn.out_written;
-                let interest = match (reads, writes) {
-                    (true, true) => Interest::BOTH,
-                    (true, false) => Interest::READABLE,
-                    (false, true) => Interest::WRITABLE,
-                    (false, false) => continue,
-                };
-                order.push((poller.push(raw_fd(stream), interest), ci));
+                conn.dial(&self.opts.addr);
+                conn.io.flush(now);
+                if conn.io.is_dead() {
+                    tally.fail_conn(conn, self.opts.max_attempts);
+                } else if let (Some(interest), _) = conn.io.interest(now) {
+                    order.push((poller.push(conn.io.fd(), interest), ci));
+                }
             }
 
             // Wake for the earliest of: next open-loop release, next
@@ -528,7 +423,7 @@ impl LoadGen {
                 let due = t0 + period * next_frame as u32;
                 timeout = timeout.min(due.saturating_duration_since(now));
             }
-            for (when, _) in &retryq {
+            for (when, _) in &tally.retryq {
                 timeout = timeout.min(when.saturating_duration_since(now));
             }
             if poller.is_empty() || poller.wait(Some(timeout)).is_err() {
@@ -543,231 +438,174 @@ impl LoadGen {
                     continue;
                 }
                 let conn = &mut self.conns[ci];
-                let mut broken = ready.error && !ready.readable;
-                if ready.readable {
-                    while let Some(stream) = conn.stream.as_mut() {
-                        match stream.read(&mut self.scratch) {
-                            Ok(0) => {
-                                broken = true;
-                                break;
-                            }
-                            Ok(n) => {
-                                let data = &self.scratch[..n];
-                                conn.rbuf.push(data);
-                            }
-                            Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                            Err(_) => {
-                                broken = true;
-                                break;
-                            }
-                        }
-                    }
-                    while let Some(line) = conn.rbuf.next_frame() {
-                        if line.trim().is_empty() {
-                            continue;
-                        }
-                        let Some(frame) = conn.inflight.pop_front() else {
-                            broken = true; // unsolicited response
-                            break;
-                        };
-                        handle_response(
-                            frame,
-                            &line,
-                            &keys,
-                            ledger,
-                            &hist,
-                            &mut completed,
-                            &mut failed,
-                            &mut sheds,
-                            &mut outstanding,
-                            &mut retryq,
-                            &mut backends_seen,
-                        );
-                    }
+                conn.io.read_ready(ready, &mut self.scratch);
+                let mut broken = false;
+                while let Some(line) = conn.io.next_frame() {
+                    // An unsolicited or mangled line voids in-order
+                    // matching for everything behind it: the link is a
+                    // casualty and its frames are reissued.
+                    let Ok(resp) = Json::parse(&line) else {
+                        broken = true;
+                        break;
+                    };
+                    let Some(frame) = conn.inflight.pop_front() else {
+                        broken = true;
+                        break;
+                    };
+                    tally.resolve(frame, &resp);
                 }
-                if broken {
-                    Self::fail_conn_inner(
-                        conn,
-                        &keys,
-                        &mut retryq,
-                        &mut outstanding,
-                        &mut failed,
-                        ledger,
-                        self.opts.max_attempts,
-                        &mut self.reconnects_total,
-                    );
+                if broken || conn.io.is_dead() || conn.io.peer_closed() {
+                    tally.fail_conn(conn, self.opts.max_attempts);
                 }
             }
         }
 
         let wall = t0.elapsed();
-        backends_seen.sort_unstable();
+        self.reconnects_total += tally.reconnects;
+        tally.backends_seen.sort_unstable();
         PhaseReport {
             offered_qps: rate,
-            achieved_qps: completed as f64 / wall.as_secs_f64().max(1e-9),
-            completed,
-            failed,
-            sheds,
-            reconnects: self.reconnects_total - reconnects_before,
+            achieved_qps: tally.completed as f64 / wall.as_secs_f64().max(1e-9),
+            completed: tally.completed,
+            failed: tally.failed,
+            sheds: tally.sheds,
+            reconnects: tally.reconnects,
             closed_frames,
             wall,
-            p50_us: hist.percentile_us(50.0),
-            p99_us: hist.percentile_us(99.0),
-            latency: hist.to_json(),
-            backends_seen,
+            p50_us: tally.hist.percentile_us(50.0),
+            p99_us: tally.hist.percentile_us(99.0),
+            latency: tally.hist.to_json(),
+            backends_seen: tally.backends_seen,
         }
     }
 
     /// Encode a frame onto connection `ci` and record it in flight.
     fn issue(&mut self, ci: usize, batch: Vec<PendJob>, jobs: &[JobSpec], closed_loop: bool) {
         let conn = &mut self.conns[ci];
-        let line = if batch.len() == 1 {
-            jobs[batch[0].spec_idx].to_json().to_string_compact()
+        let mut line = if let [job] = batch.as_slice() {
+            jobs[job.spec_idx].to_json().to_string_compact()
         } else {
             let specs: Vec<JobSpec> = batch.iter().map(|j| jobs[j.spec_idx].clone()).collect();
             batch_request(&specs).to_string_compact()
         };
-        conn.out.extend_from_slice(line.as_bytes());
-        conn.out.push(b'\n');
+        line.push('\n');
+        conn.io.queue(line.into_bytes());
         conn.inflight.push_back(Frame {
             released: Instant::now(),
             jobs: batch,
             closed_loop,
         });
     }
+}
+
+/// A phase's running account: how each job resolved, and which must be
+/// reissued.
+struct Tally<'a> {
+    /// Identity key per job-grid index.
+    keys: Vec<String>,
+    ledger: &'a mut Ledger,
+    hist: LatencyHistogram,
+    completed: u64,
+    failed: u64,
+    sheds: u64,
+    /// Open-loop jobs not yet definitively resolved (receipt, typed
+    /// failure, or retry exhaustion); the phase ends at 0. Retries keep a
+    /// job outstanding, closed-loop jobs never count.
+    outstanding: u64,
+    retryq: Vec<(Instant, PendJob)>,
+    backends_seen: Vec<u64>,
+    reconnects: u64,
+}
+
+impl Tally<'_> {
+    /// Job `j` resolved without a receipt; `open` when it was open-loop.
+    fn fail(&mut self, j: &PendJob, error: &str, unanswered: bool, open: bool) {
+        self.ledger
+            .fail(&self.keys[j.spec_idx], error.to_string(), unanswered);
+        self.failed += 1;
+        if open {
+            self.outstanding = self.outstanding.saturating_sub(1);
+        }
+    }
 
     /// Connection death: every in-flight job is re-queued (attempts
     /// permitting) — determinism makes reissue safe, the receipt ledger
     /// proves it.
-    #[allow(clippy::too_many_arguments)]
-    fn fail_conn_inner(
-        conn: &mut LoadConn,
-        keys: &[String],
-        retryq: &mut Vec<(Instant, PendJob)>,
-        outstanding: &mut u64,
-        failed: &mut u64,
-        ledger: &mut Ledger,
-        max_attempts: u32,
-        reconnects: &mut u64,
-    ) {
-        conn.stream = None;
-        conn.rbuf = FrameBuffer::new();
-        conn.out.clear();
-        conn.out_written = 0;
+    fn fail_conn(&mut self, conn: &mut LoadConn, max_attempts: u32) {
+        conn.io.reset();
         conn.next_dial = Instant::now() + Duration::from_millis(20);
-        *reconnects += 1;
-        let was_closed_loop = conn.closed_loop;
+        self.reconnects += 1;
         for frame in conn.inflight.drain(..) {
+            // Closed-loop frames are background load: a lost one is
+            // simply regenerated by the refill logic.
+            if frame.closed_loop {
+                continue;
+            }
             for mut j in frame.jobs {
                 j.attempts += 1;
-                if was_closed_loop {
-                    // Closed-loop frames are background load: a lost one
-                    // is simply regenerated by the refill logic.
-                    continue;
-                }
                 if j.attempts > max_attempts {
-                    ledger.fail(
-                        &keys[j.spec_idx],
-                        "connection failed and retries exhausted".to_string(),
-                        true,
-                    );
-                    *outstanding = outstanding.saturating_sub(1);
-                    *failed += 1;
+                    self.fail(&j, "connection failed and retries exhausted", true, true);
                 } else {
-                    retryq.push((Instant::now() + Duration::from_millis(25), j));
+                    self.retryq
+                        .push((Instant::now() + Duration::from_millis(25), j));
                 }
             }
         }
     }
-}
 
-/// Decode one response line against its frame and resolve every job in
-/// it: record receipts, schedule shed retries, count failures.
-#[allow(clippy::too_many_arguments)]
-fn handle_response(
-    frame: Frame,
-    line: &str,
-    keys: &[String],
-    ledger: &mut Ledger,
-    hist: &LatencyHistogram,
-    completed: &mut u64,
-    failed: &mut u64,
-    sheds: &mut u64,
-    outstanding: &mut u64,
-    retryq: &mut Vec<(Instant, PendJob)>,
-    backends_seen: &mut Vec<u64>,
-) {
-    let latency_us = frame.released.elapsed().as_micros() as u64;
-    let parsed = Json::parse(line).ok();
-    let results: Vec<Option<Json>> = match (&parsed, frame.jobs.len()) {
-        (Some(resp), 1) => vec![Some(resp.clone())],
-        (Some(resp), n) => {
-            match resp.get("results").and_then(Json::as_arr) {
-                Some(items) if items.len() == n => items.iter().cloned().map(Some).collect(),
-                // Whole-batch rejection (or malformed): every job in the
-                // frame sees the same verdict.
-                _ => vec![Some(resp.clone()); n],
-            }
-        }
-        (None, n) => vec![None; n],
-    };
-    let from_closed_loop = frame.closed_loop;
-    for (j, result) in frame.jobs.into_iter().zip(results) {
-        let key = &keys[j.spec_idx];
-        let resolve_open = |outstanding: &mut u64| {
-            if !from_closed_loop {
-                *outstanding = outstanding.saturating_sub(1);
-            }
-        };
-        let Some(result) = result else {
-            ledger.fail(key, "unparseable response line".to_string(), false);
-            resolve_open(outstanding);
-            *failed += 1;
-            continue;
-        };
-        if result.get("ok").and_then(Json::as_bool) == Some(true) {
-            match result.get("receipt").and_then(Receipt::from_json) {
-                Some(receipt) => {
-                    hist.record_us(latency_us);
-                    ledger.record(key, receipt.canonical());
-                    *completed += 1;
-                    if let Some(b) = result.get("backend").and_then(Json::as_u64) {
-                        if !backends_seen.contains(&b) {
-                            backends_seen.push(b);
-                        }
+    /// Resolve every job of `frame` against its response line: record
+    /// receipts, schedule shed retries, count failures.
+    fn resolve(&mut self, frame: Frame, resp: &Json) {
+        let latency_us = frame.released.elapsed().as_micros() as u64;
+        let open = !frame.closed_loop;
+        // A batch answers with one result per job; a whole-batch rejection
+        // (or a v1 frame) is the same verdict for every job in the frame.
+        let per_job = resp
+            .get("results")
+            .and_then(Json::as_arr)
+            .filter(|items| frame.jobs.len() > 1 && items.len() == frame.jobs.len());
+        for (i, j) in frame.jobs.into_iter().enumerate() {
+            let result = per_job.map_or(resp, |items| &items[i]);
+            if result.get("ok").and_then(Json::as_bool) == Some(true) {
+                let Some(receipt) = result.get("receipt").and_then(Receipt::from_json) else {
+                    self.fail(&j, "malformed receipt", false, open);
+                    continue;
+                };
+                self.hist.record_us(latency_us);
+                self.ledger
+                    .record(&self.keys[j.spec_idx], receipt.canonical());
+                self.completed += 1;
+                if open {
+                    self.outstanding = self.outstanding.saturating_sub(1);
+                }
+                if let Some(b) = result.get("backend").and_then(Json::as_u64) {
+                    if !self.backends_seen.contains(&b) {
+                        self.backends_seen.push(b);
                     }
                 }
-                None => {
-                    ledger.fail(key, "malformed receipt".to_string(), false);
-                    *failed += 1;
+            } else if result.get("error_kind").and_then(Json::as_str) == Some("shed") {
+                self.sheds += 1;
+                if !open {
+                    continue; // background load: just regenerate
                 }
+                // A shed is a definitive "later" from a live server, not a
+                // casualty: it consumes no reissue attempt (mirroring
+                // `RetryingClient`). The phase deadline bounds the waiting —
+                // a job still shed at the deadline surfaces as unanswered.
+                let backoff = result
+                    .get("retry_after_ms")
+                    .and_then(Json::as_u64)
+                    .unwrap_or(25)
+                    .min(2000);
+                self.retryq
+                    .push((Instant::now() + Duration::from_millis(backoff), j));
+            } else {
+                let err = result
+                    .get("error")
+                    .and_then(Json::as_str)
+                    .unwrap_or("unknown error");
+                self.fail(&j, err, false, open);
             }
-            resolve_open(outstanding);
-        } else if result.get("error_kind").and_then(Json::as_str) == Some("shed") {
-            *sheds += 1;
-            if from_closed_loop {
-                continue; // background load: just regenerate
-            }
-            // A shed is a definitive "later" from a live server, not a
-            // casualty: it consumes no reissue attempt (mirroring
-            // `RetryingClient`). The phase deadline bounds the waiting —
-            // a job still shed at the deadline surfaces as unanswered.
-            let backoff = result
-                .get("retry_after_ms")
-                .and_then(Json::as_u64)
-                .unwrap_or(25)
-                .min(2000);
-            retryq.push((Instant::now() + Duration::from_millis(backoff), j));
-        } else {
-            let err = result
-                .get("error")
-                .and_then(Json::as_str)
-                .unwrap_or("unknown error")
-                .to_string();
-            ledger.fail(key, err, false);
-            resolve_open(outstanding);
-            *failed += 1;
         }
     }
 }

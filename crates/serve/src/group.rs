@@ -28,12 +28,13 @@
 //!   falls back to a retryable typed shed when its replay budget runs
 //!   out or no process in the group is reachable.
 
-use crate::protocol::{FrameBuffer, JobSpec, WIRE_VERSION};
+use crate::conn::{accept_backlog, raw_fd, FramedConn, SlotKind, SlotTable};
+use crate::protocol::{error_json, parse_request, JobSpec, WireRequest};
+use crate::receipt::{ReceiptLedger, Sighting};
 use detlock_shim::evloop::{self, Interest, Poller};
 use detlock_shim::json::{Json, ToJson};
-use detlock_shim::sync::Mutex;
 use std::collections::{HashMap, VecDeque};
-use std::io::{ErrorKind, Read, Write};
+use std::io::ErrorKind;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -162,30 +163,7 @@ struct RouterShared {
     counters: RouterCounters,
     open_conns: AtomicU64,
     peak_conns: AtomicU64,
-    /// identity key → canonical receipt JSON, spanning every backend.
-    receipts_seen: Mutex<HashMap<String, String>>,
     started: Instant,
-}
-
-const RECEIPT_MEMORY: usize = 4096;
-
-impl RouterShared {
-    /// Ledger check; returns `false` on cross-process divergence.
-    fn check_receipt(&self, key: String, canonical: &str) -> bool {
-        let mut seen = self.receipts_seen.lock();
-        match seen.get(&key) {
-            Some(prev) => {
-                self.counters.dedup_hits.fetch_add(1, Ordering::Relaxed);
-                prev == canonical
-            }
-            None => {
-                if seen.len() < RECEIPT_MEMORY {
-                    seen.insert(key, canonical.to_string());
-                }
-                true
-            }
-        }
-    }
 }
 
 /// A running shard-group router. Speaks the full wire protocol; routes
@@ -214,7 +192,6 @@ impl GroupRouter {
             counters: RouterCounters::default(),
             open_conns: AtomicU64::new(0),
             peak_conns: AtomicU64::new(0),
-            receipts_seen: Mutex::new(HashMap::new()),
             started: Instant::now(),
             config,
         });
@@ -252,123 +229,18 @@ impl GroupRouter {
     }
 }
 
-#[derive(Clone, Copy, PartialEq)]
-enum RSlotKind {
-    Control,
-    Run,
-    Batch,
-}
-
-struct RSlot {
-    kind: RSlotKind,
-    results: Vec<Option<Json>>,
-    remaining: usize,
-}
-
 /// A client connection: same ordered-slot pipelining discipline as the
 /// single-server event loop, minus wire-fault injection (faults are a
 /// backend feature; the router is transparent).
 struct ClientConn {
-    stream: TcpStream,
-    rbuf: FrameBuffer,
-    slots: VecDeque<RSlot>,
-    slot_base: u64,
-    next_slot: u64,
-    out: Vec<u8>,
-    out_written: usize,
-    peer_closed: bool,
-    dead: bool,
+    io: FramedConn,
+    slots: SlotTable,
 }
 
 impl ClientConn {
-    fn new(stream: TcpStream) -> ClientConn {
-        ClientConn {
-            stream,
-            rbuf: FrameBuffer::new(),
-            slots: VecDeque::new(),
-            slot_base: 0,
-            next_slot: 0,
-            out: Vec::new(),
-            out_written: 0,
-            peer_closed: false,
-            dead: false,
-        }
-    }
-
-    fn alloc_slot(&mut self, kind: RSlotKind, width: usize) -> u64 {
-        let id = self.next_slot;
-        self.next_slot += 1;
-        self.slots.push_back(RSlot {
-            kind,
-            results: vec![None; width],
-            remaining: width,
-        });
-        id
-    }
-
-    fn fill(&mut self, slot: u64, idx: usize, result: Json) {
-        let Some(off) = slot.checked_sub(self.slot_base) else {
-            return;
-        };
-        let Some(s) = self.slots.get_mut(off as usize) else {
-            return;
-        };
-        if idx < s.results.len() && s.results[idx].is_none() {
-            s.results[idx] = Some(result);
-            s.remaining -= 1;
-        }
-    }
-
-    fn push_ready(&mut self, kind: RSlotKind, result: Json) {
-        let id = self.alloc_slot(kind, 1);
-        self.fill(id, 0, result);
-    }
-
-    /// Serialize completed front slots into the output buffer.
-    fn render_ready(&mut self) {
-        while self
-            .slots
-            .front()
-            .map(|s| s.remaining == 0)
-            .unwrap_or(false)
-        {
-            let slot = self.slots.pop_front().expect("checked front");
-            self.slot_base += 1;
-            let resp = match slot.kind {
-                RSlotKind::Batch => {
-                    let results: Vec<Json> = slot
-                        .results
-                        .into_iter()
-                        .map(|r| r.unwrap_or_else(|| error_json("internal: missing result")))
-                        .collect();
-                    Json::obj([("ok", true.to_json()), ("results", Json::Arr(results))])
-                }
-                _ => slot
-                    .results
-                    .into_iter()
-                    .next()
-                    .flatten()
-                    .unwrap_or_else(|| error_json("internal: empty slot")),
-            };
-            self.out
-                .extend_from_slice(resp.to_string_compact().as_bytes());
-            self.out.push(b'\n');
-        }
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        while self.out_written < self.out.len() {
-            match self.stream.write(&self.out[self.out_written..]) {
-                Ok(0) => return Err(ErrorKind::WriteZero.into()),
-                Ok(n) => self.out_written += n,
-                Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(()),
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e),
-            }
-        }
-        self.out.clear();
-        self.out_written = 0;
-        Ok(())
+    /// Nothing is owed: no unanswered frame, no unflushed byte.
+    fn idle(&self) -> bool {
+        self.slots.is_empty() && !self.io.has_output()
     }
 }
 
@@ -398,10 +270,7 @@ struct VerifyState {
 /// job lines; responses come back strictly in order (FIFO matching).
 struct Backend {
     addr: String,
-    stream: Option<TcpStream>,
-    rbuf: FrameBuffer,
-    out: Vec<u8>,
-    out_written: usize,
+    io: FramedConn,
     pending: VecDeque<PendingForward>,
     down_until: Option<Instant>,
     forwarded: u64,
@@ -413,10 +282,7 @@ impl Backend {
     fn new(addr: String) -> Backend {
         Backend {
             addr,
-            stream: None,
-            rbuf: FrameBuffer::new(),
-            out: Vec::new(),
-            out_written: 0,
+            io: FramedConn::new(),
             pending: VecDeque::new(),
             down_until: None,
             forwarded: 0,
@@ -426,61 +292,34 @@ impl Backend {
     }
 
     fn usable(&self, now: Instant) -> bool {
-        self.stream.is_some() || self.down_until.map(|d| now >= d).unwrap_or(true)
+        self.io.is_connected() || self.down_until.map(|d| now >= d).unwrap_or(true)
     }
 
     fn ensure_connected(&mut self) -> bool {
-        if self.stream.is_some() {
+        if self.io.is_connected() {
             return true;
         }
-        if let Some(d) = self.down_until {
-            if Instant::now() < d {
-                return false;
-            }
-        }
-        let Some(sock_addr) = self.addr.to_socket_addrs().ok().and_then(|mut a| a.next()) else {
-            self.down_until = Some(Instant::now() + BACKEND_RETRY_AFTER);
+        let now = Instant::now();
+        if !self.usable(now) {
             return false;
-        };
-        match TcpStream::connect_timeout(&sock_addr, Duration::from_secs(2)) {
-            Ok(s) => {
-                let _ = s.set_nodelay(true);
-                if s.set_nonblocking(true).is_err() {
-                    self.down_until = Some(Instant::now() + BACKEND_RETRY_AFTER);
-                    return false;
-                }
-                self.stream = Some(s);
-                self.down_until = None;
-                true
-            }
-            Err(_) => {
-                self.down_until = Some(Instant::now() + BACKEND_RETRY_AFTER);
-                false
-            }
         }
+        let dialed = self
+            .addr
+            .to_socket_addrs()
+            .ok()
+            .and_then(|mut addrs| addrs.next())
+            .and_then(|a| TcpStream::connect_timeout(&a, Duration::from_secs(2)).ok())
+            .is_some_and(|stream| self.io.attach(stream).is_ok());
+        self.down_until = (!dialed).then(|| now + BACKEND_RETRY_AFTER);
+        dialed
     }
 
-    fn flush(&mut self) -> std::io::Result<()> {
-        let Some(stream) = self.stream.as_mut() else {
-            return Ok(());
-        };
-        while self.out_written < self.out.len() {
-            match stream.write(&self.out[self.out_written..]) {
-                Ok(0) => return Err(ErrorKind::WriteZero.into()),
-                Ok(n) => self.out_written += n,
-                Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(()),
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e),
-            }
-        }
-        self.out.clear();
-        self.out_written = 0;
-        Ok(())
+    /// Send one job line down the link; its answer is matched FIFO.
+    fn forward(&mut self, p: PendingForward) {
+        self.io.queue(p.line.as_bytes().to_vec());
+        self.forwarded += 1;
+        self.pending.push_back(p);
     }
-}
-
-fn error_json(msg: &str) -> Json {
-    Json::obj([("ok", false.to_json()), ("error", msg.to_json())])
 }
 
 /// The retryable shed a client sees when its backend died mid-request:
@@ -495,18 +334,11 @@ fn failover_shed() -> Json {
     ])
 }
 
-#[cfg(unix)]
-fn raw_fd<T: std::os::unix::io::AsRawFd>(s: &T) -> evloop::RawFd {
-    s.as_raw_fd()
-}
-#[cfg(not(unix))]
-fn raw_fd<T>(_s: &T) -> evloop::RawFd {
-    0
-}
-
 struct RouterState {
     ring: HashRing,
     backends: Vec<Backend>,
+    /// Identity key → canonical receipt, spanning every backend.
+    ledger: ReceiptLedger,
     verify: HashMap<u64, VerifyState>,
     next_verify_id: u64,
 }
@@ -566,10 +398,7 @@ impl RouterState {
         shared: &RouterShared,
     ) {
         let backend = &mut self.backends[b];
-        backend.stream = None;
-        backend.out.clear();
-        backend.out_written = 0;
-        backend.rbuf = FrameBuffer::new();
+        backend.io.reset();
         backend.down_until = Some(Instant::now() + BACKEND_RETRY_AFTER);
         backend.errors += 1;
         let pending: Vec<PendingForward> = backend.pending.drain(..).collect();
@@ -594,7 +423,7 @@ impl RouterState {
             }
             if p.attempts >= REPLAY_BUDGET {
                 if let Some(conn) = conns.get_mut(&p.token) {
-                    conn.fill(p.slot, p.idx, failover_shed());
+                    conn.slots.fill(p.slot, p.idx, failover_shed());
                 }
                 continue;
             }
@@ -611,27 +440,29 @@ impl RouterState {
         conns: &mut HashMap<u64, ClientConn>,
         shared: &RouterShared,
     ) {
-        let now = Instant::now();
-        let alive: Vec<bool> = self.backends.iter().map(|b| b.usable(now)).collect();
-        let target = self
-            .ring
-            .route_alive(&p.key, &alive)
-            .filter(|&b| self.backends[b].ensure_connected())
-            .or_else(|| (0..self.backends.len()).find(|&b| self.backends[b].ensure_connected()));
-        match target {
+        match self.dial_owner(&p.key) {
             Some(t) => {
                 shared.counters.replays.fetch_add(1, Ordering::Relaxed);
-                let backend = &mut self.backends[t];
-                backend.out.extend_from_slice(p.line.as_bytes());
-                backend.forwarded += 1;
-                backend.pending.push_back(p);
+                self.backends[t].forward(p);
             }
             None => {
                 if let Some(conn) = conns.get_mut(&p.token) {
-                    conn.fill(p.slot, p.idx, failover_shed());
+                    conn.slots.fill(p.slot, p.idx, failover_shed());
                 }
             }
         }
+    }
+
+    /// The live, connected backend that should run `key`: its ring owner
+    /// among the usable backends, else (the owner refused the dial) any
+    /// backend that accepts one.
+    fn dial_owner(&mut self, key: &str) -> Option<usize> {
+        let now = Instant::now();
+        let alive: Vec<bool> = self.backends.iter().map(|b| b.usable(now)).collect();
+        self.ring
+            .route_alive(key, &alive)
+            .filter(|&b| self.backends[b].ensure_connected())
+            .or_else(|| (0..self.backends.len()).find(|&b| self.backends[b].ensure_connected()))
     }
 
     /// Route one job body: forward to its ring owner (plus, on a verify
@@ -649,17 +480,7 @@ impl RouterState {
             Err(e) => return Some(error_json(&format!("bad job spec: {e}"))),
         };
         let key = spec.identity_key();
-        let now = Instant::now();
-        let alive: Vec<bool> = self.backends.iter().map(|b| b.usable(now)).collect();
-        let Some(primary) = self
-            .ring
-            .route_alive(&key, &alive)
-            .filter(|&b| self.backends[b].ensure_connected())
-            .or_else(|| {
-                // The ring owner refused the dial: walk the rest.
-                (0..self.backends.len()).find(|&b| self.backends[b].ensure_connected())
-            })
-        else {
+        let Some(primary) = self.dial_owner(&key) else {
             return Some(failover_shed());
         };
         shared.counters.routed.fetch_add(1, Ordering::Relaxed);
@@ -686,21 +507,17 @@ impl RouterState {
         } else {
             None
         };
-        {
-            let backend = &mut self.backends[primary];
-            backend.out.extend_from_slice(line.as_bytes());
-            backend.forwarded += 1;
-            backend.pending.push_back(PendingForward {
-                token,
-                slot,
-                idx,
-                key: key.clone(),
-                line: line.clone(),
-                attempts: 0,
-                verify: vid,
-                secondary: false,
-            });
-        }
+        let forward = |secondary| PendingForward {
+            token,
+            slot,
+            idx,
+            key: key.clone(),
+            line: line.clone(),
+            attempts: 0,
+            verify: vid,
+            secondary,
+        };
+        self.backends[primary].forward(forward(false));
         if let Some(vid) = vid {
             let secondary = self
                 .ring
@@ -709,19 +526,7 @@ impl RouterState {
             match secondary {
                 Some(s) => {
                     shared.counters.verify_sent.fetch_add(1, Ordering::Relaxed);
-                    let backend = &mut self.backends[s];
-                    backend.out.extend_from_slice(line.as_bytes());
-                    backend.forwarded += 1;
-                    backend.pending.push_back(PendingForward {
-                        token,
-                        slot,
-                        idx,
-                        key,
-                        line,
-                        attempts: 0,
-                        verify: Some(vid),
-                        secondary: true,
-                    });
+                    self.backends[s].forward(forward(true));
                 }
                 None => {
                     // No second process reachable: void the draw.
@@ -770,7 +575,11 @@ impl RouterState {
         if ok {
             shared.counters.completed.fetch_add(1, Ordering::Relaxed);
             if let Some(canonical) = &receipt_canonical {
-                if !shared.check_receipt(p.key.clone(), canonical) {
+                let sighting = self.ledger.record(p.key.clone(), canonical);
+                if sighting != Sighting::First {
+                    shared.counters.dedup_hits.fetch_add(1, Ordering::Relaxed);
+                }
+                if sighting == Sighting::Mismatch {
                     shared
                         .counters
                         .receipt_mismatches
@@ -787,7 +596,7 @@ impl RouterState {
             fields.push(("backend".to_string(), (b as u64).to_json()));
         }
         if let Some(conn) = conns.get_mut(&p.token) {
-            conn.fill(p.slot, p.idx, resp);
+            conn.slots.fill(p.slot, p.idx, resp);
         }
     }
 
@@ -798,7 +607,7 @@ impl RouterState {
             .map(|b| {
                 Json::obj([
                     ("addr", b.addr.to_json()),
-                    ("up", b.stream.is_some().to_json()),
+                    ("up", b.io.is_connected().to_json()),
                     ("forwarded", b.forwarded.to_json()),
                     ("completed", b.completed.to_json()),
                     ("errors", b.errors.to_json()),
@@ -889,100 +698,68 @@ fn process_client_frame(
     open_conns: usize,
     drain_requested: &mut bool,
 ) {
-    let req = match Json::parse(line) {
-        Err(e) => {
-            conn.push_ready(RSlotKind::Control, error_json(&format!("bad json: {e}")));
-            return;
-        }
+    let req = match parse_request(line) {
         Ok(req) => req,
+        Err(reply) => return conn.slots.push_ready(SlotKind::Control, reply),
     };
-    match req.get("op").and_then(Json::as_str) {
-        Some("run") => {
-            let slot = conn.alloc_slot(RSlotKind::Run, 1);
-            if let Some(now) = state.route_job(&req, token, slot, 0, shared) {
-                conn.fill(slot, 0, now);
-            }
+    let all_ok = |results: &[Json]| {
+        results
+            .iter()
+            .all(|r| r.get("ok").and_then(Json::as_bool) == Some(true))
+    };
+    let (kind, bodies) = match WireRequest::classify(&req) {
+        WireRequest::Run(body) => (SlotKind::Run, std::slice::from_ref(body)),
+        WireRequest::Batch(bodies) => (SlotKind::Batch, bodies),
+        WireRequest::BadBatch(why) => {
+            return conn.slots.push_ready(SlotKind::Batch, error_json(why))
         }
-        Some("batch") => {
-            let jobs = match req.get("jobs").and_then(Json::as_arr) {
-                None => {
-                    conn.push_ready(
-                        RSlotKind::Batch,
-                        error_json("batch frame missing `jobs` array"),
+        WireRequest::Hello { max_version } => {
+            let mut reply = WireRequest::hello_reply(max_version);
+            if let Json::Obj(fields) = &mut reply {
+                fields.push(("router".to_string(), true.to_json()));
+            }
+            return conn.slots.push_ready(SlotKind::Control, reply);
+        }
+        WireRequest::Other(op) => {
+            let reply = match op {
+                Some("ping") => Json::obj([("ok", true.to_json())]),
+                Some("stats") => state.stats_json(shared, open_conns),
+                Some("chaos") => {
+                    let results = broadcast_control(state, &req, Duration::from_secs(10));
+                    Json::obj([
+                        ("ok", all_ok(&results).to_json()),
+                        ("backends", Json::Arr(results)),
+                    ])
+                }
+                Some("kill") => {
+                    error_json("kill is per-process: send it to a backend address directly")
+                }
+                Some("shutdown") => {
+                    // Drain the whole group: every backend drains its
+                    // in-flight work (blocking, each answers after its own
+                    // drain), then the router answers and exits.
+                    let results = broadcast_control(
+                        state,
+                        &Json::obj([("op", "shutdown".to_json())]),
+                        Duration::from_secs(120),
                     );
-                    return;
+                    *drain_requested = true;
+                    Json::obj([
+                        ("ok", all_ok(&results).to_json()),
+                        ("drained", true.to_json()),
+                        ("backends", Json::Arr(results)),
+                    ])
                 }
-                Some([]) => {
-                    conn.push_ready(RSlotKind::Batch, error_json("batch frame has no jobs"));
-                    return;
-                }
-                Some(arr) => arr.to_vec(),
+                op => WireRequest::unknown_op_reply(op),
             };
-            let slot = conn.alloc_slot(RSlotKind::Batch, jobs.len());
-            for (idx, body) in jobs.iter().enumerate() {
-                if let Some(now) = state.route_job(body, token, slot, idx, shared) {
-                    conn.fill(slot, idx, now);
-                }
-            }
+            return conn.slots.push_ready(SlotKind::Control, reply);
         }
-        Some("hello") => {
-            let client_max = req.get("max_version").and_then(Json::as_u64).unwrap_or(1);
-            conn.push_ready(
-                RSlotKind::Control,
-                Json::obj([
-                    ("ok", true.to_json()),
-                    ("version", client_max.min(WIRE_VERSION).to_json()),
-                    ("batch", true.to_json()),
-                    ("router", true.to_json()),
-                ]),
-            );
+    };
+    let slot = conn.slots.alloc(kind, bodies.len());
+    for (idx, body) in bodies.iter().enumerate() {
+        if let Some(now) = state.route_job(body, token, slot, idx, shared) {
+            conn.slots.fill(slot, idx, now);
         }
-        Some("ping") => conn.push_ready(RSlotKind::Control, Json::obj([("ok", true.to_json())])),
-        Some("stats") => {
-            let stats = state.stats_json(shared, open_conns);
-            conn.push_ready(RSlotKind::Control, stats);
-        }
-        Some("chaos") => {
-            let results = broadcast_control(state, &req, Duration::from_secs(10));
-            let all_ok = results
-                .iter()
-                .all(|r| r.get("ok").and_then(Json::as_bool) == Some(true));
-            conn.push_ready(
-                RSlotKind::Control,
-                Json::obj([("ok", all_ok.to_json()), ("backends", Json::Arr(results))]),
-            );
-        }
-        Some("kill") => conn.push_ready(
-            RSlotKind::Control,
-            error_json("kill is per-process: send it to a backend address directly"),
-        ),
-        Some("shutdown") => {
-            // Drain the whole group: every backend drains its in-flight
-            // work (blocking, each answers after its own drain), then the
-            // router answers and exits.
-            let results = broadcast_control(
-                state,
-                &Json::obj([("op", "shutdown".to_json())]),
-                Duration::from_secs(120),
-            );
-            let all_ok = results
-                .iter()
-                .all(|r| r.get("ok").and_then(Json::as_bool) == Some(true));
-            conn.push_ready(
-                RSlotKind::Control,
-                Json::obj([
-                    ("ok", all_ok.to_json()),
-                    ("drained", true.to_json()),
-                    ("backends", Json::Arr(results)),
-                ]),
-            );
-            *drain_requested = true;
-        }
-        Some(other) => conn.push_ready(
-            RSlotKind::Control,
-            error_json(&format!("unknown op `{other}`")),
-        ),
-        None => conn.push_ready(RSlotKind::Control, error_json("missing `op`")),
     }
 }
 
@@ -998,6 +775,7 @@ fn router_loop(listener: TcpListener, wake_rx: evloop::WakeRx, shared: &Arc<Rout
             .iter()
             .map(|a| Backend::new(a.clone()))
             .collect(),
+        ledger: ReceiptLedger::default(),
         verify: HashMap::new(),
         next_verify_id: 0,
     };
@@ -1014,38 +792,29 @@ fn router_loop(listener: TcpListener, wake_rx: evloop::WakeRx, shared: &Arc<Rout
         }
 
         // Render + flush clients; reap the dead.
-        let mut dead: Vec<u64> = Vec::new();
-        for (&token, conn) in conns.iter_mut() {
-            conn.render_ready();
-            if conn.flush().is_err() {
-                conn.dead = true;
+        let now = Instant::now();
+        conns.retain(|_, conn| {
+            while let Some((_, line)) = conn.slots.pop_ready() {
+                conn.io.queue(line);
             }
-            let finished =
-                conn.peer_closed && conn.out.len() == conn.out_written && conn.slots.is_empty();
-            if conn.dead || finished {
-                dead.push(token);
-            }
-        }
-        for token in &dead {
-            conns.remove(token);
-        }
+            conn.io.flush(now);
+            !(conn.io.is_dead() || conn.io.peer_closed() && conn.idle())
+        });
         shared
             .open_conns
             .store(conns.len() as u64, Ordering::Relaxed);
 
-        // Flush backends; a write error fails the link and sheds pendings.
+        // Flush backends; a write error fails the link and replays pendings.
         for b in 0..state.backends.len() {
-            if state.backends[b].flush().is_err() {
+            state.backends[b].io.flush(now);
+            if state.backends[b].io.is_dead() {
                 state.fail_backend(b, &mut conns, shared);
             }
         }
 
         if exiting {
-            let flushed = conns
-                .values()
-                .all(|c| c.out.len() == c.out_written && c.slots.is_empty());
-            let overdue = exit_deadline.map(|d| Instant::now() >= d).unwrap_or(false);
-            if flushed || overdue {
+            let overdue = exit_deadline.map(|d| now >= d).unwrap_or(false);
+            if overdue || conns.values().all(ClientConn::idle) {
                 break;
             }
         }
@@ -1053,34 +822,18 @@ fn router_loop(listener: TcpListener, wake_rx: evloop::WakeRx, shared: &Arc<Rout
         // Interest set: wake, listener, clients, live backend links.
         poller.clear();
         poller.push(wake_rx.fd(), Interest::READABLE);
-        let accept_idx = if exiting {
-            None
-        } else {
-            Some(poller.push(raw_fd(&listener), Interest::READABLE))
-        };
+        let accept_idx = (!exiting).then(|| poller.push(raw_fd(&listener), Interest::READABLE));
         let mut client_order: Vec<(usize, u64)> = Vec::with_capacity(conns.len());
         for (&token, conn) in conns.iter() {
-            let reads = !conn.peer_closed;
-            let writes = conn.out.len() > conn.out_written;
-            let interest = match (reads, writes) {
-                (true, true) => Interest::BOTH,
-                (true, false) => Interest::READABLE,
-                (false, true) => Interest::WRITABLE,
-                (false, false) => continue,
-            };
-            client_order.push((poller.push(raw_fd(&conn.stream), interest), token));
+            if let (Some(interest), _) = conn.io.interest(now) {
+                client_order.push((poller.push(conn.io.fd(), interest), token));
+            }
         }
         let mut backend_order: Vec<(usize, usize)> = Vec::with_capacity(state.backends.len());
         for (b, backend) in state.backends.iter().enumerate() {
-            let Some(stream) = backend.stream.as_ref() else {
-                continue;
-            };
-            let interest = if backend.out.len() > backend.out_written {
-                Interest::BOTH
-            } else {
-                Interest::READABLE
-            };
-            backend_order.push((poller.push(raw_fd(stream), interest), b));
+            if let (Some(interest), _) = backend.io.interest(now) {
+                backend_order.push((poller.push(backend.io.fd(), interest), b));
+            }
         }
 
         if poller.wait(Some(Duration::from_millis(250))).is_err() {
@@ -1088,27 +841,12 @@ fn router_loop(listener: TcpListener, wake_rx: evloop::WakeRx, shared: &Arc<Rout
         }
         wake_rx.drain();
 
-        // Accept.
-        if accept_idx
-            .map(|i| poller.ready(i).readable)
-            .unwrap_or(false)
-        {
-            loop {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        if stream.set_nonblocking(true).is_err() {
-                            continue;
-                        }
-                        let _ = stream.set_nodelay(true);
-                        let token = next_token;
-                        next_token += 1;
-                        conns.insert(token, ClientConn::new(stream));
-                    }
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                    Err(_) => break,
-                }
-            }
+        if accept_idx.is_some_and(|i| poller.ready(i).readable) {
+            accept_backlog(&listener, |io| {
+                let slots = SlotTable::default();
+                conns.insert(next_token, ClientConn { io, slots });
+                next_token += 1;
+            });
             let open = conns.len() as u64;
             shared.open_conns.store(open, Ordering::Relaxed);
             shared.peak_conns.fetch_max(open, Ordering::Relaxed);
@@ -1120,36 +858,14 @@ fn router_loop(listener: TcpListener, wake_rx: evloop::WakeRx, shared: &Arc<Rout
             if !ready.any() {
                 continue;
             }
-            if ready.readable {
-                let mut failed = false;
-                while let Some(stream) = state.backends[b].stream.as_mut() {
-                    match stream.read(&mut scratch) {
-                        Ok(0) => {
-                            failed = true;
-                            break;
-                        }
-                        Ok(n) => {
-                            let data = scratch[..n].to_vec();
-                            state.backends[b].rbuf.push(&data);
-                        }
-                        Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                        Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                        Err(_) => {
-                            failed = true;
-                            break;
-                        }
-                    }
-                }
-                while let Some(line) = state.backends[b].rbuf.next_frame() {
-                    if line.trim().is_empty() {
-                        continue;
-                    }
-                    state.backend_response(b, &line, &mut conns, shared);
-                }
-                if failed {
-                    state.fail_backend(b, &mut conns, shared);
-                }
-            } else if ready.error {
+            state.backends[b].io.read_ready(ready, &mut scratch);
+            while let Some(line) = state.backends[b].io.next_frame() {
+                state.backend_response(b, &line, &mut conns, shared);
+            }
+            // A backend that hangs up is a casualty even when it was
+            // polite about it.
+            let io = &state.backends[b].io;
+            if io.is_dead() || io.peer_closed() {
                 state.fail_backend(b, &mut conns, shared);
             }
         }
@@ -1166,41 +882,17 @@ fn router_loop(listener: TcpListener, wake_rx: evloop::WakeRx, shared: &Arc<Rout
                 let Some(conn) = conns.get_mut(&token) else {
                     continue;
                 };
-                if ready.readable && !conn.peer_closed {
-                    loop {
-                        match conn.stream.read(&mut scratch) {
-                            Ok(0) => {
-                                conn.peer_closed = true;
-                                if conn.rbuf.pending() > 0 {
-                                    conn.rbuf.push(b"\n");
-                                }
-                                break;
-                            }
-                            Ok(n) => conn.rbuf.push(&scratch[..n]),
-                            Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                            Err(_) => {
-                                conn.dead = true;
-                                break;
-                            }
-                        }
-                    }
-                    while let Some(line) = conn.rbuf.next_frame() {
-                        if line.trim().is_empty() {
-                            continue;
-                        }
-                        process_client_frame(
-                            conn,
-                            token,
-                            &line,
-                            &mut state,
-                            shared,
-                            open,
-                            &mut drain_requested,
-                        );
-                    }
-                } else if ready.error {
-                    conn.dead = true;
+                conn.io.read_ready(ready, &mut scratch);
+                while let Some(line) = conn.io.next_frame() {
+                    process_client_frame(
+                        conn,
+                        token,
+                        &line,
+                        &mut state,
+                        shared,
+                        open,
+                        &mut drain_requested,
+                    );
                 }
             }
             if drain_requested {

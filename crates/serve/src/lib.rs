@@ -20,7 +20,8 @@
 //!   deterministically, so "too slow" is a property of the job, not of
 //!   the day it ran.
 //!
-//! Modules: [`protocol`] (wire format + client), [`queue`] (admission +
+//! Modules: [`protocol`] (wire format + client), [`conn`] (the framed
+//! nonblocking connection every endpoint drives), [`queue`] (admission +
 //! backpressure), [`shard`] (the per-shard engine), [`receipt`]
 //! (determinism evidence), [`stats`] (counters + latency histograms),
 //! [`server`] (the daemon core used by `detserved`).
@@ -28,6 +29,7 @@
 #![warn(missing_docs)]
 
 pub mod client;
+pub mod conn;
 pub mod group;
 pub mod netfault;
 pub mod protocol;

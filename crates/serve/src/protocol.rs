@@ -123,16 +123,82 @@ pub fn batch_request(jobs: &[JobSpec]) -> Json {
     ])
 }
 
+/// The job bodies of a `batch` frame, or why the frame has none.
+fn batch_bodies(v: &Json) -> Result<&[Json], &'static str> {
+    match v.get("jobs").and_then(Json::as_arr) {
+        None => Err("batch frame missing `jobs` array"),
+        Some([]) => Err("batch frame has no jobs"),
+        Some(jobs) => Ok(jobs),
+    }
+}
+
 /// Parse the `jobs` array out of a `batch` frame.
 pub fn parse_batch(v: &Json) -> Result<Vec<JobSpec>, String> {
-    let jobs = v
-        .get("jobs")
-        .and_then(Json::as_arr)
-        .ok_or("batch frame missing `jobs` array")?;
-    if jobs.is_empty() {
-        return Err("batch frame has no jobs".into());
+    batch_bodies(v)?.iter().map(JobSpec::from_json).collect()
+}
+
+/// The standard failure reply, `{"ok":false,"error":msg}`.
+pub fn error_json(msg: &str) -> Json {
+    Json::obj([("ok", false.to_json()), ("error", msg.to_json())])
+}
+
+/// Parse one request line; `Err` is the reply to a line that is not JSON.
+pub fn parse_request(line: &str) -> Result<Json, Json> {
+    Json::parse(line).map_err(|e| error_json(&format!("bad json: {e}")))
+}
+
+/// One parsed request frame, sorted into the shapes every endpoint (a
+/// server, a group router) answers the same way.
+pub enum WireRequest<'a> {
+    /// A v1 `run` frame; the frame itself is the job body.
+    Run(&'a Json),
+    /// A v2 `batch` frame and its (non-empty) job bodies.
+    Batch(&'a [Json]),
+    /// A `batch` frame without usable `jobs`; the message is answered in
+    /// a one-result batch reply.
+    BadBatch(&'static str),
+    /// A v2 `hello`; `max_version` defaults to 1 when absent.
+    Hello {
+        /// Highest version the client speaks.
+        max_version: u64,
+    },
+    /// Any other (control-plane) op, by name; `None` when `op` is missing.
+    Other(Option<&'a str>),
+}
+
+impl<'a> WireRequest<'a> {
+    /// Classify a parsed request frame.
+    pub fn classify(req: &'a Json) -> WireRequest<'a> {
+        match req.get("op").and_then(Json::as_str) {
+            Some("run") => WireRequest::Run(req),
+            Some("batch") => match batch_bodies(req) {
+                Ok(jobs) => WireRequest::Batch(jobs),
+                Err(why) => WireRequest::BadBatch(why),
+            },
+            Some("hello") => WireRequest::Hello {
+                max_version: req.get("max_version").and_then(Json::as_u64).unwrap_or(1),
+            },
+            op => WireRequest::Other(op),
+        }
     }
-    jobs.iter().map(JobSpec::from_json).collect()
+
+    /// The reply to [`WireRequest::Hello`]: the negotiated version is
+    /// `min(client max, WIRE_VERSION)`.
+    pub fn hello_reply(max_version: u64) -> Json {
+        Json::obj([
+            ("ok", true.to_json()),
+            ("version", max_version.min(WIRE_VERSION).to_json()),
+            ("batch", true.to_json()),
+        ])
+    }
+
+    /// The reply to a [`WireRequest::Other`] op the endpoint does not serve.
+    pub fn unknown_op_reply(op: Option<&str>) -> Json {
+        match op {
+            Some(other) => error_json(&format!("unknown op `{other}`")),
+            None => error_json("missing `op`"),
+        }
+    }
 }
 
 /// One job: "run workload W with config C, seed S".
@@ -493,6 +559,50 @@ mod tests {
         assert!(
             parse_batch(&Json::parse(r#"{"op":"batch","jobs":[{"workload":7}]}"#).unwrap())
                 .is_err()
+        );
+    }
+
+    #[test]
+    fn requests_classify_by_shape() {
+        let classify = |line: &str| {
+            let req = parse_request(line).unwrap();
+            match WireRequest::classify(&req) {
+                WireRequest::Run(_) => "run".to_string(),
+                WireRequest::Batch(jobs) => format!("batch/{}", jobs.len()),
+                WireRequest::BadBatch(why) => format!("bad-batch: {why}"),
+                WireRequest::Hello { max_version } => format!("hello/{max_version}"),
+                WireRequest::Other(op) => format!("other/{op:?}"),
+            }
+        };
+        assert_eq!(classify(r#"{"op":"run","workload":"ocean"}"#), "run");
+        assert_eq!(classify(r#"{"op":"batch","jobs":[{},{}]}"#), "batch/2");
+        assert_eq!(
+            classify(r#"{"op":"batch","jobs":[]}"#),
+            "bad-batch: batch frame has no jobs"
+        );
+        assert_eq!(
+            classify(r#"{"op":"batch"}"#),
+            "bad-batch: batch frame missing `jobs` array"
+        );
+        assert_eq!(classify(r#"{"op":"hello","max_version":9}"#), "hello/9");
+        assert_eq!(classify(r#"{"op":"hello"}"#), "hello/1");
+        assert_eq!(classify(r#"{"op":"stats"}"#), r#"other/Some("stats")"#);
+        assert_eq!(classify(r#"{}"#), "other/None");
+        assert_eq!(
+            parse_request("{nope").unwrap_err().to_string_compact()[..29],
+            *r#"{"ok":false,"error":"bad json"#
+        );
+        assert_eq!(
+            WireRequest::hello_reply(9).to_string_compact(),
+            r#"{"ok":true,"version":2,"batch":true}"#
+        );
+        assert_eq!(
+            WireRequest::unknown_op_reply(Some("zap")).to_string_compact(),
+            r#"{"ok":false,"error":"unknown op `zap`"}"#
+        );
+        assert_eq!(
+            WireRequest::unknown_op_reply(None).to_string_compact(),
+            r#"{"ok":false,"error":"missing `op`"}"#
         );
     }
 

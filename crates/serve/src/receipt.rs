@@ -12,6 +12,7 @@
 use crate::protocol::JobSpec;
 use detlock_shim::json::{Json, ToJson};
 use detlock_vm::metrics::RunMetrics;
+use std::collections::HashMap;
 
 /// The determinism evidence returned with every completed job.
 #[derive(Debug, Clone, PartialEq)]
@@ -109,9 +110,67 @@ impl ToJson for Receipt {
     }
 }
 
+/// How many distinct job identities a [`ReceiptLedger`] remembers.
+/// Bounded so the mismatch detector is O(1) in uptime, like everything
+/// else on the serving path.
+pub const RECEIPT_MEMORY: usize = 4096;
+
+/// What a [`ReceiptLedger`] made of one finished receipt.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Sighting {
+    /// No earlier receipt is on record for this identity.
+    First,
+    /// An earlier receipt is on record and this one is byte-identical.
+    Same,
+    /// An earlier receipt is on record and this one differs: an incident.
+    Mismatch,
+}
+
+/// Bounded identity key → canonical receipt memory. Receipts are a
+/// function of the job, so every re-sighting of a key — another tenant,
+/// shard, sweep or process — must repeat the first one byte for byte.
+#[derive(Default)]
+pub struct ReceiptLedger {
+    seen: HashMap<String, String>,
+}
+
+impl ReceiptLedger {
+    /// Record a finished receipt against its job identity. Past
+    /// [`RECEIPT_MEMORY`] keys new identities are no longer remembered
+    /// (they keep reporting [`Sighting::First`]).
+    pub fn record(&mut self, key: String, canonical: &str) -> Sighting {
+        match self.seen.get(&key) {
+            Some(prev) if prev == canonical => Sighting::Same,
+            Some(_) => Sighting::Mismatch,
+            None => {
+                if self.seen.len() < RECEIPT_MEMORY {
+                    self.seen.insert(key, canonical.to_string());
+                }
+                Sighting::First
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn ledger_reports_first_same_mismatch_and_stays_bounded() {
+        let mut l = ReceiptLedger::default();
+        assert_eq!(l.record("k".into(), "r1"), Sighting::First);
+        assert_eq!(l.record("k".into(), "r1"), Sighting::Same);
+        assert_eq!(l.record("k".into(), "r2"), Sighting::Mismatch);
+        // The first sighting stays the reference after a mismatch.
+        assert_eq!(l.record("k".into(), "r1"), Sighting::Same);
+        for i in 0..RECEIPT_MEMORY + 10 {
+            l.record(format!("fill{i}"), "r");
+        }
+        assert_eq!(l.seen.len(), RECEIPT_MEMORY);
+        assert_eq!(l.record("late".into(), "r"), Sighting::First);
+        assert_eq!(l.record("late".into(), "other"), Sighting::First);
+    }
 
     fn sample() -> Receipt {
         Receipt {

@@ -16,10 +16,11 @@
 //! ```
 //!
 //! The network edge is a single readiness-driven event loop
-//! ([`detlock_shim::evloop`]): every connection is nonblocking, frames are
-//! reassembled incrementally ([`crate::protocol::FrameBuffer`]), and
-//! responses flush strictly in per-connection request order, so clients
-//! may **pipeline** arbitrarily many v1 `run` or v2 `batch` frames.
+//! ([`detlock_shim::evloop`]): every connection is a nonblocking
+//! [`crate::conn::FramedConn`] (frames reassembled incrementally) with a
+//! [`crate::conn::SlotTable`], so responses flush strictly in
+//! per-connection request order and clients may **pipeline** arbitrarily
+//! many v1 `run` or v2 `batch` frames.
 //! Shard workers stay plain threads (execution is CPU-bound); they hand
 //! results back over an mpsc channel and poke the loop's waker. Injected
 //! wire faults become gated output chunks (a `Delay` is a chunk whose
@@ -53,10 +54,11 @@
 //! `draining` shed, lets in-flight jobs finish, and flushes their final
 //! checkpoints.
 
+use crate::conn::{accept_backlog, raw_fd, FramedConn, SlotKind, SlotTable};
 use crate::netfault::{CrashPlan, NetFaultPlan, WireFault};
-use crate::protocol::{FrameBuffer, JobSpec, WIRE_VERSION};
+use crate::protocol::{error_json, parse_request, JobSpec, WireRequest};
 use crate::queue::{backoff_deadline, AdmissionQueue, SubmitError};
-use crate::receipt::Receipt;
+use crate::receipt::{Receipt, ReceiptLedger, Sighting};
 use crate::shard::{ExecOpts, ExecOutcome, PreemptReason, ShardEngine};
 use crate::stats::{Counters, LatencyHistogram};
 use detlock_passes::cache::PlanCache;
@@ -68,9 +70,8 @@ use detlock_shim::sync::Mutex;
 use detlock_vm::machine::Checkpoint;
 use detlock_vm::sanitizer::SanitizerReport;
 use detlock_vm::{Backend, Sched};
-use std::collections::{HashMap, VecDeque};
-use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::collections::HashMap;
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
@@ -137,11 +138,6 @@ impl Default for ServeConfig {
         }
     }
 }
-
-/// How many distinct job identities the receipt cross-check remembers.
-/// Bounded so the mismatch detector is O(1) in uptime, like everything
-/// else on the serving path.
-const RECEIPT_MEMORY: usize = 4096;
 
 enum JobResult {
     Done {
@@ -246,9 +242,8 @@ struct Shared {
     draining: AtomicBool,
     shutdown: AtomicBool,
     in_flight: AtomicU64,
-    /// identity key -> canonical receipt, for cross-tenant/cross-shard
-    /// mismatch detection.
-    receipts_seen: Mutex<HashMap<String, String>>,
+    /// Cross-tenant/cross-shard receipt mismatch detection.
+    receipts_seen: Mutex<ReceiptLedger>,
     /// Active wire-fault plan (set/cleared by the `chaos` op).
     net_faults: Mutex<Option<NetFaultPlan>>,
     /// Active shard-crash plan (set/cleared by the `chaos` op).
@@ -288,21 +283,6 @@ impl Shared {
             Counters::bump(&self.counters.evictions);
         }
         was_alive
-    }
-
-    /// Record a finished receipt; returns `false` on a mismatch with a
-    /// previously seen receipt for the same identity.
-    fn check_receipt(&self, key: String, canonical: &str) -> bool {
-        let mut seen = self.receipts_seen.lock();
-        match seen.get(&key) {
-            Some(prev) => prev == canonical,
-            None => {
-                if seen.len() < RECEIPT_MEMORY {
-                    seen.insert(key, canonical.to_string());
-                }
-                true
-            }
-        }
     }
 
     fn stats_json(&self) -> Json {
@@ -509,7 +489,7 @@ impl DetServed {
             draining: AtomicBool::new(false),
             shutdown: AtomicBool::new(false),
             in_flight: AtomicU64::new(0),
-            receipts_seen: Mutex::new(HashMap::new()),
+            receipts_seen: Mutex::new(ReceiptLedger::default()),
             net_faults: Mutex::new(config.net_faults),
             crash_faults: Mutex::new(config.crash_faults),
             conn_counter: AtomicU64::new(0),
@@ -594,248 +574,66 @@ fn finish_shutdown(shared: &Shared) {
     shared.loop_waker.wake();
 }
 
-fn error_json(msg: &str) -> Json {
-    Json::obj([("ok", false.to_json()), ("error", msg.to_json())])
-}
-
-#[cfg(unix)]
-fn raw_fd<T: std::os::unix::io::AsRawFd>(s: &T) -> evloop::RawFd {
-    s.as_raw_fd()
-}
-#[cfg(not(unix))]
-fn raw_fd<T>(_s: &T) -> evloop::RawFd {
-    0
-}
-
-/// What a response slot is for: `Run`/`Batch` are data-plane (wire faults
-/// apply, `resp_idx` advances), the rest are control-plane.
-#[derive(Clone, Copy, PartialEq)]
-enum SlotKind {
-    Control,
-    Run,
-    Batch,
-    Shutdown,
-}
-
-/// One response frame owed to a connection, in request order. A v1 `run`
-/// holds one result; a v2 `batch` holds one per job. The frame is
-/// rendered to bytes only when `remaining` hits zero *and* every earlier
-/// slot has flushed — that is what makes pipelining answer in order.
-struct PendingSlot {
-    kind: SlotKind,
-    results: Vec<Option<Json>>,
-    remaining: usize,
-}
-
-/// Bytes owed to a connection. `not_before` gates delivery (injected
-/// `Delay`/`PartialWrite` stalls become timers instead of thread sleeps);
-/// `close_after` expresses `Drop`/`Truncate` faults.
-struct OutChunk {
-    bytes: Vec<u8>,
-    written: usize,
-    not_before: Option<Instant>,
-    close_after: bool,
-}
-
-impl OutChunk {
-    fn plain(bytes: Vec<u8>) -> OutChunk {
-        OutChunk {
-            bytes,
-            written: 0,
-            not_before: None,
-            close_after: false,
-        }
-    }
-}
-
-/// Per-connection state machine: incremental frame reassembly in,
-/// ordered response slots and gated output chunks out.
+/// Per-connection state: the shared framed connection and slot table,
+/// plus the coordinates injected wire faults key on.
 struct Conn {
-    stream: TcpStream,
-    /// Wire-fault coordinate (stable accept order, like the old
-    /// thread-per-connection ids).
+    io: FramedConn,
+    slots: SlotTable,
+    /// Wire-fault coordinate (stable accept order).
     conn_id: u64,
     /// Index of this connection's data-plane responses (control-plane
     /// traffic doesn't advance it, so a stats poll can't shift which run
     /// responses get mangled).
     resp_idx: u64,
-    rbuf: FrameBuffer,
-    slots: VecDeque<PendingSlot>,
-    /// Slot id of `slots.front()`; ids are issued monotonically.
-    slot_base: u64,
-    next_slot: u64,
-    out: VecDeque<OutChunk>,
-    peer_closed: bool,
-    dead: bool,
 }
 
 impl Conn {
-    fn new(stream: TcpStream, conn_id: u64) -> Conn {
-        Conn {
-            stream,
-            conn_id,
-            resp_idx: 0,
-            rbuf: FrameBuffer::new(),
-            slots: VecDeque::new(),
-            slot_base: 0,
-            next_slot: 0,
-            out: VecDeque::new(),
-            peer_closed: false,
-            dead: false,
+    /// Nothing is owed: no unanswered frame, no unflushed byte.
+    fn idle(&self) -> bool {
+        self.slots.is_empty() && !self.io.has_output()
+    }
+
+    /// Move complete front slots to the out-queue, turning any injected
+    /// fault on a data-plane frame into gated or closing chunks (a
+    /// `Delay` is a timer on the chunk, never a thread sleep).
+    fn queue_responses(&mut self, shared: &Shared) {
+        while let Some((kind, mut bytes)) = self.slots.pop_ready() {
+            let mut fault = None;
+            if kind != SlotKind::Control {
+                let plan = *shared.net_faults.lock();
+                fault = plan.and_then(|p| p.fault_for(self.conn_id, self.resp_idx, bytes.len()));
+                self.resp_idx += 1;
+            }
+            let Some(fault) = fault else {
+                self.io.queue(bytes);
+                continue;
+            };
+            Counters::bump(&shared.counters.net_faults_injected);
+            let after = |ms| Some(Instant::now() + Duration::from_millis(ms));
+            match fault {
+                WireFault::Drop => self.io.queue_gated(Vec::new(), None, true),
+                WireFault::Truncate { keep } => {
+                    bytes.truncate(keep);
+                    self.io.queue_gated(bytes, None, true);
+                }
+                WireFault::PartialWrite { first, stall_ms } => {
+                    let rest = bytes.split_off(first.min(bytes.len()));
+                    self.io.queue(bytes);
+                    self.io.queue_gated(rest, after(stall_ms), false);
+                }
+                WireFault::Delay { ms } => self.io.queue_gated(bytes, after(ms), false),
+            }
         }
-    }
-
-    fn alloc_slot(&mut self, kind: SlotKind, width: usize) -> u64 {
-        let id = self.next_slot;
-        self.next_slot += 1;
-        self.slots.push_back(PendingSlot {
-            kind,
-            results: vec![None; width],
-            remaining: width,
-        });
-        id
-    }
-
-    fn fill(&mut self, slot: u64, idx: usize, result: Json) {
-        let Some(off) = slot.checked_sub(self.slot_base) else {
-            return;
-        };
-        let Some(s) = self.slots.get_mut(off as usize) else {
-            return;
-        };
-        if idx < s.results.len() && s.results[idx].is_none() {
-            s.results[idx] = Some(result);
-            s.remaining -= 1;
-        }
-    }
-
-    /// Allocate a slot that is already complete (control ops, sheds).
-    fn push_ready(&mut self, kind: SlotKind, result: Json) {
-        let id = self.alloc_slot(kind, 1);
-        self.fill(id, 0, result);
     }
 }
 
+/// Fill a response slot, if its connection is still there. A completion
+/// for a connection that died in the meantime is simply discarded — the
+/// job itself already finished and was counted.
 fn fill_slot(conns: &mut HashMap<u64, Conn>, token: u64, slot: u64, idx: usize, result: Json) {
     if let Some(conn) = conns.get_mut(&token) {
-        conn.fill(slot, idx, result);
+        conn.slots.fill(slot, idx, result);
     }
-}
-
-fn deliver(conns: &mut HashMap<u64, Conn>, c: Completion) {
-    // A completion for a connection that died in the meantime is simply
-    // discarded — the job itself already finished and was counted.
-    let rendered = render_result(c.result);
-    fill_slot(conns, c.token, c.slot, c.idx, rendered);
-}
-
-/// Render complete front slots into wire bytes, applying any injected
-/// fault to data-plane frames.
-fn render_ready(conn: &mut Conn, shared: &Shared) {
-    while conn
-        .slots
-        .front()
-        .map(|s| s.remaining == 0)
-        .unwrap_or(false)
-    {
-        let slot = conn.slots.pop_front().expect("checked front");
-        conn.slot_base += 1;
-        let resp = match slot.kind {
-            SlotKind::Batch => {
-                let results: Vec<Json> = slot
-                    .results
-                    .into_iter()
-                    .map(|r| r.unwrap_or_else(|| error_json("internal: missing result")))
-                    .collect();
-                Json::obj([("ok", true.to_json()), ("results", Json::Arr(results))])
-            }
-            _ => slot
-                .results
-                .into_iter()
-                .next()
-                .flatten()
-                .unwrap_or_else(|| error_json("internal: empty slot")),
-        };
-        let mut bytes = resp.to_string_compact().into_bytes();
-        bytes.push(b'\n');
-        let data_plane = matches!(slot.kind, SlotKind::Run | SlotKind::Batch);
-        let fault = if data_plane {
-            let plan = *shared.net_faults.lock();
-            let f = plan.and_then(|p| p.fault_for(conn.conn_id, conn.resp_idx, bytes.len()));
-            conn.resp_idx += 1;
-            f
-        } else {
-            None
-        };
-        match fault {
-            None => conn.out.push_back(OutChunk::plain(bytes)),
-            Some(f) => {
-                Counters::bump(&shared.counters.net_faults_injected);
-                match f {
-                    WireFault::Drop => conn.out.push_back(OutChunk {
-                        bytes: Vec::new(),
-                        written: 0,
-                        not_before: None,
-                        close_after: true,
-                    }),
-                    WireFault::Truncate { keep } => {
-                        bytes.truncate(keep.min(bytes.len()));
-                        conn.out.push_back(OutChunk {
-                            bytes,
-                            written: 0,
-                            not_before: None,
-                            close_after: true,
-                        });
-                    }
-                    WireFault::PartialWrite { first, stall_ms } => {
-                        let first = first.min(bytes.len());
-                        let rest = bytes.split_off(first);
-                        conn.out.push_back(OutChunk::plain(bytes));
-                        conn.out.push_back(OutChunk {
-                            bytes: rest,
-                            written: 0,
-                            not_before: Some(Instant::now() + Duration::from_millis(stall_ms)),
-                            close_after: false,
-                        });
-                    }
-                    WireFault::Delay { ms } => conn.out.push_back(OutChunk {
-                        bytes,
-                        written: 0,
-                        not_before: Some(Instant::now() + Duration::from_millis(ms)),
-                        close_after: false,
-                    }),
-                }
-            }
-        }
-    }
-}
-
-/// Write as much owed output as the socket accepts right now. Gated
-/// chunks stop the flush until their deadline passes.
-fn flush_conn(conn: &mut Conn) -> std::io::Result<()> {
-    while let Some(chunk) = conn.out.front_mut() {
-        if let Some(nb) = chunk.not_before {
-            if Instant::now() < nb {
-                break;
-            }
-        }
-        while chunk.written < chunk.bytes.len() {
-            match conn.stream.write(&chunk.bytes[chunk.written..]) {
-                Ok(0) => return Err(ErrorKind::WriteZero.into()),
-                Ok(n) => chunk.written += n,
-                Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(()),
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e),
-            }
-        }
-        let close = chunk.close_after;
-        conn.out.pop_front();
-        if close {
-            conn.dead = true;
-            break;
-        }
-    }
-    Ok(())
 }
 
 /// The server's single network thread: accepts, reads, frames,
@@ -856,7 +654,7 @@ fn event_loop(listener: TcpListener, wake_rx: evloop::WakeRx, shared: &Arc<Share
     loop {
         // Deliver results from shard workers into their slots.
         while let Ok(c) = completions.try_recv() {
-            deliver(&mut conns, c);
+            fill_slot(&mut conns, c.token, c.slot, c.idx, render_result(c.result));
         }
 
         // A pending `shutdown` op resolves once the drain completes.
@@ -884,20 +682,12 @@ fn event_loop(listener: TcpListener, wake_rx: evloop::WakeRx, shared: &Arc<Share
         }
 
         // Render completed slots to bytes, flush, and reap dead peers.
-        let mut dead: Vec<u64> = Vec::new();
-        for (&token, conn) in conns.iter_mut() {
-            render_ready(conn, shared);
-            if flush_conn(conn).is_err() {
-                conn.dead = true;
-            }
-            let finished = conn.peer_closed && conn.out.is_empty() && conn.slots.is_empty();
-            if conn.dead || finished {
-                dead.push(token);
-            }
-        }
-        for token in &dead {
-            conns.remove(token);
-        }
+        let now = Instant::now();
+        conns.retain(|_, conn| {
+            conn.queue_responses(shared);
+            conn.io.flush(now);
+            !(conn.io.is_dead() || conn.io.peer_closed() && conn.idle())
+        });
         shared
             .open_conns
             .store(conns.len() as u64, Ordering::Relaxed);
@@ -905,11 +695,8 @@ fn event_loop(listener: TcpListener, wake_rx: evloop::WakeRx, shared: &Arc<Share
         // Exit once everything owed has flushed (or the grace deadline
         // passes — a stuck peer must not wedge shutdown forever).
         if exiting {
-            let flushed = conns
-                .values()
-                .all(|c| c.out.is_empty() && c.slots.is_empty());
-            let overdue = exit_deadline.map(|d| Instant::now() >= d).unwrap_or(false);
-            if flushed || overdue {
+            let overdue = exit_deadline.map(|d| now >= d).unwrap_or(false);
+            if overdue || conns.values().all(Conn::idle) {
                 break;
             }
         }
@@ -917,13 +704,8 @@ fn event_loop(listener: TcpListener, wake_rx: evloop::WakeRx, shared: &Arc<Share
         // Build the interest set. Entry order fixes the index mapping.
         poller.clear();
         poller.push(wake_rx.fd(), Interest::READABLE);
-        let accept_idx = if exiting {
-            None
-        } else {
-            Some(poller.push(raw_fd(&listener), Interest::READABLE))
-        };
+        let accept_idx = (!exiting).then(|| poller.push(raw_fd(&listener), Interest::READABLE));
         let mut order: Vec<(usize, u64)> = Vec::with_capacity(conns.len());
-        let now = Instant::now();
         let mut timeout = if exiting {
             Duration::from_millis(10)
         } else if !shutdown_waiters.is_empty() {
@@ -932,26 +714,11 @@ fn event_loop(listener: TcpListener, wake_rx: evloop::WakeRx, shared: &Arc<Share
             Duration::from_millis(250)
         };
         for (&token, conn) in conns.iter() {
-            let reads = !conn.peer_closed;
-            let mut writes = false;
-            if let Some(chunk) = conn.out.front() {
-                match chunk.not_before {
-                    Some(nb) if nb > now => {
-                        // Gated: wake on the timer, not on writability.
-                        let until = nb - now;
-                        timeout = timeout.min(until.max(Duration::from_millis(1)));
-                    }
-                    _ => writes = true,
-                }
+            let (interest, timer) = conn.io.interest(now);
+            timeout = timer.map_or(timeout, |t| timeout.min(t));
+            if let Some(interest) = interest {
+                order.push((poller.push(conn.io.fd(), interest), token));
             }
-            let interest = match (reads, writes) {
-                (true, true) => Interest::BOTH,
-                (true, false) => Interest::READABLE,
-                (false, true) => Interest::WRITABLE,
-                (false, false) => continue,
-            };
-            let idx = poller.push(raw_fd(&conn.stream), interest);
-            order.push((idx, token));
         }
 
         if poller.wait(Some(timeout)).is_err() {
@@ -959,28 +726,20 @@ fn event_loop(listener: TcpListener, wake_rx: evloop::WakeRx, shared: &Arc<Share
         }
         wake_rx.drain();
 
-        // Accept the whole backlog (level-triggered).
-        if accept_idx
-            .map(|i| poller.ready(i).readable)
-            .unwrap_or(false)
-        {
-            loop {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        if stream.set_nonblocking(true).is_err() {
-                            continue;
-                        }
-                        let _ = stream.set_nodelay(true);
-                        let token = next_token;
-                        next_token += 1;
-                        let conn_id = shared.conn_counter.fetch_add(1, Ordering::Relaxed);
-                        conns.insert(token, Conn::new(stream, conn_id));
-                    }
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                    Err(_) => break,
-                }
-            }
+        if accept_idx.is_some_and(|i| poller.ready(i).readable) {
+            accept_backlog(&listener, |io| {
+                let conn_id = shared.conn_counter.fetch_add(1, Ordering::Relaxed);
+                conns.insert(
+                    next_token,
+                    Conn {
+                        io,
+                        slots: SlotTable::default(),
+                        conn_id,
+                        resp_idx: 0,
+                    },
+                );
+                next_token += 1;
+            });
             let open = conns.len() as u64;
             shared.open_conns.store(open, Ordering::Relaxed);
             shared.peak_conns.fetch_max(open, Ordering::Relaxed);
@@ -996,35 +755,9 @@ fn event_loop(listener: TcpListener, wake_rx: evloop::WakeRx, shared: &Arc<Share
                 let Some(conn) = conns.get_mut(&token) else {
                     continue;
                 };
-                if ready.readable && !conn.peer_closed {
-                    loop {
-                        match conn.stream.read(&mut scratch) {
-                            Ok(0) => {
-                                conn.peer_closed = true;
-                                // A final unterminated line still counts as
-                                // a frame, like BufRead::lines would.
-                                if conn.rbuf.pending() > 0 {
-                                    conn.rbuf.push(b"\n");
-                                }
-                                break;
-                            }
-                            Ok(n) => conn.rbuf.push(&scratch[..n]),
-                            Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                            Err(_) => {
-                                conn.dead = true;
-                                break;
-                            }
-                        }
-                    }
-                    while let Some(line) = conn.rbuf.next_frame() {
-                        if line.trim().is_empty() {
-                            continue;
-                        }
-                        process_frame(conn, token, &line, shared, &tx, &mut shutdown_waiters);
-                    }
-                } else if ready.error {
-                    conn.dead = true;
+                conn.io.read_ready(ready, &mut scratch);
+                while let Some(line) = conn.io.next_frame() {
+                    process_frame(conn, token, &line, shared, &tx, &mut shutdown_waiters);
                 }
             }
         }
@@ -1040,81 +773,51 @@ fn process_frame(
     tx: &mpsc::Sender<Completion>,
     shutdown_waiters: &mut Vec<(u64, u64)>,
 ) {
-    let parsed = Json::parse(line);
-    let req = match parsed {
-        Err(e) => {
-            conn.push_ready(SlotKind::Control, error_json(&format!("bad json: {e}")));
-            return;
-        }
+    let req = match parse_request(line) {
         Ok(req) => req,
+        Err(reply) => return conn.slots.push_ready(SlotKind::Control, reply),
     };
-    match req.get("op").and_then(Json::as_str) {
-        Some("run") => {
-            let slot = conn.alloc_slot(SlotKind::Run, 1);
-            let respond = Responder {
-                tx: tx.clone(),
-                waker: shared.loop_waker.clone(),
-                token,
-                slot,
-                idx: 0,
-            };
-            if let Some(immediate) = admit(shared, &req, respond) {
-                conn.fill(slot, 0, immediate);
-            }
+    let (kind, bodies) = match WireRequest::classify(&req) {
+        WireRequest::Run(body) => (SlotKind::Run, std::slice::from_ref(body)),
+        WireRequest::Batch(bodies) => (SlotKind::Batch, bodies),
+        WireRequest::BadBatch(why) => {
+            return conn.slots.push_ready(SlotKind::Batch, error_json(why))
         }
-        Some("batch") => {
-            let jobs = match req.get("jobs").and_then(Json::as_arr) {
-                None => {
-                    conn.push_ready(
-                        SlotKind::Batch,
-                        error_json("batch frame missing `jobs` array"),
-                    );
-                    return;
-                }
-                Some([]) => {
-                    conn.push_ready(SlotKind::Batch, error_json("batch frame has no jobs"));
-                    return;
-                }
-                Some(arr) => arr.to_vec(),
-            };
-            let slot = conn.alloc_slot(SlotKind::Batch, jobs.len());
-            for (idx, body) in jobs.iter().enumerate() {
-                let respond = Responder {
-                    tx: tx.clone(),
-                    waker: shared.loop_waker.clone(),
-                    token,
-                    slot,
-                    idx,
-                };
-                if let Some(immediate) = admit(shared, body, respond) {
-                    conn.fill(slot, idx, immediate);
-                }
-            }
+        WireRequest::Hello { max_version } => {
+            return conn
+                .slots
+                .push_ready(SlotKind::Control, WireRequest::hello_reply(max_version))
         }
-        Some("hello") => {
-            let client_max = req.get("max_version").and_then(Json::as_u64).unwrap_or(1);
-            conn.push_ready(
-                SlotKind::Control,
-                Json::obj([
-                    ("ok", true.to_json()),
-                    ("version", client_max.min(WIRE_VERSION).to_json()),
-                    ("batch", true.to_json()),
-                ]),
-            );
-        }
-        Some("shutdown") => {
+        WireRequest::Other(Some("shutdown")) => {
             begin_drain(shared);
-            let slot = conn.alloc_slot(SlotKind::Shutdown, 1);
-            shutdown_waiters.push((token, slot));
+            let slot = conn.slots.alloc(SlotKind::Control, 1);
+            return shutdown_waiters.push((token, slot));
         }
-        _ => conn.push_ready(SlotKind::Control, dispatch(&req, shared)),
+        WireRequest::Other(op) => {
+            return conn
+                .slots
+                .push_ready(SlotKind::Control, dispatch(op, &req, shared))
+        }
+    };
+    let slot = conn.slots.alloc(kind, bodies.len());
+    for (idx, body) in bodies.iter().enumerate() {
+        let respond = Responder {
+            tx: tx.clone(),
+            waker: shared.loop_waker.clone(),
+            token,
+            slot,
+            idx,
+        };
+        if let Some(immediate) = admit(shared, body, respond) {
+            conn.slots.fill(slot, idx, immediate);
+        }
     }
 }
 
 /// Control-plane ops that answer synchronously (`run`/`batch`/`hello`/
 /// `shutdown` are handled by the event loop itself).
-fn dispatch(req: &Json, shared: &Arc<Shared>) -> Json {
-    match req.get("op").and_then(Json::as_str) {
+fn dispatch(op: Option<&str>, req: &Json, shared: &Arc<Shared>) -> Json {
+    match op {
         Some("ping") => Json::obj([("ok", true.to_json())]),
         Some("stats") => shared.stats_json(),
         Some("kill") => {
@@ -1149,8 +852,7 @@ fn dispatch(req: &Json, shared: &Arc<Shared>) -> Json {
                 ("crash", crash.map(|p| p.to_json()).unwrap_or(Json::Null)),
             ])
         }
-        Some(other) => error_json(&format!("unknown op `{other}`")),
-        None => error_json("missing `op`"),
+        op => WireRequest::unknown_op_reply(op),
     }
 }
 
@@ -1393,8 +1095,11 @@ fn shard_worker(id: usize, shared: &Arc<Shared>) {
                     slot.san_cycles
                         .fetch_add(report.lock_cycles.len() as u64, Ordering::Relaxed);
                 }
-                let canonical = receipt.canonical();
-                if !shared.check_receipt(job.spec.identity_key(), &canonical) {
+                let sighting = shared
+                    .receipts_seen
+                    .lock()
+                    .record(job.spec.identity_key(), &receipt.canonical());
+                if sighting == Sighting::Mismatch {
                     Counters::bump(&shared.counters.receipt_mismatches);
                 }
                 if shared.draining.load(Ordering::SeqCst) {

@@ -47,8 +47,8 @@ pub use backend::Backend;
 pub use determinism::{check_determinism, DeterminismReport, Divergence};
 pub use lower::ThreadedProgram;
 pub use machine::{
-    run, BulkSyncParams, Checkpoint, CkptControl, ExecMode, Jitter, KendoParams, Machine,
-    MachineConfig, ResumeError, RunOutcome, ThreadSpec,
+    run, BulkSyncParams, Checkpoint, CkptControl, ExecMode, Jitter, Machine, MachineConfig,
+    ResumeError, RunOutcome, ThreadSpec,
 };
 pub use metrics::{RunMetrics, ThreadMetrics};
 pub use race::{confirm_race, RaceWitness};

@@ -85,14 +85,6 @@ impl Default for BulkSyncParams {
     }
 }
 
-/// Deprecation alias: the Kendo-simulation knobs became [`ChunkSched`]
-/// configuration ([`Sched::Chunk`]) when arbitration moved behind the
-/// [`crate::sched::DetScheduler`] trait. Existing spellings — including
-/// `KendoParams { chunk_size, .. }` construction — keep compiling.
-///
-/// [`ChunkSched`]: crate::sched::ChunkSched
-pub type KendoParams = ChunkParams;
-
 /// Execution mode (see module docs).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ExecMode {

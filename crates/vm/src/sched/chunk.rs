@@ -5,9 +5,6 @@ use super::{min_clock_turn, Decision, DetScheduler, ThreadView};
 
 /// Chunked store-counter clock parameters (Table II). The paper notes
 /// Kendo must balance chunk size by hand; `chunk_size` is that knob.
-///
-/// This type was `KendoParams` when the policy lived inside
-/// `ExecMode::Kendo`; the old name remains as a deprecation alias.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChunkParams {
     /// Retired stores between performance-counter overflow interrupts.

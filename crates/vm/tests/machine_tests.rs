@@ -8,10 +8,9 @@ use detlock_ir::Module;
 use detlock_passes::cost::CostModel;
 use detlock_vm::determinism::check_determinism;
 use detlock_vm::machine::{
-    run, Checkpoint, CkptControl, ExecMode, Jitter, KendoParams, Machine, MachineConfig,
-    RunOutcome, ThreadSpec,
+    run, Checkpoint, CkptControl, ExecMode, Jitter, Machine, MachineConfig, RunOutcome, ThreadSpec,
 };
-use detlock_vm::Sched;
+use detlock_vm::{ChunkParams, Sched};
 
 fn cfg(mode: ExecMode) -> MachineConfig {
     MachineConfig {
@@ -24,7 +23,7 @@ fn cfg(mode: ExecMode) -> MachineConfig {
 /// Kendo-mode config with the chunk scheduler pinned explicitly (these
 /// tests assert chunked-clock behaviour, so they must not inherit
 /// whatever `DETLOCK_SCHEDULER` the environment selects).
-fn kendo_cfg(params: KendoParams) -> MachineConfig {
+fn kendo_cfg(params: ChunkParams) -> MachineConfig {
     let mut c = cfg(ExecMode::Kendo);
     c.scheduler = Sched::Chunk(params);
     c
@@ -296,7 +295,7 @@ fn kendo_mode_is_deterministic_across_seeds() {
         &m,
         &cost,
         &counter_threads(f, 4, 40),
-        &kendo_cfg(KendoParams {
+        &kendo_cfg(ChunkParams {
             chunk_size: 8,
             interrupt_cost: 30,
         }),
@@ -507,7 +506,7 @@ fn ticks_free_in_baseline_and_kendo() {
     }];
     let (base, _) = run(&m, &cost, &t, no_jitter(cfg(ExecMode::Baseline)));
     let (clk, _) = run(&m, &cost, &t, no_jitter(cfg(ExecMode::ClocksOnly)));
-    let (kendo, _) = run(&m, &cost, &t, no_jitter(kendo_cfg(KendoParams::default())));
+    let (kendo, _) = run(&m, &cost, &t, no_jitter(kendo_cfg(ChunkParams::default())));
     assert!(
         clk.cycles > base.cycles + 150,
         "100 ticks cost ≥ 200 cycles"
@@ -538,7 +537,7 @@ fn kendo_chunked_clock_advances_on_stores() {
             func: f,
             args: vec![],
         }],
-        no_jitter(kendo_cfg(KendoParams {
+        no_jitter(kendo_cfg(ChunkParams {
             chunk_size: 8,
             interrupt_cost: 10,
         })),
