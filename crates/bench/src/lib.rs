@@ -487,6 +487,35 @@ pub struct CliOptions {
     pub scheduler: Sched,
 }
 
+/// A command-line usage error: one line on stderr and exit code 2, the
+/// code `dlc` and `perfgate` use for the same thing.
+fn usage_error(what: std::fmt::Arguments<'_>) -> ! {
+    eprintln!(
+        "usage: {what} (core flags: --threads N --scale F --seed N --seeds A,B,C --json \
+         --out FILE --only NAME --compile-threads N --backend interp|threaded \
+         --scheduler kendo|chunk[:SIZE[:COST]]|dc-batch)"
+    );
+    std::process::exit(2)
+}
+
+/// The operand of the flag at `args[*i]`, advancing `i` onto it.
+fn operand<'a>(args: &'a [String], i: &mut usize) -> &'a str {
+    let flag = &args[*i];
+    *i += 1;
+    match args.get(*i) {
+        Some(v) => v,
+        None => usage_error(format_args!("{flag} needs an operand")),
+    }
+}
+
+/// [`operand`], parsed.
+fn parsed_operand<T: std::str::FromStr>(args: &[String], i: &mut usize) -> T {
+    let flag = &args[*i];
+    let v = operand(args, i);
+    v.parse()
+        .unwrap_or_else(|_| usage_error(format_args!("{flag}: cannot parse '{v}'")))
+}
+
 impl CliOptions {
     /// Parse from `std::env::args` (ignores the binary name). Supported:
     /// `--threads N`, `--scale F`, `--seed N`, `--seeds A,B,C`, `--json`,
@@ -516,52 +545,33 @@ impl CliOptions {
         let mut i = 0;
         while i < args.len() {
             match args[i].as_str() {
-                "--threads" => {
-                    i += 1;
-                    opts.threads = args[i].parse().expect("--threads N");
-                }
-                "--scale" => {
-                    i += 1;
-                    opts.scale = Some(args[i].parse().expect("--scale F"));
-                }
-                "--seed" => {
-                    i += 1;
-                    opts.seed = args[i].parse().expect("--seed N");
-                }
+                "--threads" => opts.threads = parsed_operand(&args, &mut i),
+                "--scale" => opts.scale = Some(parsed_operand(&args, &mut i)),
+                "--seed" => opts.seed = parsed_operand(&args, &mut i),
                 "--seeds" => {
-                    i += 1;
-                    opts.seeds = args[i]
+                    opts.seeds = operand(&args, &mut i)
                         .split(',')
-                        .map(|s| s.trim().parse().expect("--seeds A,B,C"))
-                        .collect();
-                    assert!(!opts.seeds.is_empty(), "--seeds needs at least one seed");
+                        .map(|s| s.trim().parse())
+                        .collect::<Result<_, _>>()
+                        .unwrap_or_else(|e| usage_error(format_args!("--seeds A,B,C: {e}")));
                 }
-                "--compile-threads" => {
-                    i += 1;
-                    opts.compile_threads = args[i].parse().expect("--compile-threads N");
-                }
+                "--compile-threads" => opts.compile_threads = parsed_operand(&args, &mut i),
                 "--backend" => {
-                    i += 1;
-                    opts.backend = Backend::parse(&args[i]).unwrap_or_else(|e| panic!("{e}"));
+                    opts.backend = Backend::parse(operand(&args, &mut i))
+                        .unwrap_or_else(|e| usage_error(format_args!("--backend: {e}")));
                     opts.backend.set_process_default();
                 }
                 "--scheduler" => {
-                    i += 1;
-                    opts.scheduler = Sched::parse(&args[i]).unwrap_or_else(|e| panic!("{e}"));
+                    opts.scheduler = Sched::parse(operand(&args, &mut i))
+                        .unwrap_or_else(|e| usage_error(format_args!("--scheduler: {e}")));
                     opts.scheduler.set_process_default();
                 }
                 "--json" => opts.json = true,
-                "--out" => {
-                    i += 1;
-                    opts.out = Some(args[i].clone());
-                }
-                "--only" => {
-                    i += 1;
-                    opts.only = Some(args[i].clone());
-                }
+                "--out" => opts.out = Some(operand(&args, &mut i).to_string()),
+                "--only" => opts.only = Some(operand(&args, &mut i).to_string()),
                 other => {
                     if !extra(other, &args, &mut i) {
-                        panic!("unknown option: {other}");
+                        usage_error(format_args!("unknown option {other}"));
                     }
                 }
             }

@@ -1,10 +1,10 @@
 //! The exit-code contract of the CLI front-ends, as documented in
 //! README.md ("Exit codes"). CI and editor integrations key off these
 //! numbers, so they are pinned by test: 0 = clean, 1 = findings /
-//! violations / gate failure, 2 = usage or unreadable input (perfgate),
-//! 3 = broken scheduler/checkpoint refusal (detcheck; unreachable here
-//! unless the typed `SchedulerMismatch` contract regresses, so only the
-//! clean path is exercised), 101 = argument-parse panic (the bench CLIs).
+//! violations / gate failure, 2 = usage error (every CLI) or unreadable
+//! input (perfgate), 3 = broken scheduler/checkpoint refusal (detcheck;
+//! unreachable here unless the typed `SchedulerMismatch` contract
+//! regresses, so only the clean path is exercised).
 
 use std::process::Command;
 
@@ -28,8 +28,10 @@ fn detlint_exit_codes() {
         exit_code(bin, &["--only", "racy-counter", "--scale", "0.02"]),
         1
     );
-    // Unknown flag → argument-parse panic (101).
-    assert_eq!(exit_code(bin, &["--definitely-not-a-flag"]), 101);
+    // Unknown flag, missing operand, unparseable value → usage (2).
+    assert_eq!(exit_code(bin, &["--definitely-not-a-flag"]), 2);
+    assert_eq!(exit_code(bin, &["--threads"]), 2);
+    assert_eq!(exit_code(bin, &["--scheduler", "fifo"]), 2);
 }
 
 #[test]
@@ -37,8 +39,8 @@ fn detcheck_exit_codes() {
     let bin = env!("CARGO_BIN_EXE_detcheck");
     // Lint-clean + seed-invariant workload → 0.
     assert_eq!(exit_code(bin, &["--only", "ocean", "--scale", "0.05"]), 0);
-    // Unknown flag → argument-parse panic (101).
-    assert_eq!(exit_code(bin, &["--definitely-not-a-flag"]), 101);
+    // Unknown flag → usage (2).
+    assert_eq!(exit_code(bin, &["--definitely-not-a-flag"]), 2);
 }
 
 #[test]

@@ -63,11 +63,15 @@ impl DetCondvar {
         let mutex: &'a DetMutex<T> = DetMutexGuard::mutex(&guard);
         {
             let mut st = self.state.lock();
-            reg.transition(|_| reg.set_state(me, ThreadState::Blocked));
             st.queue.push_back(me);
-            // Release the mutex only after we are enqueued+blocked, so a
-            // signaler that wins the mutex next deterministically sees us.
+            // Release the mutex while we still count in arbitration: going
+            // `Blocked` first would hand the turn to a thread that may find
+            // the mutex not yet physically unlocked and bump its clock a
+            // timing-dependent number of times. A signaler cannot look at
+            // the queue until `wait_for` below drops `st`, so it still sees
+            // us enqueued *and* blocked.
             drop(guard);
+            reg.transition(|_| reg.set_state(me, ThreadState::Blocked));
             // Block until a signaler reactivates us.
             let mut timer = reg.stall_timer();
             while reg.state(me) != ThreadState::Active {

@@ -79,8 +79,10 @@ impl<T> DetMutex<T> {
             reg.tick(me, 1);
         }
         reg.set_waiting(me, None);
+        // Record while still holding the turn: the tick below is what lets
+        // the next thread acquire, and its record must land after this one.
+        inner.trace.record(self.id, me, reg.clock(me) + 1);
         reg.tick(me, 1);
-        inner.trace.record(self.id, me, reg.clock(me));
         DetMutexGuard {
             mutex: self,
             tid: me,
@@ -112,16 +114,16 @@ impl<T> DetMutex<T> {
         } else {
             false
         };
-        reg.tick(me, 1); // the attempt is an event either way
-        if acquired {
-            inner.trace.record(self.id, me, reg.clock(me));
-            Some(DetMutexGuard {
+        let guard = acquired.then(|| {
+            // Before the tick, as in `lock`.
+            inner.trace.record(self.id, me, reg.clock(me) + 1);
+            DetMutexGuard {
                 mutex: self,
                 tid: me,
-            })
-        } else {
-            None
-        }
+            }
+        });
+        reg.tick(me, 1); // the attempt is an event either way
+        guard
     }
 
     /// Consume the mutex, returning the inner value.

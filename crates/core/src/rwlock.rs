@@ -83,8 +83,10 @@ impl<T> DetRwLock<T> {
             reg.tick(me, 1);
         }
         reg.set_waiting(me, None);
+        // Record while still holding the turn: the tick below is what lets
+        // the next thread acquire, and its record must land after this one.
+        inner.trace.record(self.id, me, reg.clock(me) + 1);
         reg.tick(me, 1);
-        inner.trace.record(self.id, me, reg.clock(me));
         DetRwLockReadGuard {
             lock: self,
             tid: me,
@@ -115,8 +117,10 @@ impl<T> DetRwLock<T> {
             reg.tick(me, 1);
         }
         reg.set_waiting(me, None);
+        // Record while still holding the turn: the tick below is what lets
+        // the next thread acquire, and its record must land after this one.
+        inner.trace.record(self.id, me, reg.clock(me) + 1);
         reg.tick(me, 1);
-        inner.trace.record(self.id, me, reg.clock(me));
         DetRwLockWriteGuard {
             lock: self,
             tid: me,

@@ -15,11 +15,11 @@
 //! | `Det` | executed | deterministic scheduler on tick-driven clocks | Table I lower half |
 //! | `Kendo` | skipped | deterministic scheduler, no tick clocks | Table II (with `Sched::Chunk`) |
 //!
-//! Deterministic modes arbitrate through a pluggable [`sched::DetScheduler`]
-//! policy — [`sched::KendoSched`] (min-clock reference), [`sched::ChunkSched`]
-//! (chunked store-counter clocks), or [`sched::DcBatchSched`]
-//! (deterministic-consistency batch commits) — selected per
-//! [`MachineConfig`] via `--scheduler` / `DETLOCK_SCHEDULER`.
+//! Deterministic modes arbitrate through the [`Sched`] policy enum —
+//! [`Sched::Kendo`] (min-clock reference), [`Sched::Chunk`] (chunked
+//! store-counter clocks), or [`Sched::DcBatch`] (deterministic-consistency
+//! batch commits) — selected per [`MachineConfig`] via `--scheduler` /
+//! `DETLOCK_SCHEDULER`.
 //!
 //! [`determinism::check_determinism`] verifies the weak-determinism
 //! guarantee empirically by rerunning a workload across jitter seeds and
@@ -55,4 +55,4 @@ pub use race::{confirm_race, RaceWitness};
 pub use sanitizer::{
     DynAccess, DynRace, LockCycle, LockEdge, Sanitizer, SanitizerReport, SiteStat,
 };
-pub use sched::{ChunkParams, ChunkSched, DcBatchSched, DetScheduler, KendoSched, Sched};
+pub use sched::{ChunkParams, Sched};

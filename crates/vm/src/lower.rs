@@ -152,9 +152,9 @@ pub(crate) enum Op {
 }
 
 /// Static fusion info for the run of operations starting at one flat `pc`
-/// (see [`ThreadedBackend::exec_next`]'s fused path): `len` operations can
-/// be dispatched in one step, and `cost_sum` bounds their combined charge.
-/// `len == 1` means "no fusion here" — the single-op path runs.
+/// (see [`run_fused`]): `len` operations can be dispatched in one step, and
+/// `cost_sum` bounds their combined charge. `len == 1` means "no fusion
+/// here" — the op runs alone.
 #[derive(Clone, Copy)]
 pub(crate) struct Fuse {
     pub(crate) len: u8,
@@ -384,8 +384,8 @@ fn is_tail(op: &Op) -> bool {
     matches!(op, Op::Br { .. } | Op::CondBr { .. } | Op::Switch { .. })
 }
 
-/// The charge the single-op dispatch arms apply for `op` — used to bound a
-/// fused run's combined countdown at lowering time.
+/// The charge [`run_fused`] applies for `op` — used to bound a fused run's
+/// combined countdown at lowering time.
 fn fuse_cost(op: &Op, cost: &CostModel) -> u64 {
     match op {
         Op::BinR { cost: c, .. } | Op::BinI { cost: c, .. } => *c,
@@ -477,11 +477,14 @@ fn san_site(frame: &Frame) -> (u32, u32, u32) {
     )
 }
 
-/// Execute the fused run of `len` ops starting at `pc` in one dispatch.
+/// Execute the run of `len` ops starting at `pc` in one dispatch: the one
+/// copy of every fusable op's semantics. Dispatching a single op is the
+/// `len == 1` case — `pending` is 0 at entry, so the combined countdown
+/// below degenerates to that op's own charge.
 ///
-/// Why this is invisible: only the head op can touch anything outside the
-/// thread (memory + sanitizer, store retirement, or a tick's clock bump),
-/// and it executes at its natural cycle. The register-only tail executes
+/// Why `len > 1` is invisible: only the head op can touch anything outside
+/// the thread (memory + sanitizer, store retirement, or a tick's clock
+/// bump), and it executes at its natural cycle. The register-only tail executes
 /// "early", but registers and frame coordinates are thread-private, and
 /// the combined countdown `Σ charge_i + (executed − 1)` makes the *next*
 /// externally visible step land on exactly the cycle the unfused schedule
@@ -490,9 +493,9 @@ fn san_site(frame: &Frame) -> (u32, u32, u32) {
 /// and identical `pending` whenever another component can read it (the
 /// caller's gate keeps checkpoint boundaries and the cycle limit outside
 /// the divergence window; bulk-sync mode, which meters quanta per
-/// instruction, never takes this path).
+/// instruction, only ever passes `len == 1`).
 #[allow(clippy::too_many_arguments)]
-#[inline]
+#[inline(always)]
 fn run_fused(
     lf: &LFunc,
     pc: usize,
@@ -513,7 +516,7 @@ fn run_fused(
     let mut executed = 0u64;
     for op in &lf.ops[pc..pc + len] {
         match op {
-            Op::Const { dst, value } => {
+            Op::Const { dst, value } | Op::MovI { dst, value } => {
                 fr.ip += 1;
                 th.m.instructions += 1;
                 th.regs[base + dst.index()] = *value;
@@ -524,13 +527,6 @@ fn run_fused(
                 fr.ip += 1;
                 th.m.instructions += 1;
                 th.regs[base + dst.index()] = th.regs[base + src.index()];
-                pending_sum += charge_amount(th, &cfg.jitter, cost.alu);
-                executed += 1;
-            }
-            Op::MovI { dst, value } => {
-                fr.ip += 1;
-                th.m.instructions += 1;
-                th.regs[base + dst.index()] = *value;
                 pending_sum += charge_amount(th, &cfg.jitter, cost.alu);
                 executed += 1;
             }
@@ -636,9 +632,10 @@ fn run_fused(
                     pending_sum += charge_amount(th, &cfg.jitter, cost.tick);
                     executed += 1;
                 }
-                // Else: free skip, zero accounting — same as the unfused
-                // `Action::Free` retry, which lands on the next op within
-                // the same step.
+                // Else (Baseline / Kendo: the binary was never
+                // instrumented): free skip, zero accounting — the rest of
+                // the run issues within the same step, exactly where the
+                // `Action::Free` retry of a lone tick lands.
             }
             Op::TickDyn {
                 base: tick_base,
@@ -699,6 +696,11 @@ fn run_fused(
         }
     }
     *th.frames.last_mut().unwrap() = fr;
+    if executed == 0 {
+        // A lone tick in a mode that skips ticks (every longer run has an
+        // executing op behind its head): no cycle, the stepper retries.
+        return Action::Free;
+    }
     th.m.busy_cycles += 1;
     // `+=`, not `=`: a chunk-clock store retirement above may already have
     // deposited its interrupt countdown.
@@ -781,151 +783,43 @@ impl ExecBackend for ThreadedBackend {
             let base = frame.reg_base;
             let lf = &prog.funcs[frame.func.index()];
             let pc = lf.starts[frame.block.index()] as usize + frame.ip;
-            // Fused dispatch: execute the whole statically-identified run in
-            // one step when nothing can observe the difference — see
-            // `run_fused` for the invisibility argument and the gate
-            // conditions it depends on.
-            let fuse = lf.fuse[pc];
-            if fuse.len > 1 && cfg.mode.bulk_sync().is_none() {
-                // Upper bound on the divergence window: every charge is at
-                // most `cost + max_extra`, plus the chunk-clock
-                // store-retirement interrupt the head may incur.
-                let mut w =
-                    fuse.cost_sum as u64 + fuse.len as u64 * (cfg.jitter.max_extra.max(1) + 1);
-                if let Some(cp) = chunk {
-                    w = w.saturating_add(cp.interrupt_cost);
+            let op = &lf.ops[pc];
+            // Every head or tail op goes through the run loop: the whole
+            // statically-identified run in one step when nothing can
+            // observe the difference, else the op alone — see `run_fused`
+            // for the invisibility argument and the gate conditions it
+            // depends on.
+            if is_head(op) || is_tail(op) {
+                let fuse = lf.fuse[pc];
+                let mut run_len = 1;
+                if fuse.len > 1 && cfg.mode.bulk_sync().is_none() {
+                    // Upper bound on the divergence window: every charge is
+                    // at most `cost + max_extra`, plus the chunk-clock
+                    // store-retirement interrupt the head may incur.
+                    let mut w =
+                        fuse.cost_sum as u64 + fuse.len as u64 * (cfg.jitter.max_extra.max(1) + 1);
+                    if let Some(cp) = chunk {
+                        w = w.saturating_add(cp.interrupt_cost);
+                    }
+                    let fits_limit = cycle.saturating_add(w) < cfg.max_cycles;
+                    let fits_ckpt = ckpt_every == 0 || cycle % ckpt_every + w < ckpt_every;
+                    if fits_limit && fits_ckpt {
+                        run_len = fuse.len as usize;
+                    }
                 }
-                let fits_limit = cycle.saturating_add(w) < cfg.max_cycles;
-                let fits_ckpt = ckpt_every == 0 || cycle % ckpt_every + w < ckpt_every;
-                if fits_limit && fits_ckpt {
+                // Two call sites, one callee: inlined with a constant
+                // length, the loop and the countdown arithmetic fold away
+                // for lone ops (worth ~6 % of `vm_compute` ops/s).
+                if run_len == 1 {
                     return run_fused(
-                        lf,
-                        pc,
-                        fuse.len as usize,
-                        frame,
-                        th,
-                        mem,
-                        san,
-                        cfg,
-                        cost,
-                        mem_mask,
-                        chunk,
-                        t,
+                        lf, pc, 1, frame, th, mem, san, cfg, cost, mem_mask, chunk, t,
                     );
                 }
+                return run_fused(
+                    lf, pc, run_len, frame, th, mem, san, cfg, cost, mem_mask, chunk, t,
+                );
             }
-            match &lf.ops[pc] {
-                Op::Const { dst, value } => {
-                    th.frames.last_mut().unwrap().ip += 1;
-                    th.m.instructions += 1;
-                    th.regs[base + dst.index()] = *value;
-                    charge_thread(th, &cfg.jitter, cost.alu);
-                    return Action::None;
-                }
-                Op::MovR { dst, src } => {
-                    th.frames.last_mut().unwrap().ip += 1;
-                    th.m.instructions += 1;
-                    th.regs[base + dst.index()] = th.regs[base + src.index()];
-                    charge_thread(th, &cfg.jitter, cost.alu);
-                    return Action::None;
-                }
-                Op::MovI { dst, value } => {
-                    th.frames.last_mut().unwrap().ip += 1;
-                    th.m.instructions += 1;
-                    th.regs[base + dst.index()] = *value;
-                    charge_thread(th, &cfg.jitter, cost.alu);
-                    return Action::None;
-                }
-                Op::BinR {
-                    op,
-                    dst,
-                    lhs,
-                    rhs,
-                    cost: c,
-                } => {
-                    th.frames.last_mut().unwrap().ip += 1;
-                    th.m.instructions += 1;
-                    let a = th.regs[base + lhs.index()];
-                    let b = th.regs[base + rhs.index()];
-                    th.regs[base + dst.index()] = op.apply(a, b);
-                    charge_thread(th, &cfg.jitter, *c);
-                    return Action::None;
-                }
-                Op::BinI {
-                    op,
-                    dst,
-                    lhs,
-                    imm,
-                    cost: c,
-                } => {
-                    th.frames.last_mut().unwrap().ip += 1;
-                    th.m.instructions += 1;
-                    let a = th.regs[base + lhs.index()];
-                    th.regs[base + dst.index()] = op.apply(a, *imm);
-                    charge_thread(th, &cfg.jitter, *c);
-                    return Action::None;
-                }
-                Op::CmpR { op, dst, lhs, rhs } => {
-                    th.frames.last_mut().unwrap().ip += 1;
-                    th.m.instructions += 1;
-                    let a = th.regs[base + lhs.index()];
-                    let b = th.regs[base + rhs.index()];
-                    th.regs[base + dst.index()] = op.apply(a, b);
-                    charge_thread(th, &cfg.jitter, cost.alu);
-                    return Action::None;
-                }
-                Op::CmpI { op, dst, lhs, imm } => {
-                    th.frames.last_mut().unwrap().ip += 1;
-                    th.m.instructions += 1;
-                    let a = th.regs[base + lhs.index()];
-                    th.regs[base + dst.index()] = op.apply(a, *imm);
-                    charge_thread(th, &cfg.jitter, cost.alu);
-                    return Action::None;
-                }
-                Op::Load { dst, addr, offset } => {
-                    th.frames.last_mut().unwrap().ip += 1;
-                    th.m.instructions += 1;
-                    let a = th.regs[base + addr.index()].wrapping_add(*offset);
-                    let idx = mem_index_of(mem_mask, mem.len(), a);
-                    let v = mem[idx];
-                    if let Some(s) = san.as_deref_mut() {
-                        s.access(t as u32, idx, false, san_site(&frame));
-                    }
-                    th.regs[base + dst.index()] = v;
-                    charge_thread(th, &cfg.jitter, cost.load);
-                    return Action::None;
-                }
-                Op::StoreR { src, addr, offset } => {
-                    th.frames.last_mut().unwrap().ip += 1;
-                    th.m.instructions += 1;
-                    let a = th.regs[base + addr.index()].wrapping_add(*offset);
-                    let v = th.regs[base + src.index()];
-                    let idx = mem_index_of(mem_mask, mem.len(), a);
-                    mem[idx] = v;
-                    if let Some(s) = san.as_deref_mut() {
-                        s.access(t as u32, idx, true, san_site(&frame));
-                    }
-                    charge_thread(th, &cfg.jitter, cost.store);
-                    retire_stores(th, chunk, 1);
-                    return Action::None;
-                }
-                Op::StoreI {
-                    value,
-                    addr,
-                    offset,
-                } => {
-                    th.frames.last_mut().unwrap().ip += 1;
-                    th.m.instructions += 1;
-                    let a = th.regs[base + addr.index()].wrapping_add(*offset);
-                    let idx = mem_index_of(mem_mask, mem.len(), a);
-                    mem[idx] = *value;
-                    if let Some(s) = san.as_deref_mut() {
-                        s.access(t as u32, idx, true, san_site(&frame));
-                    }
-                    charge_thread(th, &cfg.jitter, cost.store);
-                    retire_stores(th, chunk, 1);
-                    return Action::None;
-                }
+            match op {
                 Op::Call {
                     func,
                     num_regs,
@@ -957,40 +851,6 @@ impl ExecBackend for ThreadedBackend {
                     charge_thread(th, &cfg.jitter, cost.call);
                     return Action::None;
                 }
-                Op::Tick { amount } => {
-                    if cfg.mode.executes_ticks() {
-                        th.frames.last_mut().unwrap().ip += 1;
-                        th.m.instructions += 1;
-                        th.m.ticks_executed += 1;
-                        th.clock += amount;
-                        charge_thread(th, &cfg.jitter, cost.tick);
-                        return Action::None;
-                    }
-                    // Baseline / Kendo: the binary was never instrumented —
-                    // skip at zero cost and zero cycles.
-                    th.frames.last_mut().unwrap().ip += 1;
-                    return Action::Free;
-                }
-                Op::TickDyn {
-                    base: tick_base,
-                    per_unit,
-                    size,
-                } => {
-                    th.frames.last_mut().unwrap().ip += 1;
-                    if cfg.mode.executes_ticks() {
-                        th.m.instructions += 1;
-                        th.m.ticks_executed += 1;
-                        let s = match *size {
-                            Operand::Reg(r) => th.regs[base + r.index()],
-                            Operand::Imm(v) => v,
-                        }
-                        .max(0) as u64;
-                        th.clock += tick_base + per_unit * s;
-                        charge_thread(th, &cfg.jitter, cost.tick + cost.tick_dyn_extra);
-                        return Action::None;
-                    }
-                    return Action::Free;
-                }
                 Op::LockR(r) => {
                     th.frames.last_mut().unwrap().ip += 1;
                     th.m.instructions += 1;
@@ -1016,48 +876,8 @@ impl ExecBackend for ThreadedBackend {
                     th.m.instructions += 1;
                     return Action::Barrier(*id);
                 }
-                // Terminators: identical metric/charge order to the
-                // interpreter; `ip` does not advance (it resets with the
-                // block or dies with the frame).
-                Op::Br { target } => {
-                    th.m.instructions += 1;
-                    charge_thread(th, &cfg.jitter, cost.alu);
-                    let f = th.frames.last_mut().unwrap();
-                    f.block = *target;
-                    f.ip = 0;
-                    return Action::None;
-                }
-                Op::CondBr {
-                    cond,
-                    then_bb,
-                    else_bb,
-                } => {
-                    th.m.instructions += 1;
-                    charge_thread(th, &cfg.jitter, cost.alu);
-                    let c = th.regs[base + cond.index()];
-                    let f = th.frames.last_mut().unwrap();
-                    f.block = if c != 0 { *then_bb } else { *else_bb };
-                    f.ip = 0;
-                    return Action::None;
-                }
-                Op::Switch {
-                    disc,
-                    cases,
-                    default,
-                } => {
-                    th.m.instructions += 1;
-                    charge_thread(th, &cfg.jitter, cost.alu);
-                    let d = th.regs[base + disc.index()];
-                    let target = cases
-                        .iter()
-                        .find(|(v, _)| *v == d)
-                        .map(|(_, b)| *b)
-                        .unwrap_or(*default);
-                    let f = th.frames.last_mut().unwrap();
-                    f.block = target;
-                    f.ip = 0;
-                    return Action::None;
-                }
+                // Same metric/charge order as the interpreter; `ip` dies
+                // with the frame.
                 ret @ (Op::RetR(_) | Op::RetI(_) | Op::RetVoid) => {
                     th.m.instructions += 1;
                     charge_thread(th, &cfg.jitter, cost.alu);
@@ -1078,6 +898,7 @@ impl ExecBackend for ThreadedBackend {
                     return Action::None;
                 }
                 Op::CallBuiltin { .. } => {} // falls through to the slow path
+                _ => unreachable!("head and tail ops took the run loop above"),
             }
         }
         self.exec_builtin(core, t)

@@ -28,10 +28,9 @@
 //!   `chunk_size` stores, costing `interrupt_cost` cycles per overflow
 //!   interrupt) this is the paper's Table II comparison baseline.
 //!
-//! Deterministic modes delegate *who may synchronize this round* to a
-//! pluggable [`crate::sched::DetScheduler`] policy selected by
-//! [`MachineConfig::scheduler`] — see [`crate::sched`] for the three
-//! shipped policies and the observation contract.
+//! Deterministic modes delegate *who may synchronize this round* to the
+//! [`Sched`] policy in [`MachineConfig::scheduler`] — see [`crate::sched`]
+//! for the three policies and the observation contract.
 //!
 //! # Architecture: determinism core vs execution backend
 //!
@@ -52,7 +51,7 @@ use crate::backend::Backend;
 use crate::builtins;
 use crate::metrics::{OrderHasher, RunMetrics, ThreadMetrics};
 use crate::sanitizer::{Sanitizer, SanitizerReport};
-use crate::sched::{ChunkParams, Decision, DetScheduler, Phase, Sched, SchedImpl, ThreadView};
+use crate::sched::{ChunkParams, Decision, Phase, Sched, ThreadView};
 use detlock_ir::inst::{Inst, Operand, Terminator};
 use detlock_ir::module::Module;
 use detlock_ir::types::{BlockId, FuncId, Reg};
@@ -307,15 +306,14 @@ pub(crate) struct BarrierState {
 /// backends are bit-identical executors of the same module, so a shard may
 /// resume an interpreter checkpoint on the threaded engine (and vice
 /// versa) — the checkpoint/restore tests pin this down. The scheduling
-/// policy is the inverse case: a checkpoint records its [`Sched`] (plus
-/// any scheduler-private state) and [`Machine::resume`] refuses a
-/// different one with a typed [`ResumeError::SchedulerMismatch`], because
-/// two policies continue the run with genuinely different schedules.
+/// policy is the inverse case: a checkpoint records its [`Sched`] and
+/// [`Machine::resume`] refuses a different one with a typed
+/// [`ResumeError::SchedulerMismatch`], because two policies continue the
+/// run with genuinely different schedules.
 #[derive(Clone)]
 pub struct Checkpoint {
     fingerprint: u64,
     sched: Sched,
-    sched_state: Vec<u64>,
     cycle: u64,
     threads: Vec<Thread>,
     mem: Vec<i64>,
@@ -383,10 +381,6 @@ impl Checkpoint {
         let mut h = 0xcbf29ce484222325u64;
         fnv_fold(&mut h, self.fingerprint);
         for w in self.sched.fingerprint_words() {
-            fnv_fold(&mut h, w);
-        }
-        fnv_fold(&mut h, self.sched_state.len() as u64);
-        for &w in &self.sched_state {
             fnv_fold(&mut h, w);
         }
         fnv_fold(&mut h, self.cycle);
@@ -633,6 +627,9 @@ pub(crate) struct DetCore<'m> {
     pub(crate) module: &'m Module,
     pub(crate) cost: &'m CostModel,
     pub(crate) cfg: MachineConfig,
+    /// [`config_fingerprint`] of (`cfg`, `module`, thread count): fixed for
+    /// the machine's life and stamped on every [`Checkpoint`] it emits.
+    fingerprint: u64,
     pub(crate) threads: Vec<Thread>,
     pub(crate) mem: Vec<i64>,
     pub(crate) locks: HashMap<i64, LockState>,
@@ -647,11 +644,7 @@ pub(crate) struct DetCore<'m> {
     /// Happens-before sanitizer (`None` unless `cfg.sanitize`): the
     /// disabled path costs exactly one null check per hook site.
     pub(crate) san: Option<Box<Sanitizer>>,
-    /// The arbitration policy (built from `cfg.scheduler`). Consulted
-    /// once per round in deterministic modes; its private state (if any)
-    /// rides every [`Checkpoint`].
-    pub(crate) sched: SchedImpl,
-    /// Chunked store-counter parameters, hoisted out of the scheduler:
+    /// Chunked store-counter parameters, hoisted out of `cfg.scheduler`:
     /// `Some` iff the mode is deterministic and the policy drives clocks
     /// from retired stores. Consulted on every store retirement and by
     /// the threaded backend's fusion gate. Derived, never checkpointed.
@@ -733,7 +726,6 @@ impl<'m> Machine<'m> {
         cfg: MachineConfig,
     ) -> Machine<'m> {
         assert!(!threads.is_empty(), "need at least one thread");
-        let mem = vec![0i64; cfg.mem_words.max(1)];
         let threads: Vec<Thread> = threads
             .iter()
             .enumerate()
@@ -772,32 +764,62 @@ impl<'m> Machine<'m> {
                 }
             })
             .collect();
-        let san = cfg
-            .sanitize
-            .then(|| Box::new(Sanitizer::new(threads.len())));
+        // A fresh machine is a machine resumed from its cycle-0 state.
+        let initial = Checkpoint {
+            fingerprint: config_fingerprint(&cfg, module, threads.len()),
+            sched: cfg.scheduler,
+            cycle: 0,
+            mem: vec![0i64; cfg.mem_words.max(1)],
+            locks: HashMap::new(),
+            barriers: HashMap::new(),
+            hasher: OrderHasher::new(),
+            lock_order: Vec::new(),
+            done_count: 0,
+            replay_pos: 0,
+            commit_stall: 0,
+            san: cfg
+                .sanitize
+                .then(|| Box::new(Sanitizer::new(threads.len()))),
+            threads,
+        };
+        Machine::from_state(module, cost, cfg, initial)
+    }
+
+    /// The one place a core is assembled: the checkpointed state moves in
+    /// and everything derived (chunk knobs, memory mask, rotation cache,
+    /// scratch buffers, the backend) is rebuilt from `cfg` and that state.
+    fn from_state(
+        module: &'m Module,
+        cost: &'m CostModel,
+        cfg: MachineConfig,
+        state: Checkpoint,
+    ) -> Machine<'m> {
         let exec = make_exec(module, cost, cfg.backend);
-        let sched = cfg.scheduler.build();
         let chunk = chunk_of(&cfg);
-        let mem_mask = mem.len().is_power_of_two().then(|| mem.len() as u64 - 1);
+        let mem_mask = state
+            .mem
+            .len()
+            .is_power_of_two()
+            .then(|| state.mem.len() as u64 - 1);
         let (rot_cycle, rot_acc, rot_start, rot_stride, rot_wrap_adj) =
-            init_rotation(0, cfg.jitter.seed, threads.len());
+            init_rotation(state.cycle, cfg.jitter.seed, state.threads.len());
         Machine {
             core: DetCore {
                 module,
                 cost,
                 cfg,
-                threads,
-                mem,
-                locks: HashMap::new(),
-                barriers: HashMap::new(),
-                hasher: OrderHasher::new(),
-                lock_order: Vec::new(),
-                cycle: 0,
-                done_count: 0,
-                replay_pos: 0,
-                commit_stall: 0,
-                san,
-                sched,
+                fingerprint: state.fingerprint,
+                threads: state.threads,
+                mem: state.mem,
+                locks: state.locks,
+                barriers: state.barriers,
+                hasher: state.hasher,
+                lock_order: state.lock_order,
+                cycle: state.cycle,
+                done_count: state.done_count,
+                replay_pos: state.replay_pos,
+                commit_stall: state.commit_stall,
+                san: state.san,
                 chunk,
                 views: Vec::new(),
                 scratch_args: Vec::new(),
@@ -824,18 +846,14 @@ impl<'m> Machine<'m> {
     /// memory — lets tests assert that deterministic runs converge to
     /// identical program *state*, not just identical lock orders.
     pub fn run_with_memory(self) -> (RunMetrics, Vec<i64>, bool) {
-        let (metrics, mem, hit, _) = self.run_sanitized_inner();
+        let (metrics, mem, hit, _) = self.run_sanitized();
         (metrics, mem, hit)
     }
 
     /// Like [`Machine::run_with_memory`], additionally returning the
     /// finalized [`SanitizerReport`] when [`MachineConfig::sanitize`] was
     /// set (`None` otherwise).
-    pub fn run_sanitized(self) -> (RunMetrics, Vec<i64>, bool, Option<SanitizerReport>) {
-        self.run_sanitized_inner()
-    }
-
-    fn run_sanitized_inner(mut self) -> (RunMetrics, Vec<i64>, bool, Option<SanitizerReport>) {
+    pub fn run_sanitized(mut self) -> (RunMetrics, Vec<i64>, bool, Option<SanitizerReport>) {
         let n = self.core.threads.len();
         while self.core.done_count < n && self.core.cycle < self.core.cfg.max_cycles {
             self.core.round(&self.exec);
@@ -882,9 +900,8 @@ impl<'m> Machine<'m> {
     pub fn snapshot(&self) -> Checkpoint {
         let core = &self.core;
         Checkpoint {
-            fingerprint: config_fingerprint(&core.cfg, core.module, core.threads.len()),
+            fingerprint: core.fingerprint,
             sched: core.cfg.scheduler,
-            sched_state: core.sched.save_state(),
             cycle: core.cycle,
             threads: core.threads.clone(),
             mem: core.mem.clone(),
@@ -926,47 +943,7 @@ impl<'m> Machine<'m> {
                 machine: fp,
             });
         }
-        let exec = make_exec(module, cost, cfg.backend);
-        let mut sched = cfg.scheduler.build();
-        sched.load_state(&ckpt.sched_state);
-        let chunk = chunk_of(&cfg);
-        let mem_mask = ckpt
-            .mem
-            .len()
-            .is_power_of_two()
-            .then(|| ckpt.mem.len() as u64 - 1);
-        let (rot_cycle, rot_acc, rot_start, rot_stride, rot_wrap_adj) =
-            init_rotation(ckpt.cycle, cfg.jitter.seed, ckpt.threads.len());
-        Ok(Machine {
-            core: DetCore {
-                module,
-                cost,
-                cfg,
-                threads: ckpt.threads.clone(),
-                mem: ckpt.mem.clone(),
-                locks: ckpt.locks.clone(),
-                barriers: ckpt.barriers.clone(),
-                hasher: ckpt.hasher.clone(),
-                lock_order: ckpt.lock_order.clone(),
-                cycle: ckpt.cycle,
-                done_count: ckpt.done_count,
-                replay_pos: ckpt.replay_pos,
-                commit_stall: ckpt.commit_stall,
-                san: ckpt.san.clone(),
-                sched,
-                chunk,
-                views: Vec::new(),
-                scratch_args: Vec::new(),
-                ckpt_every: 0,
-                mem_mask,
-                rot_cycle,
-                rot_acc,
-                rot_start,
-                rot_stride,
-                rot_wrap_adj,
-            },
-            exec,
-        })
+        Ok(Machine::from_state(module, cost, cfg, ckpt.clone()))
     }
 }
 
@@ -1038,7 +1015,6 @@ impl<'m> DetCore<'m> {
                 views.push(ThreadView {
                     phase,
                     clock: th.clock,
-                    pending: th.pending,
                 });
             }
         }
@@ -1071,7 +1047,7 @@ impl<'m> DetCore<'m> {
         // decision to the policy; nondeterministic modes never consult it
         // (their grants are FCFS / replayed / bulk-serial).
         let turn = if self.cfg.mode.deterministic() {
-            match self.sched.decide(&self.views) {
+            match self.cfg.scheduler.decide(&self.views) {
                 Decision::Turn(t) => t,
                 Decision::Batch(order) => {
                     self.commit_batch(&order);
@@ -1196,11 +1172,11 @@ impl<'m> DetCore<'m> {
                         // precedence gates the grant (Kendo's rule) on
                         // top of the physical hold state.
                         let logically_free = held_by.is_none()
-                            && (!self.sched.uses_release_clocks()
+                            && (!self.cfg.scheduler.uses_release_clocks()
                                 || release_clock.is_none_or(|r| r < clock));
                         if logically_free {
                             self.grant_lock(t, id);
-                        } else if self.sched.bumps_on_contention() {
+                        } else if self.cfg.scheduler.bumps_on_contention() {
                             // Deterministic clock bump and retry (Kendo).
                             self.threads[t].clock += 1;
                             self.threads[t].m.lock_clock_bumps += 1;

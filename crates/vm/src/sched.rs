@@ -1,63 +1,64 @@
-//! Pluggable deterministic scheduling policies.
+//! Deterministic scheduling policies.
 //!
 //! DetLock's contribution is the *instrumentation* — compiler-placed
 //! logical clocks. The *arbitration policy* that consumes those clocks is
-//! a separate axis: [`DetScheduler`] factors it out of the core round
-//! loop. Given a per-round view of every thread (phase, logical clock,
-//! pending countdown), a scheduler decides who may perform a
-//! synchronization event this round and what the clock-bump policy on
-//! contended acquires is. Three policies ship:
+//! a separate axis: [`Sched`] is that policy. Given a per-round view of
+//! every thread (phase, logical clock), [`Sched::decide`] says who may
+//! perform a synchronization event this round, and two flags
+//! ([`Sched::bumps_on_contention`], [`Sched::uses_release_clocks`]) fix
+//! the rule for contended acquires. Three policies ship — see the
+//! [`Sched`] variants for each one's determinism argument.
 //!
-//! * [`KendoSched`] — the reference policy: the unique thread with the
-//!   minimum `(clock, tid)` among arbitration participants holds the
-//!   turn; a contended acquirer deterministically bumps its clock and
-//!   retries (Kendo's algorithm as adopted by DetLock).
-//! * [`ChunkSched`] — the same turn rule, plus simulated retired-store
-//!   performance-counter clocks: threads run fixed logical-work chunks
-//!   ([`ChunkParams::chunk_size`] stores) between clock updates, each
-//!   costing an overflow-interrupt ([`ChunkParams::interrupt_cost`]).
-//!   This subsumes the old `ExecMode::Kendo` special-casing — Table II's
-//!   simulated Kendo is `ExecMode::Kendo` (uninstrumented) + `ChunkSched`.
-//! * [`DcBatchSched`] — deterministic-consistency-style rounds (Aviram &
-//!   Ford): all runnable threads execute freely to their next
-//!   synchronization point; once no thread is runnable, the pending
-//!   synchronization operations commit in one deterministic batch,
-//!   ordered by `(clock, tid)`.
+//! # What a policy may observe
 //!
-//! # What a scheduler may observe
-//!
-//! Exactly the [`ThreadView`] slice: thread phase, logical clock, pending
-//! countdown. Nothing else — no cycle counter, no jitter RNG, no memory,
-//! no lock table. That restriction is the determinism argument: every
-//! view field is itself jitter-invariant in deterministic modes (clocks
-//! advance only by ticks, store chunks, and deterministic sync events;
-//! phases change only at deterministic points), so any pure function of
-//! the view sequence is jitter-invariant too. A scheduler that peeked at
-//! wall-clock state (cycles, RNG position) would leak seed-dependence
-//! into the lock order and break the weak-determinism guarantee.
+//! Exactly the [`ThreadView`] slice: thread phase and logical clock.
+//! Nothing else — no cycle counter, no jitter RNG, no memory, no lock
+//! table. That restriction is the determinism argument: every view field
+//! is itself jitter-invariant in deterministic modes (clocks advance only
+//! by ticks, store chunks, and deterministic sync events; phases change
+//! only at deterministic points), so any pure function of the view
+//! sequence is jitter-invariant too. A policy that peeked at wall-clock
+//! state (cycles, RNG position, the `pending` countdown) would leak
+//! seed-dependence into the lock order and break the weak-determinism
+//! guarantee.
 //!
 //! Because different policies legitimately produce different lock orders
 //! (and hence different trace hashes, receipts, and sanitizer reports),
 //! the scheduler is part of the job identity: receipts are
 //! scheduler-keyed, and a [`crate::machine::Checkpoint`] refuses to
 //! resume under a different scheduler (see
-//! [`crate::machine::ResumeError::SchedulerMismatch`]).
+//! [`crate::machine::ResumeError::SchedulerMismatch`]). Every policy is a
+//! pure function of the view, so that identity check is all a checkpoint
+//! needs to carry.
 //!
 //! Selection mirrors [`crate::backend::Backend`]: a process-wide override
 //! installed by a `--scheduler` CLI flag, then the `DETLOCK_SCHEDULER`
 //! environment variable (`kendo` | `chunk[:SIZE[:COST]]` | `dc-batch`),
 //! then [`Sched::Kendo`].
 
-mod chunk;
-mod dc_batch;
-mod kendo;
-
-pub use chunk::{ChunkParams, ChunkSched};
-pub use dc_batch::DcBatchSched;
-pub use kendo::KendoSched;
-
 use std::sync::Mutex;
 use std::sync::OnceLock;
+
+/// Chunked store-counter clock parameters (Table II). The paper notes
+/// Kendo must balance chunk size by hand; `chunk_size` is that knob.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ChunkParams {
+    /// Retired stores between performance-counter overflow interrupts.
+    pub chunk_size: u64,
+    /// Cycle cost of servicing one overflow interrupt.
+    pub interrupt_cost: u64,
+}
+
+impl Default for ChunkParams {
+    fn default() -> Self {
+        ChunkParams {
+            chunk_size: 1024,
+            // A performance-counter overflow interrupt traps into the
+            // kernel: order 10^3 cycles on the paper's era of hardware.
+            interrupt_cost: 800,
+        }
+    }
+}
 
 /// What a scheduler sees of one thread in one round. The deliberately
 /// minimal observation surface — see the module docs for why nothing
@@ -68,8 +69,6 @@ pub struct ThreadView {
     pub phase: Phase,
     /// The thread's logical clock.
     pub clock: u64,
-    /// Cycles left in the instruction currently occupying the core.
-    pub pending: u64,
 }
 
 /// Thread lifecycle phase, as visible to a scheduler.
@@ -102,58 +101,56 @@ pub enum Decision {
     Batch(Vec<u32>),
 }
 
-/// A deterministic scheduling policy. Implementations must be pure
-/// functions of the [`ThreadView`] sequence (plus their own
-/// [`save_state`](DetScheduler::save_state)-captured state): the round
-/// loop calls [`decide`](DetScheduler::decide) once per arbitration round
-/// in deterministic modes.
-pub trait DetScheduler {
-    /// The turn (or batch) for this round.
-    fn decide(&mut self, threads: &[ThreadView]) -> Decision;
-
-    /// Clock-bump policy on contended acquires: `true` means a turn
-    /// holder whose lock is not logically free bumps its clock by one and
-    /// retries (Kendo); `false` means it simply waits.
-    fn bumps_on_contention(&self) -> bool {
-        true
-    }
-
-    /// Whether an acquire additionally requires the lock's release clock
-    /// to precede the acquirer's clock (Kendo's logical-release rule).
-    /// Policies that order grants structurally (e.g. batch commit) use
-    /// the physical hold state alone.
-    fn uses_release_clocks(&self) -> bool {
-        true
-    }
-
-    /// Chunked store-counter clock parameters, if this policy drives
-    /// clocks from simulated retired-store performance counters.
-    fn chunk(&self) -> Option<ChunkParams> {
-        None
-    }
-
-    /// Scheduler-private state to ride a [`crate::machine::Checkpoint`].
-    /// All built-in policies are stateless (their decisions are pure
-    /// functions of the view), so this is empty — but the mechanism is
-    /// part of the contract: a stateful policy that did not checkpoint
-    /// its state would silently diverge on resume.
-    fn save_state(&self) -> Vec<u64> {
-        Vec::new()
-    }
-
-    /// Restore [`save_state`](DetScheduler::save_state)-captured state.
-    fn load_state(&mut self, _state: &[u64]) {}
-}
-
-/// Which deterministic scheduling policy arbitrates synchronization.
+/// Which deterministic scheduling policy arbitrates synchronization. The
+/// enum *is* the policy: the round loop calls [`Sched::decide`] once per
+/// arbitration round in deterministic modes, and every variant is a pure
+/// function of the [`ThreadView`] sequence.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Sched {
-    /// Kendo-style min-`(clock, tid)` arbitration (the reference).
+    /// Kendo-style arbitration on whatever drives the logical clocks
+    /// (ticks in `Det` mode), the reference and the policy the paper's
+    /// DetLock measurements use: the unique thread with the minimum
+    /// `(clock, tid)` among runnable and arbitrating threads holds the
+    /// turn for the round; a contended acquirer bumps its clock by one
+    /// and retries, and an acquire additionally requires the lock's
+    /// logical release to precede the acquirer's clock.
     #[default]
     Kendo,
-    /// Min-clock arbitration over chunked store-counter clocks.
+    /// The same turn rule as [`Sched::Kendo`], but threads additionally
+    /// run fixed logical-work chunks between clock updates: the
+    /// virtualized retired-store counter only surfaces at overflow
+    /// interrupts, so the clock advances in [`ChunkParams::chunk_size`]
+    /// units and each boundary costs [`ChunkParams::interrupt_cost`]
+    /// cycles. Under `ExecMode::Kendo` (uninstrumented, no tick
+    /// instructions) this reproduces the paper's Table II simulated-Kendo
+    /// baseline bit-for-bit; under `ExecMode::Det` it layers chunk clocks
+    /// on top of the compiler-placed ticks.
     Chunk(ChunkParams),
-    /// Deterministic-consistency batched commit rounds.
+    /// Deterministic-consistency-style rounds (after Aviram & Ford's
+    /// workspace-consistency model): threads execute *freely* to their
+    /// next synchronization point — no per-acquire arbitration, no clock
+    /// bumps while contended — and once no live thread is runnable, every
+    /// pending synchronization operation commits in one deterministic
+    /// batch, ordered by `(clock, tid)`.
+    ///
+    /// Within a batch the lock table evolves as grants land: a member
+    /// whose lock is still physically held when its slot comes (taken by
+    /// an earlier member, or by a holder that is itself blocked elsewhere
+    /// in the batch) simply stays blocked and joins a later batch.
+    /// Because a batch only forms at quiescence, every held lock's holder
+    /// is itself in the batch (or parked), so nested acquisitions drain
+    /// batch-by-batch instead of deadlocking.
+    ///
+    /// Determinism argument: batch *membership* is fixed by program
+    /// structure — the batch forms exactly when every thread has reached
+    /// its next synchronization point, which is a per-thread
+    /// deterministic sequence — and batch *order* is a pure function of
+    /// logical clocks, which advance only at ticks and deterministic
+    /// events. Jitter moves the cycle at which quiescence happens, never
+    /// who is in the batch or in what order it commits, so lock orders,
+    /// trace hashes, and final clocks stay seed-invariant. They differ
+    /// from [`Sched::Kendo`]'s on contended workloads by design —
+    /// receipts are scheduler-keyed.
     DcBatch,
 }
 
@@ -262,14 +259,45 @@ impl Sched {
         .unwrap_or(Sched::Kendo)
     }
 
-    /// Build the policy implementation (static enum dispatch, mirroring
-    /// the backend's `ExecImpl`).
-    pub(crate) fn build(self) -> SchedImpl {
+    /// The turn (or batch) for this round.
+    #[inline]
+    pub fn decide(self, threads: &[ThreadView]) -> Decision {
         match self {
-            Sched::Kendo => SchedImpl::Kendo(KendoSched),
-            Sched::Chunk(p) => SchedImpl::Chunk(ChunkSched::new(p)),
-            Sched::DcBatch => SchedImpl::DcBatch(DcBatchSched),
+            Sched::Kendo | Sched::Chunk(_) => Decision::Turn(min_clock_turn(threads)),
+            Sched::DcBatch => {
+                if threads.iter().any(|v| v.phase == Phase::Runnable) {
+                    return Decision::Turn(None);
+                }
+                let mut batch: Vec<u32> = threads
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, v)| v.phase == Phase::Arbitrating)
+                    .map(|(tid, _)| tid as u32)
+                    .collect();
+                if batch.is_empty() {
+                    return Decision::Turn(None);
+                }
+                batch.sort_unstable_by_key(|&tid| (threads[tid as usize].clock, tid));
+                Decision::Batch(batch)
+            }
         }
+    }
+
+    /// Clock-bump policy on contended acquires: `true` means a turn
+    /// holder whose lock is not logically free bumps its clock by one and
+    /// retries (Kendo); `false` means it simply waits. Batch members
+    /// wait: bumping clocks while waiting would make final clocks depend
+    /// on how many rounds the wait lasted — i.e. on the jitter seed.
+    pub fn bumps_on_contention(self) -> bool {
+        !matches!(self, Sched::DcBatch)
+    }
+
+    /// Whether an acquire additionally requires the lock's release clock
+    /// to precede the acquirer's clock (Kendo's logical-release rule).
+    /// Batch commit orders grants structurally, so the physical hold
+    /// state alone gates a grant there.
+    pub fn uses_release_clocks(self) -> bool {
+        !matches!(self, Sched::DcBatch)
     }
 }
 
@@ -279,68 +307,9 @@ impl std::fmt::Display for Sched {
     }
 }
 
-/// Static enum dispatch over the built-in policies (no vtable in the
-/// round loop).
-pub(crate) enum SchedImpl {
-    Kendo(KendoSched),
-    Chunk(ChunkSched),
-    DcBatch(DcBatchSched),
-}
-
-impl DetScheduler for SchedImpl {
-    #[inline]
-    fn decide(&mut self, threads: &[ThreadView]) -> Decision {
-        match self {
-            SchedImpl::Kendo(s) => s.decide(threads),
-            SchedImpl::Chunk(s) => s.decide(threads),
-            SchedImpl::DcBatch(s) => s.decide(threads),
-        }
-    }
-
-    fn bumps_on_contention(&self) -> bool {
-        match self {
-            SchedImpl::Kendo(s) => s.bumps_on_contention(),
-            SchedImpl::Chunk(s) => s.bumps_on_contention(),
-            SchedImpl::DcBatch(s) => s.bumps_on_contention(),
-        }
-    }
-
-    fn uses_release_clocks(&self) -> bool {
-        match self {
-            SchedImpl::Kendo(s) => s.uses_release_clocks(),
-            SchedImpl::Chunk(s) => s.uses_release_clocks(),
-            SchedImpl::DcBatch(s) => s.uses_release_clocks(),
-        }
-    }
-
-    fn chunk(&self) -> Option<ChunkParams> {
-        match self {
-            SchedImpl::Kendo(s) => s.chunk(),
-            SchedImpl::Chunk(s) => s.chunk(),
-            SchedImpl::DcBatch(s) => s.chunk(),
-        }
-    }
-
-    fn save_state(&self) -> Vec<u64> {
-        match self {
-            SchedImpl::Kendo(s) => s.save_state(),
-            SchedImpl::Chunk(s) => s.save_state(),
-            SchedImpl::DcBatch(s) => s.save_state(),
-        }
-    }
-
-    fn load_state(&mut self, state: &[u64]) {
-        match self {
-            SchedImpl::Kendo(s) => s.load_state(state),
-            SchedImpl::Chunk(s) => s.load_state(state),
-            SchedImpl::DcBatch(s) => s.load_state(state),
-        }
-    }
-}
-
 /// The min-`(clock, tid)` turn over runnable and arbitrating threads —
-/// shared by [`KendoSched`] and [`ChunkSched`].
-pub(crate) fn min_clock_turn(threads: &[ThreadView]) -> Option<u32> {
+/// shared by [`Sched::Kendo`] and [`Sched::Chunk`].
+fn min_clock_turn(threads: &[ThreadView]) -> Option<u32> {
     let mut best: Option<(u64, u32)> = None;
     for (tid, v) in threads.iter().enumerate() {
         if matches!(v.phase, Phase::Parked | Phase::Done) {
@@ -359,11 +328,7 @@ mod tests {
     use super::*;
 
     fn v(phase: Phase, clock: u64) -> ThreadView {
-        ThreadView {
-            phase,
-            clock,
-            pending: 0,
-        }
+        ThreadView { phase, clock }
     }
 
     #[test]
@@ -429,7 +394,6 @@ mod tests {
 
     #[test]
     fn kendo_picks_min_clock_breaking_ties_by_tid() {
-        let mut s = KendoSched;
         let views = [
             v(Phase::Runnable, 5),
             v(Phase::Arbitrating, 3),
@@ -437,36 +401,47 @@ mod tests {
             v(Phase::Parked, 0),
             v(Phase::Done, 0),
         ];
-        assert_eq!(s.decide(&views), Decision::Turn(Some(1)));
+        assert_eq!(Sched::Kendo.decide(&views), Decision::Turn(Some(1)));
     }
 
     #[test]
     fn dc_batch_waits_for_quiescence_then_commits_in_clock_order() {
-        let mut s = DcBatchSched;
         let running = [v(Phase::Runnable, 9), v(Phase::Arbitrating, 1)];
-        assert_eq!(s.decide(&running), Decision::Turn(None));
+        assert_eq!(Sched::DcBatch.decide(&running), Decision::Turn(None));
         let quiescent = [
             v(Phase::Arbitrating, 9),
             v(Phase::Arbitrating, 2),
             v(Phase::Parked, 0),
             v(Phase::Arbitrating, 2),
         ];
-        assert_eq!(s.decide(&quiescent), Decision::Batch(vec![1, 3, 0]));
+        assert_eq!(
+            Sched::DcBatch.decide(&quiescent),
+            Decision::Batch(vec![1, 3, 0])
+        );
     }
 
     #[test]
-    fn built_policies_expose_their_contracts() {
-        assert!(Sched::Kendo.build().bumps_on_contention());
-        assert!(Sched::Kendo.build().uses_release_clocks());
-        assert_eq!(Sched::Kendo.build().chunk(), None);
-        let p = ChunkParams {
+    fn policies_expose_their_contracts() {
+        let custom = ChunkParams {
             chunk_size: 7,
             interrupt_cost: 11,
         };
-        assert_eq!(Sched::Chunk(p).build().chunk(), Some(p));
-        let dc = Sched::DcBatch.build();
-        assert!(!dc.bumps_on_contention());
-        assert!(!dc.uses_release_clocks());
-        assert!(dc.save_state().is_empty());
+        // (policy, bumps_on_contention, uses_release_clocks, chunk_params)
+        let table = [
+            (Sched::Kendo, true, true, None),
+            (
+                Sched::Chunk(ChunkParams::default()),
+                true,
+                true,
+                Some(ChunkParams::default()),
+            ),
+            (Sched::Chunk(custom), true, true, Some(custom)),
+            (Sched::DcBatch, false, false, None),
+        ];
+        for (s, bumps, release, chunk) in table {
+            assert_eq!(s.bumps_on_contention(), bumps, "{s}");
+            assert_eq!(s.uses_release_clocks(), release, "{s}");
+            assert_eq!(s.chunk_params(), chunk, "{s}");
+        }
     }
 }

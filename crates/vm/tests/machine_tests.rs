@@ -10,7 +10,7 @@ use detlock_vm::determinism::check_determinism;
 use detlock_vm::machine::{
     run, Checkpoint, CkptControl, ExecMode, Jitter, Machine, MachineConfig, RunOutcome, ThreadSpec,
 };
-use detlock_vm::{ChunkParams, Sched};
+use detlock_vm::{Backend, ChunkParams, Sched};
 
 fn cfg(mode: ExecMode) -> MachineConfig {
     MachineConfig {
@@ -862,6 +862,74 @@ fn checkpoint_digests_fingerprint_machine_state() {
         ..cfg(ExecMode::Det)
     });
     assert_ne!(a, c, "jitter RNG position is machine state");
+}
+
+/// A checkpoint interval of 4 closes the threaded engine's `fits_ckpt`
+/// gate for good — a fused run's window is at least `len · (max_extra + 1)
+/// ≥ 8` cycles — so every dispatch is a run of length 1. That path must
+/// agree with the interpreter at every boundary (deep state digests) and
+/// with the freely fusing threaded run at the end (metrics incl. the trace
+/// hash, final memory): under `Det`; under `Baseline` on the instrumented
+/// module, where a lone skipped tick is the `Action::Free` case; and under
+/// a chunk policy small enough that store-retirement interrupts land on
+/// `pending` before the run's own charge does.
+#[test]
+fn length_one_runs_match_the_interpreter_and_the_fused_run() {
+    const EVERY: u64 = 4;
+    let (m, f) = instrumented_counter(8);
+    let cost = CostModel::default();
+    let threads = counter_threads(f, 3, 12);
+    let chunk = ChunkParams {
+        chunk_size: 2,
+        interrupt_cost: 7,
+    };
+    for (mode, scheduler) in [
+        (ExecMode::Det, Sched::Kendo),
+        (ExecMode::Baseline, Sched::Kendo),
+        (ExecMode::Det, Sched::Chunk(chunk)),
+    ] {
+        let config = |backend| MachineConfig {
+            scheduler,
+            backend,
+            mem_words: 256,
+            ..cfg(mode)
+        };
+        let stepped = |backend| {
+            let mut digests = Vec::new();
+            let machine = Machine::new(&m, &cost, &threads, config(backend));
+            match machine.run_with_checkpoints(EVERY, &mut |ck| {
+                digests.push((ck.cycle(), ck.digest()));
+                CkptControl::Continue
+            }) {
+                RunOutcome::Finished {
+                    metrics,
+                    memory,
+                    hit_limit: false,
+                    ..
+                } => (digests, metrics, memory),
+                other => panic!("{mode:?}/{scheduler}: {other:?}"),
+            }
+        };
+        let (digests, metrics, memory) = stepped(Backend::Threaded);
+        let (ref_digests, ref_metrics, ref_memory) = stepped(Backend::Interp);
+        assert!(digests.len() > 100, "{mode:?}/{scheduler}");
+        assert!(
+            digests == ref_digests,
+            "{mode:?}/{scheduler}: state diverged"
+        );
+        assert_eq!(metrics, ref_metrics, "{mode:?}/{scheduler}");
+        assert_eq!(memory, ref_memory, "{mode:?}/{scheduler}");
+
+        let (fused_metrics, fused_memory, hit) =
+            Machine::new(&m, &cost, &threads, config(Backend::Threaded)).run_with_memory();
+        assert!(!hit);
+        assert_eq!(metrics, fused_metrics, "{mode:?}/{scheduler}");
+        assert_eq!(memory, fused_memory, "{mode:?}/{scheduler}");
+
+        let t0 = &metrics.per_thread[0];
+        assert_eq!(t0.ticks_executed > 0, mode == ExecMode::Det);
+        assert!(t0.retired_stores >= 4 * chunk.chunk_size);
+    }
 }
 
 /// Resume refuses a checkpoint taken under a different config, module, or
