@@ -7,21 +7,18 @@
 //! `max + 1` and reactivates them, all inside its own deterministic event,
 //! so the post-barrier clock state is timing-independent.
 
+use crate::event::det_event;
 use crate::registry::ThreadState;
-use crate::runtime::{current, fault_point, raise, wait_turn, DetRuntime};
+use crate::runtime::{raise, DetRuntime};
 use detlock_shim::sync::{Condvar, Mutex};
-
-struct BarState {
-    arrived: Vec<u32>,
-    generation: u64,
-}
 
 /// A reusable deterministic barrier for `n` participating threads.
 pub struct DetBarrier {
     rt: DetRuntime,
     n: usize,
     id: u64,
-    state: Mutex<BarState>,
+    /// Tids parked in the current generation, in arrival order.
+    arrived: Mutex<Vec<u32>>,
     cv: Condvar,
 }
 
@@ -48,10 +45,7 @@ impl DetBarrier {
             rt: rt.clone(),
             n,
             id: rt.alloc_lock_id(),
-            state: Mutex::new(BarState {
-                arrived: Vec::new(),
-                generation: 0,
-            }),
+            arrived: Mutex::new(Vec::new()),
             cv: Condvar::new(),
         }
     }
@@ -61,63 +55,24 @@ impl DetBarrier {
     /// Raises a [`crate::DetError`] panic (stall report or eviction) if the
     /// watchdog declares the wait dead.
     pub fn wait(&self) -> DetBarrierWaitResult {
-        let (inner, me) = current();
-        debug_assert!(std::sync::Arc::ptr_eq(&inner, &self.rt.inner));
-        let reg = &inner.registry;
-        fault_point(&inner, me);
-        reg.set_waiting(me, Some(self.id));
-        wait_turn(&inner, me);
-
-        let mut st = self.state.lock();
-        reg.transition(|_| reg.set_state(me, ThreadState::Blocked));
-        st.arrived.push(me);
-        if st.arrived.len() == self.n {
-            // Leader: reconcile clocks and release everyone. Skip arrivers
-            // no longer Blocked (e.g. evicted by the watchdog while parked)
-            // — reactivating one would resurrect a retired clock and wedge
-            // arbitration on it.
-            let arrived = std::mem::take(&mut st.arrived);
-            let new_clock = arrived.iter().map(|&t| reg.clock(t)).max().unwrap() + 1;
-            reg.transition(|_| {
-                for &t in &arrived {
-                    if reg.state(t) == ThreadState::Blocked {
-                        reg.set_clock(t, new_clock);
-                        reg.set_state(t, ThreadState::Active);
-                    }
-                }
-            });
-            st.generation += 1;
-            self.cv.notify_all();
-            reg.set_waiting(me, None);
-            DetBarrierWaitResult { is_leader: true }
-        } else {
-            let gen = st.generation;
-            let mut timer = reg.stall_timer();
-            while st.generation == gen {
-                let timed_out = self.cv.wait_for(&mut st, timer.poll_interval());
-                if timed_out && st.generation == gen && timer.expired(reg) {
-                    match reg.on_blocked_stall(me) {
-                        Ok(()) => {} // culprit evicted; the missing arriver may show up
-                        Err(e) => {
-                            // Withdraw from the barrier and re-activate
-                            // ourselves so the error propagates instead of
-                            // leaving a ghost arriver.
-                            st.arrived.retain(|&t| t != me);
-                            drop(st);
-                            reg.transition(|_| {
-                                if reg.state(me) == ThreadState::Blocked {
-                                    reg.set_state(me, ThreadState::Active);
-                                }
-                            });
-                            reg.set_waiting(me, None);
-                            raise(e);
-                        }
-                    }
-                }
+        det_event(&self.rt, Some(self.id), |turn| {
+            let (reg, me) = (turn.reg(), turn.me);
+            let mut arrived = self.arrived.lock();
+            reg.transition(|_| reg.set_state(me, ThreadState::Blocked));
+            arrived.push(me);
+            let is_leader = arrived.len() == self.n;
+            if is_leader {
+                // Reconcile every participant's clock and release them all.
+                let all = std::mem::take(&mut *arrived);
+                let clock = all.iter().map(|&t| reg.clock(t)).max().unwrap() + 1;
+                turn.reactivate(&all, clock);
+                self.cv.notify_all();
+            } else {
+                turn.park(&self.cv, &mut arrived, |a| a.retain(|&t| t != me))?;
             }
-            reg.set_waiting(me, None);
-            DetBarrierWaitResult { is_leader: false }
-        }
+            Ok(Some(DetBarrierWaitResult { is_leader }))
+        })
+        .unwrap_or_else(|e| raise(e))
     }
 }
 
@@ -232,5 +187,22 @@ mod tests {
         let b = run();
         assert_eq!(a.len(), 8);
         assert_eq!(a, b, "leader sequence must be timing-independent");
+    }
+
+    #[test]
+    fn stalled_wait_withdraws_the_arriver() {
+        use crate::event::tests::{raised, stall_rt};
+        let rt = stall_rt(crate::StallAction::Error);
+        let bar = DetBarrier::new(&rt, 2);
+        // The second arriver never comes: the wait raises a stall report...
+        let e = raised(|| {
+            bar.wait();
+        });
+        assert!(matches!(e, Some(crate::DetError::Stalled(_))));
+        // ...and leaves no ghost behind: not in the barrier, back in
+        // arbitration, nothing shown as waited on.
+        assert!(bar.arrived.lock().is_empty());
+        let main = &rt.thread_snapshots()[0];
+        assert_eq!((main.state, main.waiting_on), (ThreadState::Active, None));
     }
 }

@@ -15,21 +15,19 @@
 //! * `broadcast` reactivates every queued waiter (clock ties are broken by
 //!   tid as usual).
 
+use crate::event::det_event;
 use crate::mutex::{DetMutex, DetMutexGuard};
 use crate::registry::ThreadState;
-use crate::runtime::{current, fault_point, raise, wait_turn, DetRuntime};
+use crate::runtime::{raise, DetRuntime};
 use detlock_shim::sync::{Condvar, Mutex};
 use std::collections::VecDeque;
-
-struct CvState {
-    queue: VecDeque<u32>,
-}
 
 /// A deterministic condition variable (use with [`DetMutex`]).
 pub struct DetCondvar {
     rt: DetRuntime,
     id: u64,
-    state: Mutex<CvState>,
+    /// Waiting tids in (deterministic) arrival order.
+    queue: Mutex<VecDeque<u32>>,
     cv: Condvar,
 }
 
@@ -39,9 +37,7 @@ impl DetCondvar {
         DetCondvar {
             rt: rt.clone(),
             id: rt.alloc_lock_id(),
-            state: Mutex::new(CvState {
-                queue: VecDeque::new(),
-            }),
+            queue: Mutex::new(VecDeque::new()),
             cv: Condvar::new(),
         }
     }
@@ -53,50 +49,24 @@ impl DetCondvar {
     /// callers should still loop on their predicate because another thread
     /// may win the mutex between the signal and the re-acquisition.
     pub fn wait<'a, T>(&self, guard: DetMutexGuard<'a, T>) -> DetMutexGuard<'a, T> {
-        let (inner, me) = current();
-        debug_assert!(std::sync::Arc::ptr_eq(&inner, &self.rt.inner));
-        let reg = &inner.registry;
-        // The wait is a det event at our turn.
-        fault_point(&inner, me);
-        reg.set_waiting(me, Some(self.id));
-        wait_turn(&inner, me);
         let mutex: &'a DetMutex<T> = DetMutexGuard::mutex(&guard);
-        {
-            let mut st = self.state.lock();
-            st.queue.push_back(me);
+        let mut guard = Some(guard);
+        det_event(&self.rt, Some(self.id), |turn| {
+            let (reg, me) = (turn.reg(), turn.me);
+            let mut queue = self.queue.lock();
+            queue.push_back(me);
             // Release the mutex while we still count in arbitration: going
             // `Blocked` first would hand the turn to a thread that may find
             // the mutex not yet physically unlocked and bump its clock a
             // timing-dependent number of times. A signaler cannot look at
-            // the queue until `wait_for` below drops `st`, so it still sees
+            // the queue until `park` drops the queue lock, so it still sees
             // us enqueued *and* blocked.
-            drop(guard);
+            drop(guard.take());
             reg.transition(|_| reg.set_state(me, ThreadState::Blocked));
-            // Block until a signaler reactivates us.
-            let mut timer = reg.stall_timer();
-            while reg.state(me) != ThreadState::Active {
-                let timed_out = self.cv.wait_for(&mut st, timer.poll_interval());
-                if timed_out && reg.state(me) != ThreadState::Active && timer.expired(reg) {
-                    match reg.on_blocked_stall(me) {
-                        Ok(()) => {} // culprit evicted; a signaler may now run
-                        Err(e) => {
-                            // Withdraw from the queue and reactivate before
-                            // erroring, so a late signal can't wake a ghost.
-                            st.queue.retain(|&t| t != me);
-                            drop(st);
-                            reg.transition(|_| {
-                                if reg.state(me) == ThreadState::Blocked {
-                                    reg.set_state(me, ThreadState::Active);
-                                }
-                            });
-                            reg.set_waiting(me, None);
-                            raise(e);
-                        }
-                    }
-                }
-            }
-        }
-        reg.set_waiting(me, None);
+            turn.park(&self.cv, &mut queue, |q| q.retain(|&t| t != me))?;
+            Ok(Some(()))
+        })
+        .unwrap_or_else(|e| raise(e));
         mutex.lock()
     }
 
@@ -111,31 +81,19 @@ impl DetCondvar {
     }
 
     fn wake(&self, max: usize) {
-        let (inner, me) = current();
-        debug_assert!(std::sync::Arc::ptr_eq(&inner, &self.rt.inner));
-        let reg = &inner.registry;
-        fault_point(&inner, me);
-        wait_turn(&inner, me);
-        let my_clock = reg.clock(me);
-        let mut st = self.state.lock();
-        let count = st.queue.len().min(max);
-        if count > 0 {
-            let woken: Vec<u32> = st.queue.drain(..count).collect();
-            reg.transition(|_| {
-                for &t in &woken {
-                    // Only reactivate waiters still Blocked: a queued tid
-                    // that was evicted (or already gave up on a stall) must
-                    // not be resurrected into arbitration.
-                    if reg.state(t) == ThreadState::Blocked {
-                        reg.set_clock(t, my_clock + 1);
-                        reg.set_state(t, ThreadState::Active);
-                    }
-                }
-            });
-            self.cv.notify_all();
-        }
-        drop(st);
-        reg.tick(me, 1);
+        det_event(&self.rt, Some(self.id), |turn| {
+            let mut queue = self.queue.lock();
+            let count = queue.len().min(max);
+            if count > 0 {
+                let woken: Vec<u32> = queue.drain(..count).collect();
+                turn.reactivate(&woken, turn.clock() + 1);
+                self.cv.notify_all();
+            }
+            drop(queue);
+            turn.reg().tick(turn.me, 1);
+            Ok(Some(()))
+        })
+        .unwrap_or_else(|e| raise(e))
     }
 }
 
@@ -253,5 +211,22 @@ mod tests {
         let a = run(false);
         let b = run(true);
         assert_eq!(a, b, "condvar wake/acquire order must be reproducible");
+    }
+
+    #[test]
+    fn stalled_wait_withdraws_the_waiter() {
+        use crate::event::tests::{raised, stall_rt};
+        let rt = stall_rt(crate::StallAction::Error);
+        let m = DetMutex::new(&rt, 0);
+        let cv = DetCondvar::new(&rt);
+        // Nobody will ever signal: the wait raises a stall report...
+        let e = raised(|| drop(cv.wait(m.lock())));
+        assert!(matches!(e, Some(crate::DetError::Stalled(_))));
+        // ...with the waiter out of the queue and back in arbitration, and
+        // the mutex released by the wait still free.
+        assert!(cv.queue.lock().is_empty());
+        let main = &rt.thread_snapshots()[0];
+        assert_eq!((main.state, main.waiting_on), (ThreadState::Active, None));
+        assert_eq!(*m.lock(), 0);
     }
 }

@@ -36,6 +36,15 @@
 //! and are reactivated inside another thread's deterministic event, so the
 //! active set itself changes deterministically.
 //!
+//! The protocol is written once, in the private `event` module:
+//! `event::det_event` is the turn rule (and the single fault-injection
+//! point, and the wrong-runtime check) around each primitive's at-turn
+//! transition; `Turn::acquired` inside it is the one place a lock
+//! acquisition is recorded — *before* the clock tick that hands the turn
+//! on, so the trace's append order is the logical order; `Turn::park` is
+//! the one blocked wait. The primitive modules hold only what is specific
+//! to them: an admission test, a wait list, a clock reconciliation.
+//!
 //! ## Example
 //!
 //! ```
@@ -65,6 +74,7 @@
 pub mod barrier;
 pub mod condvar;
 pub mod error;
+mod event;
 pub mod fault;
 pub mod mutex;
 pub mod pool;

@@ -1,25 +1,21 @@
 //! The deterministic mutex — Kendo's `det_mutex_lock` as used by DetLock.
 //!
-//! Acquisition is a deterministic event:
-//!
-//! 1. wait for the turn (own `(clock, tid)` globally minimal);
-//! 2. `try_lock`; if physically held, or physically free but *logically*
-//!    still held (last release clock ≥ own clock — the release lies in the
-//!    acquirer's logical future), bump the own clock by one and retry;
-//! 3. on success, bump the clock so later events by this thread order after
-//!    the acquisition.
+//! Acquisition is a deterministic event (`event::det_event`) whose admission
+//! test is: physically free, *and* logically free — the last release clock
+//! precedes the acquirer's clock. A release in the acquirer's logical
+//! future is treated exactly like "still held", which is what a rerun with
+//! different timing would observe.
 //!
 //! Release does **not** wait for the turn: it stamps the lock with the
-//! releaser's clock (making step 2's test deterministic) and bumps the
-//! clock. See the crate docs for the determinism argument.
+//! releaser's clock (making the admission test deterministic) and bumps
+//! the clock. See the crate docs for the determinism argument.
 
-use crate::runtime::{current, fault_point, wait_turn, DetRuntime};
+use crate::event::{acquire, det_event, past, NEVER_RELEASED};
+use crate::runtime::{raise, DetRuntime};
 use detlock_shim::sync::RawMutex;
 use std::cell::UnsafeCell;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, Ordering};
-
-const NEVER_RELEASED: u64 = u64::MAX;
 
 /// A mutex whose acquisition order is a deterministic function of the
 /// program (given race-free use of the data it protects).
@@ -54,39 +50,23 @@ impl<T> DetMutex<T> {
         self.id
     }
 
+    /// The admission test, run at the caller's turn: take the raw lock iff
+    /// the mutex is physically *and* logically free at `clock`.
+    fn admit(&self, clock: u64) -> bool {
+        if !self.raw.try_lock() {
+            return false;
+        }
+        let free = past(self.release_clock.load(Ordering::Acquire), clock);
+        if !free {
+            self.raw.unlock();
+        }
+        free
+    }
+
     /// Deterministically acquire the mutex.
     pub fn lock(&self) -> DetMutexGuard<'_, T> {
-        let (inner, me) = current();
-        debug_assert!(
-            std::sync::Arc::ptr_eq(&inner, &self.rt.inner),
-            "DetMutex used from a thread of a different runtime"
-        );
-        let reg = &inner.registry;
-        fault_point(&inner, me);
-        reg.set_waiting(me, Some(self.id));
-        loop {
-            wait_turn(&inner, me);
-            let my_clock = reg.clock(me);
-            if self.raw.try_lock() {
-                let r = self.release_clock.load(Ordering::Acquire);
-                if r == NEVER_RELEASED || r < my_clock {
-                    break;
-                }
-                // Physically free but logically released in our future:
-                // indistinguishable (deterministically) from "still held".
-                self.raw.unlock();
-            }
-            reg.tick(me, 1);
-        }
-        reg.set_waiting(me, None);
-        // Record while still holding the turn: the tick below is what lets
-        // the next thread acquire, and its record must land after this one.
-        inner.trace.record(self.id, me, reg.clock(me) + 1);
-        reg.tick(me, 1);
-        DetMutexGuard {
-            mutex: self,
-            tid: me,
-        }
+        let tid = acquire(&self.rt, self.id, |clock| self.admit(clock));
+        DetMutexGuard { mutex: self, tid }
     }
 
     /// Deterministic `try_lock`: a deterministic event whose *outcome* is
@@ -97,33 +77,15 @@ impl<T> DetMutex<T> {
     /// reports failure instead, which is what a timing-independent
     /// `try_lock` has to mean.
     pub fn try_lock(&self) -> Option<DetMutexGuard<'_, T>> {
-        let (inner, me) = current();
-        debug_assert!(std::sync::Arc::ptr_eq(&inner, &self.rt.inner));
-        let reg = &inner.registry;
-        fault_point(&inner, me);
-        wait_turn(&inner, me);
-        let my_clock = reg.clock(me);
-        let acquired = if self.raw.try_lock() {
-            let r = self.release_clock.load(Ordering::Acquire);
-            if r == NEVER_RELEASED || r < my_clock {
-                true
-            } else {
-                self.raw.unlock();
-                false
+        det_event(&self.rt, Some(self.id), |turn| {
+            let tid = self.admit(turn.clock()).then(|| turn.acquired(self.id));
+            if tid.is_none() {
+                turn.reg().tick(turn.me, 1); // the attempt is an event either way
             }
-        } else {
-            false
-        };
-        let guard = acquired.then(|| {
-            // Before the tick, as in `lock`.
-            inner.trace.record(self.id, me, reg.clock(me) + 1);
-            DetMutexGuard {
-                mutex: self,
-                tid: me,
-            }
-        });
-        reg.tick(me, 1); // the attempt is an event either way
-        guard
+            Ok(Some(tid))
+        })
+        .unwrap_or_else(|e| raise(e))
+        .map(|tid| DetMutexGuard { mutex: self, tid })
     }
 
     /// Consume the mutex, returning the inner value.

@@ -371,22 +371,29 @@ impl Registry {
     /// evicting the arbitration culprit and the caller should resume
     /// waiting; `Err` carries the report for the waiter to surface.
     pub fn on_blocked_stall(&self, waiter: DetTid) -> Result<(), DetError> {
+        self.apply_stall(waiter, self.min_active().map(|(_, t)| t))
+    }
+
+    /// Apply the configured [`StallAction`] to `waiter`'s stalled wait,
+    /// with `candidate` the minimum-clock active thread that made no
+    /// progress. `Ok(())`: the candidate was evicted — whatever the waiter
+    /// waits on may now make progress, resume waiting.
+    fn apply_stall(&self, waiter: DetTid, candidate: Option<DetTid>) -> Result<(), DetError> {
         let action = self.watchdog.map(|(_, a)| a).unwrap_or_default();
-        let culprit = self.min_active().map(|(_, t)| t).filter(|&t| t != waiter);
+        let culprit = candidate.filter(|&t| t != waiter);
+        if let (StallAction::Evict, Some(c)) = (action, culprit) {
+            self.evict(c);
+            return Ok(());
+        }
+        // `Evict` with no other active thread to retire means the registry
+        // is inconsistent; eviction cannot help, so report like `Error`.
+        let report = self.stall_report(waiter, culprit);
         match action {
             StallAction::Abort => {
-                eprintln!("{}", self.stall_report(waiter, culprit));
+                eprintln!("{report}");
                 std::process::abort();
             }
-            StallAction::Evict if culprit.is_some() => {
-                // Retire the thread holding arbitration back; whatever the
-                // waiter is blocked on may now make progress.
-                self.evict(culprit.unwrap());
-                Ok(())
-            }
-            _ => Err(DetError::Stalled(Box::new(
-                self.stall_report(waiter, culprit),
-            ))),
+            _ => Err(DetError::Stalled(Box::new(report))),
         }
     }
 
@@ -462,7 +469,7 @@ impl Registry {
                 if self.state(tid) == ThreadState::Evicted {
                     return Err(DetError::Evicted { tid });
                 }
-                if let Some((timeout, action)) = self.watchdog {
+                if let Some((timeout, _)) = self.watchdog {
                     let cand = self.min_active();
                     match &mut watch {
                         None => watch = Some((Instant::now(), cand)),
@@ -471,33 +478,8 @@ impl Registry {
                                 *start = Instant::now();
                                 *last = cand;
                             } else if start.elapsed() >= timeout {
-                                let culprit = cand.map(|(_, t)| t).filter(|&t| t != tid);
-                                match action {
-                                    StallAction::Abort => {
-                                        eprintln!("{}", self.stall_report(tid, culprit));
-                                        std::process::abort();
-                                    }
-                                    StallAction::Error => {
-                                        return Err(DetError::Stalled(Box::new(
-                                            self.stall_report(tid, culprit),
-                                        )));
-                                    }
-                                    StallAction::Evict => {
-                                        match culprit {
-                                            Some(c) => self.evict(c),
-                                            // No other active thread yet we
-                                            // don't have the turn: registry
-                                            // is inconsistent; eviction
-                                            // cannot help.
-                                            None => {
-                                                return Err(DetError::Stalled(Box::new(
-                                                    self.stall_report(tid, None),
-                                                )));
-                                            }
-                                        }
-                                        watch = None;
-                                    }
-                                }
+                                self.apply_stall(tid, cand.map(|(_, t)| t))?;
+                                watch = None;
                             }
                         }
                     }

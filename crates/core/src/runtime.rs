@@ -20,6 +20,7 @@
 //! even through the panic channel the error stays machine-readable.
 
 use crate::error::{DetError, StallAction};
+use crate::event::{det_event, wait_exit_turn};
 use crate::fault::FaultPlan;
 use crate::registry::{DetTid, Registry, ThreadState};
 use crate::trace::TraceRecorder;
@@ -74,9 +75,8 @@ pub(crate) struct Inner {
     pub(crate) trace: TraceRecorder,
     pub(crate) next_lock_id: AtomicU64,
     pub(crate) fault: Option<FaultPlan>,
-    /// child tid → parent tid blocked joining it.
+    /// child tid → parent tid parked joining it (notified via `join_cv`).
     join_waiters: Mutex<HashMap<DetTid, DetTid>>,
-    join_cv_mutex: Mutex<()>,
     join_cv: Condvar,
 }
 
@@ -105,7 +105,6 @@ impl DetRuntime {
             next_lock_id: AtomicU64::new(0),
             fault: config.fault_plan.filter(|p| !p.is_empty()),
             join_waiters: Mutex::new(HashMap::new()),
-            join_cv_mutex: Mutex::new(()),
             join_cv: Condvar::new(),
         });
         let main_tid = inner
@@ -177,16 +176,13 @@ impl DetRuntime {
         F: FnOnce() -> T + Send + 'static,
         T: Send + 'static,
     {
-        let (inner, me) = try_current()?;
-        if !Arc::ptr_eq(&inner, &self.inner) {
-            return Err(DetError::WrongRuntime);
-        }
         let reg = &self.inner.registry;
-        fault_point(&inner, me);
-        reg.wait_for_turn(me)?;
-        let child_clock = reg.clock(me) + 1;
-        let child_tid = reg.register(child_clock)?;
-        reg.tick(me, 1);
+        let (child_tid, child_clock) = det_event(self, None, |turn| {
+            let child_clock = turn.clock() + 1;
+            let child_tid = reg.register(child_clock)?;
+            reg.tick(turn.me, 1);
+            Ok(Some((child_tid, child_clock)))
+        })?;
 
         let child_inner = Arc::clone(&self.inner);
         let spawn_result = std::thread::Builder::new()
@@ -291,31 +287,6 @@ pub(crate) fn raise(e: DetError) -> ! {
     std::panic::panic_any(e)
 }
 
-/// Enter a deterministic event for fault accounting: bumps the thread's
-/// event counter and applies the configured [`FaultPlan`] (seeded delay
-/// and/or injected panic) at the `(tid, event)` coordinate. Called at the
-/// top of every deterministic event *except* exit — injecting a panic into
-/// the exit protocol would turn recovery itself into a fault.
-pub(crate) fn fault_point(inner: &Arc<Inner>, tid: DetTid) {
-    let event = inner.registry.bump_events(tid);
-    if let Some(plan) = &inner.fault {
-        if let Some(us) = plan.delay_us(tid, event) {
-            std::thread::sleep(Duration::from_micros(us));
-        }
-        if plan.panics_at(tid, event) {
-            std::panic::panic_any(crate::fault::InjectedPanic { tid, event });
-        }
-    }
-}
-
-/// Wait for the deterministic turn, raising watchdog/eviction errors as
-/// typed panics (used by the infallible lock/barrier/condvar paths).
-pub(crate) fn wait_turn(inner: &Inner, me: DetTid) {
-    if let Err(e) = inner.registry.wait_for_turn(me) {
-        raise(e)
-    }
-}
-
 /// Advance the calling thread's logical clock (free-function form used by
 /// instrumented code). Panics on an unregistered thread; see [`try_tick`].
 #[inline]
@@ -341,29 +312,25 @@ pub fn try_tick(amount: u64) -> Result<(), DetError> {
     })
 }
 
-/// Deterministic thread exit: a det event at the thread's turn. Marks the
-/// slot finished and, if a parent is blocked joining, reactivates it with
+/// Deterministic thread exit: an event at the thread's turn — or a forced
+/// exit without it, see [`wait_exit_turn`]; it must never wedge. Marks the
+/// slot finished and, if a parent is parked joining, reactivates it with
 /// `max(parent, child) + 1`.
-///
-/// Must never wedge: if the thread is no longer `Active` (evicted) or its
-/// turn wait fails, it *force-exits* — skips arbitration and goes straight
-/// to the finish transition. An imperfectly-ordered exit clock is strictly
-/// better than a `Finished`-less slot stalling every survivor.
-fn det_exit(inner: &Arc<Inner>, me: DetTid) {
+fn det_exit(inner: &Inner, me: DetTid) {
     let reg = &inner.registry;
-    if reg.state(me) == ThreadState::Active {
-        let _ = reg.wait_for_turn(me);
-    }
+    wait_exit_turn(inner, me);
     let my_clock = reg.clock(me);
+    let mut waiters = inner.join_waiters.lock();
     reg.transition(|_| {
         reg.set_exit_clock(me, my_clock);
         reg.set_state(me, ThreadState::Finished);
-        if let Some(parent) = inner.join_waiters.lock().remove(&me) {
+        if let Some(parent) = waiters.remove(&me) {
             let pc = reg.clock(parent).max(my_clock) + 1;
             reg.set_clock(parent, pc);
             reg.set_state(parent, ThreadState::Active);
         }
     });
+    drop(waiters);
     inner.join_cv.notify_all();
 }
 
@@ -409,50 +376,29 @@ impl<T> DetJoinHandle<T> {
     }
 
     fn join_inner(&mut self) -> Result<T, DetError> {
-        let (inner, me) = try_current()?;
-        if !Arc::ptr_eq(&inner, &self.rt.inner) {
-            return Err(DetError::WrongRuntime);
-        }
-        let reg = &inner.registry;
-        fault_point(&inner, me);
-        reg.wait_for_turn(me)?;
-        let finished_now = reg.transition(|_| {
-            if reg.state(self.tid) == ThreadState::Finished {
-                true
-            } else {
-                reg.set_state(me, ThreadState::Blocked);
-                inner.join_waiters.lock().insert(self.tid, me);
-                false
-            }
-        });
-        if finished_now {
-            let c = reg.clock(me).max(reg.exit_clock(self.tid)) + 1;
-            reg.set_clock(me, c);
-        } else {
-            let mut timer = reg.stall_timer();
-            let mut g = inner.join_cv_mutex.lock();
-            while reg.state(me) != ThreadState::Active {
-                let timed_out = inner.join_cv.wait_for(&mut g, timer.poll_interval());
-                if timed_out && timer.expired(reg) {
-                    match reg.on_blocked_stall(me) {
-                        Ok(()) => {} // culprit evicted; child may now exit
-                        Err(e) => {
-                            drop(g);
-                            // Un-block ourselves and withdraw the waiter
-                            // entry so a late child exit does not touch a
-                            // parent that already gave up.
-                            reg.transition(|_| {
-                                inner.join_waiters.lock().remove(&self.tid);
-                                if reg.state(me) == ThreadState::Blocked {
-                                    reg.set_state(me, ThreadState::Active);
-                                }
-                            });
-                            return Err(e);
-                        }
-                    }
+        let child = self.tid;
+        det_event(&self.rt, None, |turn| {
+            let (reg, me) = (turn.reg(), turn.me);
+            let mut waiters = turn.inner.join_waiters.lock();
+            let finished = reg.transition(|_| {
+                let finished = reg.state(child) == ThreadState::Finished;
+                if !finished {
+                    reg.set_state(me, ThreadState::Blocked);
+                    waiters.insert(child, me);
                 }
+                finished
+            });
+            if finished {
+                reg.set_clock(me, turn.clock().max(reg.exit_clock(child)) + 1);
+            } else {
+                // On a stall, withdraw the entry so a late child exit does
+                // not touch a parent that already gave up.
+                turn.park(&turn.inner.join_cv, &mut waiters, |w| {
+                    w.remove(&child);
+                })?;
             }
-        }
+            Ok(Some(()))
+        })?;
         let handle = self.std.take().expect("joined twice");
         match handle.join() {
             Ok(Ok(v)) => Ok(v),
@@ -486,6 +432,7 @@ impl<T> Drop for DetJoinHandle<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::tests::{raised, stall_rt};
 
     #[test]
     fn spawn_join_returns_value_and_orders_clocks() {
@@ -651,22 +598,60 @@ mod tests {
 
     #[test]
     fn cross_runtime_handle_misuse_is_a_typed_error() {
-        // A thread registered with runtime B joining a handle from runtime
-        // A must get WrongRuntime, not silently corrupt either arbiter.
+        use crate::{DetBarrier, DetCondvar, DetMutex, DetRwLock};
+        // A thread registered with runtime B using a handle or primitive
+        // of runtime A must get WrongRuntime — in release builds too — not
+        // silently arbitrate in B's registry and tick A's.
         let rt_a = DetRuntime::with_defaults();
         let h = rt_a.spawn(|| 41);
-        let misuse = std::thread::spawn(move || {
+        let m = DetMutex::new(&rt_a, 0);
+        let rw = DetRwLock::new(&rt_a, 0);
+        let cv = DetCondvar::new(&rt_a);
+        let bar = DetBarrier::new(&rt_a, 1);
+        let clock_a = rt_a.clock();
+        let misuses = std::thread::spawn(move || {
             let rt_b = DetRuntime::with_defaults();
-            let verdict = matches!(h.try_join(), Err(DetError::WrongRuntime));
+            let m_b = DetMutex::new(&rt_b, 0);
+            let wrong = |f: &mut dyn FnMut()| matches!(raised(f), Some(DetError::WrongRuntime));
+            let verdicts = [
+                matches!(h.try_join(), Err(DetError::WrongRuntime)),
+                wrong(&mut || drop(m.lock())),
+                wrong(&mut || drop(m.try_lock())),
+                wrong(&mut || drop(rw.read())),
+                wrong(&mut || drop(rw.write())),
+                wrong(&mut || drop(cv.wait(m_b.lock()))),
+                wrong(&mut || cv.signal()),
+                wrong(&mut || {
+                    bar.wait();
+                }),
+            ];
             rt_b.retire_current();
-            verdict
+            verdicts
         })
         .join()
         .unwrap();
-        assert!(misuse, "expected WrongRuntime from the foreign join");
-        // Runtime A is unharmed: its detached child exited cleanly and new
-        // work proceeds.
+        assert_eq!(
+            misuses, [true; 8],
+            "expected WrongRuntime from every foreign use"
+        );
+        // Runtime A is unharmed: nothing ticked its clocks, its detached
+        // child exited cleanly and new work proceeds.
+        assert_eq!(rt_a.clock(), clock_a);
         assert_eq!(rt_a.spawn(|| 5).join(), 5);
+    }
+
+    #[test]
+    fn stalled_join_withdraws_the_parent() {
+        let rt = stall_rt(StallAction::Error);
+        let (tx, rx) = std::sync::mpsc::channel::<()>();
+        let h = rt.spawn(move || rx.recv().is_ok());
+        let tid = h.det_tid();
+        // The child blocks outside the runtime: nothing in the registry
+        // moves, so the parked parent's wait is declared dead.
+        assert!(matches!(h.try_join(), Err(DetError::Stalled(_))));
+        assert_eq!(rt.thread_snapshots()[0].state, ThreadState::Active);
+        assert!(!rt.inner.join_waiters.lock().contains_key(&tid));
+        tx.send(()).unwrap(); // the detached child exits on its own
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Deterministic reader-writer lock (extension beyond the paper's lock +
 //! barrier set, built from the same deterministic-event primitives).
 //!
-//! Both read and write acquisitions are deterministic events (turn-gated);
-//! releases are not. Determinism of the grant tests follows the mutex
-//! argument:
+//! Both read and write acquisitions are deterministic events
+//! (`event::det_event`); releases are not. Determinism of the two admission
+//! tests follows the mutex argument:
 //!
 //! * a read release with clock `r <` the writer's event clock `c` has
 //!   physically completed by the time the writer holds the turn (clock
@@ -14,21 +14,19 @@
 //! * the stamped `max_read_release` / `write_release` clocks make
 //!   "physically free but logically still held" visible, as in the mutex.
 
-use crate::runtime::{current, fault_point, wait_turn, DetRuntime};
+use crate::event::{acquire, past, NEVER_RELEASED};
+use crate::runtime::DetRuntime;
 use detlock_shim::sync::Mutex;
 use std::cell::UnsafeCell;
 use std::ops::{Deref, DerefMut};
-use std::sync::Arc;
-
-const NEVER: u64 = u64::MAX;
 
 #[derive(Debug)]
 struct RwState {
     readers: usize,
     writer: bool,
-    /// Clock of the latest read release (`NEVER` = none yet).
+    /// Clock of the latest read release (`NEVER_RELEASED` = none yet).
     max_read_release: u64,
-    /// Clock of the latest write release (`NEVER` = none yet).
+    /// Clock of the latest write release (`NEVER_RELEASED` = none yet).
     write_release: u64,
 }
 
@@ -43,10 +41,6 @@ pub struct DetRwLock<T: ?Sized> {
 unsafe impl<T: ?Sized + Send> Send for DetRwLock<T> {}
 unsafe impl<T: ?Sized + Send + Sync> Sync for DetRwLock<T> {}
 
-fn past(release: u64, my_clock: u64) -> bool {
-    release == NEVER || release < my_clock
-}
-
 impl<T> DetRwLock<T> {
     /// Create a deterministic rwlock owned by `rt`.
     pub fn new(rt: &DetRuntime, value: T) -> DetRwLock<T> {
@@ -56,8 +50,8 @@ impl<T> DetRwLock<T> {
             state: Mutex::new(RwState {
                 readers: 0,
                 writer: false,
-                max_read_release: NEVER,
-                write_release: NEVER,
+                max_read_release: NEVER_RELEASED,
+                write_release: NEVER_RELEASED,
             }),
             data: UnsafeCell::new(value),
         }
@@ -65,66 +59,31 @@ impl<T> DetRwLock<T> {
 
     /// Deterministically acquire a shared (read) lock.
     pub fn read(&self) -> DetRwLockReadGuard<'_, T> {
-        let (inner, me) = current();
-        debug_assert!(Arc::ptr_eq(&inner, &self.rt.inner));
-        let reg = &inner.registry;
-        fault_point(&inner, me);
-        reg.set_waiting(me, Some(self.id));
-        loop {
-            wait_turn(&inner, me);
-            let my_clock = reg.clock(me);
-            {
-                let mut st = self.state.lock();
-                if !st.writer && past(st.write_release, my_clock) {
-                    st.readers += 1;
-                    break;
-                }
+        let tid = acquire(&self.rt, self.id, |clock| {
+            let mut st = self.state.lock();
+            let admit = !st.writer && past(st.write_release, clock);
+            if admit {
+                st.readers += 1;
             }
-            reg.tick(me, 1);
-        }
-        reg.set_waiting(me, None);
-        // Record while still holding the turn: the tick below is what lets
-        // the next thread acquire, and its record must land after this one.
-        inner.trace.record(self.id, me, reg.clock(me) + 1);
-        reg.tick(me, 1);
-        DetRwLockReadGuard {
-            lock: self,
-            tid: me,
-        }
+            admit
+        });
+        DetRwLockReadGuard { lock: self, tid }
     }
 
     /// Deterministically acquire an exclusive (write) lock.
     pub fn write(&self) -> DetRwLockWriteGuard<'_, T> {
-        let (inner, me) = current();
-        debug_assert!(Arc::ptr_eq(&inner, &self.rt.inner));
-        let reg = &inner.registry;
-        fault_point(&inner, me);
-        reg.set_waiting(me, Some(self.id));
-        loop {
-            wait_turn(&inner, me);
-            let my_clock = reg.clock(me);
-            {
-                let mut st = self.state.lock();
-                if !st.writer
-                    && st.readers == 0
-                    && past(st.write_release, my_clock)
-                    && past(st.max_read_release, my_clock)
-                {
-                    st.writer = true;
-                    break;
-                }
+        let tid = acquire(&self.rt, self.id, |clock| {
+            let mut st = self.state.lock();
+            let admit = !st.writer
+                && st.readers == 0
+                && past(st.write_release, clock)
+                && past(st.max_read_release, clock);
+            if admit {
+                st.writer = true;
             }
-            reg.tick(me, 1);
-        }
-        reg.set_waiting(me, None);
-        // Record while still holding the turn: the tick below is what lets
-        // the next thread acquire, and its record must land after this one.
-        inner.trace.record(self.id, me, reg.clock(me) + 1);
-        reg.tick(me, 1);
-        DetRwLockWriteGuard {
-            lock: self,
-            tid: me,
-        }
+            admit
+        });
+        DetRwLockWriteGuard { lock: self, tid }
     }
 
     /// Consume the lock, returning the inner value.
@@ -152,7 +111,7 @@ impl<T: ?Sized> Drop for DetRwLockReadGuard<'_, T> {
         let clock = reg.clock(self.tid);
         let mut st = self.lock.state.lock();
         st.readers -= 1;
-        st.max_read_release = if st.max_read_release == NEVER {
+        st.max_read_release = if st.max_read_release == NEVER_RELEASED {
             clock
         } else {
             st.max_read_release.max(clock)
@@ -197,6 +156,7 @@ impl<T: ?Sized> Drop for DetRwLockWriteGuard<'_, T> {
 mod tests {
     use super::*;
     use crate::runtime::{tick, DetRuntime};
+    use std::sync::Arc;
 
     #[test]
     fn single_thread_read_write() {

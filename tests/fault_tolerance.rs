@@ -12,11 +12,14 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Duration;
 
+mod common;
+use common::{assert_same_clocks, run_clocks, RunClocks};
+
 const CHAOS_THREADS: u64 = 8;
 
 /// Mixed mutex/rwlock/barrier workload over 8 threads with seeded fault
-/// delays; returns the acquisition-trace fingerprint.
-fn chaos_run(plan: FaultPlan) -> u64 {
+/// delays; returns the acquisition-trace fingerprint and the run's clocks.
+fn chaos_run(plan: FaultPlan) -> (u64, RunClocks) {
     let rt = DetRuntime::new(DetConfig {
         record_trace: true,
         fault_plan: Some(plan),
@@ -58,7 +61,7 @@ fn chaos_run(plan: FaultPlan) -> u64 {
     for h in handles {
         h.join();
     }
-    rt.trace_hash()
+    (rt.trace_hash(), run_clocks(&rt))
 }
 
 /// Acceptance bar: ≥8 threads with seeded fault-injection delays produce
@@ -66,13 +69,16 @@ fn chaos_run(plan: FaultPlan) -> u64 {
 /// *delay seeds differ*, since delays shift timing only.
 #[test]
 fn chaos_delays_do_not_change_the_trace() {
-    let reference = chaos_run(FaultPlan::new(1).with_delays(1, 4, 300));
+    let (reference, clocks) = chaos_run(FaultPlan::new(1).with_delays(1, 4, 300));
     for seed in [2u64, 3, 99, 4242] {
-        let h = chaos_run(FaultPlan::new(seed).with_delays(1, 3, 500));
+        let (h, c) = chaos_run(FaultPlan::new(seed).with_delays(1, 3, 500));
+        assert_same_clocks(&c, &clocks, &format!("fault seed {seed}"));
         assert_eq!(h, reference, "fault seed {seed} changed the lock order");
     }
     // And the undelayed run agrees too.
-    assert_eq!(chaos_run(FaultPlan::new(0)), reference);
+    let (h0, c0) = chaos_run(FaultPlan::new(0));
+    assert_same_clocks(&c0, &clocks, "undelayed run");
+    assert_eq!(h0, reference);
 }
 
 /// An injected child panic surfaces as `DetError::ChildPanicked` carrying
@@ -179,7 +185,7 @@ fn combined_panic_and_delay_chaos_is_reproducible() {
 /// Producer/consumer bounded buffer over `DetCondvar` with seeded fault
 /// delays landing around the wait/notify path: the wakeup *order* — and so
 /// the whole acquisition trace — must not move when physical timing does.
-fn condvar_chaos_run(plan: FaultPlan) -> (u64, u64) {
+fn condvar_chaos_run(plan: FaultPlan) -> (u64, u64, RunClocks) {
     const PRODUCERS: u64 = 3;
     const CONSUMERS: u64 = 3;
     const PER_CONSUMER: u64 = 8;
@@ -224,7 +230,7 @@ fn condvar_chaos_run(plan: FaultPlan) -> (u64, u64) {
         }));
     }
     let total: u64 = handles.into_iter().map(|h| h.join()).sum();
-    (rt.trace_hash(), total)
+    (rt.trace_hash(), total, run_clocks(&rt))
 }
 
 /// Condvar wait/notify under fault-injection delays: the trace fingerprint
@@ -232,10 +238,11 @@ fn condvar_chaos_run(plan: FaultPlan) -> (u64, u64) {
 /// the undelayed run).
 #[test]
 fn condvar_chaos_under_fault_delays_is_seed_invariant() {
-    let (reference_hash, reference_total) =
+    let (reference_hash, reference_total, clocks) =
         condvar_chaos_run(FaultPlan::new(5).with_delays(1, 3, 400));
     for seed in [6u64, 21, 1234] {
-        let (h, t) = condvar_chaos_run(FaultPlan::new(seed).with_delays(1, 2, 700));
+        let (h, t, c) = condvar_chaos_run(FaultPlan::new(seed).with_delays(1, 2, 700));
+        assert_same_clocks(&c, &clocks, &format!("fault seed {seed}"));
         assert_eq!(
             h, reference_hash,
             "fault seed {seed} changed the wakeup order"
@@ -245,7 +252,8 @@ fn condvar_chaos_under_fault_delays_is_seed_invariant() {
             "fault seed {seed} changed what was consumed"
         );
     }
-    let (h0, t0) = condvar_chaos_run(FaultPlan::new(0));
+    let (h0, t0, c0) = condvar_chaos_run(FaultPlan::new(0));
+    assert_same_clocks(&c0, &clocks, "undelayed run");
     assert_eq!(h0, reference_hash);
     assert_eq!(t0, reference_total);
 }
@@ -254,7 +262,7 @@ fn condvar_chaos_under_fault_delays_is_seed_invariant() {
 /// acquire/release: grant order (readers batched, writers exclusive) must
 /// be a pure function of logical clocks, so the trace and the final state
 /// agree across delay seeds.
-fn rwlock_chaos_run(plan: FaultPlan) -> (u64, [u64; 4], u64) {
+fn rwlock_chaos_run(plan: FaultPlan) -> (u64, [u64; 4], u64, RunClocks) {
     const THREADS: u64 = 8;
 
     let rt = DetRuntime::new(DetConfig {
@@ -291,7 +299,7 @@ fn rwlock_chaos_run(plan: FaultPlan) -> (u64, [u64; 4], u64) {
         .into_iter()
         .fold(0u64, |acc, h| acc.wrapping_mul(17).wrapping_add(h.join()));
     let final_state = *table.read();
-    (rt.trace_hash(), final_state, observed)
+    (rt.trace_hash(), final_state, observed, run_clocks(&rt))
 }
 
 /// RwLock grants under fault-injection delays: trace hash, final table
@@ -299,10 +307,11 @@ fn rwlock_chaos_run(plan: FaultPlan) -> (u64, [u64; 4], u64) {
 /// seed-invariant.
 #[test]
 fn rwlock_chaos_under_fault_delays_is_seed_invariant() {
-    let (reference_hash, reference_state, reference_obs) =
+    let (reference_hash, reference_state, reference_obs, clocks) =
         rwlock_chaos_run(FaultPlan::new(9).with_delays(1, 4, 350));
     for seed in [10u64, 31, 555] {
-        let (h, s, o) = rwlock_chaos_run(FaultPlan::new(seed).with_delays(1, 3, 600));
+        let (h, s, o, c) = rwlock_chaos_run(FaultPlan::new(seed).with_delays(1, 3, 600));
+        assert_same_clocks(&c, &clocks, &format!("fault seed {seed}"));
         assert_eq!(
             h, reference_hash,
             "fault seed {seed} changed the grant order"
@@ -313,7 +322,8 @@ fn rwlock_chaos_under_fault_delays_is_seed_invariant() {
             "fault seed {seed} changed what readers saw"
         );
     }
-    let (h0, s0, o0) = rwlock_chaos_run(FaultPlan::new(0));
+    let (h0, s0, o0, c0) = rwlock_chaos_run(FaultPlan::new(0));
+    assert_same_clocks(&c0, &clocks, "undelayed run");
     assert_eq!(h0, reference_hash);
     assert_eq!(s0, reference_state);
     assert_eq!(o0, reference_obs);

@@ -7,6 +7,9 @@
 use detlock::{tick, DetBarrier, DetCondvar, DetConfig, DetMutex, DetPool, DetRuntime, DetRwLock};
 use std::sync::Arc;
 
+mod common;
+use common::{assert_same_clocks, run_clocks, RunClocks};
+
 fn traced() -> DetRuntime {
     DetRuntime::new(DetConfig {
         record_trace: true,
@@ -15,8 +18,9 @@ fn traced() -> DetRuntime {
 }
 
 /// Mixed-primitive stress: mutexes + a barrier phase + rwlock reads, with
-/// per-run timing perturbations. The full acquisition trace must match.
-fn mixed_run(noise_profile: u64) -> Vec<(u64, u32)> {
+/// per-run timing perturbations. The full acquisition trace must match —
+/// logical clocks included.
+fn mixed_run(noise_profile: u64) -> RunClocks {
     let rt = traced();
     let m1 = Arc::new(DetMutex::new(&rt, 0i64));
     let m2 = Arc::new(DetMutex::new(&rt, Vec::<i64>::new()));
@@ -59,22 +63,20 @@ fn mixed_run(noise_profile: u64) -> Vec<(u64, u32)> {
     for h in handles {
         h.join();
     }
-    rt.trace_events().iter().map(|e| (e.lock, e.tid)).collect()
+    assert!(rt.trace_len() > 0);
+    run_clocks(&rt)
 }
 
 #[test]
 fn mixed_primitives_reproduce_across_noise_profiles() {
     let a = mixed_run(0);
-    let b = mixed_run(5);
-    let c = mixed_run(11);
-    assert!(!a.is_empty());
-    assert_eq!(a, b, "noise profile changed the synchronization order");
-    assert_eq!(b, c);
+    assert_same_clocks(&mixed_run(5), &a, "noise profile 5");
+    assert_same_clocks(&mixed_run(11), &a, "noise profile 11");
 }
 
 #[test]
 fn producer_consumers_with_condvar_reproduce() {
-    fn run(noise: bool) -> Vec<(u64, u32)> {
+    fn run(noise: bool) -> RunClocks {
         let rt = traced();
         let q = Arc::new(DetMutex::new(&rt, std::collections::VecDeque::<u64>::new()));
         let cv = Arc::new(DetCondvar::new(&rt));
@@ -111,9 +113,9 @@ fn producer_consumers_with_condvar_reproduce() {
         for h in handles {
             h.join();
         }
-        rt.trace_events().iter().map(|e| (e.lock, e.tid)).collect()
+        run_clocks(&rt)
     }
-    assert_eq!(run(false), run(true));
+    assert_same_clocks(&run(true), &run(false), "sleeping consumers");
 }
 
 #[test]
