@@ -1,14 +1,12 @@
 //! Triage: join `detsan` dynamic reports against static lockset findings.
 //!
-//! The static analysis over-approximates (`may-race`) and its old
-//! confirmation path — the two-seed `vm::race::confirm_race` divergence
-//! probe — is both expensive (N full baseline runs) and weak (absence of a
-//! divergence proves nothing). The happens-before sanitizer
-//! ([`detlock_vm::sanitizer`]) gives a precise per-site verdict instead.
-//! Every static `race` / `may-race` finding becomes one of:
+//! The static analysis over-approximates (`may-race`); the
+//! happens-before sanitizer ([`detlock_vm::sanitizer`]) gives a precise
+//! per-site verdict. Every static `race` / `may-race` finding becomes one
+//! of:
 //!
 //! * [`Verdict::Confirmed`] — a dynamic race touches the finding's site:
-//!   the report carries a [`RaceWitness::HappensBefore`] witness.
+//!   the row carries that [`DynRace`] as its witness.
 //! * [`Verdict::RefutedByHb`] — the site executed and a conflicting
 //!   same-word access by another thread existed, but every such pair was
 //!   happens-before ordered: on the swept inputs the lockset analysis was
@@ -24,8 +22,7 @@
 
 use crate::{Finding, Report, Severity};
 use detlock_shim::json::{Json, ToJson};
-use detlock_vm::race::RaceWitness;
-use detlock_vm::sanitizer::SanitizerReport;
+use detlock_vm::sanitizer::{DynRace, SanitizerReport};
 
 /// The dynamic verdict on one static race finding.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -71,7 +68,7 @@ pub struct TriagedFinding {
     /// The dynamic verdict.
     pub verdict: Verdict,
     /// For confirmed findings: the happens-before witness.
-    pub witness: Option<RaceWitness>,
+    pub witness: Option<DynRace>,
 }
 
 impl std::fmt::Display for TriagedFinding {
@@ -126,9 +123,8 @@ impl TriageReport {
     }
 
     /// The first confirmed witness, if any — what `detlint --confirm`
-    /// prints (one witness type with the divergence probe, so the output
-    /// format is unchanged for downstream consumers).
-    pub fn witness(&self) -> Option<&RaceWitness> {
+    /// prints.
+    pub fn witness(&self) -> Option<&DynRace> {
         self.rows.iter().find_map(|r| r.witness.as_ref())
     }
 
@@ -208,10 +204,7 @@ pub fn triage(report: &Report, dynamic: &SanitizerReport) -> TriageReport {
             Some((block, inst)) => {
                 let races = dynamic.races_at(&f.func, block, inst);
                 if let Some(r) = races.first() {
-                    (
-                        Verdict::Confirmed,
-                        Some(RaceWitness::HappensBefore((*r).clone())),
-                    )
+                    (Verdict::Confirmed, Some((*r).clone()))
                 } else {
                     match dynamic.site(&f.func, block, inst) {
                         Some(stat) if stat.contended => (Verdict::RefutedByHb, None),

@@ -13,6 +13,12 @@
 //! ```text
 //! cargo run -p detlock-bench --release --bin ablation [--scale F] [--only NAME] [--json] [--out FILE]
 //! ```
+//!
+//! Every number in the `--json` report is a simulated count, so two runs
+//! at the same `{threads, scale, seed}` header are byte-identical and
+//! `perfgate` holds the report to `ci/baselines/BENCH_passes.json` by
+//! equality. Wall times appear only in the text pass table: what a change
+//! costs in time is the repo benchmark's to say (`benchmark/`).
 
 use detlock_bench::{machine_config, run_baseline, thread_specs, CliOptions};
 use detlock_passes::cost::CostModel;
@@ -100,12 +106,7 @@ fn main() {
         );
     }
     let mut o1_rows: Vec<Json> = Vec::new();
-    if let Some(w) = opts
-        .workloads_at(scale)
-        .into_iter()
-        .find(|w| w.name == "radiosity")
-        .or_else(|| detlock_workloads::by_name("radiosity", opts.threads, scale))
-    {
+    if let Some(w) = detlock_workloads::by_name("radiosity", opts.threads, scale) {
         for (rd, sd) in [
             (1.0, 10.0),
             (2.5, 5.0),
@@ -250,10 +251,10 @@ fn main() {
         }
     }
 
-    // 6. Per-pass pipeline telemetry: where the instrumentation pipeline
-    // spends its time and which passes add/remove clock mass, per workload
-    // at the full configuration. Compiled through the shared plan cache so
-    // the cache counters show how much the sweeps above deduplicated.
+    // 6. Per-pass pipeline telemetry: which passes add/remove clock mass
+    // (and, in the text table, where the pipeline spends its time), per
+    // workload at the full configuration. Compiled through the shared plan
+    // cache so the cache counters show how much the sweeps above deduplicated.
     let mut pass_rows: Vec<Json> = Vec::new();
     for w in opts.workloads_at(scale) {
         let inst = instrument_with(
@@ -288,7 +289,6 @@ fn main() {
             .map(|p| {
                 Json::obj([
                     ("pass", p.name.to_json()),
-                    ("wall_ns", p.wall_ns.to_json()),
                     ("ticks_added", (p.ticks_added as u64).to_json()),
                     ("ticks_removed", (p.ticks_removed as u64).to_json()),
                     ("mass_moved", p.mass_moved.to_json()),
@@ -315,155 +315,12 @@ fn main() {
         ]));
     }
 
-    // 7. Parallel-compile speedup: the same compile, serial vs the
-    // 8-worker pool, uncached on both sides (the cache would turn the
-    // second measurement into a lookup). Output equality is pinned by the
-    // golden suite; this section records the wall-clock win.
-    const SPEEDUP_THREADS: usize = 8;
-    const SPEEDUP_REPS: u32 = 3;
-    if text {
-        println!("\n== parallel compile speedup (all opts, {SPEEDUP_THREADS} workers) ==");
-        println!(
-            "{:<12}{:>14}{:>14}{:>10}",
-            "benchmark", "serial us", "parallel us", "speedup"
-        );
-    }
-    let mut speedup_rows: Vec<Json> = Vec::new();
-    let (mut serial_total, mut parallel_total) = (0u64, 0u64);
-    for w in opts.workloads_at(scale) {
-        let time = |threads: usize| -> u64 {
-            (0..SPEEDUP_REPS)
-                .map(|_| {
-                    let t = std::time::Instant::now();
-                    let inst = instrument_with(
-                        &w.module,
-                        &cost,
-                        &OptConfig::all(),
-                        Placement::Start,
-                        &w.entries,
-                        detlock_passes::CompileOpts::threads(threads),
-                    );
-                    std::hint::black_box(&inst);
-                    u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX)
-                })
-                .min()
-                .unwrap()
-        };
-        let serial_ns = time(1);
-        let parallel_ns = time(SPEEDUP_THREADS);
-        serial_total += serial_ns;
-        parallel_total += parallel_ns;
-        let speedup = serial_ns as f64 / parallel_ns.max(1) as f64;
-        if text {
-            println!(
-                "{:<12}{:>14.1}{:>14.1}{:>9.2}x",
-                w.name,
-                serial_ns as f64 / 1e3,
-                parallel_ns as f64 / 1e3,
-                speedup
-            );
-        }
-        speedup_rows.push(Json::obj([
-            ("name", w.name.to_json()),
-            ("serial_ns", serial_ns.to_json()),
-            ("parallel_ns", parallel_ns.to_json()),
-            ("threads", (SPEEDUP_THREADS as u64).to_json()),
-            ("speedup", speedup.to_json()),
-        ]));
-    }
-    let total_speedup = serial_total as f64 / parallel_total.max(1) as f64;
-    if text {
-        println!(
-            "{:<12}{:>14.1}{:>14.1}{:>9.2}x",
-            "TOTAL",
-            serial_total as f64 / 1e3,
-            parallel_total as f64 / 1e3,
-            total_speedup
-        );
-    }
-
-    // 8. Execution-backend speedup: the same deterministic run (all opts,
-    // Det mode) on the tree-walking interpreter vs the threaded-code
-    // engine. Result equality is pinned by the differential suite; this
-    // section records the wall-clock win the lowering buys, per Table I
-    // workload. The lowering itself happens once outside the timed region
-    // (it is cached process-wide, like a real compile would be).
-    const BACKEND_REPS: u32 = 3;
-    if text {
-        println!("\n== execution backend speedup (all opts, det mode) ==");
-        println!(
-            "{:<12}{:>14}{:>14}{:>10}",
-            "benchmark", "interp us", "threaded us", "speedup"
-        );
-    }
-    let mut backend_rows: Vec<Json> = Vec::new();
-    let (mut interp_total, mut threaded_total) = (0u64, 0u64);
-    for w in opts.workloads_at(scale) {
-        let inst = instrument(
-            &w.module,
-            &cost,
-            &OptConfig::all(),
-            Placement::Start,
-            &w.entries,
-        );
-        let specs = thread_specs(&w);
-        let time = |backend: detlock_vm::Backend| -> u64 {
-            (0..BACKEND_REPS)
-                .map(|_| {
-                    let mut cfg = machine_config(&w, ExecMode::Det, opts.seed);
-                    cfg.backend = backend;
-                    let t = std::time::Instant::now();
-                    let (metrics, hit) = run(&inst.module, &cost, &specs, cfg);
-                    assert!(!hit, "{}: hit the cycle limit", w.name);
-                    std::hint::black_box(&metrics);
-                    u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX)
-                })
-                .min()
-                .unwrap()
-        };
-        // Warm the lowering cache so the threaded timings measure
-        // execution, not the one-time lowering.
-        let threaded_ns = {
-            time(detlock_vm::Backend::Threaded);
-            time(detlock_vm::Backend::Threaded)
-        };
-        let interp_ns = time(detlock_vm::Backend::Interp);
-        interp_total += interp_ns;
-        threaded_total += threaded_ns;
-        let speedup = interp_ns as f64 / threaded_ns.max(1) as f64;
-        if text {
-            println!(
-                "{:<12}{:>14.1}{:>14.1}{:>9.2}x",
-                w.name,
-                interp_ns as f64 / 1e3,
-                threaded_ns as f64 / 1e3,
-                speedup
-            );
-        }
-        backend_rows.push(Json::obj([
-            ("name", w.name.to_json()),
-            ("interp_ns", interp_ns.to_json()),
-            ("threaded_ns", threaded_ns.to_json()),
-            ("speedup", speedup.to_json()),
-        ]));
-    }
-    let backend_speedup = interp_total as f64 / threaded_total.max(1) as f64;
-    if text {
-        println!(
-            "{:<12}{:>14.1}{:>14.1}{:>9.2}x",
-            "TOTAL",
-            interp_total as f64 / 1e3,
-            threaded_total as f64 / 1e3,
-            backend_speedup
-        );
-    }
-
-    // 9. Scheduler overhead: the same deterministic run (all opts, Det
+    // 7. Scheduler overhead: the same deterministic run (all opts, Det
     // mode, interpreter timing semantics) under each arbitration policy.
     // Simulated cycles differ legitimately across policies — each is
     // internally deterministic but orders contended acquires differently —
     // so this section reports per-policy cycles and the overhead factor
-    // over the Kendo reference. Perfgate bounds the worst factor.
+    // over the Kendo reference.
     if text {
         println!("\n== scheduler overhead (all opts, det mode) ==");
         println!(
@@ -522,6 +379,14 @@ fn main() {
     }
 
     opts.emit_json(&Json::obj([
+        (
+            "header",
+            Json::obj([
+                ("threads", opts.threads.to_json()),
+                ("scale", scale.to_json()),
+                ("seed", opts.seed.to_json()),
+            ]),
+        ),
         ("o2a_vs_o2b", Json::Arr(o2_rows)),
         ("o1_thresholds", Json::Arr(o1_rows)),
         ("o4_threshold", Json::Arr(o4_rows)),
@@ -529,25 +394,6 @@ fn main() {
         ("kendo_chunks", Json::Arr(kendo_rows)),
         ("det_event_cost", Json::Arr(cost_rows)),
         ("pass_telemetry", Json::Arr(pass_rows)),
-        (
-            "parallel_compile",
-            Json::obj([
-                ("threads", (SPEEDUP_THREADS as u64).to_json()),
-                ("serial_total_ns", serial_total.to_json()),
-                ("parallel_total_ns", parallel_total.to_json()),
-                ("total_speedup", total_speedup.to_json()),
-                ("workloads", Json::Arr(speedup_rows)),
-            ]),
-        ),
-        (
-            "exec_backends",
-            Json::obj([
-                ("interp_total_ns", interp_total.to_json()),
-                ("threaded_total_ns", threaded_total.to_json()),
-                ("total_speedup", backend_speedup.to_json()),
-                ("workloads", Json::Arr(backend_rows)),
-            ]),
-        ),
         (
             "schedulers",
             Json::obj([

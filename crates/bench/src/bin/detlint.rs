@@ -17,23 +17,18 @@
 //! triage verdict (`confirmed` / `unobserved` / `refuted-by-HB`), dynamic
 //! races and deadlock-prone lock cycles the static pass missed become
 //! `detsan/*` findings, and `--sanitize-log FILE` writes the minimal
-//! schedule log. `--confirm` attaches a race witness to each race-flagged
-//! workload: a precise happens-before witness when the sanitizer finds
-//! one (the default confirmation path), else the legacy two-seed
-//! memory-divergence probe. `--out FILE` writes the JSON report
-//! regardless of `--json`.
+//! schedule log. `--confirm` attaches the sanitizer's happens-before
+//! witness to each race-flagged workload (sweeping the sanitizer over that
+//! workload itself when `--sanitize` was not given). `--out FILE` writes
+//! the JSON report regardless of `--json`.
 
 use detlock_analyze::triage::{dynamic_findings, triage, TriageReport};
 use detlock_analyze::{Report, Severity};
-use detlock_bench::{
-    lint_workload_opts, machine_config, sanitize_workload_sweep, thread_specs, CliOptions,
-};
+use detlock_bench::{lint_workload_opts, operand, sanitize_workload_sweep, CliOptions};
 use detlock_passes::cost::CostModel;
 use detlock_passes::plan::Placement;
 use detlock_shim::json::{Json, ToJson};
-use detlock_vm::machine::ExecMode;
-use detlock_vm::race::{confirm_race, RaceWitness};
-use detlock_vm::sanitizer::SanitizerReport;
+use detlock_vm::sanitizer::{DynRace, SanitizerReport};
 use detlock_workloads::{racy, Workload};
 
 #[derive(Default)]
@@ -53,8 +48,7 @@ fn main() {
             "--confirm" => flags.confirm = true,
             "--sanitize" => flags.sanitize = true,
             "--sanitize-log" => {
-                *i += 1;
-                flags.sanitize_log = Some(args[*i].clone());
+                flags.sanitize_log = Some(operand(args, i).to_string());
                 flags.sanitize = true;
             }
             "--deny-warnings" => flags.deny_warnings = true,
@@ -105,22 +99,15 @@ fn main() {
         errors += report.count(Severity::Error);
         warnings += report.count(Severity::Warning);
 
-        // Confirmation: the sanitizer's happens-before witness is the
-        // default path; the two-seed divergence probe remains the
-        // fallback when no dynamic witness surfaced.
-        let witness: Option<RaceWitness> = if flags.confirm && report.count(Severity::Error) > 0 {
-            sanitized
-                .as_ref()
-                .and_then(|(_, tri)| tri.witness().cloned())
-                .or_else(|| {
-                    confirm_race(
-                        &w.module,
-                        &cost,
-                        &thread_specs(w),
-                        &machine_config(w, ExecMode::Baseline, 0),
-                        &opts.seeds,
-                    )
-                })
+        // Confirmation: the first static race finding the sanitizer saw
+        // happen, with its happens-before witness.
+        let witness: Option<DynRace> = if flags.confirm && report.count(Severity::Error) > 0 {
+            match &sanitized {
+                Some((_, tri)) => tri.witness().cloned(),
+                None => triage(&report, &sanitize_workload_sweep(w, &cost, &opts.seeds))
+                    .witness()
+                    .cloned(),
+            }
         } else {
             None
         };
@@ -171,7 +158,7 @@ fn print_text(
     w: &Workload,
     report: &Report,
     deny_warnings: bool,
-    witness: Option<&RaceWitness>,
+    witness: Option<&DynRace>,
     sanitized: Option<&(SanitizerReport, TriageReport)>,
 ) {
     let verdict = if report.ok(deny_warnings) {

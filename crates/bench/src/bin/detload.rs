@@ -27,13 +27,13 @@
 //! over it), `--closed-conns M` adds closed-loop background connections
 //! that always keep one frame in flight, `--pipeline D` puts D jobs in
 //! each v2 `batch` frame (1 sends v1 `run` lines), and `--hot-key P`
-//! (per-1024) skews a deterministic share of slots onto one job.
-//! `--sweep R1,R2,...` walks several offered rates where `--rate` drives
-//! one; each rate becomes one point on the report's `latency_curve`
-//! (p50/p99 vs offered and achieved QPS), which `perfgate
-//! --max-p99-ms/--min-sustained-qps` gates. Under chaos the curve comes
-//! from the *clean* sweep (sweep 2 measures fault recovery, not service
-//! latency).
+//! (per-1024; 1024 and up is every slot) skews a deterministic share of
+//! slots onto one job. `--sweep R1,R2,...` walks several offered rates
+//! where `--rate` drives one; each rate becomes one point on the report's
+//! `latency_curve` (p50/p99 vs offered and achieved QPS) — observability
+//! output that nothing gates: the judged serving numbers are the repo
+//! benchmark's `serve_closed` rows. Under chaos the curve comes from the
+//! *clean* sweep (sweep 2 measures fault recovery, not service latency).
 //!
 //! `--ready-file PATH` waits for `detserved --ready-file PATH` to publish
 //! its bound address and uses that instead of (or as well as) `--addr` —
@@ -65,7 +65,7 @@
 //! internally deterministic, not that they agree.
 
 use detlock_bench::loadgen::{Ledger, LoadGen, LoadOptions, PhaseReport};
-use detlock_bench::CliOptions;
+use detlock_bench::{operand, parsed_operand, CliOptions};
 use detlock_passes::pipeline::OptLevel;
 use detlock_serve::netfault::{CrashPlan, NetFaultPlan};
 use detlock_serve::protocol::{Client, JobSpec};
@@ -73,6 +73,8 @@ use detlock_serve::shard::ShardEngine;
 use detlock_shim::json::{Json, ToJson};
 use detlock_vm::{Backend, Sched};
 use std::collections::HashSet;
+use std::num::NonZeroUsize;
+use std::str::FromStr;
 use std::time::{Duration, Instant};
 
 /// How long `--ready-file` waits for the server to publish its address.
@@ -190,10 +192,48 @@ fn verdict(ok: bool, pass: &'static str) -> &'static str {
     }
 }
 
+/// An offered rate: a positive number of jobs per second.
+struct Rate(f64);
+
+impl FromStr for Rate {
+    type Err = &'static str;
+    fn from_str(s: &str) -> Result<Rate, Self::Err> {
+        match s.parse() {
+            Ok(r) if r > 0.0 => Ok(Rate(r)),
+            _ => Err("an offered rate is a positive number"),
+        }
+    }
+}
+
+/// One `--schedulers` element.
+struct Policy(Sched);
+
+impl FromStr for Policy {
+    type Err = String;
+    fn from_str(s: &str) -> Result<Policy, String> {
+        Sched::parse(s).map(Policy)
+    }
+}
+
+/// A comma-separated operand (`--sweep`, `--schedulers`). Never empty:
+/// the empty string is not a `T`.
+struct List<T>(Vec<T>);
+
+impl<T: FromStr> FromStr for List<T> {
+    type Err = T::Err;
+    fn from_str(s: &str) -> Result<List<T>, T::Err> {
+        s.split(',')
+            .map(|x| x.trim().parse())
+            .collect::<Result<_, _>>()
+            .map(List)
+    }
+}
+
 fn main() {
     let mut addr = String::new();
     let mut ready_file: Option<String> = None;
-    let mut rate = 50.0f64;
+    // `--rate` alone is a one-point sweep.
+    let mut rates = vec![50.0f64];
     let mut jobs_target = 0usize; // 0 = one job per workload × seed
     let mut do_shutdown = false;
     let mut net_seed: Option<u64> = None;
@@ -204,68 +244,26 @@ fn main() {
     let mut closed_conns = 0usize;
     let mut pipeline = 1usize;
     let mut hot_key = 0u32;
-    let mut rate_sweep: Vec<f64> = Vec::new();
     let mut opts = CliOptions::parse_with(|flag, args, i| {
         match flag {
-            "--conns" => {
-                *i += 1;
-                conns = args[*i].parse().expect("--conns N");
-                assert!(conns >= 1, "--conns must be at least 1");
-            }
-            "--closed-conns" => {
-                *i += 1;
-                closed_conns = args[*i].parse().expect("--closed-conns N");
-            }
-            "--pipeline" => {
-                *i += 1;
-                pipeline = args[*i].parse().expect("--pipeline D");
-                assert!(pipeline >= 1, "--pipeline must be at least 1");
-            }
-            "--hot-key" => {
-                *i += 1;
-                hot_key = args[*i].parse().expect("--hot-key PER_1024");
-                assert!(hot_key <= 1024, "--hot-key is a per-1024 rate");
-            }
+            "--conns" => conns = parsed_operand::<NonZeroUsize>(args, i).get(),
+            "--closed-conns" => closed_conns = parsed_operand(args, i),
+            "--pipeline" => pipeline = parsed_operand::<NonZeroUsize>(args, i).get(),
+            "--hot-key" => hot_key = parsed_operand(args, i),
             "--sweep" => {
-                *i += 1;
-                rate_sweep = args[*i]
-                    .split(',')
-                    .map(|r| r.trim().parse().expect("--sweep R1,R2,..."))
-                    .collect();
-                assert!(!rate_sweep.is_empty(), "--sweep needs at least one rate");
+                let List(sweep) = parsed_operand::<List<Rate>>(args, i);
+                rates = sweep.into_iter().map(|r| r.0).collect();
             }
-            "--addr" => {
-                *i += 1;
-                addr = args[*i].clone();
-            }
-            "--ready-file" => {
-                *i += 1;
-                ready_file = Some(args[*i].clone());
-            }
-            "--rate" => {
-                *i += 1;
-                rate = args[*i].parse().expect("--rate JOBS_PER_SEC");
-            }
-            "--jobs" => {
-                *i += 1;
-                jobs_target = args[*i].parse().expect("--jobs N");
-            }
-            "--net-faults" => {
-                *i += 1;
-                net_seed = Some(args[*i].parse().expect("--net-faults SEED"));
-            }
-            "--crash-faults" => {
-                *i += 1;
-                crash_seed = Some(args[*i].parse().expect("--crash-faults SEED"));
-            }
+            "--addr" => addr = operand(args, i).to_string(),
+            "--ready-file" => ready_file = Some(operand(args, i).to_string()),
+            "--rate" => rates = vec![parsed_operand::<Rate>(args, i).0],
+            "--jobs" => jobs_target = parsed_operand(args, i),
+            "--net-faults" => net_seed = Some(parsed_operand(args, i)),
+            "--crash-faults" => crash_seed = Some(parsed_operand(args, i)),
             "--cross-backends" => cross_backends = true,
             "--schedulers" => {
-                *i += 1;
-                sched_sweep = args[*i]
-                    .split(',')
-                    .map(|s| Sched::parse(s.trim()).unwrap_or_else(|e| panic!("{e}")))
-                    .collect();
-                assert!(!sched_sweep.is_empty(), "--schedulers needs at least one");
+                let List(policies) = parsed_operand::<List<Policy>>(args, i);
+                sched_sweep = policies.into_iter().map(|p| p.0).collect();
             }
             "--shutdown" => do_shutdown = true,
             _ => return false,
@@ -277,17 +275,10 @@ fn main() {
         addr = await_ready_file(path);
         eprintln!("detload: server ready at {addr} (via {path})");
     }
-    assert!(
-        !addr.is_empty(),
-        "detload requires --addr HOST:PORT or --ready-file PATH"
-    );
-    // `--rate` alone is a one-point sweep.
-    let rates = if rate_sweep.is_empty() {
-        vec![rate]
-    } else {
-        rate_sweep
-    };
-    assert!(rates.iter().all(|&r| r > 0.0), "rates must be positive");
+    if addr.is_empty() {
+        eprintln!("usage: detload requires --addr HOST:PORT or --ready-file PATH");
+        std::process::exit(2);
+    }
     let scale = opts.scale_or(0.02); // service jobs are short episodes, not benchmarks
     if opts.threads == 4 {
         opts.threads = 2;
@@ -463,12 +454,21 @@ fn main() {
     let server_stats = Client::connect(&addr)
         .and_then(|mut c| c.stats())
         .unwrap_or_else(|e| Json::obj([("error", format!("stats: {e}").to_json())]));
-    let server_counter = |k: &str| {
-        server_stats
-            .get("counters")
-            .and_then(|c| c.get(k))
-            .and_then(Json::as_u64)
-            .unwrap_or(0)
+    // A group router's counters are its own; faults are injected and
+    // recovered from in its backends, whose addresses its stats list.
+    let backend_stats: Vec<Json> = server_stats
+        .get("backends")
+        .and_then(Json::as_arr)
+        .unwrap_or(&[])
+        .iter()
+        .filter_map(|b| b.get("addr").and_then(Json::as_str))
+        .filter_map(|addr| Client::connect(addr).and_then(|mut c| c.stats()).ok())
+        .collect();
+    let server_counter = |k: &str| -> u64 {
+        std::iter::once(&server_stats)
+            .chain(&backend_stats)
+            .filter_map(|s| s.get("counters")?.get(k)?.as_u64())
+            .sum()
     };
     let recoveries = server_counter("recoveries");
     let unanswered_total = ledger1.unanswered + ledger2.unanswered;
@@ -518,9 +518,9 @@ fn main() {
         ("sweep1", pass_json(&phases1, &ledger1)),
         ("sweep2", pass_json(&phases2, &ledger2)),
         (
-            // The gateable curve: under chaos, sweep 2 measures fault
-            // recovery, not service latency — the clean sweep is the
-            // honest curve. Without chaos, sweep 2 is the warm one.
+            // Under chaos, sweep 2 measures fault recovery, not service
+            // latency — the clean sweep is the honest curve. Without
+            // chaos, sweep 2 is the warm one.
             "latency_curve",
             Json::Arr(
                 (if chaos { &phases1 } else { &phases2 })

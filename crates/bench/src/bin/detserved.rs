@@ -44,10 +44,13 @@
 //! fraction of jobs on a second process and compares receipts
 //! (cross-process determinism verification).
 
+use detlock_bench::{operand, parsed_operand};
 use detlock_serve::group::{GroupConfig, GroupRouter};
 use detlock_serve::netfault::{CrashPlan, NetFaultPlan};
 use detlock_serve::server::{DetServed, ServeConfig};
+use detlock_vm::{Backend, Sched};
 use std::io::Write;
+use std::num::NonZeroUsize;
 use std::time::Duration;
 
 /// Publish `addr` to `path` atomically: write a sibling temp file, then
@@ -62,6 +65,12 @@ fn write_ready_file(path: &str, addr: &str) {
     std::fs::rename(&tmp, path).expect("publish ready file");
 }
 
+/// A usage error in one of `detserved`'s own flags: one line, exit 2.
+fn usage(what: &str) -> ! {
+    eprintln!("usage: detserved: {what}");
+    std::process::exit(2)
+}
+
 fn main() {
     let mut cfg = ServeConfig::default();
     let mut group = GroupConfig::default();
@@ -71,90 +80,45 @@ fn main() {
     while i < args.len() {
         match args[i].as_str() {
             "--route" => {
-                i += 1;
-                group.backends = args[i]
+                group.backends = operand(&args, &mut i)
                     .split(',')
                     .map(|a| a.trim().to_string())
                     .filter(|a| !a.is_empty())
                     .collect();
             }
-            "--vnodes" => {
-                i += 1;
-                group.vnodes = args[i].parse().expect("--vnodes N");
-            }
-            "--verify-per-1024" => {
-                i += 1;
-                group.verify_per_1024 = args[i].parse().expect("--verify-per-1024 N");
-            }
+            "--vnodes" => group.vnodes = parsed_operand(&args, &mut i),
+            "--verify-per-1024" => group.verify_per_1024 = parsed_operand(&args, &mut i),
             "--compile-threads" => {
-                i += 1;
-                let n: usize = args[i].parse().expect("--compile-threads N");
-                cfg.compile_threads = n.max(1);
+                cfg.compile_threads = parsed_operand::<usize>(&args, &mut i).max(1);
             }
             "--backend" => {
-                i += 1;
-                cfg.backend =
-                    detlock_vm::Backend::parse(&args[i]).unwrap_or_else(|e| panic!("{e}"));
+                cfg.backend = Backend::parse(operand(&args, &mut i)).unwrap_or_else(|e| usage(&e));
             }
             "--scheduler" => {
-                i += 1;
-                cfg.scheduler =
-                    detlock_vm::Sched::parse(&args[i]).unwrap_or_else(|e| panic!("{e}"));
+                cfg.scheduler = Sched::parse(operand(&args, &mut i)).unwrap_or_else(|e| usage(&e));
             }
-            "--ready-file" => {
-                i += 1;
-                ready_file = Some(args[i].clone());
-            }
-            "--addr" => {
-                i += 1;
-                cfg.addr = args[i].clone();
-            }
-            "--shards" => {
-                i += 1;
-                cfg.shards = args[i].parse().expect("--shards N");
-            }
-            "--queue" => {
-                i += 1;
-                cfg.queue_capacity = args[i].parse().expect("--queue N");
-            }
-            "--max-retries" => {
-                i += 1;
-                cfg.max_retries = args[i].parse().expect("--max-retries N");
-            }
-            "--budget" => {
-                i += 1;
-                cfg.job_cycle_budget = args[i].parse().expect("--budget CYCLES");
-            }
+            "--ready-file" => ready_file = Some(operand(&args, &mut i).to_string()),
+            "--addr" => cfg.addr = operand(&args, &mut i).to_string(),
+            "--shards" => cfg.shards = parsed_operand::<NonZeroUsize>(&args, &mut i).get(),
+            "--queue" => cfg.queue_capacity = parsed_operand(&args, &mut i),
+            "--max-retries" => cfg.max_retries = parsed_operand(&args, &mut i),
+            "--budget" => cfg.job_cycle_budget = parsed_operand(&args, &mut i),
             "--watchdog-ms" => {
-                i += 1;
-                let ms: u64 = args[i].parse().expect("--watchdog-ms MS");
+                let ms: u64 = parsed_operand(&args, &mut i);
                 cfg.watchdog = (ms > 0).then(|| Duration::from_millis(ms));
             }
-            "--checkpoint-interval" => {
-                i += 1;
-                cfg.checkpoint_interval = args[i].parse().expect("--checkpoint-interval CYCLES");
-            }
-            "--cycle-slice" => {
-                i += 1;
-                cfg.cycle_slice = args[i].parse().expect("--cycle-slice CYCLES");
-            }
+            "--checkpoint-interval" => cfg.checkpoint_interval = parsed_operand(&args, &mut i),
+            "--cycle-slice" => cfg.cycle_slice = parsed_operand(&args, &mut i),
             "--net-faults" => {
-                i += 1;
-                cfg.net_faults = Some(NetFaultPlan::new(
-                    args[i].parse().expect("--net-faults SEED"),
-                ));
+                cfg.net_faults = Some(NetFaultPlan::new(parsed_operand(&args, &mut i)))
             }
             "--crash-faults" => {
-                i += 1;
-                cfg.crash_faults = Some(CrashPlan::new(
-                    args[i].parse().expect("--crash-faults SEED"),
-                ));
+                cfg.crash_faults = Some(CrashPlan::new(parsed_operand(&args, &mut i)))
             }
-            other => panic!("unknown option: {other}"),
+            other => usage(&format!("unknown option {other}")),
         }
         i += 1;
     }
-    assert!(cfg.shards >= 1, "--shards must be at least 1");
 
     if !group.backends.is_empty() {
         group.addr = cfg.addr.clone();

@@ -1,44 +1,30 @@
-//! `perfgate` — the CI performance/determinism gate.
+//! `perfgate` — the CI determinism gate.
 //!
-//! Compares a freshly measured benchmark report against a committed
-//! baseline and exits nonzero when either (a) a **wall-time total**
-//! regressed by more than the allowed percentage, or (b) a
-//! **deterministic compile fact** drifted (per-pass tick/mass telemetry,
-//! receipt identity) — those must match *exactly*, machine noise cannot
-//! excuse them.
+//! Every number `ablation --json` reports is a *simulated* count — ticks,
+//! clock mass, cycles, overhead percentages derived from cycles — and so a
+//! pure function of the source tree and the `{threads, scale, seed}`
+//! header. The gate therefore holds the whole report to the committed
+//! baseline by **equality** and prints the JSON path of every value that
+//! differs. A serve report (`detload --out`) is held to the identity facts
+//! that need no baseline: receipts byte-identical across sweeps, no failed
+//! job, and evidence the warm path ran (plan-cache hits, or receipt-ledger
+//! dedup hits behind a group router).
 //!
 //! ```text
 //! perfgate [--baseline-passes FILE --current-passes FILE]
-//!          [--baseline-serve FILE --current-serve FILE]
-//!          [--max-regress-pct PCT]      # default 25
-//!          [--min-backend-speedup F]    # default 1.5; 0 disables the check
-//!          [--max-sched-overhead F]     # default 3.0; 0 disables the check
-//!          [--max-p99-ms MS]            # latency-curve tail ceiling; 0 disables
-//!          [--min-sustained-qps QPS]    # latency-curve throughput floor; 0 disables
-//!          [--slowdown F]               # scale current wall times (negative control)
-//!          [--out diff.json]            # machine-readable diff artifact
+//!          [--current-serve FILE]
+//!          [--out diff.json]            # machine-readable artifact
 //! ```
 //!
-//! The curve checks read the `latency_curve` array a `detload --sweep`
-//! run emits (one point per offered rate): `--min-sustained-qps` floors
-//! the best achieved QPS on the curve, `--max-p99-ms` ceilings the tail
-//! latency at the lowest offered rate, and when the baseline report also
-//! carries a curve *from the same campaign* (identical load shape,
-//! offered rates and chaos arming) the best achieved QPS is additionally
-//! gated against it like any other regression — baseline-relative checks
-//! are skipped across campaigns, because a heavy chaos run and a light
-//! clean sweep are different experiments. `--slowdown F` divides current
-//! throughput and multiplies current latency by F, so the same negative
-//! control proves these gates trip too.
+//! No check here reads a clock or a wall time: what a change costs in time
+//! is the repo benchmark's verdict (`benchmark/`, host-speed-normalised),
+//! and DESIGN.md §12 maps each former wall gate to the metric that
+//! replaced it. A legitimate change to a simulated number is committed by
+//! regenerating the baseline: `ablation --json --out
+//! ci/baselines/BENCH_passes.json`.
 //!
-//! Wall-time checks compare **totals** (summed across every workload and
-//! pass), never individual sub-millisecond timings, so single-workload
-//! jitter averages out. `--slowdown 2` multiplies the current run's wall
-//! times by 2 before comparing — CI runs this as a negative control to
-//! prove the gate actually trips.
-//!
-//! Exit status: 0 = gate passed, 1 = regression or determinism mismatch,
-//! 2 = usage / unreadable input.
+//! Exit status: 0 = gate passed, 1 = a value differs or an identity fact
+//! fails, 2 = usage / unreadable input.
 
 use detlock_shim::json::{Json, ToJson};
 
@@ -60,11 +46,8 @@ impl Check {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: perfgate [--baseline-passes FILE --current-passes FILE]\n\
-         \x20               [--baseline-serve FILE --current-serve FILE]\n\
-         \x20               [--max-regress-pct PCT] [--min-backend-speedup F]\n\
-         \x20               [--max-sched-overhead F] [--max-p99-ms MS]\n\
-         \x20               [--min-sustained-qps QPS] [--slowdown F] [--out FILE]"
+        "usage: perfgate [--baseline-passes FILE --current-passes FILE] \
+         [--current-serve FILE] [--out FILE]"
     );
     std::process::exit(2);
 }
@@ -80,326 +63,79 @@ fn load(path: &str) -> Json {
     })
 }
 
-/// One wall-time total comparison: `current * slowdown` may exceed
-/// `baseline` by at most `max_regress_pct` percent.
-fn wall_check(
-    name: &str,
-    baseline_ns: u64,
-    current_ns: u64,
-    slowdown: f64,
-    max_regress_pct: f64,
-) -> Check {
-    let adjusted = current_ns as f64 * slowdown;
-    let limit = baseline_ns as f64 * (1.0 + max_regress_pct / 100.0);
-    // A zero baseline can't express a ratio; treat it as vacuously passing
-    // (the structural checks still guard correctness).
-    let ok = baseline_ns == 0 || adjusted <= limit;
-    Check {
-        name: name.to_string(),
-        ok,
-        detail: format!(
-            "baseline {baseline_ns}ns, current {current_ns}ns (x{slowdown} = {adjusted:.0}ns), \
-             limit {limit:.0}ns (+{max_regress_pct}%)"
-        ),
-    }
-}
-
-/// Sum of `wall_ns` across every per-pass row of every workload in a
-/// `pass_telemetry` array.
-fn total_pass_wall_ns(report: &Json) -> u64 {
-    report
-        .get("pass_telemetry")
-        .and_then(Json::as_arr)
-        .map(|rows| {
-            rows.iter()
-                .flat_map(|w| w.get("passes").and_then(Json::as_arr).unwrap_or(&[]))
-                .filter_map(|p| p.get("wall_ns").and_then(Json::as_u64))
-                .sum()
-        })
-        .unwrap_or(0)
-}
-
-/// Deterministic telemetry must match exactly: for every workload and pass
-/// in the baseline, the current run's ticks_added / ticks_removed /
-/// mass_moved are byte-for-byte the same numbers. Drift here means the
-/// compiler's output changed, which a perf gate must flag regardless of
-/// how fast the machine is.
-fn structural_checks(baseline: &Json, current: &Json, checks: &mut Vec<Check>) {
-    let empty: [Json; 0] = [];
-    let base_rows = baseline
-        .get("pass_telemetry")
-        .and_then(Json::as_arr)
-        .unwrap_or(&empty);
-    let cur_rows = current
-        .get("pass_telemetry")
-        .and_then(Json::as_arr)
-        .unwrap_or(&empty);
-    for bw in base_rows {
-        let name = bw.get("name").and_then(Json::as_str).unwrap_or("?");
-        let Some(cw) = cur_rows
-            .iter()
-            .find(|c| c.get("name").and_then(Json::as_str) == Some(name))
-        else {
-            checks.push(Check {
-                name: format!("passes/{name}/present"),
-                ok: false,
-                detail: "workload missing from current report".to_string(),
-            });
-            continue;
-        };
-        let bp = bw.get("passes").and_then(Json::as_arr).unwrap_or(&empty);
-        let cp = cw.get("passes").and_then(Json::as_arr).unwrap_or(&empty);
-        let mut drift = Vec::new();
-        for brow in bp {
-            let pass = brow.get("pass").and_then(Json::as_str).unwrap_or("?");
-            let crow = cp
-                .iter()
-                .find(|c| c.get("pass").and_then(Json::as_str) == Some(pass));
-            for field in ["ticks_added", "ticks_removed", "mass_moved"] {
-                let b = brow.get(field).and_then(Json::as_u64);
-                let c = crow.and_then(|r| r.get(field)).and_then(Json::as_u64);
-                if b != c {
-                    drift.push(format!("{pass}.{field}: baseline {b:?} != current {c:?}"));
-                }
+/// Every place `baseline` and `current` differ, as `(JSON pointer, what)`:
+/// a changed leaf, or a key / array element present on one side only.
+fn diff(path: &str, baseline: &Json, current: &Json, out: &mut Vec<(String, String)>) {
+    let mut side = |at: String, b: Option<&Json>, c: Option<&Json>| match (b, c) {
+        (Some(b), Some(c)) => diff(&at, b, c, out),
+        (Some(_), None) => out.push((at, "only in the baseline".to_string())),
+        (None, Some(_)) => out.push((at, "only in the current report".to_string())),
+        (None, None) => {}
+    };
+    match (baseline, current) {
+        (Json::Obj(b), Json::Obj(c)) => {
+            for (k, bv) in b {
+                side(format!("{path}/{k}"), Some(bv), current.get(k));
+            }
+            for (k, cv) in c.iter().filter(|(k, _)| baseline.get(k).is_none()) {
+                side(format!("{path}/{k}"), None, Some(cv));
             }
         }
-        checks.push(Check {
-            name: format!("passes/{name}/telemetry-identical"),
-            ok: drift.is_empty(),
-            detail: if drift.is_empty() {
-                "deterministic pass telemetry matches baseline".to_string()
-            } else {
-                drift.join("; ")
-            },
-        });
-    }
-}
-
-fn check_passes(baseline: &Json, current: &Json, slowdown: f64, pct: f64, checks: &mut Vec<Check>) {
-    checks.push(wall_check(
-        "passes/total-pass-wall",
-        total_pass_wall_ns(baseline),
-        total_pass_wall_ns(current),
-        slowdown,
-        pct,
-    ));
-    structural_checks(baseline, current, checks);
-    // Parallel-compile totals: gate the serial total (the reference cost)
-    // and record the measured speedup for the artifact.
-    let pc = |j: &Json, key: &str| {
-        j.get("parallel_compile")
-            .and_then(|p| p.get(key))
-            .and_then(Json::as_u64)
-            .unwrap_or(0)
-    };
-    checks.push(wall_check(
-        "passes/serial-compile-wall",
-        pc(baseline, "serial_total_ns"),
-        pc(current, "serial_total_ns"),
-        slowdown,
-        pct,
-    ));
-    let speedup = current
-        .get("parallel_compile")
-        .and_then(|p| p.get("total_speedup"))
-        .and_then(Json::as_f64)
-        .unwrap_or(0.0);
-    checks.push(Check {
-        name: "passes/parallel-speedup-recorded".to_string(),
-        ok: speedup > 0.0,
-        detail: format!("parallel compile total speedup {speedup:.2}x (informational)"),
-    });
-}
-
-/// The threaded-code engine must actually be faster than the interpreter:
-/// gate the `exec_backends` total speedup against a floor. Unlike the
-/// wall-time regression checks this is an *absolute* bar — a lowering
-/// change that erodes the win below the floor fails CI even if nothing
-/// "regressed" relative to the baseline machine.
-fn check_backends(current: &Json, min_speedup: f64, checks: &mut Vec<Check>) {
-    let Some(section) = current.get("exec_backends") else {
-        checks.push(Check {
-            name: "passes/backend-speedup".to_string(),
-            ok: false,
-            detail: "current report has no exec_backends section".to_string(),
-        });
-        return;
-    };
-    let speedup = section
-        .get("total_speedup")
-        .and_then(Json::as_f64)
-        .unwrap_or(0.0);
-    checks.push(Check {
-        name: "passes/backend-speedup".to_string(),
-        ok: speedup >= min_speedup,
-        detail: format!(
-            "threaded-code engine {speedup:.2}x faster than the interpreter \
-             (floor {min_speedup:.2}x)"
-        ),
-    });
-}
-
-/// Alternative schedulers may cost simulated cycles relative to the Kendo
-/// reference, but not unboundedly: gate the worst per-policy total
-/// overhead factor from the `schedulers` ablation section against a
-/// ceiling. Like the backend floor this is an absolute bar, not a
-/// baseline-relative one.
-fn check_schedulers(current: &Json, max_overhead: f64, checks: &mut Vec<Check>) {
-    let Some(section) = current.get("schedulers") else {
-        checks.push(Check {
-            name: "passes/scheduler-overhead".to_string(),
-            ok: false,
-            detail: "current report has no schedulers section".to_string(),
-        });
-        return;
-    };
-    let factor = |key: &str| section.get(key).and_then(Json::as_f64).unwrap_or(0.0);
-    let chunk = factor("chunk_total_overhead");
-    let dc = factor("dc_batch_total_overhead");
-    let worst = chunk.max(dc);
-    checks.push(Check {
-        name: "passes/scheduler-overhead".to_string(),
-        ok: worst > 0.0 && worst <= max_overhead,
-        detail: format!(
-            "per-policy cycle overhead vs kendo: chunk {chunk:.2}x, dc-batch {dc:.2}x \
-             (ceiling {max_overhead:.2}x)"
-        ),
-    });
-}
-
-/// The identity of a serve measurement campaign: load shape, offered
-/// rates, chaos arming. Baseline-*relative* gates (sweep walls, curve
-/// throughput vs baseline) only make sense when the two reports drove
-/// the same campaign — a 10k-connection chaos run and a light clean
-/// sweep are different experiments, and comparing their walls would gate
-/// workload-shape differences, not regressions. Absolute gates
-/// (receipt identity, failed jobs, p99 ceiling, sustained-QPS floor)
-/// always apply regardless.
-fn campaign_shape(j: &Json) -> String {
-    let load = |k: &str| -> i64 {
-        j.get("load")
-            .and_then(|l| l.get(k))
-            .and_then(Json::as_i64)
-            .unwrap_or(-1)
-    };
-    let rates = j
-        .get("rates")
-        .map(Json::to_string_compact)
-        .unwrap_or_default();
-    let chaos = j
-        .get("chaos")
-        .and_then(|c| c.get("enabled"))
-        .and_then(Json::as_bool)
-        .unwrap_or(false);
-    format!(
-        "conns={} closed={} pipeline={} hot={} rates={} chaos={}",
-        load("conns"),
-        load("closed_conns"),
-        load("pipeline"),
-        load("hot_key_per_1024"),
-        rates,
-        chaos
-    )
-}
-
-/// Latency-under-load curve gates (reports from `detload --sweep`).
-/// `slowdown` scales the current run pessimistically — throughput
-/// divided, latency multiplied — so the negative control trips these
-/// checks the same way it trips the wall checks.
-fn check_curve(
-    baseline: &Json,
-    current: &Json,
-    slowdown: f64,
-    pct: f64,
-    max_p99_ms: f64,
-    min_sustained_qps: f64,
-    checks: &mut Vec<Check>,
-) {
-    let curve = |j: &Json| -> Vec<Json> {
-        j.get("latency_curve")
-            .and_then(Json::as_arr)
-            .map(<[Json]>::to_vec)
-            .unwrap_or_default()
-    };
-    let cur = curve(current);
-    checks.push(Check {
-        name: "serve/curve-present".to_string(),
-        ok: !cur.is_empty(),
-        detail: format!("current report has {} latency-curve point(s)", cur.len()),
-    });
-    if cur.is_empty() {
-        return;
-    }
-    let best_qps = |pts: &[Json]| -> f64 {
-        pts.iter()
-            .filter_map(|p| p.get("achieved_qps").and_then(Json::as_f64))
-            .fold(0.0, f64::max)
-    };
-    let sustained = best_qps(&cur) / slowdown;
-    if min_sustained_qps > 0.0 {
-        checks.push(Check {
-            name: "serve/min-sustained-qps".to_string(),
-            ok: sustained >= min_sustained_qps,
-            detail: format!(
-                "best achieved {sustained:.1} qps (/{slowdown} slowdown), floor \
-                 {min_sustained_qps:.1} qps"
-            ),
-        });
-    }
-    if max_p99_ms > 0.0 {
-        // Tail latency is judged at the *lowest* offered rate: the one
-        // point that should be uncongested on any machine.
-        let lightest = cur
-            .iter()
-            .min_by(|a, b| {
-                let qps = |p: &&Json| {
-                    p.get("offered_qps")
-                        .and_then(Json::as_f64)
-                        .unwrap_or(f64::MAX)
-                };
-                qps(a).total_cmp(&qps(b))
-            })
-            .expect("non-empty curve");
-        let p99_ms =
-            lightest.get("p99_us").and_then(Json::as_u64).unwrap_or(0) as f64 / 1000.0 * slowdown;
-        checks.push(Check {
-            name: "serve/max-p99-ms".to_string(),
-            ok: p99_ms > 0.0 && p99_ms <= max_p99_ms,
-            detail: format!(
-                "p99 at lightest offered rate {p99_ms:.1}ms (x{slowdown} slowdown), ceiling \
-                 {max_p99_ms:.1}ms"
-            ),
-        });
-    }
-    let base = curve(baseline);
-    if !base.is_empty() {
-        if campaign_shape(baseline) == campaign_shape(current) {
-            let base_best = best_qps(&base);
-            let floor = base_best * (1.0 - pct / 100.0);
-            checks.push(Check {
-                name: "serve/curve-throughput".to_string(),
-                ok: base_best <= 0.0 || sustained >= floor,
-                detail: format!(
-                    "best achieved: baseline {base_best:.1} qps, current {sustained:.1} qps \
-                     (floor {floor:.1} = -{pct}%)"
-                ),
-            });
-        } else {
-            checks.push(Check {
-                name: "serve/curve-throughput".to_string(),
-                ok: true,
-                detail: format!(
-                    "skipped: baseline campaign [{}] != current [{}] — curves from \
-                     different campaigns are not comparable (absolute gates still apply)",
-                    campaign_shape(baseline),
-                    campaign_shape(current)
-                ),
-            });
+        (Json::Arr(b), Json::Arr(c)) => {
+            for i in 0..b.len().max(c.len()) {
+                side(format!("{path}/{i}"), b.get(i), c.get(i));
+            }
         }
+        (b, c) if b == c => {}
+        (b, c) => out.push((
+            path.to_string(),
+            format!(
+                "baseline {} != current {}",
+                b.to_string_compact(),
+                c.to_string_compact()
+            ),
+        )),
     }
 }
 
-fn check_serve(baseline: &Json, current: &Json, slowdown: f64, pct: f64, checks: &mut Vec<Check>) {
+/// Whole-document equality of two `ablation --json` reports. The header
+/// goes first: reports produced at different `{threads, scale, seed}`
+/// differ everywhere, and listing those paths would bury the reason.
+fn check_passes(baseline: &Json, current: &Json, checks: &mut Vec<Check>) {
+    let (bh, ch) = (baseline.get("header"), current.get("header"));
+    if bh != ch {
+        let show = |h: Option<&Json>| h.map_or("none".to_string(), Json::to_string_compact);
+        checks.push(Check {
+            name: "passes/header".to_string(),
+            ok: false,
+            detail: format!(
+                "baseline header {} != current {}: the reports are not comparable \
+                 (run `ablation --json` with the baseline's threads, scale and seed)",
+                show(bh),
+                show(ch)
+            ),
+        });
+        return;
+    }
+    let mut diffs = Vec::new();
+    diff("", baseline, current, &mut diffs);
+    checks.push(Check {
+        name: "passes/identical".to_string(),
+        ok: diffs.is_empty(),
+        detail: format!(
+            "{} simulated value(s) differ from the baseline",
+            diffs.len()
+        ),
+    });
+    checks.extend(diffs.into_iter().map(|(path, what)| Check {
+        name: format!("passes{path}"),
+        ok: false,
+        detail: what,
+    }));
+}
+
+/// The identity facts of one `detload --out` report.
+fn check_serve(current: &Json, checks: &mut Vec<Check>) {
     let identical = current
         .get("receipts_identical")
         .and_then(Json::as_bool)
@@ -413,169 +149,78 @@ fn check_serve(baseline: &Json, current: &Json, slowdown: f64, pct: f64, checks:
         ok: identical && compared > 0,
         detail: format!("{compared} receipts compared across sweeps, identical = {identical}"),
     });
-    let failed = |j: &Json| -> u64 {
-        ["sweep1", "sweep2"]
-            .iter()
-            .filter_map(|s| {
-                j.get(s)
-                    .and_then(|x| x.get("failed"))
-                    .and_then(Json::as_u64)
-            })
-            .sum()
-    };
+    let failed: u64 = ["sweep1", "sweep2"]
+        .iter()
+        .filter_map(|s| current.get(s)?.get("failed")?.as_u64())
+        .sum();
     checks.push(Check {
         name: "serve/no-failed-jobs".to_string(),
-        ok: failed(current) == 0,
-        detail: format!(
-            "failed jobs: baseline {}, current {}",
-            failed(baseline),
-            failed(current)
-        ),
+        ok: failed == 0,
+        detail: format!("{failed} failed job(s) across both sweeps"),
     });
-    let wall = |j: &Json| -> u64 {
-        j.get("sweep2")
-            .and_then(|s| s.get("wall_ms"))
-            .and_then(Json::as_u64)
-            .unwrap_or(0)
-    };
-    if campaign_shape(baseline) == campaign_shape(current) {
-        checks.push(wall_check(
-            "serve/sweep2-wall",
-            wall(baseline) * 1_000_000,
-            wall(current) * 1_000_000,
-            slowdown,
-            pct,
-        ));
-    } else {
-        checks.push(Check {
-            name: "serve/sweep2-wall".to_string(),
-            ok: true,
-            detail: format!(
-                "skipped: baseline campaign [{}] != current [{}] — walls from different \
-                 campaigns are not comparable (absolute gates still apply)",
-                campaign_shape(baseline),
-                campaign_shape(current)
-            ),
-        });
-    }
     // Behind a group router the stats snapshot is the router's, which has
     // no instrumentation section; the equivalent warm-path evidence there
     // is the cross-process dedup ledger getting hits.
     let stats = current.get("server_stats");
+    let counter = |section: &str, key: &str| -> u64 {
+        stats
+            .and_then(|s| s.get(section)?.get(key)?.as_u64())
+            .unwrap_or(0)
+    };
     let is_router = stats
-        .and_then(|s| s.get("router"))
-        .and_then(Json::as_bool)
+        .and_then(|s| s.get("router")?.as_bool())
         .unwrap_or(false);
-    if is_router {
-        let dedup = stats
-            .and_then(|s| s.get("counters"))
-            .and_then(|c| c.get("dedup_hits"))
-            .and_then(Json::as_u64)
-            .unwrap_or(0);
-        checks.push(Check {
+    checks.push(if is_router {
+        let dedup = counter("counters", "dedup_hits");
+        Check {
             name: "serve/router-dedup-hits".to_string(),
             ok: dedup > 0,
             detail: format!(
                 "group router reported {dedup} receipt-ledger dedup hits after the \
                  two-sweep drive (sweep 2 must re-sight sweep 1's keys)"
             ),
-        });
+        }
     } else {
-        let plan_hits = stats
-            .and_then(|s| s.get("instrumentation"))
-            .and_then(|i| i.get("plan_cache_hits"))
-            .and_then(Json::as_u64)
-            .unwrap_or(0);
-        checks.push(Check {
+        let plan_hits = counter("instrumentation", "plan_cache_hits");
+        Check {
             name: "serve/plan-cache-hits".to_string(),
             ok: plan_hits > 0,
             detail: format!(
                 "server reported {plan_hits} plan-cache hits after the two-sweep drive \
                  (sibling shards must reuse compiled artifacts)"
             ),
-        });
-    }
+        }
+    });
 }
 
 fn main() {
     let mut baseline_passes: Option<String> = None;
     let mut current_passes: Option<String> = None;
-    let mut baseline_serve: Option<String> = None;
     let mut current_serve: Option<String> = None;
-    let mut max_regress_pct = 25.0f64;
-    let mut min_backend_speedup = 1.5f64;
-    let mut max_sched_overhead = 3.0f64;
-    let mut max_p99_ms = 0.0f64;
-    let mut min_sustained_qps = 0.0f64;
-    let mut slowdown = 1.0f64;
     let mut out: Option<String> = None;
 
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        let take = |i: &mut usize| -> String {
-            *i += 1;
-            args.get(*i).cloned().unwrap_or_else(|| usage())
-        };
-        match args[i].as_str() {
-            "--baseline-passes" => baseline_passes = Some(take(&mut i)),
-            "--current-passes" => current_passes = Some(take(&mut i)),
-            "--baseline-serve" => baseline_serve = Some(take(&mut i)),
-            "--current-serve" => current_serve = Some(take(&mut i)),
-            "--max-regress-pct" => {
-                max_regress_pct = take(&mut i).parse().unwrap_or_else(|_| usage())
-            }
-            "--min-backend-speedup" => {
-                min_backend_speedup = take(&mut i).parse().unwrap_or_else(|_| usage())
-            }
-            "--max-sched-overhead" => {
-                max_sched_overhead = take(&mut i).parse().unwrap_or_else(|_| usage())
-            }
-            "--max-p99-ms" => max_p99_ms = take(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--min-sustained-qps" => {
-                min_sustained_qps = take(&mut i).parse().unwrap_or_else(|_| usage())
-            }
-            "--slowdown" => slowdown = take(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--out" => out = Some(take(&mut i)),
+    let mut args = std::env::args().skip(1);
+    while let Some(flag) = args.next() {
+        let slot = match flag.as_str() {
+            "--baseline-passes" => &mut baseline_passes,
+            "--current-passes" => &mut current_passes,
+            "--current-serve" => &mut current_serve,
+            "--out" => &mut out,
             _ => usage(),
-        }
-        i += 1;
+        };
+        *slot = Some(args.next().unwrap_or_else(|| usage()));
     }
 
     let mut checks: Vec<Check> = Vec::new();
-    let mut ran_any = false;
-    if let (Some(b), Some(c)) = (&baseline_passes, &current_passes) {
-        ran_any = true;
-        let current = load(c);
-        check_passes(&load(b), &current, slowdown, max_regress_pct, &mut checks);
-        if min_backend_speedup > 0.0 {
-            check_backends(&current, min_backend_speedup, &mut checks);
-        }
-        if max_sched_overhead > 0.0 {
-            check_schedulers(&current, max_sched_overhead, &mut checks);
-        }
+    match (&baseline_passes, &current_passes) {
+        (Some(b), Some(c)) => check_passes(&load(b), &load(c), &mut checks),
+        (None, None) if current_serve.is_some() => {}
+        _ => usage(),
     }
-    if let (Some(b), Some(c)) = (&baseline_serve, &current_serve) {
-        ran_any = true;
-        let (baseline, current) = (load(b), load(c));
-        check_serve(&baseline, &current, slowdown, max_regress_pct, &mut checks);
-        if max_p99_ms > 0.0 || min_sustained_qps > 0.0 {
-            check_curve(
-                &baseline,
-                &current,
-                slowdown,
-                max_regress_pct,
-                max_p99_ms,
-                min_sustained_qps,
-                &mut checks,
-            );
-        }
-    }
-    if !ran_any {
-        usage();
+    if let Some(c) = &current_serve {
+        check_serve(&load(c), &mut checks);
     }
 
-    let failed: Vec<&Check> = checks.iter().filter(|c| !c.ok).collect();
     for c in &checks {
         println!(
             "{} {:<36} {}",
@@ -584,12 +229,11 @@ fn main() {
             c.detail
         );
     }
+    let failed = checks.iter().filter(|c| !c.ok).count();
 
     if let Some(path) = &out {
         let artifact = Json::obj([
-            ("max_regress_pct", max_regress_pct.to_json()),
-            ("slowdown", slowdown.to_json()),
-            ("ok", failed.is_empty().to_json()),
+            ("ok", (failed == 0).to_json()),
             (
                 "checks",
                 Json::Arr(checks.iter().map(Check::to_json).collect()),
@@ -601,8 +245,8 @@ fn main() {
         });
     }
 
-    if !failed.is_empty() {
-        eprintln!("\nperfgate: {} check(s) failed", failed.len());
+    if failed > 0 {
+        eprintln!("\nperfgate: {failed} check(s) failed");
         std::process::exit(1);
     }
     println!("\nperfgate: all {} checks passed", checks.len());

@@ -490,16 +490,15 @@ pub struct CliOptions {
 /// A command-line usage error: one line on stderr and exit code 2, the
 /// code `dlc` and `perfgate` use for the same thing.
 fn usage_error(what: std::fmt::Arguments<'_>) -> ! {
-    eprintln!(
-        "usage: {what} (core flags: --threads N --scale F --seed N --seeds A,B,C --json \
-         --out FILE --only NAME --compile-threads N --backend interp|threaded \
-         --scheduler kendo|chunk[:SIZE[:COST]]|dc-batch)"
-    );
+    eprintln!("usage: {what}");
     std::process::exit(2)
 }
 
-/// The operand of the flag at `args[*i]`, advancing `i` onto it.
-fn operand<'a>(args: &'a [String], i: &mut usize) -> &'a str {
+/// The operand of the flag at `args[*i]`, advancing `i` onto it; a missing
+/// operand is a usage error (exit 2). For [`CliOptions::parse_with`]
+/// callbacks and `detserved`'s own argument loop, so a binary's extra
+/// flags fail the same way the shared ones do.
+pub fn operand<'a>(args: &'a [String], i: &mut usize) -> &'a str {
     let flag = &args[*i];
     *i += 1;
     match args.get(*i) {
@@ -508,12 +507,17 @@ fn operand<'a>(args: &'a [String], i: &mut usize) -> &'a str {
     }
 }
 
-/// [`operand`], parsed.
-fn parsed_operand<T: std::str::FromStr>(args: &[String], i: &mut usize) -> T {
+/// [`operand`], parsed; an operand `T` rejects is a usage error (exit 2)
+/// that quotes `T`'s reason.
+pub fn parsed_operand<T>(args: &[String], i: &mut usize) -> T
+where
+    T: std::str::FromStr,
+    T::Err: std::fmt::Display,
+{
     let flag = &args[*i];
     let v = operand(args, i);
     v.parse()
-        .unwrap_or_else(|_| usage_error(format_args!("{flag}: cannot parse '{v}'")))
+        .unwrap_or_else(|e| usage_error(format_args!("{flag}: cannot parse '{v}': {e}")))
 }
 
 impl CliOptions {
@@ -527,7 +531,8 @@ impl CliOptions {
 
     /// Like [`CliOptions::parse`], but unrecognized flags are first offered
     /// to `extra(flag, args, &mut i)`; the callback consumes any operands
-    /// by advancing `i` and returns `true` if it recognized the flag.
+    /// (through [`operand`] / [`parsed_operand`], which advance `i`) and
+    /// returns `true` if it recognized the flag.
     pub fn parse_with(mut extra: impl FnMut(&str, &[String], &mut usize) -> bool) -> CliOptions {
         let mut opts = CliOptions {
             threads: 4,
@@ -571,7 +576,12 @@ impl CliOptions {
                 "--only" => opts.only = Some(operand(&args, &mut i).to_string()),
                 other => {
                     if !extra(other, &args, &mut i) {
-                        usage_error(format_args!("unknown option {other}"));
+                        usage_error(format_args!(
+                            "unknown option {other} (core flags: --threads N --scale F --seed N \
+                             --seeds A,B,C --json --out FILE --only NAME --compile-threads N \
+                             --backend interp|threaded \
+                             --scheduler kendo|chunk[:SIZE[:COST]]|dc-batch)"
+                        ));
                     }
                 }
             }

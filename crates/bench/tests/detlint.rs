@@ -1,7 +1,7 @@
 //! End-to-end detlint acceptance: the shipped workloads are statically
 //! race-clean and every Table I instrumentation config validates against its
-//! certificate; the deliberately racy control is flagged and the flag is
-//! confirmable on the VM; and validator-accepted configs actually run
+//! certificate; the deliberately racy control is flagged and the sanitizer
+//! witnesses the flagged race; and validator-accepted configs actually run
 //! deterministically (identical lock-order fingerprints across jitter
 //! seeds).
 
@@ -17,7 +17,6 @@ use detlock_passes::pipeline::OptLevel;
 use detlock_passes::plan::Placement;
 use detlock_vm::determinism::check_determinism;
 use detlock_vm::machine::ExecMode;
-use detlock_vm::race::confirm_race;
 use detlock_workloads::{all_benchmarks, racy};
 
 const SCALE: f64 = 0.05;
@@ -49,16 +48,12 @@ fn racy_counter_is_flagged_and_vm_confirmed() {
             .any(|f| f.severity == Severity::Error && f.rule == "race"),
         "the racy counter must produce an error[race]:\n{report}"
     );
-    let witness = confirm_race(
-        &w.module,
-        &cost,
-        &thread_specs(&w),
-        &machine_config(&w, ExecMode::Baseline, 0),
-        &[1, 2, 7, 42, 31337],
-    );
+    // What `detlint --confirm` prints: a happens-before witness at a
+    // statically flagged site.
+    let dyn_report = sanitize_workload_sweep(&w, &cost, &[1, 2, 7, 42, 31337]);
     assert!(
-        witness.is_some(),
-        "the statically flagged race must manifest across jitter seeds"
+        triage(&report, &dyn_report).witness().is_some(),
+        "the sanitizer must witness the statically flagged race:\n{report}"
     );
 }
 

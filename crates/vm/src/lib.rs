@@ -38,7 +38,6 @@ pub mod determinism;
 pub mod lower;
 pub mod machine;
 pub mod metrics;
-pub mod race;
 pub mod replay;
 pub mod sanitizer;
 pub mod sched;
@@ -51,7 +50,6 @@ pub use machine::{
     ResumeError, RunOutcome, ThreadSpec,
 };
 pub use metrics::{RunMetrics, ThreadMetrics};
-pub use race::{confirm_race, RaceWitness};
 pub use sanitizer::{
     DynAccess, DynRace, LockCycle, LockEdge, Sanitizer, SanitizerReport, SiteStat,
 };

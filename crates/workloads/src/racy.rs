@@ -4,9 +4,8 @@
 //! increment on a shared counter **without taking the lock** (the seeded
 //! race), while a second counter is incremented correctly under lock 1 and
 //! per-thread scratch takes the rest of the traffic. The static lockset
-//! analysis must flag exactly the unlocked counter; the VM's
-//! [`confirm_race`](../../vm/race/fn.confirm_race.html) probe (or a detsan
-//! happens-before witness) confirms it.
+//! analysis must flag exactly the unlocked counter; a detsan
+//! happens-before witness confirms it.
 //!
 //! [`build_deadlock`] is detsan's control: thread 0 nests lock 2 inside
 //! lock 3's reverse order relative to every other thread, but the two

@@ -18,7 +18,7 @@ use detlock_passes::plan::Placement;
 use detlock_vm::machine::{BulkSyncParams, ExecMode, Machine, ThreadSpec};
 use detlock_vm::metrics::RunMetrics;
 use detlock_vm::sanitizer::SanitizerReport;
-use detlock_vm::{confirm_race, Backend, ChunkParams, MachineConfig, Sched};
+use detlock_vm::{Backend, ChunkParams, MachineConfig, Sched};
 use detlock_workloads::all_benchmarks;
 use detlock_workloads::racy::{self, RacyParams};
 
@@ -171,8 +171,8 @@ fn sanitizer_reports_identical_across_backends() {
 }
 
 /// The racy-counter positive control: both backends must report the *same*
-/// race at the same site, and `confirm_race` must return the same witness
-/// whichever backend executes the probe schedules.
+/// race at the same site — the happens-before witness `detlint --confirm`
+/// prints is read out of this report.
 #[test]
 fn racy_counter_witness_identical_across_backends() {
     let cost = CostModel::default();
@@ -186,20 +186,6 @@ fn racy_counter_witness_identical_across_backends() {
         "racy counter lost its race under the interpreter"
     );
     assert_identical(results, "racy counter");
-
-    let witnesses = [Backend::Interp, Backend::Threaded].map(|backend| {
-        let mut base = machine_config(&w, ExecMode::Det, 1);
-        base.backend = backend;
-        confirm_race(&w.module, &cost, &specs, &base, &[1, 2, 7, 42])
-    });
-    assert!(
-        witnesses[0].is_some(),
-        "confirm_race lost the racy-counter witness"
-    );
-    assert_eq!(
-        witnesses[0], witnesses[1],
-        "race witness diverged across backends"
-    );
 }
 
 /// Cycle-limit cuts: stopping a run mid-flight must observe identical
@@ -260,7 +246,7 @@ fn checkpoint_streams_identical_across_backends() {
 }
 
 /// The deadlock-cycle negative control: no data race, but a lock-order
-/// cycle — both the report and the absence of a race witness must agree.
+/// cycle — the reports must agree on both.
 #[test]
 fn deadlock_control_identical_across_backends() {
     let cost = CostModel::default();
@@ -277,12 +263,4 @@ fn deadlock_control_identical_across_backends() {
         "deadlock control changed shape: expected no races, one lock cycle"
     );
     assert_identical(results, "deadlock control");
-
-    let witnesses = [Backend::Interp, Backend::Threaded].map(|backend| {
-        let mut base = machine_config(&w, ExecMode::Det, 7);
-        base.backend = backend;
-        confirm_race(&w.module, &cost, &specs, &base, &[1, 2, 7, 42])
-    });
-    assert_eq!(witnesses[0], None, "deadlock control is race-free");
-    assert_eq!(witnesses[0], witnesses[1]);
 }
