@@ -1,0 +1,471 @@
+//! Pins for `DetCore`'s round loop, the one place simulated time advances.
+//!
+//! * [`golden_table`] holds absolute simulated numbers — cycles, every
+//!   thread's busy/wait/bump/clock/finish counters, the lock-order hash and
+//!   a hash of final memory — for sync-heavy shapes under every execution
+//!   mode and scheduler. The constants were captured on the loop that
+//!   stepped every cycle individually; any way of advancing time faster
+//!   has to reproduce them to the last digit.
+//! * [`checkpoint_interval_one_is_the_stepped_oracle`] and
+//!   [`a_cycle_limit_inside_a_skip_cuts_where_the_stepper_does`] compare the
+//!   loop against itself: a checkpoint interval of 1 clamps every time
+//!   advance to one cycle, so that run is the per-cycle stepper, and every
+//!   other interval, the plain run and every cycle-limit cut must agree
+//!   with it.
+
+use detlock_ir::builder::FunctionBuilder;
+use detlock_ir::inst::{BinOp, CmpOp};
+use detlock_ir::types::{BarrierId, FuncId};
+use detlock_ir::Module;
+use detlock_passes::cost::CostModel;
+use detlock_passes::pipeline::{instrument, OptConfig};
+use detlock_passes::plan::Placement;
+use detlock_vm::machine::{
+    BulkSyncParams, CkptControl, ExecMode, Jitter, Machine, MachineConfig, RunOutcome, ThreadSpec,
+};
+use detlock_vm::replay::record;
+use detlock_vm::{Backend, ChunkParams, Sched};
+use detlock_workloads::radiosity::{self, RadiosityParams};
+use detlock_workloads::{racy, Workload};
+use std::collections::HashMap;
+use std::fmt::Write;
+use std::sync::Arc;
+
+/// A program in both forms the modes need: `source` for the modes that run
+/// the uninstrumented binary, `inst` (every optimization, ticks at block
+/// start) for `ClocksOnly` and `Det`.
+struct Shape {
+    name: &'static str,
+    source: Module,
+    inst: Module,
+    specs: Vec<ThreadSpec>,
+    mem_words: usize,
+}
+
+impl Shape {
+    fn new(
+        name: &'static str,
+        source: Module,
+        entries: &[FuncId],
+        specs: Vec<ThreadSpec>,
+        mem_words: usize,
+        cost: &CostModel,
+    ) -> Shape {
+        let inst = instrument(&source, cost, &OptConfig::all(), Placement::Start, entries).module;
+        Shape {
+            name,
+            source,
+            inst,
+            specs,
+            mem_words,
+        }
+    }
+
+    fn from_workload(name: &'static str, w: Workload, cost: &CostModel) -> Shape {
+        let specs = w
+            .threads
+            .iter()
+            .map(|t| ThreadSpec {
+                func: t.func,
+                args: t.args.clone(),
+            })
+            .collect();
+        Shape::new(name, w.module, &w.entries, specs, w.mem_words, cost)
+    }
+}
+
+/// `threads` × `iters` × {lock 1, increment one shared word, unlock, 8 ALU
+/// ops} and, with `with_barrier`, a barrier closing every iteration: one
+/// synchronization per ~13 instructions, so some thread is waiting on
+/// nearly every cycle.
+fn hammer(
+    name: &'static str,
+    threads: usize,
+    iters: i64,
+    with_barrier: bool,
+    cost: &CostModel,
+) -> Shape {
+    let mut module = Module::new();
+    let mut fb = FunctionBuilder::new(name, 1);
+    fb.block("entry");
+    let head = fb.create_block("loop.cond");
+    let body = fb.create_block("loop.body");
+    let done = fb.create_block("done");
+    let iters_reg = fb.param(0);
+    let i = fb.iconst(0);
+    let word = fb.iconst(8);
+    fb.br(head);
+
+    fb.switch_to(head);
+    let c = fb.cmp(CmpOp::Lt, i, iters_reg);
+    fb.cond_br(c, body, done);
+
+    fb.switch_to(body);
+    fb.lock(1i64);
+    let v = fb.load(word, 0);
+    let v2 = fb.add(v, 1);
+    fb.store(word, 0, v2);
+    fb.unlock(1i64);
+    fb.compute(8);
+    if with_barrier {
+        fb.barrier(BarrierId(0));
+    }
+    fb.bin_to(BinOp::Add, i, i, 1);
+    fb.br(head);
+
+    fb.switch_to(done);
+    fb.ret_void();
+    let entry = fb.finish_into(&mut module);
+    let specs = (0..threads)
+        .map(|_| ThreadSpec {
+            func: entry,
+            args: vec![iters],
+        })
+        .collect();
+    Shape::new(name, module, &[entry], specs, 1 << 10, cost)
+}
+
+/// The grid's four programs. Thread counts differ on purpose: 3 is not a
+/// power of two, so the service-order rotation `(cycle · φ64 + seed) mod n`
+/// takes its general path there. Radiosity comes from the caller: the
+/// golden table runs scale 0.05, the stepped runs [`stepped_radiosity`].
+fn shapes(cost: &CostModel, radiosity: Workload) -> Vec<Shape> {
+    vec![
+        hammer("lock-hammer", 4, 100, false, cost),
+        hammer("barrier-hammer", 3, 60, true, cost),
+        Shape::from_workload("radiosity", radiosity, cost),
+        Shape::from_workload("deadlock-control", racy::build_deadlock(3), cost),
+    ]
+}
+
+/// Words of memory for the stepped runs, which copy the memory image every
+/// cycle: every address radiosity's two threads and the deadlock control's
+/// three touch lies below it (queue head 0, elements from 2048, scratch
+/// regions from 4096 + 1024·tid), so nothing aliases and the programs run
+/// as they do in their own 65 536.
+const STEPPED_MEM: usize = 8192;
+
+/// Radiosity cut down for one snapshot per cycle: a short queue of tasks
+/// with one subdivision pass per kind instead of seven, which also raises
+/// the share of cycles spent at the queue lock.
+fn stepped_radiosity() -> Workload {
+    let params = RadiosityParams {
+        tasks: 12,
+        ..RadiosityParams::scaled(0.05)
+    };
+    radiosity::build_with_iters(2, &params, 1)
+}
+
+/// Small chunks, so the store-counter clocks actually move on these short
+/// programs (the default 1024-store chunk never overflows here).
+const CHUNK: ChunkParams = ChunkParams {
+    chunk_size: 8,
+    interrupt_cost: 40,
+};
+
+/// One grid column: label, mode, policy, and whether the mode runs the
+/// instrumented module. Policy and backend are always set explicitly, so
+/// `DETLOCK_SCHEDULER` / `DETLOCK_BACKEND` cannot reroute a cell.
+type Config = (&'static str, ExecMode, Sched, bool);
+
+fn configs() -> [Config; 8] {
+    [
+        ("baseline", ExecMode::Baseline, Sched::Kendo, false),
+        ("clocks-only", ExecMode::ClocksOnly, Sched::Kendo, true),
+        ("det+kendo", ExecMode::Det, Sched::Kendo, true),
+        ("det+chunk", ExecMode::Det, Sched::Chunk(CHUNK), true),
+        ("det+dc-batch", ExecMode::Det, Sched::DcBatch, true),
+        ("kendo+chunk", ExecMode::Kendo, Sched::Chunk(CHUNK), false),
+        (
+            "bulk-sync",
+            ExecMode::BulkSync(BulkSyncParams::default()),
+            Sched::Kendo,
+            false,
+        ),
+        ("replay", ExecMode::Replay, Sched::Kendo, false),
+    ]
+}
+
+const SEEDS: [u64; 2] = [1, 31337];
+
+/// The module and machine configuration of one grid cell. A `Replay` cell
+/// follows the grant log of a baseline run under *different* jitter, so the
+/// log regularly names a thread that has not arrived yet and the others
+/// have to be held back.
+fn cell<'s>(
+    shape: &'s Shape,
+    (_, mode, scheduler, instrumented): Config,
+    seed: u64,
+    backend: Backend,
+    cost: &CostModel,
+) -> (&'s Module, MachineConfig) {
+    let mut cfg = MachineConfig {
+        mode,
+        mem_words: shape.mem_words,
+        jitter: Jitter::default().with_seed(seed),
+        max_cycles: 50_000_000,
+        scheduler,
+        backend,
+        ..MachineConfig::default()
+    };
+    if mode == ExecMode::Replay {
+        let mut rec = cfg.clone();
+        rec.mode = ExecMode::Baseline;
+        rec.jitter.seed = seed + 1000;
+        let (log, _, hit) = record(&shape.source, cost, &shape.specs, rec);
+        assert!(!hit, "{}: recording run hit the cycle limit", shape.name);
+        cfg.replay_log = Arc::new(log.events().to_vec());
+        cfg.lock_order_limit = usize::MAX;
+    }
+    let module = if instrumented {
+        &shape.inst
+    } else {
+        &shape.source
+    };
+    (module, cfg)
+}
+
+fn fnv_words(words: &[i64]) -> u64 {
+    let mut h = 0xcbf29ce484222325u64;
+    for w in words {
+        for b in w.to_le_bytes() {
+            h = (h ^ b as u64).wrapping_mul(0x100000001b3);
+        }
+    }
+    h
+}
+
+/// One golden row: shape, config, jitter seed, then total cycles, the
+/// lock-order hash, the hash of final memory and, per thread,
+/// `[busy_cycles, wait_cycles, lock_clock_bumps, final_clock, finish_cycle]`.
+type Golden = (
+    &'static str,
+    &'static str,
+    u64,
+    u64,
+    u64,
+    u64,
+    &'static [[u64; 5]],
+);
+
+#[rustfmt::skip]
+const GOLDEN: &[Golden] = &[
+    ("lock-hammer", "baseline", 1, 3747, 0xfd9be205312fa995, 0x2c9bb52f5446b93a, &[[2956, 650, 0, 0, 3706], [2980, 597, 0, 0, 3677], [2967, 679, 0, 0, 3746], [2952, 643, 0, 0, 3695]]),
+    ("lock-hammer", "baseline", 31337, 3786, 0x53c0d2e5c48c2e05, 0x2c9bb52f5446b93a, &[[2971, 633, 0, 0, 3704], [2956, 643, 0, 0, 3699], [2952, 733, 0, 0, 3785], [2955, 690, 0, 0, 3745]]),
+    ("lock-hammer", "clocks-only", 1, 6340, 0x8b4aabea952b3695, 0x2c9bb52f5446b93a, &[[4391, 1681, 0, 3306, 6172], [4415, 1468, 0, 3306, 5983], [4401, 1838, 0, 3306, 6339], [4372, 1760, 0, 3306, 6232]]),
+    ("lock-hammer", "clocks-only", 31337, 6282, 0xd2d3cb83bf5c8b75, 0x2c9bb52f5446b93a, &[[4396, 1603, 0, 3306, 6099], [4388, 1778, 0, 3306, 6266], [4379, 1802, 0, 3306, 6281], [4386, 1629, 0, 3306, 6115]]),
+    ("lock-hammer", "det+kendo", 1, 59777, 0xee5bf44a6442a7a5, 0x2c9bb52f5446b93a, &[[16391, 26814, 396, 3902, 43305], [16415, 26928, 409, 3915, 43443], [16401, 26957, 422, 3928, 43458], [16372, 43304, 3900, 7406, 59776]]),
+    ("lock-hammer", "det+kendo", 31337, 59772, 0xee5bf44a6442a7a5, 0x2c9bb52f5446b93a, &[[16396, 26790, 396, 3902, 43286], [16388, 26936, 409, 3915, 43424], [16379, 26960, 422, 3928, 43439], [16386, 43285, 3900, 7406, 59771]]),
+    ("lock-hammer", "det+chunk", 1, 61829, 0xee5bf44a6442a7a5, 0x2c9bb52f5446b93a, &[[16871, 27906, 588, 4190, 44877], [16895, 28020, 601, 4203, 45015], [16881, 28049, 614, 4216, 45030], [16852, 44876, 4188, 7790, 61828]]),
+    ("lock-hammer", "det+chunk", 31337, 61822, 0xee5bf44a6442a7a5, 0x2c9bb52f5446b93a, &[[16876, 27880, 588, 4190, 44856], [16868, 28026, 601, 4203, 44994], [16859, 28050, 614, 4216, 45009], [16866, 44855, 4188, 7790, 61821]]),
+    ("lock-hammer", "det+dc-batch", 1, 65941, 0x3d4ed06289906e25, 0x2c9bb52f5446b93a, &[[16391, 48963, 0, 3506, 65454], [16415, 49101, 0, 3506, 65616], [16401, 49278, 0, 3506, 65779], [16372, 49468, 0, 3506, 65940]]),
+    ("lock-hammer", "det+dc-batch", 31337, 65911, 0x3d4ed06289906e25, 0x2c9bb52f5446b93a, &[[16396, 48931, 0, 3506, 65427], [16388, 49100, 0, 3506, 65588], [16379, 49270, 0, 3506, 65749], [16386, 49424, 0, 3506, 65910]]),
+    ("lock-hammer", "kendo+chunk", 1, 62161, 0xf99e92a1a2de05e5, 0x2c9bb52f5446b93a, &[[15436, 0, 0, 296, 15536], [15460, 15531, 296, 592, 31091], [15447, 31086, 592, 888, 46633], [15432, 46628, 888, 1184, 62160]]),
+    ("lock-hammer", "kendo+chunk", 31337, 62140, 0xf99e92a1a2de05e5, 0x2c9bb52f5446b93a, &[[15451, 0, 0, 296, 15551], [15436, 15546, 296, 592, 31082], [15432, 31077, 592, 888, 46609], [15435, 46604, 888, 1184, 62139]]),
+    ("lock-hammer", "bulk-sync", 1, 133036, 0xf99e92a1a2de05e5, 0x2c9bb52f5446b93a, &[[2956, 30198, 0, 0, 33254], [2980, 63348, 0, 0, 66528], [2967, 96522, 0, 0, 99789], [2952, 129683, 0, 0, 133035]]),
+    ("lock-hammer", "bulk-sync", 31337, 133015, 0xf99e92a1a2de05e5, 0x2c9bb52f5446b93a, &[[2971, 30198, 0, 0, 33269], [2956, 63363, 0, 0, 66519], [2952, 96513, 0, 0, 99765], [2955, 129659, 0, 0, 133014]]),
+    ("lock-hammer", "replay", 1, 3791, 0x1a05a95a65388df5, 0x2c9bb52f5446b93a, &[[2956, 726, 0, 0, 3782], [2980, 690, 0, 0, 3770], [2967, 723, 0, 0, 3790], [2952, 687, 0, 0, 3739]]),
+    ("lock-hammer", "replay", 31337, 3844, 0x4a8c41a680f88765, 0x2c9bb52f5446b93a, &[[2971, 751, 0, 0, 3822], [2956, 780, 0, 0, 3836], [2952, 750, 0, 0, 3802], [2955, 788, 0, 0, 3843]]),
+    ("barrier-hammer", "baseline", 1, 3274, 0x9093ef59d4427895, 0x65b2ff4c7b953791, &[[2013, 1080, 0, 0, 3273], [2015, 1078, 0, 0, 3273], [2039, 1054, 0, 0, 3273]]),
+    ("barrier-hammer", "baseline", 31337, 3282, 0xcdec4c4a09534ff5, 0x65b2ff4c7b953791, &[[2025, 1076, 0, 0, 3281], [2015, 1086, 0, 0, 3281], [2010, 1091, 0, 0, 3281]]),
+    ("barrier-hammer", "clocks-only", 1, 5131, 0x66132d4517289825, 0x65b2ff4c7b953791, &[[3123, 1827, 0, 2348, 5130], [3144, 1805, 0, 2348, 5129], [3131, 1818, 0, 2348, 5129]]),
+    ("barrier-hammer", "clocks-only", 31337, 5115, 0x66cffc360aadd2b5, 0x65b2ff4c7b953791, &[[3135, 1798, 0, 2348, 5113], [3120, 1814, 0, 2348, 5114], [3116, 1818, 0, 2348, 5114]]),
+    ("barrier-hammer", "det+kendo", 1, 27966, 0x0596f581c6bc84a5, 0x65b2ff4c7b953791, &[[10323, 17460, 0, 4088, 27963], [10344, 17440, 780, 4088, 27964], [10331, 17454, 1560, 4088, 27965]]),
+    ("barrier-hammer", "det+kendo", 31337, 27955, 0x0596f581c6bc84a5, 0x65b2ff4c7b953791, &[[10335, 17437, 0, 4088, 27952], [10320, 17453, 780, 4088, 27953], [10316, 17458, 1560, 4088, 27954]]),
+    ("barrier-hammer", "det+chunk", 1, 28779, 0x0596f581c6bc84a5, 0x65b2ff4c7b953791, &[[10603, 17993, 0, 4256, 28776], [10624, 17973, 836, 4256, 28777], [10611, 17987, 1672, 4256, 28778]]),
+    ("barrier-hammer", "det+chunk", 31337, 28776, 0x0596f581c6bc84a5, 0x65b2ff4c7b953791, &[[10615, 17978, 0, 4256, 28773], [10600, 17994, 836, 4256, 28774], [10596, 17999, 1672, 4256, 28775]]),
+    ("barrier-hammer", "det+dc-batch", 1, 29596, 0x0596f581c6bc84a5, 0x65b2ff4c7b953791, &[[10323, 19092, 0, 2528, 29595], [10344, 19071, 0, 2528, 29595], [10331, 19084, 0, 2528, 29595]]),
+    ("barrier-hammer", "det+dc-batch", 31337, 29570, 0x0596f581c6bc84a5, 0x65b2ff4c7b953791, &[[10335, 19054, 0, 2528, 29569], [10320, 19069, 0, 2528, 29569], [10316, 19073, 0, 2528, 29569]]),
+    ("barrier-hammer", "kendo+chunk", 1, 27909, 0x0596f581c6bc84a5, 0x65b2ff4c7b953791, &[[9493, 18233, 0, 588, 27906], [9495, 18232, 176, 588, 27907], [9519, 18209, 352, 588, 27908]]),
+    ("barrier-hammer", "kendo+chunk", 31337, 27889, 0x0596f581c6bc84a5, 0x65b2ff4c7b953791, &[[9505, 18201, 0, 588, 27886], [9495, 18212, 176, 588, 27887], [9490, 18218, 352, 588, 27888]]),
+    ("barrier-hammer", "bulk-sync", 1, 77752, 0x0596f581c6bc84a5, 0x65b2ff4c7b953791, &[[2013, 75438, 0, 0, 77751], [2015, 75436, 0, 0, 77751], [2039, 75412, 0, 0, 77751]]),
+    ("barrier-hammer", "bulk-sync", 31337, 77739, 0x0596f581c6bc84a5, 0x65b2ff4c7b953791, &[[2025, 75413, 0, 0, 77738], [2015, 75423, 0, 0, 77738], [2010, 75428, 0, 0, 77738]]),
+    ("barrier-hammer", "replay", 1, 3345, 0x40bbb9d204bfb765, 0x65b2ff4c7b953791, &[[2013, 1151, 0, 0, 3344], [2015, 1149, 0, 0, 3344], [2039, 1124, 0, 0, 3343]]),
+    ("barrier-hammer", "replay", 31337, 3328, 0x5f72fcf057d10385, 0x65b2ff4c7b953791, &[[2025, 1122, 0, 0, 3327], [2015, 1132, 0, 0, 3327], [2010, 1137, 0, 0, 3327]]),
+    ("radiosity", "baseline", 1, 409199, 0x3f470632068c3085, 0xf957f7156fbe6aa3, &[[408686, 455, 0, 0, 409198], [400670, 959, 0, 0, 401714]]),
+    ("radiosity", "baseline", 31337, 408739, 0x3f470632068c3085, 0xf957f7156fbe6aa3, &[[408255, 426, 0, 0, 408738], [400647, 830, 0, 0, 401562]]),
+    ("radiosity", "clocks-only", 1, 429585, 0x2ce046cc0ae6bd45, 0xf957f7156fbe6aa3, &[[428077, 731, 0, 399153, 428855], [428859, 630, 0, 390028, 429584]]),
+    ("radiosity", "clocks-only", 31337, 429412, 0x2ce046cc0ae6bd45, 0xf957f7156fbe6aa3, &[[427643, 1001, 0, 399153, 428691], [428795, 521, 0, 390028, 429411]]),
+    ("radiosity", "det+kendo", 1, 450295, 0x9d7960f3dee36e65, 0x9b332a88462dc29b, &[[437096, 8262, 0, 392033, 445441], [436876, 13359, 1422, 398854, 450294]]),
+    ("radiosity", "det+kendo", 31337, 450099, 0x9d7960f3dee36e65, 0x9b332a88462dc29b, &[[436647, 8530, 0, 392033, 445260], [436793, 13246, 1422, 398854, 450098]]),
+    ("radiosity", "det+chunk", 1, 587120, 0xaa985ca8e87d9825, 0x9b332a88462dc29b, &[[569296, 11970, 299, 418772, 581349], [568076, 18984, 1534, 425206, 587119]]),
+    ("radiosity", "det+chunk", 31337, 586841, 0xaa985ca8e87d9825, 0x9b332a88462dc29b, &[[568847, 12153, 299, 418772, 581083], [567993, 18788, 1534, 425206, 586840]]),
+    ("radiosity", "det+dc-batch", 1, 809438, 0x4b44b547a5fdb3cd, 0x45fd079683e41601, &[[449334, 359181, 0, 405077, 808586], [424611, 384755, 0, 384388, 809437]]),
+    ("radiosity", "det+dc-batch", 31337, 808941, 0x4b44b547a5fdb3cd, 0x45fd079683e41601, &[[448961, 359054, 0, 405077, 808086], [424580, 384289, 0, 384388, 808940]]),
+    ("radiosity", "kendo+chunk", 1, 566809, 0xf6d449e1bbc7e211, 0x9b332a88462dc29b, &[[550678, 16069, 84, 26678, 566808], [539091, 24835, 154, 26524, 564007]]),
+    ("radiosity", "kendo+chunk", 31337, 566678, 0xf6d449e1bbc7e211, 0x9b332a88462dc29b, &[[550260, 16356, 84, 26678, 566677], [539077, 24720, 154, 26524, 563878]]),
+    ("radiosity", "bulk-sync", 1, 666335, 0x4ba19c7c166a8061, 0xf957f7156fbe6aa3, &[[401359, 263610, 0, 0, 665163], [407990, 258149, 0, 0, 666334]]),
+    ("radiosity", "bulk-sync", 31337, 666096, 0x4ba19c7c166a8061, 0xf957f7156fbe6aa3, &[[400943, 263791, 0, 0, 664928], [407951, 257949, 0, 0, 666095]]),
+    ("radiosity", "replay", 1, 409199, 0x3f470632068c3085, 0xf957f7156fbe6aa3, &[[408686, 455, 0, 0, 409198], [400670, 959, 0, 0, 401714]]),
+    ("radiosity", "replay", 31337, 408739, 0x3f470632068c3085, 0xf957f7156fbe6aa3, &[[408255, 426, 0, 0, 408738], [400647, 830, 0, 0, 401562]]),
+    ("deadlock-control", "baseline", 1, 82, 0xe89466ae75a1e944, 0x71d4a8e60bcf2125, &[[38, 0, 0, 0, 42], [38, 20, 0, 0, 62], [38, 39, 0, 0, 81]]),
+    ("deadlock-control", "baseline", 31337, 83, 0x5a1b9ad3f5ae8ea4, 0x71d4a8e60bcf2125, &[[38, 0, 0, 0, 42], [39, 39, 0, 0, 82], [38, 20, 0, 0, 62]]),
+    ("deadlock-control", "clocks-only", 1, 151, 0xe89466ae75a1e944, 0x71d4a8e60bcf2125, &[[71, 0, 0, 47, 75], [69, 41, 0, 45, 114], [68, 78, 0, 45, 150]]),
+    ("deadlock-control", "clocks-only", 31337, 153, 0x5a1b9ad3f5ae8ea4, 0x71d4a8e60bcf2125, &[[68, 0, 0, 47, 72], [69, 79, 0, 45, 152], [68, 42, 0, 45, 114]]),
+    ("deadlock-control", "det+kendo", 1, 888, 0xe89466ae75a1e944, 0x71d4a8e60bcf2125, &[[311, 1, 0, 52, 316], [309, 292, 0, 82, 605], [308, 575, 27, 109, 887]]),
+    ("deadlock-control", "det+kendo", 31337, 885, 0xe89466ae75a1e944, 0x71d4a8e60bcf2125, &[[308, 1, 0, 52, 313], [309, 289, 0, 82, 602], [308, 572, 27, 109, 884]]),
+    ("deadlock-control", "det+chunk", 1, 888, 0xe89466ae75a1e944, 0x71d4a8e60bcf2125, &[[311, 1, 0, 52, 316], [309, 292, 0, 82, 605], [308, 575, 27, 109, 887]]),
+    ("deadlock-control", "det+chunk", 31337, 885, 0xe89466ae75a1e944, 0x71d4a8e60bcf2125, &[[308, 1, 0, 52, 313], [309, 289, 0, 82, 602], [308, 572, 27, 109, 884]]),
+    ("deadlock-control", "det+dc-batch", 1, 888, 0xe89466ae75a1e944, 0x71d4a8e60bcf2125, &[[311, 3, 0, 52, 318], [309, 290, 0, 82, 603], [308, 575, 0, 82, 887]]),
+    ("deadlock-control", "det+dc-batch", 31337, 885, 0xe89466ae75a1e944, 0x71d4a8e60bcf2125, &[[308, 3, 0, 52, 315], [309, 287, 0, 82, 600], [308, 572, 0, 82, 884]]),
+    ("deadlock-control", "kendo+chunk", 1, 813, 0xe89466ae75a1e944, 0x71d4a8e60bcf2125, &[[278, 0, 0, 5, 282], [278, 265, 0, 9, 547], [278, 530, 4, 13, 812]]),
+    ("deadlock-control", "kendo+chunk", 31337, 814, 0xe89466ae75a1e944, 0x71d4a8e60bcf2125, &[[278, 0, 0, 5, 282], [279, 265, 0, 9, 548], [278, 531, 4, 13, 813]]),
+    ("deadlock-control", "bulk-sync", 1, 2204, 0xe89466ae75a1e944, 0x71d4a8e60bcf2125, &[[38, 909, 0, 0, 951], [38, 1533, 0, 0, 1577], [38, 2157, 0, 0, 2203]]),
+    ("deadlock-control", "bulk-sync", 31337, 2205, 0xe89466ae75a1e944, 0x71d4a8e60bcf2125, &[[38, 909, 0, 0, 951], [39, 1533, 0, 0, 1578], [38, 2158, 0, 0, 2204]]),
+    ("deadlock-control", "replay", 1, 82, 0x5a1b9ad3f5ae8ea4, 0x71d4a8e60bcf2125, &[[38, 0, 0, 0, 42], [38, 39, 0, 0, 81], [38, 21, 0, 0, 63]]),
+    ("deadlock-control", "replay", 31337, 81, 0xe89466ae75a1e944, 0x71d4a8e60bcf2125, &[[38, 0, 0, 0, 42], [39, 20, 0, 0, 63], [38, 38, 0, 0, 80]]),
+];
+
+#[test]
+fn golden_table() {
+    let cost = CostModel::default();
+    let mut actual = String::new();
+    let mut rows = GOLDEN.iter();
+    let mut mismatches = Vec::new();
+    let radiosity = radiosity::build(2, &RadiosityParams::scaled(0.05));
+    for shape in shapes(&cost, radiosity) {
+        for config in configs() {
+            for seed in SEEDS {
+                let run = |backend| {
+                    let (module, cfg) = cell(&shape, config, seed, backend, &cost);
+                    let (m, mem, hit) =
+                        Machine::new(module, &cost, &shape.specs, cfg).run_with_memory();
+                    assert!(!hit, "{} / {} hit the cycle limit", shape.name, config.0);
+                    let threads: Vec<[u64; 5]> = m
+                        .per_thread
+                        .iter()
+                        .map(|t| {
+                            [
+                                t.busy_cycles,
+                                t.wait_cycles,
+                                t.lock_clock_bumps,
+                                t.final_clock,
+                                t.finish_cycle,
+                            ]
+                        })
+                        .collect();
+                    (m.cycles, m.lock_order_hash, fnv_words(&mem), threads)
+                };
+                let got = run(Backend::Interp);
+                let ctx = format!("{} / {} / seed {seed}", shape.name, config.0);
+                assert_eq!(got, run(Backend::Threaded), "backends disagree: {ctx}");
+                writeln!(
+                    actual,
+                    "    ({:?}, {:?}, {seed}, {}, {:#018x}, {:#018x}, &{:?}),",
+                    shape.name, config.0, got.0, got.1, got.2, got.3
+                )
+                .unwrap();
+                let pinned = rows.next().is_some_and(|g| {
+                    (g.0, g.1, g.2) == (shape.name, config.0, seed)
+                        && (g.3, g.4, g.5, g.6) == (got.0, got.1, got.2, &got.3[..])
+                });
+                if !pinned {
+                    mismatches.push(ctx);
+                }
+            }
+        }
+    }
+    assert!(
+        mismatches.is_empty() && rows.next().is_none(),
+        "simulated numbers moved in {mismatches:?}; the table as this build computes it:\n{actual}"
+    );
+}
+
+/// Run one cell with a snapshot every `every` cycles. Returns the outcome
+/// and the deep digest at every boundary that `keep` selects.
+fn stream(
+    module: &Module,
+    cost: &CostModel,
+    specs: &[ThreadSpec],
+    cfg: &MachineConfig,
+    every: u64,
+    keep: impl Fn(u64) -> bool,
+) -> (RunOutcome, HashMap<u64, u64>) {
+    let mut digests = HashMap::new();
+    let outcome =
+        Machine::new(module, cost, specs, cfg.clone()).run_with_checkpoints(every, &mut |ckpt| {
+            if keep(ckpt.cycle()) {
+                digests.insert(ckpt.cycle(), ckpt.digest());
+            }
+            CkptControl::Continue
+        });
+    (outcome, digests)
+}
+
+/// Intervals the stepped run is compared against: one that cuts most
+/// multi-cycle advances short and one that almost never does.
+const INTERVALS: [u64; 2] = [7, 1000];
+
+#[test]
+fn checkpoint_interval_one_is_the_stepped_oracle() {
+    let cost = CostModel::default();
+    for mut shape in shapes(&cost, stepped_radiosity()) {
+        shape.mem_words = shape.mem_words.min(STEPPED_MEM);
+        for config in configs() {
+            for seed in SEEDS {
+                for backend in [Backend::Interp, Backend::Threaded] {
+                    let ctx = format!("{} / {} / seed {seed} / {backend:?}", shape.name, config.0);
+                    let (module, mut cfg) = cell(&shape, config, seed, backend, &cost);
+                    // Radiosity's shadow memory is a map entry per touched
+                    // word, cloned by every snapshot: with it, interval 1
+                    // costs ten times the rest of this test.
+                    cfg.sanitize = shape.name != "radiosity";
+                    let (stepped, oracle) = stream(module, &cost, &shape.specs, &cfg, 1, |c| {
+                        INTERVALS.iter().any(|&e| c.is_multiple_of(e))
+                    });
+                    for every in INTERVALS {
+                        let (outcome, digests) =
+                            stream(module, &cost, &shape.specs, &cfg, every, |_| true);
+                        assert_eq!(outcome, stepped, "every {every} vs every 1: {ctx}");
+                        for (cycle, digest) in digests {
+                            assert_eq!(
+                                Some(&digest),
+                                oracle.get(&cycle),
+                                "state at cycle {cycle}, every {every} vs every 1: {ctx}"
+                            );
+                        }
+                    }
+                    let (metrics, memory, hit_limit, sanitizer) =
+                        Machine::new(module, &cost, &shape.specs, cfg).run_sanitized();
+                    let plain = RunOutcome::Finished {
+                        metrics,
+                        memory,
+                        hit_limit,
+                        sanitizer,
+                    };
+                    assert_eq!(plain, stepped, "run() vs every 1: {ctx}");
+                }
+            }
+        }
+    }
+}
+
+/// A run of consecutive cycle limits is certain to put some of them
+/// strictly inside a multi-cycle advance: on the hammers the 124-cycle
+/// countdown after every deterministic grant alone covers most cycles.
+#[test]
+fn a_cycle_limit_inside_a_skip_cuts_where_the_stepper_does() {
+    let cost = CostModel::default();
+    for shape in shapes(&cost, stepped_radiosity()).iter().take(2) {
+        for config in configs() {
+            let (module, cfg) = cell(shape, config, 1, Backend::Threaded, &cost);
+            for limit in 150..400 {
+                let ctx = format!("{} / {} / limit {limit}", shape.name, config.0);
+                let mut cfg = cfg.clone();
+                cfg.max_cycles = limit;
+                let (stepped, _) = stream(module, &cost, &shape.specs, &cfg, 1, |_| false);
+                let (metrics, memory, hit_limit, sanitizer) =
+                    Machine::new(module, &cost, &shape.specs, cfg).run_sanitized();
+                assert!(hit_limit, "limit did not cut: {ctx}");
+                assert_eq!(metrics.cycles, limit, "{ctx}");
+                let plain = RunOutcome::Finished {
+                    metrics,
+                    memory,
+                    hit_limit,
+                    sanitizer,
+                };
+                assert_eq!(plain, stepped, "run() vs every 1: {ctx}");
+            }
+        }
+    }
+}
