@@ -17,7 +17,9 @@
 //! the same entry function and arguments, except that the literal `tid` in
 //! `--args` is replaced by the thread index. `--print-passes` lists the
 //! pass pipeline the selected `--opt`/`--placement` lower to and exits;
-//! `--pass-stats` prints per-pass telemetry after instrumenting.
+//! `--pass-stats` prints per-pass telemetry after instrumenting;
+//! `--profile` prints, after `--run`, how the simulator got through the
+//! run: rounds executed, cycles advanced in closed form, scheduler calls.
 //! `--compile-threads N` (or `DETLOCK_COMPILE_THREADS`) sizes the compile
 //! pool and routes the compile through the plan cache — output is
 //! byte-identical at any setting. `--backend interp|threaded` (or
@@ -33,7 +35,7 @@ use detlock_passes::cost::CostModel;
 use detlock_passes::pipeline::{instrument_with, CompileOpts, OptConfig, OptLevel};
 use detlock_passes::plan::Placement;
 use detlock_passes::{render_pass_table, PassPipeline};
-use detlock_vm::machine::{run, ExecMode, Jitter, MachineConfig, ThreadSpec};
+use detlock_vm::machine::{ExecMode, Jitter, Machine, MachineConfig, RoundProfile, ThreadSpec};
 use detlock_vm::{Backend, Sched};
 
 struct Options {
@@ -49,6 +51,7 @@ struct Options {
     estimates: Option<String>,
     print_passes: bool,
     pass_stats: bool,
+    profile: bool,
     compile: CompileOpts,
     scheduler_set: bool,
 }
@@ -61,7 +64,7 @@ fn usage() -> ! {
          \x20          [--backend interp|threaded]\n\
          \x20          [--scheduler kendo|chunk[:SIZE[:COST]]|dc-batch]\n\
          \x20          [--run ENTRY --threads N --mode baseline|clocks|det|kendo\n\
-         \x20           --args a,b,tid --seed S]"
+         \x20           --args a,b,tid --seed S [--profile]]"
     );
     std::process::exit(2);
 }
@@ -80,6 +83,7 @@ fn parse_options() -> Options {
         estimates: None,
         print_passes: false,
         pass_stats: false,
+        profile: false,
         compile: CompileOpts::from_env().cached(),
         scheduler_set: false,
     };
@@ -169,6 +173,7 @@ fn parse_options() -> Options {
             }
             "--print-passes" => o.print_passes = true,
             "--pass-stats" => o.pass_stats = true,
+            "--profile" => o.profile = true,
             "--compile-threads" => {
                 i += 1;
                 let n: usize = argv
@@ -327,16 +332,12 @@ fn main() {
         })
         .collect();
 
-    let (metrics, hit) = run(
-        &out.module,
-        &cost,
-        &threads,
-        MachineConfig {
-            mode: o.mode,
-            jitter: Jitter::default().with_seed(o.seed),
-            ..MachineConfig::default()
-        },
-    );
+    let cfg = MachineConfig {
+        mode: o.mode,
+        jitter: Jitter::default().with_seed(o.seed),
+        ..MachineConfig::default()
+    };
+    let (metrics, hit, profile) = Machine::new(&out.module, &cost, &threads, cfg).run_profiled();
     if hit {
         eprintln!("dlc: run hit the cycle limit (deadlock or runaway loop?)");
         std::process::exit(1);
@@ -359,6 +360,23 @@ fn main() {
         println!(
             "     thread {t}: {} insts, final clock {}, {} acquires, {} stores",
             m.instructions, m.final_clock, m.lock_acquires, m.retired_stores
+        );
+    }
+    if o.profile {
+        let steps: Vec<String> = RoundProfile::STATUS
+            .iter()
+            .zip(profile.steps)
+            .filter(|&(_, n)| n > 0)
+            .map(|(status, n)| format!("{status} {n}"))
+            .collect();
+        println!(
+            "profile: {} event rounds for {} cycles, {} advanced in closed form ({} of them bump rounds)",
+            profile.event_rounds, metrics.cycles, profile.skipped_cycles, profile.collapsed_bumps
+        );
+        println!(
+            "         {} scheduler decisions; steps: {}",
+            profile.decide_calls,
+            steps.join(", ")
         );
     }
 }

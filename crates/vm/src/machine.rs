@@ -51,7 +51,7 @@ use crate::backend::Backend;
 use crate::builtins;
 use crate::metrics::{OrderHasher, RunMetrics, ThreadMetrics};
 use crate::sanitizer::{Sanitizer, SanitizerReport};
-use crate::sched::{ChunkParams, Decision, Phase, Sched, ThreadView};
+use crate::sched::{ChunkParams, Decision, Lease, Phase, Sched, ThreadView};
 use detlock_ir::inst::{Inst, Operand, Terminator};
 use detlock_ir::module::Module;
 use detlock_ir::types::{BlockId, FuncId, Reg};
@@ -247,6 +247,22 @@ pub(crate) enum Status {
     Done,
 }
 
+impl Status {
+    /// `(tag, payload)`: the status as two words, for checkpoint digests;
+    /// the tag also indexes [`RoundProfile::steps`].
+    fn code(self) -> (u64, u64) {
+        match self {
+            Status::Ready => (0, 0),
+            Status::AcquiringLock(id) => (1, id as u64),
+            Status::AcquiringBarrier(id) => (2, id as u64),
+            Status::InBarrier(id) => (3, id as u64),
+            Status::QuantumDone => (4, 0),
+            Status::ExitWait => (5, 0),
+            Status::Done => (6, 0),
+        }
+    }
+}
+
 /// A call-stack frame. `Copy` so the hot loop reads it off the stack
 /// without cloning a heap structure per step.
 #[derive(Debug, Clone, Copy)]
@@ -392,15 +408,7 @@ impl Checkpoint {
             fnv_fold(&mut h, w as u64);
         }
         for th in &self.threads {
-            let (tag, payload) = match th.status {
-                Status::Ready => (0u64, 0u64),
-                Status::AcquiringLock(id) => (1, id as u64),
-                Status::AcquiringBarrier(id) => (2, id as u64),
-                Status::InBarrier(id) => (3, id as u64),
-                Status::QuantumDone => (4, 0),
-                Status::ExitWait => (5, 0),
-                Status::Done => (6, 0),
-            };
+            let (tag, payload) = th.status.code();
             fnv_fold(&mut h, tag);
             fnv_fold(&mut h, payload);
             fnv_fold(&mut h, th.clock);
@@ -649,46 +657,64 @@ pub(crate) struct DetCore<'m> {
     /// from retired stores. Consulted on every store retirement and by
     /// the threaded backend's fusion gate. Derived, never checkpointed.
     pub(crate) chunk: Option<ChunkParams>,
+    /// `cfg.mode` is [`ExecMode::BulkSync`], hoisted: consulted by every
+    /// round and step.
+    bulk: bool,
     /// Scratch view buffer handed to the scheduler each round — rebuilt
     /// per round, so not part of a [`Checkpoint`].
     views: Vec<ThreadView>,
+    /// What the round loop has done so far. Like `views`, about the
+    /// simulator rather than the simulated run: not part of a
+    /// [`Checkpoint`], of [`RunMetrics`] or of anything compared for
+    /// identity.
+    profile: RoundProfile,
     /// Scratch buffer for builtin-call argument evaluation — transient
     /// within one `exec_next`, so it is *not* part of a [`Checkpoint`].
     pub(crate) scratch_args: Vec<i64>,
     /// Checkpoint interval of the driving loop (0 = none). Derived from the
     /// caller each run — not machine state, so not part of a [`Checkpoint`]
-    /// — and consulted only to clamp the countdown fast-forward in
-    /// [`DetCore::round`] so batching never skips a snapshot boundary.
+    /// — and consulted only to stop the time advance in [`DetCore::round`]
+    /// (and a fused run in the threaded backend) at a snapshot boundary.
     pub(crate) ckpt_every: u64,
     /// `mem.len() - 1` when the memory size is a power of two: address
     /// wrapping then becomes a mask instead of a 64-bit `rem_euclid`
     /// division per load/store. Derived from `mem`, never checkpointed.
     pub(crate) mem_mask: Option<u64>,
-    /// Rotation cache (all derived, never checkpointed): `rot_start` is
-    /// `(rot_cycle · φ64 + jitter.seed) mod n` and `rot_acc` the same
-    /// product before the reduction. [`DetCore::rotation_start`] keeps them
-    /// in sync with `cycle`, advancing incrementally (no division) in the
-    /// common +1 case.
-    pub(crate) rot_cycle: u64,
-    pub(crate) rot_acc: u64,
-    pub(crate) rot_start: usize,
-    /// `φ64 mod n` — the per-cycle rotation stride after reduction.
-    pub(crate) rot_stride: usize,
-    /// `(n - 2^64 mod n) mod n` — correction applied when `rot_acc` wraps.
-    pub(crate) rot_wrap_adj: usize,
 }
 
 /// The rotation multiplier (64-bit golden ratio; Weyl sequence over tids).
 const ROT_MUL: u64 = 0x9e3779b97f4a7c15;
 
-/// Initial rotation cache for a core at `cycle` with `n` threads: returns
-/// `(rot_cycle, rot_acc, rot_start, rot_stride, rot_wrap_adj)`.
-fn init_rotation(cycle: u64, seed: u64, n: usize) -> (u64, u64, usize, usize, usize) {
-    let acc = cycle.wrapping_mul(ROT_MUL).wrapping_add(seed);
-    let start = (acc % n as u64) as usize;
-    let stride = (ROT_MUL % n as u64) as usize;
-    let wrap_adj = ((n as u128 - (1u128 << 64) % n as u128) % n as u128) as usize;
-    (cycle, acc, start, stride, wrap_adj)
+/// Work counters of the round loop, for `dlc --profile`: how much of a run
+/// was executed round by round and how much was advanced in closed form.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct RoundProfile {
+    /// Rounds executed in full: a scheduler decision (deterministic modes)
+    /// and one step per thread.
+    pub event_rounds: u64,
+    /// Cycles advanced without a round, as counter arithmetic.
+    pub skipped_cycles: u64,
+    /// Of those, cycles in which a blocked turn holder's bump-and-retry
+    /// was folded into one addition.
+    pub collapsed_bumps: u64,
+    /// Calls of [`Sched::decide`].
+    pub decide_calls: u64,
+    /// `step` calls by the status they found the thread in, in the order
+    /// of [`RoundProfile::STATUS`].
+    pub steps: [u64; 7],
+}
+
+impl RoundProfile {
+    /// Labels for [`RoundProfile::steps`].
+    pub const STATUS: [&'static str; 7] = [
+        "ready",
+        "acquiring-lock",
+        "acquiring-barrier",
+        "in-barrier",
+        "quantum-done",
+        "exit-wait",
+        "done",
+    ];
 }
 
 /// The simulator. Build with [`Machine::new`], run with [`Machine::run`].
@@ -786,8 +812,8 @@ impl<'m> Machine<'m> {
     }
 
     /// The one place a core is assembled: the checkpointed state moves in
-    /// and everything derived (chunk knobs, memory mask, rotation cache,
-    /// scratch buffers, the backend) is rebuilt from `cfg` and that state.
+    /// and everything derived (chunk knobs, memory mask, scratch buffers,
+    /// the backend) is rebuilt from `cfg` and that state.
     fn from_state(
         module: &'m Module,
         cost: &'m CostModel,
@@ -801,12 +827,11 @@ impl<'m> Machine<'m> {
             .len()
             .is_power_of_two()
             .then(|| state.mem.len() as u64 - 1);
-        let (rot_cycle, rot_acc, rot_start, rot_stride, rot_wrap_adj) =
-            init_rotation(state.cycle, cfg.jitter.seed, state.threads.len());
         Machine {
             core: DetCore {
                 module,
                 cost,
+                bulk: cfg.mode.bulk_sync().is_some(),
                 cfg,
                 fingerprint: state.fingerprint,
                 threads: state.threads,
@@ -822,14 +847,10 @@ impl<'m> Machine<'m> {
                 san: state.san,
                 chunk,
                 views: Vec::new(),
+                profile: RoundProfile::default(),
                 scratch_args: Vec::new(),
                 ckpt_every: 0,
                 mem_mask,
-                rot_cycle,
-                rot_acc,
-                rot_start,
-                rot_stride,
-                rot_wrap_adj,
             },
             exec,
         }
@@ -854,11 +875,24 @@ impl<'m> Machine<'m> {
     /// finalized [`SanitizerReport`] when [`MachineConfig::sanitize`] was
     /// set (`None` otherwise).
     pub fn run_sanitized(mut self) -> (RunMetrics, Vec<i64>, bool, Option<SanitizerReport>) {
+        self.drive();
+        self.core.into_results()
+    }
+
+    /// Like [`Machine::run`], additionally returning what the round loop
+    /// did to get there.
+    pub fn run_profiled(mut self) -> (RunMetrics, bool, RoundProfile) {
+        self.drive();
+        let profile = std::mem::take(&mut self.core.profile);
+        let (metrics, _, hit, _) = self.core.into_results();
+        (metrics, hit, profile)
+    }
+
+    fn drive(&mut self) {
         let n = self.core.threads.len();
         while self.core.done_count < n && self.core.cycle < self.core.cfg.max_cycles {
             self.core.round(&self.exec);
         }
-        self.core.into_results()
     }
 
     /// Run with a checkpoint sink: every `every` cycles (a round boundary
@@ -948,11 +982,10 @@ impl<'m> Machine<'m> {
 }
 
 impl<'m> DetCore<'m> {
-    /// One round of the main loop: commit-stall / serial-phase handling in
-    /// bulk-sync mode, otherwise one arbiter turn stepping every thread.
-    /// Advances `self.cycle` by exactly 1 — except when every live thread
-    /// is mid-instruction, where the equivalent of several rounds is
-    /// applied at once (see the countdown fast-forward below).
+    /// One iteration of the main loop: advance simulated time to the next
+    /// event in closed form, then execute that event's round — one arbiter
+    /// decision and one step per thread. Returns early, without the round,
+    /// when the advance reaches `max_cycles` or a checkpoint boundary.
     fn round(&mut self, exec: &ExecImpl) {
         // One enum match per *round*, not per step: `round_inner` is
         // monomorphized per backend, so every `exec_next` call below is a
@@ -965,8 +998,7 @@ impl<'m> DetCore<'m> {
 
     fn round_inner<B: ExecBackend>(&mut self, exec: &B) {
         let n = self.threads.len();
-        let bulk = self.cfg.mode.bulk_sync();
-        if let Some(bp) = bulk {
+        if self.bulk {
             if self.commit_stall > 0 {
                 // Commit phase: every thread stalls.
                 self.commit_stall -= 1;
@@ -979,74 +1011,85 @@ impl<'m> DetCore<'m> {
                 return;
             }
             if self.bulk_round_complete() {
-                self.bulk_serial_phase(bp);
+                self.bulk_serial_phase();
                 self.cycle += 1;
                 return;
             }
         }
-        // One pass over the threads fills the scheduler's view and
-        // computes the countdown fast-forward bound `k` (min `pending` if
-        // every live thread is Ready and mid-instruction, else 0).
-        let mut k = u64::MAX;
-        {
-            let views = &mut self.views;
-            views.clear();
-            for th in &self.threads {
-                let phase = match th.status {
-                    Status::Done => Phase::Done,
-                    Status::Ready => {
-                        if th.pending == 0 {
-                            k = 0;
-                        } else if th.pending < k {
-                            k = th.pending;
-                        }
-                        Phase::Runnable
-                    }
-                    Status::AcquiringLock(_) | Status::AcquiringBarrier(_) | Status::ExitWait => {
-                        k = 0;
-                        Phase::Arbitrating
-                    }
-                    Status::InBarrier(_) | Status::QuantumDone => {
-                        // Parked: no turn participation.
-                        k = 0;
-                        Phase::Parked
-                    }
-                };
-                views.push(ThreadView {
-                    phase,
-                    clock: th.clock,
-                });
-            }
+        // One pass over the threads fills the scheduler's view and finds
+        // the earliest instruction issue: the smallest countdown of a
+        // Ready thread.
+        let mut issue = u64::MAX;
+        self.views.clear();
+        for th in &self.threads {
+            let phase = match th.status {
+                Status::Done => Phase::Done,
+                Status::Ready => {
+                    issue = issue.min(th.pending);
+                    Phase::Runnable
+                }
+                Status::AcquiringLock(_) | Status::AcquiringBarrier(_) | Status::ExitWait => {
+                    Phase::Arbitrating
+                }
+                // Parked: no turn participation.
+                Status::InBarrier(_) | Status::QuantumDone => Phase::Parked,
+            };
+            self.views.push(ThreadView {
+                phase,
+                clock: th.clock,
+            });
         }
-        // Countdown fast-forward: when every live thread is Ready and
-        // mid-instruction (`pending > 0`), the next `k` rounds are pure
-        // counter decrements — no scheduler decision can fire, no RNG is
-        // drawn, no instruction issues. Apply all `k` in one pass. Clamped
-        // so the cycle counter still lands exactly on every checkpoint
-        // boundary and on `max_cycles`; batching is thus invisible to
-        // snapshots, crash plans, and all metrics — and scheduler-agnostic,
-        // because a policy only ever decides *synchronization*, which
-        // cannot happen mid-countdown. (Bulk-sync is excluded: its quantum
-        // bookkeeping runs per cycle.)
-        if bulk.is_none() && k > 0 && k < u64::MAX {
-            k = k.min(self.cfg.max_cycles - self.cycle);
-            if let Some(intervals) = self.cycle.checked_div(self.ckpt_every) {
-                let next = (intervals + 1) * self.ckpt_every;
-                k = k.min(next - self.cycle);
+        // Next-event time advance. Until a thread issues an instruction or
+        // a synchronization event fires, a round only moves counters: a
+        // Ready thread counts down, a waiting one accrues a wait cycle and
+        // a blocked turn holder bumps its clock. No RNG is drawn and the
+        // lock and barrier tables stand still, so those `k` rounds are
+        // applied as arithmetic — repeatedly while only the turn moves on,
+        // which changes who bumps. Stopping at `max_cycles` and at every
+        // checkpoint boundary keeps the advance invisible to snapshots,
+        // crash plans and all metrics.
+        while issue > 0 {
+            let (quiet, bumper) = self.quiet_rounds();
+            if quiet == 0 {
+                break;
             }
+            let mut stop = self.cfg.max_cycles - self.cycle;
+            if self.ckpt_every > 0 {
+                stop = stop.min(self.ckpt_every - self.cycle % self.ckpt_every);
+            }
+            let k = issue.min(quiet).min(stop);
             for th in self.threads.iter_mut() {
-                if th.status != Status::Done {
-                    th.pending -= k;
-                    th.m.busy_cycles += k;
+                match th.status {
+                    Status::Done => {}
+                    Status::Ready => {
+                        th.pending -= k;
+                        th.m.busy_cycles += k;
+                    }
+                    _ => th.m.wait_cycles += k,
                 }
             }
+            if let Some(t) = bumper {
+                self.threads[t].clock += k;
+                self.threads[t].m.lock_clock_bumps += k;
+                self.views[t].clock += k;
+                self.profile.collapsed_bumps += k;
+            }
             self.cycle += k;
-            return;
+            self.profile.skipped_cycles += k;
+            if k == stop {
+                return;
+            }
+            // `u64::MAX` stands for "no Ready thread" and stays.
+            if issue != u64::MAX {
+                issue -= k;
+            }
         }
+        self.profile.event_rounds += 1;
         // Deterministic modes delegate the round's synchronization
         // decision to the policy; nondeterministic modes never consult it
         // (their grants are FCFS / replayed / bulk-serial).
         let turn = if self.cfg.mode.deterministic() {
+            self.profile.decide_calls += 1;
             match self.cfg.scheduler.decide(&self.views) {
                 Decision::Turn(t) => t,
                 Decision::Batch(order) => {
@@ -1060,12 +1103,20 @@ impl<'m> DetCore<'m> {
         };
         // Rotate the service order so baseline FCFS has no fixed
         // lowest-tid bias; in deterministic modes only the turn holder
-        // acts on sync events, so rotation is inert there.
-        let start = self.rotation_start(n);
-        for k in 0..n {
-            // `start + k < 2n`, so a conditional subtraction replaces the
-            // 64-bit modulo the old `(start + k) % n` paid per step.
-            let mut t = start + k;
+        // acts on sync events, so there the rotation only orders same-cycle
+        // memory accesses.
+        let rot = self
+            .cycle
+            .wrapping_mul(ROT_MUL)
+            .wrapping_add(self.cfg.jitter.seed);
+        let start = (rot % n as u64) as usize;
+        // Every thread is stepped; `step` moves those it does not find
+        // `Ready` to their own slot. Counting the common case here, once
+        // per round, keeps the counter out of the per-step path.
+        self.profile.steps[0] += n as u64;
+        for i in 0..n {
+            // `start + i < 2n`: a conditional subtraction, not a modulo.
+            let mut t = start + i;
             if t >= n {
                 t -= n;
             }
@@ -1074,44 +1125,77 @@ impl<'m> DetCore<'m> {
         self.cycle += 1;
     }
 
-    /// `(cycle · φ64 + jitter.seed) mod n`, the round's rotation offset —
-    /// served from the incremental cache. The +1 case (every executing
-    /// round) is a stride add with a wrap correction, no division; any
-    /// other jump (fast-forward, resume) recomputes from scratch.
-    #[inline]
-    fn rotation_start(&mut self, n: usize) -> usize {
-        if self.cycle == self.rot_cycle {
-            return self.rot_start;
+    /// The synchronization half of the time advance: for how many rounds
+    /// from now no synchronization event can fire (the caller bounds this
+    /// by the earliest instruction issue, which is also the earliest a
+    /// lock can be released), and which thread, if any, spends those
+    /// rounds bumping its clock.
+    fn quiet_rounds(&self) -> (u64, Option<usize>) {
+        if self.bulk {
+            // Quantum bookkeeping runs per cycle.
+            return (0, None);
         }
-        if self.cycle == self.rot_cycle.wrapping_add(1) {
-            let old = self.rot_acc;
-            self.rot_acc = old.wrapping_add(ROT_MUL);
-            let mut r = self.rot_start + self.rot_stride;
-            if self.rot_acc < old {
-                // The 2^64 wrap dropped a `2^64 mod n` residue.
-                r += self.rot_wrap_adj;
-            }
-            while r >= n {
-                r -= n;
-            }
-            self.rot_start = r;
-        } else {
-            self.rot_acc = self
-                .cycle
-                .wrapping_mul(ROT_MUL)
-                .wrapping_add(self.cfg.jitter.seed);
-            self.rot_start = (self.rot_acc % n as u64) as usize;
+        if !self.cfg.mode.deterministic() {
+            // No turns: an exit, a barrier arrival or an acquire of a
+            // grantable lock happens in the round it is stepped.
+            let fires = self
+                .threads
+                .iter()
+                .enumerate()
+                .any(|(t, th)| match th.status {
+                    Status::AcquiringBarrier(_) | Status::ExitWait => true,
+                    Status::AcquiringLock(id) => self.grantable(t, id),
+                    _ => false,
+                });
+            return (if fires { 0 } else { u64::MAX }, None);
         }
-        self.rot_cycle = self.cycle;
-        debug_assert_eq!(
-            self.rot_start,
-            ((self
-                .cycle
-                .wrapping_mul(ROT_MUL)
-                .wrapping_add(self.cfg.jitter.seed))
-                % n as u64) as usize
-        );
-        self.rot_start
+        match self.cfg.scheduler.lease(&self.views) {
+            Lease::Batch => (0, None),
+            Lease::Idle => (u64::MAX, None),
+            Lease::Turn { holder, rounds } => {
+                let t = holder as usize;
+                match self.threads[t].status {
+                    // Mid-instruction: its own countdown is the bound.
+                    Status::Ready => (u64::MAX, None),
+                    // Blocked, so it bumps once per round: until the lock
+                    // is logically free or the turn passes on.
+                    Status::AcquiringLock(id) => match self.bumps_until_free(t, id) {
+                        0 => (0, None),
+                        bumps => (bumps.min(rounds), Some(t)),
+                    },
+                    // An exit or a barrier arrival, performed now.
+                    _ => (0, None),
+                }
+            }
+        }
+    }
+
+    /// How often turn holder `t` must bump its clock before lock `id` is
+    /// logically free for it: 0 grants now; `u64::MAX` means physically
+    /// held, which no bump cures. Free but released at a clock `rc` not yet
+    /// in the acquirer's past (the policy's logical-release rule) takes
+    /// `rc − clock + 1` bumps.
+    fn bumps_until_free(&self, t: usize, id: i64) -> u64 {
+        let Some(st) = self.locks.get(&id) else {
+            return 0;
+        };
+        let clock = self.threads[t].clock;
+        match (st.held_by, st.release_clock) {
+            (Some(_), _) => u64::MAX,
+            (None, Some(rc)) if self.cfg.scheduler.uses_release_clocks() && rc >= clock => {
+                rc - clock + 1
+            }
+            _ => 0,
+        }
+    }
+
+    /// Nondeterministic modes: may thread `t` take lock `id` now? First
+    /// come, first served on the physical hold state; a replayed run
+    /// additionally admits only the thread its log names next.
+    fn grantable(&self, t: usize, id: i64) -> bool {
+        let free = self.locks.get(&id).is_none_or(|st| st.held_by.is_none());
+        let next = self.cfg.replay_log.get(self.replay_pos);
+        free && (!self.cfg.mode.replayed() || next == Some(&(id, t as u32)))
     }
 
     fn into_results(self) -> (RunMetrics, Vec<i64>, bool, Option<SanitizerReport>) {
@@ -1127,19 +1211,31 @@ impl<'m> DetCore<'m> {
         (metrics, self.mem, hit_limit, sanitizer)
     }
 
+    /// Reclassify one step from `ready`, where [`DetCore::round`] counted
+    /// it, to the status `step` found the thread in.
+    #[inline]
+    fn count_step(&mut self, status: Status) {
+        self.profile.steps[0] -= 1;
+        self.profile.steps[status.code().0 as usize] += 1;
+    }
+
     fn step<B: ExecBackend>(&mut self, t: usize, turn: Option<u32>, exec: &B) {
         let det = self.cfg.mode.deterministic();
         let tid = t as u32;
-        match self.threads[t].status {
-            Status::Done => {}
+        let status = self.threads[t].status;
+        match status {
+            Status::Done => self.count_step(status),
             Status::InBarrier(_) => {
+                self.count_step(status);
                 self.threads[t].m.wait_cycles += 1;
             }
             Status::QuantumDone => {
+                self.count_step(status);
                 self.threads[t].m.wait_cycles += 1;
             }
             Status::ExitWait => {
-                if self.cfg.mode.bulk_sync().is_some() {
+                self.count_step(status);
+                if self.bulk {
                     // Exits resolve in the serial phase.
                     self.threads[t].m.wait_cycles += 1;
                 } else if !det || turn == Some(tid) {
@@ -1149,7 +1245,8 @@ impl<'m> DetCore<'m> {
                 }
             }
             Status::AcquiringBarrier(id) => {
-                if self.cfg.mode.bulk_sync().is_some() {
+                self.count_step(status);
+                if self.bulk {
                     self.threads[t].m.wait_cycles += 1;
                 } else if !det || turn == Some(tid) {
                     self.arrive_barrier(t, id);
@@ -1158,60 +1255,37 @@ impl<'m> DetCore<'m> {
                 }
             }
             Status::AcquiringLock(id) => {
-                if self.cfg.mode.bulk_sync().is_some() {
+                self.count_step(status);
+                if self.bulk {
                     // Grants happen only in the serial phase.
                     self.threads[t].m.wait_cycles += 1;
                 } else if det {
-                    if turn == Some(tid) {
-                        let (held_by, release_clock) = {
-                            let st = self.locks.entry(id).or_default();
-                            (st.held_by, st.release_clock)
-                        };
-                        let clock = self.threads[t].clock;
-                        // The policy decides whether logical release
-                        // precedence gates the grant (Kendo's rule) on
-                        // top of the physical hold state.
-                        let logically_free = held_by.is_none()
-                            && (!self.cfg.scheduler.uses_release_clocks()
-                                || release_clock.is_none_or(|r| r < clock));
-                        if logically_free {
-                            self.grant_lock(t, id);
-                        } else if self.cfg.scheduler.bumps_on_contention() {
+                    if turn != Some(tid) {
+                        self.threads[t].m.wait_cycles += 1;
+                    } else if self.bumps_until_free(t, id) == 0 {
+                        self.grant_lock(t, id);
+                    } else {
+                        if self.cfg.scheduler.bumps_on_contention() {
                             // Deterministic clock bump and retry (Kendo).
                             self.threads[t].clock += 1;
                             self.threads[t].m.lock_clock_bumps += 1;
-                            self.threads[t].m.wait_cycles += 1;
-                        } else {
-                            self.threads[t].m.wait_cycles += 1;
                         }
-                    } else {
                         self.threads[t].m.wait_cycles += 1;
                     }
-                } else if self.cfg.mode.replayed() {
-                    // Grant only when the log names this thread next for
-                    // this lock (and the lock is physically free).
-                    let held = self.locks.entry(id).or_default().held_by;
-                    let next = self.cfg.replay_log.get(self.replay_pos).copied();
-                    if held.is_none() && next == Some((id, tid)) {
+                } else if self.grantable(t, id) {
+                    if self.cfg.mode.replayed() {
                         self.replay_pos += 1;
-                        self.grant_lock(t, id);
-                    } else {
-                        self.threads[t].m.wait_cycles += 1;
                     }
+                    self.grant_lock(t, id);
                 } else {
-                    let held = self.locks.entry(id).or_default().held_by;
-                    if held.is_none() {
-                        self.grant_lock(t, id);
-                    } else {
-                        self.threads[t].m.wait_cycles += 1;
-                    }
+                    self.threads[t].m.wait_cycles += 1;
                 }
             }
             Status::Ready => {
                 // Bulk-sync quanta are counted in *instructions* (as in
                 // CoreDet), not cycles: jitter must not change which
                 // instructions land in a round, or determinism is lost.
-                if self.cfg.mode.bulk_sync().is_some() && self.threads[t].quantum_left == 0 {
+                if self.bulk && self.threads[t].quantum_left == 0 {
                     self.threads[t].status = Status::QuantumDone;
                     self.threads[t].m.wait_cycles += 1;
                     return;
@@ -1221,7 +1295,7 @@ impl<'m> DetCore<'m> {
                     self.threads[t].m.busy_cycles += 1;
                     return;
                 }
-                if self.cfg.mode.bulk_sync().is_some() {
+                if self.bulk {
                     self.threads[t].quantum_left -= 1;
                 }
                 let mut action = exec.exec_next(self, t);
@@ -1321,7 +1395,8 @@ impl<'m> DetCore<'m> {
     /// Bulk-sync serial phase: commit the round's store buffers (a stall
     /// charged to everyone) and run pending synchronization operations in
     /// thread-id order — CoreDet's deterministic serial mode.
-    fn bulk_serial_phase(&mut self, bp: BulkSyncParams) {
+    fn bulk_serial_phase(&mut self) {
+        let bp = self.cfg.mode.bulk_sync().expect("bulk-sync mode");
         let total_stores: u64 = self.threads.iter().map(|t| t.round_stores).sum();
         self.commit_stall = bp.commit_base + bp.commit_per_store * total_stores;
         for t in 0..self.threads.len() {

@@ -20,7 +20,9 @@
 //! sequence is jitter-invariant too. A policy that peeked at wall-clock
 //! state (cycles, RNG position, the `pending` countdown) would leak
 //! seed-dependence into the lock order and break the weak-determinism
-//! guarantee.
+//! guarantee. [`Sched::lease`] — for how many rounds a decision stands,
+//! which lets the round loop skip the rounds in between — reads the same
+//! slice and nothing more.
 //!
 //! Because different policies legitimately produce different lock orders
 //! (and hence different trace hashes, receipts, and sanitizer reports),
@@ -99,6 +101,29 @@ pub enum Decision {
     /// physically held when their turn comes stay blocked and join a
     /// later batch.
     Batch(Vec<u32>),
+}
+
+/// How long a round's decision is certain to stand — what lets the round
+/// loop advance simulated time to the next event in closed form instead of
+/// asking [`Sched::decide`] once per cycle. Like the decision, a pure
+/// function of the view.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Lease {
+    /// No thread may synchronize, and none will until the view changes.
+    Idle,
+    /// `holder` has the turn. If it is blocked and bumps its clock once
+    /// per round while the rest of the view stands still, `decide` keeps
+    /// naming it for exactly `rounds` rounds, this one included
+    /// (`u64::MAX`: no other thread competes). Only policies that bump on
+    /// contention hand out turns.
+    Turn {
+        /// The thread `decide` names this round.
+        holder: u32,
+        /// Rounds of bump-and-retry until the turn passes on.
+        rounds: u64,
+    },
+    /// A batch commits this round.
+    Batch,
 }
 
 /// Which deterministic scheduling policy arbitrates synchronization. The
@@ -263,9 +288,11 @@ impl Sched {
     #[inline]
     pub fn decide(self, threads: &[ThreadView]) -> Decision {
         match self {
-            Sched::Kendo | Sched::Chunk(_) => Decision::Turn(min_clock_turn(threads)),
+            Sched::Kendo | Sched::Chunk(_) => {
+                Decision::Turn(min_clock_turn(threads).map(|((_, tid), _)| tid))
+            }
             Sched::DcBatch => {
-                if threads.iter().any(|v| v.phase == Phase::Runnable) {
+                if !batch_due(threads) {
                     return Decision::Turn(None);
                 }
                 let mut batch: Vec<u32> = threads
@@ -274,12 +301,29 @@ impl Sched {
                     .filter(|(_, v)| v.phase == Phase::Arbitrating)
                     .map(|(tid, _)| tid as u32)
                     .collect();
-                if batch.is_empty() {
-                    return Decision::Turn(None);
-                }
                 batch.sort_unstable_by_key(|&tid| (threads[tid as usize].clock, tid));
                 Decision::Batch(batch)
             }
+        }
+    }
+
+    /// How long [`Sched::decide`]'s answer for this view stands. Under the
+    /// min-clock policies the holder `(clock, tid)` stays the minimum while
+    /// its bumped key is below the runner-up's `(c2, t2)`: through clock
+    /// `c2` if it wins the tie (`tid < t2`), through `c2 − 1` if not.
+    #[inline]
+    pub fn lease(self, threads: &[ThreadView]) -> Lease {
+        match self {
+            Sched::Kendo | Sched::Chunk(_) => match min_clock_turn(threads) {
+                None => Lease::Idle,
+                Some(((clock, holder), runner_up)) => Lease::Turn {
+                    holder,
+                    rounds: runner_up
+                        .map_or(u64::MAX, |(c2, t2)| c2 - clock + u64::from(holder < t2)),
+                },
+            },
+            Sched::DcBatch if batch_due(threads) => Lease::Batch,
+            Sched::DcBatch => Lease::Idle,
         }
     }
 
@@ -307,20 +351,35 @@ impl std::fmt::Display for Sched {
     }
 }
 
-/// The min-`(clock, tid)` turn over runnable and arbitrating threads —
-/// shared by [`Sched::Kendo`] and [`Sched::Chunk`].
-fn min_clock_turn(threads: &[ThreadView]) -> Option<u32> {
-    let mut best: Option<(u64, u32)> = None;
+/// A turn candidate's `(clock, tid)`: the smallest holds the turn.
+type Key = (u64, u32);
+
+/// The two smallest keys over runnable and arbitrating threads: the turn
+/// holder and its runner-up — shared by [`Sched::Kendo`] and
+/// [`Sched::Chunk`].
+fn min_clock_turn(threads: &[ThreadView]) -> Option<(Key, Option<Key>)> {
+    let mut best: Option<Key> = None;
+    let mut second: Option<Key> = None;
     for (tid, v) in threads.iter().enumerate() {
         if matches!(v.phase, Phase::Parked | Phase::Done) {
             continue;
         }
         let key = (v.clock, tid as u32);
         if best.is_none_or(|b| key < b) {
+            second = best;
             best = Some(key);
+        } else if second.is_none_or(|s| key < s) {
+            second = Some(key);
         }
     }
-    best.map(|(_, tid)| tid)
+    best.map(|b| (b, second))
+}
+
+/// [`Sched::DcBatch`]'s quiescence test: a batch commits exactly when no
+/// live thread is still running and some thread has an event pending.
+fn batch_due(threads: &[ThreadView]) -> bool {
+    !threads.iter().any(|v| v.phase == Phase::Runnable)
+        && threads.iter().any(|v| v.phase == Phase::Arbitrating)
 }
 
 #[cfg(test)]
@@ -418,6 +477,82 @@ mod tests {
             Sched::DcBatch.decide(&quiescent),
             Decision::Batch(vec![1, 3, 0])
         );
+    }
+
+    /// The lease against its definition: bump the holder's clock once per
+    /// round and count how long `decide` keeps naming it.
+    fn assert_lease_matches_iterated_decide(s: Sched, views: &[ThreadView]) {
+        let Lease::Turn { holder, rounds } = s.lease(views) else {
+            assert_eq!(s.lease(views), Lease::Idle, "{views:?}");
+            assert_eq!(s.decide(views), Decision::Turn(None), "{views:?}");
+            return;
+        };
+        let live = views
+            .iter()
+            .filter(|v| matches!(v.phase, Phase::Runnable | Phase::Arbitrating))
+            .count();
+        assert_eq!(rounds == u64::MAX, live == 1, "{views:?}");
+        let mut bumped = views.to_vec();
+        for round in 0..rounds.min(100) {
+            let turn = s.decide(&bumped);
+            assert_eq!(
+                turn,
+                Decision::Turn(Some(holder)),
+                "round {round} of {views:?}"
+            );
+            bumped[holder as usize].clock += 1;
+        }
+        if rounds != u64::MAX {
+            let next = s.decide(&bumped);
+            assert_ne!(
+                next,
+                Decision::Turn(Some(holder)),
+                "lease {rounds} too short: {views:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn lease_counts_the_rounds_a_bumping_holder_keeps_the_turn() {
+        let a = Phase::Arbitrating;
+        let turn = |holder, rounds| Lease::Turn { holder, rounds };
+        // (view, lease): both tie-break directions, equal clocks, a sole
+        // live thread, nobody live.
+        let table: [(&[ThreadView], Lease); 6] = [
+            (&[v(a, 3), v(Phase::Runnable, 7)], turn(0, 5)),
+            (&[v(Phase::Runnable, 7), v(a, 3)], turn(1, 4)),
+            (&[v(a, 4), v(a, 4), v(a, 4)], turn(0, 1)),
+            (
+                &[v(Phase::Parked, 0), v(a, 9), v(a, 2), v(a, 5)],
+                turn(2, 4),
+            ),
+            (
+                &[v(Phase::Done, 0), v(a, 9), v(Phase::Parked, 1)],
+                turn(1, u64::MAX),
+            ),
+            (&[v(Phase::Parked, 3), v(Phase::Done, 1)], Lease::Idle),
+        ];
+        for s in [Sched::Kendo, Sched::Chunk(ChunkParams::default())] {
+            for (views, lease) in table {
+                assert_eq!(s.lease(views), lease, "{s}: {views:?}");
+                assert_lease_matches_iterated_decide(s, views);
+            }
+        }
+        // Random slices; clocks from a narrow range so ties are common.
+        let mut rng = detlock_shim::rng::SmallRng::seed_from_u64(0x1ea5e);
+        let phases = [Phase::Runnable, a, Phase::Parked, Phase::Done];
+        for _ in 0..2000 {
+            let views: Vec<ThreadView> = (0..rng.gen_range_usize(1..7))
+                .map(|_| v(phases[rng.gen_range_usize(0..4)], rng.gen_range(0..12)))
+                .collect();
+            assert_lease_matches_iterated_decide(Sched::Kendo, &views);
+            // A batch policy's lease says whether `decide` commits a batch.
+            let lease = match Sched::DcBatch.decide(&views) {
+                Decision::Batch(_) => Lease::Batch,
+                Decision::Turn(_) => Lease::Idle,
+            };
+            assert_eq!(Sched::DcBatch.lease(&views), lease, "{views:?}");
+        }
     }
 
     #[test]
