@@ -1,7 +1,7 @@
 //! Translation validation of the clock-instrumentation pipeline.
 //!
 //! [`validate`] checks an instrumented module against the
-//! [`PlanCert`](detlock_passes::PlanCert) the pipeline emitted for it,
+//! [`PlanCert`] the pipeline emitted for it,
 //! without trusting any pipeline internals. The obligations, in order:
 //!
 //! 1. **Pre-module sanity** — the baseline carries no ticks (otherwise
@@ -12,7 +12,7 @@
 //!    *add* tick instructions, never touch program code.
 //! 3. **Placement** — each block's ticks are exactly what the cert's
 //!    per-block clock and the cost model's dynamic-tick rule dictate, at
-//!    the claimed [`Placement`](detlock_passes::plan::Placement).
+//!    the claimed [`Placement`].
 //! 4. **Clocked means** — every O1-clocked function is tick-free and its
 //!    claimed mean re-derives from the baseline under the cert's own
 //!    tightness thresholds.

@@ -30,6 +30,7 @@ use detlock_serve::protocol::{batch_request, JobSpec};
 use detlock_serve::receipt::Receipt;
 use detlock_serve::stats::LatencyHistogram;
 use detlock_shim::evloop::Poller;
+use detlock_shim::hash::Fnv64;
 use detlock_shim::json::{Json, ToJson};
 use std::collections::VecDeque;
 use std::net::TcpStream;
@@ -38,12 +39,7 @@ use std::time::{Duration, Instant};
 /// FNV-1a over a counter: the deterministic per-slot draw for hot-key
 /// skew (well-spread, reproducible across sweeps).
 fn slot_hash(n: u64) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in n.to_le_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    Fnv64::of(&n.to_le_bytes())
 }
 
 /// Load-driver shape: connection counts, pipelining depth, skew.

@@ -21,24 +21,10 @@
 //!   recent `capacity` events are retained (a divergence-diagnosis window);
 //!   the hash still covers the complete history.
 
+use detlock_shim::hash::Fnv64;
 use detlock_shim::sync::Mutex;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
-
-/// FNV-1a offset basis (the empty-trace hash).
-const FNV_OFFSET: u64 = 0xcbf29ce484222325;
-/// FNV-1a prime.
-const FNV_PRIME: u64 = 0x100000001b3;
-
-/// Fold one `(lock, tid)` acquisition into an FNV-1a accumulator.
-#[inline]
-fn fnv_fold(mut h: u64, lock: u64, tid: u32) -> u64 {
-    for b in lock.to_le_bytes().iter().chain(tid.to_le_bytes().iter()) {
-        h ^= *b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
 
 /// One recorded acquisition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,7 +43,7 @@ struct TraceState {
     /// Total events ever recorded (≥ `events.len()` in bounded mode).
     total: u64,
     /// Incremental order hash over the complete history.
-    hash: u64,
+    hash: Fnv64,
 }
 
 /// Append-only event recorder; disabled recorders cost one atomic load per
@@ -86,7 +72,7 @@ impl TraceRecorder {
             state: Mutex::new(TraceState {
                 events: VecDeque::new(),
                 total: 0,
-                hash: FNV_OFFSET,
+                hash: Fnv64::new(),
             }),
         }
     }
@@ -105,7 +91,8 @@ impl TraceRecorder {
     pub fn record(&self, lock: u64, tid: u32, clock: u64) {
         if self.is_enabled() {
             let mut st = self.state.lock();
-            st.hash = fnv_fold(st.hash, lock, tid);
+            st.hash.write_u64(lock);
+            st.hash.write(&tid.to_le_bytes());
             st.total += 1;
             if let Some(cap) = self.capacity {
                 if cap == 0 {
@@ -149,7 +136,7 @@ impl TraceRecorder {
     /// Order-sensitive FNV-1a hash of the complete `(lock, tid)` history.
     /// O(1): maintained incrementally at record time.
     pub fn hash(&self) -> u64 {
-        self.state.lock().hash
+        self.state.lock().hash.finish()
     }
 
     /// Drop all recorded events and reset the hash to the empty-trace
@@ -158,7 +145,7 @@ impl TraceRecorder {
         let mut st = self.state.lock();
         st.events.clear();
         st.total = 0;
-        st.hash = FNV_OFFSET;
+        st.hash = Fnv64::new();
     }
 }
 

@@ -22,6 +22,11 @@
 //! the first thread to miss compiles, later threads block on the shard
 //! condvar and are served the finished artifact as hits — so the miss
 //! counter counts distinct keys compiled, never racing duplicates.
+//!
+//! The pipeline is the cache's one tenant because a hit pays there: the
+//! key is one print of the module, the compile it saves several times that.
+//! The VM's lowering is the opposite case — 7–9× cheaper to rebuild than to
+//! key (DESIGN.md §15) — and is not cached, here or anywhere.
 
 use crate::cost::CostModel;
 use crate::pipeline::{Instrumented, OptConfig};
@@ -29,54 +34,11 @@ use crate::plan::Placement;
 use detlock_ir::dot::function_to_text;
 use detlock_ir::module::Module;
 use detlock_ir::types::FuncId;
+use detlock_shim::hash::Fnv64;
 use detlock_shim::sync::{Condvar, Mutex};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
-
-/// 64-bit FNV-1a, the same digest the serve receipts use for lock-order
-/// hashes. Streaming: feed bytes in any grouping, same digest.
-#[derive(Debug, Clone, Copy)]
-pub struct Fnv64(u64);
-
-impl Default for Fnv64 {
-    fn default() -> Self {
-        Fnv64::new()
-    }
-}
-
-impl Fnv64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-
-    /// A fresh digest at the FNV offset basis.
-    pub fn new() -> Fnv64 {
-        Fnv64(Self::OFFSET)
-    }
-
-    /// Absorb raw bytes.
-    pub fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(Self::PRIME);
-        }
-    }
-
-    /// Absorb a `u64` (little-endian).
-    pub fn write_u64(&mut self, v: u64) {
-        self.write(&v.to_le_bytes());
-    }
-
-    /// Absorb an `f64` by bit pattern (exact, no rounding ambiguity).
-    pub fn write_f64(&mut self, v: f64) {
-        self.write_u64(v.to_bits());
-    }
-
-    /// The digest so far.
-    pub fn finish(&self) -> u64 {
-        self.0
-    }
-}
 
 /// The FNV-1a content key for one compile: canonical IR of every function
 /// plus every compile-relevant knob.
@@ -101,10 +63,11 @@ pub fn plan_key(
         config.o3 as u8,
         config.o4 as u8,
     ]);
-    h.write_f64(config.clockable.range_divisor);
-    h.write_f64(config.clockable.std_divisor);
+    // Floats by bit pattern: exact, no rounding ambiguity.
+    h.write_u64(config.clockable.range_divisor.to_bits());
+    h.write_u64(config.clockable.std_divisor.to_bits());
     h.write_u64(config.clockable.max_paths as u64);
-    h.write_f64(config.opt2b.max_divergence);
+    h.write_u64(config.opt2b.max_divergence.to_bits());
     h.write_u64(config.opt4.threshold);
     h.write(&[match placement {
         Placement::Start => 0u8,
@@ -120,42 +83,29 @@ pub fn plan_key(
 
 /// A cache slot: either a finished artifact or a marker that some thread is
 /// compiling it right now.
-enum Slot<V> {
+enum Slot {
     Pending,
-    Ready(Arc<V>),
+    Ready(Arc<Instrumented>),
 }
 
 /// One lock shard of the cache.
-struct Shard<V> {
-    map: Mutex<ShardMap<V>>,
+struct Shard {
+    map: Mutex<ShardMap>,
     cv: Condvar,
 }
 
-struct ShardMap<V> {
-    slots: HashMap<u64, Slot<V>>,
+#[derive(Default)]
+struct ShardMap {
+    slots: HashMap<u64, Slot>,
     /// Ready keys in insertion order — the FIFO eviction queue.
     order: Vec<u64>,
 }
 
-impl<V> Default for ShardMap<V> {
-    fn default() -> Self {
-        ShardMap {
-            slots: HashMap::new(),
-            order: Vec::new(),
-        }
-    }
-}
-
 const NUM_SHARDS: usize = 8;
 
-/// Sharded content-addressed cache of compiled artifacts.
-///
-/// The value type defaults to the pipeline's [`Instrumented`] (the plan
-/// cache proper); other layers reuse the same coalescing/eviction machinery
-/// for their own derived artifacts — e.g. the VM's threaded-code lowering
-/// caches `ThreadedProgram`s keyed by module content + cost fingerprint.
-pub struct PlanCache<V = Instrumented> {
-    shards: Vec<Shard<V>>,
+/// Sharded content-addressed cache of compiled [`Instrumented`] artifacts.
+pub struct PlanCache {
+    shards: Vec<Shard>,
     /// Max *ready* entries per shard.
     per_shard_capacity: usize,
     hits: AtomicU64,
@@ -163,19 +113,17 @@ pub struct PlanCache<V = Instrumented> {
     evictions: AtomicU64,
 }
 
-impl PlanCache<Instrumented> {
+impl PlanCache {
     /// The process-wide cache shared by `dlc`, the bench bins and every
     /// `detserved` shard.
     pub fn global() -> &'static PlanCache {
         static GLOBAL: OnceLock<PlanCache> = OnceLock::new();
         GLOBAL.get_or_init(|| PlanCache::with_capacity(512))
     }
-}
 
-impl<V> PlanCache<V> {
     /// A cache bounded at roughly `capacity` entries (rounded up to a
     /// multiple of the shard count).
-    pub fn with_capacity(capacity: usize) -> PlanCache<V> {
+    pub fn with_capacity(capacity: usize) -> PlanCache {
         PlanCache {
             shards: (0..NUM_SHARDS)
                 .map(|_| Shard {
@@ -190,14 +138,18 @@ impl<V> PlanCache<V> {
         }
     }
 
-    fn shard(&self, key: u64) -> &Shard<V> {
+    fn shard(&self, key: u64) -> &Shard {
         &self.shards[(key % NUM_SHARDS as u64) as usize]
     }
 
     /// Fetch the artifact for `key`, running `compile` exactly once per key
     /// across all racing threads. Concurrent callers with the same key
     /// block until the first one finishes and then count as hits.
-    pub fn get_or_compute(&self, key: u64, compile: impl FnOnce() -> V) -> Arc<V> {
+    pub fn get_or_compute(
+        &self,
+        key: u64,
+        compile: impl FnOnce() -> Instrumented,
+    ) -> Arc<Instrumented> {
         let shard = self.shard(key);
         let mut g = shard.map.lock();
         loop {
@@ -217,12 +169,12 @@ impl<V> PlanCache<V> {
 
         // If `compile` unwinds (debug-build verifier panic), clear the
         // pending marker so waiters retry instead of hanging forever.
-        struct Unpend<'a, V> {
-            cache: &'a PlanCache<V>,
+        struct Unpend<'a> {
+            cache: &'a PlanCache,
             key: u64,
             armed: bool,
         }
-        impl<V> Drop for Unpend<'_, V> {
+        impl Drop for Unpend<'_> {
             fn drop(&mut self) {
                 if self.armed {
                     let shard = self.cache.shard(self.key);
@@ -278,7 +230,7 @@ impl<V> PlanCache<V> {
     }
 }
 
-impl<V> std::fmt::Debug for PlanCache<V> {
+impl std::fmt::Debug for PlanCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PlanCache")
             .field("entries", &self.len())

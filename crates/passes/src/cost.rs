@@ -208,7 +208,7 @@ impl CostModel {
     /// the other. Builtins are folded in sorted by name — `HashMap` order
     /// never leaks into the digest.
     pub fn fingerprint(&self) -> u64 {
-        let mut h = crate::cache::Fnv64::new();
+        let mut h = detlock_shim::hash::Fnv64::new();
         for v in [
             self.alu,
             self.mul,

@@ -10,7 +10,7 @@
 //! mutates the IR declares [`PreservedAnalyses::None`].
 //!
 //! Every stage is timed and its plan delta recorded as a
-//! [`PassStats`](crate::stats::PassStats) row, and every registered pass
+//! [`PassStats`] row, and every registered pass
 //! contributes a [`PassCert`] delta that composes into the module
 //! [`PlanCert`], so the translation validator can name the pass that broke
 //! an obligation.

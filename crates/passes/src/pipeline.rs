@@ -2,7 +2,7 @@
 //!
 //! Mirrors Figure 1 of the paper — the pass sits between the frontend-built
 //! IR and execution. [`instrument`] lowers its [`OptConfig`] into a
-//! [`PassPipeline`](crate::pass::PassPipeline) and runs, in order:
+//! [`PassPipeline`] and runs, in order:
 //!
 //! 1. Optimization 1's clockable-function fixpoint (if enabled);
 //! 2. block splitting around calls to unclocked functions (§III-A);
@@ -209,7 +209,7 @@ impl CompileOpts {
 /// call site would charge their mean).
 ///
 /// This is a thin wrapper: `config` lowers into a
-/// [`PassPipeline`](crate::pass::PassPipeline) whose output is
+/// [`PassPipeline`] whose output is
 /// byte-for-byte identical to the historical hand-rolled stage sequence
 /// (the golden-equivalence suite in `tests/golden_equivalence.rs` pins
 /// this). Always serial and uncached — the reference path; use

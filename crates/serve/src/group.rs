@@ -32,6 +32,7 @@ use crate::conn::{accept_backlog, raw_fd, FramedConn, SlotKind, SlotTable};
 use crate::protocol::{error_json, parse_request, JobSpec, WireRequest};
 use crate::receipt::{ReceiptLedger, Sighting};
 use detlock_shim::evloop::{self, Interest, Poller};
+use detlock_shim::hash::Fnv64;
 use detlock_shim::json::{Json, ToJson};
 use std::collections::{HashMap, VecDeque};
 use std::io::ErrorKind;
@@ -40,17 +41,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// FNV-1a, the workspace's standard cheap stable hash (same family the
-/// receipts use for trace hashes).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// A consistent-hash ring over backend labels with virtual nodes.
 pub struct HashRing {
@@ -66,7 +56,7 @@ impl HashRing {
         let mut points = Vec::with_capacity(labels.len() * vnodes);
         for (i, label) in labels.iter().enumerate() {
             for v in 0..vnodes {
-                points.push((fnv1a(format!("{label}#{v}").as_bytes()), i));
+                points.push((Fnv64::of(format!("{label}#{v}").as_bytes()), i));
             }
         }
         points.sort_unstable();
@@ -82,7 +72,7 @@ impl HashRing {
     }
 
     fn walk_from(&self, key: &str) -> impl Iterator<Item = usize> + '_ {
-        let h = fnv1a(key.as_bytes());
+        let h = Fnv64::of(key.as_bytes());
         let start = self.points.partition_point(|&(p, _)| p < h);
         (0..self.points.len()).map(move |off| self.points[(start + off) % self.points.len()].1)
     }
@@ -490,7 +480,7 @@ impl RouterState {
         // the same keys are double-run in every sweep, so sweep-to-sweep
         // comparisons stay reproducible.
         let verify_draw = shared.config.verify_per_1024 > 0
-            && (fnv1a(key.as_bytes()) % 1024) < shared.config.verify_per_1024 as u64
+            && (Fnv64::of(key.as_bytes()) % 1024) < shared.config.verify_per_1024 as u64
             && self.ring.backends() > 1;
         let vid = if verify_draw {
             let vid = self.next_verify_id;

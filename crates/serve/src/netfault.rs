@@ -24,6 +24,7 @@
 //! shard engine downcasts it to distinguish simulated crashes (shard is
 //! healthy — do not exclude it from retry) from organic panics (exclude).
 
+use detlock_shim::hash::Fnv64;
 use detlock_shim::json::{Json, ToJson};
 
 /// What to do to one wire frame.
@@ -211,12 +212,7 @@ impl CrashPlan {
 
     /// FNV-1a over a job identity key, the stable `job` coordinate.
     pub fn key_hash(identity_key: &str) -> u64 {
-        let mut h = 0xcbf29ce484222325u64;
-        for b in identity_key.bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
-        h
+        Fnv64::of(identity_key.as_bytes())
     }
 
     /// Whether to crash at checkpoint `ckpt_idx` (1-based) of `attempt`.

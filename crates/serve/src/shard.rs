@@ -154,7 +154,9 @@ pub struct ShardEngine {
     cost: CostModel,
     cache: HashMap<String, CachedJob>,
     compile: CompileOpts,
-    backend: Backend,
+    /// What every job's config starts from (`Det` mode, this shard's
+    /// backend): process-wide defaults are resolved once, not per job.
+    template: MachineConfig,
     analysis_hits: u64,
     analysis_misses: u64,
     pass_totals: Vec<PassStats>,
@@ -171,7 +173,10 @@ impl ShardEngine {
             cost: CostModel::default(),
             cache: HashMap::new(),
             compile: CompileOpts::from_env().cached(),
-            backend: Backend::resolve(),
+            template: MachineConfig {
+                mode: ExecMode::Det,
+                ..MachineConfig::default()
+            },
             analysis_hits: 0,
             analysis_misses: 0,
             pass_totals: Vec::new(),
@@ -189,7 +194,7 @@ impl ShardEngine {
     /// backends (the differential-oracle guarantee), so this only changes
     /// how fast the shard retires jobs.
     pub fn with_backend(mut self, backend: Backend) -> ShardEngine {
-        self.backend = backend;
+        self.template.backend = backend;
         self
     }
 
@@ -277,14 +282,12 @@ impl ShardEngine {
         }
         let cached = &self.cache[&key];
         let cfg = MachineConfig {
-            mode: ExecMode::Det,
             mem_words: cached.mem_words,
             jitter: Jitter::default().with_seed(spec.seed),
             max_cycles: cycle_budget,
             sanitize: spec.sanitize,
-            backend: self.backend,
             scheduler: spec.scheduler,
-            ..MachineConfig::default()
+            ..self.template.clone()
         };
         let start_cycle = opts.resume_from.as_ref().map(|c| c.cycle()).unwrap_or(0);
         let key_hash = CrashPlan::key_hash(&spec.identity_key());

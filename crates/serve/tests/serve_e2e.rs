@@ -36,6 +36,35 @@ fn spec(workload: &str, seed: u64) -> JobSpec {
     }
 }
 
+/// A job long enough (≈100 ms on the threaded engine) that a drain sent as
+/// soon as `/stats` shows it executing arrives well before it finishes.
+fn long_spec(workload: &str, seed: u64, scale: f64) -> JobSpec {
+    JobSpec {
+        scale,
+        ..spec(workload, seed)
+    }
+}
+
+/// Poll `/stats` until a job is in flight on a busy shard, and hand back
+/// the connection that saw it.
+fn wait_until_executing(addr: &str) -> Client {
+    let mut c = Client::connect(addr).unwrap();
+    loop {
+        let stats = c.stats().unwrap();
+        let in_flight = stats.get("in_flight").and_then(Json::as_u64).unwrap();
+        let busy = stats
+            .get("shards")
+            .and_then(Json::as_arr)
+            .unwrap()
+            .iter()
+            .any(|s| s.get("busy").and_then(Json::as_bool) == Some(true));
+        if in_flight >= 1 && busy {
+            return c;
+        }
+        std::thread::yield_now();
+    }
+}
+
 fn run_ok(client: &mut Client, spec: &JobSpec) -> (Json, Receipt) {
     let resp = client.run(spec).expect("request failed");
     assert_eq!(
@@ -295,11 +324,10 @@ fn graceful_drain_finishes_inflight_work_and_rejects_new() {
         let addr = addr.clone();
         std::thread::spawn(move || {
             let mut c = Client::connect(&addr).unwrap();
-            c.run(&spec("raytrace", 5)).unwrap()
+            c.run(&long_spec("raytrace", 5, 0.5)).unwrap()
         })
     };
-    std::thread::sleep(Duration::from_millis(30));
-    let mut c = Client::connect(&addr).unwrap();
+    let mut c = wait_until_executing(&addr);
     let resp = c.shutdown().unwrap();
     assert_eq!(resp.get("drained").and_then(Json::as_bool), Some(true));
 
@@ -405,12 +433,11 @@ fn drain_under_load_flushes_final_checkpoints_and_sheds_typed() {
             let addr = addr.clone();
             std::thread::spawn(move || {
                 let mut c = Client::connect(&addr).unwrap();
-                c.run(&spec("ocean", 500 + i)).unwrap()
+                c.run(&long_spec("ocean", 500 + i, 0.2)).unwrap()
             })
         })
         .collect();
-    std::thread::sleep(Duration::from_millis(20));
-    let mut c = Client::connect(&addr).unwrap();
+    let mut c = wait_until_executing(&addr);
     let resp = c.shutdown().unwrap();
     assert_eq!(resp.get("drained").and_then(Json::as_bool), Some(true));
     // In-flight jobs checkpointed at a 1000-cycle interval, so the drain

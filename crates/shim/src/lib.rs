@@ -16,6 +16,8 @@
 //!   deterministic mutex's physical lock (only ever `try_lock`ed at the
 //!   holder's turn, so it needs no queueing);
 //! * [`CachePadded`] — cache-line-aligned wrapper for per-thread clock slots;
+//! * [`hash::Fnv64`] — the one FNV-1a every trace hash, receipt, cache key
+//!   and digest in the workspace folds with;
 //! * [`rng::SmallRng`] — a seeded splitmix64/xoshiro-style generator for
 //!   simulator jitter and test-case generation;
 //! * [`json::Json`] — a minimal JSON tree with pretty printing for the
@@ -27,6 +29,7 @@
 #![warn(missing_docs)]
 
 pub mod evloop;
+pub mod hash;
 pub mod json;
 pub mod rng;
 pub mod sync;

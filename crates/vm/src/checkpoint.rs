@@ -1,0 +1,452 @@
+//! The run state and its snapshot format.
+//!
+//! `RunState` is everything a run mutates. `DetCore` embeds one and a
+//! [`Checkpoint`] wraps one, so a snapshot is a clone, a resume is a move,
+//! and what is checkpointed is decided in one place: that struct's field
+//! list. [`Checkpoint::digest`] and [`Checkpoint::approx_bytes`] destructure
+//! it without `..` — a field added later does not compile until both have
+//! said what they do with it.
+
+use crate::machine::{ExecMode, MachineConfig, ThreadSpec};
+use crate::metrics::ThreadMetrics;
+use crate::sanitizer::Sanitizer;
+use crate::sched::Sched;
+use detlock_ir::module::Module;
+use detlock_ir::types::{BlockId, FuncId, Reg};
+use detlock_shim::hash::Fnv64;
+use detlock_shim::rng::SmallRng;
+use std::collections::HashMap;
+
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum Status {
+    Ready,
+    AcquiringLock(i64),
+    AcquiringBarrier(u32),
+    InBarrier(u32),
+    /// Bulk-sync mode: quantum exhausted; waiting for the round barrier.
+    QuantumDone,
+    ExitWait,
+    Done,
+}
+
+impl Status {
+    /// `(tag, payload)`: the status as two words, for checkpoint digests;
+    /// the tag also indexes [`crate::machine::RoundProfile::steps`].
+    pub(crate) fn code(self) -> (u64, u64) {
+        match self {
+            Status::Ready => (0, 0),
+            Status::AcquiringLock(id) => (1, id as u64),
+            Status::AcquiringBarrier(id) => (2, id as u64),
+            Status::InBarrier(id) => (3, id as u64),
+            Status::QuantumDone => (4, 0),
+            Status::ExitWait => (5, 0),
+            Status::Done => (6, 0),
+        }
+    }
+}
+
+/// A call-stack frame. `Copy` so the hot loop reads it off the stack
+/// without cloning a heap structure per step.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Frame {
+    pub(crate) func: FuncId,
+    pub(crate) block: BlockId,
+    pub(crate) ip: usize,
+    pub(crate) reg_base: usize,
+    pub(crate) ret_dst: Option<Reg>,
+}
+
+impl Frame {
+    /// The `(func, block, ip)` site the sanitizer reports for the
+    /// instruction this frame points at.
+    #[inline]
+    pub(crate) fn site(&self) -> (u32, u32, u32) {
+        (
+            self.func.index() as u32,
+            self.block.index() as u32,
+            self.ip as u32,
+        )
+    }
+}
+
+#[derive(Clone)]
+pub(crate) struct Thread {
+    pub(crate) status: Status,
+    pub(crate) frames: Vec<Frame>,
+    pub(crate) regs: Vec<i64>,
+    pub(crate) clock: u64,
+    pub(crate) pending: u64,
+    /// Bulk-sync: cycles left in the current quantum.
+    pub(crate) quantum_left: u64,
+    /// Bulk-sync: stores executed this round (drives the commit cost).
+    pub(crate) round_stores: u64,
+    pub(crate) rng: SmallRng,
+    pub(crate) m: ThreadMetrics,
+}
+
+#[derive(Debug, Default, Clone)]
+pub(crate) struct LockState {
+    pub(crate) held_by: Option<u32>,
+    pub(crate) release_clock: Option<u64>,
+}
+
+#[derive(Debug, Default, Clone)]
+pub(crate) struct BarrierState {
+    pub(crate) arrivals: Vec<u32>,
+}
+
+/// Everything a run mutates, and nothing else. What the core rebuilds
+/// from the config (chunk knobs, the memory mask, scratch buffers) or that
+/// describes the simulator and not the run (the round profile) stays out.
+#[derive(Clone)]
+pub(crate) struct RunState {
+    pub(crate) cycle: u64,
+    pub(crate) threads: Vec<Thread>,
+    pub(crate) mem: Vec<i64>,
+    pub(crate) locks: HashMap<i64, LockState>,
+    pub(crate) barriers: HashMap<u32, BarrierState>,
+    /// FNV-1a over the `(lock, tid)` acquisition sequence so far.
+    pub(crate) hasher: Fnv64,
+    pub(crate) lock_order: Vec<(i64, u32)>,
+    pub(crate) done_count: usize,
+    pub(crate) replay_pos: usize,
+    /// Bulk-sync: remaining commit-phase stall cycles.
+    pub(crate) commit_stall: u64,
+    /// Happens-before sanitizer (`None` unless the config sanitizes: the
+    /// disabled path costs one null check per hook site). State, so that a
+    /// resumed run reports the same races as run-from-zero.
+    pub(crate) san: Option<Box<Sanitizer>>,
+}
+
+impl RunState {
+    /// The state at cycle 0: one `Ready` thread per spec, arguments in its
+    /// entry function's parameter registers, zeroed memory, empty tables.
+    pub(crate) fn new(module: &Module, specs: &[ThreadSpec], cfg: &MachineConfig) -> RunState {
+        assert!(!specs.is_empty(), "need at least one thread");
+        let threads = specs
+            .iter()
+            .enumerate()
+            .map(|(tid, spec)| {
+                let func = &module.functions[spec.func.index()];
+                assert!(
+                    spec.args.len() == func.params as usize,
+                    "thread {tid}: entry {} expects {} args, got {}",
+                    func.name,
+                    func.params,
+                    spec.args.len()
+                );
+                let mut regs = vec![0i64; func.num_regs as usize];
+                regs[..spec.args.len()].copy_from_slice(&spec.args);
+                Thread {
+                    status: Status::Ready,
+                    frames: vec![Frame {
+                        func: spec.func,
+                        block: BlockId(0),
+                        ip: 0,
+                        reg_base: 0,
+                        ret_dst: None,
+                    }],
+                    regs,
+                    clock: 0,
+                    pending: 0,
+                    quantum_left: match cfg.mode {
+                        ExecMode::BulkSync(p) => p.quantum,
+                        _ => u64::MAX,
+                    },
+                    round_stores: 0,
+                    rng: SmallRng::seed_from_u64(
+                        cfg.jitter.seed ^ (tid as u64).wrapping_mul(0x9e3779b97f4a7c15),
+                    ),
+                    m: ThreadMetrics::default(),
+                }
+            })
+            .collect();
+        RunState {
+            cycle: 0,
+            threads,
+            mem: vec![0i64; cfg.mem_words.max(1)],
+            locks: HashMap::new(),
+            barriers: HashMap::new(),
+            hasher: Fnv64::new(),
+            lock_order: Vec::new(),
+            done_count: 0,
+            replay_pos: 0,
+            commit_stall: 0,
+            san: cfg.sanitize.then(|| Box::new(Sanitizer::new(specs.len()))),
+        }
+    }
+}
+
+/// A deterministic snapshot of a running [`Machine`].
+///
+/// Captures *all* mutable machine state — per-thread frames, registers,
+/// logical clocks, pending acquisitions, jitter-RNG positions, the shared
+/// memory image, lock/barrier tables, and the trace-hash prefix — so that
+/// [`Machine::resume`] continues the run exactly where the snapshot was
+/// taken. Because snapshots are pure reads placed at round boundaries of
+/// the min-clock arbiter (see [`Machine::run_with_checkpoints`]),
+/// checkpoint placement cannot perturb the schedule: a resumed run
+/// produces byte-identical final metrics (and hence receipts) to the
+/// uninterrupted run.
+///
+/// A checkpoint is tied to the (module, config, thread-count) it was taken
+/// under via a [`fingerprint`](Checkpoint::fingerprint); `resume` refuses a
+/// mismatched fingerprint rather than silently diverging. It is plain data
+/// (`Clone + Send`), so a serving layer can hand it to another worker —
+/// cross-shard migration is sound exactly when both shards compiled the
+/// byte-identical module, which the fingerprint asserts structurally.
+/// The execution [`Backend`](crate::Backend) is *not* part of the
+/// fingerprint: both engines execute the one schedule bit-identically, so
+/// a snapshot taken under one resumes under the other (the
+/// checkpoint/restore tests pin this down). The [`Sched`] is: two policies
+/// continue a run with genuinely different schedules, so a different one
+/// is refused with a typed [`ResumeError::SchedulerMismatch`].
+///
+/// [`Machine`]: crate::machine::Machine
+/// [`Machine::resume`]: crate::machine::Machine::resume
+/// [`Machine::run_with_checkpoints`]: crate::machine::Machine::run_with_checkpoints
+#[derive(Clone)]
+pub struct Checkpoint {
+    pub(crate) fingerprint: u64,
+    pub(crate) sched: Sched,
+    pub(crate) state: RunState,
+}
+
+impl Checkpoint {
+    /// The cycle at which this snapshot was taken.
+    pub fn cycle(&self) -> u64 {
+        self.state.cycle
+    }
+
+    /// Threads that had already finished when the snapshot was taken.
+    pub fn done_count(&self) -> usize {
+        self.state.done_count
+    }
+
+    /// The trace-hash prefix: the FNV-1a fold over every `(lock, tid)`
+    /// acquisition event that happened before the snapshot.
+    pub fn trace_hash_prefix(&self) -> u64 {
+        self.state.hasher.finish()
+    }
+
+    /// The (module, config, thread-count) fingerprint this checkpoint is
+    /// valid against.
+    pub fn fingerprint(&self) -> u64 {
+        self.fingerprint
+    }
+
+    /// The scheduling policy the snapshot was taken under — the only
+    /// policy it may resume on.
+    pub fn scheduler(&self) -> Sched {
+        self.sched
+    }
+
+    /// Approximate heap footprint in bytes (memory image + registers),
+    /// for capacity accounting in serving layers.
+    pub fn approx_bytes(&self) -> usize {
+        let RunState {
+            threads,
+            mem,
+            // Small next to the two above: the tables hold a handful of
+            // entries, `lock_order` is bounded by `lock_order_limit`.
+            cycle: _,
+            locks: _,
+            barriers: _,
+            hasher: _,
+            lock_order: _,
+            done_count: _,
+            replay_pos: _,
+            commit_stall: _,
+            san: _,
+        } = &self.state;
+        let regs: usize = threads.iter().map(|t| t.regs.len()).sum();
+        (mem.len() + regs) * std::mem::size_of::<i64>()
+    }
+
+    /// A deep digest of the snapshot: two runs of the same program that
+    /// agree on this value at a given cycle are in *identical* machine
+    /// states (same frames, registers, clocks, memory, lock tables, RNG
+    /// positions) and will therefore evolve identically. Used by tests to
+    /// assert state convergence, not just trace-hash convergence.
+    /// The fold order is pinned by every digest ever compared.
+    pub fn digest(&self) -> u64 {
+        let RunState {
+            cycle,
+            threads,
+            mem,
+            locks,
+            barriers,
+            hasher,
+            // The verbatim prefix of what `hasher` covers in full.
+            lock_order: _,
+            done_count,
+            replay_pos,
+            commit_stall,
+            san,
+        } = &self.state;
+        let mut h = Fnv64::new();
+        h.write_u64(self.fingerprint);
+        for w in self.sched.fingerprint_words() {
+            h.write_u64(w);
+        }
+        h.write_u64(*cycle);
+        h.write_u64(*done_count as u64);
+        h.write_u64(*replay_pos as u64);
+        h.write_u64(*commit_stall);
+        h.write_u64(hasher.finish());
+        for &w in mem {
+            h.write_u64(w as u64);
+        }
+        for th in threads {
+            let Thread {
+                status,
+                frames,
+                regs,
+                clock,
+                pending,
+                quantum_left,
+                round_stores,
+                rng,
+                // Counters the run reports, not state it evolves from,
+                // but for `retired_stores`, which steers chunk-policy
+                // clocks: a gap every pinned digest shares.
+                m: _,
+            } = th;
+            let (tag, payload) = status.code();
+            h.write_u64(tag);
+            h.write_u64(payload);
+            h.write_u64(*clock);
+            h.write_u64(*pending);
+            h.write_u64(*quantum_left);
+            h.write_u64(*round_stores);
+            for s in rng.state() {
+                h.write_u64(s);
+            }
+            for &r in regs {
+                h.write_u64(r as u64);
+            }
+            for f in frames {
+                h.write_u64(f.func.index() as u64);
+                h.write_u64(f.block.index() as u64);
+                h.write_u64(f.ip as u64);
+                h.write_u64(f.reg_base as u64);
+                h.write_u64(f.ret_dst.map(|r| r.index() as u64 + 1).unwrap_or(0));
+            }
+        }
+        let mut lock_ids: Vec<i64> = locks.keys().copied().collect();
+        lock_ids.sort_unstable();
+        for id in lock_ids {
+            let st = &locks[&id];
+            h.write_u64(id as u64);
+            h.write_u64(st.held_by.map(|t| t as u64 + 1).unwrap_or(0));
+            h.write_u64(st.release_clock.map(|c| c + 1).unwrap_or(0));
+        }
+        let mut bar_ids: Vec<u32> = barriers.keys().copied().collect();
+        bar_ids.sort_unstable();
+        for id in bar_ids {
+            h.write_u64(id as u64);
+            for &a in &barriers[&id].arrivals {
+                h.write_u64(a as u64);
+            }
+        }
+        match san {
+            Some(s) => {
+                h.write_u64(1);
+                h.write_u64(s.digest());
+            }
+            None => h.write_u64(0),
+        }
+        h.finish()
+    }
+}
+
+/// Structural fingerprint binding a checkpoint to what it may resume on:
+/// execution mode, scheduling policy and jitter model with their
+/// parameters, memory geometry, cost-relevant config, thread count and the
+/// module's shape — all of which two shards that compiled the same
+/// plan-cache entry agree on. Not the backend: see [`Checkpoint`].
+pub(crate) fn config_fingerprint(cfg: &MachineConfig, module: &Module, n_threads: usize) -> u64 {
+    let mut h = Fnv64::new();
+    let (mode_tag, a, b, c) = match cfg.mode {
+        ExecMode::Baseline => (0u64, 0u64, 0u64, 0u64),
+        ExecMode::ClocksOnly => (1, 0, 0, 0),
+        ExecMode::Det => (2, 0, 0, 0),
+        ExecMode::Kendo => (3, 0, 0, 0),
+        ExecMode::Replay => (4, 0, 0, 0),
+        ExecMode::BulkSync(bp) => (5, bp.quantum, bp.commit_base, bp.commit_per_store),
+    };
+    for v in [mode_tag, a, b, c] {
+        h.write_u64(v);
+    }
+    for v in cfg.scheduler.fingerprint_words() {
+        h.write_u64(v);
+    }
+    h.write_u64(cfg.jitter.seed);
+    h.write_u64(cfg.jitter.prob_num as u64);
+    h.write_u64(cfg.jitter.prob_den as u64);
+    h.write_u64(cfg.jitter.max_extra);
+    h.write_u64(cfg.mem_words as u64);
+    h.write_u64(cfg.det_event_cost);
+    h.write_u64(cfg.lock_order_limit as u64);
+    h.write_u64(n_threads as u64);
+    h.write_u64(cfg.sanitize as u64);
+    h.write_u64(cfg.replay_log.len() as u64);
+    h.write_u64(module.functions.len() as u64);
+    for f in &module.functions {
+        h.write_u64(f.blocks.len() as u64);
+        h.write_u64(f.num_regs as u64);
+        let insts: usize = f.blocks.iter().map(|b| b.insts.len()).sum();
+        h.write_u64(insts as u64);
+    }
+    h.finish()
+}
+
+/// Why [`Machine::resume`](crate::machine::Machine::resume) refused a
+/// checkpoint.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ResumeError {
+    /// The checkpoint was taken under a different scheduling policy (or
+    /// the same policy with different parameters). The scheduler *defines*
+    /// the schedule: resuming under another would continue the run with a
+    /// different lock order than it started with, silently breaking
+    /// receipt and trace-hash stability.
+    SchedulerMismatch {
+        /// The policy the checkpoint was taken under.
+        checkpoint: Sched,
+        /// The policy the resuming config requested.
+        requested: Sched,
+    },
+    /// The structural fingerprints disagree: different module, config, or
+    /// thread count.
+    ConfigMismatch {
+        /// The checkpoint's fingerprint.
+        checkpoint: u64,
+        /// The fingerprint of the config/module offered for resume.
+        machine: u64,
+    },
+}
+
+impl std::fmt::Display for ResumeError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ResumeError::SchedulerMismatch {
+                checkpoint,
+                requested,
+            } => write!(
+                f,
+                "checkpoint was taken under scheduler '{checkpoint}' but resume requested \
+                 '{requested}' (schedulers define the schedule and are not interchangeable)"
+            ),
+            ResumeError::ConfigMismatch {
+                checkpoint,
+                machine,
+            } => write!(
+                f,
+                "checkpoint fingerprint mismatch: checkpoint 0x{checkpoint:016x} vs machine \
+                 0x{machine:016x} (different module, config, or thread count)"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for ResumeError {}

@@ -34,7 +34,10 @@
 
 pub mod backend;
 pub mod builtins;
+pub mod checkpoint;
+mod core;
 pub mod determinism;
+mod interp;
 pub mod lower;
 pub mod machine;
 pub mod metrics;

@@ -2,7 +2,7 @@
 //!
 //! [`lower`] translates a verified (and typically instrumented) module once
 //! into a [`ThreadedProgram`] — a flat pre-decoded program in which every
-//! source instruction becomes exactly one [`Op`] with its operand slots
+//! source instruction becomes exactly one `Op` with its operand slots
 //! pre-resolved (register/immediate variants split at lowering time, so the
 //! hot loop never matches on [`Operand`]), its cost-model charge baked in
 //! where it depends on the opcode, callee register-file sizes and builtin
@@ -27,23 +27,23 @@
 //! byte-identical to the interpreter's, which the differential golden
 //! suite asserts exhaustively.
 //!
-//! Lowered programs are cached process-wide in a content-addressed
-//! [`PlanCache`] keyed by the module's canonical IR text plus the
-//! [`CostModel`] fingerprint, so repeat jobs and sibling `detserved`
-//! shards dedup the lowering exactly as they dedup instrumentation plans.
+//! Lowering is not cached: a machine lowers its module when it is built
+//! and owns the program. A content-addressed cache has to print and hash
+//! the whole module to find its entry, and that key costs 7–9× what the
+//! lowering itself does (DESIGN.md §15, "The lowering").
 
-use crate::machine::{
-    charge_amount, charge_thread, mem_index_of, retire_stores, Action, DetCore, ExecBackend, Frame,
+use crate::checkpoint::{Frame, Thread};
+use crate::core::{
+    charge_amount, charge_thread, mem_index_of, retire_stores, Action, DetCore, ExecBackend,
 };
+use crate::machine::MachineConfig;
+use crate::sanitizer::Sanitizer;
 use crate::sched::ChunkParams;
-use detlock_ir::dot::function_to_text;
 use detlock_ir::inst::{BinOp, CmpOp, Inst, Operand, Terminator};
 use detlock_ir::module::Module;
 use detlock_ir::types::{BlockId, FuncId, Reg};
 use detlock_ir::Builtin;
-use detlock_passes::cache::{Fnv64, PlanCache};
 use detlock_passes::cost::{CostModel, Estimate};
-use std::sync::{Arc, OnceLock};
 
 /// A pre-decoded operation. One [`Op`] per source [`Inst`] plus one per
 /// [`Terminator`], in source order, so instruction pointers are
@@ -178,14 +178,13 @@ pub(crate) struct LFunc {
 }
 
 /// A module lowered to threaded code: same function/block/instruction
-/// indexing as the source [`Module`], fully self-contained (no borrows),
-/// shared between machines via `Arc`.
+/// indexing as the source [`Module`], fully self-contained (no borrows).
 pub struct ThreadedProgram {
     pub(crate) funcs: Vec<LFunc>,
 }
 
 /// Lower `module` against `cost` into a [`ThreadedProgram`]. Pure: the
-/// output is a function of exactly the inputs [`lower_key`] digests.
+/// output is a function of the module and the cost model alone.
 pub fn lower(module: &Module, cost: &CostModel) -> ThreadedProgram {
     let funcs = module
         .functions
@@ -439,44 +438,6 @@ fn fuse_table(ops: &[Op], starts: &[u32], block_ends: &[usize], cost: &CostModel
     fuse
 }
 
-/// Content key for a lowering: the canonical IR text of every function (the
-/// same serialization the instrumentation plan cache keys on) plus the cost
-/// fingerprint — everything [`lower`]'s output is a pure function of.
-pub fn lower_key(module: &Module, cost: &CostModel) -> u64 {
-    let mut h = Fnv64::new();
-    h.write(b"detlock-vm/lower"); // domain tag
-    h.write_u64(module.functions.len() as u64);
-    for func in &module.functions {
-        h.write(function_to_text(func, |_| None).as_bytes());
-        h.write(&[0xff]);
-    }
-    h.write_u64(cost.fingerprint());
-    h.finish()
-}
-
-/// The process-wide lowering cache: sibling shards and repeat jobs over
-/// the same compiled module share one [`ThreadedProgram`].
-fn lower_cache() -> &'static PlanCache<ThreadedProgram> {
-    static CACHE: OnceLock<PlanCache<ThreadedProgram>> = OnceLock::new();
-    CACHE.get_or_init(|| PlanCache::with_capacity(512))
-}
-
-/// Fetch (or build and cache) the lowered program for `module` × `cost`.
-pub fn lowered(module: &Module, cost: &CostModel) -> Arc<ThreadedProgram> {
-    lower_cache().get_or_compute(lower_key(module, cost), || lower(module, cost))
-}
-
-/// The sanitizer site of the operation `frame` points at (the frame copy
-/// is taken before `ip` advances, exactly as the interpreter does).
-#[inline]
-fn san_site(frame: &Frame) -> (u32, u32, u32) {
-    (
-        frame.func.index() as u32,
-        frame.block.index() as u32,
-        frame.ip as u32,
-    )
-}
-
 /// Execute the run of `len` ops starting at `pc` in one dispatch: the one
 /// copy of every fusable op's semantics. Dispatching a single op is the
 /// `len == 1` case — `pending` is 0 at entry, so the combined countdown
@@ -501,10 +462,10 @@ fn run_fused(
     pc: usize,
     len: usize,
     frame: Frame,
-    th: &mut crate::machine::Thread,
+    th: &mut Thread,
     mem: &mut [i64],
-    san: &mut Option<Box<crate::sanitizer::Sanitizer>>,
-    cfg: &crate::machine::MachineConfig,
+    san: &mut Option<Box<Sanitizer>>,
+    cfg: &MachineConfig,
     cost: &CostModel,
     mem_mask: Option<u64>,
     chunk: Option<ChunkParams>,
@@ -586,7 +547,7 @@ fn run_fused(
                 let idx = mem_index_of(mem_mask, mem.len(), a);
                 let v = mem[idx];
                 if let Some(s) = san.as_deref_mut() {
-                    s.access(t as u32, idx, false, san_site(&frame));
+                    s.access(t as u32, idx, false, frame.site());
                 }
                 th.regs[base + dst.index()] = v;
                 pending_sum += charge_amount(th, &cfg.jitter, cost.load);
@@ -600,7 +561,7 @@ fn run_fused(
                 let idx = mem_index_of(mem_mask, mem.len(), a);
                 mem[idx] = v;
                 if let Some(s) = san.as_deref_mut() {
-                    s.access(t as u32, idx, true, san_site(&frame));
+                    s.access(t as u32, idx, true, frame.site());
                 }
                 pending_sum += charge_amount(th, &cfg.jitter, cost.store);
                 retire_stores(th, chunk, 1);
@@ -617,7 +578,7 @@ fn run_fused(
                 let idx = mem_index_of(mem_mask, mem.len(), a);
                 mem[idx] = *value;
                 if let Some(s) = san.as_deref_mut() {
-                    s.access(t as u32, idx, true, san_site(&frame));
+                    s.access(t as u32, idx, true, frame.site());
                 }
                 pending_sum += charge_amount(th, &cfg.jitter, cost.store);
                 retire_stores(th, chunk, 1);
@@ -711,19 +672,15 @@ fn run_fused(
 /// The threaded-code [`ExecBackend`]: dispatches over the pre-decoded
 /// [`ThreadedProgram`] while driving the shared determinism core.
 pub(crate) struct ThreadedBackend {
-    prog: Arc<ThreadedProgram>,
+    pub(crate) prog: ThreadedProgram,
 }
 
 impl ThreadedBackend {
-    pub(crate) fn new(prog: Arc<ThreadedProgram>) -> ThreadedBackend {
-        ThreadedBackend { prog }
-    }
-
     /// The one op with cross-cutting state (the scratch argument buffer and
     /// the shared [`DetCore::apply_builtin`] semantics): executed on the
     /// whole core, outside the fast path's field borrows.
     fn exec_builtin(&self, core: &mut DetCore<'_>, t: usize) -> Action {
-        let frame = *core.threads[t].frames.last().unwrap();
+        let frame = *core.state.threads[t].frames.last().unwrap();
         let base = frame.reg_base;
         let lf = &self.prog.funcs[frame.func.index()];
         let Op::CallBuiltin {
@@ -736,8 +693,8 @@ impl ThreadedBackend {
         else {
             unreachable!("the fast path handles every other op");
         };
-        core.threads[t].frames.last_mut().unwrap().ip += 1;
-        core.threads[t].m.instructions += 1;
+        core.state.threads[t].frames.last_mut().unwrap().ip += 1;
+        core.state.threads[t].m.instructions += 1;
         let mut argv = std::mem::take(&mut core.scratch_args);
         argv.clear();
         argv.extend(args.iter().map(|&a| core.operand_at(t, base, a)));
@@ -755,33 +712,23 @@ impl ThreadedBackend {
 
 impl ExecBackend for ThreadedBackend {
     fn exec_next(&self, core: &mut DetCore<'_>, t: usize) -> Action {
-        let prog = &*self.prog;
         // Fast path: one flat fetch, then direct work on disjoint field
         // borrows of the core — every metric increment, RNG draw, and
         // sanitizer site matches the interpreter's exactly (that contract
         // is what the differential suite pins down).
         {
-            let DetCore {
-                threads,
-                mem,
-                san,
-                cfg,
-                cost,
-                mem_mask,
-                cycle,
-                ckpt_every,
-                chunk,
-                ..
-            } = &mut *core;
-            let cost = *cost;
-            let mem_mask = *mem_mask;
-            let cycle = *cycle;
-            let ckpt_every = *ckpt_every;
-            let chunk = *chunk;
-            let th = &mut threads[t];
+            let cfg = &core.cfg;
+            let cost = core.cost;
+            let mem_mask = core.mem_mask;
+            let ckpt_every = core.ckpt_every;
+            let chunk = core.chunk;
+            let cycle = core.state.cycle;
+            let mem = &mut core.state.mem;
+            let san = &mut core.state.san;
+            let th = &mut core.state.threads[t];
             let frame = *th.frames.last().unwrap();
             let base = frame.reg_base;
-            let lf = &prog.funcs[frame.func.index()];
+            let lf = &self.prog.funcs[frame.func.index()];
             let pc = lf.starts[frame.block.index()] as usize + frame.ip;
             let op = &lf.ops[pc];
             // Every head or tail op goes through the run loop: the whole
@@ -990,31 +937,5 @@ mod tests {
         // The sample opens with const+add: if that stops fusing, the test
         // has gone vacuous.
         assert!(p.funcs[0].fuse[0].len >= 2, "const+add should fuse");
-    }
-
-    #[test]
-    fn lower_key_tracks_content_and_costs() {
-        let m = sample();
-        let cost = CostModel::default();
-        assert_eq!(lower_key(&m, &cost), lower_key(&m, &cost));
-        assert_eq!(lower_key(&m, &cost), lower_key(&sample(), &cost));
-        let mut other = CostModel::default();
-        other.mul += 1;
-        assert_ne!(lower_key(&m, &cost), lower_key(&m, &other));
-        let mut m2 = sample();
-        m2.functions[0].blocks[0].insts.pop();
-        assert_ne!(lower_key(&m, &cost), lower_key(&m2, &cost));
-    }
-
-    #[test]
-    fn lowered_is_cached_by_content() {
-        let m = sample();
-        let cost = CostModel::default();
-        let a = lowered(&m, &cost);
-        let b = lowered(&sample(), &cost);
-        assert!(
-            Arc::ptr_eq(&a, &b),
-            "identical content must share a program"
-        );
     }
 }

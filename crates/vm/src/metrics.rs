@@ -88,38 +88,6 @@ impl RunMetrics {
     }
 }
 
-/// FNV-1a, used to fingerprint lock-acquisition order.
-#[derive(Debug, Clone)]
-pub struct OrderHasher(u64);
-
-impl Default for OrderHasher {
-    fn default() -> Self {
-        OrderHasher(0xcbf29ce484222325)
-    }
-}
-
-impl OrderHasher {
-    /// Create a fresh hasher.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Fold one acquisition event into the hash.
-    pub fn record(&mut self, lock: i64, tid: u32) {
-        let mut h = self.0;
-        for b in lock.to_le_bytes().iter().chain(tid.to_le_bytes().iter()) {
-            h ^= *b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
-        self.0 = h;
-    }
-
-    /// The current hash value.
-    pub fn value(&self) -> u64 {
-        self.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -158,20 +126,5 @@ mod tests {
         let z = metrics(0, 10);
         assert_eq!(z.locks_per_sec(), 0.0);
         assert_eq!(z.overhead_pct(&z), 0.0);
-    }
-
-    #[test]
-    fn order_hash_is_order_sensitive() {
-        let mut a = OrderHasher::new();
-        a.record(1, 0);
-        a.record(2, 1);
-        let mut b = OrderHasher::new();
-        b.record(2, 1);
-        b.record(1, 0);
-        assert_ne!(a.value(), b.value());
-        let mut c = OrderHasher::new();
-        c.record(1, 0);
-        c.record(2, 1);
-        assert_eq!(a.value(), c.value());
     }
 }

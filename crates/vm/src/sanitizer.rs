@@ -43,6 +43,7 @@
 //! this artifact is the foundation ROADMAP item 3's `detdebug` replays.
 
 use detlock_ir::module::Module;
+use detlock_shim::hash::Fnv64;
 use detlock_shim::json::{Json, ToJson};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -241,13 +242,8 @@ impl Sanitizer {
     /// Deep digest of the sanitizer state, folded into checkpoint digests:
     /// two runs that agree on this value hold identical detector state.
     pub fn digest(&self) -> u64 {
-        let mut h = 0xcbf29ce484222325u64;
-        let mut fold = |v: u64| {
-            for b in v.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x100000001b3);
-            }
-        };
+        let mut h = Fnv64::new();
+        let mut fold = |v: u64| h.write_u64(v);
         fold(self.n as u64);
         fold(self.acquires);
         fold(self.releases);
@@ -301,7 +297,7 @@ impl Sanitizer {
                 fold(k.write as u64);
             }
         }
-        h
+        h.finish()
     }
 
     fn name_access(module: &Module, k: AccKey) -> DynAccess {

@@ -38,7 +38,6 @@
 //! environment variable (`kendo` | `chunk[:SIZE[:COST]]` | `dc-batch`),
 //! then [`Sched::Kendo`].
 
-use std::sync::Mutex;
 use std::sync::OnceLock;
 
 /// Chunked store-counter clock parameters (Table II). The paper notes
@@ -179,9 +178,17 @@ pub enum Sched {
     DcBatch,
 }
 
-/// Process-wide override installed by `--scheduler` (params make this a
-/// `Mutex<Option<..>>` rather than the atomic tag `Backend` uses).
-static PROCESS_DEFAULT: Mutex<Option<Sched>> = Mutex::new(None);
+/// Process-wide overrides installed by `--scheduler`, oldest first; the
+/// last one counts. A policy carries parameters, so it does not fit the
+/// atomic tag `Backend` uses; a chain of write-once cells keeps
+/// [`Sched::resolve`] — run for every default-constructed config, on any
+/// thread — a walk over atomic loads with no lock to contend on.
+struct Override {
+    sched: Sched,
+    newer: OnceLock<Box<Override>>,
+}
+
+static PROCESS_DEFAULT: OnceLock<Box<Override>> = OnceLock::new();
 
 impl Sched {
     /// Parse a CLI/env spelling: `kendo`, `chunk`, `chunk:SIZE`,
@@ -261,7 +268,17 @@ impl Sched {
     /// Called by the `--scheduler` flag of the CLI tools so every machine
     /// built afterwards uses the requested policy.
     pub fn set_process_default(self) {
-        *PROCESS_DEFAULT.lock().unwrap() = Some(self);
+        let mut link = Box::new(Override {
+            sched: self,
+            newer: OnceLock::new(),
+        });
+        let mut cell = &PROCESS_DEFAULT;
+        // A taken cell (an earlier override, or one racing this) hands the
+        // link back: queue behind its occupant.
+        while let Err(back) = cell.set(link) {
+            link = back;
+            cell = &cell.get().expect("`set` failed on a full cell").newer;
+        }
     }
 
     /// The scheduler a fresh [`crate::machine::MachineConfig`] gets: the
@@ -272,7 +289,13 @@ impl Sched {
     /// On an unparseable `DETLOCK_SCHEDULER` value — a misconfigured
     /// environment should fail loudly, not silently fall back.
     pub fn resolve() -> Sched {
-        if let Some(s) = *PROCESS_DEFAULT.lock().unwrap() {
+        let mut cell = &PROCESS_DEFAULT;
+        let mut latest = None;
+        while let Some(link) = cell.get() {
+            latest = Some(link.sched);
+            cell = &link.newer;
+        }
+        if let Some(s) = latest {
             return s;
         }
         static ENV: OnceLock<Option<Sched>> = OnceLock::new();

@@ -322,7 +322,10 @@ fn restore_under_a_different_scheduler_is_a_typed_error() {
 /// excludes the backend (both engines are differentially bit-identical),
 /// the chain also alternates backends across resumes: a snapshot taken
 /// under the interpreter resumes under the threaded engine and vice versa,
-/// and the result must still match.
+/// and the result must still match. Every resume is also a round trip of
+/// the state type: the resumed machine, snapshotted before it runs a
+/// cycle, gives back the digest and the size of the checkpoint it came
+/// from — interp→threaded and threaded→interp, sanitizer on and off.
 #[test]
 fn threaded_and_cross_backend_resume_match_run_from_zero() {
     use detlock_bench::{instrumented, machine_config, thread_specs};
@@ -332,11 +335,15 @@ fn threaded_and_cross_backend_resume_match_run_from_zero() {
     use detlock_vm::Backend;
 
     let cost = CostModel::default();
-    for w in detlock_workloads::all_benchmarks(2, 0.02) {
+    let grid = [true, false].into_iter().flat_map(|sanitize| {
+        let workloads = detlock_workloads::all_benchmarks(2, 0.02);
+        workloads.into_iter().map(move |w| (w, sanitize))
+    });
+    for (w, sanitize) in grid {
         let inst = instrumented(&w, &cost, OptLevel::All, Placement::Start);
         let specs = thread_specs(&w);
         let mut cfg = machine_config(&w, ExecMode::Det, 11);
-        cfg.sanitize = true;
+        cfg.sanitize = sanitize;
 
         // Reference: uninterrupted, interpreter (the oracle).
         cfg.backend = Backend::Interp;
@@ -356,8 +363,24 @@ fn threaded_and_cross_backend_resume_match_run_from_zero() {
                     _ => Backend::Interp,
                 };
                 let machine = match &resume {
-                    Some(ck) => Machine::resume(&inst.module, &cost, cfg, ck)
-                        .expect("cross-backend resume must pass the fingerprint check"),
+                    Some(ck) => {
+                        let resumed = Machine::resume(&inst.module, &cost, cfg, ck)
+                            .expect("cross-backend resume must pass the fingerprint check");
+                        // A deep digest hashes all of memory: sampling two
+                        // rounds in sixteen, an odd and an even one, still
+                        // takes both directions all along the run.
+                        if rounds % 16 < 2 {
+                            let back = resumed.snapshot();
+                            assert_eq!(
+                                (back.cycle(), back.digest(), back.approx_bytes()),
+                                (ck.cycle(), ck.digest(), ck.approx_bytes()),
+                                "{} / {policy} / sanitize {sanitize}: round {rounds} resumed \
+                                 into a different state",
+                                w.name
+                            );
+                        }
+                        resumed
+                    }
                     None => Machine::new(&inst.module, &cost, &specs, cfg),
                 };
                 let mut taken = None;
@@ -382,7 +405,7 @@ fn threaded_and_cross_backend_resume_match_run_from_zero() {
                 assert!(rounds < 100_000, "resume chain never converged");
             };
             assert!(rounds > 0, "{}: interval too coarse to interrupt", w.name);
-            let ctx = format!("{} / {policy}", w.name);
+            let ctx = format!("{} / {policy} / sanitize {sanitize}", w.name);
             assert_eq!(m, m_ref, "metrics diverged: {ctx}");
             assert_eq!(mem, mem_ref, "memory diverged: {ctx}");
             assert_eq!(san, san_ref, "sanitizer report diverged: {ctx}");
