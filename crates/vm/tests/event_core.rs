@@ -2,10 +2,12 @@
 //!
 //! * [`golden_table`] holds absolute simulated numbers — cycles, every
 //!   thread's busy/wait/bump/clock/finish counters, the lock-order hash and
-//!   a hash of final memory — for sync-heavy shapes under every execution
-//!   mode and scheduler. The constants were captured on the loop that
-//!   stepped every cycle individually; any way of advancing time faster
-//!   has to reproduce them to the last digit.
+//!   a hash of final memory — for sync-heavy shapes and one compute-bound
+//!   shape under every execution mode and scheduler. The constants were
+//!   captured on the loop that stepped every cycle individually (the
+//!   compute shape's on the loop that ran the arbiter in every event round);
+//!   any way of advancing time faster has to reproduce them to the last
+//!   digit.
 //! * [`checkpoint_interval_one_is_the_stepped_oracle`] and
 //!   [`a_cycle_limit_inside_a_skip_cuts_where_the_stepper_does`] compare the
 //!   loop against itself: a checkpoint interval of 1 clamps every time
@@ -14,9 +16,9 @@
 //!   with it.
 
 use detlock_ir::builder::FunctionBuilder;
-use detlock_ir::inst::{BinOp, CmpOp};
+use detlock_ir::inst::{BinOp, CmpOp, Inst, Operand};
 use detlock_ir::types::{BarrierId, FuncId};
-use detlock_ir::Module;
+use detlock_ir::{Builtin, Module};
 use detlock_passes::cost::CostModel;
 use detlock_passes::pipeline::{instrument, OptConfig};
 use detlock_passes::plan::Placement;
@@ -26,6 +28,7 @@ use detlock_vm::machine::{
 use detlock_vm::replay::record;
 use detlock_vm::{Backend, ChunkParams, Sched};
 use detlock_workloads::radiosity::{self, RadiosityParams};
+use detlock_workloads::util::{mixed_compute, scratch_base, single_block_leaf};
 use detlock_workloads::{racy, Workload};
 use std::collections::HashMap;
 use std::fmt::Write;
@@ -125,7 +128,91 @@ fn hammer(
     Shape::new(name, module, &[entry], specs, 1 << 10, cost)
 }
 
-/// The grid's four programs. Thread counts differ on purpose: 3 is not a
+/// `threads` × `timesteps` × {a sweep of rows, each a block of grid
+/// arithmetic and a call; a memset and a memcpy sized by a register, so the
+/// instrumented module carries `TickDyn`s; a barrier}, closed by one
+/// reduction under a lock. Ocean's shape: about one synchronization per 900
+/// instructions, so in nearly every round some thread issues an instruction
+/// and none is at a synchronization operation. Thread `t` sweeps `3 + t`
+/// rows: the early arrivers sit in the barrier while the last one computes.
+fn stencil(threads: usize, timesteps: i64, cost: &CostModel) -> Shape {
+    let mut module = Module::new();
+    let relax = single_block_leaf(&mut module, "relax".into(), 24);
+    let mut fb = FunctionBuilder::new("stencil", 2);
+    fb.block("entry");
+    let ts_head = fb.create_block("ts.cond");
+    let sweep = fb.create_block("sweep");
+    let row = fb.create_block("row");
+    let halo = fb.create_block("halo");
+    let reduce = fb.create_block("reduce");
+    let tid = fb.param(0);
+    let timesteps_reg = fb.param(1);
+    let scratch = scratch_base(&mut fb, tid);
+    let rows = fb.add(tid, 3);
+    let halo_src = fb.add(scratch, 512);
+    let halo_dst = fb.add(scratch, 768);
+    let ts = fb.iconst(0);
+    let r = fb.iconst(0);
+    fb.br(ts_head);
+
+    fb.switch_to(ts_head);
+    let c = fb.cmp(CmpOp::Lt, ts, timesteps_reg);
+    fb.cond_br(c, sweep, reduce);
+
+    fb.switch_to(sweep);
+    fb.mov_to(r, 0i64);
+    fb.br(row);
+
+    fb.switch_to(row);
+    mixed_compute(&mut fb, 250, scratch);
+    fb.call_void(relax, vec![Operand::Reg(scratch)]);
+    fb.bin_to(BinOp::Add, r, r, 1);
+    let c = fb.cmp(CmpOp::Lt, r, rows);
+    fb.cond_br(c, row, halo);
+
+    fb.switch_to(halo);
+    let low = fb.bin(BinOp::And, ts, 7);
+    let len = fb.add(low, 6);
+    let fill = vec![Operand::Reg(halo_src), Operand::Reg(ts), Operand::Reg(len)];
+    fb.builtin_void(Builtin::Memset, fill, Some(2));
+    let copy = vec![
+        Operand::Reg(halo_dst),
+        Operand::Reg(halo_src),
+        Operand::Reg(len),
+    ];
+    fb.builtin_void(Builtin::Memcpy, copy, Some(2));
+    fb.barrier(BarrierId(0));
+    fb.bin_to(BinOp::Add, ts, ts, 1);
+    fb.br(ts_head);
+
+    fb.switch_to(reduce);
+    fb.lock(1i64);
+    let acc = fb.iconst(16);
+    let total = fb.load(acc, 0);
+    let local = fb.load(scratch, 0);
+    let sum = fb.add(total, Operand::Reg(local));
+    fb.store(acc, 0, sum);
+    fb.unlock(1i64);
+    fb.ret_void();
+    let entry = fb.finish_into(&mut module);
+    let specs = (0..threads)
+        .map(|t| ThreadSpec {
+            func: entry,
+            args: vec![t as i64, timesteps],
+        })
+        .collect();
+    let shape = Shape::new("stencil", module, &[entry], specs, 1 << 13, cost);
+    let dynamic_ticks = shape.inst.functions[entry.index()]
+        .blocks
+        .iter()
+        .flat_map(|b| &b.insts)
+        .filter(|i| matches!(i, Inst::TickDyn { .. }))
+        .count();
+    assert_eq!(dynamic_ticks, 2, "one per register-sized builtin");
+    shape
+}
+
+/// The grid's five programs. Thread counts differ on purpose: 3 is not a
 /// power of two, so the service-order rotation `(cycle · φ64 + seed) mod n`
 /// takes its general path there. Radiosity comes from the caller: the
 /// golden table runs scale 0.05, the stepped runs [`stepped_radiosity`].
@@ -135,14 +222,15 @@ fn shapes(cost: &CostModel, radiosity: Workload) -> Vec<Shape> {
         hammer("barrier-hammer", 3, 60, true, cost),
         Shape::from_workload("radiosity", radiosity, cost),
         Shape::from_workload("deadlock-control", racy::build_deadlock(3), cost),
+        stencil(3, 5, cost),
     ]
 }
 
 /// Words of memory for the stepped runs, which copy the memory image every
-/// cycle: every address radiosity's two threads and the deadlock control's
-/// three touch lies below it (queue head 0, elements from 2048, scratch
-/// regions from 4096 + 1024·tid), so nothing aliases and the programs run
-/// as they do in their own 65 536.
+/// cycle: every address radiosity's two threads and the three of the
+/// deadlock control and of the stencil touch lies below it (queue head 0,
+/// elements from 2048, scratch regions from 4096 + 1024·tid), so nothing
+/// aliases and the programs run as they do in their own 65 536.
 const STEPPED_MEM: usize = 8192;
 
 /// Radiosity cut down for one snapshot per cycle: a short queue of tasks
@@ -314,6 +402,22 @@ const GOLDEN: &[Golden] = &[
     ("deadlock-control", "bulk-sync", 31337, 2205, 0xe89466ae75a1e944, 0x71d4a8e60bcf2125, &[[38, 909, 0, 0, 951], [39, 1533, 0, 0, 1578], [38, 2158, 0, 0, 2204]]),
     ("deadlock-control", "replay", 1, 82, 0x5a1b9ad3f5ae8ea4, 0x71d4a8e60bcf2125, &[[38, 0, 0, 0, 42], [38, 39, 0, 0, 81], [38, 21, 0, 0, 63]]),
     ("deadlock-control", "replay", 31337, 81, 0xe89466ae75a1e944, 0x71d4a8e60bcf2125, &[[38, 0, 0, 0, 42], [39, 20, 0, 0, 63], [38, 38, 0, 0, 80]]),
+    ("stencil", "baseline", 1, 12080, 0xac7814be4ab0a827, 0xce65d69ae7b46220, &[[7367, 4675, 0, 0, 12053], [9722, 2346, 0, 0, 12079], [12043, 12, 0, 0, 12066]]),
+    ("stencil", "baseline", 31337, 12075, 0x49ff86af1d438d57, 0xce65d69ae7b46220, &[[7360, 4677, 0, 0, 12048], [9714, 2336, 0, 0, 12061], [12038, 25, 0, 0, 12074]]),
+    ("stencil", "clocks-only", 1, 12236, 0xa26f4ea1e2b6cdc7, 0xce65d69ae7b46220, &[[7497, 4709, 0, 7235, 12217], [9855, 2331, 0, 9545, 12197], [12187, 37, 0, 11855, 12235]]),
+    ("stencil", "clocks-only", 31337, 12230, 0x49ff86af1d438d57, 0xce65d69ae7b46220, &[[7484, 4697, 0, 7235, 12192], [9855, 2344, 0, 9545, 12210], [12182, 36, 0, 11855, 12229]]),
+    ("stencil", "det+kendo", 1, 12620, 0x49ff86af1d438d57, 0xce65d69ae7b46220, &[[7617, 4703, 0, 11862, 12331], [9975, 2489, 16, 11878, 12475], [12307, 301, 32, 11894, 12619]]),
+    ("stencil", "det+kendo", 31337, 12616, 0x49ff86af1d438d57, 0xce65d69ae7b46220, &[[7604, 4712, 0, 11862, 12327], [9975, 2485, 16, 11878, 12471], [12302, 302, 32, 11894, 12615]]),
+    ("stencil", "det+chunk", 1, 18381, 0x49ff86af1d438d57, 0xce65d69ae7b46220, &[[11097, 6984, 0, 13086, 18092], [14575, 3650, 16, 13102, 18236], [18067, 302, 32, 13118, 18380]]),
+    ("stencil", "det+chunk", 31337, 18375, 0x49ff86af1d438d57, 0xce65d69ae7b46220, &[[11084, 6991, 0, 13086, 18086], [14575, 3644, 16, 13102, 18230], [18062, 301, 32, 13118, 18374]]),
+    ("stencil", "det+dc-batch", 1, 12607, 0x49ff86af1d438d57, 0xce65d69ae7b46220, &[[7617, 4692, 0, 11862, 12320], [9975, 2477, 0, 11862, 12463], [12307, 288, 0, 11862, 12606]]),
+    ("stencil", "det+dc-batch", 31337, 12603, 0x49ff86af1d438d57, 0xce65d69ae7b46220, &[[7604, 4701, 0, 11862, 12316], [9975, 2473, 0, 11862, 12459], [12302, 289, 0, 11862, 12602]]),
+    ("stencil", "kendo+chunk", 1, 18210, 0x49ff86af1d438d57, 0xce65d69ae7b46220, &[[10967, 6955, 0, 1231, 17933], [14442, 3618, 2, 1233, 18071], [17923, 275, 4, 1235, 18209]]),
+    ("stencil", "kendo+chunk", 31337, 18206, 0x49ff86af1d438d57, 0xce65d69ae7b46220, &[[10960, 6958, 0, 1231, 17929], [14434, 3622, 2, 1233, 18067], [17918, 276, 4, 1235, 18205]]),
+    ("stencil", "bulk-sync", 1, 20493, 0x49ff86af1d438d57, 0xce65d69ae7b46220, &[[7367, 12476, 0, 0, 19854], [9722, 10439, 0, 0, 20173], [12043, 8436, 0, 0, 20492]]),
+    ("stencil", "bulk-sync", 31337, 20488, 0x49ff86af1d438d57, 0xce65d69ae7b46220, &[[7360, 12478, 0, 0, 19849], [9714, 10442, 0, 0, 20168], [12038, 8436, 0, 0, 20487]]),
+    ("stencil", "replay", 1, 12079, 0x49ff86af1d438d57, 0xce65d69ae7b46220, &[[7367, 4675, 0, 0, 12053], [9722, 2333, 0, 0, 12066], [12043, 24, 0, 0, 12078]]),
+    ("stencil", "replay", 31337, 12074, 0x007622215c758527, 0xce65d69ae7b46220, &[[7360, 4702, 0, 0, 12073], [9714, 2324, 0, 0, 12049], [12038, 12, 0, 0, 12061]]),
 ];
 
 #[test]
@@ -442,13 +546,21 @@ fn checkpoint_interval_one_is_the_stepped_oracle() {
 
 /// A run of consecutive cycle limits is certain to put some of them
 /// strictly inside a multi-cycle advance: on the hammers the 124-cycle
-/// countdown after every deterministic grant alone covers most cycles.
+/// countdown after every deterministic grant alone covers most cycles. On
+/// every shape it also puts one exactly on an instruction issue that ends
+/// such an advance (`issue == stop`: the advance lands on the limit and
+/// nothing may execute there), one a cycle before it and one a cycle after;
+/// the same three cuts are then made by a checkpoint interval.
 #[test]
 fn a_cycle_limit_inside_a_skip_cuts_where_the_stepper_does() {
     let cost = CostModel::default();
-    for shape in shapes(&cost, stepped_radiosity()).iter().take(2) {
+    let shapes = shapes(&cost, stepped_radiosity());
+    let cut = ["lock-hammer", "barrier-hammer", "stencil"];
+    for shape in shapes.iter().filter(|s| cut.contains(&s.name)) {
         for config in configs() {
             let (module, cfg) = cell(shape, config, 1, Backend::Threaded, &cost);
+            // Instructions issued before cycle 150, 151, ...
+            let mut issued = Vec::new();
             for limit in 150..400 {
                 let ctx = format!("{} / {} / limit {limit}", shape.name, config.0);
                 let mut cfg = cfg.clone();
@@ -458,6 +570,7 @@ fn a_cycle_limit_inside_a_skip_cuts_where_the_stepper_does() {
                     Machine::new(module, &cost, &shape.specs, cfg).run_sanitized();
                 assert!(hit_limit, "limit did not cut: {ctx}");
                 assert_eq!(metrics.cycles, limit, "{ctx}");
+                issued.push(metrics.instructions());
                 let plain = RunOutcome::Finished {
                     metrics,
                     memory,
@@ -465,6 +578,32 @@ fn a_cycle_limit_inside_a_skip_cuts_where_the_stepper_does() {
                     sanitizer,
                 };
                 assert_eq!(plain, stepped, "run() vs every 1: {ctx}");
+            }
+            // A cycle in which a thread issues right after one in which
+            // none did: the limits above include it and both neighbours.
+            let ctx = format!("{} / {}", shape.name, config.0);
+            let landing = issued
+                .windows(3)
+                .position(|w| w[0] == w[1] && w[1] < w[2])
+                .unwrap_or_else(|| panic!("no limit fell on an issue after a skip: {ctx}"));
+            let issue = 151 + landing as u64;
+            let mut cfg = cfg.clone();
+            cfg.max_cycles = 3 * issue + issue / 2;
+            let intervals = [issue - 1, issue, issue + 1];
+            let (stepped, oracle) = stream(module, &cost, &shape.specs, &cfg, 1, |c| {
+                intervals.iter().any(|&e| c.is_multiple_of(e))
+            });
+            for every in intervals {
+                let (outcome, digests) = stream(module, &cost, &shape.specs, &cfg, every, |_| true);
+                assert_eq!(outcome, stepped, "every {every} vs every 1: {ctx}");
+                assert_eq!(digests.len(), 3, "every {every}: {ctx}");
+                for (cycle, digest) in digests {
+                    assert_eq!(
+                        Some(&digest),
+                        oracle.get(&cycle),
+                        "state at cycle {cycle}, every {every} vs every 1: {ctx}"
+                    );
+                }
             }
         }
     }
