@@ -340,28 +340,30 @@ fn main() {
     let (metrics, hit, profile) = Machine::new(&out.module, &cost, &threads, cfg).run_profiled();
     if hit {
         eprintln!("dlc: run hit the cycle limit (deadlock or runaway loop?)");
-        std::process::exit(1);
-    }
-    println!(
-        "\nrun: {} cycles ({:.3} simulated ms at {:.2} GHz)",
-        metrics.cycles,
-        metrics.seconds() * 1e3,
-        metrics.ghz
-    );
-    println!(
-        "     {} instructions, {} lock acquisitions ({:.0} locks/sec), {} wait cycles",
-        metrics.instructions(),
-        metrics.lock_acquires(),
-        metrics.locks_per_sec(),
-        metrics.wait_cycles()
-    );
-    println!("     lock-order hash {:#018x}", metrics.lock_order_hash);
-    for (t, m) in metrics.per_thread.iter().enumerate() {
+    } else {
         println!(
-            "     thread {t}: {} insts, final clock {}, {} acquires, {} stores",
-            m.instructions, m.final_clock, m.lock_acquires, m.retired_stores
+            "\nrun: {} cycles ({:.3} simulated ms at {:.2} GHz)",
+            metrics.cycles,
+            metrics.seconds() * 1e3,
+            metrics.ghz
         );
+        println!(
+            "     {} instructions, {} lock acquisitions ({:.0} locks/sec), {} wait cycles",
+            metrics.instructions(),
+            metrics.lock_acquires(),
+            metrics.locks_per_sec(),
+            metrics.wait_cycles()
+        );
+        println!("     lock-order hash {:#018x}", metrics.lock_order_hash);
+        for (t, m) in metrics.per_thread.iter().enumerate() {
+            println!(
+                "     thread {t}: {} insts, final clock {}, {} acquires, {} stores",
+                m.instructions, m.final_clock, m.lock_acquires, m.retired_stores
+            );
+        }
     }
+    // Also after a cut run: which status the steps found their threads in
+    // is what tells a deadlock from a runaway loop.
     if o.profile {
         let steps: Vec<String> = RoundProfile::STATUS
             .iter()
@@ -374,9 +376,14 @@ fn main() {
             profile.event_rounds, metrics.cycles, profile.skipped_cycles, profile.collapsed_bumps
         );
         println!(
-            "         {} scheduler decisions; steps: {}",
+            "         {} quiet rounds, {} arbitrated, {} scheduler decisions; steps: {}",
+            profile.quiet_rounds,
+            profile.event_rounds - profile.quiet_rounds,
             profile.decide_calls,
             steps.join(", ")
         );
+    }
+    if hit {
+        std::process::exit(1);
     }
 }

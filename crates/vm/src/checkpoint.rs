@@ -15,7 +15,7 @@ use detlock_ir::module::Module;
 use detlock_ir::types::{BlockId, FuncId, Reg};
 use detlock_shim::hash::Fnv64;
 use detlock_shim::rng::SmallRng;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum Status {
@@ -103,8 +103,12 @@ pub(crate) struct RunState {
     pub(crate) cycle: u64,
     pub(crate) threads: Vec<Thread>,
     pub(crate) mem: Vec<i64>,
-    pub(crate) locks: HashMap<i64, LockState>,
-    pub(crate) barriers: HashMap<u32, BarrierState>,
+    /// Ordered maps, not hashed ones: a contended acquisition looks its
+    /// lock up four to six times (the default hasher on that path was an
+    /// eighth of `vm_sync`'s op time), and the digest folds the tables in
+    /// id order. Ids can come from registers, so they are not dense.
+    pub(crate) locks: BTreeMap<i64, LockState>,
+    pub(crate) barriers: BTreeMap<u32, BarrierState>,
     /// FNV-1a over the `(lock, tid)` acquisition sequence so far.
     pub(crate) hasher: Fnv64,
     pub(crate) lock_order: Vec<(i64, u32)>,
@@ -165,8 +169,8 @@ impl RunState {
             cycle: 0,
             threads,
             mem: vec![0i64; cfg.mem_words.max(1)],
-            locks: HashMap::new(),
-            barriers: HashMap::new(),
+            locks: BTreeMap::new(),
+            barriers: BTreeMap::new(),
             hasher: Fnv64::new(),
             lock_order: Vec::new(),
             done_count: 0,
@@ -333,19 +337,14 @@ impl Checkpoint {
                 h.write_u64(f.ret_dst.map(|r| r.index() as u64 + 1).unwrap_or(0));
             }
         }
-        let mut lock_ids: Vec<i64> = locks.keys().copied().collect();
-        lock_ids.sort_unstable();
-        for id in lock_ids {
-            let st = &locks[&id];
+        for (&id, st) in locks {
             h.write_u64(id as u64);
             h.write_u64(st.held_by.map(|t| t as u64 + 1).unwrap_or(0));
             h.write_u64(st.release_clock.map(|c| c + 1).unwrap_or(0));
         }
-        let mut bar_ids: Vec<u32> = barriers.keys().copied().collect();
-        bar_ids.sort_unstable();
-        for id in bar_ids {
+        for (&id, bar) in barriers {
             h.write_u64(id as u64);
-            for &a in &barriers[&id].arrivals {
+            for &a in &bar.arrivals {
                 h.write_u64(a as u64);
             }
         }

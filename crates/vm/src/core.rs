@@ -67,7 +67,8 @@ pub(crate) struct DetCore<'m> {
     /// `cfg.mode` is `ExecMode::BulkSync`, hoisted: consulted by every
     /// round and step.
     bulk: bool,
-    /// Scratch view buffer handed to the scheduler, rebuilt every round.
+    /// Scratch view buffer handed to the scheduler, rebuilt in every
+    /// arbitrated round.
     views: Vec<ThreadView>,
     /// What the round loop has done so far: about the simulator rather
     /// than the simulated run, so not part of [`RunMetrics`] or of
@@ -85,6 +86,9 @@ pub(crate) struct DetCore<'m> {
     /// wrapping then becomes a mask instead of a 64-bit `rem_euclid`
     /// division per load/store.
     pub(crate) mem_mask: Option<u64>,
+    /// `threads.len() - 1` when the thread count is a power of two: the
+    /// service-order rotation then takes a mask instead of a division.
+    rot_mask: Option<u64>,
 }
 
 /// The rotation multiplier (64-bit golden ratio; Weyl sequence over tids).
@@ -94,9 +98,12 @@ const ROT_MUL: u64 = 0x9e3779b97f4a7c15;
 /// was executed round by round and how much was advanced in closed form.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RoundProfile {
-    /// Rounds executed in full: a scheduler decision (deterministic modes)
-    /// and one step per thread.
+    /// Rounds executed in full: one step per thread and, unless the round
+    /// was quiet, a scheduler decision (deterministic modes).
     pub event_rounds: u64,
+    /// Of those, rounds that found no thread at a synchronization
+    /// operation and skipped the arbiter: no view, no lease, no decision.
+    pub quiet_rounds: u64,
     /// Cycles advanced without a round, as counter arithmetic.
     pub skipped_cycles: u64,
     /// Of those, cycles in which a blocked turn holder's bump-and-retry
@@ -132,6 +139,7 @@ impl<'m> DetCore<'m> {
         state: RunState,
     ) -> DetCore<'m> {
         let words = state.mem.len();
+        let n = state.threads.len();
         DetCore {
             module,
             cost,
@@ -150,13 +158,15 @@ impl<'m> DetCore<'m> {
             scratch_args: Vec::new(),
             ckpt_every: 0,
             mem_mask: words.is_power_of_two().then(|| words as u64 - 1),
+            rot_mask: n.is_power_of_two().then(|| n as u64 - 1),
         }
     }
 
     /// One iteration of the main loop: advance simulated time to the next
-    /// event in closed form, then execute that event's round — one arbiter
-    /// decision and one step per thread. Returns early, without the round,
-    /// when the advance reaches `max_cycles` or a checkpoint boundary.
+    /// event in closed form, then execute that event's round — one step per
+    /// thread, under one arbiter decision when some thread is at a
+    /// synchronization operation. Returns early, without the round, when
+    /// the advance reaches `max_cycles` or a checkpoint boundary.
     pub(crate) fn round(&mut self, exec: &ExecImpl) {
         // One enum match per *round*, not per step: `round_inner` is
         // monomorphized per backend, so every `exec_next` call below is a
@@ -187,91 +197,99 @@ impl<'m> DetCore<'m> {
                 return;
             }
         }
-        // One pass over the threads fills the scheduler's view and finds
-        // the earliest instruction issue: the smallest countdown of a
-        // Ready thread.
+        // One pass over the threads finds the earliest instruction issue —
+        // the smallest countdown of a Ready thread — and whether any thread
+        // is at a synchronization operation.
         let mut issue = u64::MAX;
-        self.views.clear();
+        let mut arbitrating = false;
         for th in &self.state.threads {
-            let phase = match th.status {
-                Status::Done => Phase::Done,
-                Status::Ready => {
-                    issue = issue.min(th.pending);
-                    Phase::Runnable
-                }
+            match th.status {
+                Status::Ready => issue = issue.min(th.pending),
                 Status::AcquiringLock(_) | Status::AcquiringBarrier(_) | Status::ExitWait => {
-                    Phase::Arbitrating
+                    arbitrating = true;
                 }
-                // Parked: no turn participation.
-                Status::InBarrier(_) | Status::QuantumDone => Phase::Parked,
-            };
-            self.views.push(ThreadView {
-                phase,
-                clock: th.clock,
-            });
+                Status::InBarrier(_) | Status::QuantumDone | Status::Done => {}
+            }
         }
         // Next-event time advance. Until a thread issues an instruction or
         // a synchronization event fires, a round only moves counters: a
         // Ready thread counts down, a waiting one accrues a wait cycle and
         // a blocked turn holder bumps its clock. No RNG is drawn and the
-        // lock and barrier tables stand still, so those `k` rounds are
-        // applied as arithmetic — repeatedly while only the turn moves on,
-        // which changes who bumps. Stopping at `max_cycles` and at every
-        // checkpoint boundary keeps the advance invisible to snapshots,
-        // crash plans and all metrics.
-        while issue > 0 {
-            let (quiet, bumper) = self.quiet_rounds();
-            if quiet == 0 {
-                break;
-            }
-            let mut stop = self.cfg.max_cycles - self.state.cycle;
-            if self.ckpt_every > 0 {
-                stop = stop.min(self.ckpt_every - self.state.cycle % self.ckpt_every);
-            }
-            let k = issue.min(quiet).min(stop);
-            for th in self.state.threads.iter_mut() {
-                match th.status {
-                    Status::Done => {}
-                    Status::Ready => {
-                        th.pending -= k;
-                        th.m.busy_cycles += k;
-                    }
-                    _ => th.m.wait_cycles += k,
+        // lock and barrier tables stand still, so those rounds are applied
+        // as arithmetic. Stopping at `max_cycles` and at every checkpoint
+        // boundary keeps the advance invisible to snapshots, crash plans
+        // and all metrics.
+        let mut fold = 0;
+        let mut turn = None;
+        if arbitrating || self.bulk {
+            // Arbitrated round: fill the scheduler's view and advance —
+            // repeatedly while only the turn moves on, which changes who
+            // bumps.
+            self.views.clear();
+            self.views
+                .extend(self.state.threads.iter().map(|th| ThreadView {
+                    phase: match th.status {
+                        Status::Done => Phase::Done,
+                        Status::Ready => Phase::Runnable,
+                        Status::AcquiringLock(_)
+                        | Status::AcquiringBarrier(_)
+                        | Status::ExitWait => Phase::Arbitrating,
+                        // Parked: no turn participation.
+                        Status::InBarrier(_) | Status::QuantumDone => Phase::Parked,
+                    },
+                    clock: th.clock,
+                }));
+            while issue > 0 {
+                let (horizon, bumper) = self.sync_horizon();
+                if horizon == 0 {
+                    break;
+                }
+                let stop = self.until_stop();
+                let k = issue.min(horizon).min(stop);
+                self.advance(k, bumper);
+                if k == stop {
+                    return;
+                }
+                // `u64::MAX` stands for "no Ready thread" and stays.
+                if issue != u64::MAX {
+                    issue -= k;
                 }
             }
-            if let Some(t) = bumper {
-                self.state.threads[t].clock += k;
-                self.state.threads[t].m.lock_clock_bumps += k;
-                self.views[t].clock += k;
-                self.profile.collapsed_bumps += k;
-            }
-            self.state.cycle += k;
-            self.profile.skipped_cycles += k;
-            if k == stop {
-                return;
-            }
-            // `u64::MAX` stands for "no Ready thread" and stays.
-            if issue != u64::MAX {
-                issue -= k;
-            }
-        }
-        self.profile.event_rounds += 1;
-        // Deterministic modes delegate the round's synchronization
-        // decision to the policy; nondeterministic modes never consult it
-        // (their grants are FCFS / replayed / bulk-serial).
-        let turn = if self.cfg.mode.deterministic() {
-            self.profile.decide_calls += 1;
-            match self.cfg.scheduler.decide(&self.views) {
-                Decision::Turn(t) => t,
-                Decision::Batch(order) => {
-                    self.commit_batch(&order);
-                    self.state.cycle += 1;
-                    return;
+            self.profile.event_rounds += 1;
+            // Deterministic modes delegate the round's synchronization
+            // decision to the policy; nondeterministic modes never consult
+            // it (their grants are FCFS / replayed / bulk-serial).
+            if self.cfg.mode.deterministic() {
+                self.profile.decide_calls += 1;
+                match self.cfg.scheduler.decide(&self.views) {
+                    Decision::Turn(t) => turn = t,
+                    Decision::Batch(order) => {
+                        self.commit_batch(&order);
+                        self.state.cycle += 1;
+                        return;
+                    }
                 }
             }
         } else {
-            None
-        };
+            // Quiet round: with nobody at a synchronization operation no
+            // step reads the turn, and no event can fire before the
+            // earliest issue — the lease is `Idle` or names a Ready holder,
+            // whose bound is its own countdown. So the arbiter is not
+            // asked: the round builds no view, and the cycles up to the
+            // issue are folded into the round's own steps.
+            if issue > 0 {
+                let stop = self.until_stop();
+                if issue >= stop {
+                    self.advance(stop, None);
+                    return;
+                }
+                self.state.cycle += issue;
+                self.profile.skipped_cycles += issue;
+                fold = issue;
+            }
+            self.profile.event_rounds += 1;
+            self.profile.quiet_rounds += 1;
+        }
         // Rotate the service order so baseline FCFS has no fixed
         // lowest-tid bias; in deterministic modes only the turn holder
         // acts on sync events, so there the rotation only orders same-cycle
@@ -281,7 +299,10 @@ impl<'m> DetCore<'m> {
             .cycle
             .wrapping_mul(ROT_MUL)
             .wrapping_add(self.cfg.jitter.seed);
-        let start = (rot % n as u64) as usize;
+        let start = match self.rot_mask {
+            Some(mask) => rot & mask,
+            None => rot % n as u64,
+        } as usize;
         // Every thread is stepped; `step` moves those it does not find
         // `Ready` to their own slot. Counting the common case here, once
         // per round, keeps the counter out of the per-step path.
@@ -292,9 +313,43 @@ impl<'m> DetCore<'m> {
             if t >= n {
                 t -= n;
             }
-            self.step(t, turn, exec);
+            self.step(t, fold, turn, exec);
         }
         self.state.cycle += 1;
+    }
+
+    /// Cycles from now to where a time advance has to stop: the cycle
+    /// limit or the next checkpoint boundary, whichever comes first.
+    fn until_stop(&self) -> u64 {
+        let stop = self.cfg.max_cycles - self.state.cycle;
+        if self.ckpt_every == 0 {
+            return stop;
+        }
+        stop.min(self.ckpt_every - self.state.cycle % self.ckpt_every)
+    }
+
+    /// `k` rounds in which no thread issues and no synchronization event
+    /// fires, as arithmetic; `bumper` is the blocked turn holder that
+    /// spends them bumping its clock.
+    fn advance(&mut self, k: u64, bumper: Option<usize>) {
+        for th in self.state.threads.iter_mut() {
+            match th.status {
+                Status::Done => {}
+                Status::Ready => {
+                    th.pending -= k;
+                    th.m.busy_cycles += k;
+                }
+                _ => th.m.wait_cycles += k,
+            }
+        }
+        if let Some(t) = bumper {
+            self.state.threads[t].clock += k;
+            self.state.threads[t].m.lock_clock_bumps += k;
+            self.views[t].clock += k;
+            self.profile.collapsed_bumps += k;
+        }
+        self.state.cycle += k;
+        self.profile.skipped_cycles += k;
     }
 
     /// The synchronization half of the time advance: for how many rounds
@@ -302,7 +357,7 @@ impl<'m> DetCore<'m> {
     /// by the earliest instruction issue, which is also the earliest a
     /// lock can be released), and which thread, if any, spends those
     /// rounds bumping its clock.
-    fn quiet_rounds(&self) -> (u64, Option<usize>) {
+    fn sync_horizon(&self) -> (u64, Option<usize>) {
         if self.bulk {
             // Quantum bookkeeping runs per cycle.
             return (0, None);
@@ -396,19 +451,26 @@ impl<'m> DetCore<'m> {
         self.profile.steps[status.code().0 as usize] += 1;
     }
 
-    fn step<B: ExecBackend>(&mut self, t: usize, turn: Option<u32>, exec: &B) {
+    /// One thread's part of an event round. `fold` is the number of cycles
+    /// before this one that the round advances in the same step (nonzero
+    /// only in a quiet round, where it is the smallest countdown): a Ready
+    /// thread counts them down, a parked one waits them out, and the thread
+    /// whose countdown they exhaust issues its next instruction. `turn` is
+    /// the arbiter's decision, `None` in a quiet round, where no thread is
+    /// in a status that reads it.
+    fn step<B: ExecBackend>(&mut self, t: usize, fold: u64, turn: Option<u32>, exec: &B) {
         let det = self.cfg.mode.deterministic();
         let tid = t as u32;
         let status = self.state.threads[t].status;
+        debug_assert!(
+            fold == 0 || matches!(status, Status::Ready | Status::InBarrier(_) | Status::Done),
+            "a round that folds cycles found thread {t} {status:?}"
+        );
         match status {
             Status::Done => self.count_step(status),
-            Status::InBarrier(_) => {
+            Status::InBarrier(_) | Status::QuantumDone => {
                 self.count_step(status);
-                self.state.threads[t].m.wait_cycles += 1;
-            }
-            Status::QuantumDone => {
-                self.count_step(status);
-                self.state.threads[t].m.wait_cycles += 1;
+                self.state.threads[t].m.wait_cycles += fold + 1;
             }
             Status::ExitWait => {
                 self.count_step(status);
@@ -467,11 +529,16 @@ impl<'m> DetCore<'m> {
                     self.state.threads[t].m.wait_cycles += 1;
                     return;
                 }
-                if self.state.threads[t].pending > 0 {
-                    self.state.threads[t].pending -= 1;
-                    self.state.threads[t].m.busy_cycles += 1;
+                let th = &mut self.state.threads[t];
+                if th.pending > fold {
+                    th.pending -= fold + 1;
+                    th.m.busy_cycles += fold + 1;
                     return;
                 }
+                // The countdown runs out with the fold: `charge` and a
+                // store-retirement interrupt find `pending` at zero.
+                th.pending -= fold;
+                th.m.busy_cycles += fold;
                 if self.bulk {
                     self.state.threads[t].quantum_left -= 1;
                 }

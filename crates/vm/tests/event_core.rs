@@ -14,6 +14,9 @@
 //!   advance to one cycle, so that run is the per-cycle stepper, and every
 //!   other interval, the plain run and every cycle-limit cut must agree
 //!   with it.
+//! * [`round_profile_counts_add_up`] holds the loop's own work counters to
+//!   the identities between them, and the share of rounds that skip the
+//!   arbiter to what the shape predicts.
 
 use detlock_ir::builder::FunctionBuilder;
 use detlock_ir::inst::{BinOp, CmpOp, Inst, Operand};
@@ -544,6 +547,9 @@ fn checkpoint_interval_one_is_the_stepped_oracle() {
     }
 }
 
+/// The cycle limits the sweep below cuts at.
+const LIMITS: std::ops::Range<u64> = 150..400;
+
 /// A run of consecutive cycle limits is certain to put some of them
 /// strictly inside a multi-cycle advance: on the hammers the 124-cycle
 /// countdown after every deterministic grant alone covers most cycles. On
@@ -559,9 +565,9 @@ fn a_cycle_limit_inside_a_skip_cuts_where_the_stepper_does() {
     for shape in shapes.iter().filter(|s| cut.contains(&s.name)) {
         for config in configs() {
             let (module, cfg) = cell(shape, config, 1, Backend::Threaded, &cost);
-            // Instructions issued before cycle 150, 151, ...
+            // Instructions issued before each limit.
             let mut issued = Vec::new();
-            for limit in 150..400 {
+            for limit in LIMITS {
                 let ctx = format!("{} / {} / limit {limit}", shape.name, config.0);
                 let mut cfg = cfg.clone();
                 cfg.max_cycles = limit;
@@ -586,7 +592,7 @@ fn a_cycle_limit_inside_a_skip_cuts_where_the_stepper_does() {
                 .windows(3)
                 .position(|w| w[0] == w[1] && w[1] < w[2])
                 .unwrap_or_else(|| panic!("no limit fell on an issue after a skip: {ctx}"));
-            let issue = 151 + landing as u64;
+            let issue = LIMITS.start + 1 + landing as u64;
             let mut cfg = cfg.clone();
             cfg.max_cycles = 3 * issue + issue / 2;
             let intervals = [issue - 1, issue, issue + 1];
@@ -603,6 +609,58 @@ fn a_cycle_limit_inside_a_skip_cuts_where_the_stepper_does() {
                         oracle.get(&cycle),
                         "state at cycle {cycle}, every {every} vs every 1: {ctx}"
                     );
+                }
+            }
+        }
+    }
+}
+
+/// `RoundProfile` is exact counts, so it is tested by equality: every cycle
+/// is an event round or was advanced in closed form, every event round
+/// steps every thread once (or commits a batch), and the policy is asked
+/// exactly in the rounds that are not quiet.
+#[test]
+fn round_profile_counts_add_up() {
+    let cost = CostModel::default();
+    for shape in shapes(&cost, stepped_radiosity()) {
+        let n = shape.specs.len() as u64;
+        for config in configs() {
+            for backend in [Backend::Interp, Backend::Threaded] {
+                let ctx = format!("{} / {} / {backend:?}", shape.name, config.0);
+                let (module, cfg) = cell(&shape, config, 1, backend, &cost);
+                let (mode, policy) = (cfg.mode, cfg.scheduler);
+                let (metrics, hit, p) =
+                    Machine::new(module, &cost, &shape.specs, cfg).run_profiled();
+                assert!(!hit, "{ctx}");
+                assert!(p.quiet_rounds <= p.event_rounds, "{ctx}");
+                // Bulk-sync's commit stalls and serial phases are cycles of
+                // neither kind.
+                if !matches!(mode, ExecMode::BulkSync(_)) {
+                    assert_eq!(p.event_rounds + p.skipped_cycles, metrics.cycles, "{ctx}");
+                }
+                let deterministic = matches!(mode, ExecMode::Det | ExecMode::Kendo);
+                // A batch commit is an event round without steps.
+                if !(deterministic && policy == Sched::DcBatch) {
+                    assert_eq!(p.steps.iter().sum::<u64>(), n * p.event_rounds, "{ctx}");
+                }
+                let asked = if deterministic {
+                    p.event_rounds - p.quiet_rounds
+                } else {
+                    0
+                };
+                assert_eq!(p.decide_calls, asked, "{ctx}");
+                if config.0 == "det+kendo" {
+                    // Ocean's shape idles the arbiter; on the hammer some
+                    // thread waits for the lock in most rounds.
+                    match shape.name {
+                        "stencil" => {
+                            assert!(100 * p.quiet_rounds >= 99 * p.event_rounds, "{ctx}: {p:?}")
+                        }
+                        "lock-hammer" => {
+                            assert!(2 * p.quiet_rounds < p.event_rounds, "{ctx}: {p:?}")
+                        }
+                        _ => {}
+                    }
                 }
             }
         }
