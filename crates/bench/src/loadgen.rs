@@ -468,8 +468,8 @@ impl LoadGen {
             reconnects: tally.reconnects,
             closed_frames,
             wall,
-            p50_us: tally.hist.percentile_us(50.0),
-            p99_us: tally.hist.percentile_us(99.0),
+            p50_us: tally.hist.percentile_us(0.50),
+            p99_us: tally.hist.percentile_us(0.99),
             latency: tally.hist.to_json(),
             backends_seen: tally.backends_seen,
         }

@@ -13,6 +13,10 @@
 //!
 //! * **receipts replace logs** — two runs agree iff two hashes agree,
 //!   so cross-shard and cross-sweep verification is a string compare;
+//! * **duplicates are free** — a receipt is a function of the job, so a
+//!   request for a job that is running rides along with it and one for a
+//!   job that has finished is answered from the record, which re-executes
+//!   on a fixed schedule to keep checking itself;
 //! * **failover is free** — a shard evicted mid-job is requeued on a
 //!   sibling, and the client can't tell, because the sibling's receipt
 //!   is byte-identical;

@@ -8,12 +8,19 @@
 //!
 //! | op         | fields                                              | response |
 //! |------------|-----------------------------------------------------|----------|
-//! | `run`      | `tenant workload threads scale seed opt`            | `ok, job, shard, attempts, receipt{…}, queue_us, exec_us` |
+//! | `run`      | `tenant workload threads scale seed opt`            | `ok, source, shard, attempts, receipt{…}, queue_us, exec_us` |
 //! | `stats`    | —                                                   | `ok, stats{…}` |
 //! | `kill`     | `shard`                                             | `ok` (chaos/testing: evict a shard) |
 //! | `chaos`    | `net{seed,…}?, crash{seed,…}?`                      | `ok, net, crash` (set/clear fault plans; absent = clear) |
 //! | `shutdown` | —                                                   | `ok, drained` after in-flight jobs finish |
 //! | `ping`     | —                                                   | `ok` |
+//!
+//! `source` says where a receipt came from: `exec` (this request's own
+//! execution), `attached` (an execution of the same job identity that was
+//! already in flight; `exec_us` is 0 and `queue_us` is this request's own
+//! wait) or `memo` (the server's receipt ledger; nothing ran, `queue_us`
+//! and `exec_us` are 0 and `shard` is `null`). The receipt is byte-identical
+//! whichever it is.
 //!
 //! Failures answer `{"ok":false,"error":…}`. Load-shedding refusals are
 //! **typed**: they add `"error_kind":"shed"` plus `"reason":"queue_full"`

@@ -27,6 +27,19 @@
 //! `not_before` hasn't passed) instead of thread sleeps, so one faulted
 //! connection can no longer stall its neighbors.
 //!
+//! Admission consults the receipt ledger before the queue
+//! ([`crate::receipt::ReceiptLedger::admit`]): a receipt is a function of
+//! the job's identity, so a request for an identity that is queued or
+//! running parks on it and is answered when that execution ends (through
+//! requeue, eviction and recovery alike — waiters hang on the identity,
+//! not on the `Job`), and one for an identity that has finished is
+//! answered from the record on the event-loop thread, touching neither
+//! queue nor shard. The ledger re-executes on its own fixed schedule
+//! ([`crate::receipt::audit_scheduled`]: one request in six) and
+//! compares, so the memo keeps auditing itself; `sanitize`
+//! jobs, anything admitted while a [`CrashPlan`] is armed, and admissions
+//! during drain go straight to the queue.
+//!
 //! Failure model, in one paragraph: a job is admitted once (backpressure
 //! at the door, as a **typed shed** the client can reason about), then
 //! owned by exactly one shard at a time. While a shard runs a job it
@@ -58,7 +71,7 @@ use crate::conn::{accept_backlog, raw_fd, FramedConn, SlotKind, SlotTable};
 use crate::netfault::{CrashPlan, NetFaultPlan, WireFault};
 use crate::protocol::{error_json, parse_request, JobSpec, WireRequest};
 use crate::queue::{backoff_deadline, AdmissionQueue, SubmitError};
-use crate::receipt::{Receipt, ReceiptLedger, Sighting};
+use crate::receipt::{Admission, Receipt, ReceiptLedger, Sighting};
 use crate::shard::{ExecOpts, ExecOutcome, PreemptReason, ShardEngine};
 use crate::stats::{Counters, LatencyHistogram};
 use detlock_passes::cache::PlanCache;
@@ -139,9 +152,32 @@ impl Default for ServeConfig {
     }
 }
 
+/// How a successful response came by its receipt (`source` on the wire).
+#[derive(Clone, Copy)]
+enum Source {
+    /// This request's own execution.
+    Exec,
+    /// An execution of the same identity that was in flight when this
+    /// request arrived.
+    Attached,
+    /// The receipt ledger; nothing ran.
+    Memo,
+}
+
+impl Source {
+    fn name(self) -> &'static str {
+        match self {
+            Source::Exec => "exec",
+            Source::Attached => "attached",
+            Source::Memo => "memo",
+        }
+    }
+}
+
 enum JobResult {
     Done {
         receipt: Receipt,
+        source: Source,
         shard: usize,
         attempts: u32,
         queue_us: u64,
@@ -154,6 +190,33 @@ enum JobResult {
         error: String,
         attempts: u32,
     },
+}
+
+impl JobResult {
+    /// What a request parked on this execution is told: the same receipt
+    /// or error, its own wait, no execution of its own and no report.
+    fn attached(&self, queue_us: u64) -> JobResult {
+        match self {
+            JobResult::Done {
+                receipt,
+                shard,
+                attempts,
+                ..
+            } => JobResult::Done {
+                receipt: receipt.clone(),
+                source: Source::Attached,
+                shard: *shard,
+                attempts: *attempts,
+                queue_us,
+                exec_us: 0,
+                sanitizer: None,
+            },
+            JobResult::Failed { error, attempts } => JobResult::Failed {
+                error: error.clone(),
+                attempts: *attempts,
+            },
+        }
+    }
 }
 
 /// Where a finished job's result goes: back to the event loop, addressed
@@ -187,10 +250,20 @@ struct Completion {
     result: JobResult,
 }
 
+/// A request parked in the ledger on an in-flight execution of its
+/// identity.
+struct Waiter {
+    respond: Responder,
+    enqueued: Instant,
+}
+
 struct Job {
     spec: JobSpec,
     respond: Responder,
     enqueued: Instant,
+    /// The ledger marked this job's identity in flight at admission, so
+    /// duplicate requests may be parked on it.
+    owner: bool,
     attempts: u32,
     excluded: Vec<usize>,
     /// Deterministic backoff: not runnable until the queue's pop sequence
@@ -242,8 +315,10 @@ struct Shared {
     draining: AtomicBool,
     shutdown: AtomicBool,
     in_flight: AtomicU64,
-    /// Cross-tenant/cross-shard receipt mismatch detection.
-    receipts_seen: Mutex<ReceiptLedger>,
+    /// Identity → receipt: the memo admission consults, the waiters parked
+    /// on in-flight identities, and cross-tenant/cross-shard mismatch
+    /// detection, in one table.
+    ledger: Mutex<ReceiptLedger<Waiter>>,
     /// Active wire-fault plan (set/cleared by the `chaos` op).
     net_faults: Mutex<Option<NetFaultPlan>>,
     /// Active shard-crash plan (set/cleared by the `chaos` op).
@@ -489,7 +564,7 @@ impl DetServed {
             draining: AtomicBool::new(false),
             shutdown: AtomicBool::new(false),
             in_flight: AtomicU64::new(0),
-            receipts_seen: Mutex::new(ReceiptLedger::default()),
+            ledger: Mutex::new(ReceiptLedger::default()),
             net_faults: Mutex::new(config.net_faults),
             crash_faults: Mutex::new(config.crash_faults),
             conn_counter: AtomicU64::new(0),
@@ -858,8 +933,9 @@ fn dispatch(op: Option<&str>, req: &Json, shared: &Arc<Shared>) -> Json {
 
 /// Admit one job body (a v1 `run` frame or one element of a v2 `batch`).
 /// Returns `Some(response)` when the request resolves immediately (bad
-/// spec, typed shed); `None` once the job is queued — the shard worker's
-/// completion will fill the slot via the `Responder`.
+/// spec, typed shed, a receipt from the memo); `None` once the job is
+/// queued or parked on a running duplicate — a shard worker's completion
+/// will fill the slot via the `Responder`.
 fn admit(shared: &Arc<Shared>, body: &Json, respond: Responder) -> Option<Json> {
     let mut spec = match JobSpec::from_json(body) {
         Ok(spec) => spec,
@@ -870,18 +946,51 @@ fn admit(shared: &Arc<Shared>, body: &Json, respond: Responder) -> Option<Json> 
     if body.get("scheduler").is_none() {
         spec.scheduler = shared.config.scheduler;
     }
+    let enqueued = Instant::now();
+    // Three kinds of request always execute: one that wants a sanitizer
+    // report, one admitted while crashes are being injected on purpose,
+    // and one that must be shed because the server is draining.
+    let bypass = spec.sanitize
+        || shared.draining.load(Ordering::SeqCst)
+        || shared.crash_faults.lock().is_some();
+    let mut is_audit = false;
+    if !bypass {
+        let key = spec.identity_key();
+        match shared.ledger.lock().admit(key) {
+            Admission::Execute { audit } => is_audit = audit,
+            Admission::Attach(parked) => {
+                parked.push(Waiter { respond, enqueued });
+                Counters::bump(&shared.counters.accepted);
+                Counters::bump(&shared.counters.collapsed);
+                return None;
+            }
+            Admission::Answer(canonical) => {
+                let receipt = Json::parse(canonical)
+                    .expect("the ledger holds canonical receipts this server rendered");
+                Counters::bump(&shared.counters.accepted);
+                Counters::bump(&shared.counters.memo_hits);
+                Counters::bump(&shared.counters.completed);
+                return Some(done_json(Source::Memo, None, 0, 0, 0, receipt, None));
+            }
+        }
+    }
     let job = Job {
         spec,
         respond,
-        enqueued: Instant::now(),
+        enqueued,
+        owner: !bypass,
         attempts: 0,
         excluded: Vec::new(),
         not_before: 0,
         checkpoint: None,
     };
     shared.in_flight.fetch_add(1, Ordering::SeqCst);
-    if let Err((_, err)) = shared.queue.try_push(job) {
+    if let Err((job, err)) = shared.queue.try_push(job) {
         shared.in_flight.fetch_sub(1, Ordering::SeqCst);
+        if job.owner {
+            // Admission runs on one thread, so nothing parked meanwhile.
+            shared.ledger.lock().abandon(&job.spec.identity_key());
+        }
         Counters::bump(&shared.counters.rejected);
         return Some(match err {
             SubmitError::Full { depth } => {
@@ -908,7 +1017,38 @@ fn admit(shared: &Arc<Shared>, body: &Json, respond: Responder) -> Option<Json> 
         });
     }
     Counters::bump(&shared.counters.accepted);
+    if is_audit {
+        Counters::bump(&shared.counters.audits);
+    }
     None
+}
+
+/// The wire response of a request answered with a receipt. `shard` and
+/// `attempts` describe the execution the receipt came from (`null` and 0
+/// when the memo answered); `queue_us` and `exec_us` are what this
+/// request itself spent waiting and executing.
+fn done_json(
+    source: Source,
+    shard: Option<usize>,
+    attempts: u32,
+    queue_us: u64,
+    exec_us: u64,
+    receipt: Json,
+    sanitizer: Option<Box<SanitizerReport>>,
+) -> Json {
+    let mut fields = vec![
+        ("ok", true.to_json()),
+        ("source", source.name().to_json()),
+        ("shard", shard.to_json()),
+        ("attempts", (attempts as u64).to_json()),
+        ("queue_us", queue_us.to_json()),
+        ("exec_us", exec_us.to_json()),
+        ("receipt", receipt),
+    ];
+    if let Some(report) = sanitizer {
+        fields.push(("sanitize", report.to_json()));
+    }
+    Json::obj(fields)
 }
 
 /// Render a finished job's result as its wire response object.
@@ -916,25 +1056,21 @@ fn render_result(result: JobResult) -> Json {
     match result {
         JobResult::Done {
             receipt,
+            source,
             shard,
             attempts,
             queue_us,
             exec_us,
             sanitizer,
-        } => {
-            let mut fields = vec![
-                ("ok", true.to_json()),
-                ("shard", shard.to_json()),
-                ("attempts", (attempts as u64).to_json()),
-                ("queue_us", queue_us.to_json()),
-                ("exec_us", exec_us.to_json()),
-                ("receipt", receipt.to_json()),
-            ];
-            if let Some(report) = sanitizer {
-                fields.push(("sanitize", report.to_json()));
-            }
-            Json::obj(fields)
-        }
+        } => done_json(
+            source,
+            Some(shard),
+            attempts,
+            queue_us,
+            exec_us,
+            receipt.to_json(),
+            sanitizer,
+        ),
         JobResult::Failed { error, attempts } => Json::obj([
             ("ok", false.to_json()),
             ("error", error.to_json()),
@@ -943,12 +1079,30 @@ fn render_result(result: JobResult) -> Json {
     }
 }
 
-/// Finish a job (success or permanent failure): reply, update counters,
-/// release the in-flight slot.
+/// Finish a job (success or permanent failure): record its receipt,
+/// reply to it and to every request the ledger parked on its identity,
+/// update counters, release the in-flight slot.
 fn finish_job(shared: &Shared, job: Job, result: JobResult) {
-    match &result {
-        JobResult::Done { .. } => Counters::bump(&shared.counters.completed),
-        JobResult::Failed { .. } => Counters::bump(&shared.counters.failed),
+    let key = job.spec.identity_key();
+    let (waiters, answered) = match &result {
+        JobResult::Done { receipt, .. } => {
+            let canonical = receipt.canonical();
+            let (sighting, waiters) = shared.ledger.lock().finish(&key, &canonical);
+            if sighting == Sighting::Mismatch {
+                Counters::bump(&shared.counters.receipt_mismatches);
+            }
+            (waiters, &shared.counters.completed)
+        }
+        // Only the job the ledger parked requests on may fail them.
+        JobResult::Failed { .. } if job.owner => {
+            (shared.ledger.lock().abandon(&key), &shared.counters.failed)
+        }
+        JobResult::Failed { .. } => (Vec::new(), &shared.counters.failed),
+    };
+    Counters::add(answered, 1 + waiters.len() as u64);
+    for w in waiters {
+        let waited_us = w.enqueued.elapsed().as_micros() as u64;
+        w.respond.send(result.attached(waited_us));
     }
     job.respond.send(result);
     shared.in_flight.fetch_sub(1, Ordering::SeqCst);
@@ -1095,13 +1249,6 @@ fn shard_worker(id: usize, shared: &Arc<Shared>) {
                     slot.san_cycles
                         .fetch_add(report.lock_cycles.len() as u64, Ordering::Relaxed);
                 }
-                let sighting = shared
-                    .receipts_seen
-                    .lock()
-                    .record(job.spec.identity_key(), &receipt.canonical());
-                if sighting == Sighting::Mismatch {
-                    Counters::bump(&shared.counters.receipt_mismatches);
-                }
                 if shared.draining.load(Ordering::SeqCst) {
                     // Graceful drain: flush the job's final checkpoint so
                     // a successor process could pick up long-running work.
@@ -1122,6 +1269,7 @@ fn shard_worker(id: usize, shared: &Arc<Shared>) {
                     job,
                     JobResult::Done {
                         receipt,
+                        source: Source::Exec,
                         shard: id,
                         attempts,
                         queue_us,

@@ -5,9 +5,11 @@ use detlock_passes::pipeline::OptLevel;
 use detlock_serve::client::{RetryPolicy, RetryingClient};
 use detlock_serve::netfault::{CrashPlan, NetFaultPlan};
 use detlock_serve::protocol::{Client, JobSpec};
-use detlock_serve::receipt::Receipt;
+use detlock_serve::receipt::{audit_scheduled, Receipt, AUDIT_PERIOD};
 use detlock_serve::server::{DetServed, ServeConfig};
 use detlock_shim::json::{Json, ToJson};
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::time::Duration;
 
 fn test_config() -> ServeConfig {
@@ -45,24 +47,122 @@ fn long_spec(workload: &str, seed: u64, scale: f64) -> JobSpec {
     }
 }
 
-/// Poll `/stats` until a job is in flight on a busy shard, and hand back
-/// the connection that saw it.
-fn wait_until_executing(addr: &str) -> Client {
+/// Poll `/stats` until `ready` holds, and hand back that snapshot with the
+/// connection that saw it.
+fn wait_for_stats(addr: &str, ready: impl Fn(&Json) -> bool) -> (Client, Json) {
     let mut c = Client::connect(addr).unwrap();
     loop {
         let stats = c.stats().unwrap();
-        let in_flight = stats.get("in_flight").and_then(Json::as_u64).unwrap();
-        let busy = stats
-            .get("shards")
-            .and_then(Json::as_arr)
-            .unwrap()
-            .iter()
-            .any(|s| s.get("busy").and_then(Json::as_bool) == Some(true));
-        if in_flight >= 1 && busy {
-            return c;
+        if ready(&stats) {
+            return (c, stats);
         }
         std::thread::yield_now();
     }
+}
+
+fn counter(stats: &Json, key: &str) -> u64 {
+    stats
+        .get("counters")
+        .and_then(|c| c.get(key))
+        .and_then(Json::as_u64)
+        .unwrap_or_else(|| panic!("counters.{key} missing"))
+}
+
+/// Executions that ended with a receipt, summed over the shard rows.
+fn executions(stats: &Json) -> u64 {
+    stats
+        .get("shards")
+        .and_then(Json::as_arr)
+        .unwrap()
+        .iter()
+        .map(|s| s.get("completed").and_then(Json::as_u64).unwrap())
+        .sum()
+}
+
+fn source(resp: &Json) -> &str {
+    resp.get("source").and_then(Json::as_str).unwrap_or("-")
+}
+
+/// The `source` of requests `from..=to` (1-based) of `job` when each is
+/// answered before the next is sent: what the audit schedule picks
+/// executes, the record answers the rest.
+fn sources_on_schedule(job: &JobSpec, from: u64, to: u64) -> Vec<&'static str> {
+    let key = job.identity_key();
+    let source = |k| {
+        if audit_scheduled(&key, k) {
+            "exec"
+        } else {
+            "memo"
+        }
+    };
+    (from..=to).map(source).collect()
+}
+
+/// Run `job` until its receipt is on record and the next `answers`
+/// requests for it are ones the record answers; returns the `source` of
+/// every request that took.
+fn memoise(c: &mut Client, job: &JobSpec, answers: u64) -> Vec<String> {
+    let key = job.identity_key();
+    let mut sources = Vec::new();
+    loop {
+        let sent = sources.len() as u64;
+        if sent >= 2 && !(1..=answers).any(|i| audit_scheduled(&key, sent + i)) {
+            return sources;
+        }
+        sources.push(source(&run_ok(c, job).0).to_string());
+    }
+}
+
+fn receipt_line(resp: &Json) -> String {
+    assert_eq!(
+        resp.get("ok").and_then(Json::as_bool),
+        Some(true),
+        "job failed: {}",
+        resp.to_string_compact()
+    );
+    resp.get("receipt").expect("no receipt").to_string_compact()
+}
+
+/// Write every frame before reading any response (true pipelining), then
+/// read one response line per frame, in order.
+fn pipelined(addr: &str, frames: &[Json]) -> Vec<Json> {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(120)))
+        .unwrap();
+    let wire: String = frames
+        .iter()
+        .map(|f| f.to_string_compact() + "\n")
+        .collect();
+    stream.write_all(wire.as_bytes()).unwrap();
+    let mut reader = BufReader::new(stream);
+    frames
+        .iter()
+        .map(|_| {
+            let mut line = String::new();
+            reader.read_line(&mut line).unwrap();
+            Json::parse(line.trim_end()).expect("response line")
+        })
+        .collect()
+}
+
+/// The id of a shard `/stats` shows busy.
+fn busy_shard(stats: &Json) -> Option<usize> {
+    stats
+        .get("shards")
+        .and_then(Json::as_arr)
+        .unwrap()
+        .iter()
+        .position(|s| s.get("busy").and_then(Json::as_bool) == Some(true))
+}
+
+/// Poll `/stats` until a job is in flight on a busy shard, and hand back
+/// the connection that saw it.
+fn wait_until_executing(addr: &str) -> Client {
+    let executing = |s: &Json| {
+        s.get("in_flight").and_then(Json::as_u64).unwrap() >= 1 && busy_shard(s).is_some()
+    };
+    wait_for_stats(addr, executing).0
 }
 
 fn run_ok(client: &mut Client, spec: &JobSpec) -> (Json, Receipt) {
@@ -619,6 +719,9 @@ fn stats_snapshot_has_the_advertised_shape() {
     }
     let counters = stats.get("counters").unwrap();
     for k in [
+        "memo_hits",
+        "collapsed",
+        "audits",
         "shed_full",
         "shed_draining",
         "recoveries",
@@ -667,6 +770,275 @@ fn stats_snapshot_has_the_advertised_shape() {
         .map(|s| s.get("analysis_hits").and_then(Json::as_u64).unwrap())
         .sum();
     assert!(shard_hits > 0);
+
+    // Every admitted request is accounted for once it is answered,
+    // whichever way it was answered; shard rows count executions only.
+    let job = spec("water-nsq", 11);
+    let sources: Vec<String> = (2..=3)
+        .map(|_| source(&run_ok(&mut c, &job).0).to_string())
+        .collect();
+    assert_eq!(sources, sources_on_schedule(&job, 2, 3));
+    assert_eq!(sources[0], "exec");
+    let memo_hits = sources.iter().filter(|s| *s == "memo").count() as u64;
+    assert_eq!(
+        c.run(&spec("not-a-workload", 1)).unwrap().get("ok"),
+        Some(&Json::Bool(false))
+    );
+    let stats = c.stats().unwrap();
+    assert_eq!(counter(&stats, "accepted"), 4);
+    assert_eq!(
+        (counter(&stats, "completed"), counter(&stats, "failed")),
+        (3, 1)
+    );
+    assert_eq!(
+        (counter(&stats, "memo_hits"), counter(&stats, "audits")),
+        (memo_hits, 2 - memo_hits)
+    );
+    assert_eq!(executions(&stats), 3 - memo_hits);
+
+    c.shutdown().unwrap();
+    server.join();
+}
+
+/// One long job and `N` pipelined duplicates of it are one execution, and
+/// stay one through the eviction of the shard running it: the waiters hang
+/// on the identity, so they follow the job to its next shard.
+#[test]
+fn pipelined_duplicates_collapse_onto_one_execution_across_an_eviction() {
+    const N: u64 = 5;
+    let server = DetServed::start(test_config()).unwrap();
+    let addr = server.local_addr().to_string();
+    let job = long_spec("raytrace", 31, 2.0);
+
+    let frames: Vec<Json> = (0..=N).map(|_| job.to_json()).collect();
+    let driver = {
+        let addr = addr.clone();
+        std::thread::spawn(move || pipelined(&addr, &frames))
+    };
+    // Everyone is parked and the owner is mid-run: evict its shard.
+    let (mut c, stats) = wait_for_stats(&addr, |s| {
+        counter(s, "collapsed") == N && busy_shard(s).is_some()
+    });
+    let victim = busy_shard(&stats).unwrap();
+    let killed = c.kill_shard(victim).unwrap();
+    assert_eq!(killed.get("evicted").and_then(Json::as_bool), Some(true));
+
+    let responses = driver.join().unwrap();
+    let receipts: Vec<String> = responses.iter().map(receipt_line).collect();
+    assert!(receipts.iter().all(|r| *r == receipts[0]), "{receipts:?}");
+    let sources: Vec<&str> = responses.iter().map(source).collect();
+    assert_eq!(sources[0], "exec");
+    assert!(sources[1..].iter().all(|s| *s == "attached"), "{sources:?}");
+    for r in &responses[1..] {
+        assert_eq!(r.get("exec_us").and_then(Json::as_u64), Some(0));
+        assert_ne!(
+            r.get("shard").and_then(Json::as_u64),
+            Some(victim as u64),
+            "the receipt came from the shard that finished the job"
+        );
+    }
+
+    let stats = c.stats().unwrap();
+    assert_eq!(executions(&stats), 1, "duplicates must not execute");
+    assert_eq!(counter(&stats, "collapsed"), N);
+    assert_eq!(counter(&stats, "accepted"), N + 1);
+    assert_eq!(counter(&stats, "completed"), N + 1);
+    assert!(
+        counter(&stats, "requeues") >= 1,
+        "the kill landed after the job finished: nothing migrated"
+    );
+    assert_eq!(counter(&stats, "receipt_mismatches"), 0);
+
+    c.shutdown().unwrap();
+    server.join();
+}
+
+/// The audit schedule over the wire: the miss and the first repeat
+/// execute, then one request in `AUDIT_PERIOD`; the record answers the rest.
+#[test]
+fn repeats_are_answered_from_the_memo_between_scheduled_audits() {
+    let server = DetServed::start(test_config()).unwrap();
+    let addr = server.local_addr().to_string();
+    let mut c = Client::connect(&addr).unwrap();
+    let job = spec("volrend", 12);
+
+    let n = 2 + AUDIT_PERIOD;
+    let responses: Vec<Json> = (0..n).map(|_| run_ok(&mut c, &job).0).collect();
+    let sources: Vec<&str> = responses.iter().map(source).collect();
+    assert_eq!(sources, sources_on_schedule(&job, 1, n));
+    assert_eq!(sources[..2], ["exec", "exec"]);
+    assert_eq!(sources.iter().filter(|s| **s == "exec").count(), 3);
+    let receipts: Vec<String> = responses.iter().map(receipt_line).collect();
+    assert!(receipts.iter().all(|r| *r == receipts[0]), "{receipts:?}");
+    for memo in responses.iter().filter(|r| source(r) == "memo") {
+        assert_eq!(memo.get("queue_us").and_then(Json::as_u64), Some(0));
+        assert_eq!(memo.get("exec_us").and_then(Json::as_u64), Some(0));
+        assert_eq!(memo.get("attempts").and_then(Json::as_u64), Some(0));
+    }
+
+    let stats = c.stats().unwrap();
+    assert_eq!(executions(&stats), 3);
+    assert_eq!(counter(&stats, "memo_hits"), n - 3);
+    assert_eq!(counter(&stats, "audits"), 2);
+    assert_eq!(counter(&stats, "accepted"), n);
+    assert_eq!(counter(&stats, "completed"), n);
+    // The latency histograms keep meaning "executions".
+    let exec = stats.get("exec_latency").unwrap();
+    assert_eq!(exec.get("count").and_then(Json::as_u64), Some(3));
+
+    c.shutdown().unwrap();
+    server.join();
+}
+
+/// A request that needs a report, or arrives while crashes are being
+/// injected on purpose, executes however well its identity is memoised.
+#[test]
+fn sanitize_and_an_armed_crash_plan_bypass_the_memo() {
+    let server = DetServed::start(test_config()).unwrap();
+    let addr = server.local_addr().to_string();
+    let mut c = Client::connect(&addr).unwrap();
+    let job = spec("ocean", 13);
+    let sources = memoise(&mut c, &job, 1);
+    assert_eq!(sources, sources_on_schedule(&job, 1, sources.len() as u64));
+    let executed = sources.iter().filter(|s| *s == "exec").count() as u64;
+    let answered = sources.len() as u64 - executed;
+
+    let sanitized = JobSpec {
+        sanitize: true,
+        ..job.clone()
+    };
+    let (resp, _) = run_ok(&mut c, &sanitized);
+    assert_eq!(source(&resp), "exec");
+    assert!(resp.get("sanitize").is_some(), "the report is the point");
+
+    // Armed is what counts, not whether the plan ever fires.
+    let plan = CrashPlan {
+        seed: 1,
+        per_1024: 0,
+    };
+    c.chaos(None, Some(&plan)).unwrap();
+    assert_eq!(source(&run_ok(&mut c, &job).0), "exec");
+    assert_eq!(source(&run_ok(&mut c, &job).0), "exec");
+    c.chaos(None, None).unwrap();
+    assert_eq!(source(&run_ok(&mut c, &job).0), "memo");
+
+    let stats = c.stats().unwrap();
+    assert_eq!(executions(&stats), executed + 3);
+    assert_eq!(counter(&stats, "memo_hits"), answered + 1);
+    assert_eq!(counter(&stats, "receipt_mismatches"), 0);
+
+    c.shutdown().unwrap();
+    server.join();
+}
+
+/// Drain refuses everything at the door, a memoised identity included:
+/// the client must learn the server is going away.
+#[test]
+fn a_memoised_identity_is_still_shed_during_drain() {
+    let server = DetServed::start(test_config()).unwrap();
+    let addr = server.local_addr().to_string();
+    let mut c = Client::connect(&addr).unwrap();
+    let job = spec("ocean", 14);
+    memoise(&mut c, &job, 1);
+    assert_eq!(source(&run_ok(&mut c, &job).0), "memo");
+
+    // Hold the drain open with a long job, then ask again.
+    let worker = {
+        let addr = addr.clone();
+        std::thread::spawn(move || {
+            let mut c = Client::connect(&addr).unwrap();
+            c.run(&long_spec("raytrace", 15, 2.0)).unwrap()
+        })
+    };
+    let mut closer = wait_until_executing(&addr);
+    let closer = std::thread::spawn(move || closer.shutdown().unwrap());
+    wait_for_stats(&addr, |s| {
+        s.get("draining").and_then(Json::as_bool) == Some(true)
+    });
+    let shed = c.run(&job).unwrap();
+    assert_eq!(
+        shed.get("reason").and_then(Json::as_str),
+        Some("draining"),
+        "{}",
+        shed.to_string_compact()
+    );
+    assert_eq!(shed.get("error_kind").and_then(Json::as_str), Some("shed"));
+
+    assert_eq!(
+        worker.join().unwrap().get("ok").and_then(Json::as_bool),
+        Some(true)
+    );
+    let drained = closer.join().unwrap();
+    assert_eq!(drained.get("drained").and_then(Json::as_bool), Some(true));
+    server.join();
+}
+
+/// A failure reaches everyone parked on the execution that failed, and is
+/// not memoised: the next request for the identity executes again.
+#[test]
+fn a_cycle_budget_failure_reaches_every_waiter_and_is_not_memoised() {
+    const N: u64 = 4;
+    // Half of what the job needs (4.2 M cycles), so it runs for tens of
+    // milliseconds before it is cut off.
+    let config = ServeConfig {
+        job_cycle_budget: 2_000_000,
+        ..test_config()
+    };
+    let server = DetServed::start(config).unwrap();
+    let addr = server.local_addr().to_string();
+    let job = long_spec("raytrace", 16, 2.0);
+
+    let frames: Vec<Json> = (0..=N).map(|_| job.to_json()).collect();
+    let driver = {
+        let addr = addr.clone();
+        std::thread::spawn(move || pipelined(&addr, &frames))
+    };
+    let (mut c, _) = wait_for_stats(&addr, |s| counter(s, "collapsed") == N);
+    for resp in driver.join().unwrap() {
+        assert_eq!(resp.get("ok").and_then(Json::as_bool), Some(false));
+        let error = resp.get("error").and_then(Json::as_str).unwrap();
+        assert!(error.contains("cycle budget"), "{error}");
+    }
+
+    // Neither parked nor answered from a record: it ran, and failed again.
+    let again = c.run(&job).unwrap();
+    assert_eq!(again.get("ok").and_then(Json::as_bool), Some(false));
+    let stats = c.stats().unwrap();
+    assert_eq!(counter(&stats, "collapsed"), N);
+    assert_eq!(counter(&stats, "memo_hits"), 0);
+    assert_eq!(counter(&stats, "accepted"), N + 2);
+    assert_eq!(counter(&stats, "failed"), N + 2);
+    assert_eq!(counter(&stats, "completed"), 0);
+
+    c.shutdown().unwrap();
+    server.join();
+}
+
+/// One v2 `batch` frame whose jobs are answered three different ways
+/// still comes back as one `results` array in submission order.
+#[test]
+fn a_batch_mixing_hits_attaches_and_misses_answers_in_order() {
+    let server = DetServed::start(test_config()).unwrap();
+    let addr = server.local_addr().to_string();
+    let mut c = Client::connect(&addr).unwrap();
+    let hit = spec("ocean", 17);
+    memoise(&mut c, &hit, 2);
+    let long = long_spec("raytrace", 18, 0.5);
+    let miss = spec("volrend", 19);
+
+    let batch = [&hit, &long, &long, &hit, &miss].map(JobSpec::clone);
+    let results = c.run_batch(&batch).unwrap();
+    let sources: Vec<&str> = results.iter().map(source).collect();
+    assert_eq!(sources, ["memo", "exec", "attached", "memo", "exec"]);
+    for (job, result) in batch.iter().zip(&results) {
+        let receipt = Receipt::from_json(result.get("receipt").unwrap()).unwrap();
+        assert_eq!(
+            (receipt.workload.as_str(), receipt.seed, receipt.scale),
+            (job.workload.as_str(), job.seed, job.scale),
+            "a result is out of place"
+        );
+    }
+    assert_eq!(receipt_line(&results[1]), receipt_line(&results[2]));
 
     c.shutdown().unwrap();
     server.join();
