@@ -7,12 +7,11 @@
 //! cargo run -p detlock-bench --release --bin fig14 [--scale F] [--json]
 //! ```
 
-use detlock_bench::{instrumented, machine_config, run_baseline, thread_specs, CliOptions};
+use detlock_bench::{instrumented, run_baseline, run_clocks_then_det, CliOptions};
 use detlock_passes::cost::CostModel;
 use detlock_passes::pipeline::OptLevel;
 use detlock_passes::plan::Placement;
 use detlock_shim::json::{Json, ToJson};
-use detlock_vm::machine::{run, ExecMode};
 
 struct Bar {
     name: String,
@@ -44,20 +43,7 @@ fn main() {
         let base = run_baseline(&w, &cost, opts.seed);
         for (level, label) in [(OptLevel::None, "no-opt"), (OptLevel::All, "all-opts")] {
             let inst = instrumented(&w, &cost, level, Placement::Start);
-            let specs = thread_specs(&w);
-            let (clk, h1) = run(
-                &inst.module,
-                &cost,
-                &specs,
-                machine_config(&w, ExecMode::ClocksOnly, opts.seed),
-            );
-            let (det, h2) = run(
-                &inst.module,
-                &cost,
-                &specs,
-                machine_config(&w, ExecMode::Det, opts.seed),
-            );
-            assert!(!h1 && !h2);
+            let (clk, det) = run_clocks_then_det(&w, &inst.module, &cost, opts.seed);
             let clocks_pct = clk.overhead_pct(&base);
             let total_pct = det.overhead_pct(&base);
             bars.push(Bar {

@@ -7,12 +7,11 @@
 //! cargo run -p detlock-bench --release --bin scaling [--scale F] [--json] [--out FILE]
 //! ```
 
-use detlock_bench::{instrumented, machine_config, run_baseline, thread_specs};
+use detlock_bench::{instrumented, run_baseline, run_clocks_then_det};
 use detlock_passes::cost::CostModel;
 use detlock_passes::pipeline::OptLevel;
 use detlock_passes::plan::Placement;
 use detlock_shim::json::{Json, ToJson};
-use detlock_vm::machine::{run, ExecMode};
 
 fn main() {
     let opts = detlock_bench::CliOptions::parse();
@@ -31,20 +30,7 @@ fn main() {
             let w = detlock_workloads::by_name(name, threads, scale).unwrap();
             let base = run_baseline(&w, &cost, opts.seed);
             let inst = instrumented(&w, &cost, OptLevel::All, Placement::Start);
-            let specs = thread_specs(&w);
-            let (clk, h1) = run(
-                &inst.module,
-                &cost,
-                &specs,
-                machine_config(&w, ExecMode::ClocksOnly, opts.seed),
-            );
-            let (det, h2) = run(
-                &inst.module,
-                &cost,
-                &specs,
-                machine_config(&w, ExecMode::Det, opts.seed),
-            );
-            assert!(!h1 && !h2);
+            let (clk, det) = run_clocks_then_det(&w, &inst.module, &cost, opts.seed);
             if !opts.json {
                 println!(
                     "{:<12}{:>8}{:>14.3}{:>11.1}%{:>11.1}%{:>14.0}",

@@ -64,6 +64,23 @@ pub fn run_baseline(w: &Workload, cost: &CostModel, seed: u64) -> RunMetrics {
     m
 }
 
+/// Run an instrumented build of `w` under `ClocksOnly`, then under `Det`:
+/// the pair of runs behind every clocks-vs-det overhead the tables report.
+pub fn run_clocks_then_det(
+    w: &Workload,
+    inst: &detlock_ir::Module,
+    cost: &CostModel,
+    seed: u64,
+) -> (RunMetrics, RunMetrics) {
+    let specs = thread_specs(w);
+    let go = |mode: ExecMode| {
+        let (m, hit) = run(inst, cost, &specs, machine_config(w, mode, seed));
+        assert!(!hit, "{}: {mode:?} hit the cycle limit", w.name);
+        m
+    };
+    (go(ExecMode::ClocksOnly), go(ExecMode::Det))
+}
+
 /// Instrument a workload at `level` with the given placement.
 pub fn instrumented(
     w: &Workload,
@@ -170,25 +187,7 @@ pub fn run_benchmark(w: &Workload, cost: &CostModel, seed: u64) -> BenchResult {
     let mut levels = Vec::new();
     for level in OptLevel::table1_rows() {
         let inst = instrumented(w, cost, level, Placement::Start);
-        let specs = thread_specs(w);
-        let (clk, hit1) = run(
-            &inst.module,
-            cost,
-            &specs,
-            machine_config(w, ExecMode::ClocksOnly, seed),
-        );
-        let (det, hit2) = run(
-            &inst.module,
-            cost,
-            &specs,
-            machine_config(w, ExecMode::Det, seed),
-        );
-        assert!(
-            !hit1 && !hit2,
-            "{}: {:?} hit the cycle limit",
-            w.name,
-            level
-        );
+        let (clk, det) = run_clocks_then_det(w, &inst.module, cost, seed);
         levels.push(LevelResult {
             level: level.label().to_string(),
             clocks_pct: clk.overhead_pct(&base),
@@ -339,22 +338,9 @@ impl ToJson for PlacementResult {
 /// Run the Figure 15 experiment on a workload.
 pub fn run_placement(w: &Workload, cost: &CostModel, seed: u64) -> PlacementResult {
     let base = run_baseline(w, cost, seed);
-    let specs = thread_specs(w);
     let go = |level: OptLevel, placement: Placement| -> (f64, f64) {
         let inst = instrumented(w, cost, level, placement);
-        let (clk, h1) = run(
-            &inst.module,
-            cost,
-            &specs,
-            machine_config(w, ExecMode::ClocksOnly, seed),
-        );
-        let (det, h2) = run(
-            &inst.module,
-            cost,
-            &specs,
-            machine_config(w, ExecMode::Det, seed),
-        );
-        assert!(!h1 && !h2);
+        let (clk, det) = run_clocks_then_det(w, &inst.module, cost, seed);
         (clk.overhead_pct(&base), det.overhead_pct(&base))
     };
     let (none_clk, none_det) = go(OptLevel::None, Placement::Start);

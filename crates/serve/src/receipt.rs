@@ -3,11 +3,10 @@
 //! Every job response carries a receipt: the episode's acquisition-order
 //! hash plus the final logical clocks of every thread. Both are O(1) in
 //! episode length (the hash is folded incrementally by the VM; the clocks
-//! are one word per thread — the same "deterministic state is one clock
-//! word per thread" argument `--bin related` makes against log-based
-//! replay). Two runs of the same job are weakly deterministic **iff** their
-//! receipts are byte-for-byte identical in [`Receipt::canonical`] form —
-//! which is what `detload` and the `serve-smoke` CI job assert.
+//! are one word per thread, where a replay log grows with every
+//! acquisition). Two runs of the same job are weakly deterministic **iff**
+//! their receipts are byte-for-byte identical in [`Receipt::canonical`]
+//! form — which is what `detload` and the `serve-smoke` CI job assert.
 
 use crate::protocol::JobSpec;
 use detlock_shim::hash::Fnv64;

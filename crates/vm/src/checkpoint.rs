@@ -23,8 +23,6 @@ pub(crate) enum Status {
     AcquiringLock(i64),
     AcquiringBarrier(u32),
     InBarrier(u32),
-    /// Bulk-sync mode: quantum exhausted; waiting for the round barrier.
-    QuantumDone,
     ExitWait,
     Done,
 }
@@ -38,9 +36,8 @@ impl Status {
             Status::AcquiringLock(id) => (1, id as u64),
             Status::AcquiringBarrier(id) => (2, id as u64),
             Status::InBarrier(id) => (3, id as u64),
-            Status::QuantumDone => (4, 0),
-            Status::ExitWait => (5, 0),
-            Status::Done => (6, 0),
+            Status::ExitWait => (4, 0),
+            Status::Done => (5, 0),
         }
     }
 }
@@ -76,10 +73,6 @@ pub(crate) struct Thread {
     pub(crate) regs: Vec<i64>,
     pub(crate) clock: u64,
     pub(crate) pending: u64,
-    /// Bulk-sync: cycles left in the current quantum.
-    pub(crate) quantum_left: u64,
-    /// Bulk-sync: stores executed this round (drives the commit cost).
-    pub(crate) round_stores: u64,
     pub(crate) rng: SmallRng,
     pub(crate) m: ThreadMetrics,
 }
@@ -113,9 +106,6 @@ pub(crate) struct RunState {
     pub(crate) hasher: Fnv64,
     pub(crate) lock_order: Vec<(i64, u32)>,
     pub(crate) done_count: usize,
-    pub(crate) replay_pos: usize,
-    /// Bulk-sync: remaining commit-phase stall cycles.
-    pub(crate) commit_stall: u64,
     /// Happens-before sanitizer (`None` unless the config sanitizes: the
     /// disabled path costs one null check per hook site). State, so that a
     /// resumed run reports the same races as run-from-zero.
@@ -153,11 +143,6 @@ impl RunState {
                     regs,
                     clock: 0,
                     pending: 0,
-                    quantum_left: match cfg.mode {
-                        ExecMode::BulkSync(p) => p.quantum,
-                        _ => u64::MAX,
-                    },
-                    round_stores: 0,
                     rng: SmallRng::seed_from_u64(
                         cfg.jitter.seed ^ (tid as u64).wrapping_mul(0x9e3779b97f4a7c15),
                     ),
@@ -174,8 +159,6 @@ impl RunState {
             hasher: Fnv64::new(),
             lock_order: Vec::new(),
             done_count: 0,
-            replay_pos: 0,
-            commit_stall: 0,
             san: cfg.sanitize.then(|| Box::new(Sanitizer::new(specs.len()))),
         }
     }
@@ -259,8 +242,6 @@ impl Checkpoint {
             hasher: _,
             lock_order: _,
             done_count: _,
-            replay_pos: _,
-            commit_stall: _,
             san: _,
         } = &self.state;
         let regs: usize = threads.iter().map(|t| t.regs.len()).sum();
@@ -272,7 +253,7 @@ impl Checkpoint {
     /// states (same frames, registers, clocks, memory, lock tables, RNG
     /// positions) and will therefore evolve identically. Used by tests to
     /// assert state convergence, not just trace-hash convergence.
-    /// The fold order is pinned by every digest ever compared.
+    /// Compared between runs of one build only; never stored.
     pub fn digest(&self) -> u64 {
         let RunState {
             cycle,
@@ -284,8 +265,6 @@ impl Checkpoint {
             // The verbatim prefix of what `hasher` covers in full.
             lock_order: _,
             done_count,
-            replay_pos,
-            commit_stall,
             san,
         } = &self.state;
         let mut h = Fnv64::new();
@@ -295,8 +274,6 @@ impl Checkpoint {
         }
         h.write_u64(*cycle);
         h.write_u64(*done_count as u64);
-        h.write_u64(*replay_pos as u64);
-        h.write_u64(*commit_stall);
         h.write_u64(hasher.finish());
         for &w in mem {
             h.write_u64(w as u64);
@@ -308,21 +285,18 @@ impl Checkpoint {
                 regs,
                 clock,
                 pending,
-                quantum_left,
-                round_stores,
                 rng,
                 // Counters the run reports, not state it evolves from,
-                // but for `retired_stores`, which steers chunk-policy
-                // clocks: a gap every pinned digest shares.
-                m: _,
+                // but for `retired_stores`: its remainder modulo the chunk
+                // size decides the next chunk-policy clock jump.
+                m,
             } = th;
             let (tag, payload) = status.code();
             h.write_u64(tag);
             h.write_u64(payload);
             h.write_u64(*clock);
             h.write_u64(*pending);
-            h.write_u64(*quantum_left);
-            h.write_u64(*round_stores);
+            h.write_u64(m.retired_stores);
             for s in rng.state() {
                 h.write_u64(s);
             }
@@ -366,17 +340,12 @@ impl Checkpoint {
 /// plan-cache entry agree on. Not the backend: see [`Checkpoint`].
 pub(crate) fn config_fingerprint(cfg: &MachineConfig, module: &Module, n_threads: usize) -> u64 {
     let mut h = Fnv64::new();
-    let (mode_tag, a, b, c) = match cfg.mode {
-        ExecMode::Baseline => (0u64, 0u64, 0u64, 0u64),
-        ExecMode::ClocksOnly => (1, 0, 0, 0),
-        ExecMode::Det => (2, 0, 0, 0),
-        ExecMode::Kendo => (3, 0, 0, 0),
-        ExecMode::Replay => (4, 0, 0, 0),
-        ExecMode::BulkSync(bp) => (5, bp.quantum, bp.commit_base, bp.commit_per_store),
-    };
-    for v in [mode_tag, a, b, c] {
-        h.write_u64(v);
-    }
+    h.write_u64(match cfg.mode {
+        ExecMode::Baseline => 0,
+        ExecMode::ClocksOnly => 1,
+        ExecMode::Det => 2,
+        ExecMode::Kendo => 3,
+    });
     for v in cfg.scheduler.fingerprint_words() {
         h.write_u64(v);
     }
@@ -389,7 +358,6 @@ pub(crate) fn config_fingerprint(cfg: &MachineConfig, module: &Module, n_threads
     h.write_u64(cfg.lock_order_limit as u64);
     h.write_u64(n_threads as u64);
     h.write_u64(cfg.sanitize as u64);
-    h.write_u64(cfg.replay_log.len() as u64);
     h.write_u64(module.functions.len() as u64);
     for f in &module.functions {
         h.write_u64(f.blocks.len() as u64);
@@ -449,3 +417,84 @@ impl std::fmt::Display for ResumeError {
 }
 
 impl std::error::Error for ResumeError {}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::machine::{CkptControl, Machine};
+    use crate::sched::ChunkParams;
+    use detlock_ir::builder::FunctionBuilder;
+    use detlock_ir::inst::{BinOp, CmpOp};
+    use detlock_passes::cost::CostModel;
+
+    /// `retired_stores` is state under a chunk policy: two snapshots that
+    /// differ in nothing else resume to different clocks, so the digest
+    /// has to tell them apart.
+    #[test]
+    fn digest_covers_the_store_counter_that_steers_chunk_clocks() {
+        const CHUNK: u64 = 64;
+        // Each thread retires 2·CHUNK − 1 stores, one short of a second
+        // counter overflow, then takes a lock.
+        let mut m = Module::new();
+        let mut fb = FunctionBuilder::new("worker", 1);
+        fb.block("entry");
+        let head = fb.create_block("head");
+        let body = fb.create_block("body");
+        let done = fb.create_block("done");
+        let addr = fb.param(0);
+        let i = fb.iconst(0);
+        fb.br(head);
+        fb.switch_to(head);
+        let c = fb.cmp(CmpOp::Lt, i, (2 * CHUNK - 1) as i64);
+        fb.cond_br(c, body, done);
+        fb.switch_to(body);
+        fb.store(addr, 0, i);
+        fb.bin_to(BinOp::Add, i, i, 1);
+        fb.br(head);
+        fb.switch_to(done);
+        fb.lock(1i64);
+        fb.unlock(1i64);
+        fb.ret_void();
+        let func = fb.finish_into(&mut m);
+        let cost = CostModel::default();
+        let specs: Vec<ThreadSpec> = (0..2)
+            .map(|t| ThreadSpec {
+                func,
+                args: vec![t],
+            })
+            .collect();
+        let cfg = MachineConfig {
+            mode: ExecMode::Kendo,
+            scheduler: Sched::Chunk(ChunkParams {
+                chunk_size: CHUNK,
+                interrupt_cost: 10,
+            }),
+            mem_words: 16,
+            ..MachineConfig::default()
+        };
+
+        let mut taken = None;
+        Machine::new(&m, &cost, &specs, cfg.clone()).run_with_checkpoints(100, &mut |c| {
+            taken = Some(c.clone());
+            CkptControl::Abort
+        });
+        let ckpt = taken.expect("the run outlasts one checkpoint interval");
+        let stores = ckpt.state.threads[0].m.retired_stores;
+        assert!(
+            0 < stores && stores < CHUNK - 1,
+            "snapshot is mid-chunk: {stores}"
+        );
+        // One more store on the counter and the thread's last store
+        // overflows it a second time.
+        let mut bumped = ckpt.clone();
+        bumped.state.threads[0].m.retired_stores += 1;
+        assert_ne!(ckpt.digest(), bumped.digest());
+
+        let final_clock = |c: &Checkpoint| {
+            let (metrics, hit) = Machine::resume(&m, &cost, cfg.clone(), c).unwrap().run();
+            assert!(!hit);
+            metrics.per_thread[0].final_clock
+        };
+        assert_eq!(final_clock(&ckpt) + CHUNK, final_clock(&bumped));
+    }
+}

@@ -64,9 +64,6 @@ pub(crate) struct DetCore<'m> {
     /// from retired stores. Consulted on every store retirement and by
     /// the threaded backend's fusion gate.
     pub(crate) chunk: Option<ChunkParams>,
-    /// `cfg.mode` is `ExecMode::BulkSync`, hoisted: consulted by every
-    /// round and step.
-    bulk: bool,
     /// Scratch view buffer handed to the scheduler, rebuilt in every
     /// arbitrated round.
     views: Vec<ThreadView>,
@@ -113,17 +110,16 @@ pub struct RoundProfile {
     pub decide_calls: u64,
     /// `step` calls by the status they found the thread in, in the order
     /// of [`RoundProfile::STATUS`].
-    pub steps: [u64; 7],
+    pub steps: [u64; 6],
 }
 
 impl RoundProfile {
     /// Labels for [`RoundProfile::steps`].
-    pub const STATUS: [&'static str; 7] = [
+    pub const STATUS: [&'static str; 6] = [
         "ready",
         "acquiring-lock",
         "acquiring-barrier",
         "in-barrier",
-        "quantum-done",
         "exit-wait",
         "done",
     ];
@@ -150,7 +146,6 @@ impl<'m> DetCore<'m> {
             } else {
                 None
             },
-            bulk: cfg.mode.bulk_sync().is_some(),
             cfg,
             state,
             views: Vec::new(),
@@ -179,24 +174,6 @@ impl<'m> DetCore<'m> {
 
     fn round_inner<B: ExecBackend>(&mut self, exec: &B) {
         let n = self.state.threads.len();
-        if self.bulk {
-            if self.state.commit_stall > 0 {
-                // Commit phase: every thread stalls.
-                self.state.commit_stall -= 1;
-                for th in self.state.threads.iter_mut() {
-                    if th.status != Status::Done {
-                        th.m.wait_cycles += 1;
-                    }
-                }
-                self.state.cycle += 1;
-                return;
-            }
-            if self.bulk_round_complete() {
-                self.bulk_serial_phase();
-                self.state.cycle += 1;
-                return;
-            }
-        }
         // One pass over the threads finds the earliest instruction issue —
         // the smallest countdown of a Ready thread — and whether any thread
         // is at a synchronization operation.
@@ -208,7 +185,7 @@ impl<'m> DetCore<'m> {
                 Status::AcquiringLock(_) | Status::AcquiringBarrier(_) | Status::ExitWait => {
                     arbitrating = true;
                 }
-                Status::InBarrier(_) | Status::QuantumDone | Status::Done => {}
+                Status::InBarrier(_) | Status::Done => {}
             }
         }
         // Next-event time advance. Until a thread issues an instruction or
@@ -221,7 +198,7 @@ impl<'m> DetCore<'m> {
         // and all metrics.
         let mut fold = 0;
         let mut turn = None;
-        if arbitrating || self.bulk {
+        if arbitrating {
             // Arbitrated round: fill the scheduler's view and advance —
             // repeatedly while only the turn moves on, which changes who
             // bumps.
@@ -235,7 +212,7 @@ impl<'m> DetCore<'m> {
                         | Status::AcquiringBarrier(_)
                         | Status::ExitWait => Phase::Arbitrating,
                         // Parked: no turn participation.
-                        Status::InBarrier(_) | Status::QuantumDone => Phase::Parked,
+                        Status::InBarrier(_) => Phase::Parked,
                     },
                     clock: th.clock,
                 }));
@@ -258,7 +235,7 @@ impl<'m> DetCore<'m> {
             self.profile.event_rounds += 1;
             // Deterministic modes delegate the round's synchronization
             // decision to the policy; nondeterministic modes never consult
-            // it (their grants are FCFS / replayed / bulk-serial).
+            // it (their grants are first come, first served).
             if self.cfg.mode.deterministic() {
                 self.profile.decide_calls += 1;
                 match self.cfg.scheduler.decide(&self.views) {
@@ -358,23 +335,14 @@ impl<'m> DetCore<'m> {
     /// lock can be released), and which thread, if any, spends those
     /// rounds bumping its clock.
     fn sync_horizon(&self) -> (u64, Option<usize>) {
-        if self.bulk {
-            // Quantum bookkeeping runs per cycle.
-            return (0, None);
-        }
         if !self.cfg.mode.deterministic() {
             // No turns: an exit, a barrier arrival or an acquire of a
-            // grantable lock happens in the round it is stepped.
-            let fires = self
-                .state
-                .threads
-                .iter()
-                .enumerate()
-                .any(|(t, th)| match th.status {
-                    Status::AcquiringBarrier(_) | Status::ExitWait => true,
-                    Status::AcquiringLock(id) => self.grantable(t, id),
-                    _ => false,
-                });
+            // free lock happens in the round it is stepped.
+            let fires = self.state.threads.iter().any(|th| match th.status {
+                Status::AcquiringBarrier(_) | Status::ExitWait => true,
+                Status::AcquiringLock(id) => self.grantable(id),
+                _ => false,
+            });
             return (if fires { 0 } else { u64::MAX }, None);
         }
         match self.cfg.scheduler.lease(&self.views) {
@@ -417,17 +385,13 @@ impl<'m> DetCore<'m> {
         }
     }
 
-    /// Nondeterministic modes: may thread `t` take lock `id` now? First
-    /// come, first served on the physical hold state; a replayed run
-    /// additionally admits only the thread its log names next.
-    fn grantable(&self, t: usize, id: i64) -> bool {
-        let free = self
-            .state
+    /// Nondeterministic modes: is lock `id` free? First come, first served
+    /// on the physical hold state.
+    fn grantable(&self, id: i64) -> bool {
+        self.state
             .locks
             .get(&id)
-            .is_none_or(|st| st.held_by.is_none());
-        let next = self.cfg.replay_log.get(self.state.replay_pos);
-        free && (!self.cfg.mode.replayed() || next == Some(&(id, t as u32)))
+            .is_none_or(|st| st.held_by.is_none())
     }
 
     pub(crate) fn into_results(self) -> (RunMetrics, Vec<i64>, bool, Option<SanitizerReport>) {
@@ -468,16 +432,13 @@ impl<'m> DetCore<'m> {
         );
         match status {
             Status::Done => self.count_step(status),
-            Status::InBarrier(_) | Status::QuantumDone => {
+            Status::InBarrier(_) => {
                 self.count_step(status);
                 self.state.threads[t].m.wait_cycles += fold + 1;
             }
             Status::ExitWait => {
                 self.count_step(status);
-                if self.bulk {
-                    // Exits resolve in the serial phase.
-                    self.state.threads[t].m.wait_cycles += 1;
-                } else if !det || turn == Some(tid) {
+                if !det || turn == Some(tid) {
                     self.finish(t);
                 } else {
                     self.state.threads[t].m.wait_cycles += 1;
@@ -485,9 +446,7 @@ impl<'m> DetCore<'m> {
             }
             Status::AcquiringBarrier(id) => {
                 self.count_step(status);
-                if self.bulk {
-                    self.state.threads[t].m.wait_cycles += 1;
-                } else if !det || turn == Some(tid) {
+                if !det || turn == Some(tid) {
                     self.arrive_barrier(t, id);
                 } else {
                     self.state.threads[t].m.wait_cycles += 1;
@@ -495,10 +454,7 @@ impl<'m> DetCore<'m> {
             }
             Status::AcquiringLock(id) => {
                 self.count_step(status);
-                if self.bulk {
-                    // Grants happen only in the serial phase.
-                    self.state.threads[t].m.wait_cycles += 1;
-                } else if det {
+                if det {
                     if turn != Some(tid) {
                         self.state.threads[t].m.wait_cycles += 1;
                     } else if self.bumps_until_free(t, id) == 0 {
@@ -511,24 +467,13 @@ impl<'m> DetCore<'m> {
                         }
                         self.state.threads[t].m.wait_cycles += 1;
                     }
-                } else if self.grantable(t, id) {
-                    if self.cfg.mode.replayed() {
-                        self.state.replay_pos += 1;
-                    }
+                } else if self.grantable(id) {
                     self.grant_lock(t, id);
                 } else {
                     self.state.threads[t].m.wait_cycles += 1;
                 }
             }
             Status::Ready => {
-                // Bulk-sync quanta are counted in *instructions* (as in
-                // CoreDet), not cycles: jitter must not change which
-                // instructions land in a round, or determinism is lost.
-                if self.bulk && self.state.threads[t].quantum_left == 0 {
-                    self.state.threads[t].status = Status::QuantumDone;
-                    self.state.threads[t].m.wait_cycles += 1;
-                    return;
-                }
                 let th = &mut self.state.threads[t];
                 if th.pending > fold {
                     th.pending -= fold + 1;
@@ -539,9 +484,6 @@ impl<'m> DetCore<'m> {
                 // store-retirement interrupt find `pending` at zero.
                 th.pending -= fold;
                 th.m.busy_cycles += fold;
-                if self.bulk {
-                    self.state.threads[t].quantum_left -= 1;
-                }
                 let mut action = exec.exec_next(self, t);
                 // Skipped ticks are free: retry until a real instruction
                 // issues this cycle.
@@ -614,57 +556,6 @@ impl<'m> DetCore<'m> {
         for th in self.state.threads.iter_mut() {
             if matches!(th.status, Status::InBarrier(_)) {
                 th.m.wait_cycles += 1;
-            }
-        }
-    }
-
-    /// Bulk-sync: is every live thread parked at the round barrier (quantum
-    /// exhausted, pending sync op, exiting) or inside an application
-    /// barrier?
-    fn bulk_round_complete(&self) -> bool {
-        let mut any_parked = false;
-        for th in &self.state.threads {
-            match th.status {
-                Status::Done | Status::InBarrier(_) => {}
-                Status::QuantumDone
-                | Status::AcquiringLock(_)
-                | Status::AcquiringBarrier(_)
-                | Status::ExitWait => any_parked = true,
-                Status::Ready => return false,
-            }
-        }
-        any_parked
-    }
-
-    /// Bulk-sync serial phase: commit the round's store buffers (a stall
-    /// charged to everyone) and run pending synchronization operations in
-    /// thread-id order — CoreDet's deterministic serial mode.
-    fn bulk_serial_phase(&mut self) {
-        let bp = self.cfg.mode.bulk_sync().expect("bulk-sync mode");
-        let total_stores: u64 = self.state.threads.iter().map(|t| t.round_stores).sum();
-        self.state.commit_stall = bp.commit_base + bp.commit_per_store * total_stores;
-        for t in 0..self.state.threads.len() {
-            match self.state.threads[t].status {
-                Status::AcquiringLock(id) => {
-                    let held = self.state.locks.entry(id).or_default().held_by;
-                    if held.is_none() {
-                        self.grant_lock(t, id);
-                    }
-                }
-                Status::AcquiringBarrier(id) => {
-                    self.arrive_barrier(t, id);
-                }
-                Status::ExitWait => {
-                    self.finish(t);
-                }
-                _ => {}
-            }
-        }
-        for th in self.state.threads.iter_mut() {
-            th.round_stores = 0;
-            th.quantum_left = bp.quantum;
-            if th.status == Status::QuantumDone {
-                th.status = Status::Ready;
             }
         }
     }
@@ -886,7 +777,6 @@ pub(crate) fn charge_amount(th: &mut Thread, jitter: &Jitter, cost: u64) -> u64 
 pub(crate) fn retire_stores(th: &mut Thread, chunk: Option<ChunkParams>, count: u64) {
     let before = th.m.retired_stores;
     th.m.retired_stores += count;
-    th.round_stores += count;
     if let Some(cp) = chunk {
         // The virtualized performance counter only surfaces at overflow
         // interrupts: the clock advances in chunk_size units, and each

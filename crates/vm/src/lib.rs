@@ -41,7 +41,6 @@ mod interp;
 pub mod lower;
 pub mod machine;
 pub mod metrics;
-pub mod replay;
 pub mod sanitizer;
 pub mod sched;
 
@@ -49,8 +48,8 @@ pub use backend::Backend;
 pub use determinism::{check_determinism, DeterminismReport, Divergence};
 pub use lower::ThreadedProgram;
 pub use machine::{
-    run, BulkSyncParams, Checkpoint, CkptControl, ExecMode, Jitter, Machine, MachineConfig,
-    ResumeError, RunOutcome, ThreadSpec,
+    run, Checkpoint, CkptControl, ExecMode, Jitter, Machine, MachineConfig, ResumeError,
+    RunOutcome, ThreadSpec,
 };
 pub use metrics::{RunMetrics, ThreadMetrics};
 pub use sanitizer::{

@@ -453,8 +453,7 @@ fn fuse_table(ops: &[Op], starts: &[u32], block_ends: &[usize], cost: &CostModel
 /// per-cycle `busy_cycles` accrual (one here, the rest via the countdown),
 /// and identical `pending` whenever another component can read it (the
 /// caller's gate keeps checkpoint boundaries and the cycle limit outside
-/// the divergence window; bulk-sync mode, which meters quanta per
-/// instruction, only ever passes `len == 1`).
+/// the divergence window).
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
 fn run_fused(
@@ -739,7 +738,7 @@ impl ExecBackend for ThreadedBackend {
             if is_head(op) || is_tail(op) {
                 let fuse = lf.fuse[pc];
                 let mut run_len = 1;
-                if fuse.len > 1 && cfg.mode.bulk_sync().is_none() {
+                if fuse.len > 1 {
                     // Upper bound on the divergence window: every charge is
                     // at most `cost + max_extra`, plus the chunk-clock
                     // store-retirement interrupt the head may incur.

@@ -67,31 +67,6 @@ use detlock_passes::cost::CostModel;
 pub use crate::checkpoint::{Checkpoint, ResumeError};
 pub use crate::core::RoundProfile;
 
-/// CoreDet-style bulk-synchronous parameters (paper §II): execution
-/// proceeds in fixed quanta; threads that exhaust their quantum or reach a
-/// synchronization operation wait for the round barrier; a commit phase
-/// (publishing the round's store buffers) stalls everyone, then pending
-/// synchronization operations run serially in thread-id order.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BulkSyncParams {
-    /// Cycles each thread may execute per round.
-    pub quantum: u64,
-    /// Fixed commit-phase cost per round.
-    pub commit_base: u64,
-    /// Additional commit cost per store executed in the round.
-    pub commit_per_store: u64,
-}
-
-impl Default for BulkSyncParams {
-    fn default() -> Self {
-        BulkSyncParams {
-            quantum: 2000,
-            commit_base: 300,
-            commit_per_store: 2,
-        }
-    }
-}
-
 /// Execution mode (see module docs).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ExecMode {
@@ -106,14 +81,6 @@ pub enum ExecMode {
     /// [`Sched::Chunk`] for the paper's Table II simulated-Kendo
     /// baseline).
     Kendo,
-    /// Uninstrumented; lock grants forced to follow a recorded log
-    /// (see [`crate::replay`]). Ticks are skipped and no clock arbitration
-    /// runs — determinism comes entirely from the log.
-    Replay,
-    /// Uninstrumented; CoreDet-style deterministic rounds (see
-    /// [`BulkSyncParams`]). No logical clocks: determinism comes from the
-    /// quantum barrier and the serial sync phase.
-    BulkSync(BulkSyncParams),
 }
 
 impl ExecMode {
@@ -123,17 +90,6 @@ impl ExecMode {
 
     pub(crate) fn deterministic(self) -> bool {
         matches!(self, ExecMode::Det | ExecMode::Kendo)
-    }
-
-    pub(crate) fn replayed(self) -> bool {
-        matches!(self, ExecMode::Replay)
-    }
-
-    pub(crate) fn bulk_sync(self) -> Option<BulkSyncParams> {
-        match self {
-            ExecMode::BulkSync(p) => Some(p),
-            _ => None,
-        }
     }
 }
 
@@ -200,13 +156,10 @@ pub struct MachineConfig {
     /// hundreds of cycles per deterministic lock operation). Baseline
     /// modes charge only the raw `sync` cost.
     pub det_event_cost: u64,
-    /// The grant log consulted in [`ExecMode::Replay`] (set by
-    /// [`crate::replay::replay`]).
-    pub replay_log: std::sync::Arc<Vec<(i64, u32)>>,
     /// Run the `detsan` happens-before sanitizer (see [`crate::sanitizer`])
     /// alongside execution. Off by default: the only cost of the disabled
-    /// path is one pointer-null check per memory/sync operation, which the
-    /// perf gate holds to zero measurable overhead.
+    /// path is one pointer-null check per memory/sync operation; what the
+    /// enabled path costs is the benchmark's `vm.sanitize.slowdown`.
     pub sanitize: bool,
     /// Which execution engine runs instructions (see [`crate::backend`]).
     /// Defaults to [`Backend::resolve`] — a `--backend` flag or the
@@ -231,7 +184,6 @@ impl Default for MachineConfig {
             ghz: 2.66,
             lock_order_limit: 100_000,
             det_event_cost: 120,
-            replay_log: std::sync::Arc::new(Vec::new()),
             sanitize: false,
             backend: Backend::resolve(),
             scheduler: Sched::resolve(),

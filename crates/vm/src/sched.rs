@@ -80,8 +80,8 @@ pub enum Phase {
     /// Blocked on a synchronization event that needs the scheduler's
     /// permission: a lock acquire, a barrier arrival, or a thread exit.
     Arbitrating,
-    /// Parked with no pending decision (inside a barrier, or waiting for
-    /// a bulk-sync round): not a turn candidate.
+    /// Parked with no pending decision (inside a barrier): not a turn
+    /// candidate.
     Parked,
     /// Finished.
     Done,

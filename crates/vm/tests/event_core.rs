@@ -26,16 +26,14 @@ use detlock_passes::cost::CostModel;
 use detlock_passes::pipeline::{instrument, OptConfig};
 use detlock_passes::plan::Placement;
 use detlock_vm::machine::{
-    BulkSyncParams, CkptControl, ExecMode, Jitter, Machine, MachineConfig, RunOutcome, ThreadSpec,
+    CkptControl, ExecMode, Jitter, Machine, MachineConfig, RunOutcome, ThreadSpec,
 };
-use detlock_vm::replay::record;
 use detlock_vm::{Backend, ChunkParams, Sched};
 use detlock_workloads::radiosity::{self, RadiosityParams};
 use detlock_workloads::util::{mixed_compute, scratch_base, single_block_leaf};
 use detlock_workloads::{racy, Workload};
 use std::collections::HashMap;
 use std::fmt::Write;
-use std::sync::Arc;
 
 /// A program in both forms the modes need: `source` for the modes that run
 /// the uninstrumented binary, `inst` (every optimization, ticks at block
@@ -259,7 +257,7 @@ const CHUNK: ChunkParams = ChunkParams {
 /// `DETLOCK_SCHEDULER` / `DETLOCK_BACKEND` cannot reroute a cell.
 type Config = (&'static str, ExecMode, Sched, bool);
 
-fn configs() -> [Config; 8] {
+fn configs() -> [Config; 6] {
     [
         ("baseline", ExecMode::Baseline, Sched::Kendo, false),
         ("clocks-only", ExecMode::ClocksOnly, Sched::Kendo, true),
@@ -267,30 +265,19 @@ fn configs() -> [Config; 8] {
         ("det+chunk", ExecMode::Det, Sched::Chunk(CHUNK), true),
         ("det+dc-batch", ExecMode::Det, Sched::DcBatch, true),
         ("kendo+chunk", ExecMode::Kendo, Sched::Chunk(CHUNK), false),
-        (
-            "bulk-sync",
-            ExecMode::BulkSync(BulkSyncParams::default()),
-            Sched::Kendo,
-            false,
-        ),
-        ("replay", ExecMode::Replay, Sched::Kendo, false),
     ]
 }
 
 const SEEDS: [u64; 2] = [1, 31337];
 
-/// The module and machine configuration of one grid cell. A `Replay` cell
-/// follows the grant log of a baseline run under *different* jitter, so the
-/// log regularly names a thread that has not arrived yet and the others
-/// have to be held back.
-fn cell<'s>(
-    shape: &'s Shape,
+/// The module and machine configuration of one grid cell.
+fn cell(
+    shape: &Shape,
     (_, mode, scheduler, instrumented): Config,
     seed: u64,
     backend: Backend,
-    cost: &CostModel,
-) -> (&'s Module, MachineConfig) {
-    let mut cfg = MachineConfig {
+) -> (&Module, MachineConfig) {
+    let cfg = MachineConfig {
         mode,
         mem_words: shape.mem_words,
         jitter: Jitter::default().with_seed(seed),
@@ -299,15 +286,6 @@ fn cell<'s>(
         backend,
         ..MachineConfig::default()
     };
-    if mode == ExecMode::Replay {
-        let mut rec = cfg.clone();
-        rec.mode = ExecMode::Baseline;
-        rec.jitter.seed = seed + 1000;
-        let (log, _, hit) = record(&shape.source, cost, &shape.specs, rec);
-        assert!(!hit, "{}: recording run hit the cycle limit", shape.name);
-        cfg.replay_log = Arc::new(log.events().to_vec());
-        cfg.lock_order_limit = usize::MAX;
-    }
     let module = if instrumented {
         &shape.inst
     } else {
@@ -353,10 +331,6 @@ const GOLDEN: &[Golden] = &[
     ("lock-hammer", "det+dc-batch", 31337, 65911, 0x3d4ed06289906e25, 0x2c9bb52f5446b93a, &[[16396, 48931, 0, 3506, 65427], [16388, 49100, 0, 3506, 65588], [16379, 49270, 0, 3506, 65749], [16386, 49424, 0, 3506, 65910]]),
     ("lock-hammer", "kendo+chunk", 1, 62161, 0xf99e92a1a2de05e5, 0x2c9bb52f5446b93a, &[[15436, 0, 0, 296, 15536], [15460, 15531, 296, 592, 31091], [15447, 31086, 592, 888, 46633], [15432, 46628, 888, 1184, 62160]]),
     ("lock-hammer", "kendo+chunk", 31337, 62140, 0xf99e92a1a2de05e5, 0x2c9bb52f5446b93a, &[[15451, 0, 0, 296, 15551], [15436, 15546, 296, 592, 31082], [15432, 31077, 592, 888, 46609], [15435, 46604, 888, 1184, 62139]]),
-    ("lock-hammer", "bulk-sync", 1, 133036, 0xf99e92a1a2de05e5, 0x2c9bb52f5446b93a, &[[2956, 30198, 0, 0, 33254], [2980, 63348, 0, 0, 66528], [2967, 96522, 0, 0, 99789], [2952, 129683, 0, 0, 133035]]),
-    ("lock-hammer", "bulk-sync", 31337, 133015, 0xf99e92a1a2de05e5, 0x2c9bb52f5446b93a, &[[2971, 30198, 0, 0, 33269], [2956, 63363, 0, 0, 66519], [2952, 96513, 0, 0, 99765], [2955, 129659, 0, 0, 133014]]),
-    ("lock-hammer", "replay", 1, 3791, 0x1a05a95a65388df5, 0x2c9bb52f5446b93a, &[[2956, 726, 0, 0, 3782], [2980, 690, 0, 0, 3770], [2967, 723, 0, 0, 3790], [2952, 687, 0, 0, 3739]]),
-    ("lock-hammer", "replay", 31337, 3844, 0x4a8c41a680f88765, 0x2c9bb52f5446b93a, &[[2971, 751, 0, 0, 3822], [2956, 780, 0, 0, 3836], [2952, 750, 0, 0, 3802], [2955, 788, 0, 0, 3843]]),
     ("barrier-hammer", "baseline", 1, 3274, 0x9093ef59d4427895, 0x65b2ff4c7b953791, &[[2013, 1080, 0, 0, 3273], [2015, 1078, 0, 0, 3273], [2039, 1054, 0, 0, 3273]]),
     ("barrier-hammer", "baseline", 31337, 3282, 0xcdec4c4a09534ff5, 0x65b2ff4c7b953791, &[[2025, 1076, 0, 0, 3281], [2015, 1086, 0, 0, 3281], [2010, 1091, 0, 0, 3281]]),
     ("barrier-hammer", "clocks-only", 1, 5131, 0x66132d4517289825, 0x65b2ff4c7b953791, &[[3123, 1827, 0, 2348, 5130], [3144, 1805, 0, 2348, 5129], [3131, 1818, 0, 2348, 5129]]),
@@ -369,10 +343,6 @@ const GOLDEN: &[Golden] = &[
     ("barrier-hammer", "det+dc-batch", 31337, 29570, 0x0596f581c6bc84a5, 0x65b2ff4c7b953791, &[[10335, 19054, 0, 2528, 29569], [10320, 19069, 0, 2528, 29569], [10316, 19073, 0, 2528, 29569]]),
     ("barrier-hammer", "kendo+chunk", 1, 27909, 0x0596f581c6bc84a5, 0x65b2ff4c7b953791, &[[9493, 18233, 0, 588, 27906], [9495, 18232, 176, 588, 27907], [9519, 18209, 352, 588, 27908]]),
     ("barrier-hammer", "kendo+chunk", 31337, 27889, 0x0596f581c6bc84a5, 0x65b2ff4c7b953791, &[[9505, 18201, 0, 588, 27886], [9495, 18212, 176, 588, 27887], [9490, 18218, 352, 588, 27888]]),
-    ("barrier-hammer", "bulk-sync", 1, 77752, 0x0596f581c6bc84a5, 0x65b2ff4c7b953791, &[[2013, 75438, 0, 0, 77751], [2015, 75436, 0, 0, 77751], [2039, 75412, 0, 0, 77751]]),
-    ("barrier-hammer", "bulk-sync", 31337, 77739, 0x0596f581c6bc84a5, 0x65b2ff4c7b953791, &[[2025, 75413, 0, 0, 77738], [2015, 75423, 0, 0, 77738], [2010, 75428, 0, 0, 77738]]),
-    ("barrier-hammer", "replay", 1, 3345, 0x40bbb9d204bfb765, 0x65b2ff4c7b953791, &[[2013, 1151, 0, 0, 3344], [2015, 1149, 0, 0, 3344], [2039, 1124, 0, 0, 3343]]),
-    ("barrier-hammer", "replay", 31337, 3328, 0x5f72fcf057d10385, 0x65b2ff4c7b953791, &[[2025, 1122, 0, 0, 3327], [2015, 1132, 0, 0, 3327], [2010, 1137, 0, 0, 3327]]),
     ("radiosity", "baseline", 1, 409199, 0x3f470632068c3085, 0xf957f7156fbe6aa3, &[[408686, 455, 0, 0, 409198], [400670, 959, 0, 0, 401714]]),
     ("radiosity", "baseline", 31337, 408739, 0x3f470632068c3085, 0xf957f7156fbe6aa3, &[[408255, 426, 0, 0, 408738], [400647, 830, 0, 0, 401562]]),
     ("radiosity", "clocks-only", 1, 429585, 0x2ce046cc0ae6bd45, 0xf957f7156fbe6aa3, &[[428077, 731, 0, 399153, 428855], [428859, 630, 0, 390028, 429584]]),
@@ -385,10 +355,6 @@ const GOLDEN: &[Golden] = &[
     ("radiosity", "det+dc-batch", 31337, 808941, 0x4b44b547a5fdb3cd, 0x45fd079683e41601, &[[448961, 359054, 0, 405077, 808086], [424580, 384289, 0, 384388, 808940]]),
     ("radiosity", "kendo+chunk", 1, 566809, 0xf6d449e1bbc7e211, 0x9b332a88462dc29b, &[[550678, 16069, 84, 26678, 566808], [539091, 24835, 154, 26524, 564007]]),
     ("radiosity", "kendo+chunk", 31337, 566678, 0xf6d449e1bbc7e211, 0x9b332a88462dc29b, &[[550260, 16356, 84, 26678, 566677], [539077, 24720, 154, 26524, 563878]]),
-    ("radiosity", "bulk-sync", 1, 666335, 0x4ba19c7c166a8061, 0xf957f7156fbe6aa3, &[[401359, 263610, 0, 0, 665163], [407990, 258149, 0, 0, 666334]]),
-    ("radiosity", "bulk-sync", 31337, 666096, 0x4ba19c7c166a8061, 0xf957f7156fbe6aa3, &[[400943, 263791, 0, 0, 664928], [407951, 257949, 0, 0, 666095]]),
-    ("radiosity", "replay", 1, 409199, 0x3f470632068c3085, 0xf957f7156fbe6aa3, &[[408686, 455, 0, 0, 409198], [400670, 959, 0, 0, 401714]]),
-    ("radiosity", "replay", 31337, 408739, 0x3f470632068c3085, 0xf957f7156fbe6aa3, &[[408255, 426, 0, 0, 408738], [400647, 830, 0, 0, 401562]]),
     ("deadlock-control", "baseline", 1, 82, 0xe89466ae75a1e944, 0x71d4a8e60bcf2125, &[[38, 0, 0, 0, 42], [38, 20, 0, 0, 62], [38, 39, 0, 0, 81]]),
     ("deadlock-control", "baseline", 31337, 83, 0x5a1b9ad3f5ae8ea4, 0x71d4a8e60bcf2125, &[[38, 0, 0, 0, 42], [39, 39, 0, 0, 82], [38, 20, 0, 0, 62]]),
     ("deadlock-control", "clocks-only", 1, 151, 0xe89466ae75a1e944, 0x71d4a8e60bcf2125, &[[71, 0, 0, 47, 75], [69, 41, 0, 45, 114], [68, 78, 0, 45, 150]]),
@@ -401,10 +367,6 @@ const GOLDEN: &[Golden] = &[
     ("deadlock-control", "det+dc-batch", 31337, 885, 0xe89466ae75a1e944, 0x71d4a8e60bcf2125, &[[308, 3, 0, 52, 315], [309, 287, 0, 82, 600], [308, 572, 0, 82, 884]]),
     ("deadlock-control", "kendo+chunk", 1, 813, 0xe89466ae75a1e944, 0x71d4a8e60bcf2125, &[[278, 0, 0, 5, 282], [278, 265, 0, 9, 547], [278, 530, 4, 13, 812]]),
     ("deadlock-control", "kendo+chunk", 31337, 814, 0xe89466ae75a1e944, 0x71d4a8e60bcf2125, &[[278, 0, 0, 5, 282], [279, 265, 0, 9, 548], [278, 531, 4, 13, 813]]),
-    ("deadlock-control", "bulk-sync", 1, 2204, 0xe89466ae75a1e944, 0x71d4a8e60bcf2125, &[[38, 909, 0, 0, 951], [38, 1533, 0, 0, 1577], [38, 2157, 0, 0, 2203]]),
-    ("deadlock-control", "bulk-sync", 31337, 2205, 0xe89466ae75a1e944, 0x71d4a8e60bcf2125, &[[38, 909, 0, 0, 951], [39, 1533, 0, 0, 1578], [38, 2158, 0, 0, 2204]]),
-    ("deadlock-control", "replay", 1, 82, 0x5a1b9ad3f5ae8ea4, 0x71d4a8e60bcf2125, &[[38, 0, 0, 0, 42], [38, 39, 0, 0, 81], [38, 21, 0, 0, 63]]),
-    ("deadlock-control", "replay", 31337, 81, 0xe89466ae75a1e944, 0x71d4a8e60bcf2125, &[[38, 0, 0, 0, 42], [39, 20, 0, 0, 63], [38, 38, 0, 0, 80]]),
     ("stencil", "baseline", 1, 12080, 0xac7814be4ab0a827, 0xce65d69ae7b46220, &[[7367, 4675, 0, 0, 12053], [9722, 2346, 0, 0, 12079], [12043, 12, 0, 0, 12066]]),
     ("stencil", "baseline", 31337, 12075, 0x49ff86af1d438d57, 0xce65d69ae7b46220, &[[7360, 4677, 0, 0, 12048], [9714, 2336, 0, 0, 12061], [12038, 25, 0, 0, 12074]]),
     ("stencil", "clocks-only", 1, 12236, 0xa26f4ea1e2b6cdc7, 0xce65d69ae7b46220, &[[7497, 4709, 0, 7235, 12217], [9855, 2331, 0, 9545, 12197], [12187, 37, 0, 11855, 12235]]),
@@ -417,10 +379,6 @@ const GOLDEN: &[Golden] = &[
     ("stencil", "det+dc-batch", 31337, 12603, 0x49ff86af1d438d57, 0xce65d69ae7b46220, &[[7604, 4701, 0, 11862, 12316], [9975, 2473, 0, 11862, 12459], [12302, 289, 0, 11862, 12602]]),
     ("stencil", "kendo+chunk", 1, 18210, 0x49ff86af1d438d57, 0xce65d69ae7b46220, &[[10967, 6955, 0, 1231, 17933], [14442, 3618, 2, 1233, 18071], [17923, 275, 4, 1235, 18209]]),
     ("stencil", "kendo+chunk", 31337, 18206, 0x49ff86af1d438d57, 0xce65d69ae7b46220, &[[10960, 6958, 0, 1231, 17929], [14434, 3622, 2, 1233, 18067], [17918, 276, 4, 1235, 18205]]),
-    ("stencil", "bulk-sync", 1, 20493, 0x49ff86af1d438d57, 0xce65d69ae7b46220, &[[7367, 12476, 0, 0, 19854], [9722, 10439, 0, 0, 20173], [12043, 8436, 0, 0, 20492]]),
-    ("stencil", "bulk-sync", 31337, 20488, 0x49ff86af1d438d57, 0xce65d69ae7b46220, &[[7360, 12478, 0, 0, 19849], [9714, 10442, 0, 0, 20168], [12038, 8436, 0, 0, 20487]]),
-    ("stencil", "replay", 1, 12079, 0x49ff86af1d438d57, 0xce65d69ae7b46220, &[[7367, 4675, 0, 0, 12053], [9722, 2333, 0, 0, 12066], [12043, 24, 0, 0, 12078]]),
-    ("stencil", "replay", 31337, 12074, 0x007622215c758527, 0xce65d69ae7b46220, &[[7360, 4702, 0, 0, 12073], [9714, 2324, 0, 0, 12049], [12038, 12, 0, 0, 12061]]),
 ];
 
 #[test]
@@ -434,7 +392,7 @@ fn golden_table() {
         for config in configs() {
             for seed in SEEDS {
                 let run = |backend| {
-                    let (module, cfg) = cell(&shape, config, seed, backend, &cost);
+                    let (module, cfg) = cell(&shape, config, seed, backend);
                     let (m, mem, hit) =
                         Machine::new(module, &cost, &shape.specs, cfg).run_with_memory();
                     assert!(!hit, "{} / {} hit the cycle limit", shape.name, config.0);
@@ -512,7 +470,7 @@ fn checkpoint_interval_one_is_the_stepped_oracle() {
             for seed in SEEDS {
                 for backend in [Backend::Interp, Backend::Threaded] {
                     let ctx = format!("{} / {} / seed {seed} / {backend:?}", shape.name, config.0);
-                    let (module, mut cfg) = cell(&shape, config, seed, backend, &cost);
+                    let (module, mut cfg) = cell(&shape, config, seed, backend);
                     // Radiosity's shadow memory is a map entry per touched
                     // word, cloned by every snapshot: with it, interval 1
                     // costs ten times the rest of this test.
@@ -564,7 +522,7 @@ fn a_cycle_limit_inside_a_skip_cuts_where_the_stepper_does() {
     let cut = ["lock-hammer", "barrier-hammer", "stencil"];
     for shape in shapes.iter().filter(|s| cut.contains(&s.name)) {
         for config in configs() {
-            let (module, cfg) = cell(shape, config, 1, Backend::Threaded, &cost);
+            let (module, cfg) = cell(shape, config, 1, Backend::Threaded);
             // Instructions issued before each limit.
             let mut issued = Vec::new();
             for limit in LIMITS {
@@ -627,17 +585,13 @@ fn round_profile_counts_add_up() {
         for config in configs() {
             for backend in [Backend::Interp, Backend::Threaded] {
                 let ctx = format!("{} / {} / {backend:?}", shape.name, config.0);
-                let (module, cfg) = cell(&shape, config, 1, backend, &cost);
+                let (module, cfg) = cell(&shape, config, 1, backend);
                 let (mode, policy) = (cfg.mode, cfg.scheduler);
                 let (metrics, hit, p) =
                     Machine::new(module, &cost, &shape.specs, cfg).run_profiled();
                 assert!(!hit, "{ctx}");
                 assert!(p.quiet_rounds <= p.event_rounds, "{ctx}");
-                // Bulk-sync's commit stalls and serial phases are cycles of
-                // neither kind.
-                if !matches!(mode, ExecMode::BulkSync(_)) {
-                    assert_eq!(p.event_rounds + p.skipped_cycles, metrics.cycles, "{ctx}");
-                }
+                assert_eq!(p.event_rounds + p.skipped_cycles, metrics.cycles, "{ctx}");
                 let deterministic = matches!(mode, ExecMode::Det | ExecMode::Kendo);
                 // A batch commit is an event round without steps.
                 if !(deterministic && policy == Sched::DcBatch) {

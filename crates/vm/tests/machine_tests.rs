@@ -699,91 +699,6 @@ fn start_placement_reduces_det_wait_vs_end_placement() {
     );
 }
 
-#[test]
-fn bulk_sync_mode_is_deterministic_and_slower() {
-    // CoreDet-style rounds (paper §II): deterministic across seeds, with a
-    // much higher overhead than DetLock at small quanta — the reason the
-    // paper adopts weak determinism instead.
-    use detlock_vm::machine::BulkSyncParams;
-    let (m, f) = counter_program(0, 20);
-    let cost = CostModel::default();
-    let threads = counter_threads(f, 4, 40);
-    let mode = ExecMode::BulkSync(BulkSyncParams {
-        quantum: 300,
-        commit_base: 200,
-        commit_per_store: 2,
-    });
-    let report = check_determinism(&m, &cost, &threads, &cfg(mode), &[1, 2, 99, 4242]);
-    assert!(!report.any_hit_limit, "bulk-sync deadlocked");
-    assert!(report.deterministic, "{:x?}", report.hashes);
-
-    let (base, _) = run(&m, &cost, &threads, no_jitter(cfg(ExecMode::Baseline)));
-    let (bulk, _) = run(&m, &cost, &threads, no_jitter(cfg(mode)));
-    assert!(
-        bulk.cycles as f64 > base.cycles as f64 * 1.2,
-        "rounds + commits must cost real time: {} vs {}",
-        bulk.cycles,
-        base.cycles
-    );
-}
-
-#[test]
-fn bulk_sync_overhead_explodes_at_tiny_quanta() {
-    // Uncontended variant (per-thread locks): with a shared lock the
-    // dominant cost is that grants happen only at round boundaries (so
-    // *long* quanta serialize handoffs — the other side of CoreDet's
-    // tradeoff, covered by bulk_sync_mode_is_deterministic_and_slower).
-    // With private locks, what varies is pure quantum-barrier + commit
-    // frequency.
-    use detlock_vm::machine::BulkSyncParams;
-    let mut m = Module::new();
-    let mut fb = FunctionBuilder::new("worker", 2); // (tid, iters)
-    fb.block("entry");
-    let head = fb.create_block("head");
-    let body = fb.create_block("body");
-    let done = fb.create_block("done");
-    let tid = fb.param(0);
-    let iters = fb.param(1);
-    let i = fb.iconst(0);
-    let my_lock = fb.add(tid, 100);
-    fb.br(head);
-    fb.switch_to(head);
-    let c = fb.cmp(CmpOp::Lt, i, iters);
-    fb.cond_br(c, body, done);
-    fb.switch_to(body);
-    fb.compute(3000);
-    fb.lock(my_lock);
-    let a = fb.add(tid, 500);
-    let v = fb.load(a, 0);
-    let v2 = fb.add(v, 1);
-    fb.store(a, 0, v2);
-    fb.unlock(my_lock);
-    fb.bin_to(BinOp::Add, i, i, 1);
-    fb.br(head);
-    fb.switch_to(done);
-    fb.ret_void();
-    let f = fb.finish_into(&mut m);
-    let cost = CostModel::default();
-    let threads = counter_threads(f, 4, 2);
-    let (base, _) = run(&m, &cost, &threads, no_jitter(cfg(ExecMode::Baseline)));
-    let at = |quantum: u64| {
-        let mode = ExecMode::BulkSync(BulkSyncParams {
-            quantum,
-            commit_base: 200,
-            commit_per_store: 2,
-        });
-        let (r, hit) = run(&m, &cost, &threads, no_jitter(cfg(mode)));
-        assert!(!hit);
-        r.cycles as f64 / base.cycles as f64
-    };
-    let coarse = at(5000);
-    let fine = at(100);
-    assert!(
-        fine > coarse * 1.5,
-        "smaller quanta must cost much more: {fine:.2}x vs {coarse:.2}x"
-    );
-}
-
 /// Crash-at-every-checkpoint chain: abort at the first checkpoint after
 /// each (re)start, resume from it, repeat until the run finishes. The
 /// final metrics and memory must be byte-identical to the uninterrupted
@@ -978,48 +893,4 @@ fn zero_interval_disables_checkpointing() {
         RunOutcome::Aborted { .. } => panic!("nothing aborted this run"),
     }
     assert_eq!(calls, 0);
-}
-
-#[test]
-fn bulk_sync_handles_barriers() {
-    use detlock_vm::machine::BulkSyncParams;
-    // App barriers inside bulk-sync rounds must release correctly.
-    let mut m = Module::new();
-    let mut fb = FunctionBuilder::new("bar", 1);
-    fb.block("entry");
-    let after = fb.create_block("after");
-    let tid = fb.param(0);
-    let work = fb.mul(tid, 30);
-    let i = fb.iconst(0);
-    let head = fb.create_block("head");
-    let body = fb.create_block("body");
-    fb.br(head);
-    fb.switch_to(head);
-    let c = fb.cmp(CmpOp::Lt, i, work);
-    fb.cond_br(c, body, after);
-    fb.switch_to(body);
-    fb.bin_to(BinOp::Add, i, i, 1);
-    fb.br(head);
-    fb.switch_to(after);
-    fb.barrier(BarrierId(0));
-    fb.compute(5);
-    fb.ret_void();
-    let f = fb.finish_into(&mut m);
-    let cost = CostModel::default();
-    let threads: Vec<ThreadSpec> = (0..4)
-        .map(|t| ThreadSpec {
-            func: f,
-            args: vec![t],
-        })
-        .collect();
-    let (metrics, hit) = run(
-        &m,
-        &cost,
-        &threads,
-        no_jitter(cfg(ExecMode::BulkSync(BulkSyncParams::default()))),
-    );
-    assert!(!hit, "barrier under bulk-sync must not deadlock");
-    for t in &metrics.per_thread {
-        assert_eq!(t.barrier_waits, 1);
-    }
 }

@@ -15,7 +15,7 @@ use detlock_bench::{instrumented, machine_config, thread_specs};
 use detlock_passes::cost::CostModel;
 use detlock_passes::pipeline::OptLevel;
 use detlock_passes::plan::Placement;
-use detlock_vm::machine::{BulkSyncParams, ExecMode, Machine, ThreadSpec};
+use detlock_vm::machine::{ExecMode, Machine, ThreadSpec};
 use detlock_vm::metrics::RunMetrics;
 use detlock_vm::sanitizer::SanitizerReport;
 use detlock_vm::{Backend, ChunkParams, MachineConfig, Sched};
@@ -115,23 +115,27 @@ fn det_runs_identical_across_the_scheduler_grid() {
     assert!(cells >= 30, "scheduler grid shrank to {cells} cells");
 }
 
+/// The mode the differential covers after `mode`. The match is exhaustive,
+/// so a new `ExecMode` does not compile until it is chained in here.
+fn mode_after(mode: ExecMode) -> Option<ExecMode> {
+    match mode {
+        ExecMode::Baseline => Some(ExecMode::ClocksOnly),
+        ExecMode::ClocksOnly => Some(ExecMode::Det),
+        ExecMode::Det => Some(ExecMode::Kendo),
+        ExecMode::Kendo => None,
+    }
+}
+
 /// Every execution mode the simulator supports — including the
 /// nondeterministic ones, whose schedules are still a deterministic
 /// function of the jitter seed — must agree across backends.
 #[test]
 fn all_exec_modes_identical_across_backends() {
     let cost = CostModel::default();
-    let modes = [
-        ExecMode::Baseline,
-        ExecMode::ClocksOnly,
-        ExecMode::Det,
-        ExecMode::Kendo,
-        ExecMode::BulkSync(BulkSyncParams::default()),
-    ];
     for w in all_benchmarks(2, 0.02) {
         let specs = thread_specs(&w);
         let inst = instrumented(&w, &cost, OptLevel::All, Placement::Start);
-        for mode in modes {
+        for mode in std::iter::successors(Some(ExecMode::Baseline), |&m| mode_after(m)) {
             // Instrumented modes run the instrumented module; the rest run
             // the source module, mirroring how the bench harness does it.
             let module = match mode {

@@ -275,32 +275,3 @@ fn det_overhead_grows_with_core_count() {
         "det overhead must grow with cores: {det2} -> {det8}"
     );
 }
-
-#[test]
-fn bulk_sync_much_worse_than_detlock_everywhere() {
-    pin_reference_policy();
-    // The paper's §II motivation: CoreDet-style bulk-synchronous quanta
-    // cost far more than weak determinism on every benchmark.
-    let cost = CostModel::default();
-    for name in ["radiosity", "water-nsq", "raytrace"] {
-        let w = by_name(name, 4, 0.05).unwrap();
-        let base = run_baseline(&w, &cost, 1);
-        let inst = instrumented(&w, &cost, OptLevel::All, Placement::Start);
-        let specs = thread_specs(&w);
-        let (det, _) = detlock_vm::run(
-            &inst.module,
-            &cost,
-            &specs,
-            machine_config(&w, ExecMode::Det, 1),
-        );
-        let mode = ExecMode::BulkSync(detlock_vm::BulkSyncParams::default());
-        let (bulk, hit) = detlock_vm::run(&w.module, &cost, &specs, machine_config(&w, mode, 1));
-        assert!(!hit);
-        let det_pct = det.overhead_pct(&base);
-        let bulk_pct = bulk.overhead_pct(&base);
-        assert!(
-            bulk_pct > det_pct + 15.0,
-            "{name}: bulk-sync ({bulk_pct:.1}) must far exceed DetLock ({det_pct:.1})"
-        );
-    }
-}

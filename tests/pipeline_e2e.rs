@@ -247,22 +247,3 @@ fn det_mode_final_memory_is_seed_invariant() {
         assert_eq!(a, b, "{}: deterministic final memory diverged", w.name);
     }
 }
-
-#[test]
-fn replay_reproduces_workload_interleavings() {
-    // Record a baseline radiosity run, replay under a different seed: the
-    // grant order must follow the log exactly (the record/replay substrate
-    // the paper contrasts DetLock with).
-    let cost = CostModel::default();
-    let w = detlock_workloads::by_name("radiosity", 4, 0.03).unwrap();
-    let (log, rec, hit) =
-        detlock_vm::replay::record(&w.module, &cost, &specs(&w), cfg(&w, ExecMode::Baseline));
-    assert!(!hit);
-    assert!(log.len() > 50);
-    let mut c = cfg(&w, ExecMode::Baseline);
-    c.jitter = c.jitter.with_seed(987654);
-    let r = detlock_vm::replay::replay(&w.module, &cost, &specs(&w), c, &log);
-    assert!(!r.hit_limit);
-    assert!(r.faithful);
-    assert_eq!(r.metrics.lock_order_hash, rec.lock_order_hash);
-}
