@@ -9,12 +9,16 @@
 use detlock_ir::analysis::cfg::Cfg;
 use detlock_ir::analysis::dom::DomTree;
 use detlock_ir::analysis::loops::LoopInfo;
-use detlock_ir::analysis::paths::{enumerate_paths, Step};
+use detlock_ir::analysis::paths::{enumerate_paths, enumerate_paths_recorded, Step};
+use detlock_ir::dot::function_to_text;
+use detlock_ir::parse::parse_module;
 use detlock_ir::verify::verify_module;
+use detlock_ir::{CmpOp, FuncId, Function, FunctionBuilder, Inst, Module};
 use detlock_passes::cost::CostModel;
 use detlock_passes::divergence::{audit, is_exact};
+use detlock_passes::opt1::{compute_clocked, is_clockable, tight_average, ClockableParams};
 use detlock_passes::pipeline::{instrument, OptConfig, OptLevel};
-use detlock_passes::plan::Placement;
+use detlock_passes::plan::{block_clock_amount, Placement};
 use detlock_shim::rng::SmallRng;
 use detlock_vm::determinism::check_determinism;
 use detlock_vm::machine::{run, ExecMode, Jitter, MachineConfig, ThreadSpec};
@@ -36,6 +40,14 @@ fn seed_sweep(test: &str, cases: u64, lo: u64, hi: u64) -> Vec<u64> {
     }
     let mut rng = SmallRng::seed_from_u64(h);
     (0..cases).map(|_| rng.gen_range(lo..hi)).collect()
+}
+
+/// Print a module the way `dlc` and the plan cache see it.
+fn module_text(m: &Module) -> String {
+    m.functions
+        .iter()
+        .map(|f| function_to_text(f, |_| None))
+        .collect()
 }
 
 /// Every optimization level produces a structurally valid module on
@@ -126,6 +138,192 @@ fn opts_never_add_ticks() {
             assert!(count(&OptConfig::only(level)) <= none, "seed {seed}");
         }
     }
+}
+
+/// Function Clocking as it was first written, kept as the oracle: every
+/// route of a loop-free function materialised as a block sequence, every
+/// block re-costed on every visit, the totals handed to `tight_average`
+/// in enumeration order.
+fn reference_clocked(
+    module: &Module,
+    cost: &CostModel,
+    entries: &[FuncId],
+    params: &ClockableParams,
+) -> Vec<Option<u64>> {
+    let clockable = |func: &Function, clocked: &[Option<u64>]| -> Option<u64> {
+        let cfg = Cfg::compute(func);
+        if LoopInfo::compute(&cfg, &DomTree::compute(&cfg)).has_loops() {
+            return None;
+        }
+        for inst in func.blocks.iter().flat_map(|b| &b.insts) {
+            match inst {
+                Inst::Call { func: callee, .. } => {
+                    clocked.get(callee.index()).copied().flatten()?;
+                }
+                Inst::Lock { .. } | Inst::Unlock { .. } | Inst::Barrier { .. } => return None,
+                _ if cost.needs_dynamic_tick(inst).is_some() => return None,
+                _ => {}
+            }
+        }
+        let recorded = enumerate_paths_recorded(
+            &cfg,
+            func.entry(),
+            params.max_paths,
+            |_| 0,
+            |_, _| Step::Follow,
+        )
+        .ok()?;
+        let totals: Vec<u64> = recorded
+            .routes
+            .iter()
+            .map(|route| {
+                route
+                    .iter()
+                    .map(|&b| block_clock_amount(func.block(b), cost, clocked))
+                    .sum()
+            })
+            .collect();
+        tight_average(&totals, params)
+    };
+    let mut clocked = vec![None; module.functions.len()];
+    let mut modified = true;
+    while modified {
+        modified = false;
+        for (fid, func) in module.iter_funcs() {
+            if clocked[fid.index()].is_none() && !entries.contains(&fid) {
+                if let Some(mean) = clockable(func, &clocked) {
+                    clocked[fid.index()] = Some(mean);
+                    modified = true;
+                }
+            }
+        }
+    }
+    clocked
+}
+
+/// `compute_clocked` agrees with the reference — which functions are
+/// clocked and at what mean — on the five SPLASH-2 modules and on random
+/// structured programs.
+#[test]
+fn function_clocking_matches_reference() {
+    let cost = CostModel::default();
+    let params = ClockableParams::default();
+    let mut corpus_clocked = 0;
+    for w in detlock_workloads::all_benchmarks(4, 1.0) {
+        let got = compute_clocked(&w.module, &cost, &w.entries, &params);
+        corpus_clocked += got.iter().flatten().count();
+        assert_eq!(
+            got,
+            reference_clocked(&w.module, &cost, &w.entries, &params),
+            "{}",
+            w.name
+        );
+    }
+    assert!(corpus_clocked > 30, "the corpus clocks {corpus_clocked}");
+    // Loop-free random programs (every function a candidate) and loopy ones.
+    for (loop_pct, tight) in [(0, false), (0, true), (35, false)] {
+        let shape = MicroParams {
+            loop_pct,
+            ..micro_params()
+        };
+        // Thresholds loose enough that uneven diamonds qualify too, so both
+        // verdicts of the tightness test are compared.
+        let params = if tight {
+            params
+        } else {
+            ClockableParams {
+                range_divisor: 1.2,
+                std_divisor: 2.0,
+                ..params
+            }
+        };
+        for seed in seed_sweep("function_clocking_matches_reference", 16, 1, 10_000) {
+            let (m, driver) = random_module(seed, 3, &shape);
+            assert_eq!(
+                compute_clocked(&m, &cost, &[driver], &params),
+                reference_clocked(&m, &cost, &[driver], &params),
+                "seed {seed} loop_pct {loop_pct} tight {tight}"
+            );
+        }
+    }
+}
+
+/// A chain of `k` diamonds with arms one instruction apart: 2^k paths.
+fn diamond_chain(k: usize) -> Module {
+    let mut fb = FunctionBuilder::new("chain", 1);
+    fb.block("entry");
+    let p = fb.param(0);
+    fb.compute(64);
+    for i in 0..k {
+        let t = fb.create_block(format!("t{i}"));
+        let e = fb.create_block(format!("e{i}"));
+        let m = fb.create_block(format!("m{i}"));
+        let c = fb.cmp(CmpOp::Gt, p, i as i64);
+        fb.cond_br(c, t, e);
+        fb.switch_to(t);
+        fb.compute(2);
+        fb.br(m);
+        fb.switch_to(e);
+        fb.compute(3);
+        fb.br(m);
+        fb.switch_to(m);
+    }
+    fb.ret_void();
+    let mut m = Module::new();
+    fb.finish_into(&mut m);
+    m
+}
+
+/// The path cap is `> max_paths`: exactly 4 096 paths are evaluated (and
+/// found tight), 8 192 are not clockable.
+#[test]
+fn function_clocking_path_cap_edge() {
+    let cost = CostModel::default();
+    let params = ClockableParams::default();
+    assert_eq!(params.max_paths, 4096);
+    let at_cap = diamond_chain(12);
+    let got = compute_clocked(&at_cap, &cost, &[], &params);
+    assert!(got[0].is_some(), "4096 paths must be evaluated");
+    assert_eq!(got, reference_clocked(&at_cap, &cost, &[], &params));
+    let over = diamond_chain(13);
+    assert_eq!(compute_clocked(&over, &cost, &[], &params), vec![None]);
+    assert_eq!(reference_clocked(&over, &cost, &[], &params), vec![None]);
+}
+
+/// A caller whose callee has the higher `FuncId` is refused in the first
+/// sweep of the fixpoint and clocked in the second, at its own cost plus
+/// the callee's mean.
+#[test]
+fn function_clocking_promotes_caller_in_second_sweep() {
+    let mut m = Module::new();
+    let mut fb = FunctionBuilder::new("caller", 0);
+    fb.block("entry");
+    fb.compute(3);
+    fb.call_void(FuncId(1), vec![]);
+    fb.ret_void();
+    fb.finish_into(&mut m);
+    let mut fb = FunctionBuilder::new("leaf", 0);
+    fb.block("entry");
+    fb.compute(8);
+    fb.ret_void();
+    fb.finish_into(&mut m);
+    assert!(verify_module(&m).is_ok());
+
+    let cost = CostModel::default();
+    let params = ClockableParams::default();
+    let got = compute_clocked(&m, &cost, &[], &params);
+    assert_eq!(got, reference_clocked(&m, &cost, &[], &params));
+    let leaf = got[1].expect("leaf is clockable");
+    let caller = m.func(FuncId(0));
+    assert_eq!(is_clockable(caller, &cost, &[None, None], &params), None);
+    assert_eq!(
+        got[0],
+        is_clockable(caller, &cost, &[None, Some(leaf)], &params)
+    );
+    assert_eq!(
+        got[0],
+        Some(block_clock_amount(&caller.blocks[0], &cost, &[None, None]) + leaf)
+    );
 }
 
 /// Dominator-tree sanity on random CFGs: the entry dominates every
@@ -350,6 +548,61 @@ fn print_parse_print_roundtrip() {
     }
 }
 
+/// A module whose builtins carry size arguments: a register-sized `memset`
+/// (dynamic tick beside it) and an immediate-sized `memcpy`.
+fn sized_builtins() -> (Module, FuncId) {
+    use detlock_ir::{Builtin, Operand};
+    let mut m = Module::new();
+    let mut fb = FunctionBuilder::new("fill", 2);
+    fb.block("entry");
+    let (dst, len) = (fb.param(0), fb.param(1));
+    fb.builtin_void(
+        Builtin::Memset,
+        vec![dst.into(), Operand::Imm(0), len.into()],
+        Some(2),
+    );
+    fb.builtin_void(
+        Builtin::Memcpy,
+        vec![dst.into(), dst.into(), Operand::Imm(16)],
+        Some(2),
+    );
+    fb.ret_void();
+    let entry = fb.finish_into(&mut m);
+    (m, entry)
+}
+
+/// The same fixpoint on what the pipeline emits at `OptLevel::All`, both
+/// placements, for the five SPLASH-2 modules and [`sized_builtins`]:
+/// `tick N`, `tick a + b*rN` and `[size=#k]` all survive text → parse → IR
+/// → print → text, and the reparsed module is the instrumented one.
+#[test]
+fn instrumented_corpus_roundtrips() {
+    let cost = CostModel::default();
+    let mut modules: Vec<(&str, Module, Vec<FuncId>)> = detlock_workloads::all_benchmarks(4, 1.0)
+        .into_iter()
+        .map(|w| (w.name, w.module, w.entries))
+        .collect();
+    let (sized, entry) = sized_builtins();
+    modules.push(("sized-builtins", sized, vec![entry]));
+    let mut seen = String::new();
+    for (name, module, entries) in &modules {
+        let source = module_text(module);
+        assert!(parse_module(&source).unwrap() == *module, "{name}");
+        for placement in [Placement::Start, Placement::End] {
+            let inst = instrument(module, &cost, &OptConfig::all(), placement, entries);
+            let printed = module_text(&inst.module);
+            let reparsed =
+                parse_module(&printed).unwrap_or_else(|e| panic!("{name} {placement:?}: {e}"));
+            assert!(reparsed == inst.module, "{name} {placement:?}");
+            assert_eq!(module_text(&reparsed), printed, "{name} {placement:?}");
+            seen.push_str(&printed);
+        }
+    }
+    for form in ["    tick ", "*r", " [size=#"] {
+        assert!(seen.contains(form), "no module prints `{form}`");
+    }
+}
+
 /// Reparsed modules run identically: same retired stores and lock
 /// acquisitions as the original under identical seeds.
 #[test]
@@ -392,47 +645,237 @@ fn reparsed_modules_execute_identically() {
     }
 }
 
+/// The 256 inputs of [`parser_never_panics`]: bytes drawn from a mix of
+/// printable ASCII, IR-ish punctuation, and raw control characters,
+/// approximating an arbitrary-string generator.
+fn arbitrary_inputs() -> Vec<String> {
+    let mut rng = SmallRng::seed_from_u64(0x70617273);
+    (0..256)
+        .map(|_| {
+            let len = rng.gen_range(0..400) as usize;
+            (0..len)
+                .map(|_| match rng.gen_range(0..10) {
+                    0..=5 => (rng.gen_range(0x20..0x7f) as u8) as char,
+                    6..=7 => {
+                        ['%', ':', '{', '}', '(', ')', ',', '\n'][rng.gen_range(0..8) as usize]
+                    }
+                    _ => (rng.gen_range(0..32) as u8) as char,
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// The 256 inputs of [`parser_survives_mutations`]: a printed random
+/// program cut at a random byte, with a stray `%` appended.
+fn truncated_inputs() -> Vec<String> {
+    let mut rng = SmallRng::seed_from_u64(0x6d757461);
+    (0..256)
+        .map(|_| {
+            let seed = rng.gen_range(1..5_000);
+            let cut = rng.gen_range(0..300) as usize;
+            let (m, _) = random_module(seed, 1, &micro_params());
+            let mut printed = module_text(&m);
+            if !printed.is_empty() {
+                let mut k = cut % printed.len();
+                while k > 0 && !printed.is_char_boundary(k) {
+                    k -= 1;
+                }
+                printed.truncate(k);
+                printed.push('%');
+            }
+            printed
+        })
+        .collect()
+}
+
 /// The parser is total: arbitrary input produces Ok or a positioned
 /// error, never a panic.
 #[test]
 fn parser_never_panics() {
-    let mut rng = SmallRng::seed_from_u64(0x70617273);
-    // Bytes drawn from a mix of printable ASCII, IR-ish punctuation, and
-    // raw control characters, approximating an arbitrary-string generator.
-    for _ in 0..256 {
-        let len = rng.gen_range(0..400) as usize;
-        let input: String = (0..len)
-            .map(|_| match rng.gen_range(0..10) {
-                0..=5 => (rng.gen_range(0x20..0x7f) as u8) as char,
-                6..=7 => ['%', ':', '{', '}', '(', ')', ',', '\n'][rng.gen_range(0..8) as usize],
-                _ => (rng.gen_range(0..32) as u8) as char,
-            })
-            .collect();
-        let _ = detlock_ir::parse::parse_module(&input);
+    for input in arbitrary_inputs() {
+        let _ = parse_module(&input);
     }
 }
 
 /// Near-miss inputs (mutations of a valid program) also never panic.
 #[test]
 fn parser_survives_mutations() {
-    let mut rng = SmallRng::seed_from_u64(0x6d757461);
-    for _ in 0..256 {
-        let seed = rng.gen_range(1..5_000);
-        let cut = rng.gen_range(0..300) as usize;
-        let (m, _) = random_module(seed, 1, &micro_params());
-        let mut printed: String = m
-            .functions
-            .iter()
-            .map(|f| detlock_ir::dot::function_to_text(f, |_| None))
-            .collect();
-        if !printed.is_empty() {
-            let mut k = cut % printed.len();
-            while k > 0 && !printed.is_char_boundary(k) {
-                k -= 1;
-            }
-            printed.truncate(k);
-            printed.push('%');
-        }
-        let _ = detlock_ir::parse::parse_module(&printed);
+    for input in truncated_inputs() {
+        let _ = parse_module(&input);
     }
+}
+
+/// Every statement kind the parser knows: `parse.rs`'s own `SAMPLE` plus
+/// the forms it lacks (void and argument-less calls, `call@`, a bare and an
+/// immediate `ret`, an empty `switch`, negative offsets, a `clock =`
+/// header, an id-less header, comments, odd spacing).
+const STATEMENTS: &str = r#"
+# every statement kind
+fn helper(params=1) {
+  entry (bb0):
+    r1 = add r0, 3
+    ret r1
+}
+
+fn main(params=2) {
+  entry (bb0):    clock = 12
+    r2 = const 0
+    r3 = mov r2
+    br bb1
+  loop.head (bb1):
+    r4 = cmp.lt r2, r1
+    condbr r4, bb2, bb3
+  loop.body (bb2):
+    r5 = call @f0(r2)
+    r6 = load [r0+4]
+    store [r0+8] = r6
+    tick 7
+    tick 2 + 1*r5
+    lock 3
+    unlock r3
+    barrier bar0
+    r2 = add r2, 1
+    memset(r0, 0, 16) [size=#2]
+    r8 = memcpy(r0, r1, r2) [size=#2]
+    call @f0(-4)
+    call@f2()
+    r9 = call @f2()
+    r9 = load [r0+-3]
+    store [r0+-5] = -17
+    r9 = max r9, -1
+    br bb1
+  // a comment between blocks
+  done (bb3):
+    r7 = sqrt(r2)
+    switch r7 [0 -> bb0, 5 -> bb3] default bb4
+  tail:
+    switch r7 [] default bb5
+  last (bb5):
+    ret -1
+}
+
+fn leaf(params=0) {
+  only:
+    rand()
+    ret
+}
+"#;
+
+/// Split a line into whitespace runs, identifier runs (`[A-Za-z0-9._]+`)
+/// and single punctuation characters; concatenated they give the line back.
+fn tokens(line: &str) -> Vec<&str> {
+    let class = |c: char| {
+        if c.is_whitespace() {
+            0
+        } else if c.is_ascii_alphanumeric() || c == '.' || c == '_' {
+            1
+        } else {
+            2
+        }
+    };
+    let mut out = Vec::new();
+    let mut start = 0;
+    let mut prev = None;
+    for (i, c) in line.char_indices() {
+        let k = class(c);
+        if prev.is_some_and(|p| p != k || k == 2) {
+            out.push(&line[start..i]);
+            start = i;
+        }
+        prev = Some(k);
+    }
+    if start < line.len() {
+        out.push(&line[start..]);
+    }
+    out
+}
+
+/// [`STATEMENTS`] with one token dropped, duplicated, swapped with the next
+/// one or padded with whitespace — every token of every line in turn — and
+/// with one line dropped, duplicated or swapped with the next.
+fn statement_mutations() -> Vec<String> {
+    let lines: Vec<&str> = STATEMENTS.lines().collect();
+    let rebuild = |at: usize, replacement: &[String]| -> String {
+        let mut out = String::new();
+        for (i, line) in lines.iter().enumerate() {
+            if i == at {
+                for r in replacement {
+                    out.push_str(r);
+                    out.push('\n');
+                }
+            } else {
+                out.push_str(line);
+                out.push('\n');
+            }
+        }
+        out
+    };
+    let mut inputs = vec![STATEMENTS.to_string()];
+    for (at, line) in lines.iter().enumerate() {
+        if line.trim().is_empty() {
+            continue;
+        }
+        inputs.push(rebuild(at, &[]));
+        inputs.push(rebuild(at, &[line.to_string(), line.to_string()]));
+        if let Some(next) = lines.get(at + 1) {
+            let mut swapped = lines.clone();
+            swapped[at] = next;
+            swapped[at + 1] = line;
+            inputs.push(swapped.join("\n"));
+        }
+        let toks = tokens(line);
+        let solid: Vec<usize> = (0..toks.len())
+            .filter(|&i| !toks[i].trim().is_empty())
+            .collect();
+        for (k, &i) in solid.iter().enumerate() {
+            let with = |edit: &dyn Fn(&mut Vec<String>)| {
+                let mut t: Vec<String> = toks.iter().map(|s| s.to_string()).collect();
+                edit(&mut t);
+                rebuild(at, &[t.concat()])
+            };
+            inputs.push(with(&|t| {
+                t.remove(i);
+            }));
+            inputs.push(with(&|t| t.insert(i, toks[i].to_string())));
+            if let Some(&j) = solid.get(k + 1) {
+                inputs.push(with(&|t| t.swap(i, j)));
+            }
+            inputs.push(with(&|t| t[i] = format!("  {}\t", toks[i])));
+        }
+    }
+    inputs
+}
+
+/// What the parser makes of every input it has ever been shown, pinned as
+/// one digest: `Ok` as the printed module, `Err` as `(line, message)`. The
+/// inputs are the 512 of the two tests above plus [`statement_mutations`];
+/// a parser edit that accepts one more input, rejects one fewer, or words
+/// or places one error differently changes the digest.
+#[test]
+fn parser_outcomes_are_pinned() {
+    let mut inputs = arbitrary_inputs();
+    inputs.extend(truncated_inputs());
+    inputs.extend(statement_mutations());
+    let mut digest = detlock_shim::hash::Fnv64::new();
+    let (mut accepted, mut rejected) = (0, 0);
+    for input in &inputs {
+        let outcome = match parse_module(input) {
+            Ok(m) => {
+                accepted += 1;
+                format!("ok\n{}", module_text(&m))
+            }
+            Err(e) => {
+                rejected += 1;
+                format!("err {}: {}", e.line, e.message)
+            }
+        };
+        digest.write(outcome.as_bytes());
+        digest.write(&[0xff]);
+    }
+    assert_eq!(
+        (inputs.len(), accepted, rejected, digest.finish()),
+        (1642, 410, 1232, 0x7118_b8d5_d9b1_4885),
+        "parser outcomes moved"
+    );
 }
