@@ -43,7 +43,7 @@ use detlock_passes::cost::CostModel;
 use detlock_passes::materialize::strip_ticks;
 use detlock_passes::opt1::tight_average;
 use detlock_passes::pass::{PASS_MATERIALIZE, PASS_O1, PASS_SPLIT};
-use detlock_passes::plan::{block_clock_amount, split_module, Placement};
+use detlock_passes::plan::{block_clock_amounts, split_module, Placement};
 use detlock_passes::PlanCert;
 
 /// Path-enumeration cap for the validator (a checker may spend more than
@@ -243,13 +243,14 @@ pub fn validate(pre: &Module, post: &Module, cert: &PlanCert, cost: &CostModel) 
         }
 
         // -- 5 & 6: path sums and lock regions over the split function -----
+        let true_cost = block_clock_amounts(split_func, cost, &cert.clocked);
         check_path_sums(
             split_func,
             fid,
             clocks,
+            &true_cost,
             cert,
             cert.o2b_slack[fid.index()],
-            cost,
             &mut am_split,
             &mut report,
         );
@@ -257,8 +258,8 @@ pub fn validate(pre: &Module, post: &Module, cert: &PlanCert, cost: &CostModel) 
             split_func,
             fid,
             clocks,
+            &true_cost,
             cert,
-            cost,
             &mut am_split,
             &mut report,
         );
@@ -308,9 +309,8 @@ fn check_clocked_mean(
     am: &mut AnalysisManager,
     report: &mut Report,
 ) {
-    // Routes are value-independent block sequences, so the cached
-    // enumeration is shared with any other check on this function; totals
-    // re-derive exactly by summing block costs along each route.
+    // The validator's own enumeration (O1 walks the paths without naming
+    // them): totals re-derive by summing block costs along each route.
     let routes = am.entry_routes(
         fid,
         pre_func,
@@ -319,14 +319,10 @@ fn check_clocked_mean(
     );
     let rederived = match routes {
         Ok(routes) => {
+            let amounts = block_clock_amounts(pre_func, cost, &cert.clocked);
             let totals: Vec<u64> = routes
                 .iter()
-                .map(|route| {
-                    route
-                        .iter()
-                        .map(|&b| block_clock_amount(pre_func.block(b), cost, &cert.clocked))
-                        .sum()
-                })
+                .map(|route| route.iter().map(|b| amounts[b.index()]).sum())
                 .collect();
             tight_average(&totals, &cert.clockable)
         }
@@ -352,18 +348,19 @@ fn check_clocked_mean(
 }
 
 /// Obligation 5: per acyclic path (back edges cut), the certified clock
-/// tracks the true cost within the cert's bound. `o2b_slack` is the cert's
-/// claimed absolute divergence for this function from O2b's approximate
-/// moves (the pass bounds each move against loop/function mass, not against
-/// any particular path, so the claim is an absolute mass, not a fraction).
+/// tracks the true cost (`true_cost`, per block) within the cert's bound.
+/// `o2b_slack` is the cert's claimed absolute divergence for this function
+/// from O2b's approximate moves (the pass bounds each move against
+/// loop/function mass, not against any particular path, so the claim is an
+/// absolute mass, not a fraction).
 #[allow(clippy::too_many_arguments)]
 fn check_path_sums(
     split_func: &Function,
     fid: FuncId,
     clocks: &[u64],
+    true_cost: &[u64],
     cert: &PlanCert,
     o2b_slack: u64,
-    cost: &CostModel,
     am: &mut AnalysisManager,
     report: &mut Report,
 ) {
@@ -392,10 +389,7 @@ fn check_path_sums(
     // Worst violation across all paths; one finding per function.
     let mut worst: Option<(f64, usize, u64, u64, f64)> = None;
     for (i, route) in routes.iter().enumerate() {
-        let true_sum: u64 = route
-            .iter()
-            .map(|&b| block_clock_amount(split_func.block(b), cost, &cert.clocked))
-            .sum();
+        let true_sum: u64 = route.iter().map(|b| true_cost[b.index()]).sum();
         let planned: u64 = route.iter().map(|b| clocks[b.index()]).sum();
         // Allowed divergence: the cert's fractional bound of the true cost
         // (O3), plus the function's absolute O2b slack, plus O4's absolute
@@ -461,8 +455,8 @@ fn check_lock_regions(
     split_func: &Function,
     fid: FuncId,
     clocks: &[u64],
+    true_cost: &[u64],
     cert: &PlanCert,
-    cost: &CostModel,
     am: &mut AnalysisManager,
     report: &mut Report,
 ) {
@@ -545,7 +539,7 @@ fn check_lock_regions(
         if held_at_tick.is_empty() {
             continue;
         }
-        let true_amount = block_clock_amount(block, cost, &cert.clocked);
+        let true_amount = true_cost[b.index()];
         let planned = clocks[b.index()];
         if planned > true_amount {
             report.findings.push(Finding {

@@ -144,10 +144,10 @@ impl AnalysisManager {
     /// `policy`, capped at `max_paths` (exceeding the cap yields
     /// [`PathError::TooManyPaths`], exactly like a direct enumeration).
     ///
-    /// Routes are value-independent: callers re-derive path clock totals by
-    /// summing their own per-block value over each route, which is what
-    /// makes the summary reusable across O1 fixpoint rounds where the
-    /// clocked set (and hence the block values) changes but the IR does not.
+    /// Routes are value-independent: callers re-derive path totals by
+    /// summing their own per-block value over each route, so one
+    /// enumeration serves every check of the translation validator on a
+    /// function (its only caller; O1 walks the paths without naming them).
     pub fn entry_routes(
         &mut self,
         fid: FuncId,

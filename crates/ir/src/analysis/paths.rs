@@ -7,7 +7,8 @@
 //! `getClocksOfAllOpt3Paths`). Both are served by [`enumerate_paths`], which
 //! walks the CFG from a start block, accumulating a caller-supplied per-block
 //! value, with a caller-supplied per-edge policy deciding how far paths
-//! extend.
+//! extend. The walk calls `block_value` once per *visit*, so callers look
+//! the value up in a per-block table rather than compute it there.
 
 use crate::analysis::cfg::Cfg;
 use crate::types::BlockId;
@@ -64,6 +65,89 @@ pub enum PathError {
     Cycle,
 }
 
+/// One block on the partial path the walk is extending.
+struct Frame {
+    block: BlockId,
+    /// Accumulated value up to and including `block`.
+    acc: u64,
+    /// Index of the next successor of `block` to try.
+    next_succ: usize,
+}
+
+/// The one depth-first walk behind both public enumerations. `path_end`
+/// sees every complete path in DFS order: its total, the frames from
+/// `start` to the last block walked into, and the target of the `StopAfter`
+/// edge that ended it, if one did. Returns, per block, whether any path
+/// entered it.
+fn walk(
+    cfg: &Cfg,
+    start: BlockId,
+    max_paths: usize,
+    mut block_value: impl FnMut(BlockId) -> u64,
+    mut decide: impl FnMut(BlockId, BlockId) -> Step,
+    mut path_end: impl FnMut(u64, &[Frame], Option<BlockId>),
+) -> Result<Vec<bool>, PathError> {
+    let mut touched = vec![false; cfg.len()];
+    let mut on_path = vec![false; cfg.len()];
+    let mut paths = 0usize;
+    let mut end = |total: u64, stack: &[Frame], last: Option<BlockId>| {
+        path_end(total, stack, last);
+        paths += 1;
+        if paths > max_paths {
+            Err(PathError::TooManyPaths)
+        } else {
+            Ok(())
+        }
+    };
+
+    let mut stack = vec![Frame {
+        block: start,
+        acc: block_value(start),
+        next_succ: 0,
+    }];
+    touched[start.index()] = true;
+    on_path[start.index()] = true;
+
+    while let Some(top) = stack.last_mut() {
+        let (from, acc) = (top.block, top.acc);
+        let succs = cfg.succs(from);
+        let Some(&to) = succs.get(top.next_succ) else {
+            // All successors processed; terminal blocks end their path.
+            if succs.is_empty() {
+                end(acc, &stack, None)?;
+            }
+            on_path[from.index()] = false;
+            stack.pop();
+            continue;
+        };
+        top.next_succ += 1;
+        let step = decide(from, to);
+        match step {
+            Step::Abort => return Err(PathError::Aborted),
+            // The path ends at `from`; record its total as-is.
+            Step::StopBefore => end(acc, &stack, None)?,
+            Step::StopAfter | Step::Follow => {
+                if on_path[to.index()] {
+                    return Err(PathError::Cycle);
+                }
+                let acc = acc + block_value(to);
+                touched[to.index()] = true;
+                if step == Step::StopAfter {
+                    end(acc, &stack, Some(to))?;
+                } else {
+                    on_path[to.index()] = true;
+                    stack.push(Frame {
+                        block: to,
+                        acc,
+                        next_succ: 0,
+                    });
+                }
+            }
+        }
+    }
+    Ok(touched)
+}
+
 /// Enumerate all paths from `start`.
 ///
 /// * `block_value(b)` — the value accumulated when a path enters `b`.
@@ -77,179 +161,42 @@ pub fn enumerate_paths(
     cfg: &Cfg,
     start: BlockId,
     max_paths: usize,
-    mut block_value: impl FnMut(BlockId) -> u64,
-    mut decide: impl FnMut(BlockId, BlockId) -> Step,
+    block_value: impl FnMut(BlockId) -> u64,
+    decide: impl FnMut(BlockId, BlockId) -> Step,
 ) -> Result<PathSet, PathError> {
     let mut totals = Vec::new();
-    let mut touched = vec![start];
-    let mut on_path = vec![false; cfg.len()];
-
-    // Explicit DFS over partial paths: (block, accumulated, succ cursor).
-    struct Frame {
-        block: BlockId,
-        acc: u64,
-        next_succ: usize,
-    }
-
-    let start_val = block_value(start);
-    let mut stack = vec![Frame {
-        block: start,
-        acc: start_val,
-        next_succ: 0,
-    }];
-    on_path[start.index()] = true;
-
-    while !stack.is_empty() {
-        let idx = stack.len() - 1;
-        let from = stack[idx].block;
-        let succs = cfg.succs(from);
-        if stack[idx].next_succ < succs.len() {
-            let to = succs[stack[idx].next_succ];
-            stack[idx].next_succ += 1;
-            match decide(from, to) {
-                Step::Abort => return Err(PathError::Aborted),
-                Step::StopBefore => {
-                    // The path ends here; record its total as-is.
-                    totals.push(stack[idx].acc);
-                    if totals.len() > max_paths {
-                        return Err(PathError::TooManyPaths);
-                    }
-                }
-                Step::StopAfter => {
-                    if on_path[to.index()] {
-                        return Err(PathError::Cycle);
-                    }
-                    let v = block_value(to);
-                    if !touched.contains(&to) {
-                        touched.push(to);
-                    }
-                    totals.push(stack[idx].acc + v);
-                    if totals.len() > max_paths {
-                        return Err(PathError::TooManyPaths);
-                    }
-                }
-                Step::Follow => {
-                    if on_path[to.index()] {
-                        return Err(PathError::Cycle);
-                    }
-                    let v = block_value(to);
-                    if !touched.contains(&to) {
-                        touched.push(to);
-                    }
-                    on_path[to.index()] = true;
-                    let acc = stack[idx].acc;
-                    stack.push(Frame {
-                        block: to,
-                        acc: acc + v,
-                        next_succ: 0,
-                    });
-                }
-            }
-        } else {
-            // All successors processed; terminal blocks end their path.
-            if succs.is_empty() {
-                totals.push(stack[idx].acc);
-                if totals.len() > max_paths {
-                    return Err(PathError::TooManyPaths);
-                }
-            }
-            on_path[from.index()] = false;
-            stack.pop();
-        }
-    }
-
-    touched.sort_unstable();
+    let touched = walk(cfg, start, max_paths, block_value, decide, |total, _, _| {
+        totals.push(total)
+    })?;
+    let touched = (0..cfg.len() as u32)
+        .map(BlockId)
+        .filter(|b| touched[b.index()])
+        .collect();
     Ok(PathSet { totals, touched })
 }
 
-/// [`enumerate_paths`] with the block sequence of every path retained.
-///
-/// Kept separate from [`enumerate_paths`] so the hot callers (O1's
-/// all-paths fixpoint, O3's region scans) never pay for route allocation;
-/// the walk order and termination rules are identical.
+/// [`enumerate_paths`] with the block sequence of every path retained: the
+/// same walk, so `totals` come out in the same order.
 pub fn enumerate_paths_recorded(
     cfg: &Cfg,
     start: BlockId,
     max_paths: usize,
-    mut block_value: impl FnMut(BlockId) -> u64,
-    mut decide: impl FnMut(BlockId, BlockId) -> Step,
+    block_value: impl FnMut(BlockId) -> u64,
+    decide: impl FnMut(BlockId, BlockId) -> Step,
 ) -> Result<RecordedPaths, PathError> {
     let mut totals = Vec::new();
     let mut routes: Vec<Vec<BlockId>> = Vec::new();
-    let mut on_path = vec![false; cfg.len()];
-
-    struct Frame {
-        block: BlockId,
-        acc: u64,
-        next_succ: usize,
-    }
-
-    let start_val = block_value(start);
-    let mut stack = vec![Frame {
-        block: start,
-        acc: start_val,
-        next_succ: 0,
-    }];
-    on_path[start.index()] = true;
-
-    let route_of = |stack: &[Frame]| -> Vec<BlockId> { stack.iter().map(|f| f.block).collect() };
-
-    while !stack.is_empty() {
-        let idx = stack.len() - 1;
-        let from = stack[idx].block;
-        let succs = cfg.succs(from);
-        if stack[idx].next_succ < succs.len() {
-            let to = succs[stack[idx].next_succ];
-            stack[idx].next_succ += 1;
-            match decide(from, to) {
-                Step::Abort => return Err(PathError::Aborted),
-                Step::StopBefore => {
-                    totals.push(stack[idx].acc);
-                    routes.push(route_of(&stack));
-                    if totals.len() > max_paths {
-                        return Err(PathError::TooManyPaths);
-                    }
-                }
-                Step::StopAfter => {
-                    if on_path[to.index()] {
-                        return Err(PathError::Cycle);
-                    }
-                    let v = block_value(to);
-                    totals.push(stack[idx].acc + v);
-                    let mut r = route_of(&stack);
-                    r.push(to);
-                    routes.push(r);
-                    if totals.len() > max_paths {
-                        return Err(PathError::TooManyPaths);
-                    }
-                }
-                Step::Follow => {
-                    if on_path[to.index()] {
-                        return Err(PathError::Cycle);
-                    }
-                    let v = block_value(to);
-                    on_path[to.index()] = true;
-                    let acc = stack[idx].acc;
-                    stack.push(Frame {
-                        block: to,
-                        acc: acc + v,
-                        next_succ: 0,
-                    });
-                }
-            }
-        } else {
-            if succs.is_empty() {
-                totals.push(stack[idx].acc);
-                routes.push(route_of(&stack));
-                if totals.len() > max_paths {
-                    return Err(PathError::TooManyPaths);
-                }
-            }
-            on_path[from.index()] = false;
-            stack.pop();
-        }
-    }
-
+    walk(
+        cfg,
+        start,
+        max_paths,
+        block_value,
+        decide,
+        |total, stack, last| {
+            totals.push(total);
+            routes.push(stack.iter().map(|f| f.block).chain(last).collect());
+        },
+    )?;
     Ok(RecordedPaths { totals, routes })
 }
 

@@ -54,17 +54,10 @@ fn err<T>(line: usize, message: impl Into<String>) -> Result<T, ParseError> {
 
 /// Parse a whole module.
 pub fn parse_module(text: &str) -> Result<Module, ParseError> {
-    let mut p = Parser {
-        lines: text.lines().collect(),
-        pos: 0,
-    };
+    let mut p = Parser::new(text);
     let mut module = Module::new();
-    loop {
-        p.skip_blank();
-        if p.at_end() {
-            break;
-        }
-        let f = p.parse_function()?;
+    while let Some(header) = p.skip_blank() {
+        let f = p.parse_function(header)?;
         module.add_function(f);
     }
     if module.functions.is_empty() {
@@ -73,37 +66,56 @@ pub fn parse_module(text: &str) -> Result<Module, ParseError> {
     Ok(module)
 }
 
+/// A cursor over the input's lines; every line is trimmed once, as it
+/// becomes current.
 struct Parser<'a> {
-    lines: Vec<&'a str>,
+    rest: std::str::Lines<'a>,
+    /// The trimmed line at `pos`; `None` past the last one.
+    cur: Option<&'a str>,
+    /// 0-based index of `cur`.
     pos: usize,
+    /// Scratch for the registers one instruction names.
+    regs: Vec<Reg>,
+    /// The instructions of the block being read; its terminator copies
+    /// them out at their exact count.
+    insts: Vec<Inst>,
 }
 
 impl<'a> Parser<'a> {
-    fn at_end(&self) -> bool {
-        self.pos >= self.lines.len()
+    fn new(text: &'a str) -> Parser<'a> {
+        let mut rest = text.lines();
+        Parser {
+            cur: rest.next().map(str::trim),
+            rest,
+            pos: 0,
+            regs: Vec::new(),
+            insts: Vec::new(),
+        }
     }
 
     fn lineno(&self) -> usize {
         self.pos + 1
     }
 
-    fn current(&self) -> &'a str {
-        self.lines[self.pos].trim()
+    fn advance(&mut self) {
+        self.cur = self.rest.next().map(str::trim);
+        self.pos += 1;
     }
 
-    fn skip_blank(&mut self) {
-        while !self.at_end() {
-            let l = self.current();
+    /// Skip blank and comment lines; the line now current, if any is left.
+    fn skip_blank(&mut self) -> Option<&'a str> {
+        while let Some(l) = self.cur {
             if l.is_empty() || l.starts_with('#') || l.starts_with("//") {
-                self.pos += 1;
+                self.advance();
             } else {
                 break;
             }
         }
+        self.cur
     }
 
-    fn parse_function(&mut self) -> Result<Function, ParseError> {
-        let line = self.current();
+    /// Parse one function; `line` is the current line, its header.
+    fn parse_function(&mut self, line: &str) -> Result<Function, ParseError> {
         let ln = self.lineno();
         let rest = line.strip_prefix("fn ").ok_or_else(|| ParseError {
             line: ln,
@@ -114,11 +126,12 @@ impl<'a> Parser<'a> {
             message: "missing `(` in function header".into(),
         })?;
         let name = rest[..open].trim().to_string();
-        let close = rest.find(')').ok_or_else(|| ParseError {
+        let after_open = &rest[open + 1..];
+        let close = after_open.find(')').ok_or_else(|| ParseError {
             line: ln,
             message: "missing `)` in function header".into(),
         })?;
-        let params_part = rest[open + 1..close].trim();
+        let params_part = after_open[..close].trim();
         let params: u32 = params_part
             .strip_prefix("params=")
             .and_then(|v| v.parse().ok())
@@ -126,60 +139,27 @@ impl<'a> Parser<'a> {
                 line: ln,
                 message: format!("expected `params=N`, got `{params_part}`"),
             })?;
-        if !rest[close + 1..].trim().starts_with('{') {
+        if !after_open[close + 1..].trim_start().starts_with('{') {
             return err(ln, "expected `{` after function header");
         }
-        self.pos += 1;
+        self.advance();
 
         let mut blocks: Vec<(String, Vec<Inst>, Option<Terminator>)> = Vec::new();
         let mut max_reg: u32 = params.saturating_sub(1);
-        let bump = |r: Reg, max_reg: &mut u32| {
-            if r.0 > *max_reg {
-                *max_reg = r.0;
-            }
-        };
 
         loop {
-            self.skip_blank();
-            if self.at_end() {
+            let Some(l) = self.skip_blank() else {
                 return err(self.lineno(), "unexpected end of input inside function");
-            }
-            let l = self.current();
+            };
             let ln = self.lineno();
             if l == "}" {
-                self.pos += 1;
+                self.advance();
                 break;
             }
             if l.ends_with(':') || l.contains("):") {
-                // Block header: `name (bbK):` or `name:` with optional
-                // trailing `clock = N`.
-                let header = l.split("clock =").next().unwrap().trim();
-                let header = header.trim_end_matches(':').trim();
-                let name = match header.find(" (bb") {
-                    Some(i) => header[..i].trim().to_string(),
-                    None => header.trim_end_matches(':').to_string(),
-                };
-                // Ordering check: block ids in the text must be sequential
-                // when given explicitly.
-                if let Some(i) = header.find(" (bb") {
-                    let idpart = &header[i + 4..];
-                    let id: usize =
-                        idpart
-                            .trim_end_matches(')')
-                            .parse()
-                            .map_err(|_| ParseError {
-                                line: ln,
-                                message: format!("bad block id in `{l}`"),
-                            })?;
-                    if id != blocks.len() {
-                        return err(
-                            ln,
-                            format!("block id bb{id} out of order (expected bb{})", blocks.len()),
-                        );
-                    }
-                }
-                blocks.push((name, Vec::new(), None));
-                self.pos += 1;
+                blocks.push((parse_block_header(l, ln, blocks.len())?, Vec::new(), None));
+                self.insts.clear();
+                self.advance();
                 continue;
             }
 
@@ -190,24 +170,23 @@ impl<'a> Parser<'a> {
             if cur.2.is_some() {
                 return err(ln, format!("statement `{l}` after block terminator"));
             }
-            if let Some(term) = parse_terminator(l, ln)? {
-                for r in term_regs(&term) {
-                    bump(r, &mut max_reg);
+            match parse_statement(l, ln)? {
+                Statement::Term(term) => {
+                    if let Some(r) = term_reg(&term) {
+                        max_reg = max_reg.max(r.0);
+                    }
+                    cur.1 = self.insts.drain(..).collect();
+                    cur.2 = Some(term);
                 }
-                cur.2 = Some(term);
-            } else {
-                let inst = parse_inst(l, ln)?;
-                let mut used = Vec::new();
-                inst.uses(&mut used);
-                if let Some(d) = inst.def() {
-                    used.push(d);
+                Statement::Inst(inst) => {
+                    self.regs.clear();
+                    inst.uses(&mut self.regs);
+                    self.regs.extend(inst.def());
+                    max_reg = self.regs.iter().fold(max_reg, |m, r| m.max(r.0));
+                    self.insts.push(inst);
                 }
-                for r in used {
-                    bump(r, &mut max_reg);
-                }
-                cur.1.push(inst);
             }
-            self.pos += 1;
+            self.advance();
         }
 
         if blocks.is_empty() {
@@ -233,14 +212,44 @@ impl<'a> Parser<'a> {
     }
 }
 
-fn term_regs(t: &Terminator) -> Vec<Reg> {
+/// Parse a block header — `name (bbK):` or `name:`, either with an optional
+/// trailing `clock = N` — into the block's name. `expected` is the id the
+/// block gets; an explicit `bbK` must agree with it.
+fn parse_block_header(l: &str, ln: usize, expected: usize) -> Result<String, ParseError> {
+    let header = if l.contains('=') {
+        l.split("clock =").next().unwrap_or(l).trim_end()
+    } else {
+        l
+    };
+    let header = header.trim_end_matches(':').trim_end();
+    let Some(i) = header.find(" (bb") else {
+        return Ok(header.trim_end_matches(':').to_string());
+    };
+    let id: usize = header[i + 4..]
+        .trim_end_matches(')')
+        .parse()
+        .map_err(|_| ParseError {
+            line: ln,
+            message: format!("bad block id in `{l}`"),
+        })?;
+    if id != expected {
+        return err(
+            ln,
+            format!("block id bb{id} out of order (expected bb{expected})"),
+        );
+    }
+    Ok(header[..i].trim_end().to_string())
+}
+
+/// The register a terminator reads, if any.
+fn term_reg(t: &Terminator) -> Option<Reg> {
     match t {
-        Terminator::CondBr { cond, .. } => vec![*cond],
-        Terminator::Switch { disc, .. } => vec![*disc],
+        Terminator::CondBr { cond, .. } => Some(*cond),
+        Terminator::Switch { disc, .. } => Some(*disc),
         Terminator::Ret {
             value: Some(Operand::Reg(r)),
-        } => vec![*r],
-        _ => vec![],
+        } => Some(*r),
+        _ => None,
     }
 }
 
@@ -266,16 +275,28 @@ fn parse_block_ref(tok: &str, line: usize) -> Result<BlockId, ParseError> {
 
 fn parse_operand(tok: &str, line: usize) -> Result<Operand, ParseError> {
     let tok = tok.trim();
-    if tok.starts_with('r') && tok[1..].chars().all(|c| c.is_ascii_digit()) && tok.len() > 1 {
-        Ok(Operand::Reg(parse_reg(tok, line)?))
-    } else {
-        tok.parse::<i64>()
+    match tok.strip_prefix('r') {
+        Some(n) if !n.is_empty() && n.bytes().all(|b| b.is_ascii_digit()) => {
+            parse_reg(tok, line).map(Operand::Reg)
+        }
+        _ => tok
+            .parse::<i64>()
             .map(Operand::Imm)
             .map_err(|_| ParseError {
                 line,
                 message: format!("expected operand (rN or integer), got `{tok}`"),
-            })
+            }),
     }
+}
+
+/// Split `s` at its commas into exactly `N` trimmed operands.
+fn operands<const N: usize>(s: &str) -> Option<[&str; N]> {
+    let mut parts = s.split(',');
+    let mut out = [""; N];
+    for slot in &mut out {
+        *slot = parts.next()?.trim();
+    }
+    parts.next().is_none().then_some(out)
 }
 
 fn binop_from(mnemonic: &str) -> Option<BinOp> {
@@ -322,12 +343,12 @@ fn parse_mem(tok: &str, line: usize) -> Result<(Reg, i64), ParseError> {
             message: format!("expected `[rA+K]`, got `{tok}`"),
         })?;
     // Offset may be negative: rA+-3 prints as r0+-3.
-    let plus = inner.find('+').ok_or_else(|| ParseError {
+    let (addr, offset) = inner.split_once('+').ok_or_else(|| ParseError {
         line,
         message: format!("expected `+` in address `{tok}`"),
     })?;
-    let addr = parse_reg(&inner[..plus], line)?;
-    let offset: i64 = inner[plus + 1..].parse().map_err(|_| ParseError {
+    let addr = parse_reg(addr, line)?;
+    let offset: i64 = offset.parse().map_err(|_| ParseError {
         line,
         message: format!("bad offset in `{tok}`"),
     })?;
@@ -339,221 +360,234 @@ fn parse_call_args(argstr: &str, line: usize) -> Result<Vec<Operand>, ParseError
     if argstr.is_empty() {
         return Ok(vec![]);
     }
-    argstr
-        .split(',')
-        .map(|a| parse_operand(a.trim(), line))
-        .collect()
+    argstr.split(',').map(|a| parse_operand(a, line)).collect()
 }
 
-fn parse_terminator(l: &str, ln: usize) -> Result<Option<Terminator>, ParseError> {
-    let mut it = l.split_whitespace();
-    let head = it.next().unwrap_or("");
-    match head {
-        "br" => {
-            let target = parse_block_ref(it.next().unwrap_or(""), ln)?;
-            Ok(Some(Terminator::Br { target }))
+/// One line of a block body.
+enum Statement {
+    Inst(Inst),
+    Term(Terminator),
+}
+
+/// Parse a trimmed, non-blank body line that is not a block header.
+///
+/// The line is dispatched on its keyword — the leading run of lowercase
+/// letters — and on the character after it: a terminator's keyword is a
+/// whole whitespace-delimited token, `store` / `tick` / `lock` / `unlock` /
+/// `barrier` take a space, `call` a space or `@`, a builtin's name its `(`.
+/// Anything else has to be an assignment `rN = …`.
+fn parse_statement(l: &str, ln: usize) -> Result<Statement, ParseError> {
+    let word_end = l
+        .bytes()
+        .position(|b| !b.is_ascii_lowercase())
+        .unwrap_or(l.len());
+    let (word, rest) = l.split_at(word_end);
+    let next = rest.chars().next();
+    let whole_token = next.is_none_or(char::is_whitespace);
+    let spaced = next == Some(' ');
+    let inst = match word {
+        "br" if whole_token => {
+            let target = parse_block_ref(rest.split_whitespace().next().unwrap_or(""), ln)?;
+            return Ok(Statement::Term(Terminator::Br { target }));
         }
-        "condbr" => {
+        "condbr" if whole_token => {
             // condbr r4, bb2, bb15
-            let rest: Vec<&str> = l["condbr".len()..].split(',').map(str::trim).collect();
-            if rest.len() != 3 {
+            let Some([cond, then_bb, else_bb]) = operands(rest) else {
                 return err(ln, format!("expected `condbr rC, bbT, bbF`, got `{l}`"));
-            }
-            Ok(Some(Terminator::CondBr {
-                cond: parse_reg(rest[0], ln)?,
-                then_bb: parse_block_ref(rest[1], ln)?,
-                else_bb: parse_block_ref(rest[2], ln)?,
-            }))
+            };
+            return Ok(Statement::Term(Terminator::CondBr {
+                cond: parse_reg(cond, ln)?,
+                then_bb: parse_block_ref(then_bb, ln)?,
+                else_bb: parse_block_ref(else_bb, ln)?,
+            }));
         }
-        "switch" => {
-            // switch r1 [0 -> bb2, 1 -> bb3] default bb4
-            let open = l.find('[').ok_or_else(|| ParseError {
-                line: ln,
-                message: "missing `[` in switch".into(),
-            })?;
-            let close = l.rfind(']').ok_or_else(|| ParseError {
-                line: ln,
-                message: "missing `]` in switch".into(),
-            })?;
-            let disc = parse_reg(l["switch".len()..open].trim(), ln)?;
-            let mut cases = Vec::new();
-            let body = l[open + 1..close].trim();
-            if !body.is_empty() {
-                for case in body.split(',') {
-                    let (v, b) = case.split_once("->").ok_or_else(|| ParseError {
-                        line: ln,
-                        message: format!("bad switch case `{case}`"),
-                    })?;
-                    let v: i64 = v.trim().parse().map_err(|_| ParseError {
-                        line: ln,
-                        message: format!("bad case value `{v}`"),
-                    })?;
-                    cases.push((v, parse_block_ref(b.trim(), ln)?));
-                }
-            }
-            let tail = l[close + 1..].trim();
-            let default =
-                tail.strip_prefix("default")
-                    .map(str::trim)
-                    .ok_or_else(|| ParseError {
-                        line: ln,
-                        message: "missing `default bbN` in switch".into(),
-                    })?;
-            Ok(Some(Terminator::Switch {
-                disc,
-                cases,
-                default: parse_block_ref(default, ln)?,
-            }))
-        }
-        "ret" => {
-            let rest = l["ret".len()..].trim();
+        "switch" if whole_token => return parse_switch(rest, ln).map(Statement::Term),
+        "ret" if whole_token => {
+            let rest = rest.trim_start();
             let value = if rest.is_empty() {
                 None
             } else {
                 Some(parse_operand(rest, ln)?)
             };
-            Ok(Some(Terminator::Ret { value }))
+            return Ok(Statement::Term(Terminator::Ret { value }));
         }
-        _ => Ok(None),
-    }
+        "store" if spaced => {
+            // store [r2+8] = r3
+            let (mem, src) = rest.split_once('=').ok_or_else(|| ParseError {
+                line: ln,
+                message: format!("expected `store [..] = v`, got `{l}`"),
+            })?;
+            let (addr, offset) = parse_mem(mem.trim(), ln)?;
+            Inst::Store {
+                src: parse_operand(src, ln)?,
+                addr,
+                offset,
+            }
+        }
+        "tick" if spaced => parse_tick(l, rest, ln)?,
+        "lock" if spaced => Inst::Lock {
+            id: parse_operand(rest, ln)?,
+        },
+        "unlock" if spaced => Inst::Unlock {
+            id: parse_operand(rest, ln)?,
+        },
+        "barrier" if spaced => {
+            let id = rest
+                .trim_start()
+                .strip_prefix("bar")
+                .and_then(|v| v.parse().ok())
+                .map(BarrierId)
+                .ok_or_else(|| ParseError {
+                    line: ln,
+                    message: format!("expected `barrier barN`, got `{l}`"),
+                })?;
+            Inst::Barrier { id }
+        }
+        "call" if spaced || next == Some('@') => parse_call(None, rest, ln)?,
+        _ => {
+            let builtin = matches!(next, None | Some('('))
+                .then(|| builtin_from(word))
+                .flatten();
+            match builtin {
+                Some(bi) => parse_builtin_call(None, bi, l, ln)?,
+                None => parse_assignment(l, ln)?,
+            }
+        }
+    };
+    Ok(Statement::Inst(inst))
 }
 
-fn parse_inst(l: &str, ln: usize) -> Result<Inst, ParseError> {
-    // Statements without a destination first.
-    if let Some(rest) = l.strip_prefix("store ") {
-        // store [r2+8] = r3
-        let (mem, src) = rest.split_once('=').ok_or_else(|| ParseError {
-            line: ln,
-            message: format!("expected `store [..] = v`, got `{l}`"),
-        })?;
-        let (addr, offset) = parse_mem(mem.trim(), ln)?;
-        return Ok(Inst::Store {
-            src: parse_operand(src.trim(), ln)?,
-            addr,
-            offset,
-        });
-    }
-    if let Some(rest) = l.strip_prefix("tick ") {
-        // `tick 7` or `tick 3 + 2*r5`
-        if let Some((base, scaled)) = rest.split_once('+') {
-            let base: u64 = base.trim().parse().map_err(|_| ParseError {
+/// `switch r1 [0 -> bb2, 1 -> bb3] default bb4`, keyword already taken.
+fn parse_switch(rest: &str, ln: usize) -> Result<Terminator, ParseError> {
+    let open = rest.find('[').ok_or_else(|| ParseError {
+        line: ln,
+        message: "missing `[` in switch".into(),
+    })?;
+    let close = rest.rfind(']').ok_or_else(|| ParseError {
+        line: ln,
+        message: "missing `]` in switch".into(),
+    })?;
+    // A `]` before the `[` would sit in the discriminant, which then fails.
+    let disc = parse_reg(rest[..open].trim(), ln)?;
+    let mut cases = Vec::new();
+    let body = rest[open + 1..close].trim();
+    if !body.is_empty() {
+        for case in body.split(',') {
+            let (v, b) = case.split_once("->").ok_or_else(|| ParseError {
                 line: ln,
-                message: format!("bad tick base in `{l}`"),
+                message: format!("bad switch case `{case}`"),
             })?;
-            let (per, size) = scaled.trim().split_once('*').ok_or_else(|| ParseError {
+            let v: i64 = v.trim().parse().map_err(|_| ParseError {
                 line: ln,
-                message: format!("expected `per*size` in `{l}`"),
+                message: format!("bad case value `{v}`"),
             })?;
-            let per_unit: u64 = per.trim().parse().map_err(|_| ParseError {
-                line: ln,
-                message: format!("bad tick coefficient in `{l}`"),
-            })?;
-            return Ok(Inst::TickDyn {
-                base,
-                per_unit,
-                size: parse_operand(size.trim(), ln)?,
-            });
+            cases.push((v, parse_block_ref(b.trim(), ln)?));
         }
-        let amount: u64 = rest.trim().parse().map_err(|_| ParseError {
+    }
+    let default = rest[close + 1..]
+        .trim_start()
+        .strip_prefix("default")
+        .ok_or_else(|| ParseError {
+            line: ln,
+            message: "missing `default bbN` in switch".into(),
+        })?;
+    Ok(Terminator::Switch {
+        disc,
+        cases,
+        default: parse_block_ref(default.trim_start(), ln)?,
+    })
+}
+
+/// `tick 7` or `tick 3 + 2*r5`, keyword already taken (`l` is the whole
+/// line, for messages).
+fn parse_tick(l: &str, rest: &str, ln: usize) -> Result<Inst, ParseError> {
+    let Some((base, scaled)) = rest.split_once('+') else {
+        let amount = rest.trim_start().parse().map_err(|_| ParseError {
             line: ln,
             message: format!("bad tick amount in `{l}`"),
         })?;
         return Ok(Inst::Tick { amount });
-    }
-    if let Some(rest) = l.strip_prefix("lock ") {
-        return Ok(Inst::Lock {
-            id: parse_operand(rest.trim(), ln)?,
-        });
-    }
-    if let Some(rest) = l.strip_prefix("unlock ") {
-        return Ok(Inst::Unlock {
-            id: parse_operand(rest.trim(), ln)?,
-        });
-    }
-    if let Some(rest) = l.strip_prefix("barrier ") {
-        let id = rest
-            .trim()
-            .strip_prefix("bar")
-            .and_then(|v| v.parse().ok())
-            .map(BarrierId)
-            .ok_or_else(|| ParseError {
-                line: ln,
-                message: format!("expected `barrier barN`, got `{l}`"),
-            })?;
-        return Ok(Inst::Barrier { id });
-    }
-    if l.starts_with("call ") || l.starts_with("call@") {
-        return parse_call(None, l["call".len()..].trim(), ln);
-    }
-    if let Some(bi) = l.split('(').next().and_then(builtin_from) {
-        return parse_builtin_call(None, bi, l, ln);
-    }
+    };
+    let base = base.trim().parse().map_err(|_| ParseError {
+        line: ln,
+        message: format!("bad tick base in `{l}`"),
+    })?;
+    let (per, size) = scaled.split_once('*').ok_or_else(|| ParseError {
+        line: ln,
+        message: format!("expected `per*size` in `{l}`"),
+    })?;
+    let per_unit = per.trim().parse().map_err(|_| ParseError {
+        line: ln,
+        message: format!("bad tick coefficient in `{l}`"),
+    })?;
+    Ok(Inst::TickDyn {
+        base,
+        per_unit,
+        size: parse_operand(size, ln)?,
+    })
+}
 
-    // Destination forms: `rN = ...`
-    let (dst, rhs) = l.split_once('=').ok_or_else(|| ParseError {
+/// Destination forms: `rN = …`.
+fn parse_assignment(l: &str, ln: usize) -> Result<Inst, ParseError> {
+    let unrecognized = || ParseError {
         line: ln,
         message: format!("unrecognized statement `{l}`"),
-    })?;
-    let dst = parse_reg(dst.trim(), ln)?;
-    let rhs = rhs.trim();
-    let mut it = rhs.split_whitespace();
-    let head = it.next().unwrap_or("");
-
-    if head == "const" {
-        let v: i64 = rhs["const".len()..]
-            .trim()
-            .parse()
-            .map_err(|_| ParseError {
+    };
+    let (dst, rhs) = l.split_once('=').ok_or_else(unrecognized)?;
+    let dst = parse_reg(dst.trim_end(), ln)?;
+    let rhs = rhs.trim_start();
+    let (head, args) = rhs.split_at(rhs.find(char::is_whitespace).unwrap_or(rhs.len()));
+    let two = |what: &str| {
+        operands::<2>(args).ok_or_else(|| ParseError {
+            line: ln,
+            message: format!("expected `{what} rA, v`, got `{l}`"),
+        })
+    };
+    match head {
+        "const" => {
+            let value = args.trim_start().parse().map_err(|_| ParseError {
                 line: ln,
                 message: format!("bad constant in `{l}`"),
             })?;
-        return Ok(Inst::Const { dst, value: v });
-    }
-    if head == "mov" {
-        return Ok(Inst::Mov {
-            dst,
-            src: parse_operand(rhs["mov".len()..].trim(), ln)?,
-        });
-    }
-    if head == "load" {
-        let (addr, offset) = parse_mem(rhs["load".len()..].trim(), ln)?;
-        return Ok(Inst::Load { dst, addr, offset });
-    }
-    if head == "call" || rhs.starts_with("call") {
-        return parse_call(Some(dst), rhs["call".len()..].trim(), ln);
-    }
-    if let Some(op) = cmpop_from(head.strip_prefix("cmp.").unwrap_or("")) {
-        let rest: Vec<&str> = rhs[head.len()..].split(',').map(str::trim).collect();
-        if rest.len() != 2 {
-            return err(ln, format!("expected `cmp.op rA, v`, got `{l}`"));
+            Ok(Inst::Const { dst, value })
         }
-        return Ok(Inst::Cmp {
-            op,
+        "mov" => Ok(Inst::Mov {
             dst,
-            lhs: parse_reg(rest[0], ln)?,
-            rhs: parse_operand(rest[1], ln)?,
-        });
-    }
-    if let Some(op) = binop_from(head) {
-        let rest: Vec<&str> = rhs[head.len()..].split(',').map(str::trim).collect();
-        if rest.len() != 2 {
-            return err(ln, format!("expected `{head} rA, v`, got `{l}`"));
+            src: parse_operand(args, ln)?,
+        }),
+        "load" => {
+            let (addr, offset) = parse_mem(args.trim_start(), ln)?;
+            Ok(Inst::Load { dst, addr, offset })
         }
-        return Ok(Inst::Bin {
-            op,
-            dst,
-            lhs: parse_reg(rest[0], ln)?,
-            rhs: parse_operand(rest[1], ln)?,
-        });
+        _ if rhs.starts_with("call") => parse_call(Some(dst), &rhs["call".len()..], ln),
+        _ => {
+            if let Some(op) = head.strip_prefix("cmp.").and_then(cmpop_from) {
+                let [lhs, rhs] = two("cmp.op")?;
+                Ok(Inst::Cmp {
+                    op,
+                    dst,
+                    lhs: parse_reg(lhs, ln)?,
+                    rhs: parse_operand(rhs, ln)?,
+                })
+            } else if let Some(op) = binop_from(head) {
+                let [lhs, rhs] = two(head)?;
+                Ok(Inst::Bin {
+                    op,
+                    dst,
+                    lhs: parse_reg(lhs, ln)?,
+                    rhs: parse_operand(rhs, ln)?,
+                })
+            } else if let Some(bi) = rhs.split('(').next().and_then(builtin_from) {
+                parse_builtin_call(Some(dst), bi, rhs, ln)
+            } else {
+                Err(unrecognized())
+            }
+        }
     }
-    if let Some(bi) = rhs.split('(').next().and_then(builtin_from) {
-        return parse_builtin_call(Some(dst), bi, rhs, ln);
-    }
-    err(ln, format!("unrecognized statement `{l}`"))
 }
 
+/// `@f3(r2, 5)`, after the `call` keyword.
 fn parse_call(dst: Option<Reg>, rest: &str, ln: usize) -> Result<Inst, ParseError> {
-    // @f3(r2, 5)
     let rest = rest.trim();
     let func = rest
         .strip_prefix("@f")
@@ -702,6 +736,19 @@ fn main(params=2) {
 
         let e = parse_module("not a function").unwrap_err();
         assert_eq!(e.line, 1);
+    }
+
+    /// A `)` before the header's `(` used to slice backwards and panic; the
+    /// closing parenthesis is the first one after the opening one.
+    #[test]
+    fn stray_close_paren_before_the_open_one_is_not_a_panic() {
+        let e = parse_module("fn )(").unwrap_err();
+        assert_eq!(
+            (e.line, e.message.as_str()),
+            (1, "missing `)` in function header")
+        );
+        let m = parse_module("fn a)b(params=0) {\n  e:\n    ret\n}").unwrap();
+        assert_eq!(m.functions[0].name, "a)b");
     }
 
     #[test]

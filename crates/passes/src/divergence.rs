@@ -8,7 +8,7 @@
 //! both properties.
 
 use crate::cost::CostModel;
-use crate::plan::{block_clock_amount, ModulePlan};
+use crate::plan::{block_clock_amounts, ModulePlan};
 use detlock_ir::analysis::cfg::Cfg;
 use detlock_ir::analysis::dom::DomTree;
 use detlock_ir::analysis::loops::LoopInfo;
@@ -63,36 +63,35 @@ pub fn audit(
         let loops = LoopInfo::compute(&cfg, &dom);
         let fplan = &plan.funcs[fid.index()];
 
-        // Enumerate paths once over pairs (planned, true) by packing both
-        // sums: enumerate twice with identical policies.
-        let policy = |from, to| {
-            if loops.is_back_edge(from, to) {
-                Step::StopBefore
-            } else {
-                Step::Follow
-            }
-        };
-        let planned =
-            enumerate_paths_recorded(&cfg, func.entry(), max_paths, |b| fplan.clock(b), policy);
-        let truth = enumerate_paths_recorded(
+        // One walk records the routes and the planned totals; the true
+        // totals are the per-block true costs summed along the same routes.
+        let truth = block_clock_amounts(func, cost, &plan.clocked);
+        let planned = enumerate_paths_recorded(
             &cfg,
             func.entry(),
             max_paths,
-            |b| block_clock_amount(func.block(b), cost, &plan.clocked),
-            policy,
+            |b| fplan.clock(b),
+            |from, to| {
+                if loops.is_back_edge(from, to) {
+                    Step::StopBefore
+                } else {
+                    Step::Follow
+                }
+            },
         );
-        let (planned, truth) = match (planned, truth) {
-            (Ok(p), Ok(t)) => (p, t),
-            _ => {
-                out.push(None);
-                continue;
-            }
+        let Ok(planned) = planned else {
+            out.push(None);
+            continue;
         };
-        debug_assert_eq!(planned.totals.len(), truth.totals.len());
+        let true_totals: Vec<u64> = planned
+            .routes
+            .iter()
+            .map(|route| route.iter().map(|b| truth[b.index()]).sum())
+            .collect();
         let mut max_abs = 0u64;
         let mut max_frac = 0f64;
         let mut worst: Option<usize> = None;
-        for (i, (&p, &t)) in planned.totals.iter().zip(&truth.totals).enumerate() {
+        for (i, (&p, &t)) in planned.totals.iter().zip(&true_totals).enumerate() {
             let d = p.abs_diff(t);
             max_abs = max_abs.max(d);
             let frac = if t > 0 {
@@ -107,8 +106,8 @@ pub fn audit(
                 let better = match worst {
                     None => true,
                     Some(w) => {
-                        let wd = planned.totals[w].abs_diff(truth.totals[w]);
-                        let wt = truth.totals[w];
+                        let wd = planned.totals[w].abs_diff(true_totals[w]);
+                        let wt = true_totals[w];
                         let wfrac = if wt > 0 {
                             wd as f64 / wt as f64
                         } else {
@@ -127,10 +126,9 @@ pub fn audit(
             Some(i) => {
                 let route = planned.routes[i].clone();
                 let branch = blame_branch(&cfg, &route, |b| {
-                    fplan.clock(b) as i64
-                        - block_clock_amount(func.block(b), cost, &plan.clocked) as i64
+                    fplan.clock(b) as i64 - truth[b.index()] as i64
                 });
-                (route, planned.totals[i], truth.totals[i], branch)
+                (route, planned.totals[i], true_totals[i], branch)
             }
         };
         out.push(Some(FuncDivergence {

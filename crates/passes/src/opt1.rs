@@ -13,8 +13,9 @@
 //! callees all became clocked get promoted too.
 
 use crate::cost::CostModel;
-use crate::plan::block_clock_amount;
-use detlock_ir::analysis::manager::{AnalysisManager, PathPolicy};
+use crate::plan::block_clock_amounts;
+use detlock_ir::analysis::manager::AnalysisManager;
+use detlock_ir::analysis::paths::{enumerate_paths, Step};
 use detlock_ir::inst::Inst;
 use detlock_ir::module::{Function, Module};
 use detlock_ir::types::FuncId;
@@ -78,11 +79,13 @@ pub fn is_clockable(
     is_clockable_with(func, FuncId(0), cost, clocked, params, &mut am)
 }
 
-/// [`is_clockable`] reading its analyses from a shared [`AnalysisManager`]:
-/// the CFG, loop info and route set of a function never change across the
-/// O1 fixpoint's rounds (only the clocked set — and hence the per-block
-/// clock values summed over the cached routes — does), so every round after
-/// the first runs entirely on cache hits.
+/// [`is_clockable`] reading the CFG and loop info from a shared
+/// [`AnalysisManager`]: neither changes across the O1 fixpoint's rounds
+/// (only the clocked set does), so every round after the first gets them
+/// from the cache. The paths are walked afresh on every call: a function
+/// reaches the walk only once every callee is clocked, its block amounts are
+/// final from then on, and so only a function that is loop-free and
+/// call-clean yet not tight is ever walked twice.
 pub fn is_clockable_with(
     func: &Function,
     fid: FuncId,
@@ -117,22 +120,20 @@ pub fn is_clockable_with(
             }
         }
     }
-    // getClocksOfAllPaths(f): the cached routes are value-independent block
-    // sequences; summing the current block clocks over them reproduces the
-    // direct enumeration's totals exactly (same DFS order, same cap).
-    let routes = am
-        .entry_routes(fid, func, PathPolicy::FollowAll, params.max_paths)
-        .ok()?;
-    let totals: Vec<u64> = routes
-        .iter()
-        .map(|route| {
-            route
-                .iter()
-                .map(|&b| block_clock_amount(func.block(b), cost, clocked))
-                .sum()
-        })
-        .collect();
-    tight_average(&totals, params)
+    // getClocksOfAllPaths(f): each block costed once, then one walk that
+    // only adds. `tight_average` sums in f64, so the totals' DFS order is
+    // part of the result.
+    let cfg = am.cfg(fid, func);
+    let amounts = block_clock_amounts(func, cost, clocked);
+    let paths = enumerate_paths(
+        &cfg,
+        func.entry(),
+        params.max_paths,
+        |b| amounts[b.index()],
+        |_, _| Step::Follow,
+    )
+    .ok()?;
+    tight_average(&paths.totals, params)
 }
 
 /// `UpdateClockableFuncList` (paper Fig. 4): the greedy fixpoint. `entries`

@@ -5,9 +5,9 @@
 //! fixed module stages, the enabled clock-motion optimizations register as
 //! [`Pass`] objects, and materialization closes the pipeline. One
 //! [`AnalysisManager`] is shared across every stage, so `Cfg`/`DomTree`/
-//! `LoopInfo`/path summaries are computed once per function and reused —
-//! across O1 fixpoint rounds and across plan passes — until a stage that
-//! mutates the IR declares [`PreservedAnalyses::None`].
+//! `LoopInfo` are computed once per function and reused — across O1
+//! fixpoint rounds and across plan passes — until a stage that mutates the
+//! IR declares [`PreservedAnalyses::None`].
 //!
 //! Every stage is timed and its plan delta recorded as a
 //! [`PassStats`] row, and every registered pass

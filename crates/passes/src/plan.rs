@@ -228,6 +228,17 @@ pub fn block_clock_amount(block: &Block, cost: &CostModel, clocked: &[Option<u64
     total + term_cost(&block.term, cost)
 }
 
+/// [`block_clock_amount`] of every block of `func`, indexed by block. A
+/// block's amount depends on the block and the clocked set alone, so
+/// whoever sums amounts along paths (O1's tightness test, the divergence
+/// audit, the validator) costs each block here once, not once per visit.
+pub fn block_clock_amounts(func: &Function, cost: &CostModel, clocked: &[Option<u64>]) -> Vec<u64> {
+    func.blocks
+        .iter()
+        .map(|b| block_clock_amount(b, cost, clocked))
+        .collect()
+}
+
 /// Cost charged for executing a terminator (a branch is an instruction too).
 pub fn term_cost(_term: &Terminator, cost: &CostModel) -> u64 {
     cost.alu
@@ -240,13 +251,14 @@ pub fn base_plan(split: &Module, cost: &CostModel, clocked: &[Option<u64>]) -> V
     let mut plans = Vec::with_capacity(split.functions.len());
     for (fid, func) in split.iter_funcs() {
         let n = func.blocks.len();
-        let mut block_clock = vec![0u64; n];
-        let mut pinned = vec![false; n];
         let is_clocked_fn = clocked.get(fid.index()).is_some_and(|c| c.is_some());
+        let block_clock = if is_clocked_fn {
+            vec![0u64; n]
+        } else {
+            block_clock_amounts(func, cost, clocked)
+        };
+        let mut pinned = vec![false; n];
         for (bid, block) in func.iter_blocks() {
-            if !is_clocked_fn {
-                block_clock[bid.index()] = block_clock_amount(block, cost, clocked);
-            }
             let has_unclocked_call = block.insts.iter().any(|i| match i {
                 Inst::Call { func: callee, .. } => {
                     clocked.get(callee.index()).is_none_or(|c| c.is_none())
