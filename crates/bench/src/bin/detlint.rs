@@ -24,7 +24,7 @@
 
 use detlock_analyze::triage::{dynamic_findings, triage, TriageReport};
 use detlock_analyze::{Report, Severity};
-use detlock_bench::{lint_workload_opts, operand, sanitize_workload_sweep, CliOptions};
+use detlock_bench::{lint_workload, operand, sanitize_workload_sweep, CliOptions};
 use detlock_passes::cost::CostModel;
 use detlock_passes::plan::Placement;
 use detlock_shim::json::{Json, ToJson};
@@ -79,7 +79,7 @@ fn main() {
     let mut minimal_logs = String::new();
 
     for w in &workloads {
-        let mut report = lint_workload_opts(w, &cost, Placement::Start, opts.compile_opts());
+        let mut report = lint_workload(w, &cost, Placement::Start, opts.compile_opts());
 
         // Dynamic pass: sweep the sanitizer, triage the static findings,
         // and fold sanitizer-only discoveries into the report so they

@@ -97,25 +97,6 @@ pub fn instrumented(
     )
 }
 
-/// [`instrumented`] with explicit [`CompileOpts`] (compile pool + plan
-/// cache); output is byte-identical for any options.
-pub fn instrumented_opts(
-    w: &Workload,
-    cost: &CostModel,
-    level: OptLevel,
-    placement: Placement,
-    opts: CompileOpts,
-) -> detlock_passes::pipeline::Instrumented {
-    instrument_with(
-        &w.module,
-        cost,
-        &OptConfig::only(level),
-        placement,
-        &w.entries,
-        opts,
-    )
-}
-
 /// One Table I cell pair: clocks-only and deterministic overhead (percent
 /// over baseline), plus the run cycles behind them.
 #[derive(Debug, Clone)]
@@ -365,19 +346,10 @@ pub fn race_threads(w: &Workload) -> Vec<(detlock_ir::FuncId, Vec<i64>)> {
 /// The full static lint for one workload: the lockset race analysis once,
 /// plus the translation validator over every Table I configuration at
 /// `placement`. Validator findings get the config label appended to their
-/// context lines.
-pub fn lint_workload(
-    w: &Workload,
-    cost: &CostModel,
-    placement: Placement,
-) -> detlock_analyze::Report {
-    lint_workload_opts(w, cost, placement, CompileOpts::serial())
-}
-
-/// [`lint_workload`] with explicit [`CompileOpts`], so `detlint`/`detcheck`
-/// honor `--compile-threads` and share the plan cache across the six
+/// context lines. `opts` lets `detlint`/`detcheck` honor
+/// `--compile-threads` and share the plan cache across the six
 /// configurations they validate.
-pub fn lint_workload_opts(
+pub fn lint_workload(
     w: &Workload,
     cost: &CostModel,
     placement: Placement,

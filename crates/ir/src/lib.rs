@@ -17,8 +17,8 @@
 //! bounded path enumeration ([`analysis::paths`]) and the module call graph
 //! ([`analysis::callgraph`]), plus text/Graphviz dumps ([`dot`]) used to
 //! reproduce the paper's running-example figures. [`analysis::manager`]
-//! lazily computes and caches the per-function analyses with invalidation
-//! driven by pass preservation declarations.
+//! lazily computes and caches the per-function CFG, dominator and loop
+//! analyses.
 //!
 //! ## Example
 //!

@@ -13,9 +13,9 @@ use crate::opt1::ClockableParams;
 use crate::pipeline::OptConfig;
 use crate::plan::{ModulePlan, Placement};
 
-/// One registered pass's contribution to the module cert's divergence
-/// obligations — the delta cert the pass manager collects after each pass
-/// and composes into the [`PlanCert`]. Keeping the deltas alongside the
+/// One plan pass's contribution to the module cert's divergence
+/// obligations — the delta cert the pipeline collects for each pass and
+/// composes into the [`PlanCert`]. Keeping the deltas alongside the
 /// composed bound lets the validator name the pass that most plausibly
 /// broke an obligation instead of rejecting the whole plan anonymously.
 #[derive(Debug, Clone, PartialEq)]
@@ -88,7 +88,7 @@ impl PlanCert {
     /// `o2b_moved` is the per-function approximate mass O2b reported moving
     /// (all zeros when O2 did not run).
     ///
-    /// Synthesizes the per-pass delta certs the pass manager would have
+    /// Synthesizes the per-pass delta certs the pipeline would have
     /// collected and composes them via [`PlanCert::from_passes`].
     pub fn new(config: &OptConfig, plan: &ModulePlan, o2b_moved: Vec<u64>) -> PlanCert {
         debug_assert_eq!(o2b_moved.len(), plan.funcs.len());

@@ -16,10 +16,11 @@
 //! * [`opt3`] — averaging of clocks over dominated regions.
 //! * [`opt4`] — merging small loop-latch clocks into headers.
 //!
-//! [`pipeline::instrument`] is the entry point — a thin wrapper over the
-//! LLVM-style pass manager in [`pass`], which lowers an
-//! [`pipeline::OptConfig`] into a declarative [`pass::PassPipeline`] with
-//! cached analyses, per-pass telemetry and per-pass delta certificates;
+//! [`pipeline::instrument`] is the entry point. It lowers an
+//! [`pipeline::OptConfig`] into a [`pass::PassPipeline`]: the module-wide
+//! O1 fixpoint, splitting and base planning, then the enabled plan passes
+//! and materialization function by function, with per-function cached
+//! analyses, per-pass telemetry and per-pass delta certificates;
 //! [`cost`] holds the cycle model and the *instructions estimate file*
 //! parser; [`divergence`] audits how far a plan's path totals stray from
 //! the true costs.
@@ -63,7 +64,7 @@ pub mod stats;
 pub use cache::{plan_key, PlanCache};
 pub use cert::{PassCert, PlanCert};
 pub use cost::CostModel;
-pub use pass::{Pass, PassPipeline};
+pub use pass::PassPipeline;
 pub use pipeline::{
     instrument, instrument_with, CompileOpts, Instrumented, OptConfig, OptLevel,
     COMPILE_THREADS_ENV,

@@ -149,8 +149,10 @@ pub fn compute_clocked(
     compute_clocked_with(module, cost, entries, params, &mut am)
 }
 
-/// [`compute_clocked`] sharing a caller-owned [`AnalysisManager`], so the
-/// analyses the fixpoint computes stay cached for later pipeline stages.
+/// [`compute_clocked`] with a caller-owned [`AnalysisManager`], so the
+/// caller can read its hit/miss counters. The CFG and loop info it caches
+/// serve every fixpoint round after the first; block splitting then
+/// rewrites the IR, so no later stage reads them.
 pub fn compute_clocked_with(
     module: &Module,
     cost: &CostModel,

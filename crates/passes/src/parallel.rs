@@ -2,8 +2,8 @@
 //!
 //! The plan-pass phase of the pipeline is embarrassingly parallel: after
 //! block splitting, every function's plan is transformed independently (the
-//! golden-equivalence suite pins that function-major and pass-major orders
-//! agree byte-for-byte). This module supplies the scheduling: item indices
+//! golden-equivalence suite pins the output at 1, 2 and 8 workers
+//! byte-for-byte). This module supplies the scheduling: item indices
 //! are dealt into per-worker queues, owners pop from the front, idle
 //! workers steal from the back of their neighbours, and results are
 //! *committed in item-index order* regardless of which worker ran what —

@@ -1,77 +1,39 @@
-//! The LLVM-style pass manager behind [`instrument`](crate::pipeline::instrument).
+//! The pass pipeline behind [`instrument`](crate::pipeline::instrument).
 //!
 //! [`OptConfig`] lowers into a declarative [`PassPipeline`]: the O1
 //! clockable-function fixpoint, block splitting and base planning run as
-//! fixed module stages, the enabled clock-motion optimizations register as
-//! [`Pass`] objects, and materialization closes the pipeline. One
-//! [`AnalysisManager`] is shared across every stage, so `Cfg`/`DomTree`/
-//! `LoopInfo` are computed once per function and reused — across O1
-//! fixpoint rounds and across plan passes — until a stage that mutates the
-//! IR declares [`PreservedAnalyses::None`].
+//! fixed module stages, the enabled clock-motion optimizations are listed
+//! as `PlanPass` values, and materialization closes the pipeline.
 //!
-//! Every stage is timed and its plan delta recorded as a
-//! [`PassStats`] row, and every registered pass
-//! contributes a [`PassCert`] delta that composes into the module
-//! [`PlanCert`], so the translation validator can name the pass that broke
-//! an obligation.
+//! One driver runs it at every worker count. The interprocedural stages run
+//! once over the module; the plan passes and materialization run
+//! function-major through [`run_indexed_with`], which is an inline loop
+//! with one worker state when `threads ≤ 1`. Each function's plan passes
+//! read `Cfg`/`DomTree`/`LoopInfo` from the worker's [`AnalysisManager`],
+//! so the analyses are computed once per function and shared by every pass
+//! that runs on it.
 //!
-//! Ordering note: the pipeline runs pass-major (each pass sweeps every
-//! function before the next pass starts) where the pre-refactor loop ran
-//! function-major. The two orders produce byte-identical plans because each
-//! plan pass reads and writes only its own function's [`FuncPlan`] — plans
-//! are per-function independent — and no plan pass touches the IR the
-//! analyses are derived from.
+//! Every stage is timed and its plan delta recorded as a [`PassStats`] row,
+//! and every plan pass contributes a [`PassCert`] delta that composes into
+//! the module [`PlanCert`], so the translation validator can name the pass
+//! that broke an obligation.
 
 use crate::cert::{PassCert, PlanCert};
 use crate::cost::CostModel;
-use crate::materialize::{materialize, materialize_function};
+use crate::materialize::materialize_function;
 use crate::opt1::{compute_clocked_with, ClockableParams};
 use crate::opt2a::apply_opt2a;
 use crate::opt2b::{apply_opt2b, Opt2bParams};
 use crate::opt3::apply_opt3;
 use crate::opt4::{apply_opt4, Opt4Params};
+use crate::parallel::run_indexed_with;
 use crate::pipeline::{Instrumented, OptConfig};
 use crate::plan::{base_plan, split_module, FuncPlan, ModulePlan, Placement};
 use crate::stats::{PassStats, Stats};
-use detlock_ir::analysis::manager::{AnalysisManager, PreservedAnalyses};
+use detlock_ir::analysis::manager::AnalysisManager;
 use detlock_ir::module::{Function, Module};
 use detlock_ir::types::FuncId;
 use std::time::Instant;
-
-/// A registered clock-plan transformation: one of the paper's O2a/O2b/O3/O4
-/// optimizations, run once per unclocked function.
-///
-/// `Send + Sync` so the parallel pipeline can share the registered pass
-/// objects across compile workers; passes are stateless parameter structs,
-/// so the bound costs implementors nothing.
-pub trait Pass: Send + Sync {
-    /// Stable pass name, used in telemetry rows, `--print-passes` listings
-    /// and per-pass certificates.
-    fn name(&self) -> &'static str;
-
-    /// Transform one function's plan, reading analyses from the shared
-    /// manager. Returns the absolute clock mass this pass's *approximate*
-    /// rewrites moved in this function (zero for precise passes); the
-    /// pipeline threads the per-function values into the pass certificate.
-    fn run(
-        &self,
-        func: &Function,
-        fid: FuncId,
-        plan: &mut FuncPlan,
-        am: &mut AnalysisManager,
-    ) -> u64;
-
-    /// Which analyses remain valid after this pass ran. Plan passes mutate
-    /// only the [`FuncPlan`], never the IR, so the default preserves all.
-    fn preserves(&self) -> PreservedAnalyses {
-        PreservedAnalyses::All
-    }
-
-    /// This pass's contribution to the module cert's divergence
-    /// obligations. `slack` holds the per-function values returned by
-    /// [`Pass::run`].
-    fn cert(&self, slack: Vec<u64>) -> PassCert;
-}
 
 /// Stage name of the O1 clockable-function fixpoint.
 pub const PASS_O1: &str = "o1-function-clocking";
@@ -90,129 +52,79 @@ pub const PASS_O4: &str = "o4-loop-merge";
 /// Stage name of tick materialization.
 pub const PASS_MATERIALIZE: &str = "materialize-ticks";
 
-/// O2a — precise cond/merge-node clock motion.
-struct Opt2aPass;
-
-impl Pass for Opt2aPass {
-    fn name(&self) -> &'static str {
-        PASS_O2A
-    }
-
-    fn run(
-        &self,
-        func: &Function,
-        fid: FuncId,
-        plan: &mut FuncPlan,
-        am: &mut AnalysisManager,
-    ) -> u64 {
-        let cfg = am.cfg(fid, func);
-        let loops = am.loops(fid, func);
-        apply_opt2a(&cfg, &loops, plan);
-        0
-    }
-
-    fn cert(&self, slack: Vec<u64>) -> PassCert {
-        PassCert::exact(PASS_O2A, slack)
-    }
+/// One of the paper's O2a/O2b/O3/O4 clock-plan optimizations, run once per
+/// unclocked function. Plan passes rewrite only that function's
+/// [`FuncPlan`], never the IR, so the analyses they read stay valid.
+#[derive(Debug, Clone, Copy)]
+enum PlanPass {
+    /// O2a — precise cond/merge-node clock motion.
+    O2a,
+    /// O2b — approximate motion bounded by the divergence rule.
+    O2b(Opt2bParams),
+    /// O3 — averaging of clocks over dominated regions.
+    O3(ClockableParams),
+    /// O4 — merging small loop-latch clocks into headers.
+    O4(Opt4Params),
 }
 
-/// O2b — approximate motion bounded by the divergence rule.
-struct Opt2bPass {
-    params: Opt2bParams,
-}
-
-impl Pass for Opt2bPass {
-    fn name(&self) -> &'static str {
-        PASS_O2B
-    }
-
-    fn run(
-        &self,
-        func: &Function,
-        fid: FuncId,
-        plan: &mut FuncPlan,
-        am: &mut AnalysisManager,
-    ) -> u64 {
-        let cfg = am.cfg(fid, func);
-        let loops = am.loops(fid, func);
-        apply_opt2b(&cfg, &loops, self.params, plan)
-    }
-
-    fn cert(&self, slack: Vec<u64>) -> PassCert {
-        PassCert {
-            pass: PASS_O2B,
-            frac_bound: 0.0,
-            o2b_slack: slack,
-            o4_latch_threshold: None,
+impl PlanPass {
+    /// Stable pass name, used in telemetry rows, `--print-passes` listings
+    /// and per-pass certificates.
+    fn name(self) -> &'static str {
+        match self {
+            PlanPass::O2a => PASS_O2A,
+            PlanPass::O2b(_) => PASS_O2B,
+            PlanPass::O3(_) => PASS_O3,
+            PlanPass::O4(_) => PASS_O4,
         }
     }
-}
 
-/// O3 — averaging of clocks over dominated regions.
-struct Opt3Pass {
-    params: ClockableParams,
-}
-
-impl Pass for Opt3Pass {
-    fn name(&self) -> &'static str {
-        PASS_O3
-    }
-
+    /// Transform one function's plan. Returns the absolute clock mass this
+    /// pass's *approximate* rewrites moved in this function (zero for
+    /// precise passes), which becomes the function's entry in the pass
+    /// certificate.
     fn run(
-        &self,
+        self,
         func: &Function,
         fid: FuncId,
         plan: &mut FuncPlan,
         am: &mut AnalysisManager,
     ) -> u64 {
         let cfg = am.cfg(fid, func);
-        let dom = am.dom(fid, func);
-        let loops = am.loops(fid, func);
-        apply_opt3(&cfg, &dom, &loops, self.params, plan);
-        0
-    }
-
-    fn cert(&self, slack: Vec<u64>) -> PassCert {
-        PassCert {
-            pass: PASS_O3,
-            // tight_average admits range ≤ mean/rd; the worst relative
-            // path error is 1/(rd − 1) (see PlanCert::frac_bound docs).
-            frac_bound: 1.0 / (self.params.range_divisor - 1.0),
-            o2b_slack: slack,
-            o4_latch_threshold: None,
+        match self {
+            PlanPass::O2a => {
+                apply_opt2a(&cfg, &am.loops(fid, func), plan);
+                0
+            }
+            PlanPass::O2b(params) => apply_opt2b(&cfg, &am.loops(fid, func), params, plan),
+            PlanPass::O3(params) => {
+                let dom = am.dom(fid, func);
+                apply_opt3(&cfg, &dom, &am.loops(fid, func), params, plan);
+                0
+            }
+            PlanPass::O4(params) => {
+                apply_opt4(&cfg, &am.loops(fid, func), params, plan);
+                0
+            }
         }
     }
-}
 
-/// O4 — merging small loop-latch clocks into headers.
-struct Opt4Pass {
-    params: Opt4Params,
-}
-
-impl Pass for Opt4Pass {
-    fn name(&self) -> &'static str {
-        PASS_O4
-    }
-
-    fn run(
-        &self,
-        func: &Function,
-        fid: FuncId,
-        plan: &mut FuncPlan,
-        am: &mut AnalysisManager,
-    ) -> u64 {
-        let cfg = am.cfg(fid, func);
-        let loops = am.loops(fid, func);
-        apply_opt4(&cfg, &loops, self.params, plan);
-        0
-    }
-
-    fn cert(&self, slack: Vec<u64>) -> PassCert {
+    /// This pass's contribution to the module cert's divergence
+    /// obligations. `slack` holds the per-function values [`PlanPass::run`]
+    /// returned.
+    fn cert(self, slack: Vec<u64>) -> PassCert {
+        let (frac_bound, o4_latch_threshold) = match self {
+            PlanPass::O2a | PlanPass::O2b(_) => (0.0, None),
+            // tight_average admits range ≤ mean/rd; the worst relative path
+            // error is 1/(rd − 1) (see PlanCert::frac_bound docs).
+            PlanPass::O3(params) => (1.0 / (params.range_divisor - 1.0), None),
+            PlanPass::O4(params) => (0.0, Some(params.threshold)),
+        };
         PassCert {
-            pass: PASS_O4,
-            frac_bound: 0.0,
+            pass: self.name(),
+            frac_bound,
             o2b_slack: slack,
-            o4_latch_threshold: Some(self.params.threshold),
+            o4_latch_threshold,
         }
     }
 }
@@ -221,28 +133,22 @@ impl Pass for Opt4Pass {
 pub struct PassPipeline {
     config: OptConfig,
     placement: Placement,
-    passes: Vec<Box<dyn Pass>>,
+    passes: Vec<PlanPass>,
 }
 
 impl PassPipeline {
     /// Lower `config` into the concrete stage sequence.
     pub fn from_config(config: &OptConfig, placement: Placement) -> PassPipeline {
-        let mut passes: Vec<Box<dyn Pass>> = Vec::new();
+        let mut passes = Vec::new();
         if config.o2 {
-            passes.push(Box::new(Opt2aPass));
-            passes.push(Box::new(Opt2bPass {
-                params: config.opt2b,
-            }));
+            passes.push(PlanPass::O2a);
+            passes.push(PlanPass::O2b(config.opt2b));
         }
         if config.o3 {
-            passes.push(Box::new(Opt3Pass {
-                params: config.clockable,
-            }));
+            passes.push(PlanPass::O3(config.clockable));
         }
         if config.o4 {
-            passes.push(Box::new(Opt4Pass {
-                params: config.opt4,
-            }));
+            passes.push(PlanPass::O4(config.opt4));
         }
         PassPipeline {
             config: config.clone(),
@@ -272,30 +178,22 @@ impl PassPipeline {
         lines
     }
 
-    /// Run every stage over `module`; semantically identical to the
-    /// pre-pass-manager `instrument()` for every config and placement.
-    pub fn run(&self, module: &Module, cost: &CostModel, entries: &[FuncId]) -> Instrumented {
-        self.run_threads(module, cost, entries, 1)
-    }
-
-    /// [`PassPipeline::run`] with the per-function phases (plan passes and
-    /// tick materialization) fanned out over `threads` compile workers.
+    /// Run every stage over `module`, with the per-function phases (plan
+    /// passes and tick materialization) on `threads` compile workers.
     ///
-    /// Output is byte-identical to the serial run for any thread count:
+    /// Output is byte-identical for any thread count:
     ///
     /// * the interprocedural stages (O1 fixpoint, splitting, base planning)
-    ///   stay serial;
-    /// * each worker transforms whole functions (function-major), which the
-    ///   golden suite pins as equal to the serial pass-major order because
-    ///   plan passes only touch their own function's plan;
+    ///   run once over the module;
+    /// * each worker transforms whole functions (function-major), and plan
+    ///   passes only touch their own function's plan;
     /// * results are committed in function-index order, and every
     ///   aggregate — pass rows, cert slack vectors, analysis counters — is
     ///   assembled from per-function values by index or by summation, so
     ///   no aggregate depends on scheduling;
-    /// * analysis hit/miss totals match the serial shared-manager run
-    ///   exactly: splitting invalidates every cached analysis, so the
-    ///   serial phase-2 counts are a per-function sum, and each worker's
-    ///   private manager reproduces its functions' terms verbatim.
+    /// * the module-wide manager serves only O1, and every worker's manager
+    ///   starts empty, so a function's analysis hits and misses are the
+    ///   same whichever worker ran it.
     pub fn run_threads(
         &self,
         module: &Module,
@@ -304,7 +202,6 @@ impl PassPipeline {
         threads: usize,
     ) -> Instrumented {
         let n = module.functions.len();
-        let parallel = threads > 1 && n > 1;
         let mut am = AnalysisManager::new(n);
         let mut per_pass: Vec<PassStats> = Vec::new();
 
@@ -318,10 +215,9 @@ impl PassPipeline {
         };
         per_pass.push(PassStats::timed(PASS_O1, elapsed_ns(t)));
 
-        // Splitting rewrites the IR: nothing cached survives.
+        // Splitting rewrites the IR: nothing `am` holds describes `split`.
         let t = Instant::now();
         let split = split_module(module, &clocked);
-        am.apply_preservation(PreservedAnalyses::None);
         per_pass.push(PassStats::timed(PASS_SPLIT, elapsed_ns(t)));
 
         // Base plan: every tick the optimizations will rearrange appears
@@ -334,66 +230,30 @@ impl PassPipeline {
         base.wall_ns = elapsed_ns(t);
         per_pass.push(base);
 
-        // Registered plan passes. Serial runs pass-major (see module docs
-        // for why this order is observably identical to the old
-        // function-major loop); parallel runs function-major on the compile
-        // pool and commits per-function results in index order.
-        let mut pass_certs: Vec<PassCert> = Vec::new();
-        let mut worker_hits = 0u64;
-        let mut worker_misses = 0u64;
-        if !parallel || self.passes.is_empty() {
-            for pass in &self.passes {
-                let t = Instant::now();
-                let mut slack = vec![0u64; n];
-                let mut row = PassStats::timed(pass.name(), 0);
-                for (fid, func) in split.iter_funcs() {
-                    if clocked[fid.index()].is_some() {
-                        continue; // clocked functions carry no clock code at all
-                    }
-                    let plan = &mut plans[fid.index()];
-                    let before = plan.block_clock.clone();
-                    slack[fid.index()] = pass.run(func, fid, plan, &mut am);
-                    for (b, &new) in plan.block_clock.iter().enumerate() {
-                        let old = before[b];
-                        if old == 0 && new > 0 {
-                            row.ticks_added += 1;
-                        } else if old > 0 && new == 0 {
-                            row.ticks_removed += 1;
-                        }
-                        row.mass_moved += new.abs_diff(old);
-                    }
+        // Plan passes, function-major: every pass over one function, then
+        // the next function. Clocked functions carry no clock code at all.
+        let passes = &self.passes;
+        let (results, workers) = run_indexed_with(
+            n,
+            threads,
+            || AnalysisManager::new(0),
+            |wam, fidx| {
+                if clocked[fidx].is_some() {
+                    return None;
                 }
-                am.apply_preservation(pass.preserves());
-                pass_certs.push(pass.cert(slack));
-                row.wall_ns = elapsed_ns(t);
-                per_pass.push(row);
-            }
-        } else {
-            let passes = &self.passes;
-            let split_ref = &split;
-            let clocked_ref = &clocked;
-            let plans_ref = &plans;
-            let (results, workers) = crate::parallel::run_indexed_with(
-                n,
-                threads,
-                || AnalysisManager::new(0),
-                |wam, fidx| {
-                    if clocked_ref[fidx].is_some() {
-                        return (None, vec![FnPassDelta::default(); passes.len()]);
-                    }
-                    let fid = FuncId(fidx as u32);
-                    let func = &split_ref.functions[fidx];
-                    let mut plan = plans_ref[fidx].clone();
-                    let mut deltas = Vec::with_capacity(passes.len());
-                    for pass in passes {
+                let fid = FuncId(fidx as u32);
+                let func = &split.functions[fidx];
+                let mut plan = plans[fidx].clone();
+                let deltas: Vec<FnPassDelta> = passes
+                    .iter()
+                    .map(|pass| {
                         let t = Instant::now();
                         let before = plan.block_clock.clone();
                         let mut d = FnPassDelta {
                             slack: pass.run(func, fid, &mut plan, wam),
                             ..FnPassDelta::default()
                         };
-                        for (b, &new) in plan.block_clock.iter().enumerate() {
-                            let old = before[b];
+                        for (&old, &new) in before.iter().zip(&plan.block_clock) {
                             if old == 0 && new > 0 {
                                 d.ticks_added += 1;
                             } else if old > 0 && new == 0 {
@@ -402,39 +262,39 @@ impl PassPipeline {
                             d.mass_moved += new.abs_diff(old);
                         }
                         d.wall_ns = elapsed_ns(t);
-                        deltas.push(d);
-                    }
-                    (Some(plan), deltas)
-                },
-            );
-            // Commit phase: function-index order, aggregates by summation —
-            // both invariant under scheduling.
-            let mut rows: Vec<PassStats> = passes
-                .iter()
-                .map(|p| PassStats::timed(p.name(), 0))
-                .collect();
-            let mut slacks: Vec<Vec<u64>> = vec![vec![0u64; n]; passes.len()];
-            for (fidx, (new_plan, deltas)) in results.into_iter().enumerate() {
-                if let Some(p) = new_plan {
-                    plans[fidx] = p;
-                }
-                for (j, d) in deltas.into_iter().enumerate() {
-                    slacks[j][fidx] = d.slack;
-                    rows[j].ticks_added += d.ticks_added;
-                    rows[j].ticks_removed += d.ticks_removed;
-                    rows[j].mass_moved += d.mass_moved;
-                    rows[j].wall_ns += d.wall_ns;
-                }
-            }
-            for (pass, slack) in passes.iter().zip(slacks) {
-                pass_certs.push(pass.cert(slack));
-            }
-            per_pass.extend(rows);
-            for w in &workers {
-                worker_hits += w.cache_hits();
-                worker_misses += w.cache_misses();
+                        d
+                    })
+                    .collect();
+                Some((plan, deltas))
+            },
+        );
+        // Commit: function-index order, aggregates by summation — both
+        // invariant under scheduling. A pass row's wall time is the sum of
+        // its per-function times.
+        let mut rows: Vec<PassStats> = passes
+            .iter()
+            .map(|p| PassStats::timed(p.name(), 0))
+            .collect();
+        let mut slacks: Vec<Vec<u64>> = vec![vec![0u64; n]; passes.len()];
+        for (fidx, result) in results.into_iter().enumerate() {
+            let Some((plan, deltas)) = result else {
+                continue;
+            };
+            plans[fidx] = plan;
+            for (j, d) in deltas.into_iter().enumerate() {
+                slacks[j][fidx] = d.slack;
+                rows[j].ticks_added += d.ticks_added;
+                rows[j].ticks_removed += d.ticks_removed;
+                rows[j].mass_moved += d.mass_moved;
+                rows[j].wall_ns += d.wall_ns;
             }
         }
+        let pass_certs: Vec<PassCert> = passes
+            .iter()
+            .zip(slacks)
+            .map(|(pass, slack)| pass.cert(slack))
+            .collect();
+        per_pass.extend(rows);
 
         let plan = ModulePlan {
             placement: self.placement,
@@ -442,31 +302,23 @@ impl PassPipeline {
             funcs: plans,
         };
 
-        // Materialize ticks (rewrites the IR again). Per-function and
-        // analysis-free, so the parallel path fans it out too; index-order
-        // reassembly keeps the module byte-identical.
+        // Materialize ticks: per function and analysis-free, reassembled in
+        // index order.
         let t = Instant::now();
-        let out = if parallel {
-            let plan_ref = &plan;
-            let split_ref = &split;
-            let (functions, _) = crate::parallel::run_indexed_with(
-                n,
-                threads,
-                || (),
-                |_, fidx| {
-                    materialize_function(
-                        &split_ref.functions[fidx],
-                        &plan_ref.funcs[fidx],
-                        plan_ref.placement,
-                        cost,
-                    )
-                },
-            );
-            Module { functions }
-        } else {
-            materialize(&split, &plan, cost)
-        };
-        am.apply_preservation(PreservedAnalyses::None);
+        let (functions, _) = run_indexed_with(
+            n,
+            threads,
+            || (),
+            |_, fidx| {
+                materialize_function(
+                    &split.functions[fidx],
+                    &plan.funcs[fidx],
+                    plan.placement,
+                    cost,
+                )
+            },
+        );
+        let out = Module { functions };
         let mut mat = PassStats::timed(PASS_MATERIALIZE, elapsed_ns(t));
 
         // In debug builds, catch pipeline breakage (dangling targets after
@@ -480,8 +332,10 @@ impl PassPipeline {
         mat.ticks_added = stats.ticks_inserted + stats.dynamic_ticks;
         per_pass.push(mat);
         stats.per_pass = per_pass;
-        stats.analysis_cache_hits = am.cache_hits() + worker_hits;
-        stats.analysis_cache_misses = am.cache_misses() + worker_misses;
+        stats.analysis_cache_hits =
+            am.cache_hits() + workers.iter().map(|w| w.cache_hits()).sum::<u64>();
+        stats.analysis_cache_misses =
+            am.cache_misses() + workers.iter().map(|w| w.cache_misses()).sum::<u64>();
 
         let cert = PlanCert::from_passes(&self.config, &plan, pass_certs);
         Instrumented {
@@ -495,7 +349,7 @@ impl PassPipeline {
 
 /// One pass's effect on one function, measured by a compile worker and
 /// folded into the pass row / cert slack vector at commit time.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 struct FnPassDelta {
     slack: u64,
     ticks_added: usize,
@@ -513,6 +367,13 @@ mod tests {
     use super::*;
     use crate::pipeline::OptLevel;
     use detlock_ir::builder::FunctionBuilder;
+
+    impl PassPipeline {
+        /// The serial run, the shape every test below asks for.
+        fn run(&self, module: &Module, cost: &CostModel, entries: &[FuncId]) -> Instrumented {
+            self.run_threads(module, cost, entries, 1)
+        }
+    }
 
     fn module() -> (Module, FuncId) {
         let mut m = Module::new();

@@ -7,11 +7,10 @@
 //! 1. Optimization 1's clockable-function fixpoint (if enabled);
 //! 2. block splitting around calls to unclocked functions (§III-A);
 //! 3. base clock planning (every block gets its static clock);
-//! 4. Optimizations 2a, 2b, 3, 4 as registered [`Pass`](crate::pass::Pass)
-//!    objects on each function's plan (as enabled);
+//! 4. Optimizations 2a, 2b, 3, 4 on each function's plan (as enabled);
 //! 5. materialization into `tick` instructions.
 //!
-//! Analyses are computed once per function through a shared
+//! Analyses are computed once per function through an
 //! [`AnalysisManager`](detlock_ir::analysis::manager::AnalysisManager), and
 //! every stage reports per-pass telemetry and a delta certificate — see
 //! [`crate::pass`] for the machinery.
@@ -208,9 +207,8 @@ impl CompileOpts {
 /// `entries` are thread entry functions: they are never clocked by O1 (no
 /// call site would charge their mean).
 ///
-/// This is a thin wrapper: `config` lowers into a
-/// [`PassPipeline`] whose output is
-/// byte-for-byte identical to the historical hand-rolled stage sequence
+/// `config` lowers into a [`PassPipeline`] whose output is byte-for-byte
+/// identical to a hand-written stage sequence over the same building blocks
 /// (the golden-equivalence suite in `tests/golden_equivalence.rs` pins
 /// this). Always serial and uncached — the reference path; use
 /// [`instrument_with`] to opt into the compile pool or the plan cache.
@@ -221,7 +219,14 @@ pub fn instrument(
     placement: Placement,
     entries: &[FuncId],
 ) -> Instrumented {
-    PassPipeline::from_config(config, placement).run(module, cost, entries)
+    instrument_with(
+        module,
+        cost,
+        config,
+        placement,
+        entries,
+        CompileOpts::serial(),
+    )
 }
 
 /// [`instrument`] with explicit [`CompileOpts`].

@@ -12,7 +12,8 @@ use detlock_ir::module::Module;
 pub struct PassStats {
     /// Stage name (see the constants in [`crate::pass`]).
     pub name: &'static str,
-    /// Wall time the stage took, in nanoseconds.
+    /// Wall time the stage took, in nanoseconds. For a plan pass (O2a–O4)
+    /// it is the sum of the pass's per-function times, at any worker count.
     pub wall_ns: u64,
     /// Blocks whose planned clock went from zero to nonzero (a tick the
     /// stage introduced).

@@ -64,8 +64,8 @@
 //! and therefore never retried; the optional per-attempt `cycle_slice` is
 //! a *preemption* (the job continues from its checkpoint) and consumes no
 //! retry budget. Graceful drain refuses new admissions with a typed
-//! `draining` shed, lets in-flight jobs finish, and flushes their final
-//! checkpoints.
+//! `draining` shed and lets in-flight jobs finish; `drain_flushed` counts
+//! the ones that had taken a checkpoint before they finished.
 
 use crate::conn::{accept_backlog, raw_fd, FramedConn, SlotKind, SlotTable};
 use crate::netfault::{CrashPlan, NetFaultPlan, WireFault};
@@ -331,9 +331,6 @@ struct Shared {
     peak_conns: AtomicU64,
     /// Wakes the event loop (result delivery, shutdown).
     loop_waker: evloop::Waker,
-    /// Final checkpoints flushed for jobs that completed during drain
-    /// (identity key -> checkpoint).
-    drain_checkpoints: Mutex<HashMap<String, Checkpoint>>,
     started: Instant,
 }
 
@@ -571,7 +568,6 @@ impl DetServed {
             open_conns: AtomicU64::new(0),
             peak_conns: AtomicU64::new(0),
             loop_waker,
-            drain_checkpoints: Mutex::new(HashMap::new()),
             started: Instant::now(),
             config,
         });
@@ -1249,16 +1245,11 @@ fn shard_worker(id: usize, shared: &Arc<Shared>) {
                     slot.san_cycles
                         .fetch_add(report.lock_cycles.len() as u64, Ordering::Relaxed);
                 }
-                if shared.draining.load(Ordering::SeqCst) {
-                    // Graceful drain: flush the job's final checkpoint so
-                    // a successor process could pick up long-running work.
-                    if let Some(ck) = last_checkpoint {
-                        Counters::bump(&shared.counters.drain_flushed);
-                        shared
-                            .drain_checkpoints
-                            .lock()
-                            .insert(job.spec.identity_key(), ck);
-                    }
+                // Graceful drain: count the jobs that had checkpointed on
+                // their way to finishing. A finished job has nothing to
+                // resume, so the checkpoint itself is dropped.
+                if shared.draining.load(Ordering::SeqCst) && last_checkpoint.is_some() {
+                    Counters::bump(&shared.counters.drain_flushed);
                 }
                 shared.queue_latency.record_us(queue_us);
                 shared.exec_latency.record_us(exec_us);

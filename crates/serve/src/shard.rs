@@ -74,8 +74,9 @@ pub enum PreemptReason {
 pub enum ExecOutcome {
     /// The run finished with a receipt. `last_checkpoint` is the most
     /// recent snapshot taken on the way (None when checkpointing was off
-    /// or the run finished inside the first interval) — the server flushes
-    /// it during a graceful drain.
+    /// or the run finished inside the first interval) — the server hands it
+    /// on when an eviction raced the finish, and counts it during a
+    /// graceful drain.
     Done {
         /// The determinism receipt.
         receipt: Receipt,

@@ -58,7 +58,8 @@ pub struct Counters {
     pub net_faults_injected: AtomicU64,
     /// Shard crashes injected by the active `CrashPlan`.
     pub crashes_injected: AtomicU64,
-    /// Final checkpoints flushed for in-flight jobs during graceful drain.
+    /// Jobs that finished during graceful drain after taking at least one
+    /// checkpoint.
     pub drain_flushed: AtomicU64,
 }
 

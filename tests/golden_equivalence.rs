@@ -1,13 +1,13 @@
-//! Golden-equivalence suite for the pass-manager refactor.
+//! Golden-equivalence suite for the instrumentation pipeline.
 //!
-//! The instrumentation pipeline was refactored from one hand-rolled
-//! `instrument()` body into an LLVM-style pass manager (`detlock_passes::
-//! pass::PassPipeline`). This suite pins the refactor as behavior-
-//! preserving: a reference implementation reproducing the historical stage
-//! sequence — built from the same public building blocks the old body
-//! called, in the old function-major order — must produce byte-identical
-//! modules, plans and certificate obligations for every Table-I config ×
-//! both placements × every workload.
+//! `detlock_passes::pass::PassPipeline` runs the paper's compiler pass as
+//! one driver. This suite holds it to a reference written out by hand — O1
+//! fixpoint, split, base plan, then O2a/O2b/O3/O4 function by function,
+//! materialization — from the same public building blocks: the two must
+//! produce byte-identical modules, plans and certificate obligations for
+//! every Table-I config × both placements × every workload, and the
+//! pipeline's output must not depend on its worker count or on the plan
+//! cache.
 
 use detlock_ir::analysis::cfg::Cfg;
 use detlock_ir::analysis::dom::DomTree;
