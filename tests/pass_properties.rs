@@ -847,19 +847,50 @@ fn statement_mutations() -> Vec<String> {
     inputs
 }
 
-/// What the parser makes of every input it has ever been shown, pinned as
-/// one digest: `Ok` as the printed module, `Err` as `(line, message)`. The
-/// inputs are the 512 of the two tests above plus [`statement_mutations`];
-/// a parser edit that accepts one more input, rejects one fewer, or words
-/// or places one error differently changes the digest.
-#[test]
-fn parser_outcomes_are_pinned() {
-    let mut inputs = arbitrary_inputs();
-    inputs.extend(truncated_inputs());
-    inputs.extend(statement_mutations());
+/// One function spelled the ways a byte-level reader could get wrong: CRLF
+/// line ends; eight whitespace characters (four outside ASCII) as
+/// indentation, as trailing space and around commas; signs and leading
+/// zeros on registers, immediates and block ids; extra spaces. 34 parse;
+/// 4 do not (a signed tick base, an immediate past `i64`, `clock=` without
+/// its spaces, a byte-order mark before `fn`).
+fn spelling_variants() -> Vec<String> {
+    const BASE: &str = "fn f(params=1) {\n  entry (bb0):\n    r1 = add r0, 3\n    \
+                        r2 = load [r0+4]\n    tick 7\n    condbr r1, bb1, bb1\n  \
+                        next (bb1):\n    ret r2\n}\n";
+    let mut inputs = vec![BASE.to_string(), BASE.replace('\n', "\r\n")];
+    for ws in [
+        "\t", "\u{b}", "\u{c}", "\u{a0}", "\u{2003}", "\u{3000}", "\u{85}", "\u{2028}",
+    ] {
+        inputs.push(BASE.replace("\n  ", &format!("\n{ws}")));
+        inputs.push(BASE.replace('\n', &format!("{ws}\n")));
+        inputs.push(BASE.replace(',', &format!("{ws},{ws}")));
+    }
+    for (from, to) in [
+        ("condbr r1", "condbr r+1"),
+        ("ret r2", "ret r002"),
+        ("r0, 3", "r0, +3"),
+        ("[r0+4]", "[r0++4]"),
+        ("bb1, bb1", "bb001, bb1"),
+        ("(bb0)", "(bb00)"),
+        ("r1 = add", "r1   =   add"),
+        ("r0, 3", "r0  ,   3"),
+        ("tick 7", "tick +7"),
+        ("r0, 3", "r0, 99999999999999999999"),
+        ("(bb0):", "(bb0): clock=5"),
+        ("fn f", "\u{feff}fn f"),
+    ] {
+        assert!(BASE.contains(from), "`{from}` is not in the base text");
+        inputs.push(BASE.replacen(from, to, 1));
+    }
+    inputs
+}
+
+/// `(inputs, accepted, rejected, digest)` of what the parser makes of
+/// `inputs`: `Ok` as the printed module, `Err` as `(line, message)`.
+fn parser_outcomes(inputs: &[String]) -> (usize, usize, usize, u64) {
     let mut digest = detlock_shim::hash::Fnv64::new();
     let (mut accepted, mut rejected) = (0, 0);
-    for input in &inputs {
+    for input in inputs {
         let outcome = match parse_module(input) {
             Ok(m) => {
                 accepted += 1;
@@ -873,9 +904,28 @@ fn parser_outcomes_are_pinned() {
         digest.write(outcome.as_bytes());
         digest.write(&[0xff]);
     }
+    (inputs.len(), accepted, rejected, digest.finish())
+}
+
+/// What the parser makes of every input it has ever been shown, pinned as
+/// one digest per family. The first family is the 512 inputs of the two
+/// tests above plus [`statement_mutations`], all ASCII; the second is
+/// [`spelling_variants`], which pins what trimming and number decoding must
+/// keep. A parser edit that accepts one more input, rejects one fewer, or
+/// words or places one error differently changes a digest.
+#[test]
+fn parser_outcomes_are_pinned() {
+    let mut inputs = arbitrary_inputs();
+    inputs.extend(truncated_inputs());
+    inputs.extend(statement_mutations());
     assert_eq!(
-        (inputs.len(), accepted, rejected, digest.finish()),
+        parser_outcomes(&inputs),
         (1642, 410, 1232, 0x7118_b8d5_d9b1_4885),
         "parser outcomes moved"
+    );
+    assert_eq!(
+        parser_outcomes(&spelling_variants()),
+        (38, 34, 4, 0xb5b7_e21f_191e_2b30),
+        "parser outcomes of the spelling variants moved"
     );
 }
