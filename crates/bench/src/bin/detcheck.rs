@@ -165,8 +165,10 @@ fn main() {
             failures += 1;
             eprintln!("  det hashes: {:x?}", det.hashes);
             if let Some(d) = &det.divergence {
-                let show = |e: Option<(i64, u32)>| match e {
-                    Some((lock, tid)) => format!("lock {lock} acquired by tid {tid}"),
+                let show = |e: Option<(i64, u32, u64)>| match e {
+                    Some((lock, tid, clock)) => {
+                        format!("lock {lock} acquired by tid {tid} at clock {clock}")
+                    }
                     None => "beyond the recorded window".to_string(),
                 };
                 eprintln!(

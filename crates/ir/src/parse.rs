@@ -23,6 +23,14 @@
 //! dumps); the annotation is ignored. Lines starting with `#` or `//` are
 //! comments. Function references are positional: `@f0` is the first
 //! function in the file.
+//!
+//! One byte cursor walks each line: it ends at `\n`, loses exactly
+//! `str::trim`'s whitespace, and is dispatched on its first bytes; ids and
+//! integers are decoded on bytes as `str::parse` reads them, by small
+//! decoders that are always inlined (as calls they cost ≈8 % of a parse).
+//! Every outcome of ≈1 700 inputs, whitespace and number spellings
+//! included, is pinned by `parser_outcomes_are_pinned`
+//! (`tests/pass_properties.rs`), which CI also runs in release.
 
 use crate::inst::{BinOp, Builtin, CmpOp, Inst, Operand, Terminator};
 use crate::module::{Block, Function, Module};
@@ -45,23 +53,27 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-fn err<T>(line: usize, message: impl Into<String>) -> Result<T, ParseError> {
-    Err(ParseError {
-        line,
-        message: message.into(),
-    })
-}
-
 /// Parse a whole module.
 pub fn parse_module(text: &str) -> Result<Module, ParseError> {
-    let mut p = Parser::new(text);
+    let mut p = Parser {
+        text,
+        next: 0,
+        cur: None,
+        paren: false,
+        pos: 0,
+        max_reg: 0,
+    };
+    p.cur = p.read_line();
     let mut module = Module::new();
     while let Some(header) = p.skip_blank() {
         let f = p.parse_function(header)?;
         module.add_function(f);
     }
     if module.functions.is_empty() {
-        return err(1, "no functions in input");
+        return Err(ParseError {
+            line: 1,
+            message: "no functions in input".into(),
+        });
     }
     Ok(module)
 }
@@ -69,28 +81,38 @@ pub fn parse_module(text: &str) -> Result<Module, ParseError> {
 /// A cursor over the input's lines; every line is trimmed once, as it
 /// becomes current.
 struct Parser<'a> {
-    rest: std::str::Lines<'a>,
+    text: &'a str,
+    /// Byte offset of the line after `cur`.
+    next: usize,
     /// The trimmed line at `pos`; `None` past the last one.
     cur: Option<&'a str>,
+    /// Whether `cur` holds a `)`: only then can it contain a header's `):`.
+    paren: bool,
     /// 0-based index of `cur`.
     pos: usize,
-    /// Scratch for the registers one instruction names.
-    regs: Vec<Reg>,
-    /// The instructions of the block being read; its terminator copies
-    /// them out at their exact count.
-    insts: Vec<Inst>,
+    /// The largest register the function being read names so far.
+    max_reg: u32,
 }
 
 impl<'a> Parser<'a> {
-    fn new(text: &'a str) -> Parser<'a> {
-        let mut rest = text.lines();
-        Parser {
-            cur: rest.next().map(str::trim),
-            rest,
-            pos: 0,
-            regs: Vec::new(),
-            insts: Vec::new(),
+    /// The next line, trimmed. Lines split as `str::lines` splits them: at
+    /// `\n`, with no line after a final one (a `\r` before the `\n` goes
+    /// with the rest of the trailing whitespace).
+    fn read_line(&mut self) -> Option<&'a str> {
+        let rest = self.text.as_bytes().get(self.next..)?;
+        if rest.is_empty() {
+            return None;
         }
+        let (len, paren) = line_len(rest);
+        self.paren = paren;
+        // Indentation is spaces: up to eight of them are skipped at once.
+        let spaces = rest.first_chunk().map_or(0, |&w| {
+            let w = u64::from_le_bytes(w) ^ u64::from_le_bytes([b' '; 8]);
+            w.trailing_zeros() as usize / 8
+        });
+        let line = &self.text[self.next + spaces.min(len)..self.next + len];
+        self.next += len + 1;
+        Some(trim(line))
     }
 
     fn lineno(&self) -> usize {
@@ -98,107 +120,85 @@ impl<'a> Parser<'a> {
     }
 
     fn advance(&mut self) {
-        self.cur = self.rest.next().map(str::trim);
+        self.cur = self.read_line();
         self.pos += 1;
+    }
+
+    /// A positioned error on the current line.
+    #[cold]
+    fn error(&self, message: impl Into<String>) -> ParseError {
+        ParseError {
+            line: self.lineno(),
+            message: message.into(),
+        }
     }
 
     /// Skip blank and comment lines; the line now current, if any is left.
     fn skip_blank(&mut self) -> Option<&'a str> {
-        while let Some(l) = self.cur {
-            if l.is_empty() || l.starts_with('#') || l.starts_with("//") {
-                self.advance();
-            } else {
-                break;
-            }
+        while let Some([] | [b'#', ..] | [b'/', b'/', ..]) = self.cur.map(str::as_bytes) {
+            self.advance();
         }
         self.cur
     }
 
     /// Parse one function; `line` is the current line, its header.
     fn parse_function(&mut self, line: &str) -> Result<Function, ParseError> {
-        let ln = self.lineno();
-        let rest = line.strip_prefix("fn ").ok_or_else(|| ParseError {
-            line: ln,
-            message: format!("expected `fn name(params=N) {{`, got `{line}`"),
-        })?;
-        let open = rest.find('(').ok_or_else(|| ParseError {
-            line: ln,
-            message: "missing `(` in function header".into(),
-        })?;
-        let name = rest[..open].trim().to_string();
+        let rest = line
+            .strip_prefix("fn ")
+            .ok_or_else(|| self.error(format!("expected `fn name(params=N) {{`, got `{line}`")))?;
+        let open = rest
+            .find('(')
+            .ok_or_else(|| self.error("missing `(` in function header"))?;
+        let name = trim(&rest[..open]).to_string();
         let after_open = &rest[open + 1..];
-        let close = after_open.find(')').ok_or_else(|| ParseError {
-            line: ln,
-            message: "missing `)` in function header".into(),
-        })?;
-        let params_part = after_open[..close].trim();
+        let close = after_open
+            .find(')')
+            .ok_or_else(|| self.error("missing `)` in function header"))?;
+        let params_part = trim(&after_open[..close]);
         let params: u32 = params_part
             .strip_prefix("params=")
-            .and_then(|v| v.parse().ok())
-            .ok_or_else(|| ParseError {
-                line: ln,
-                message: format!("expected `params=N`, got `{params_part}`"),
-            })?;
-        if !after_open[close + 1..].trim_start().starts_with('{') {
-            return err(ln, "expected `{` after function header");
+            .and_then(unsigned)
+            .ok_or_else(|| self.error(format!("expected `params=N`, got `{params_part}`")))?;
+        if !trim_start(&after_open[close + 1..]).starts_with('{') {
+            return Err(self.error("expected `{` after function header"));
         }
         self.advance();
 
         let mut blocks: Vec<(String, Vec<Inst>, Option<Terminator>)> = Vec::new();
-        let mut max_reg: u32 = params.saturating_sub(1);
-
+        self.max_reg = params.saturating_sub(1);
         loop {
             let Some(l) = self.skip_blank() else {
-                return err(self.lineno(), "unexpected end of input inside function");
+                return Err(self.error("unexpected end of input inside function"));
             };
-            let ln = self.lineno();
             if l == "}" {
                 self.advance();
                 break;
             }
-            if l.ends_with(':') || l.contains("):") {
-                blocks.push((parse_block_header(l, ln, blocks.len())?, Vec::new(), None));
-                self.insts.clear();
-                self.advance();
-                continue;
-            }
-
-            // Instruction or terminator inside the current block.
-            let Some(cur) = blocks.last_mut() else {
-                return err(ln, format!("statement `{l}` before any block header"));
-            };
-            if cur.2.is_some() {
-                return err(ln, format!("statement `{l}` after block terminator"));
-            }
-            match parse_statement(l, ln)? {
-                Statement::Term(term) => {
-                    if let Some(r) = term_reg(&term) {
-                        max_reg = max_reg.max(r.0);
-                    }
-                    cur.1 = self.insts.drain(..).collect();
-                    cur.2 = Some(term);
+            if l.ends_with(':') || (self.paren && l.contains("):")) {
+                // A block holds about nine instructions in the SPLASH-2 corpus.
+                let insts = Vec::with_capacity(8);
+                blocks.push((self.block_header(l, blocks.len())?, insts, None));
+            } else {
+                let Some((_, insts, term)) = blocks.last_mut() else {
+                    return Err(self.error(format!("statement `{l}` before any block header")));
+                };
+                if term.is_some() {
+                    return Err(self.error(format!("statement `{l}` after block terminator")));
                 }
-                Statement::Inst(inst) => {
-                    self.regs.clear();
-                    inst.uses(&mut self.regs);
-                    self.regs.extend(inst.def());
-                    max_reg = self.regs.iter().fold(max_reg, |m, r| m.max(r.0));
-                    self.insts.push(inst);
-                }
+                *term = self.statement(l, insts)?;
             }
             self.advance();
         }
 
         if blocks.is_empty() {
-            return err(self.lineno(), "function has no blocks");
+            return Err(self.error("function has no blocks"));
         }
         let blocks = blocks
             .into_iter()
             .enumerate()
             .map(|(i, (name, insts, term))| {
-                let term = term.ok_or_else(|| ParseError {
-                    line: self.lineno(),
-                    message: format!("block bb{i} (`{name}`) has no terminator"),
+                let term = term.ok_or_else(|| {
+                    self.error(format!("block bb{i} (`{name}`) has no terminator"))
                 })?;
                 Ok(Block { name, insts, term })
             })
@@ -206,440 +206,500 @@ impl<'a> Parser<'a> {
         Ok(Function {
             name,
             params,
-            num_regs: max_reg + 1,
+            // `reg` refuses `u32::MAX`, so this cannot overflow.
+            num_regs: self.max_reg + 1,
             blocks,
         })
     }
-}
 
-/// Parse a block header — `name (bbK):` or `name:`, either with an optional
-/// trailing `clock = N` — into the block's name. `expected` is the id the
-/// block gets; an explicit `bbK` must agree with it.
-fn parse_block_header(l: &str, ln: usize, expected: usize) -> Result<String, ParseError> {
-    let header = if l.contains('=') {
-        l.split("clock =").next().unwrap_or(l).trim_end()
-    } else {
-        l
-    };
-    let header = header.trim_end_matches(':').trim_end();
-    let Some(i) = header.find(" (bb") else {
-        return Ok(header.trim_end_matches(':').to_string());
-    };
-    let id: usize = header[i + 4..]
-        .trim_end_matches(')')
-        .parse()
-        .map_err(|_| ParseError {
-            line: ln,
-            message: format!("bad block id in `{l}`"),
-        })?;
-    if id != expected {
-        return err(
-            ln,
-            format!("block id bb{id} out of order (expected bb{expected})"),
-        );
-    }
-    Ok(header[..i].trim_end().to_string())
-}
-
-/// The register a terminator reads, if any.
-fn term_reg(t: &Terminator) -> Option<Reg> {
-    match t {
-        Terminator::CondBr { cond, .. } => Some(*cond),
-        Terminator::Switch { disc, .. } => Some(*disc),
-        Terminator::Ret {
-            value: Some(Operand::Reg(r)),
-        } => Some(*r),
-        _ => None,
-    }
-}
-
-fn parse_reg(tok: &str, line: usize) -> Result<Reg, ParseError> {
-    tok.strip_prefix('r')
-        .and_then(|v| v.parse().ok())
-        .map(Reg)
-        .ok_or_else(|| ParseError {
-            line,
-            message: format!("expected register, got `{tok}`"),
-        })
-}
-
-fn parse_block_ref(tok: &str, line: usize) -> Result<BlockId, ParseError> {
-    tok.strip_prefix("bb")
-        .and_then(|v| v.parse().ok())
-        .map(BlockId)
-        .ok_or_else(|| ParseError {
-            line,
-            message: format!("expected block reference, got `{tok}`"),
-        })
-}
-
-fn parse_operand(tok: &str, line: usize) -> Result<Operand, ParseError> {
-    let tok = tok.trim();
-    match tok.strip_prefix('r') {
-        Some(n) if !n.is_empty() && n.bytes().all(|b| b.is_ascii_digit()) => {
-            parse_reg(tok, line).map(Operand::Reg)
+    /// Parse a block header — `name (bbK):` or `name:`, either with an
+    /// optional trailing `clock = N` — into the block's name. `expected` is
+    /// the id the block gets; an explicit `bbK` must agree with it.
+    fn block_header(&self, l: &str, expected: usize) -> Result<String, ParseError> {
+        let header = match l.bytes().any(|b| b == b'=') {
+            true => trim_end(l.split("clock =").next().unwrap_or(l)),
+            false => l,
+        };
+        let header = trim_end(strip_end(header, b':'));
+        let Some(i) = header.as_bytes().windows(4).position(|w| w == b" (bb") else {
+            return Ok(strip_end(header, b':').to_string());
+        };
+        let id: usize = unsigned(strip_end(&header[i + 4..], b')'))
+            .ok_or_else(|| self.error(format!("bad block id in `{l}`")))?;
+        if id != expected {
+            return Err(self.error(format!(
+                "block id bb{id} out of order (expected bb{expected})"
+            )));
         }
-        _ => tok
-            .parse::<i64>()
-            .map(Operand::Imm)
-            .map_err(|_| ParseError {
-                line,
-                message: format!("expected operand (rN or integer), got `{tok}`"),
-            }),
+        Ok(trim_end(&header[..i]).to_string())
     }
-}
 
-/// Split `s` at its commas into exactly `N` trimmed operands.
-fn operands<const N: usize>(s: &str) -> Option<[&str; N]> {
-    let mut parts = s.split(',');
-    let mut out = [""; N];
-    for slot in &mut out {
-        *slot = parts.next()?.trim();
+    /// `rN`, with `N` below `u32::MAX` so that the register count `N + 1`
+    /// fits; raises the function's `max_reg`.
+    #[inline(always)]
+    fn reg(&mut self, tok: &str) -> Result<Reg, ParseError> {
+        match tok.strip_prefix('r').and_then(unsigned) {
+            Some(n) if n < u32::MAX => {
+                self.max_reg = self.max_reg.max(n);
+                Ok(Reg(n))
+            }
+            Some(_) => Err(self.error(format!(
+                "register `{tok}` is out of range (at most r{})",
+                u32::MAX - 1
+            ))),
+            None => Err(self.error(format!("expected register, got `{tok}`"))),
+        }
     }
-    parts.next().is_none().then_some(out)
+
+    fn block_ref(&self, tok: &str) -> Result<BlockId, ParseError> {
+        tok.strip_prefix("bb")
+            .and_then(unsigned)
+            .map(BlockId)
+            .ok_or_else(|| self.error(format!("expected block reference, got `{tok}`")))
+    }
+
+    #[inline(always)]
+    fn operand(&mut self, tok: &str) -> Result<Operand, ParseError> {
+        let tok = trim(tok);
+        match tok.as_bytes() {
+            [b'r', n @ ..] if !n.is_empty() && n.iter().all(u8::is_ascii_digit) => {
+                self.reg(tok).map(Operand::Reg)
+            }
+            _ => signed(tok).map(Operand::Imm).ok_or_else(|| {
+                self.error(format!("expected operand (rN or integer), got `{tok}`"))
+            }),
+        }
+    }
+
+    /// `[rA+K]` into (addr, offset).
+    fn mem(&mut self, tok: &str) -> Result<(Reg, i64), ParseError> {
+        let inner = tok
+            .strip_prefix('[')
+            .and_then(|t| t.strip_suffix(']'))
+            .ok_or_else(|| self.error(format!("expected `[rA+K]`, got `{tok}`")))?;
+        // Offset may be negative: rA+-3 prints as r0+-3.
+        let (addr, offset) = split_once(inner, b'+')
+            .ok_or_else(|| self.error(format!("expected `+` in address `{tok}`")))?;
+        let addr = self.reg(addr)?;
+        let offset = signed(offset).ok_or_else(|| self.error(format!("bad offset in `{tok}`")))?;
+        Ok((addr, offset))
+    }
+
+    fn call_args(&mut self, argstr: &str) -> Result<Vec<Operand>, ParseError> {
+        let mut args = Vec::new();
+        let mut rest = Some(trim(argstr)).filter(|a| !a.is_empty());
+        while let Some(a) = rest {
+            let (arg, more) = part(a, b',');
+            args.push(self.operand(arg)?);
+            rest = more;
+        }
+        Ok(args)
+    }
+
+    /// Parse a trimmed, non-blank body line that is not a block header: an
+    /// instruction is pushed onto `insts`, a terminator is returned.
+    ///
+    /// The line is dispatched on its keyword — the leading run of lowercase
+    /// letters — and on the byte after it: a terminator's keyword is a
+    /// whole whitespace-delimited token, `store` / `tick` / `lock` /
+    /// `unlock` / `barrier` take a space, `call` a space or `@`, a
+    /// builtin's name its `(`. Anything else has to be an assignment
+    /// `rN = …`.
+    fn statement(
+        &mut self,
+        l: &str,
+        insts: &mut Vec<Inst>,
+    ) -> Result<Option<Terminator>, ParseError> {
+        if let [b'r', b'0'..=b'9' | b'+', ..] = l.as_bytes() {
+            // The commonest form: its keyword would be `r`, which is none.
+            insts.push(self.assignment(l)?);
+            return Ok(None);
+        }
+        let word_end = l
+            .bytes()
+            .position(|b| !b.is_ascii_lowercase())
+            .unwrap_or(l.len());
+        let (word, rest) = l.split_at(word_end);
+        let next = rest.bytes().next();
+        let whole_token = || space_at(rest) == 0;
+        let spaced = next == Some(b' ');
+        let inst = match word {
+            "br" if whole_token() => {
+                let target = trim_start(rest);
+                let target = self.block_ref(&target[..space_at(target)])?;
+                return Ok(Some(Terminator::Br { target }));
+            }
+            "condbr" if whole_token() => {
+                // condbr r4, bb2, bb15
+                let Some([cond, then_bb, else_bb]) = operands(rest) else {
+                    return Err(self.error(format!("expected `condbr rC, bbT, bbF`, got `{l}`")));
+                };
+                return Ok(Some(Terminator::CondBr {
+                    cond: self.reg(cond)?,
+                    then_bb: self.block_ref(then_bb)?,
+                    else_bb: self.block_ref(else_bb)?,
+                }));
+            }
+            "switch" if whole_token() => return self.switch(rest).map(Some),
+            "ret" if whole_token() => {
+                let rest = trim_start(rest);
+                let value = if rest.is_empty() {
+                    None
+                } else {
+                    Some(self.operand(rest)?)
+                };
+                return Ok(Some(Terminator::Ret { value }));
+            }
+            "store" if spaced => {
+                // store [r2+8] = r3
+                let (mem, Some(src)) = part(rest, b'=') else {
+                    return Err(self.error(format!("expected `store [..] = v`, got `{l}`")));
+                };
+                let (addr, offset) = self.mem(mem)?;
+                Inst::Store {
+                    src: self.operand(src)?,
+                    addr,
+                    offset,
+                }
+            }
+            "tick" if spaced => self.tick(l, rest)?,
+            "lock" if spaced => Inst::Lock {
+                id: self.operand(rest)?,
+            },
+            "unlock" if spaced => Inst::Unlock {
+                id: self.operand(rest)?,
+            },
+            "barrier" if spaced => {
+                let id = trim_start(rest)
+                    .strip_prefix("bar")
+                    .and_then(unsigned)
+                    .map(BarrierId)
+                    .ok_or_else(|| self.error(format!("expected `barrier barN`, got `{l}`")))?;
+                Inst::Barrier { id }
+            }
+            "call" if spaced || next == Some(b'@') => self.call(None, rest)?,
+            _ => match matches!(next, None | Some(b'(')).then(|| builtin_from(word)) {
+                Some(Some(bi)) => self.builtin_call(None, bi, l)?,
+                _ => self.assignment(l)?,
+            },
+        };
+        insts.push(inst);
+        Ok(None)
+    }
+
+    /// `switch r1 [0 -> bb2, 1 -> bb3] default bb4`, keyword already taken.
+    fn switch(&mut self, rest: &str) -> Result<Terminator, ParseError> {
+        let open = rest
+            .find('[')
+            .ok_or_else(|| self.error("missing `[` in switch"))?;
+        let close = rest
+            .rfind(']')
+            .ok_or_else(|| self.error("missing `]` in switch"))?;
+        // A `]` before the `[` would sit in the discriminant, which then fails.
+        let disc = self.reg(trim(&rest[..open]))?;
+        let mut cases = Vec::new();
+        let body = trim(&rest[open + 1..close]);
+        if !body.is_empty() {
+            for case in body.split(',') {
+                let (v, b) = case
+                    .split_once("->")
+                    .ok_or_else(|| self.error(format!("bad switch case `{case}`")))?;
+                let v =
+                    signed(trim(v)).ok_or_else(|| self.error(format!("bad case value `{v}`")))?;
+                cases.push((v, self.block_ref(trim(b))?));
+            }
+        }
+        let default = trim_start(&rest[close + 1..])
+            .strip_prefix("default")
+            .ok_or_else(|| self.error("missing `default bbN` in switch"))?;
+        Ok(Terminator::Switch {
+            disc,
+            cases,
+            default: self.block_ref(trim_start(default))?,
+        })
+    }
+
+    /// `tick 7` or `tick 3 + 2*r5`, keyword already taken (`l` is the whole
+    /// line, for messages).
+    fn tick(&mut self, l: &str, rest: &str) -> Result<Inst, ParseError> {
+        let (base, Some(scaled)) = part(rest, b'+') else {
+            let amount = unsigned(trim_start(rest))
+                .ok_or_else(|| self.error(format!("bad tick amount in `{l}`")))?;
+            return Ok(Inst::Tick { amount });
+        };
+        let base = unsigned(base).ok_or_else(|| self.error(format!("bad tick base in `{l}`")))?;
+        let (per, Some(size)) = part(scaled, b'*') else {
+            return Err(self.error(format!("expected `per*size` in `{l}`")));
+        };
+        let per_unit =
+            unsigned(per).ok_or_else(|| self.error(format!("bad tick coefficient in `{l}`")))?;
+        Ok(Inst::TickDyn {
+            base,
+            per_unit,
+            size: self.operand(size)?,
+        })
+    }
+
+    /// Destination forms: `rN = …`.
+    fn assignment(&mut self, l: &str) -> Result<Inst, ParseError> {
+        let unrecognized = |p: &Self| p.error(format!("unrecognized statement `{l}`"));
+        let (dst, Some(rhs)) = part(l, b'=') else {
+            return Err(unrecognized(self));
+        };
+        let dst = self.reg(dst)?;
+        let rhs = trim_start(rhs);
+        let (head, args) = rhs.split_at(space_at(rhs));
+        let two = |p: &Self, what: &str| {
+            operands::<2>(args)
+                .ok_or_else(|| p.error(format!("expected `{what} rA, v`, got `{l}`")))
+        };
+        // The heads below are disjoint, so testing the commonest first
+        // changes no outcome.
+        if let Some(op) = binop_from(head) {
+            let [lhs, rhs] = two(self, head)?;
+            let (lhs, rhs) = (self.reg(lhs)?, self.operand(rhs)?);
+            return Ok(Inst::Bin { op, dst, lhs, rhs });
+        }
+        match head {
+            "const" => {
+                let value = signed(trim_start(args))
+                    .ok_or_else(|| self.error(format!("bad constant in `{l}`")))?;
+                Ok(Inst::Const { dst, value })
+            }
+            "mov" => Ok(Inst::Mov {
+                dst,
+                src: self.operand(args)?,
+            }),
+            "load" => {
+                let (addr, offset) = self.mem(trim_start(args))?;
+                Ok(Inst::Load { dst, addr, offset })
+            }
+            _ if rhs.starts_with("call") => self.call(Some(dst), &rhs["call".len()..]),
+            _ => {
+                if let Some(op) = head.strip_prefix("cmp.").and_then(cmpop_from) {
+                    let [lhs, rhs] = two(self, "cmp.op")?;
+                    let (lhs, rhs) = (self.reg(lhs)?, self.operand(rhs)?);
+                    Ok(Inst::Cmp { op, dst, lhs, rhs })
+                } else if let Some(bi) = rhs.split('(').next().and_then(builtin_from) {
+                    self.builtin_call(Some(dst), bi, rhs)
+                } else {
+                    Err(unrecognized(self))
+                }
+            }
+        }
+    }
+
+    /// `@f3(r2, 5)`, after the `call` keyword.
+    fn call(&mut self, dst: Option<Reg>, rest: &str) -> Result<Inst, ParseError> {
+        let rest = trim(rest);
+        let func = rest
+            .strip_prefix("@f")
+            .and_then(|r| r.split('(').next())
+            .and_then(unsigned)
+            .map(FuncId)
+            .ok_or_else(|| self.error(format!("expected `@fN(...)`, got `{rest}`")))?;
+        let open = rest
+            .find('(')
+            .ok_or_else(|| self.error("missing `(` in call"))?;
+        let close = rest
+            .rfind(')')
+            .ok_or_else(|| self.error("missing `)` in call"))?;
+        let args = self.call_args(&rest[open + 1..close])?;
+        Ok(Inst::Call { func, args, dst })
+    }
+
+    fn builtin_call(
+        &mut self,
+        dst: Option<Reg>,
+        builtin: Builtin,
+        text: &str,
+    ) -> Result<Inst, ParseError> {
+        let open = text
+            .find('(')
+            .ok_or_else(|| self.error("missing `(` in builtin call"))?;
+        let close = text
+            .rfind(')')
+            .ok_or_else(|| self.error("missing `)` in builtin call"))?;
+        let args = self.call_args(&text[open + 1..close])?;
+        let tail = trim(&text[close + 1..]);
+        let size_arg = match tail.strip_prefix("[size=#") {
+            Some(sz) => Some(
+                unsigned(sz.trim_end_matches(']'))
+                    .ok_or_else(|| self.error(format!("bad size annotation `{tail}`")))?,
+            ),
+            None => None,
+        };
+        Ok(Inst::CallBuiltin {
+            builtin,
+            args,
+            dst,
+            size_arg,
+        })
+    }
 }
 
 fn binop_from(mnemonic: &str) -> Option<BinOp> {
-    Some(match mnemonic {
-        "add" => BinOp::Add,
-        "sub" => BinOp::Sub,
-        "mul" => BinOp::Mul,
-        "div" => BinOp::Div,
-        "rem" => BinOp::Rem,
-        "and" => BinOp::And,
-        "or" => BinOp::Or,
-        "xor" => BinOp::Xor,
-        "shl" => BinOp::Shl,
-        "shr" => BinOp::Shr,
-        "min" => BinOp::Min,
-        "max" => BinOp::Max,
-        _ => return None,
-    })
+    use BinOp::*;
+    [Add, Sub, Mul, Div, Rem, And, Or, Xor, Shl, Shr, Min, Max]
+        .into_iter()
+        .find(|op| op.mnemonic() == mnemonic)
 }
 
 fn cmpop_from(mnemonic: &str) -> Option<CmpOp> {
-    Some(match mnemonic {
-        "eq" => CmpOp::Eq,
-        "ne" => CmpOp::Ne,
-        "lt" => CmpOp::Lt,
-        "le" => CmpOp::Le,
-        "gt" => CmpOp::Gt,
-        "ge" => CmpOp::Ge,
-        _ => return None,
-    })
+    use CmpOp::{Eq, Ge, Gt, Le, Lt, Ne};
+    [Eq, Ne, Lt, Le, Gt, Ge]
+        .into_iter()
+        .find(|op| op.mnemonic() == mnemonic)
 }
 
 fn builtin_from(name: &str) -> Option<Builtin> {
     Builtin::all().iter().copied().find(|b| b.name() == name)
 }
 
-/// Parse `[rA+K]` into (addr, offset).
-fn parse_mem(tok: &str, line: usize) -> Result<(Reg, i64), ParseError> {
-    let inner = tok
-        .strip_prefix('[')
-        .and_then(|t| t.strip_suffix(']'))
-        .ok_or_else(|| ParseError {
-            line,
-            message: format!("expected `[rA+K]`, got `{tok}`"),
-        })?;
-    // Offset may be negative: rA+-3 prints as r0+-3.
-    let (addr, offset) = inner.split_once('+').ok_or_else(|| ParseError {
-        line,
-        message: format!("expected `+` in address `{tok}`"),
-    })?;
-    let addr = parse_reg(addr, line)?;
-    let offset: i64 = offset.parse().map_err(|_| ParseError {
-        line,
-        message: format!("bad offset in `{tok}`"),
-    })?;
-    Ok((addr, offset))
-}
-
-fn parse_call_args(argstr: &str, line: usize) -> Result<Vec<Operand>, ParseError> {
-    let argstr = argstr.trim();
-    if argstr.is_empty() {
-        return Ok(vec![]);
+/// Split `s` at its commas into exactly `N` trimmed operands.
+fn operands<const N: usize>(s: &str) -> Option<[&str; N]> {
+    let mut out = [""; N];
+    let mut rest = Some(s);
+    for slot in &mut out {
+        (*slot, rest) = part(rest?, b',');
     }
-    argstr.split(',').map(|a| parse_operand(a, line)).collect()
+    rest.is_none().then_some(out)
 }
 
-/// One line of a block body.
-enum Statement {
-    Inst(Inst),
-    Term(Terminator),
-}
-
-/// Parse a trimmed, non-blank body line that is not a block header.
-///
-/// The line is dispatched on its keyword — the leading run of lowercase
-/// letters — and on the character after it: a terminator's keyword is a
-/// whole whitespace-delimited token, `store` / `tick` / `lock` / `unlock` /
-/// `barrier` take a space, `call` a space or `@`, a builtin's name its `(`.
-/// Anything else has to be an assignment `rN = …`.
-fn parse_statement(l: &str, ln: usize) -> Result<Statement, ParseError> {
-    let word_end = l
-        .bytes()
-        .position(|b| !b.is_ascii_lowercase())
-        .unwrap_or(l.len());
-    let (word, rest) = l.split_at(word_end);
-    let next = rest.chars().next();
-    let whole_token = next.is_none_or(char::is_whitespace);
-    let spaced = next == Some(' ');
-    let inst = match word {
-        "br" if whole_token => {
-            let target = parse_block_ref(rest.split_whitespace().next().unwrap_or(""), ln)?;
-            return Ok(Statement::Term(Terminator::Br { target }));
+/// `s.split_once(delim)` with the part before `delim` trimmed, in one pass;
+/// with no `delim`, all of `s` trimmed and `None`.
+#[inline(always)]
+fn part(s: &str, delim: u8) -> (&str, Option<&str>) {
+    let b = s.as_bytes();
+    let start = b.iter().position(|&c| !is_space(c)).unwrap_or(b.len());
+    let (mut i, mut end) = (start, start);
+    while let Some(&c) = b.get(i).filter(|&&c| c != delim) {
+        if !is_space(c) {
+            end = i + 1;
         }
-        "condbr" if whole_token => {
-            // condbr r4, bb2, bb15
-            let Some([cond, then_bb, else_bb]) = operands(rest) else {
-                return err(ln, format!("expected `condbr rC, bbT, bbF`, got `{l}`"));
-            };
-            return Ok(Statement::Term(Terminator::CondBr {
-                cond: parse_reg(cond, ln)?,
-                then_bb: parse_block_ref(then_bb, ln)?,
-                else_bb: parse_block_ref(else_bb, ln)?,
-            }));
-        }
-        "switch" if whole_token => return parse_switch(rest, ln).map(Statement::Term),
-        "ret" if whole_token => {
-            let rest = rest.trim_start();
-            let value = if rest.is_empty() {
-                None
-            } else {
-                Some(parse_operand(rest, ln)?)
-            };
-            return Ok(Statement::Term(Terminator::Ret { value }));
-        }
-        "store" if spaced => {
-            // store [r2+8] = r3
-            let (mem, src) = rest.split_once('=').ok_or_else(|| ParseError {
-                line: ln,
-                message: format!("expected `store [..] = v`, got `{l}`"),
-            })?;
-            let (addr, offset) = parse_mem(mem.trim(), ln)?;
-            Inst::Store {
-                src: parse_operand(src, ln)?,
-                addr,
-                offset,
-            }
-        }
-        "tick" if spaced => parse_tick(l, rest, ln)?,
-        "lock" if spaced => Inst::Lock {
-            id: parse_operand(rest, ln)?,
-        },
-        "unlock" if spaced => Inst::Unlock {
-            id: parse_operand(rest, ln)?,
-        },
-        "barrier" if spaced => {
-            let id = rest
-                .trim_start()
-                .strip_prefix("bar")
-                .and_then(|v| v.parse().ok())
-                .map(BarrierId)
-                .ok_or_else(|| ParseError {
-                    line: ln,
-                    message: format!("expected `barrier barN`, got `{l}`"),
-                })?;
-            Inst::Barrier { id }
-        }
-        "call" if spaced || next == Some('@') => parse_call(None, rest, ln)?,
-        _ => {
-            let builtin = matches!(next, None | Some('('))
-                .then(|| builtin_from(word))
-                .flatten();
-            match builtin {
-                Some(bi) => parse_builtin_call(None, bi, l, ln)?,
-                None => parse_assignment(l, ln)?,
-            }
-        }
-    };
-    Ok(Statement::Inst(inst))
-}
-
-/// `switch r1 [0 -> bb2, 1 -> bb3] default bb4`, keyword already taken.
-fn parse_switch(rest: &str, ln: usize) -> Result<Terminator, ParseError> {
-    let open = rest.find('[').ok_or_else(|| ParseError {
-        line: ln,
-        message: "missing `[` in switch".into(),
-    })?;
-    let close = rest.rfind(']').ok_or_else(|| ParseError {
-        line: ln,
-        message: "missing `]` in switch".into(),
-    })?;
-    // A `]` before the `[` would sit in the discriminant, which then fails.
-    let disc = parse_reg(rest[..open].trim(), ln)?;
-    let mut cases = Vec::new();
-    let body = rest[open + 1..close].trim();
-    if !body.is_empty() {
-        for case in body.split(',') {
-            let (v, b) = case.split_once("->").ok_or_else(|| ParseError {
-                line: ln,
-                message: format!("bad switch case `{case}`"),
-            })?;
-            let v: i64 = v.trim().parse().map_err(|_| ParseError {
-                line: ln,
-                message: format!("bad case value `{v}`"),
-            })?;
-            cases.push((v, parse_block_ref(b.trim(), ln)?));
-        }
+        i += 1;
     }
-    let default = rest[close + 1..]
-        .trim_start()
-        .strip_prefix("default")
-        .ok_or_else(|| ParseError {
-            line: ln,
-            message: "missing `default bbN` in switch".into(),
-        })?;
-    Ok(Terminator::Switch {
-        disc,
-        cases,
-        default: parse_block_ref(default.trim_start(), ln)?,
-    })
+    let rest = (i < b.len()).then(|| &s[i + 1..]);
+    // Every byte outside `start..end` is ASCII whitespace; an edge inside it
+    // that is not ASCII may still be whitespace to `str::trim`.
+    if b.get(start).is_some_and(|&c| c >= 0x80) || (end > start && b[end - 1] >= 0x80) {
+        return (s[..i].trim(), rest);
+    }
+    (&s[start..end], rest)
 }
 
-/// `tick 7` or `tick 3 + 2*r5`, keyword already taken (`l` is the whole
-/// line, for messages).
-fn parse_tick(l: &str, rest: &str, ln: usize) -> Result<Inst, ParseError> {
-    let Some((base, scaled)) = rest.split_once('+') else {
-        let amount = rest.trim_start().parse().map_err(|_| ParseError {
-            line: ln,
-            message: format!("bad tick amount in `{l}`"),
-        })?;
-        return Ok(Inst::Tick { amount });
-    };
-    let base = base.trim().parse().map_err(|_| ParseError {
-        line: ln,
-        message: format!("bad tick base in `{l}`"),
-    })?;
-    let (per, size) = scaled.split_once('*').ok_or_else(|| ParseError {
-        line: ln,
-        message: format!("expected `per*size` in `{l}`"),
-    })?;
-    let per_unit = per.trim().parse().map_err(|_| ParseError {
-        line: ln,
-        message: format!("bad tick coefficient in `{l}`"),
-    })?;
-    Ok(Inst::TickDyn {
-        base,
-        per_unit,
-        size: parse_operand(size, ln)?,
-    })
+/// The length of the line `rest` starts with (up to its `\n` or the end),
+/// and whether it holds a `)`. Eight bytes at a time: `zeros` flags the
+/// lowest zero byte of a word exactly, and a higher one only above a zero
+/// byte, so the first `\n` is exact and a `)` flagged before it is real.
+fn line_len(rest: &[u8]) -> (usize, bool) {
+    const ONES: u64 = u64::from_le_bytes([1; 8]);
+    let zeros = |w: u64| w.wrapping_sub(ONES) & !w & (ONES << 7);
+    let (mut i, mut paren) = (0, false);
+    while let Some(&chunk) = rest[i..].first_chunk() {
+        let w = u64::from_le_bytes(chunk);
+        let nl = zeros(w ^ (ONES * u64::from(b'\n')));
+        let close = zeros(w ^ (ONES * u64::from(b')')));
+        if nl != 0 {
+            let k = nl.trailing_zeros();
+            return (i + k as usize / 8, paren || close & ((1 << k) - 1) != 0);
+        }
+        paren |= close != 0;
+        i += 8;
+    }
+    while let Some(&b) = rest.get(i).filter(|&&b| b != b'\n') {
+        paren |= b == b')';
+        i += 1;
+    }
+    (i, paren)
 }
 
-/// Destination forms: `rN = …`.
-fn parse_assignment(l: &str, ln: usize) -> Result<Inst, ParseError> {
-    let unrecognized = || ParseError {
-        line: ln,
-        message: format!("unrecognized statement `{l}`"),
-    };
-    let (dst, rhs) = l.split_once('=').ok_or_else(unrecognized)?;
-    let dst = parse_reg(dst.trim_end(), ln)?;
-    let rhs = rhs.trim_start();
-    let (head, args) = rhs.split_at(rhs.find(char::is_whitespace).unwrap_or(rhs.len()));
-    let two = |what: &str| {
-        operands::<2>(args).ok_or_else(|| ParseError {
-            line: ln,
-            message: format!("expected `{what} rA, v`, got `{l}`"),
-        })
-    };
-    match head {
-        "const" => {
-            let value = args.trim_start().parse().map_err(|_| ParseError {
-                line: ln,
-                message: format!("bad constant in `{l}`"),
-            })?;
-            Ok(Inst::Const { dst, value })
-        }
-        "mov" => Ok(Inst::Mov {
-            dst,
-            src: parse_operand(args, ln)?,
-        }),
-        "load" => {
-            let (addr, offset) = parse_mem(args.trim_start(), ln)?;
-            Ok(Inst::Load { dst, addr, offset })
-        }
-        _ if rhs.starts_with("call") => parse_call(Some(dst), &rhs["call".len()..], ln),
-        _ => {
-            if let Some(op) = head.strip_prefix("cmp.").and_then(cmpop_from) {
-                let [lhs, rhs] = two("cmp.op")?;
-                Ok(Inst::Cmp {
-                    op,
-                    dst,
-                    lhs: parse_reg(lhs, ln)?,
-                    rhs: parse_operand(rhs, ln)?,
-                })
-            } else if let Some(op) = binop_from(head) {
-                let [lhs, rhs] = two(head)?;
-                Ok(Inst::Bin {
-                    op,
-                    dst,
-                    lhs: parse_reg(lhs, ln)?,
-                    rhs: parse_operand(rhs, ln)?,
-                })
-            } else if let Some(bi) = rhs.split('(').next().and_then(builtin_from) {
-                parse_builtin_call(Some(dst), bi, rhs, ln)
-            } else {
-                Err(unrecognized())
-            }
-        }
+/// `s.split_once(b)` for an ASCII byte, found on bytes.
+fn split_once(s: &str, b: u8) -> Option<(&str, &str)> {
+    let i = s.bytes().position(|c| c == b)?;
+    Some((&s[..i], &s[i + 1..]))
+}
+
+/// `s.trim_end_matches(b)` for an ASCII byte.
+fn strip_end(s: &str, b: u8) -> &str {
+    &s[..s.bytes().rposition(|c| c != b).map_or(0, |i| i + 1)]
+}
+
+/// `char::is_whitespace`, for an ASCII byte.
+fn is_space(b: u8) -> bool {
+    b == b' ' || (b'\t'..=b'\r').contains(&b)
+}
+
+/// `s.trim_start()`: ASCII whitespace is skipped on bytes, and a first
+/// non-ASCII character is left to `str::trim_start`.
+#[inline(always)]
+fn trim_start(s: &str) -> &str {
+    let i = s.bytes().position(|b| !is_space(b)).unwrap_or(s.len());
+    match s.as_bytes().get(i) {
+        Some(&b) if b >= 0x80 => s[i..].trim_start(),
+        _ => &s[i..],
     }
 }
 
-/// `@f3(r2, 5)`, after the `call` keyword.
-fn parse_call(dst: Option<Reg>, rest: &str, ln: usize) -> Result<Inst, ParseError> {
-    let rest = rest.trim();
-    let func = rest
-        .strip_prefix("@f")
-        .and_then(|r| r.split('(').next())
-        .and_then(|v| v.parse().ok())
-        .map(FuncId)
-        .ok_or_else(|| ParseError {
-            line: ln,
-            message: format!("expected `@fN(...)`, got `{rest}`"),
-        })?;
-    let open = rest.find('(').ok_or_else(|| ParseError {
-        line: ln,
-        message: "missing `(` in call".into(),
-    })?;
-    let close = rest.rfind(')').ok_or_else(|| ParseError {
-        line: ln,
-        message: "missing `)` in call".into(),
-    })?;
-    let args = parse_call_args(&rest[open + 1..close], ln)?;
-    Ok(Inst::Call { func, args, dst })
+/// `s.trim_end()`, as [`trim_start`] from the other end.
+#[inline(always)]
+fn trim_end(s: &str) -> &str {
+    let e = s.bytes().rposition(|b| !is_space(b)).map_or(0, |i| i + 1);
+    match e.checked_sub(1).map(|i| s.as_bytes()[i]) {
+        Some(b) if b >= 0x80 => s[..e].trim_end(),
+        _ => &s[..e],
+    }
 }
 
-fn parse_builtin_call(
-    dst: Option<Reg>,
-    builtin: Builtin,
-    text: &str,
-    ln: usize,
-) -> Result<Inst, ParseError> {
-    let open = text.find('(').ok_or_else(|| ParseError {
-        line: ln,
-        message: "missing `(` in builtin call".into(),
-    })?;
-    let close = text.rfind(')').ok_or_else(|| ParseError {
-        line: ln,
-        message: "missing `)` in builtin call".into(),
-    })?;
-    let args = parse_call_args(&text[open + 1..close], ln)?;
-    let tail = text[close + 1..].trim();
-    let size_arg = if let Some(sz) = tail.strip_prefix("[size=#") {
-        let k: usize = sz.trim_end_matches(']').parse().map_err(|_| ParseError {
-            line: ln,
-            message: format!("bad size annotation `{tail}`"),
-        })?;
-        Some(k)
-    } else {
-        None
-    };
-    Ok(Inst::CallBuiltin {
-        builtin,
-        args,
-        dst,
-        size_arg,
+/// `s.trim()`.
+fn trim(s: &str) -> &str {
+    trim_end(trim_start(s))
+}
+
+/// Byte index of the first `char::is_whitespace` character in `s`, or its
+/// length.
+fn space_at(s: &str) -> usize {
+    for (i, b) in s.bytes().enumerate() {
+        if is_space(b) {
+            return i;
+        }
+        if b >= 0x80 {
+            return s[i..].find(char::is_whitespace).map_or(s.len(), |j| i + j);
+        }
+    }
+    s.len()
+}
+
+/// `s.parse()` for an unsigned integer type: an optional `+`, then one or
+/// more ASCII digits (leading zeros allowed); overflow is `None`.
+#[inline(always)]
+fn unsigned<T: TryFrom<u64>>(s: &str) -> Option<T> {
+    let d = s.as_bytes();
+    digits(d.strip_prefix(b"+").unwrap_or(d)).and_then(|v| T::try_from(v).ok())
+}
+
+/// `s.parse::<i64>()`: [`unsigned`] with a `-` allowed in place of the `+`.
+#[inline(always)]
+fn signed(s: &str) -> Option<i64> {
+    match s.as_bytes() {
+        [b'-', d @ ..] => digits(d).and_then(|v| 0i64.checked_sub_unsigned(v)),
+        _ => unsigned(s),
+    }
+}
+
+/// One or more ASCII digits as a `u64`; `None` if empty, on any other byte
+/// or on overflow.
+#[inline(always)]
+fn digits(d: &[u8]) -> Option<u64> {
+    if d.is_empty() {
+        return None;
+    }
+    d.iter().try_fold(0u64, |v, &b| {
+        let digit = b.wrapping_sub(b'0');
+        if digit > 9 {
+            return None;
+        }
+        v.checked_mul(10)?.checked_add(u64::from(digit))
     })
 }
 
@@ -802,5 +862,42 @@ fn main(params=2) {
                 offset: -5
             }
         );
+    }
+
+    /// The error `r4294967295` gets wherever it stands in a one-block
+    /// function: its register count would not fit in a `u32`.
+    fn largest_register_error(statements: &str) -> (usize, String) {
+        let text = format!("fn f(params=0) {{\n  entry (bb0):\n{statements}}}\n");
+        let e = parse_module(&text).unwrap_err();
+        (e.line, e.message)
+    }
+
+    const OUT_OF_RANGE: &str = "register `r4294967295` is out of range (at most r4294967294)";
+
+    #[test]
+    fn largest_register_number_as_a_definition_is_an_error() {
+        assert_eq!(
+            largest_register_error("    r4294967295 = const 1\n    ret\n"),
+            (3, OUT_OF_RANGE.to_string())
+        );
+    }
+
+    #[test]
+    fn largest_register_number_as_a_use_is_an_error() {
+        assert_eq!(
+            largest_register_error("    r1 = const 1\n    r2 = add r4294967295, r1\n    ret\n"),
+            (4, OUT_OF_RANGE.to_string())
+        );
+    }
+
+    #[test]
+    fn largest_register_number_returned_is_an_error() {
+        assert_eq!(
+            largest_register_error("    ret r4294967295\n"),
+            (3, OUT_OF_RANGE.to_string())
+        );
+        // One below it still fits, with the largest register file there is.
+        let m = parse_module("fn f(params=0) {\n  entry (bb0):\n    ret r4294967294\n}\n").unwrap();
+        assert_eq!(m.functions[0].num_regs, u32::MAX);
     }
 }

@@ -104,7 +104,7 @@ pub(crate) struct RunState {
     pub(crate) barriers: BTreeMap<u32, BarrierState>,
     /// FNV-1a over the `(lock, tid)` acquisition sequence so far.
     pub(crate) hasher: Fnv64,
-    pub(crate) lock_order: Vec<(i64, u32)>,
+    pub(crate) lock_order: Vec<(i64, u32, u64)>,
     pub(crate) done_count: usize,
     /// Happens-before sanitizer (`None` unless the config sanitizes: the
     /// disabled path costs one null check per hook site). State, so that a
@@ -262,7 +262,8 @@ impl Checkpoint {
             locks,
             barriers,
             hasher,
-            // The verbatim prefix of what `hasher` covers in full.
+            // A record of past grants: `hasher` covers their `(lock, tid)`
+            // in full, and the clocks they stamp do not steer the run.
             lock_order: _,
             done_count,
             san,

@@ -587,7 +587,8 @@ impl<'m> DetCore<'m> {
         self.state.hasher.write(&id.to_le_bytes());
         self.state.hasher.write(&tid.to_le_bytes());
         if self.state.lock_order.len() < self.cfg.lock_order_limit {
-            self.state.lock_order.push((id, tid));
+            let clock = self.state.threads[t].clock;
+            self.state.lock_order.push((id, tid, clock));
         }
     }
 

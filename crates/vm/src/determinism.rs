@@ -36,19 +36,20 @@ pub struct Divergence {
     pub seed_b: u64,
     /// Index of the first differing acquisition.
     pub index: usize,
-    /// `(lock_id, tid)` the reference run acquired at `index`, if the
-    /// recorded (bounded) prefix reaches that far.
-    pub a: Option<(i64, u32)>,
-    /// `(lock_id, tid)` the diverging run acquired at `index`.
-    pub b: Option<(i64, u32)>,
+    /// `(lock_id, tid, clock)` the reference run acquired at `index`, if
+    /// the recorded (bounded) prefix reaches that far.
+    pub a: Option<(i64, u32, u64)>,
+    /// `(lock_id, tid, clock)` the diverging run acquired at `index`.
+    pub b: Option<(i64, u32, u64)>,
 }
 
-/// First index where two acquisition sequences differ; `None` if one is a
-/// prefix of the other and no element disagrees (divergence lies beyond the
-/// recorded window, or the sequences are identical).
-fn first_diff(a: &[(i64, u32)], b: &[(i64, u32)]) -> Option<usize> {
+/// First index where two acquisition sequences differ in `(lock, tid)` —
+/// the order weak determinism is about, and all the hash covers; `None` if
+/// one is a prefix of the other and no element disagrees (divergence lies
+/// beyond the recorded window, or the sequences are identical).
+fn first_diff(a: &[(i64, u32, u64)], b: &[(i64, u32, u64)]) -> Option<usize> {
     let n = a.len().min(b.len());
-    (0..n).find(|&i| a[i] != b[i]).or({
+    (0..n).find(|&i| a[i].0 != b[i].0 || a[i].1 != b[i].1).or({
         if a.len() != b.len() {
             Some(n)
         } else {
@@ -110,19 +111,20 @@ mod tests {
 
     #[test]
     fn first_diff_finds_earliest_disagreement() {
-        let a = [(1i64, 0u32), (2, 1), (3, 0)];
-        let b = [(1i64, 0u32), (2, 0), (3, 0)];
+        // The first elements differ only in their clocks, which do not count.
+        let a = [(1i64, 0u32, 1u64), (2, 1, 1), (3, 0, 2)];
+        let b = [(1i64, 0u32, 9u64), (2, 0, 2), (3, 0, 3)];
         assert_eq!(first_diff(&a, &b), Some(1));
         assert_eq!(first_diff(&a, &a), None);
     }
 
     #[test]
     fn first_diff_on_prefix_points_past_the_shorter() {
-        let a = [(1i64, 0u32), (2, 1)];
-        let b = [(1i64, 0u32), (2, 1), (3, 0)];
+        let a = [(1i64, 0u32, 1u64), (2, 1, 1)];
+        let b = [(1i64, 0u32, 1u64), (2, 1, 1), (3, 0, 2)];
         assert_eq!(first_diff(&a, &b), Some(2));
         assert_eq!(first_diff(&b, &a), Some(2));
-        let empty: [(i64, u32); 0] = [];
+        let empty: [(i64, u32, u64); 0] = [];
         assert_eq!(first_diff(&empty, &empty), None);
         assert_eq!(first_diff(&empty, &a), Some(0));
     }

@@ -36,8 +36,10 @@ pub struct RunMetrics {
     /// FNV-1a hash over the global lock-acquisition sequence
     /// `(lock_id, tid)` — equal hashes across runs ⇒ same order.
     pub lock_order_hash: u64,
-    /// The recorded prefix of the acquisition sequence (bounded).
-    pub lock_order: Vec<(i64, u32)>,
+    /// The recorded prefix of the acquisition sequence (bounded), as
+    /// `(lock_id, tid, clock)`: `clock` is the acquirer's logical clock just
+    /// after the grant, the value `detlock-core`'s `Turn::acquired` records.
+    pub lock_order: Vec<(i64, u32, u64)>,
     /// Simulated clock frequency used for the locks/sec conversion.
     pub ghz: f64,
 }

@@ -6,7 +6,8 @@
 //!    scheduler × jitter seed, re-executing the same job must reproduce
 //!    the receipt byte-for-byte — in the same shard engine, and in a
 //!    fresh one (no hidden cache or process state in the receipt). Trace
-//!    hashes must also be jitter-seed-invariant per policy.
+//!    hashes, and the acquisition lists with their clocks, must also be
+//!    jitter-seed-invariant per policy.
 //!
 //! 2. **Across policies, the difference must be real.** The schedulers
 //!    are not renames of one another: on at least one contended workload,
@@ -103,9 +104,15 @@ fn policies_never_collide_in_identity_space() {
     }
 }
 
-/// Per policy, the lock-order trace hash must be a function of the
-/// workload alone — never of the jitter seed. This is the determinism
+/// Per policy, the lock-order trace hash — and the recorded acquisition
+/// list with the acquirer's clock at every grant — must be a function of
+/// the workload alone, never of the jitter seed. This is the determinism
 /// guarantee each scheduler owes, checked policy-by-policy.
+///
+/// Under the two Kendo-style policies a lock's acquisitions also carry
+/// strictly increasing clocks: a waiter is granted only once its clock has
+/// passed the holder's release clock, so every grant stamps a clock above
+/// the one before it. DC-batch has no release-clock rule and is exempt.
 #[test]
 fn trace_hashes_jitter_seed_invariant_under_every_policy() {
     let cost = CostModel::default();
@@ -113,7 +120,7 @@ fn trace_hashes_jitter_seed_invariant_under_every_policy() {
         let specs = thread_specs(&w);
         let inst = instrumented(&w, &cost, OptLevel::All, Placement::Start);
         for sched in policies() {
-            let hashes: Vec<u64> = [0u64, 1, 31337]
+            let runs: Vec<_> = [0u64, 1, 31337]
                 .iter()
                 .map(|&seed| {
                     let mut cfg = machine_config(&w, ExecMode::Det, seed);
@@ -121,14 +128,42 @@ fn trace_hashes_jitter_seed_invariant_under_every_policy() {
                     let (metrics, _, hit, _) =
                         Machine::new(&inst.module, &cost, &specs, cfg).run_sanitized();
                     assert!(!hit, "{}/{sched}: hit the cycle limit", w.name);
-                    metrics.lock_order_hash
+                    (metrics.lock_order_hash, metrics.lock_order)
                 })
                 .collect();
+            let hashes: Vec<u64> = runs.iter().map(|r| r.0).collect();
             assert!(
                 hashes.windows(2).all(|p| p[0] == p[1]),
                 "{}/{sched}: trace hash varies with jitter seed: {hashes:x?}",
                 w.name
             );
+            let order = &runs[0].1;
+            for (seed, run) in [1, 31337].iter().zip(&runs[1..]) {
+                if let Some(i) =
+                    (0..order.len().max(run.1.len())).find(|&i| order.get(i) != run.1.get(i))
+                {
+                    panic!(
+                        "{}/{sched}: seeds 0 and {seed} first differ at acquisition {i}: \
+                         {:?} vs {:?}",
+                        w.name,
+                        order.get(i),
+                        run.1.get(i)
+                    );
+                }
+            }
+            if sched != Sched::DcBatch {
+                let mut last = std::collections::BTreeMap::new();
+                for &(lock, tid, clock) in order {
+                    if let Some(prev) = last.insert(lock, clock) {
+                        assert!(
+                            clock > prev,
+                            "{}/{sched}: lock {lock} granted to tid {tid} at clock {clock}, \
+                             after a grant at clock {prev}",
+                            w.name
+                        );
+                    }
+                }
+            }
         }
     }
 }
