@@ -9,9 +9,10 @@
 # the front's file, drives its sweeps, and --shutdown drains what it
 # talked to so the final `wait`s observe clean exits. With --group N the
 # <detserved args> boot N backend processes and the front is a
-# `detserved --route` consistent-hash router over them (half of all jobs
-# re-run on a second backend and the receipts diffed); the router's
-# shutdown drains every backend before it answers. The exit code is
+# `detserved --route` consistent-hash router over them (the requests the
+# receipt audit schedule picks go to a second backend and their receipts
+# meet the owner's in the router's ledger); the router's shutdown drains
+# every backend before it answers. The exit code is
 # detload's verdict, or a detserved's if the load passed but a daemon did
 # not stop cleanly. Run from the repository root after
 # `cargo build --release`.
@@ -53,7 +54,7 @@ if [ "$group" -gt 0 ]; then
     [ -s "$dir/backend$i" ] || { echo "backend $i never published an address" >&2; exit 1; }
     route+="${route:+,}$(cat "$dir/backend$i")"
   done
-  boot front --route "$route" --verify-per-1024 512
+  boot front --route "$route"
 else
   boot front "${served_args[@]}"
 fi

@@ -17,7 +17,7 @@
 //! # router mode (multi-process shard group)
 //! cargo run -p detlock-bench --release --bin detserved -- \
 //!     --route ADDR1,ADDR2,... [--addr HOST:PORT] [--vnodes N] \
-//!     [--verify-per-1024 N] [--ready-file PATH]
+//!     [--ready-file PATH]
 //! ```
 //!
 //! `--watchdog-ms 0` disables the stall supervisor. `--compile-threads N`
@@ -40,9 +40,9 @@
 //!
 //! With `--route`, the binary becomes a [`GroupRouter`] instead: a
 //! consistent-hash front for a multi-process shard group. `--vnodes`
-//! sizes the ring; `--verify-per-1024 N` double-runs a deterministic
-//! fraction of jobs on a second process and compares receipts
-//! (cross-process determinism verification).
+//! sizes the ring. The requests the receipt audit schedule picks go to a
+//! second process and their receipts are compared with the owner's
+//! (cross-process determinism verification, no extra forwards).
 
 use detlock_bench::{operand, parsed_operand};
 use detlock_serve::group::{GroupConfig, GroupRouter};
@@ -87,7 +87,6 @@ fn main() {
                     .collect();
             }
             "--vnodes" => group.vnodes = parsed_operand(&args, &mut i),
-            "--verify-per-1024" => group.verify_per_1024 = parsed_operand(&args, &mut i),
             "--compile-threads" => {
                 cfg.compile_threads = parsed_operand::<usize>(&args, &mut i).max(1);
             }
@@ -128,8 +127,8 @@ fn main() {
             write_ready_file(path, &router.local_addr().to_string());
         }
         eprintln!(
-            "router backends={:?} vnodes={} verify_per_1024={}",
-            group.backends, group.vnodes, group.verify_per_1024
+            "router backends={:?} vnodes={}",
+            group.backends, group.vnodes
         );
         router.join();
         eprintln!("detserved: router stopped");

@@ -20,9 +20,10 @@
 //! * **idempotent retry** — retrying a `run` is safe precisely because
 //!   execution is deterministic: a re-executed job yields a byte-identical
 //!   receipt. The client keys completed receipts by
-//!   [`JobSpec::identity_key`] and cross-checks every later answer for the
-//!   same key, so "exactly-once *effect*" is verified, not assumed. Any
-//!   divergence is counted in [`ClientStats::receipt_mismatches`].
+//!   [`JobSpec::identity_key`] in a [`ReceiptLedger`] and cross-checks
+//!   every later answer for the same key, so "exactly-once *effect*" is
+//!   verified, not assumed. Any divergence is counted in
+//!   [`ClientStats::receipt_mismatches`].
 //!
 //! A request that exhausts its attempts without ever getting a definitive
 //! answer (ok **or** typed rejection) surfaces as
@@ -30,9 +31,8 @@
 //! hard errors, never as silently-missing data points.
 
 use crate::protocol::{batch_request, Client, JobSpec};
-use crate::receipt::Receipt;
+use crate::receipt::{Receipt, ReceiptLedger, Sighting};
 use detlock_shim::json::{Json, ToJson};
-use std::collections::HashMap;
 use std::io;
 use std::time::Duration;
 
@@ -139,7 +139,7 @@ pub struct RetryingClient {
     policy: RetryPolicy,
     conn: Option<Client>,
     /// identity_key → canonical receipt of the first completion observed.
-    seen: HashMap<String, String>,
+    ledger: ReceiptLedger,
     stats: ClientStats,
 }
 
@@ -150,7 +150,7 @@ impl RetryingClient {
             addr: addr.to_string(),
             policy,
             conn: None,
-            seen: HashMap::new(),
+            ledger: ReceiptLedger::default(),
             stats: ClientStats::default(),
         }
     }
@@ -166,9 +166,9 @@ impl RetryingClient {
     }
 
     /// The canonical receipt recorded for an identity key, if one
-    /// completed through this client.
+    /// completed through this client (and the ledger still had room).
     pub fn receipt_for(&self, identity_key: &str) -> Option<&str> {
-        self.seen.get(identity_key).map(String::as_str)
+        self.ledger.receipt(identity_key)
     }
 
     fn try_once(&mut self, req: &Json) -> io::Result<Json> {
@@ -207,32 +207,33 @@ impl RetryingClient {
                     }
                     std::thread::sleep(self.policy.backoff(io_failures));
                 }
-                Ok(resp) => {
-                    let shed = resp.get("ok").and_then(Json::as_bool) == Some(false)
-                        && resp.get("error_kind").and_then(Json::as_str) == Some("shed");
-                    if !shed {
-                        return Ok(resp);
-                    }
-                    if resp.get("reason").and_then(Json::as_str) == Some("draining") {
-                        return Err(ClientError::Draining);
-                    }
-                    shed_waits += 1;
-                    self.stats.shed_retries += 1;
-                    if shed_waits > self.policy.max_shed_retries {
-                        self.stats.unanswered += 1;
-                        return Err(ClientError::Unanswered {
-                            attempts: io_failures,
-                            last_error: "admission queue stayed full".to_string(),
-                        });
-                    }
-                    let ms = resp
-                        .get("retry_after_ms")
-                        .and_then(Json::as_u64)
-                        .unwrap_or(50);
-                    std::thread::sleep(Duration::from_millis(ms));
-                }
+                Ok(resp) => match shed_wait(&resp)? {
+                    None => return Ok(resp),
+                    Some(ms) => self.wait_out_shed(&mut shed_waits, ms, io_failures)?,
+                },
             }
         }
+    }
+
+    /// Sleep out one `queue_full` shed of `ms`, or give up once this
+    /// request has waited out more sheds than the policy allows.
+    fn wait_out_shed(
+        &mut self,
+        shed_waits: &mut u32,
+        ms: u64,
+        io_failures: u32,
+    ) -> Result<(), ClientError> {
+        *shed_waits += 1;
+        self.stats.shed_retries += 1;
+        if *shed_waits > self.policy.max_shed_retries {
+            self.stats.unanswered += 1;
+            return Err(ClientError::Unanswered {
+                attempts: io_failures,
+                last_error: "admission queue stayed full".to_string(),
+            });
+        }
+        std::thread::sleep(Duration::from_millis(ms));
+        Ok(())
     }
 
     /// Submit a job, retrying until it definitively completes or is
@@ -240,15 +241,7 @@ impl RetryingClient {
     /// earlier completion of the same identity key.
     pub fn run(&mut self, spec: &JobSpec) -> Result<Json, ClientError> {
         let resp = self.request(&spec.to_json())?;
-        if resp.get("ok").and_then(Json::as_bool) != Some(true) {
-            return Err(ClientError::Rejected {
-                error: resp
-                    .get("error")
-                    .and_then(Json::as_str)
-                    .unwrap_or("unknown server error")
-                    .to_string(),
-            });
-        }
+        accepted(&resp, "unknown server error")?;
         self.record_receipt(spec, &resp);
         Ok(resp)
     }
@@ -263,15 +256,7 @@ impl RetryingClient {
         let mut shed_waits = 0u32;
         loop {
             let resp = self.request(&frame)?;
-            if resp.get("ok").and_then(Json::as_bool) != Some(true) {
-                return Err(ClientError::Rejected {
-                    error: resp
-                        .get("error")
-                        .and_then(Json::as_str)
-                        .unwrap_or("batch rejected")
-                        .to_string(),
-                });
-            }
+            accepted(&resp, "batch rejected")?;
             let results = resp
                 .get("results")
                 .and_then(Json::as_arr)
@@ -290,40 +275,14 @@ impl RetryingClient {
             // siblings complete; honor the hint and re-issue everything.
             let mut retry_after = None;
             for r in &results {
-                let shed = r.get("ok").and_then(Json::as_bool) == Some(false)
-                    && r.get("error_kind").and_then(Json::as_str) == Some("shed");
-                if !shed {
-                    continue;
-                }
-                if r.get("reason").and_then(Json::as_str) == Some("draining") {
-                    return Err(ClientError::Draining);
-                }
-                let ms = r.get("retry_after_ms").and_then(Json::as_u64).unwrap_or(50);
-                retry_after = Some(retry_after.unwrap_or(0).max(ms));
+                retry_after = retry_after.max(shed_wait(r)?);
             }
             if let Some(ms) = retry_after {
-                shed_waits += 1;
-                self.stats.shed_retries += 1;
-                if shed_waits > self.policy.max_shed_retries {
-                    self.stats.unanswered += 1;
-                    return Err(ClientError::Unanswered {
-                        attempts: 0,
-                        last_error: "admission queue stayed full".to_string(),
-                    });
-                }
-                std::thread::sleep(Duration::from_millis(ms));
+                self.wait_out_shed(&mut shed_waits, ms, 0)?;
                 continue;
             }
             for (spec, r) in specs.iter().zip(&results) {
-                if r.get("ok").and_then(Json::as_bool) != Some(true) {
-                    return Err(ClientError::Rejected {
-                        error: r
-                            .get("error")
-                            .and_then(Json::as_str)
-                            .unwrap_or("unknown server error")
-                            .to_string(),
-                    });
-                }
+                accepted(r, "unknown server error")?;
                 self.record_receipt(spec, r);
             }
             return Ok(results);
@@ -334,16 +293,48 @@ impl RetryingClient {
     /// identity key (recording it on first sight).
     fn record_receipt(&mut self, spec: &JobSpec, resp: &Json) {
         if let Some(receipt) = resp.get("receipt").and_then(Receipt::from_json) {
-            let canon = receipt.canonical();
-            match self.seen.get(&spec.identity_key()) {
-                Some(prev) if *prev == canon => self.stats.duplicate_receipts += 1,
-                Some(_) => self.stats.receipt_mismatches += 1,
-                None => {
-                    self.seen.insert(spec.identity_key(), canon);
-                }
+            match self
+                .ledger
+                .record(spec.identity_key(), &receipt.canonical())
+            {
+                Sighting::First => {}
+                Sighting::Same => self.stats.duplicate_receipts += 1,
+                Sighting::Mismatch => self.stats.receipt_mismatches += 1,
             }
         }
     }
+}
+
+/// `Ok` for an `ok:true` answer; any other is a definitive rejection
+/// carrying its `error` string (`fallback` when it has none).
+fn accepted(resp: &Json, fallback: &str) -> Result<(), ClientError> {
+    if resp.get("ok").and_then(Json::as_bool) == Some(true) {
+        return Ok(());
+    }
+    let error = resp.get("error").and_then(Json::as_str).unwrap_or(fallback);
+    Err(ClientError::Rejected {
+        error: error.to_string(),
+    })
+}
+
+/// What a response says about retrying it: `Ok(None)` for an answer that
+/// is not a typed shed, `Ok(Some(ms))` for a `queue_full` shed asking the
+/// client to wait `ms` (its `retry_after_ms`), and [`ClientError::Draining`]
+/// for a server that is going away.
+fn shed_wait(resp: &Json) -> Result<Option<u64>, ClientError> {
+    let shed = resp.get("ok").and_then(Json::as_bool) == Some(false)
+        && resp.get("error_kind").and_then(Json::as_str) == Some("shed");
+    if !shed {
+        return Ok(None);
+    }
+    if resp.get("reason").and_then(Json::as_str) == Some("draining") {
+        return Err(ClientError::Draining);
+    }
+    Ok(Some(
+        resp.get("retry_after_ms")
+            .and_then(Json::as_u64)
+            .unwrap_or(50),
+    ))
 }
 
 #[cfg(test)]

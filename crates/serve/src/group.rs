@@ -17,10 +17,12 @@
 //!   identity-key → receipt ledger spanning all backends; any divergence
 //!   (`receipt_mismatches`) is an incident, because receipts are a
 //!   function of the job, not the process.
-//! * **duplicate verification** — a deterministic fraction of jobs
-//!   (`verify_per_1024`, drawn from the identity-key hash) is *also* sent
-//!   to the next distinct backend on the ring; the two receipts must be
-//!   byte-identical (`cross_checks` / `cross_check_mismatches`).
+//! * **cross-process audits** — the ledger also counts each identity's
+//!   requests, and from the second on, a request the audit schedule picks
+//!   ([`audit_scheduled`], the one every backend runs) goes to the next
+//!   distinct live backend on the ring instead of the owner. Its receipt
+//!   meets the owner's in the ledger (`cross_checks`). The audit is the
+//!   client's own request: nothing is forwarded twice.
 //! * **failover** — a dead backend's in-flight jobs are replayed by the
 //!   router to the ring's next live process (`failovers`, `replays`);
 //!   determinism makes the reissue safe, and the substitute backend's
@@ -30,7 +32,7 @@
 
 use crate::conn::{accept_backlog, raw_fd, FramedConn, SlotKind, SlotTable};
 use crate::protocol::{error_json, parse_request, JobSpec, WireRequest};
-use crate::receipt::{ReceiptLedger, Sighting};
+use crate::receipt::{audit_scheduled, ReceiptLedger, Sighting};
 use detlock_shim::evloop::{self, Interest, Poller};
 use detlock_shim::hash::Fnv64;
 use detlock_shim::json::{Json, ToJson};
@@ -90,10 +92,12 @@ impl HashRing {
             .find(|&b| alive.get(b).copied().unwrap_or(false))
     }
 
-    /// The next backend after `key`'s owner that is a *different* process
-    /// (the duplicate-verification target). `None` on a 1-backend ring.
-    pub fn next_distinct(&self, key: &str, primary: usize) -> Option<usize> {
-        self.walk_from(key).find(|&b| b != primary)
+    /// The next backend among those `alive` on `key`'s walk that is a
+    /// *different* process from `primary` (where a scheduled audit goes).
+    /// `None` on a 1-backend ring or when no other backend is alive.
+    pub fn next_distinct(&self, key: &str, primary: usize, alive: &[bool]) -> Option<usize> {
+        self.walk_from(key)
+            .find(|&b| b != primary && alive.get(b).copied().unwrap_or(false))
     }
 }
 
@@ -106,10 +110,6 @@ pub struct GroupConfig {
     pub backends: Vec<String>,
     /// Virtual nodes per backend on the ring.
     pub vnodes: usize,
-    /// Per-1024 deterministic rate of duplicate-verified jobs (keys whose
-    /// hash falls in the residue class are *always* double-run on the next
-    /// distinct backend and the receipts compared). 0 disables.
-    pub verify_per_1024: u32,
 }
 
 impl Default for GroupConfig {
@@ -118,7 +118,6 @@ impl Default for GroupConfig {
             addr: "127.0.0.1:0".to_string(),
             backends: Vec::new(),
             vnodes: 32,
-            verify_per_1024: 0,
         }
     }
 }
@@ -141,9 +140,7 @@ struct RouterCounters {
     replays: AtomicU64,
     dedup_hits: AtomicU64,
     receipt_mismatches: AtomicU64,
-    verify_sent: AtomicU64,
     cross_checks: AtomicU64,
-    cross_check_mismatches: AtomicU64,
 }
 
 struct RouterShared {
@@ -234,9 +231,7 @@ impl ClientConn {
     }
 }
 
-/// Where a backend's next response line goes. `verify` carries the
-/// duplicate-verification id; a `secondary` response is only compared,
-/// never relayed.
+/// Where a backend's next response line goes.
 struct PendingForward {
     token: u64,
     slot: u64,
@@ -246,14 +241,8 @@ struct PendingForward {
     /// casualty can be replayed to another backend instead of shed.
     line: String,
     attempts: u32,
-    verify: Option<u64>,
-    secondary: bool,
-}
-
-struct VerifyState {
-    key: String,
-    primary: Option<String>,
-    secondary: Option<String>,
+    /// A scheduled audit, sent to a backend other than the key's owner.
+    audit: bool,
 }
 
 /// One backend process: a single pipelined connection carrying forwarded
@@ -327,60 +316,16 @@ fn failover_shed() -> Json {
 struct RouterState {
     ring: HashRing,
     backends: Vec<Backend>,
-    /// Identity key → canonical receipt, spanning every backend.
+    /// Identity key → canonical receipt and request count, spanning every
+    /// backend.
     ledger: ReceiptLedger,
-    verify: HashMap<u64, VerifyState>,
-    next_verify_id: u64,
 }
 
 impl RouterState {
-    /// Record one half of a duplicate verification; when both receipts
-    /// are in, compare and count.
-    fn record_verify(
-        &mut self,
-        vid: u64,
-        secondary: bool,
-        receipt: Option<String>,
-        shared: &RouterShared,
-    ) {
-        let done = {
-            let Some(v) = self.verify.get_mut(&vid) else {
-                return;
-            };
-            if secondary {
-                v.secondary = Some(receipt.unwrap_or_default());
-            } else {
-                v.primary = Some(receipt.unwrap_or_default());
-            }
-            v.primary.is_some() && v.secondary.is_some()
-        };
-        if done {
-            let v = self.verify.remove(&vid).expect("checked above");
-            // Only two *successful* runs constitute a check; a shed or
-            // failure on either side just voids the draw.
-            if !v.primary.as_deref().unwrap_or("").is_empty()
-                && !v.secondary.as_deref().unwrap_or("").is_empty()
-            {
-                shared.counters.cross_checks.fetch_add(1, Ordering::Relaxed);
-                if v.primary != v.secondary {
-                    shared
-                        .counters
-                        .cross_check_mismatches
-                        .fetch_add(1, Ordering::Relaxed);
-                    eprintln!(
-                        "[group-router] cross-process receipt mismatch for {}",
-                        v.key
-                    );
-                }
-            }
-        }
-    }
-
-    /// Tear down a backend connection. In-flight primaries are replayed
-    /// to another live backend (determinism makes the reissue safe);
-    /// only a job that exhausts its replay budget — or finds the whole
-    /// group unreachable — is answered with a retryable shed. In-flight
-    /// verification duplicates just void their draw.
+    /// Tear down a backend connection. In-flight jobs are replayed to
+    /// another live backend (determinism makes the reissue safe); only a
+    /// job that exhausts its replay budget — or finds the whole group
+    /// unreachable — is answered with a retryable shed.
     fn fail_backend(
         &mut self,
         b: usize,
@@ -405,12 +350,6 @@ impl RouterState {
             );
         }
         for mut p in pending {
-            if let Some(vid) = p.verify.take() {
-                self.verify.remove(&vid);
-            }
-            if p.secondary {
-                continue;
-            }
             if p.attempts >= REPLAY_BUDGET {
                 if let Some(conn) = conns.get_mut(&p.token) {
                     conn.slots.fill(p.slot, p.idx, failover_shed());
@@ -424,12 +363,14 @@ impl RouterState {
 
     /// Re-forward a casualty's job to the ring's next live backend; shed
     /// back to the client only when no process in the group is dialable.
+    /// A replay goes where the owner's jobs go, so it is no longer an audit.
     fn replay_forward(
         &mut self,
-        p: PendingForward,
+        mut p: PendingForward,
         conns: &mut HashMap<u64, ClientConn>,
         shared: &RouterShared,
     ) {
+        p.audit = false;
         match self.dial_owner(&p.key) {
             Some(t) => {
                 shared.counters.replays.fetch_add(1, Ordering::Relaxed);
@@ -447,16 +388,29 @@ impl RouterState {
     /// among the usable backends, else (the owner refused the dial) any
     /// backend that accepts one.
     fn dial_owner(&mut self, key: &str) -> Option<usize> {
-        let now = Instant::now();
-        let alive: Vec<bool> = self.backends.iter().map(|b| b.usable(now)).collect();
         self.ring
-            .route_alive(key, &alive)
+            .route_alive(key, &self.usable())
             .filter(|&b| self.backends[b].ensure_connected())
             .or_else(|| (0..self.backends.len()).find(|&b| self.backends[b].ensure_connected()))
     }
 
-    /// Route one job body: forward to its ring owner (plus, on a verify
-    /// draw, to the next distinct backend), or answer immediately.
+    /// The live, connected backend a scheduled audit of `key` goes to: the
+    /// next one on the ring that is not `owner`.
+    fn dial_auditor(&mut self, key: &str, owner: usize) -> Option<usize> {
+        self.ring
+            .next_distinct(key, owner, &self.usable())
+            .filter(|&b| self.backends[b].ensure_connected())
+    }
+
+    /// Which backends may be dialed now.
+    fn usable(&self) -> Vec<bool> {
+        let now = Instant::now();
+        self.backends.iter().map(|b| b.usable(now)).collect()
+    }
+
+    /// Route one job body: forward it to its ring owner, or to the next
+    /// distinct live backend when the audit schedule picks this request,
+    /// or answer immediately.
     fn route_job(
         &mut self,
         body: &Json,
@@ -470,60 +424,28 @@ impl RouterState {
             Err(e) => return Some(error_json(&format!("bad job spec: {e}"))),
         };
         let key = spec.identity_key();
-        let Some(primary) = self.dial_owner(&key) else {
+        let Some(owner) = self.dial_owner(&key) else {
             return Some(failover_shed());
         };
         shared.counters.routed.fetch_add(1, Ordering::Relaxed);
+        // The request's number for its identity, counted as a server
+        // counts it: the audit schedule is a function of the stream alone.
+        let audit_due = self
+            .ledger
+            .count(key.clone())
+            .is_some_and(|k| k >= 2 && audit_scheduled(&key, k));
+        let auditor = audit_due.then(|| self.dial_auditor(&key, owner)).flatten();
         let mut line = body.to_string_compact();
         line.push('\n');
-        // Deterministic duplicate-verification draw off the identity key:
-        // the same keys are double-run in every sweep, so sweep-to-sweep
-        // comparisons stay reproducible.
-        let verify_draw = shared.config.verify_per_1024 > 0
-            && (Fnv64::of(key.as_bytes()) % 1024) < shared.config.verify_per_1024 as u64
-            && self.ring.backends() > 1;
-        let vid = if verify_draw {
-            let vid = self.next_verify_id;
-            self.next_verify_id += 1;
-            self.verify.insert(
-                vid,
-                VerifyState {
-                    key: key.clone(),
-                    primary: None,
-                    secondary: None,
-                },
-            );
-            Some(vid)
-        } else {
-            None
-        };
-        let forward = |secondary| PendingForward {
+        self.backends[auditor.unwrap_or(owner)].forward(PendingForward {
             token,
             slot,
             idx,
-            key: key.clone(),
-            line: line.clone(),
+            key,
+            line,
             attempts: 0,
-            verify: vid,
-            secondary,
-        };
-        self.backends[primary].forward(forward(false));
-        if let Some(vid) = vid {
-            let secondary = self
-                .ring
-                .next_distinct(&key, primary)
-                .filter(|&b| self.backends[b].ensure_connected());
-            match secondary {
-                Some(s) => {
-                    shared.counters.verify_sent.fetch_add(1, Ordering::Relaxed);
-                    self.backends[s].forward(forward(true));
-                }
-                None => {
-                    // No second process reachable: void the draw.
-                    self.verify.remove(&vid);
-                }
-            }
-        }
+            audit: auditor.is_some(),
+        });
         None
     }
 
@@ -551,23 +473,19 @@ impl RouterState {
             }
         };
         self.backends[b].completed += 1;
-        let ok = resp.get("ok").and_then(Json::as_bool) == Some(true);
-        let receipt_canonical = resp
-            .get("receipt")
-            .map(|r| r.to_string_compact())
-            .filter(|_| ok);
-        if let Some(vid) = p.verify {
-            self.record_verify(vid, p.secondary, receipt_canonical.clone(), shared);
-        }
-        if p.secondary {
-            return; // comparison-only duplicate, never relayed
-        }
-        if ok {
+        if resp.get("ok").and_then(Json::as_bool) == Some(true) {
             shared.counters.completed.fetch_add(1, Ordering::Relaxed);
-            if let Some(canonical) = &receipt_canonical {
-                let sighting = self.ledger.record(p.key.clone(), canonical);
+            if let Some(receipt) = resp.get("receipt") {
+                let sighting = self
+                    .ledger
+                    .record(p.key.clone(), &receipt.to_string_compact());
+                // An audit answered before any receipt was on record is
+                // the reference the owner's answer is compared with.
                 if sighting != Sighting::First {
                     shared.counters.dedup_hits.fetch_add(1, Ordering::Relaxed);
+                    if p.audit {
+                        shared.counters.cross_checks.fetch_add(1, Ordering::Relaxed);
+                    }
                 }
                 if sighting == Sighting::Mismatch {
                     shared
@@ -632,16 +550,8 @@ impl RouterState {
                         c.receipt_mismatches.load(Ordering::Relaxed).to_json(),
                     ),
                     (
-                        "verify_sent",
-                        c.verify_sent.load(Ordering::Relaxed).to_json(),
-                    ),
-                    (
                         "cross_checks",
                         c.cross_checks.load(Ordering::Relaxed).to_json(),
-                    ),
-                    (
-                        "cross_check_mismatches",
-                        c.cross_check_mismatches.load(Ordering::Relaxed).to_json(),
                     ),
                 ]),
             ),
@@ -650,10 +560,6 @@ impl RouterState {
                 Json::obj([
                     ("backends", self.ring.backends().to_json()),
                     ("vnodes", shared.config.vnodes.to_json()),
-                    (
-                        "verify_per_1024",
-                        (shared.config.verify_per_1024 as u64).to_json(),
-                    ),
                 ]),
             ),
             ("backends", Json::Arr(backends)),
@@ -766,8 +672,6 @@ fn router_loop(listener: TcpListener, wake_rx: evloop::WakeRx, shared: &Arc<Rout
             .map(|a| Backend::new(a.clone()))
             .collect(),
         ledger: ReceiptLedger::default(),
-        verify: HashMap::new(),
-        next_verify_id: 0,
     };
     let mut conns: HashMap<u64, ClientConn> = HashMap::new();
     let mut next_token = 0u64;
@@ -924,11 +828,21 @@ mod tests {
         for i in 0..100 {
             let key = format!("k{i}");
             let p = ring.route(&key);
-            let s = ring.next_distinct(&key, p).expect("3 backends");
+            let s = ring.next_distinct(&key, p, &[true; 3]).expect("3 backends");
             assert_ne!(p, s);
+            // A dead successor is walked past, and the last live one is
+            // never `p` itself.
+            let mut alive = [true; 3];
+            alive[s] = false;
+            let t = ring
+                .next_distinct(&key, p, &alive)
+                .expect("one other alive");
+            assert!(t != p && t != s);
+            alive[t] = false;
+            assert_eq!(ring.next_distinct(&key, p, &alive), None);
         }
         let solo = HashRing::new(&labels(1), 16);
-        assert_eq!(solo.next_distinct("k", 0), None);
+        assert_eq!(solo.next_distinct("k", 0, &[true]), None);
     }
 
     #[test]

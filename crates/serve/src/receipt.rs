@@ -198,15 +198,16 @@ impl<W> Entry<W> {
 /// function of the job, so every re-sighting of a key — another tenant,
 /// shard, sweep or process — must repeat the first one byte for byte.
 ///
-/// A group router only [`record`](ReceiptLedger::record)s. A server also
-/// consults the table at admission, where the same premise makes it a
-/// memo: a request for an identity whose first execution is in flight
-/// parks on it as a `W`, and one for a finished identity is answered
-/// from the record. The memo audits itself on a schedule nobody sets
-/// ([`audit_scheduled`]): the miss and the first repeat execute, then one
-/// request in [`AUDIT_PERIOD`]; an audit's receipt goes through the same
-/// comparison, and a mismatch drops the row, so a disputed receipt is
-/// never served again.
+/// A client only [`record`](ReceiptLedger::record)s. A group router also
+/// counts requests, to send the ones the audit schedule picks to a second
+/// process. A server also consults the table at admission, where the same
+/// premise makes it a memo: a request for an identity whose first
+/// execution is in flight parks on it as a `W`, and one for a finished
+/// identity is answered from the record. The memo audits itself on a
+/// schedule nobody sets ([`audit_scheduled`]): the miss and the first
+/// repeat execute, then one request in [`AUDIT_PERIOD`]; an audit's
+/// receipt goes through the same comparison, and a mismatch drops the
+/// row, so a disputed receipt is never served again.
 pub struct ReceiptLedger<W = ()> {
     seen: HashMap<String, Entry<W>>,
 }
@@ -223,12 +224,9 @@ impl<W> ReceiptLedger<W> {
     /// Decide one request for `key`. Past [`RECEIPT_MEMORY`] keys a new
     /// identity is not tracked: it always executes and nothing parks on it.
     pub fn admit(&mut self, key: String) -> Admission<'_, W> {
-        let full = self.seen.len() >= RECEIPT_MEMORY;
         let phase = phase_of(&key);
-        let e = match self.seen.entry(key) {
-            MapEntry::Occupied(o) => o.into_mut(),
-            MapEntry::Vacant(_) if full => return Admission::Execute { audit: false },
-            MapEntry::Vacant(v) => v.insert(Entry::new(None)),
+        let Some(e) = self.row(key) else {
+            return Admission::Execute { audit: false };
         };
         e.requests += 1;
         let Some(canonical) = &e.canonical else {
@@ -256,22 +254,41 @@ impl<W> ReceiptLedger<W> {
     /// [`RECEIPT_MEMORY`] keys new identities are no longer remembered
     /// (they keep reporting [`Sighting::First`]).
     pub fn record(&mut self, key: String, canonical: &str) -> Sighting {
-        let full = self.seen.len() >= RECEIPT_MEMORY;
-        match self.seen.entry(key) {
-            MapEntry::Occupied(mut o) => match &o.get().canonical {
-                Some(prev) if prev == canonical => Sighting::Same,
-                Some(_) => Sighting::Mismatch,
-                None => {
-                    o.get_mut().canonical = Some(canonical.to_string());
-                    Sighting::First
-                }
-            },
-            MapEntry::Vacant(v) => {
-                if !full {
-                    v.insert(Entry::new(Some(canonical.to_string())));
-                }
+        let Some(e) = self.row(key) else {
+            return Sighting::First;
+        };
+        match &e.canonical {
+            Some(prev) if prev == canonical => Sighting::Same,
+            Some(_) => Sighting::Mismatch,
+            None => {
+                e.canonical = Some(canonical.to_string());
                 Sighting::First
             }
+        }
+    }
+
+    /// Count one request for `key` and return its 1-based number: the `k`
+    /// of [`audit_scheduled`] for a caller that routes rather than admits
+    /// (a group router). Past [`RECEIPT_MEMORY`] keys a new identity is
+    /// not tracked and has no number.
+    pub(crate) fn count(&mut self, key: String) -> Option<u64> {
+        let e = self.row(key)?;
+        e.requests += 1;
+        Some(e.requests)
+    }
+
+    /// The canonical receipt on record for `key`, if any.
+    pub(crate) fn receipt(&self, key: &str) -> Option<&str> {
+        self.seen.get(key)?.canonical.as_deref()
+    }
+
+    /// `key`'s row, made empty if it has none and the table is not full.
+    fn row(&mut self, key: String) -> Option<&mut Entry<W>> {
+        let full = self.seen.len() >= RECEIPT_MEMORY;
+        match self.seen.entry(key) {
+            MapEntry::Occupied(o) => Some(o.into_mut()),
+            MapEntry::Vacant(_) if full => None,
+            MapEntry::Vacant(v) => Some(v.insert(Entry::new(None))),
         }
     }
 
@@ -329,6 +346,21 @@ mod tests {
         assert_eq!(l.seen.len(), RECEIPT_MEMORY);
         assert_eq!(l.record("late".into(), "r"), Sighting::First);
         assert_eq!(l.record("late".into(), "other"), Sighting::First);
+    }
+
+    #[test]
+    fn count_numbers_the_requests_of_the_row_record_fills() {
+        let mut l = ReceiptLedger::<()>::default();
+        assert_eq!(l.count("k".into()), Some(1));
+        assert_eq!(l.receipt("k"), None);
+        assert_eq!(l.record("k".into(), "r"), Sighting::First);
+        assert_eq!(l.count("k".into()), Some(2));
+        assert_eq!(l.receipt("k"), Some("r"));
+        for i in 0..RECEIPT_MEMORY {
+            l.count(format!("fill{i}"));
+        }
+        assert_eq!(l.count("late".into()), None, "past the bound");
+        assert_eq!(l.count("k".into()), Some(3));
     }
 
     /// What `admit` decided, with the parked list and the borrowed receipt

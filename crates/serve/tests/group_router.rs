@@ -10,8 +10,10 @@ use detlock_passes::pipeline::OptLevel;
 use detlock_serve::client::{RetryPolicy, RetryingClient};
 use detlock_serve::group::{GroupConfig, GroupRouter};
 use detlock_serve::protocol::{Client, JobSpec};
+use detlock_serve::receipt::audit_scheduled;
 use detlock_serve::server::{DetServed, ServeConfig};
 use detlock_shim::json::{Json, ToJson};
+use detlock_vm::{ChunkParams, Sched};
 use std::time::Duration;
 
 fn backend_config() -> ServeConfig {
@@ -45,9 +47,15 @@ struct Group {
     router: GroupRouter,
 }
 
-fn boot_group(n: usize, verify_per_1024: u32) -> Group {
-    let backends: Vec<DetServed> = (0..n)
-        .map(|_| DetServed::start(backend_config()).expect("backend boot"))
+fn boot_group(n: usize) -> Group {
+    route((0..n).map(|_| backend_config()).collect())
+}
+
+/// One backend per config, behind a router.
+fn route(configs: Vec<ServeConfig>) -> Group {
+    let backends: Vec<DetServed> = configs
+        .into_iter()
+        .map(|c| DetServed::start(c).expect("backend boot"))
         .collect();
     let router = GroupRouter::start(GroupConfig {
         addr: "127.0.0.1:0".to_string(),
@@ -56,10 +64,18 @@ fn boot_group(n: usize, verify_per_1024: u32) -> Group {
             .map(|b| b.local_addr().to_string())
             .collect(),
         vnodes: 32,
-        verify_per_1024,
     })
     .expect("router boot");
     Group { backends, router }
+}
+
+impl Group {
+    fn stop(self) {
+        self.router.shutdown_and_join();
+        for b in self.backends {
+            b.shutdown_and_join();
+        }
+    }
 }
 
 fn counter(stats: &Json, name: &str) -> u64 {
@@ -75,11 +91,32 @@ fn counter(stats: &Json, name: &str) -> u64 {
         })
 }
 
+fn stats(addr: &str) -> Json {
+    let mut client = Client::connect(addr).unwrap();
+    client
+        .request(&Json::obj([("op", "stats".to_json())]))
+        .unwrap()
+}
+
+/// The receipt and the `backend` stamp of one successful answer.
+fn receipt_and_backend(resp: &Json) -> (String, u64) {
+    assert_eq!(
+        resp.get("ok").and_then(Json::as_bool),
+        Some(true),
+        "job failed through router: {}",
+        resp.to_string_compact()
+    );
+    let receipt = resp.get("receipt").expect("receipt").to_string_compact();
+    let backend = resp
+        .get("backend")
+        .and_then(Json::as_u64)
+        .expect("backend stamp");
+    (receipt, backend)
+}
+
 #[test]
 fn receipts_are_identical_across_sweeps_and_processes() {
-    // verify_per_1024 = 1024: every job is double-run on a second process
-    // and the receipts compared.
-    let group = boot_group(3, 1024);
+    let group = boot_group(3);
     let addr = group.router.local_addr().to_string();
     let mut client = Client::connect(&addr).unwrap();
 
@@ -88,112 +125,138 @@ fn receipts_are_identical_across_sweeps_and_processes() {
         .collect();
 
     let sweep = |client: &mut Client| -> (Vec<String>, Vec<u64>) {
-        let mut receipts = Vec::new();
-        let mut backends = Vec::new();
-        for j in &jobs {
-            let resp = client.run(j).expect("request");
-            assert_eq!(
-                resp.get("ok").and_then(Json::as_bool),
-                Some(true),
-                "job failed through router: {}",
-                resp.to_string_compact()
-            );
-            receipts.push(resp.get("receipt").expect("receipt").to_string_compact());
-            backends.push(
-                resp.get("backend")
-                    .and_then(Json::as_u64)
-                    .expect("backend stamp"),
-            );
-        }
-        (receipts, backends)
+        jobs.iter()
+            .map(|j| receipt_and_backend(&client.run(j).expect("request")))
+            .unzip()
     };
 
-    let (first, placement1) = sweep(&mut client);
-    let (second, placement2) = sweep(&mut client);
-    assert_eq!(first, second, "receipts must be identical across sweeps");
-    assert_eq!(
-        placement1, placement2,
-        "consistent hashing must give stable placement"
-    );
-    let distinct: std::collections::HashSet<u64> = placement1.iter().copied().collect();
+    // Sweep k sends each identity's k-th request: the first goes to the
+    // key's owner, and from the second on the ones the audit schedule
+    // picks go to another process.
+    let (first, owners) = sweep(&mut client);
+    let distinct: std::collections::HashSet<u64> = owners.iter().copied().collect();
     assert!(
         distinct.len() >= 2,
-        "8 keys on a 3-backend ring should span processes, got {placement1:?}"
+        "8 keys on a 3-backend ring should span processes, got {owners:?}"
     );
+    let mut picked = 0;
+    for k in 2..=3 {
+        let (receipts, placement) = sweep(&mut client);
+        assert_eq!(receipts, first, "sweep {k}: receipts must be identical");
+        for ((j, &owner), &b) in jobs.iter().zip(&owners).zip(&placement) {
+            let key = j.identity_key();
+            if audit_scheduled(&key, k) {
+                picked += 1;
+                assert_ne!(
+                    b, owner,
+                    "sweep {k}: the audit of {key} stayed on its owner"
+                );
+            } else {
+                assert_eq!(b, owner, "sweep {k}: {key} left its owner");
+            }
+        }
+    }
 
-    let stats = client
-        .request(&Json::obj([("op", "stats".to_json())]))
-        .unwrap();
+    let stats = stats(&addr);
     assert_eq!(stats.get("router").and_then(Json::as_bool), Some(true));
-    assert!(counter(&stats, "routed") >= 16);
-    assert!(
-        counter(&stats, "cross_checks") >= 8,
-        "every job should have been duplicate-verified: {}",
+    assert_eq!(counter(&stats, "routed"), 3 * jobs.len() as u64);
+    assert_eq!(
+        counter(&stats, "cross_checks"),
+        picked,
+        "every audit is one cross-process check: {}",
         stats.to_string_compact()
     );
-    assert_eq!(counter(&stats, "cross_check_mismatches"), 0);
-    assert!(
-        counter(&stats, "dedup_hits") >= 8,
-        "second sweep repeats every key"
+    assert_eq!(
+        counter(&stats, "dedup_hits"),
+        2 * jobs.len() as u64,
+        "sweeps 2 and 3 re-sight every key"
     );
     assert_eq!(counter(&stats, "receipt_mismatches"), 0);
+    let forwarded: u64 = stats
+        .get("backends")
+        .and_then(Json::as_arr)
+        .expect("backend rows")
+        .iter()
+        .filter_map(|b| b.get("forwarded").and_then(Json::as_u64))
+        .sum();
+    assert_eq!(
+        forwarded,
+        counter(&stats, "routed"),
+        "one forward per request"
+    );
 
-    group.router.shutdown_and_join();
-    for b in group.backends {
-        b.shutdown_and_join();
-    }
+    group.stop();
+}
+
+/// The negative control for cross-process audits: a per-process setting
+/// that leaks into a receipt (here each backend's default scheduler, for a
+/// request that names none) is invisible to every same-process audit and
+/// caught by the first audit the router sends to the other process.
+#[test]
+fn an_audit_on_a_second_process_catches_a_per_process_setting_in_the_receipt() {
+    let group = route(vec![
+        ServeConfig {
+            scheduler: Sched::Kendo,
+            ..backend_config()
+        },
+        ServeConfig {
+            scheduler: Sched::Chunk(ChunkParams::default()),
+            ..backend_config()
+        },
+    ]);
+    let addr = group.router.local_addr().to_string();
+    let mut client = Client::connect(&addr).unwrap();
+    let run = Json::parse(r#"{"op":"run","workload":"ocean","threads":2,"scale":0.02,"seed":7}"#)
+        .unwrap();
+    let (first, owner) = receipt_and_backend(&client.request(&run).unwrap());
+    let (second, auditor) = receipt_and_backend(&client.request(&run).unwrap());
+    assert_ne!(
+        auditor, owner,
+        "the second request is an audit on the other process"
+    );
+    assert_ne!(first, second);
+
+    let stats = stats(&addr);
+    assert_eq!(counter(&stats, "receipt_mismatches"), 1);
+    assert_eq!(counter(&stats, "cross_checks"), 1);
+
+    group.stop();
 }
 
 #[test]
 fn protocol_v2_negotiation_and_batches_work_through_the_router() {
-    let group = boot_group(2, 0);
+    let group = boot_group(2);
     let addr = group.router.local_addr().to_string();
     let mut client = Client::connect(&addr).unwrap();
 
     assert_eq!(client.hello().unwrap(), 2, "router speaks wire v2");
 
     let jobs: Vec<JobSpec> = (0..5).map(|i| spec("ocean", 100 + i)).collect();
-    let results = client.run_batch(&jobs).unwrap();
-    assert_eq!(results.len(), jobs.len());
-    for (i, r) in results.iter().enumerate() {
-        assert_eq!(
-            r.get("ok").and_then(Json::as_bool),
-            Some(true),
-            "batch job {i} failed: {}",
-            r.to_string_compact()
-        );
-        assert!(r.get("receipt").is_some());
-    }
-    // Same batch again: byte-identical receipts.
-    let again = client.run_batch(&jobs).unwrap();
-    let pick = |v: &[Json]| -> Vec<String> {
-        v.iter()
-            .map(|r| r.get("receipt").unwrap().to_string_compact())
-            .collect()
+    let mut batch = || -> Vec<String> {
+        let results = client.run_batch(&jobs).unwrap();
+        results.iter().map(|r| receipt_and_backend(r).0).collect()
     };
-    assert_eq!(pick(&results), pick(&again));
+    let first = batch();
+    assert_eq!(first.len(), jobs.len());
+    // Same batch again: byte-identical receipts.
+    assert_eq!(batch(), first);
 
-    group.router.shutdown_and_join();
-    for b in group.backends {
-        b.shutdown_and_join();
-    }
+    group.stop();
 }
 
 #[test]
 fn dead_backend_fails_over_without_losing_determinism() {
-    let mut group = boot_group(3, 0);
+    let mut group = boot_group(3);
     let addr = group.router.local_addr().to_string();
 
     let jobs: Vec<JobSpec> = (0..6).map(|i| spec("raytrace", 500 + i)).collect();
 
     // Warm sweep with all three backends up.
     let mut client = Client::connect(&addr).unwrap();
-    let mut warm = Vec::new();
-    for j in &jobs {
-        let resp = client.run(j).expect("warm request");
-        assert_eq!(resp.get("ok").and_then(Json::as_bool), Some(true));
-        warm.push(resp.get("receipt").unwrap().to_string_compact());
-    }
+    let warm: Vec<String> = jobs
+        .iter()
+        .map(|j| receipt_and_backend(&client.run(j).expect("warm request")).0)
+        .collect();
 
     // Take a backend down; its keys must re-route, and the receipts the
     // substitutes produce must match the ledger from the warm sweep.
@@ -209,22 +272,13 @@ fn dead_backend_fails_over_without_losing_determinism() {
     );
     let mut after = Vec::new();
     for j in &jobs {
-        let resp = retrying.run(j).expect("failover request");
-        assert_eq!(
-            resp.get("ok").and_then(Json::as_bool),
-            Some(true),
-            "job failed after backend loss: {}",
-            resp.to_string_compact()
-        );
-        let b = resp.get("backend").and_then(Json::as_u64).unwrap();
+        let (receipt, b) = receipt_and_backend(&retrying.run(j).expect("failover request"));
         assert_ne!(b, 2, "dead backend cannot have answered");
-        after.push(resp.get("receipt").unwrap().to_string_compact());
+        after.push(receipt);
     }
     assert_eq!(warm, after, "failover must not change receipts");
 
-    let stats = retrying
-        .request(&Json::obj([("op", "stats".to_json())]))
-        .unwrap();
+    let stats = stats(&addr);
     assert_eq!(
         counter(&stats, "receipt_mismatches"),
         0,
@@ -232,15 +286,12 @@ fn dead_backend_fails_over_without_losing_determinism() {
         stats.to_string_compact()
     );
 
-    group.router.shutdown_and_join();
-    for b in group.backends {
-        b.shutdown_and_join();
-    }
+    group.stop();
 }
 
 #[test]
 fn wire_shutdown_drains_the_whole_group() {
-    let group = boot_group(2, 0);
+    let group = boot_group(2);
     let addr = group.router.local_addr().to_string();
     let mut client = Client::connect(&addr).unwrap();
 
