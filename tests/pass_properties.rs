@@ -13,7 +13,7 @@ use detlock_ir::analysis::paths::{enumerate_paths, enumerate_paths_recorded, Ste
 use detlock_ir::dot::function_to_text;
 use detlock_ir::parse::parse_module;
 use detlock_ir::verify::verify_module;
-use detlock_ir::{CmpOp, FuncId, Function, FunctionBuilder, Inst, Module};
+use detlock_ir::{BlockId, CmpOp, FuncId, Function, FunctionBuilder, Inst, Module};
 use detlock_passes::cost::CostModel;
 use detlock_passes::divergence::{audit, is_exact};
 use detlock_passes::opt1::{compute_clocked, is_clockable, tight_average, ClockableParams};
@@ -369,6 +369,104 @@ fn loop_invariants() {
             }
         }
     }
+}
+
+/// `Cfg::compute` against a reference built straight from the
+/// terminators: successors deduplicated to their first occurrence in
+/// branch order, predecessors ascending, and a recursive DFS that visits
+/// successors in that order for the reverse post-order.
+fn assert_cfg_matches_reference(f: &Function, what: &str) {
+    let n = f.blocks.len();
+    let mut succs: Vec<Vec<BlockId>> = vec![Vec::new(); n];
+    let mut preds: Vec<Vec<BlockId>> = vec![Vec::new(); n];
+    for (b, block) in f.iter_blocks() {
+        for s in block.term.successors() {
+            if !succs[b.index()].contains(&s) {
+                succs[b.index()].push(s);
+                preds[s.index()].push(b);
+            }
+        }
+    }
+    fn visit(b: BlockId, succs: &[Vec<BlockId>], seen: &mut [bool], post: &mut Vec<BlockId>) {
+        seen[b.index()] = true;
+        for &s in &succs[b.index()] {
+            if !seen[s.index()] {
+                visit(s, succs, seen, post);
+            }
+        }
+        post.push(b);
+    }
+    let mut rpo = Vec::new();
+    visit(f.entry(), &succs, &mut vec![false; n], &mut rpo);
+    rpo.reverse();
+    let mut rpo_index = vec![usize::MAX; n];
+    for (i, b) in rpo.iter().enumerate() {
+        rpo_index[b.index()] = i;
+    }
+
+    let cfg = Cfg::compute(f);
+    assert_eq!(cfg.len(), n, "{what}");
+    for b in f.block_ids() {
+        assert_eq!(cfg.succs(b), &succs[b.index()][..], "{what}: succs({b})");
+        assert_eq!(cfg.preds(b), &preds[b.index()][..], "{what}: preds({b})");
+        assert_eq!(cfg.is_reachable(b), rpo_index[b.index()] != usize::MAX);
+    }
+    assert_eq!(cfg.rpo, rpo, "{what}: rpo");
+    assert_eq!(cfg.rpo_index, rpo_index, "{what}: rpo_index");
+}
+
+/// The CFG's edge lists and orders are pinned on the SPLASH-2 modules
+/// (source and instrumented), random programs, and hand-built edge cases.
+#[test]
+fn cfg_matches_successor_reference() {
+    let cost = CostModel::default();
+    for w in detlock_workloads::all_benchmarks(4, 0.05) {
+        let out = instrument(
+            &w.module,
+            &cost,
+            &OptConfig::none(),
+            Placement::Start,
+            &w.entries,
+        );
+        for m in [&w.module, &out.module] {
+            for f in &m.functions {
+                assert_cfg_matches_reference(f, &format!("{}/{}", w.name, f.name));
+            }
+        }
+    }
+    for seed in seed_sweep("cfg_matches_successor_reference", 24, 1, 10_000) {
+        let (m, _) = random_module(seed, 3, &micro_params());
+        for f in &m.functions {
+            assert_cfg_matches_reference(f, &format!("seed {seed}/{}", f.name));
+        }
+    }
+
+    // A switch repeating its targets, with the default among them, plus a
+    // self loop, a back edge to the entry and an unreachable block.
+    let mut fb = FunctionBuilder::new("edges", 1);
+    let entry = fb.block("entry");
+    let a = fb.create_block("a");
+    let b = fb.create_block("b");
+    let dead = fb.create_block("dead");
+    let exit = fb.create_block("exit");
+    let p = fb.param(0);
+    fb.switch(p, vec![(0, b), (1, a), (2, b), (3, a), (4, exit)], a);
+    fb.switch_to(a);
+    let c = fb.cmp(CmpOp::Gt, p, 0);
+    fb.cond_br(c, a, entry);
+    fb.switch_to(b);
+    fb.cond_br(c, exit, exit);
+    fb.switch_to(dead);
+    fb.br(b);
+    fb.switch_to(exit);
+    fb.ret_void();
+    let f = fb.finish().unwrap();
+    assert_cfg_matches_reference(&f, "edges");
+    let cfg = Cfg::compute(&f);
+    assert_eq!(cfg.succs(entry), &[b, a, exit]);
+    assert_eq!(cfg.preds(exit), &[entry, b]);
+    assert_eq!(cfg.preds(b), &[entry, dead]);
+    assert!(!cfg.is_reachable(dead));
 }
 
 /// Path totals over the instrumented module equal the materialized tick
