@@ -5,12 +5,23 @@ use crate::module::Function;
 use crate::types::BlockId;
 
 /// Precomputed CFG edges for one function.
+///
+/// Both edge maps are flat: block `b`'s successors are
+/// `succ[succ_start[b]..succ_start[b + 1]]`, and likewise for
+/// predecessors, so a CFG is a handful of allocations whatever the block
+/// count.
 #[derive(Debug, Clone)]
 pub struct Cfg {
-    /// Successors per block (deduplicated, in branch order).
-    pub succs: Vec<Vec<BlockId>>,
-    /// Predecessors per block (deduplicated, ascending).
-    pub preds: Vec<Vec<BlockId>>,
+    /// Successors of every block (deduplicated, in branch order), block
+    /// after block.
+    succ: Vec<BlockId>,
+    /// `succ_start[b]..succ_start[b + 1]` indexes `b`'s successors.
+    succ_start: Vec<u32>,
+    /// Predecessors of every block (deduplicated, ascending), block after
+    /// block.
+    pred: Vec<BlockId>,
+    /// `pred_start[b]..pred_start[b + 1]` indexes `b`'s predecessors.
+    pred_start: Vec<u32>,
     /// Reverse post-order over reachable blocks, starting at the entry.
     pub rpo: Vec<BlockId>,
     /// `rpo_index[b] = position of b in rpo`, or `usize::MAX` if unreachable.
@@ -21,72 +32,83 @@ impl Cfg {
     /// Compute the CFG for `func`.
     pub fn compute(func: &Function) -> Cfg {
         let n = func.blocks.len();
-        let mut succs: Vec<Vec<BlockId>> = vec![Vec::new(); n];
-        let mut preds: Vec<Vec<BlockId>> = vec![Vec::new(); n];
-        for (bid, block) in func.iter_blocks() {
-            let mut ss = block.successors();
-            ss.dedup();
-            // Dedup non-adjacent duplicates too (switch with repeated target).
-            let mut seen: Vec<BlockId> = Vec::with_capacity(ss.len());
-            for s in ss {
-                if !seen.contains(&s) {
-                    seen.push(s);
+        let mut succ: Vec<BlockId> = Vec::with_capacity(n * 2);
+        let mut succ_start: Vec<u32> = Vec::with_capacity(n + 1);
+        // Predecessor counts, summed below into each block's end offset.
+        let mut pred_start = vec![0u32; n + 1];
+        for block in &func.blocks {
+            let start = succ.len();
+            succ_start.push(start as u32);
+            for s in block.successors() {
+                // A switch may repeat targets, even non-adjacently.
+                if !succ[start..].contains(&s) {
+                    succ.push(s);
+                    pred_start[s.index()] += 1;
                 }
             }
-            for &s in &seen {
-                preds[s.index()].push(bid);
-            }
-            succs[bid.index()] = seen;
         }
-        for p in &mut preds {
-            p.sort_unstable();
-            p.dedup();
+        succ_start.push(succ.len() as u32);
+        for b in 1..n {
+            pred_start[b] += pred_start[b - 1];
+        }
+        pred_start[n] = succ.len() as u32;
+        // Filling each list from its end while visiting blocks in
+        // descending order leaves every predecessor list ascending (each
+        // edge is seen once, so deduplicated) and moves each end offset
+        // back to its start.
+        let mut pred = vec![BlockId(0); succ.len()];
+        for b in (0..n).rev() {
+            for &s in &succ[succ_start[b] as usize..succ_start[b + 1] as usize] {
+                pred_start[s.index()] -= 1;
+                pred[pred_start[s.index()] as usize] = BlockId(b as u32);
+            }
         }
 
-        // Iterative DFS post-order, then reverse.
-        let mut post: Vec<BlockId> = Vec::with_capacity(n);
-        let mut state = vec![0u8; n]; // 0 = unvisited, 1 = on stack, 2 = done
+        let mut cfg = Cfg {
+            succ,
+            succ_start,
+            pred,
+            pred_start,
+            rpo: Vec::with_capacity(n),
+            rpo_index: vec![usize::MAX; n],
+        };
+        // Iterative DFS post-order, then reverse. `rpo_index` doubles as the
+        // visited mark until the real positions are written.
         let mut stack: Vec<(BlockId, usize)> = vec![(func.entry(), 0)];
-        state[func.entry().index()] = 1;
+        cfg.rpo_index[func.entry().index()] = 0;
         while let Some(&mut (bb, ref mut next)) = stack.last_mut() {
-            let ss = &succs[bb.index()];
+            let ss = cfg.succs(bb);
             if *next < ss.len() {
                 let child = ss[*next];
                 *next += 1;
-                if state[child.index()] == 0 {
-                    state[child.index()] = 1;
+                if cfg.rpo_index[child.index()] == usize::MAX {
+                    cfg.rpo_index[child.index()] = 0;
                     stack.push((child, 0));
                 }
             } else {
-                state[bb.index()] = 2;
-                post.push(bb);
+                cfg.rpo.push(bb);
                 stack.pop();
             }
         }
-        post.reverse();
-        let rpo = post;
-        let mut rpo_index = vec![usize::MAX; n];
-        for (i, b) in rpo.iter().enumerate() {
-            rpo_index[b.index()] = i;
+        cfg.rpo.reverse();
+        for (i, b) in cfg.rpo.iter().enumerate() {
+            cfg.rpo_index[b.index()] = i;
         }
-        Cfg {
-            succs,
-            preds,
-            rpo,
-            rpo_index,
-        }
+        cfg
     }
 
     /// Successors of `b`.
     #[inline]
     pub fn succs(&self, b: BlockId) -> &[BlockId] {
-        &self.succs[b.index()]
+        let i = b.index();
+        &self.succ[self.succ_start[i] as usize..self.succ_start[i + 1] as usize]
     }
 
     /// Predecessors of `b`.
     #[inline]
     pub fn preds(&self, b: BlockId) -> &[BlockId] {
-        &self.preds[b.index()]
+        let i = b.index();
+        &self.pred[self.pred_start[i] as usize..self.pred_start[i + 1] as usize]
     }
 
     /// Whether `b` is reachable from the entry.
@@ -98,14 +120,14 @@ impl Cfg {
     /// Number of blocks (including unreachable ones).
     #[inline]
     pub fn len(&self) -> usize {
-        self.succs.len()
+        self.rpo_index.len()
     }
 
     /// True when the function has no blocks (cannot normally happen for a
     /// verified function).
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.succs.is_empty()
+        self.rpo_index.is_empty()
     }
 }
 

@@ -435,18 +435,18 @@ pub enum Terminator {
 impl Terminator {
     /// Successor blocks, in branch order (then before else; cases before
     /// default). Duplicate targets are preserved.
-    pub fn successors(&self) -> Vec<BlockId> {
-        match self {
-            Terminator::Br { target } => vec![*target],
+    pub fn successors(&self) -> Successors<'_> {
+        let (cases, tail): (&[(i64, BlockId)], _) = match self {
+            Terminator::Br { target } => (&[], [Some(*target), None]),
             Terminator::CondBr {
                 then_bb, else_bb, ..
-            } => vec![*then_bb, *else_bb],
-            Terminator::Switch { cases, default, .. } => {
-                let mut v: Vec<BlockId> = cases.iter().map(|(_, b)| *b).collect();
-                v.push(*default);
-                v
-            }
-            Terminator::Ret { .. } => vec![],
+            } => (&[], [Some(*then_bb), Some(*else_bb)]),
+            Terminator::Switch { cases, default, .. } => (cases, [Some(*default), None]),
+            Terminator::Ret { .. } => (&[], [None, None]),
+        };
+        Successors {
+            cases: cases.iter(),
+            tail,
         }
     }
 
@@ -467,6 +467,27 @@ impl Terminator {
                 *default = f(*default);
             }
             Terminator::Ret { .. } => {}
+        }
+    }
+}
+
+/// Iterator over a terminator's successors, from
+/// [`Terminator::successors`]: a switch's case targets, then the
+/// remaining targets in `tail`, filled from the front.
+#[derive(Clone, Debug)]
+pub struct Successors<'a> {
+    cases: std::slice::Iter<'a, (i64, BlockId)>,
+    tail: [Option<BlockId>; 2],
+}
+
+impl Iterator for Successors<'_> {
+    type Item = BlockId;
+
+    #[inline]
+    fn next(&mut self) -> Option<BlockId> {
+        match self.cases.next() {
+            Some(&(_, b)) => Some(b),
+            None => self.tail[0].take().or_else(|| self.tail[1].take()),
         }
     }
 }
@@ -530,15 +551,15 @@ mod tests {
             then_bb: BlockId(1),
             else_bb: BlockId(2),
         };
-        assert_eq!(t.successors(), vec![BlockId(1), BlockId(2)]);
+        assert!(t.successors().eq([BlockId(1), BlockId(2)]));
         let r = Terminator::Ret { value: None };
-        assert!(r.successors().is_empty());
+        assert_eq!(r.successors().next(), None);
         let s = Terminator::Switch {
             disc: Reg(0),
             cases: vec![(0, BlockId(3)), (1, BlockId(4))],
             default: BlockId(5),
         };
-        assert_eq!(s.successors(), vec![BlockId(3), BlockId(4), BlockId(5)]);
+        assert!(s.successors().eq([BlockId(3), BlockId(4), BlockId(5)]));
     }
 
     #[test]
@@ -549,7 +570,7 @@ mod tests {
             default: BlockId(2),
         };
         t.map_targets(|b| BlockId(b.0 + 10));
-        assert_eq!(t.successors(), vec![BlockId(11), BlockId(12)]);
+        assert!(t.successors().eq([BlockId(11), BlockId(12)]));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Containers: [`Block`], [`Function`], [`Module`].
 
-use crate::inst::{Inst, Terminator};
+use crate::inst::{Inst, Successors, Terminator};
 use crate::types::{BlockId, FuncId, Reg};
 
 /// A basic block: a name (kept for readable dumps mirroring the paper's
@@ -18,7 +18,7 @@ pub struct Block {
 impl Block {
     /// Successor blocks (delegates to the terminator).
     #[inline]
-    pub fn successors(&self) -> Vec<BlockId> {
+    pub fn successors(&self) -> Successors<'_> {
         self.term.successors()
     }
 

@@ -19,8 +19,9 @@
 //! [`pipeline::instrument`] is the entry point. It lowers an
 //! [`pipeline::OptConfig`] into a [`pass::PassPipeline`]: the module-wide
 //! O1 fixpoint, splitting and base planning, then the enabled plan passes
-//! and materialization function by function, with per-function cached
-//! analyses, per-pass telemetry and per-pass delta certificates;
+//! function by function, with per-function cached analyses, then
+//! materialization into the split module in place, with per-pass telemetry
+//! and per-pass delta certificates;
 //! [`cost`] holds the cycle model and the *instructions estimate file*
 //! parser; [`divergence`] audits how far a plan's path totals stray from
 //! the true costs.

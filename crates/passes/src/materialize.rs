@@ -6,57 +6,45 @@
 //! per-unit scale from the estimate file.
 
 use crate::cost::CostModel;
-use crate::plan::{FuncPlan, ModulePlan, Placement};
+use crate::plan::{ModulePlan, Placement};
 use detlock_ir::inst::Inst;
-use detlock_ir::module::{Function, Module};
+use detlock_ir::module::Module;
 
-/// Insert tick instructions into (a clone of) the split module according to
+/// Insert tick instructions into a copy of the split module according to
 /// the plan. The input module must be the same split module the plan was
 /// computed against.
 pub fn materialize(split: &Module, plan: &ModulePlan, cost: &CostModel) -> Module {
     let mut out = split.clone();
-    for (fid, func) in out.functions.iter_mut().enumerate() {
-        materialize_into(func, &plan.funcs[fid], plan.placement, cost);
-    }
+    materialize_in_place(&mut out, plan, cost);
     out
 }
 
-/// Materialize one function: functions are independent of each other here,
-/// which is what lets the parallel pipeline fan this out per function.
-pub fn materialize_function(
-    func: &Function,
-    fplan: &FuncPlan,
-    placement: Placement,
-    cost: &CostModel,
-) -> Function {
-    let mut out = func.clone();
-    materialize_into(&mut out, fplan, placement, cost);
-    out
-}
-
-fn materialize_into(func: &mut Function, fplan: &FuncPlan, placement: Placement, cost: &CostModel) {
-    for (bidx, block) in func.blocks.iter_mut().enumerate() {
-        // Dynamic ticks first (positions shift as we insert).
-        let mut i = 0;
-        while i < block.insts.len() {
-            if let Some((per_unit, size)) = cost.needs_dynamic_tick(&block.insts[i]) {
-                block.insts.insert(
-                    i,
-                    Inst::TickDyn {
-                        base: 0,
-                        per_unit,
-                        size,
-                    },
-                );
-                i += 1; // skip the TickDyn we just inserted
+/// [`materialize`] without the copy: the pipeline owns the split module
+/// and rewrites it into the instrumented one.
+pub fn materialize_in_place(split: &mut Module, plan: &ModulePlan, cost: &CostModel) {
+    for (func, fplan) in split.functions.iter_mut().zip(&plan.funcs) {
+        for (block, &amount) in func.blocks.iter_mut().zip(&fplan.block_clock) {
+            // Dynamic ticks first (positions shift as we insert).
+            let mut i = 0;
+            while i < block.insts.len() {
+                if let Some((per_unit, size)) = cost.needs_dynamic_tick(&block.insts[i]) {
+                    block.insts.insert(
+                        i,
+                        Inst::TickDyn {
+                            base: 0,
+                            per_unit,
+                            size,
+                        },
+                    );
+                    i += 1; // skip the TickDyn we just inserted
+                }
+                i += 1;
             }
-            i += 1;
-        }
-        let amount = fplan.block_clock[bidx];
-        if amount > 0 {
-            match placement {
-                Placement::Start => block.insts.insert(0, Inst::Tick { amount }),
-                Placement::End => block.insts.push(Inst::Tick { amount }),
+            if amount > 0 {
+                match plan.placement {
+                    Placement::Start => block.insts.insert(0, Inst::Tick { amount }),
+                    Placement::End => block.insts.push(Inst::Tick { amount }),
+                }
             }
         }
     }

@@ -6,12 +6,15 @@
 //! as `PlanPass` values, and materialization closes the pipeline.
 //!
 //! One driver runs it at every worker count. The interprocedural stages run
-//! once over the module; the plan passes and materialization run
-//! function-major through [`run_indexed_with`], which is an inline loop
-//! with one worker state when `threads ≤ 1`. Each function's plan passes
-//! read `Cfg`/`DomTree`/`LoopInfo` from the worker's [`AnalysisManager`],
-//! so the analyses are computed once per function and shared by every pass
-//! that runs on it.
+//! once over the module; the plan passes run function-major through
+//! [`run_indexed_with`], which is an inline loop with one worker state when
+//! `threads ≤ 1`. Each function's plan passes read `Cfg`/`DomTree`/
+//! `LoopInfo` from the worker's [`AnalysisManager`], so the analyses are
+//! computed once per function and shared by every pass that runs on it.
+//!
+//! The source module is copied once, by block splitting. The pipeline owns
+//! that split module and materializes the ticks into it in place, serially
+//! at every worker count.
 //!
 //! Every stage is timed and its plan delta recorded as a [`PassStats`] row,
 //! and every plan pass contributes a [`PassCert`] delta that composes into
@@ -20,7 +23,7 @@
 
 use crate::cert::{PassCert, PlanCert};
 use crate::cost::CostModel;
-use crate::materialize::materialize_function;
+use crate::materialize::materialize_in_place;
 use crate::opt1::{compute_clocked_with, ClockableParams};
 use crate::opt2a::apply_opt2a;
 use crate::opt2b::{apply_opt2b, Opt2bParams};
@@ -178,13 +181,13 @@ impl PassPipeline {
         lines
     }
 
-    /// Run every stage over `module`, with the per-function phases (plan
-    /// passes and tick materialization) on `threads` compile workers.
+    /// Run every stage over `module`, with the plan passes on `threads`
+    /// compile workers.
     ///
     /// Output is byte-identical for any thread count:
     ///
     /// * the interprocedural stages (O1 fixpoint, splitting, base planning)
-    ///   run once over the module;
+    ///   and materialization run once over the module;
     /// * each worker transforms whole functions (function-major), and plan
     ///   passes only touch their own function's plan;
     /// * results are committed in function-index order, and every
@@ -215,9 +218,10 @@ impl PassPipeline {
         };
         per_pass.push(PassStats::timed(PASS_O1, elapsed_ns(t)));
 
-        // Splitting rewrites the IR: nothing `am` holds describes `split`.
+        // Splitting makes the pipeline's one copy of the IR, and nothing
+        // `am` holds describes it.
         let t = Instant::now();
-        let split = split_module(module, &clocked);
+        let mut split = split_module(module, &clocked);
         per_pass.push(PassStats::timed(PASS_SPLIT, elapsed_ns(t)));
 
         // Base plan: every tick the optimizations will rearrange appears
@@ -302,23 +306,10 @@ impl PassPipeline {
             funcs: plans,
         };
 
-        // Materialize ticks: per function and analysis-free, reassembled in
-        // index order.
+        // Materialize ticks into the split module, which becomes the output.
         let t = Instant::now();
-        let (functions, _) = run_indexed_with(
-            n,
-            threads,
-            || (),
-            |_, fidx| {
-                materialize_function(
-                    &split.functions[fidx],
-                    &plan.funcs[fidx],
-                    plan.placement,
-                    cost,
-                )
-            },
-        );
-        let out = Module { functions };
+        materialize_in_place(&mut split, &plan, cost);
+        let out = split;
         let mut mat = PassStats::timed(PASS_MATERIALIZE, elapsed_ns(t));
 
         // In debug builds, catch pipeline breakage (dangling targets after

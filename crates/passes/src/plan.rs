@@ -100,87 +100,75 @@ impl ModulePlan {
 /// Calls to *clocked* callees are left in place (paper §IV-A: "no splitting
 /// of the block is done and the mean number of instructions ... added to the
 /// clock"). Remainder blocks are named `split.<orig>` after the paper's
-/// `split.lor.lhs.false23`; isolated call blocks `<orig>.call<k>`.
+/// `split.lor.lhs.false23` (`split<k>.<orig>` between two calls); isolated
+/// call blocks `<orig>.call<k>`. A name the function already uses gets the
+/// first free `.1`, `.2`, … suffix.
+///
+/// This is where the pipeline copies the source IR, once: every block and
+/// segment is built with room for the tick that materialization adds.
 pub fn split_function(func: &Function, is_clocked: impl Fn(FuncId) -> bool) -> Function {
-    let mut new_blocks: Vec<Block> = Vec::with_capacity(func.blocks.len());
-    // First pass: reserve the original block ids for the first segment of
-    // each original block so that branch targets stay valid.
-    for b in &func.blocks {
-        new_blocks.push(Block {
+    let splits_at = |inst: &Inst| match inst {
+        Inst::Call { func: callee, .. } => !is_clocked(*callee),
+        _ => inst.is_sync(),
+    };
+    // Block `i`'s first segment keeps id `i`, so every branch target stays
+    // valid; further segments are appended, and the original terminator
+    // moves along the chain to the last one.
+    let mut blocks: Vec<Block> = func
+        .blocks
+        .iter()
+        .map(|b| Block {
             name: b.name.clone(),
             insts: Vec::new(),
             term: b.term.clone(),
-        });
-    }
-
-    for (orig_idx, block) in func.blocks.iter().enumerate() {
-        // Partition instructions into segments at unclocked calls.
-        let mut segments: Vec<Vec<Inst>> = vec![Vec::new()];
-        let mut call_segments: Vec<bool> = vec![false];
-        for inst in &block.insts {
-            let is_unclocked_call = match inst {
-                Inst::Call { func: callee, .. } => !is_clocked(*callee),
-                _ => inst.is_sync(),
-            };
-            if is_unclocked_call {
-                // The call becomes its own segment.
-                segments.push(vec![inst.clone()]);
-                call_segments.push(true);
-                segments.push(Vec::new());
-                call_segments.push(false);
-            } else {
-                segments.last_mut().unwrap().push(inst.clone());
-            }
-        }
-        // Drop a trailing empty non-call segment only if there are earlier
-        // segments (we need at least one segment to carry the terminator).
-        while segments.len() > 1
-            && segments.last().unwrap().is_empty()
-            && !call_segments.last().unwrap()
-        {
-            segments.pop();
-            call_segments.pop();
-        }
-
-        if segments.len() == 1 {
-            // No splitting required.
-            new_blocks[orig_idx].insts = segments.pop().unwrap();
+        })
+        .collect();
+    for (orig, block) in func.blocks.iter().enumerate() {
+        let insts = &block.insts;
+        let segment = |lo: usize, hi: usize| {
+            let mut seg = Vec::with_capacity(hi - lo + 1);
+            seg.extend_from_slice(&insts[lo..hi]);
+            seg
+        };
+        let next_split = |from: usize| insts[from..].iter().position(splits_at).map(|d| from + d);
+        let Some(mut at) = next_split(0) else {
+            blocks[orig].insts = segment(0, insts.len());
             continue;
-        }
-
-        // First segment keeps the original id & name; the rest are appended.
-        let orig_term = new_blocks[orig_idx].term.clone();
-        let mut seg_ids: Vec<usize> = vec![orig_idx];
-        let mut call_no = 0usize;
-        for (k, is_call) in call_segments.iter().enumerate().skip(1) {
-            let name = if *is_call {
-                call_no += 1;
-                format!("{}.call{}", block.name, call_no)
-            } else if k == segments.len() - 1 {
-                format!("split.{}", block.name)
-            } else {
-                format!("split{}.{}", k, block.name)
+        };
+        blocks[orig].insts = segment(0, at);
+        let mut last = orig;
+        let mut chain = |name: String, insts: Vec<Inst>| {
+            let name = fresh_name(&blocks, name);
+            let id = blocks.len();
+            let target = Terminator::Br {
+                target: BlockId(id as u32),
             };
-            let id = new_blocks.len();
-            new_blocks.push(Block {
-                name,
-                insts: Vec::new(),
-                term: Terminator::Ret { value: None }, // patched below
-            });
-            seg_ids.push(id);
-        }
-        for (seg, &id) in segments.iter().zip(&seg_ids) {
-            new_blocks[id].insts = seg.clone();
-        }
-        // Chain the segments; last one carries the original terminator.
-        for w in 0..seg_ids.len() {
-            let id = seg_ids[w];
-            if w + 1 < seg_ids.len() {
-                new_blocks[id].term = Terminator::Br {
-                    target: BlockId(seg_ids[w + 1] as u32),
-                };
-            } else {
-                new_blocks[id].term = orig_term.clone();
+            let term = std::mem::replace(&mut blocks[last].term, target);
+            blocks.push(Block { name, insts, term });
+            last = id;
+        };
+        // Segment `2j - 1` is call `j` and segment `2j` the code after it.
+        for call_no in 1.. {
+            chain(format!("{}.call{call_no}", block.name), segment(at, at + 1));
+            match next_split(at + 1) {
+                Some(next) => {
+                    chain(
+                        format!("split{}.{}", 2 * call_no, block.name),
+                        segment(at + 1, next),
+                    );
+                    at = next;
+                }
+                None => {
+                    // A trailing empty remainder is dropped: the call
+                    // block carries the terminator itself.
+                    if at + 1 < insts.len() {
+                        chain(
+                            format!("split.{}", block.name),
+                            segment(at + 1, insts.len()),
+                        );
+                    }
+                    break;
+                }
             }
         }
     }
@@ -189,8 +177,21 @@ pub fn split_function(func: &Function, is_clocked: impl Fn(FuncId) -> bool) -> F
         name: func.name.clone(),
         params: func.params,
         num_regs: func.num_regs,
-        blocks: new_blocks,
+        blocks,
     }
+}
+
+/// `name` if no block in `blocks` has it, else `name.<k>` for the smallest
+/// `k ≥ 1` that none has.
+fn fresh_name(blocks: &[Block], name: String) -> String {
+    let taken = |n: &str| blocks.iter().any(|b| b.name == n);
+    if !taken(&name) {
+        return name;
+    }
+    (1..)
+        .map(|k| format!("{name}.{k}"))
+        .find(|n| !taken(n))
+        .expect("some suffix is free")
 }
 
 /// Split every function of the module (clocked functions contain no
@@ -348,6 +349,68 @@ mod tests {
         assert!(f.blocks[1].insts[0].is_call());
         assert_eq!(f.blocks[2].name, "split.lor.lhs.false23");
         assert_eq!(f.blocks[2].insts.len(), 5);
+    }
+
+    #[test]
+    fn split_names_stay_unique_in_the_function() {
+        let names = |extra: &str| -> Vec<String> {
+            let text = format!(
+                "fn main(params=1) {{\n  entry (bb0):\n    lock 1\n    unlock 1\n    \
+                 r0 = add r0, 1\n    br bb1\n  exit (bb1):\n    ret\n{extra}}}\n"
+            );
+            let m = detlock_ir::parse::parse_module(&text).unwrap();
+            assert!(verify_module(&m).is_ok());
+            let out = crate::pipeline::instrument(
+                &m,
+                &CostModel::default(),
+                &crate::pipeline::OptConfig::none(),
+                Placement::Start,
+                &[],
+            );
+            assert_eq!(verify_module(&out.module), Ok(()), "{text}");
+            let f = &out.module.functions[0];
+            f.blocks.iter().map(|b| b.name.clone()).collect()
+        };
+        // No clash: the names every existing module gets.
+        assert_eq!(
+            names(""),
+            [
+                "entry",
+                "exit",
+                "entry.call1",
+                "split2.entry",
+                "entry.call2",
+                "split.entry"
+            ]
+        );
+        // Each generated name the function already uses takes the first
+        // free suffix; the others stay as they were.
+        assert_eq!(
+            names("  split.entry:\n    ret\n  split.entry.1:\n    ret\n"),
+            [
+                "entry",
+                "exit",
+                "split.entry",
+                "split.entry.1",
+                "entry.call1",
+                "split2.entry",
+                "entry.call2",
+                "split.entry.2"
+            ]
+        );
+        assert_eq!(
+            names("  entry.call1:\n    ret\n  split2.entry:\n    ret\n"),
+            [
+                "entry",
+                "exit",
+                "entry.call1",
+                "split2.entry",
+                "entry.call1.1",
+                "split2.entry.1",
+                "entry.call2",
+                "split.entry"
+            ]
+        );
     }
 
     #[test]

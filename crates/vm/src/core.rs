@@ -106,7 +106,9 @@ pub struct RoundProfile {
     /// Of those, cycles in which a blocked turn holder's bump-and-retry
     /// was folded into one addition.
     pub collapsed_bumps: u64,
-    /// Calls of [`Sched::decide`](crate::sched::Sched::decide).
+    /// Scheduling decisions taken by arbitrated rounds in deterministic
+    /// modes: a turn read off the round's lease, or a batch from
+    /// [`Sched::decide`](crate::sched::Sched::decide).
     pub decide_calls: u64,
     /// `step` calls by the status they found the thread in, in the order
     /// of [`RoundProfile::STATUS`].
@@ -199,6 +201,7 @@ impl<'m> DetCore<'m> {
         let mut fold = 0;
         let mut turn = None;
         if arbitrating {
+            let det = self.cfg.mode.deterministic();
             // Arbitrated round: fill the scheduler's view and advance —
             // repeatedly while only the turn moves on, which changes who
             // bumps.
@@ -216,9 +219,12 @@ impl<'m> DetCore<'m> {
                     },
                     clock: th.clock,
                 }));
+            // The lease of the view as it stands, once one was taken.
+            let mut lease = None;
             while issue > 0 {
-                let (horizon, bumper) = self.sync_horizon();
+                let (horizon, bumper, l) = self.sync_horizon();
                 if horizon == 0 {
+                    lease = l;
                     break;
                 }
                 let stop = self.until_stop();
@@ -227,25 +233,38 @@ impl<'m> DetCore<'m> {
                 if k == stop {
                     return;
                 }
+                // Bumping short of the horizon keeps the holder's turn;
+                // using all of it may have passed the turn on.
+                lease = if k < horizon { l } else { None };
                 // `u64::MAX` stands for "no Ready thread" and stays.
                 if issue != u64::MAX {
                     issue -= k;
                 }
             }
             self.profile.event_rounds += 1;
-            // Deterministic modes delegate the round's synchronization
-            // decision to the policy; nondeterministic modes never consult
-            // it (their grants are first come, first served).
-            if self.cfg.mode.deterministic() {
+            // Deterministic modes take the round's synchronization decision
+            // from the policy's lease, which names the turn; only a batch
+            // asks the policy for its order. Nondeterministic modes never
+            // consult it (their grants are first come, first served).
+            if det {
                 self.profile.decide_calls += 1;
-                match self.cfg.scheduler.decide(&self.views) {
-                    Decision::Turn(t) => turn = t,
-                    Decision::Batch(order) => {
+                match lease.unwrap_or_else(|| self.cfg.scheduler.lease(&self.views)) {
+                    Lease::Turn { holder, .. } => turn = Some(holder),
+                    Lease::Idle => {}
+                    Lease::Batch => {
+                        let Decision::Batch(order) = self.cfg.scheduler.decide(&self.views) else {
+                            unreachable!("a batch lease decides a batch");
+                        };
                         self.commit_batch(&order);
                         self.state.cycle += 1;
                         return;
                     }
                 }
+                debug_assert_eq!(
+                    Decision::Turn(turn),
+                    self.cfg.scheduler.decide(&self.views),
+                    "the lease names the turn `decide` would"
+                );
             }
         } else {
             // Quiet round: with nobody at a synchronization operation no
@@ -333,8 +352,9 @@ impl<'m> DetCore<'m> {
     /// from now no synchronization event can fire (the caller bounds this
     /// by the earliest instruction issue, which is also the earliest a
     /// lock can be released), and which thread, if any, spends those
-    /// rounds bumping its clock.
-    fn sync_horizon(&self) -> (u64, Option<usize>) {
+    /// rounds bumping its clock; in deterministic modes also the policy's
+    /// lease of the current view, which both are derived from.
+    fn sync_horizon(&self) -> (u64, Option<usize>, Option<Lease>) {
         if !self.cfg.mode.deterministic() {
             // No turns: an exit, a barrier arrival or an acquire of a
             // free lock happens in the round it is stepped.
@@ -343,9 +363,10 @@ impl<'m> DetCore<'m> {
                 Status::AcquiringLock(id) => self.grantable(id),
                 _ => false,
             });
-            return (if fires { 0 } else { u64::MAX }, None);
+            return (if fires { 0 } else { u64::MAX }, None, None);
         }
-        match self.cfg.scheduler.lease(&self.views) {
+        let lease = self.cfg.scheduler.lease(&self.views);
+        let (horizon, bumper) = match lease {
             Lease::Batch => (0, None),
             Lease::Idle => (u64::MAX, None),
             Lease::Turn { holder, rounds } => {
@@ -363,7 +384,8 @@ impl<'m> DetCore<'m> {
                     _ => (0, None),
                 }
             }
-        }
+        };
+        (horizon, bumper, Some(lease))
     }
 
     /// How often turn holder `t` must bump its clock before lock `id` is
