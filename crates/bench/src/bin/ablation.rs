@@ -22,7 +22,7 @@
 
 use detlock_bench::{machine_config, run_baseline, thread_specs, CliOptions};
 use detlock_passes::cost::CostModel;
-use detlock_passes::pipeline::{instrument, instrument_with, OptConfig};
+use detlock_passes::pipeline::{instrument, OptConfig};
 use detlock_passes::plan::Placement;
 use detlock_shim::json::{Json, ToJson};
 use detlock_vm::machine::{run, ExecMode};
@@ -253,17 +253,15 @@ fn main() {
 
     // 6. Per-pass pipeline telemetry: which passes add/remove clock mass
     // (and, in the text table, where the pipeline spends its time), per
-    // workload at the full configuration. Compiled through the shared plan
-    // cache so the cache counters show how much the sweeps above deduplicated.
+    // workload at the full configuration.
     let mut pass_rows: Vec<Json> = Vec::new();
     for w in opts.workloads_at(scale) {
-        let inst = instrument_with(
+        let inst = instrument(
             &w.module,
             &cost,
             &OptConfig::all(),
             Placement::Start,
             &w.entries,
-            opts.compile_opts(),
         );
         if text {
             println!("\n== pass telemetry ({}, all opts) ==", w.name);
@@ -274,12 +272,6 @@ fn main() {
             println!(
                 "analysis cache: {} hits / {} misses",
                 inst.stats.analysis_cache_hits, inst.stats.analysis_cache_misses
-            );
-            println!(
-                "plan cache: {} hits / {} misses / {} evictions",
-                inst.stats.plan_cache_hits,
-                inst.stats.plan_cache_misses,
-                inst.stats.plan_cache_evictions
             );
         }
         let rows: Vec<Json> = inst
@@ -304,12 +296,6 @@ fn main() {
             (
                 "analysis_cache_misses",
                 inst.stats.analysis_cache_misses.to_json(),
-            ),
-            ("plan_cache_hits", inst.stats.plan_cache_hits.to_json()),
-            ("plan_cache_misses", inst.stats.plan_cache_misses.to_json()),
-            (
-                "plan_cache_evictions",
-                inst.stats.plan_cache_evictions.to_json(),
             ),
             ("passes", Json::Arr(rows)),
         ]));

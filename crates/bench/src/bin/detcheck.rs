@@ -23,7 +23,7 @@ use detlock_analyze::triage::triage;
 use detlock_analyze::Severity;
 use detlock_bench::{lint_workload, machine_config, sanitize_workload, thread_specs, CliOptions};
 use detlock_passes::cost::CostModel;
-use detlock_passes::pipeline::{instrument_with, OptConfig};
+use detlock_passes::pipeline::{instrument, OptConfig};
 use detlock_passes::plan::Placement;
 use detlock_vm::determinism::check_determinism;
 use detlock_vm::machine::{CkptControl, ExecMode, Machine, ResumeError};
@@ -89,7 +89,7 @@ fn main() {
         // --deny-warnings` holds the workloads to in CI: a pre-pass that
         // gates on less than the lint does would let a finding the lint
         // rejects slip past the determinism probe.
-        let lint = lint_workload(&w, &cost, Placement::Start, opts.compile_opts());
+        let lint = lint_workload(&w, &cost, Placement::Start);
         let lint_ok = lint.ok(true);
         if !lint_ok {
             failures += 1;
@@ -101,13 +101,12 @@ fn main() {
                 eprintln!("  {f}");
             }
         }
-        let inst = instrument_with(
+        let inst = instrument(
             &w.module,
             &cost,
             &OptConfig::all(),
             Placement::Start,
             &w.entries,
-            opts.compile_opts(),
         );
         let specs = thread_specs(&w);
         let det = check_determinism(

@@ -79,7 +79,7 @@ fn main() {
     let mut minimal_logs = String::new();
 
     for w in &workloads {
-        let mut report = lint_workload(w, &cost, Placement::Start, opts.compile_opts());
+        let mut report = lint_workload(w, &cost, Placement::Start);
 
         // Dynamic pass: sweep the sanitizer, triage the static findings,
         // and fold sanitizer-only discoveries into the report so they

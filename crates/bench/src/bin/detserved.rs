@@ -8,7 +8,7 @@
 //! ```text
 //! cargo run -p detlock-bench --release --bin detserved -- \
 //!     [--addr HOST:PORT] [--shards N] [--queue N] [--max-retries N] \
-//!     [--budget CYCLES] [--watchdog-ms MS] [--compile-threads N] \
+//!     [--budget CYCLES] [--watchdog-ms MS] \
 //!     [--backend interp|threaded] [--scheduler kendo|chunk|dc-batch] \
 //!     [--checkpoint-interval CYCLES] \
 //!     [--cycle-slice CYCLES] [--net-faults SEED] [--crash-faults SEED] \
@@ -20,12 +20,10 @@
 //!     [--ready-file PATH]
 //! ```
 //!
-//! `--watchdog-ms 0` disables the stall supervisor. `--compile-threads N`
-//! sizes each shard engine's instrumentation compile pool (byte-identical
-//! output at any setting; also settable via `DETLOCK_COMPILE_THREADS`).
-//! `--backend` picks the execution engine every shard runs jobs on
-//! (byte-identical receipts either way; also settable via
-//! `DETLOCK_BACKEND`). `--scheduler` sets the default arbitration policy
+//! `--watchdog-ms 0` disables the stall supervisor. `--shards`, `--queue`
+//! and `--vnodes` must be at least 1. `--backend` picks the execution
+//! engine every shard runs jobs on (byte-identical receipts either way;
+//! also settable via `DETLOCK_BACKEND`). `--scheduler` sets the default arbitration policy
 //! for jobs whose request does not name one (also settable via
 //! `DETLOCK_SCHEDULER`); unlike the backend it is part of job identity,
 //! and per-request `scheduler` fields override it.
@@ -86,10 +84,7 @@ fn main() {
                     .filter(|a| !a.is_empty())
                     .collect();
             }
-            "--vnodes" => group.vnodes = parsed_operand(&args, &mut i),
-            "--compile-threads" => {
-                cfg.compile_threads = parsed_operand::<usize>(&args, &mut i).max(1);
-            }
+            "--vnodes" => group.vnodes = parsed_operand::<NonZeroUsize>(&args, &mut i).get(),
             "--backend" => {
                 cfg.backend = Backend::parse(operand(&args, &mut i)).unwrap_or_else(|e| usage(&e));
             }
@@ -99,7 +94,7 @@ fn main() {
             "--ready-file" => ready_file = Some(operand(&args, &mut i).to_string()),
             "--addr" => cfg.addr = operand(&args, &mut i).to_string(),
             "--shards" => cfg.shards = parsed_operand::<NonZeroUsize>(&args, &mut i).get(),
-            "--queue" => cfg.queue_capacity = parsed_operand(&args, &mut i),
+            "--queue" => cfg.queue_capacity = parsed_operand::<NonZeroUsize>(&args, &mut i).get(),
             "--max-retries" => cfg.max_retries = parsed_operand(&args, &mut i),
             "--budget" => cfg.job_cycle_budget = parsed_operand(&args, &mut i),
             "--watchdog-ms" => {
@@ -141,15 +136,14 @@ fn main() {
         write_ready_file(path, &server.local_addr().to_string());
     }
     eprintln!(
-        "shards={} queue={} max_retries={} budget={} watchdog={:?} compile_threads={} \
-         backend={} scheduler={} checkpoint_interval={} cycle_slice={} net_faults={:?} \
+        "shards={} queue={} max_retries={} budget={} watchdog={:?} backend={} \
+         scheduler={} checkpoint_interval={} cycle_slice={} net_faults={:?} \
          crash_faults={:?}",
         cfg.shards,
         cfg.queue_capacity,
         cfg.max_retries,
         cfg.job_cycle_budget,
         cfg.watchdog,
-        cfg.compile_threads,
         cfg.backend,
         cfg.scheduler,
         cfg.checkpoint_interval,

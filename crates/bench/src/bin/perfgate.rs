@@ -7,7 +7,7 @@
 //! baseline by **equality** and prints the JSON path of every value that
 //! differs. A serve report (`detload --out`) is held to the identity facts
 //! that need no baseline: receipts byte-identical across sweeps, no failed
-//! job, and evidence the warm path ran (plan-cache hits, or receipt-ledger
+//! job, and evidence the warm path ran (receipt-memo hits, or receipt-ledger
 //! dedup hits behind a group router).
 //!
 //! ```text
@@ -158,20 +158,20 @@ fn check_serve(current: &Json, checks: &mut Vec<Check>) {
         ok: failed == 0,
         detail: format!("{failed} failed job(s) across both sweeps"),
     });
-    // Behind a group router the stats snapshot is the router's, which has
-    // no instrumentation section; the equivalent warm-path evidence there
-    // is the cross-process dedup ledger getting hits.
+    // A single server answers repeats of a finished identity from its
+    // receipt memo; behind a group router the stats snapshot is the
+    // router's, whose cross-process dedup ledger is the same evidence.
     let stats = current.get("server_stats");
-    let counter = |section: &str, key: &str| -> u64 {
+    let counter = |key: &str| -> u64 {
         stats
-            .and_then(|s| s.get(section)?.get(key)?.as_u64())
+            .and_then(|s| s.get("counters")?.get(key)?.as_u64())
             .unwrap_or(0)
     };
     let is_router = stats
         .and_then(|s| s.get("router")?.as_bool())
         .unwrap_or(false);
     checks.push(if is_router {
-        let dedup = counter("counters", "dedup_hits");
+        let dedup = counter("dedup_hits");
         Check {
             name: "serve/router-dedup-hits".to_string(),
             ok: dedup > 0,
@@ -181,13 +181,13 @@ fn check_serve(current: &Json, checks: &mut Vec<Check>) {
             ),
         }
     } else {
-        let plan_hits = counter("instrumentation", "plan_cache_hits");
+        let memo = counter("memo_hits");
         Check {
-            name: "serve/plan-cache-hits".to_string(),
-            ok: plan_hits > 0,
+            name: "serve/memo-hits".to_string(),
+            ok: memo > 0,
             detail: format!(
-                "server reported {plan_hits} plan-cache hits after the two-sweep drive \
-                 (sibling shards must reuse compiled artifacts)"
+                "server reported {memo} receipt-memo hits after the two-sweep drive \
+                 (repeats of a finished identity must not execute)"
             ),
         }
     });

@@ -19,7 +19,7 @@
 pub mod loadgen;
 
 use detlock_passes::cost::CostModel;
-use detlock_passes::pipeline::{instrument, instrument_with, CompileOpts, OptConfig, OptLevel};
+use detlock_passes::pipeline::{instrument, OptConfig, OptLevel};
 use detlock_passes::plan::Placement;
 use detlock_shim::json::{Json, ToJson};
 use detlock_vm::machine::{run, ExecMode, Jitter, Machine, MachineConfig, ThreadSpec};
@@ -346,24 +346,20 @@ pub fn race_threads(w: &Workload) -> Vec<(detlock_ir::FuncId, Vec<i64>)> {
 /// The full static lint for one workload: the lockset race analysis once,
 /// plus the translation validator over every Table I configuration at
 /// `placement`. Validator findings get the config label appended to their
-/// context lines. `opts` lets `detlint`/`detcheck` honor
-/// `--compile-threads` and share the plan cache across the six
-/// configurations they validate.
+/// context lines.
 pub fn lint_workload(
     w: &Workload,
     cost: &CostModel,
     placement: Placement,
-    opts: CompileOpts,
 ) -> detlock_analyze::Report {
     let mut report = detlock_analyze::races::analyze_races(&w.module, &race_threads(w));
     for level in OptLevel::table1_rows() {
-        let inst = instrument_with(
+        let inst = instrument(
             &w.module,
             cost,
             &OptConfig::only(level),
             placement,
             &w.entries,
-            opts,
         );
         let mut r = detlock_analyze::validate::validate(&w.module, &inst.module, &inst.cert, cost);
         for f in &mut r.findings {
@@ -410,8 +406,8 @@ pub const DEFAULT_SEEDS: [u64; 5] = [1, 2, 7, 42, 31337];
 
 /// Shared command-line options for the bench binaries. Every binary
 /// accepts the same core flags (`--threads`, `--scale`, `--seed`,
-/// `--seeds`, `--json`, `--out`, `--only`, `--compile-threads`); binaries
-/// with extra flags layer them on via [`CliOptions::parse_with`].
+/// `--seeds`, `--json`, `--out`, `--only`, `--backend`, `--scheduler`);
+/// binaries with extra flags layer them on via [`CliOptions::parse_with`].
 pub struct CliOptions {
     /// Number of simulated cores/threads.
     pub threads: usize,
@@ -430,10 +426,6 @@ pub struct CliOptions {
     pub out: Option<String>,
     /// Restrict to one benchmark.
     pub only: Option<String>,
-    /// Instrumentation compile workers (`--compile-threads N`, default
-    /// `DETLOCK_COMPILE_THREADS` or 1). Distinct from `--threads`, which is
-    /// the *simulated* core count.
-    pub compile_threads: usize,
     /// Execution backend (`--backend interp|threaded`, default
     /// `DETLOCK_BACKEND` or the interpreter). Parsing the flag installs the
     /// process-wide default, so every machine the binary builds afterwards
@@ -481,8 +473,8 @@ where
 impl CliOptions {
     /// Parse from `std::env::args` (ignores the binary name). Supported:
     /// `--threads N`, `--scale F`, `--seed N`, `--seeds A,B,C`, `--json`,
-    /// `--out FILE`, `--only NAME`, `--compile-threads N`,
-    /// `--backend interp|threaded`, `--scheduler kendo|chunk|dc-batch`.
+    /// `--out FILE`, `--only NAME`, `--backend interp|threaded`,
+    /// `--scheduler kendo|chunk|dc-batch`.
     pub fn parse() -> CliOptions {
         Self::parse_with(|_, _, _| false)
     }
@@ -500,7 +492,6 @@ impl CliOptions {
             seeds: DEFAULT_SEEDS.to_vec(),
             out: None,
             only: None,
-            compile_threads: CompileOpts::from_env().threads,
             backend: Backend::resolve(),
             scheduler: Sched::resolve(),
         };
@@ -518,7 +509,6 @@ impl CliOptions {
                         .collect::<Result<_, _>>()
                         .unwrap_or_else(|e| usage_error(format_args!("--seeds A,B,C: {e}")));
                 }
-                "--compile-threads" => opts.compile_threads = parsed_operand(&args, &mut i),
                 "--backend" => {
                     opts.backend = Backend::parse(operand(&args, &mut i))
                         .unwrap_or_else(|e| usage_error(format_args!("--backend: {e}")));
@@ -536,7 +526,7 @@ impl CliOptions {
                     if !extra(other, &args, &mut i) {
                         usage_error(format_args!(
                             "unknown option {other} (core flags: --threads N --scale F --seed N \
-                             --seeds A,B,C --json --out FILE --only NAME --compile-threads N \
+                             --seeds A,B,C --json --out FILE --only NAME \
                              --backend interp|threaded \
                              --scheduler kendo|chunk[:SIZE[:COST]]|dc-batch)"
                         ));
@@ -563,12 +553,6 @@ impl CliOptions {
     /// binary's own `default`.
     pub fn scale_or(&self, default: f64) -> f64 {
         self.scale.unwrap_or(default)
-    }
-
-    /// The resolved [`CompileOpts`]: `--compile-threads` workers with the
-    /// process-wide plan cache enabled.
-    pub fn compile_opts(&self) -> CompileOpts {
-        CompileOpts::threads(self.compile_threads).cached()
     }
 
     /// The workloads selected by `--only` (or all five) at the paper's

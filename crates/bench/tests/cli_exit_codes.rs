@@ -56,6 +56,24 @@ fn detload_and_detserved_usage_errors_exit_2() {
     let detserved = env!("CARGO_BIN_EXE_detserved");
     assert_eq!(exit_code(detserved, &["--shards", "x"]), 2);
     assert_eq!(exit_code(detserved, &["--definitely-not-a-flag"]), 2);
+    // Zero where at least one is needed is a usage error, not a panic in
+    // the admission queue or (behind `--route`) the hash ring.
+    assert_eq!(exit_code(detserved, &["--queue", "0"]), 2);
+    assert_eq!(
+        exit_code(detserved, &["--route", "127.0.0.1:9", "--vnodes", "0"]),
+        2
+    );
+}
+
+#[test]
+fn the_compile_pool_flag_is_a_usage_error() {
+    // Every binary compiles serially and uncached; no flag sizes a pool.
+    for bin in [
+        env!("CARGO_BIN_EXE_ablation"),
+        env!("CARGO_BIN_EXE_detserved"),
+    ] {
+        assert_eq!(exit_code(bin, &["--compile-threads", "2"]), 2, "{bin}");
+    }
 }
 
 #[test]
@@ -158,13 +176,13 @@ fn perfgate_exit_codes() {
     assert!(!stdout.contains("mass_moved"), "{stdout}");
 
     // A detload report in miniature; each identity fact broken in turn.
-    let serve = |name: &str, identical: bool, failed: u64, plan_hits: u64| {
+    let serve = |name: &str, identical: bool, failed: u64, memo_hits: u64| {
         let report = write(
             name,
             format!(
                 r#"{{"receipts_identical": {identical}, "receipts_compared": 24,
                     "sweep1": {{"failed": 0}}, "sweep2": {{"failed": {failed}}},
-                    "server_stats": {{"instrumentation": {{"plan_cache_hits": {plan_hits}}}}}}}"#
+                    "server_stats": {{"counters": {{"memo_hits": {memo_hits}}}}}}}"#
             ),
         );
         exit_code(bin, &["--current-serve", &report])

@@ -13,7 +13,7 @@ use detlock_bench::{
     thread_specs,
 };
 use detlock_passes::cost::CostModel;
-use detlock_passes::pipeline::{CompileOpts, OptLevel};
+use detlock_passes::pipeline::OptLevel;
 use detlock_passes::plan::Placement;
 use detlock_vm::determinism::check_determinism;
 use detlock_vm::machine::ExecMode;
@@ -26,7 +26,7 @@ fn splash_workloads_lint_clean() {
     let cost = CostModel::default();
     for w in all_benchmarks(4, SCALE) {
         for placement in [Placement::Start, Placement::End] {
-            let report = lint_workload(&w, &cost, placement, CompileOpts::serial());
+            let report = lint_workload(&w, &cost, placement);
             assert!(
                 report.ok(true),
                 "{} ({placement:?}) must lint clean under --deny-warnings:\n{report}",

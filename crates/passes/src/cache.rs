@@ -13,20 +13,13 @@
 //! Granularity is the whole module, not a single function: O1's clockable
 //! set is an interprocedural fixpoint over the call graph, so a function's
 //! compiled plan is not context-free and per-function reuse across modules
-//! would be unsound. Within one process the module is the unit `dlc`, the
-//! ablation sweeps and every `detserved` shard actually compile, which is
-//! exactly the repetition the cache removes.
+//! would be unsound.
 //!
-//! The map is sharded by key so concurrent shards rarely contend on one
-//! lock, and a per-key *pending* marker makes racing compilers coalesce:
-//! the first thread to miss compiles, later threads block on the shard
-//! condvar and are served the finished artifact as hits — so the miss
-//! counter counts distinct keys compiled, never racing duplicates.
-//!
-//! The pipeline is the cache's one tenant because a hit pays there: the
-//! key is one print of the module, the compile it saves several times that.
-//! The VM's lowering is the opposite case — 7–9× cheaper to rebuild than to
-//! key (DESIGN.md §15) — and is not cached, here or anywhere.
+//! No binary and no server shard compiles through the cache: the key
+//! prints the whole module, which costs about as much as a cold compile
+//! (DESIGN.md §12). It stays for the repo benchmark's warm-read phase and
+//! the golden suite's warm leg, behind
+//! [`CompileOpts::cached`](crate::pipeline::CompileOpts::cached).
 
 use crate::cost::CostModel;
 use crate::pipeline::{Instrumented, OptConfig};
@@ -35,9 +28,8 @@ use detlock_ir::dot::function_to_text;
 use detlock_ir::module::Module;
 use detlock_ir::types::FuncId;
 use detlock_shim::hash::Fnv64;
-use detlock_shim::sync::{Condvar, Mutex};
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use detlock_shim::sync::Mutex;
+use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, OnceLock};
 
 /// The FNV-1a content key for one compile: canonical IR of every function
@@ -81,163 +73,73 @@ pub fn plan_key(
     h.finish()
 }
 
-/// A cache slot: either a finished artifact or a marker that some thread is
-/// compiling it right now.
-enum Slot {
-    Pending,
-    Ready(Arc<Instrumented>),
-}
-
-/// One lock shard of the cache.
-struct Shard {
-    map: Mutex<ShardMap>,
-    cv: Condvar,
-}
-
 #[derive(Default)]
-struct ShardMap {
-    slots: HashMap<u64, Slot>,
-    /// Ready keys in insertion order — the FIFO eviction queue.
-    order: Vec<u64>,
+struct Entries {
+    map: HashMap<u64, Arc<Instrumented>>,
+    /// Keys in insertion order — the FIFO eviction queue.
+    order: VecDeque<u64>,
+    hits: u64,
+    misses: u64,
 }
 
-const NUM_SHARDS: usize = 8;
-
-/// Sharded content-addressed cache of compiled [`Instrumented`] artifacts.
+/// Content-addressed cache of compiled [`Instrumented`] artifacts.
 pub struct PlanCache {
-    shards: Vec<Shard>,
-    /// Max *ready* entries per shard.
-    per_shard_capacity: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
+    entries: Mutex<Entries>,
+    capacity: usize,
 }
 
 impl PlanCache {
-    /// The process-wide cache shared by `dlc`, the bench bins and every
-    /// `detserved` shard.
+    /// The process-wide cache.
     pub fn global() -> &'static PlanCache {
         static GLOBAL: OnceLock<PlanCache> = OnceLock::new();
         GLOBAL.get_or_init(|| PlanCache::with_capacity(512))
     }
 
-    /// A cache bounded at roughly `capacity` entries (rounded up to a
-    /// multiple of the shard count).
-    pub fn with_capacity(capacity: usize) -> PlanCache {
+    fn with_capacity(capacity: usize) -> PlanCache {
         PlanCache {
-            shards: (0..NUM_SHARDS)
-                .map(|_| Shard {
-                    map: Mutex::new(ShardMap::default()),
-                    cv: Condvar::new(),
-                })
-                .collect(),
-            per_shard_capacity: capacity.div_ceil(NUM_SHARDS).max(1),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
+            entries: Mutex::new(Entries::default()),
+            capacity: capacity.max(1),
         }
     }
 
-    fn shard(&self, key: u64) -> &Shard {
-        &self.shards[(key % NUM_SHARDS as u64) as usize]
-    }
-
-    /// Fetch the artifact for `key`, running `compile` exactly once per key
-    /// across all racing threads. Concurrent callers with the same key
-    /// block until the first one finishes and then count as hits.
+    /// Fetch the artifact for `key`, running `compile` on a miss. The lock
+    /// is not held while compiling, so two threads that miss on one key
+    /// both compile (and both count as misses); the first insert wins.
     pub fn get_or_compute(
         &self,
         key: u64,
         compile: impl FnOnce() -> Instrumented,
     ) -> Arc<Instrumented> {
-        let shard = self.shard(key);
-        let mut g = shard.map.lock();
-        loop {
-            match g.slots.get(&key) {
-                Some(Slot::Ready(v)) => {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    return Arc::clone(v);
-                }
-                Some(Slot::Pending) => {}
-                None => break,
+        {
+            let mut e = self.entries.lock();
+            if let Some(v) = e.map.get(&key).cloned() {
+                e.hits += 1;
+                return v;
             }
-            shard.cv.wait(&mut g);
+            e.misses += 1;
         }
-        g.slots.insert(key, Slot::Pending);
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        drop(g);
-
-        // If `compile` unwinds (debug-build verifier panic), clear the
-        // pending marker so waiters retry instead of hanging forever.
-        struct Unpend<'a> {
-            cache: &'a PlanCache,
-            key: u64,
-            armed: bool,
-        }
-        impl Drop for Unpend<'_> {
-            fn drop(&mut self) {
-                if self.armed {
-                    let shard = self.cache.shard(self.key);
-                    let mut g = shard.map.lock();
-                    g.slots.remove(&self.key);
-                    shard.cv.notify_all();
-                }
-            }
-        }
-        let mut unpend = Unpend {
-            cache: self,
-            key,
-            armed: true,
-        };
         let value = Arc::new(compile());
-        unpend.armed = false;
-
-        let mut g = shard.map.lock();
-        g.slots.insert(key, Slot::Ready(Arc::clone(&value)));
-        g.order.push(key);
-        while g.order.len() > self.per_shard_capacity {
-            let victim = g.order.remove(0);
-            g.slots.remove(&victim);
-            self.evictions.fetch_add(1, Ordering::Relaxed);
+        let mut e = self.entries.lock();
+        if let Some(v) = e.map.get(&key) {
+            return Arc::clone(v);
         }
-        shard.cv.notify_all();
+        e.map.insert(key, Arc::clone(&value));
+        e.order.push_back(key);
+        while e.order.len() > self.capacity {
+            let victim = e.order.pop_front().expect("non-empty");
+            e.map.remove(&victim);
+        }
         value
     }
 
-    /// Lookups served from the cache (including coalesced waiters).
+    /// Lookups served from the cache.
     pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
+        self.entries.lock().hits
     }
 
-    /// Lookups that compiled (exactly one per distinct key ever inserted).
+    /// Lookups that compiled.
     pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-
-    /// Ready entries discarded to stay within capacity.
-    pub fn evictions(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
-    }
-
-    /// Ready entries currently cached.
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.map.lock().order.len()).sum()
-    }
-
-    /// Whether the cache holds no ready entries.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl std::fmt::Debug for PlanCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PlanCache")
-            .field("entries", &self.len())
-            .field("hits", &self.hits())
-            .field("misses", &self.misses())
-            .field("evictions", &self.evictions())
-            .finish()
+        self.entries.lock().misses
     }
 }
 
@@ -246,7 +148,6 @@ mod tests {
     use super::*;
     use crate::pipeline::instrument;
     use detlock_ir::builder::FunctionBuilder;
-    use std::sync::atomic::AtomicUsize;
 
     /// One function whose blocks form a chain `entry -> b0 -> b1 -> ...`,
     /// each carrying the given compute payload in order.
@@ -319,42 +220,7 @@ mod tests {
     }
 
     #[test]
-    fn racing_threads_compile_each_key_exactly_once() {
-        let cache = PlanCache::with_capacity(64);
-        let cost = CostModel::default();
-        let cfg = OptConfig::all();
-        let m = chain_module(&[11, 13]);
-        let key = plan_key(&m, &cost, &cfg, Placement::Start, &[]);
-        let compiles = AtomicUsize::new(0);
-
-        const THREADS: usize = 8;
-        const GETS_PER_THREAD: usize = 4;
-        std::thread::scope(|s| {
-            for _ in 0..THREADS {
-                s.spawn(|| {
-                    for _ in 0..GETS_PER_THREAD {
-                        let got = cache.get_or_compute(key, || {
-                            compiles.fetch_add(1, Ordering::Relaxed);
-                            instrument(&m, &cost, &cfg, Placement::Start, &[])
-                        });
-                        assert_eq!(got.stats.functions, 1);
-                    }
-                });
-            }
-        });
-
-        // The pending marker coalesces racing compilers: one compile, one
-        // miss, every other lookup (including coalesced waiters) a hit.
-        assert_eq!(compiles.load(Ordering::Relaxed), 1);
-        assert_eq!(cache.misses(), 1);
-        assert_eq!(cache.hits(), (THREADS * GETS_PER_THREAD - 1) as u64);
-        assert_eq!(cache.len(), 1);
-    }
-
-    #[test]
-    fn fifo_eviction_is_bounded_and_counted() {
-        // Capacity 1 per shard; keys 0 and 8 both land in shard 0, so the
-        // second insert must evict the first.
+    fn hits_misses_and_fifo_eviction() {
         let cache = PlanCache::with_capacity(1);
         let cost = CostModel::default();
         let cfg = OptConfig::all();
@@ -362,19 +228,13 @@ mod tests {
         let compile = || instrument(&m, &cost, &cfg, Placement::Start, &[]);
 
         cache.get_or_compute(0, compile);
+        let hit = cache.get_or_compute(0, || unreachable!("a hit must not compile"));
+        assert_eq!(hit.stats.functions, 1);
+        assert_eq!((cache.hits(), cache.misses()), (1, 1));
+        // Capacity 1: a second key evicts the first, which then recompiles.
         cache.get_or_compute(8, compile);
-        assert_eq!(cache.evictions(), 1);
-        assert_eq!(
-            cache
-                .shards
-                .iter()
-                .map(|s| s.map.lock().order.len())
-                .max()
-                .unwrap(),
-            1
-        );
-        // The evicted key recompiles (a miss, not a hang or a stale hit).
         cache.get_or_compute(0, compile);
-        assert_eq!(cache.misses(), 3);
+        assert_eq!((cache.hits(), cache.misses()), (1, 3));
+        assert_eq!(cache.entries.lock().map.len(), 1);
     }
 }

@@ -66,9 +66,6 @@ pub use cache::{plan_key, PlanCache};
 pub use cert::{PassCert, PlanCert};
 pub use cost::CostModel;
 pub use pass::PassPipeline;
-pub use pipeline::{
-    instrument, instrument_with, CompileOpts, Instrumented, OptConfig, OptLevel,
-    COMPILE_THREADS_ENV,
-};
+pub use pipeline::{instrument, instrument_with, CompileOpts, Instrumented, OptConfig, OptLevel};
 pub use plan::{ModulePlan, Placement};
 pub use stats::{render_pass_table, PassStats, Stats};

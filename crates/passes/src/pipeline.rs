@@ -145,8 +145,9 @@ pub struct Instrumented {
 /// How a compile should be executed: worker count and cache participation.
 ///
 /// Neither knob affects the output — the golden-equivalence suite pins
-/// serial ≡ parallel(2) ≡ parallel(8) ≡ warm-cache byte-for-byte — they
-/// only trade memory and cores for wall time.
+/// serial ≡ parallel(2) ≡ parallel(8) ≡ warm-cache byte-for-byte. Every
+/// binary and the server compile serially and uncached; the other settings
+/// exist for the repo benchmark (DESIGN.md §12).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CompileOpts {
     /// Compile workers for the per-function phases (1 = serial, the
@@ -165,10 +166,6 @@ impl Default for CompileOpts {
         }
     }
 }
-
-/// Environment variable read by [`CompileOpts::from_env`] (same resolution
-/// the bins' `--compile-threads` flag falls back to).
-pub const COMPILE_THREADS_ENV: &str = "DETLOCK_COMPILE_THREADS";
 
 impl CompileOpts {
     /// Serial, uncached — the reference configuration.
@@ -191,15 +188,6 @@ impl CompileOpts {
             ..self
         }
     }
-
-    /// Thread count from `DETLOCK_COMPILE_THREADS` (default 1, cache off).
-    pub fn from_env() -> CompileOpts {
-        let threads = std::env::var(COMPILE_THREADS_ENV)
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .unwrap_or(1);
-        CompileOpts::threads(threads)
-    }
 }
 
 /// Run the DetLock pass over `module`.
@@ -210,8 +198,7 @@ impl CompileOpts {
 /// `config` lowers into a [`PassPipeline`] whose output is byte-for-byte
 /// identical to a hand-written stage sequence over the same building blocks
 /// (the golden-equivalence suite in `tests/golden_equivalence.rs` pins
-/// this). Always serial and uncached — the reference path; use
-/// [`instrument_with`] to opt into the compile pool or the plan cache.
+/// this). Serial and uncached: the path every binary and the server take.
 pub fn instrument(
     module: &Module,
     cost: &CostModel,
@@ -234,9 +221,7 @@ pub fn instrument(
 /// With `opts.cache` set, the compile is keyed by
 /// [`plan_key`](crate::cache::plan_key) in the process-wide
 /// [`PlanCache`](crate::cache::PlanCache): a hit clones the cached artifact
-/// instead of recompiling, and the returned `stats` carry a snapshot of the
-/// cache's hit/miss/eviction counters (they are the only stats fields that
-/// differ from a cold compile).
+/// instead of recompiling.
 pub fn instrument_with(
     module: &Module,
     cost: &CostModel,
@@ -249,16 +234,11 @@ pub fn instrument_with(
     if !opts.cache {
         return pipeline.run_threads(module, cost, entries, opts.threads);
     }
-    let cache = crate::cache::PlanCache::global();
     let key = crate::cache::plan_key(module, cost, config, placement, entries);
-    let cached = cache.get_or_compute(key, || {
+    let cached = crate::cache::PlanCache::global().get_or_compute(key, || {
         pipeline.run_threads(module, cost, entries, opts.threads)
     });
-    let mut out = (*cached).clone();
-    out.stats.plan_cache_hits = cache.hits();
-    out.stats.plan_cache_misses = cache.misses();
-    out.stats.plan_cache_evictions = cache.evictions();
-    out
+    (*cached).clone()
 }
 
 #[cfg(test)]

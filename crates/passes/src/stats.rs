@@ -40,6 +40,22 @@ impl PassStats {
     }
 }
 
+/// Add `rows` into `totals` by pass name: a name already in `totals` sums
+/// every counter into its row, a new name appends a copy.
+pub fn fold_pass_stats(totals: &mut Vec<PassStats>, rows: &[PassStats]) {
+    for ps in rows {
+        match totals.iter_mut().find(|t| t.name == ps.name) {
+            Some(t) => {
+                t.wall_ns += ps.wall_ns;
+                t.ticks_added += ps.ticks_added;
+                t.ticks_removed += ps.ticks_removed;
+                t.mass_moved += ps.mass_moved;
+            }
+            None => totals.push(ps.clone()),
+        }
+    }
+}
+
 /// Render per-pass telemetry as an aligned text table (shared by
 /// `dlc --pass-stats` and the bench bins).
 pub fn render_pass_table(passes: &[PassStats]) -> String {
@@ -85,14 +101,6 @@ pub struct Stats {
     pub analysis_cache_hits: u64,
     /// Analysis-cache requests that computed the analysis.
     pub analysis_cache_misses: u64,
-    /// Plan-cache lookups served from the content-addressed cache
-    /// (snapshot of the process-wide cache at the time of this compile;
-    /// zero when compiled without the cache).
-    pub plan_cache_hits: u64,
-    /// Plan-cache lookups that ran the full pipeline.
-    pub plan_cache_misses: u64,
-    /// Plan-cache entries discarded to stay within capacity.
-    pub plan_cache_evictions: u64,
 }
 
 impl Stats {
@@ -137,9 +145,6 @@ impl Stats {
             per_pass: Vec::new(),
             analysis_cache_hits: 0,
             analysis_cache_misses: 0,
-            plan_cache_hits: 0,
-            plan_cache_misses: 0,
-            plan_cache_evictions: 0,
         }
     }
 }
@@ -200,5 +205,30 @@ mod tests {
         assert!(table.contains("o2a-cond-motion"));
         assert!(table.contains("99"));
         assert_eq!(table.lines().count(), 3);
+    }
+
+    #[test]
+    fn fold_sums_by_name_and_appends_new_names() {
+        let mut totals = vec![PassStats {
+            mass_moved: 5,
+            ..PassStats::timed("base-plan", 1_000)
+        }];
+        fold_pass_stats(
+            &mut totals,
+            &[
+                PassStats {
+                    ticks_added: 2,
+                    ..PassStats::timed("o2a-cond-motion", 30)
+                },
+                PassStats {
+                    mass_moved: 7,
+                    ..PassStats::timed("base-plan", 500)
+                },
+            ],
+        );
+        let names: Vec<_> = totals.iter().map(|p| p.name).collect();
+        assert_eq!(names, ["base-plan", "o2a-cond-motion"]);
+        assert_eq!((totals[0].wall_ns, totals[0].mass_moved), (1_500, 12));
+        assert_eq!(totals[1].ticks_added, 2);
     }
 }

@@ -8,8 +8,8 @@
 //!
 //! Routing is a consistent-hash [`HashRing`] over [`JobSpec::identity_key`]:
 //! every field an episode's outcome depends on hashes to a stable backend,
-//! so the same job always lands on the same process (plan-cache affinity),
-//! and removing a backend only remaps the keys it owned.
+//! so the same job always lands on the process that compiled it and holds
+//! its receipt, and removing a backend only remaps the keys it owned.
 //!
 //! Determinism makes the multi-process story *verifiable for free*:
 //!

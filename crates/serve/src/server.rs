@@ -74,9 +74,8 @@ use crate::queue::{backoff_deadline, AdmissionQueue, SubmitError};
 use crate::receipt::{Admission, Receipt, ReceiptLedger, Sighting};
 use crate::shard::{ExecOpts, ExecOutcome, PreemptReason, ShardEngine};
 use crate::stats::{Counters, LatencyHistogram};
-use detlock_passes::cache::PlanCache;
 use detlock_passes::pipeline::CompileOpts;
-use detlock_passes::stats::PassStats;
+use detlock_passes::stats::{fold_pass_stats, PassStats};
 use detlock_shim::evloop::{self, Interest, Poller};
 use detlock_shim::json::{Json, ToJson};
 use detlock_shim::sync::Mutex;
@@ -107,7 +106,8 @@ pub struct ServeConfig {
     /// this is evicted and the job requeued. `None` disables eviction.
     pub watchdog: Option<Duration>,
     /// Compile-pool workers each shard engine uses for instrumentation
-    /// (1 = serial). Output is byte-identical at any setting.
+    /// (1 = serial, the default; no flag sets it). Output is byte-identical
+    /// at any setting.
     pub compile_threads: usize,
     /// Execution backend every shard engine runs jobs on. Receipts are
     /// byte-identical across backends; `threaded` just retires jobs
@@ -141,7 +141,7 @@ impl Default for ServeConfig {
             max_retries: 3,
             job_cycle_budget: 60_000_000_000,
             watchdog: Some(Duration::from_secs(30)),
-            compile_threads: CompileOpts::from_env().threads,
+            compile_threads: 1,
             backend: Backend::resolve(),
             scheduler: Sched::resolve(),
             checkpoint_interval: 200_000,
@@ -392,17 +392,7 @@ impl Shared {
         for s in &self.shards {
             hits += s.analysis_hits.load(Ordering::Relaxed);
             misses += s.analysis_misses.load(Ordering::Relaxed);
-            for ps in s.pass_totals.lock().iter() {
-                match passes.iter_mut().find(|t| t.name == ps.name) {
-                    Some(t) => {
-                        t.wall_ns += ps.wall_ns;
-                        t.ticks_added += ps.ticks_added;
-                        t.ticks_removed += ps.ticks_removed;
-                        t.mass_moved += ps.mass_moved;
-                    }
-                    None => passes.push(ps.clone()),
-                }
-            }
+            fold_pass_stats(&mut passes, &s.pass_totals.lock());
         }
         let pass_rows: Vec<Json> = passes
             .iter()
@@ -416,15 +406,9 @@ impl Shared {
                 ])
             })
             .collect();
-        // The plan cache is process-wide (shared by every shard), so its
-        // counters are read off the cache itself rather than summed.
-        let plan_cache = PlanCache::global();
         let instrumentation = Json::obj([
             ("analysis_cache_hits", hits.to_json()),
             ("analysis_cache_misses", misses.to_json()),
-            ("plan_cache_hits", plan_cache.hits().to_json()),
-            ("plan_cache_misses", plan_cache.misses().to_json()),
-            ("plan_cache_evictions", plan_cache.evictions().to_json()),
             ("passes", Json::Arr(pass_rows)),
         ]);
         let checkpoints_total: u64 = self
@@ -1151,7 +1135,7 @@ fn requeue_with_backoff(
 
 fn shard_worker(id: usize, shared: &Arc<Shared>) {
     let mut engine = ShardEngine::new(id)
-        .with_compile_opts(CompileOpts::threads(shared.config.compile_threads).cached())
+        .with_compile_opts(CompileOpts::threads(shared.config.compile_threads))
         .with_backend(shared.config.backend);
     let slot = &shared.shards[id];
     while let Some((mut job, seq)) = shared.queue.pop() {

@@ -15,7 +15,7 @@ use crate::receipt::Receipt;
 use detlock_passes::cost::CostModel;
 use detlock_passes::pipeline::{instrument_with, CompileOpts, Instrumented, OptConfig};
 use detlock_passes::plan::Placement;
-use detlock_passes::stats::PassStats;
+use detlock_passes::stats::{fold_pass_stats, PassStats};
 use detlock_vm::machine::{
     Checkpoint, CkptControl, ExecMode, Jitter, Machine, MachineConfig, RunOutcome, ThreadSpec,
 };
@@ -165,15 +165,15 @@ pub struct ShardEngine {
 }
 
 impl ShardEngine {
-    /// Create an engine for shard `id`. Compiles through the process-wide
-    /// plan cache (so sibling shards compiling the same tenant config reuse
-    /// one artifact), with the worker count from `DETLOCK_COMPILE_THREADS`.
+    /// Create an engine for shard `id`. It compiles serially and uncached;
+    /// each configuration compiles once per shard and stays in the shard's
+    /// own table.
     pub fn new(id: usize) -> ShardEngine {
         ShardEngine {
             id,
             cost: CostModel::default(),
             cache: HashMap::new(),
-            compile: CompileOpts::from_env().cached(),
+            compile: CompileOpts::serial(),
             template: MachineConfig {
                 mode: ExecMode::Det,
                 ..MachineConfig::default()
@@ -185,7 +185,8 @@ impl ShardEngine {
         }
     }
 
-    /// Override the compile options (worker count / cache participation).
+    /// Override the compile options (worker count / cache participation);
+    /// the repo benchmark's cold-compile probe sets them explicitly.
     pub fn with_compile_opts(mut self, opts: CompileOpts) -> ShardEngine {
         self.compile = opts;
         self
@@ -204,17 +205,7 @@ impl ShardEngine {
     fn absorb_stats(&mut self, inst: &Instrumented) {
         self.analysis_hits += inst.stats.analysis_cache_hits;
         self.analysis_misses += inst.stats.analysis_cache_misses;
-        for ps in &inst.stats.per_pass {
-            match self.pass_totals.iter_mut().find(|t| t.name == ps.name) {
-                Some(t) => {
-                    t.wall_ns += ps.wall_ns;
-                    t.ticks_added += ps.ticks_added;
-                    t.ticks_removed += ps.ticks_removed;
-                    t.mass_moved += ps.mass_moved;
-                }
-                None => self.pass_totals.push(ps.clone()),
-            }
-        }
+        fold_pass_stats(&mut self.pass_totals, &inst.stats.per_pass);
     }
 
     /// Run one job to completion under `cycle_budget` simulated cycles

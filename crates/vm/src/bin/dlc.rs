@@ -20,19 +20,17 @@
 //! `--pass-stats` prints per-pass telemetry after instrumenting;
 //! `--profile` prints, after `--run`, how the simulator got through the
 //! run: rounds executed, cycles advanced in closed form, scheduler calls.
-//! `--compile-threads N` (or `DETLOCK_COMPILE_THREADS`) sizes the compile
-//! pool and routes the compile through the plan cache — output is
-//! byte-identical at any setting. `--backend interp|threaded` (or
-//! `DETLOCK_BACKEND`) picks the execution engine; results are identical
-//! either way, only the wall-clock time differs. `--scheduler
-//! kendo|chunk[:SIZE[:COST]]|dc-batch` (or `DETLOCK_SCHEDULER`) picks the
-//! deterministic arbitration policy; different policies legitimately
-//! produce different (each internally deterministic) lock orders. `--mode
-//! kendo` with no explicit `--scheduler` implies `--scheduler chunk`,
-//! preserving the historical Table II spelling.
+//! `--backend interp|threaded` (or `DETLOCK_BACKEND`) picks the execution
+//! engine; results are identical either way, only the wall-clock time
+//! differs. `--scheduler kendo|chunk[:SIZE[:COST]]|dc-batch` (or
+//! `DETLOCK_SCHEDULER`) picks the deterministic arbitration policy;
+//! different policies legitimately produce different (each internally
+//! deterministic) lock orders. `--mode kendo` with no explicit
+//! `--scheduler` implies `--scheduler chunk`, preserving the historical
+//! Table II spelling.
 
 use detlock_passes::cost::CostModel;
-use detlock_passes::pipeline::{instrument_with, CompileOpts, OptConfig, OptLevel};
+use detlock_passes::pipeline::{instrument, OptConfig, OptLevel};
 use detlock_passes::plan::Placement;
 use detlock_passes::{render_pass_table, PassPipeline};
 use detlock_vm::machine::{ExecMode, Jitter, Machine, MachineConfig, RoundProfile, ThreadSpec};
@@ -52,7 +50,6 @@ struct Options {
     print_passes: bool,
     pass_stats: bool,
     profile: bool,
-    compile: CompileOpts,
     scheduler_set: bool,
 }
 
@@ -60,7 +57,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: dlc <input.dir> [--opt none|o1|o2|o3|o4|all] [--placement start|end]\n\
          \x20          [--emit text|dot|none] [--estimates FILE]\n\
-         \x20          [--print-passes] [--pass-stats] [--compile-threads N]\n\
+         \x20          [--print-passes] [--pass-stats]\n\
          \x20          [--backend interp|threaded]\n\
          \x20          [--scheduler kendo|chunk[:SIZE[:COST]]|dc-batch]\n\
          \x20          [--run ENTRY --threads N --mode baseline|clocks|det|kendo\n\
@@ -84,7 +81,6 @@ fn parse_options() -> Options {
         print_passes: false,
         pass_stats: false,
         profile: false,
-        compile: CompileOpts::from_env().cached(),
         scheduler_set: false,
     };
     let argv: Vec<String> = std::env::args().skip(1).collect();
@@ -174,14 +170,6 @@ fn parse_options() -> Options {
             "--print-passes" => o.print_passes = true,
             "--pass-stats" => o.pass_stats = true,
             "--profile" => o.profile = true,
-            "--compile-threads" => {
-                i += 1;
-                let n: usize = argv
-                    .get(i)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
-                o.compile = CompileOpts::threads(n).cached();
-            }
             flag if flag.starts_with("--") => usage(),
             path => {
                 if !o.input.is_empty() {
@@ -252,13 +240,12 @@ fn main() {
         None => vec![],
     };
 
-    let out = instrument_with(
+    let out = instrument(
         &module,
         &cost,
         &OptConfig::only(o.opt),
         o.placement,
         &entries,
-        o.compile,
     );
     eprintln!(
         "dlc: {} functions, {} clockable, {} ticks inserted ({} blocks of {})",
@@ -273,10 +260,6 @@ fn main() {
         eprintln!(
             "dlc: analysis cache: {} hits / {} misses",
             out.stats.analysis_cache_hits, out.stats.analysis_cache_misses
-        );
-        eprintln!(
-            "dlc: plan cache: {} hits / {} misses / {} evictions",
-            out.stats.plan_cache_hits, out.stats.plan_cache_misses, out.stats.plan_cache_evictions
         );
     }
 

@@ -1,6 +1,7 @@
 //! `dlc --run … --profile` on a run the cycle limit cuts: the exit code is
 //! 1 (README, "Exit codes") and the profile is still printed — steps by
-//! status is what says which threads sit where.
+//! status is what says which threads sit where. And an unknown flag is a
+//! usage error (2).
 
 use detlock_ir::builder::FunctionBuilder;
 use detlock_ir::dot::function_to_text;
@@ -70,4 +71,15 @@ fn a_run_cut_by_the_cycle_limit_still_prints_its_profile() {
     assert!(stdout.starts_with("profile: "), "{stdout}");
     assert!(stdout.contains("acquiring-lock"), "{stdout}");
     std::fs::remove_file(&path).unwrap();
+}
+
+#[test]
+fn the_compile_pool_flag_is_a_usage_error() {
+    let code = Command::new(env!("CARGO_BIN_EXE_dlc"))
+        .args(["prog.dir", "--compile-threads", "2"])
+        .output()
+        .expect("cannot spawn dlc")
+        .status
+        .code();
+    assert_eq!(code, Some(2));
 }
