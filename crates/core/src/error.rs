@@ -136,11 +136,6 @@ pub enum DetError {
         /// The evicted thread's tid.
         tid: DetTid,
     },
-    /// A `DetPool` allocation found no free slot.
-    PoolExhausted {
-        /// The pool's fixed capacity.
-        capacity: usize,
-    },
     /// The OS refused to spawn the backing thread.
     SpawnFailed {
         /// The underlying I/O error.
@@ -188,9 +183,6 @@ impl fmt::Display for DetError {
                 f,
                 "thread {tid} was evicted from deterministic arbitration by the stall watchdog"
             ),
-            DetError::PoolExhausted { capacity } => {
-                write!(f, "deterministic pool exhausted (capacity {capacity})")
-            }
             DetError::SpawnFailed { source } => {
                 write!(f, "failed to spawn OS thread: {source}")
             }
@@ -216,9 +208,6 @@ impl fmt::Debug for DetError {
                 write!(f, "Stalled(waiter={}, culprit={:?})", r.waiter, r.culprit)
             }
             DetError::Evicted { tid } => write!(f, "Evicted {{ tid: {tid} }}"),
-            DetError::PoolExhausted { capacity } => {
-                write!(f, "PoolExhausted {{ capacity: {capacity} }}")
-            }
             DetError::SpawnFailed { source } => write!(f, "SpawnFailed {{ source: {source:?} }}"),
         }
     }

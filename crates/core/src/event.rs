@@ -1,6 +1,5 @@
 //! The deterministic event — the one place the runtime's protocol is
-//! written down. Every primitive (mutex, rwlock, condvar, barrier, spawn,
-//! join) is [`det_event`] around its own at-turn transition; the ones that
+//! written down. Every primitive (mutex, condvar, barrier, spawn, join) is [`det_event`] around its own at-turn transition; the ones that
 //! block finish that transition with [`Turn::park`].
 //!
 //! What lives here, and nowhere else:
@@ -22,21 +21,10 @@
 use crate::error::DetError;
 use crate::fault::InjectedPanic;
 use crate::registry::{DetTid, Registry, ThreadState};
-use crate::runtime::{raise, try_current, DetRuntime, Inner};
+use crate::runtime::{try_current, DetRuntime, Inner};
 use detlock_shim::sync::{Condvar, MutexGuard};
 use std::sync::Arc;
 use std::time::Duration;
-
-/// Release stamp of a lock that has never been released.
-pub(crate) const NEVER_RELEASED: u64 = u64::MAX;
-
-/// The admission test mutex and rwlock share: does a release stamped
-/// `release` lie in the logical past of an acquirer at `clock`? A lock
-/// that is physically free but released in the acquirer's future is —
-/// deterministically — indistinguishable from one still held.
-pub(crate) fn past(release: u64, clock: u64) -> bool {
-    release == NEVER_RELEASED || release < clock
-}
 
 /// The calling thread inside a deterministic event, handed to the event's
 /// at-turn transition.
@@ -81,16 +69,6 @@ pub(crate) fn det_event<R>(
     };
     reg.set_waiting(me, None);
     outcome
-}
-
-/// A blocking lock acquisition as an event: retry `admit(clock)` turn by
-/// turn until it grants, then [`Turn::acquired`]. Returns the acquirer's
-/// tid for the guard; raises runtime errors.
-pub(crate) fn acquire(rt: &DetRuntime, id: u64, mut admit: impl FnMut(u64) -> bool) -> DetTid {
-    det_event(rt, Some(id), |turn| {
-        Ok(admit(turn.clock()).then(|| turn.acquired(id)))
-    })
-    .unwrap_or_else(|e| raise(e))
 }
 
 /// The turn wait of the exit event. No fault point, and it never fails: a

@@ -13,7 +13,7 @@
 //! ## Protocol (Kendo's algorithm, as adopted by DetLock)
 //!
 //! Every deterministic thread owns a logical clock. A *deterministic event*
-//! (lock/rwlock acquisition, barrier arrival, condvar wait/signal, spawn,
+//! (lock acquisition, barrier arrival, condvar wait/signal, spawn,
 //! join, exit) executes only at the thread's **turn**: when its
 //! `(clock, tid)` is minimal over all active threads. Lock acquisition at
 //! the turn additionally requires the lock to be *logically* free — its
@@ -80,7 +80,6 @@ pub mod mutex;
 pub mod pool;
 pub mod registry;
 pub mod runtime;
-pub mod rwlock;
 pub mod trace;
 
 pub use barrier::{DetBarrier, DetBarrierWaitResult};
@@ -91,5 +90,4 @@ pub use mutex::{DetMutex, DetMutexGuard};
 pub use pool::{DetPool, DetPoolBox};
 pub use registry::{DetTid, ThreadState};
 pub use runtime::{tick, try_tick, DetConfig, DetJoinHandle, DetRuntime};
-pub use rwlock::{DetRwLock, DetRwLockReadGuard, DetRwLockWriteGuard};
 pub use trace::{first_divergence, TraceEvent};

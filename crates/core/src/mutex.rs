@@ -10,12 +10,24 @@
 //! releaser's clock (making the admission test deterministic) and bumps
 //! the clock. See the crate docs for the determinism argument.
 
-use crate::event::{acquire, det_event, past, NEVER_RELEASED};
+use crate::event::det_event;
 use crate::runtime::{raise, DetRuntime};
 use detlock_shim::sync::RawMutex;
 use std::cell::UnsafeCell;
+use std::marker::PhantomData;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Release stamp of a mutex that has never been released.
+const NEVER_RELEASED: u64 = u64::MAX;
+
+/// The logical half of the admission test: does a release stamped
+/// `release` lie in the logical past of an acquirer at `clock`? A mutex
+/// that is physically free but released in the acquirer's future is —
+/// deterministically — indistinguishable from one still held.
+fn past(release: u64, clock: u64) -> bool {
+    release == NEVER_RELEASED || release < clock
+}
 
 /// A mutex whose acquisition order is a deterministic function of the
 /// program (given race-free use of the data it protects).
@@ -63,10 +75,14 @@ impl<T> DetMutex<T> {
         free
     }
 
-    /// Deterministically acquire the mutex.
+    /// Deterministically acquire the mutex: the admission test runs at each
+    /// of the caller's turns, and every refusal costs one clock bump.
     pub fn lock(&self) -> DetMutexGuard<'_, T> {
-        let tid = acquire(&self.rt, self.id, |clock| self.admit(clock));
-        DetMutexGuard { mutex: self, tid }
+        let tid = det_event(&self.rt, Some(self.id), |turn| {
+            Ok(self.admit(turn.clock()).then(|| turn.acquired(self.id)))
+        })
+        .unwrap_or_else(|e| raise(e));
+        DetMutexGuard::new(self, tid)
     }
 
     /// Deterministic `try_lock`: a deterministic event whose *outcome* is
@@ -85,7 +101,7 @@ impl<T> DetMutex<T> {
             Ok(Some(tid))
         })
         .unwrap_or_else(|e| raise(e))
-        .map(|tid| DetMutexGuard { mutex: self, tid })
+        .map(|tid| DetMutexGuard::new(self, tid))
     }
 
     /// Consume the mutex, returning the inner value.
@@ -100,13 +116,39 @@ impl<T> DetMutex<T> {
     }
 }
 
-/// RAII guard; releasing is not turn-gated.
+/// RAII guard; releasing is not turn-gated. Like `std::sync::MutexGuard`
+/// it is not `Send` (its `Drop` ticks the acquirer's clock), and it is
+/// `Sync` only when `T` is (sharing `&guard` hands out `&T`):
+///
+/// ```compile_fail
+/// fn assert_send<T: Send>() {}
+/// assert_send::<detlock_core::DetMutexGuard<'static, u64>>();
+/// ```
+///
+/// ```compile_fail
+/// fn assert_sync<T: Sync>() {}
+/// assert_sync::<detlock_core::DetMutexGuard<'static, std::cell::Cell<u8>>>();
+/// ```
 pub struct DetMutexGuard<'a, T: ?Sized> {
     mutex: &'a DetMutex<T>,
     tid: u32,
+    _not_send: PhantomData<*const ()>,
 }
 
+// SAFETY: through `&DetMutexGuard` another thread reaches only `&T`
+// (`Deref`, which needs `T: Sync`), the read-only `tid`, and the
+// `&DetMutex<T>` of `DetMutexGuard::mutex`, which is `Sync` for `T: Send`.
+unsafe impl<T: ?Sized + Send + Sync> Sync for DetMutexGuard<'_, T> {}
+
 impl<'a, T: ?Sized> DetMutexGuard<'a, T> {
+    fn new(mutex: &'a DetMutex<T>, tid: u32) -> Self {
+        DetMutexGuard {
+            mutex,
+            tid,
+            _not_send: PhantomData,
+        }
+    }
+
     /// The mutex this guard locks (used by [`crate::condvar::DetCondvar`]
     /// to re-acquire after a wait).
     pub fn mutex(guard: &DetMutexGuard<'a, T>) -> &'a DetMutex<T> {
@@ -263,6 +305,12 @@ mod tests {
         let mut m = DetMutex::new(&rt, vec![1, 2]);
         m.get_mut().push(3);
         assert_eq!(m.into_inner(), vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn guard_is_sync_when_the_data_is() {
+        fn assert_sync<T: Sync>() {}
+        assert_sync::<DetMutexGuard<'static, u64>>();
     }
 
     #[test]

@@ -7,10 +7,10 @@
 //! handed out* — the addresses a deterministic malloc returns — is itself a
 //! deterministic function of the program.
 
-use crate::error::DetError;
 use crate::mutex::DetMutex;
 use crate::runtime::DetRuntime;
 use std::cell::UnsafeCell;
+use std::marker::PhantomData;
 use std::mem::MaybeUninit;
 use std::ops::{Deref, DerefMut};
 
@@ -61,33 +61,27 @@ impl<T> DetPool<T> {
         unsafe {
             (*self.slots[idx as usize].get()).write(value);
         }
-        Some(DetPoolBox { pool: self, idx })
-    }
-
-    /// [`DetPool::alloc`] with a typed error: exhaustion surfaces as
-    /// [`DetError::PoolExhausted`] carrying the capacity, fitting `?`-style
-    /// propagation alongside the runtime's other `DetError`s.
-    pub fn try_alloc(&self, value: T) -> Result<DetPoolBox<'_, T>, DetError> {
-        self.alloc(value).ok_or(DetError::PoolExhausted {
-            capacity: self.capacity(),
+        Some(DetPoolBox {
+            pool: self,
+            idx,
+            _owns: PhantomData,
         })
-    }
-}
-
-impl<T> Drop for DetPool<T> {
-    fn drop(&mut self) {
-        // Any slot not on the free list still holds a live value; but
-        // DetPoolBox borrows the pool, so all boxes were dropped before the
-        // pool can drop — every slot is free and uninitialized. Nothing to
-        // do.
     }
 }
 
 /// Owning handle to a pool slot; returns the slot on drop (a deterministic
 /// event).
+///
+/// Sharing `&box` hands out `&T`, so it is `Sync` only when `T` is:
+///
+/// ```compile_fail
+/// fn assert_sync<T: Sync>() {}
+/// assert_sync::<detlock_core::DetPoolBox<'static, std::cell::Cell<u8>>>();
+/// ```
 pub struct DetPoolBox<'p, T> {
     pool: &'p DetPool<T>,
     idx: u32,
+    _owns: PhantomData<T>,
 }
 
 impl<T> DetPoolBox<'_, T> {
@@ -149,10 +143,6 @@ mod tests {
         let a = pool.alloc(1).unwrap();
         let b = pool.alloc(2).unwrap();
         assert!(pool.alloc(3).is_none());
-        assert!(matches!(
-            pool.try_alloc(3),
-            Err(DetError::PoolExhausted { capacity: 2 })
-        ));
         drop(a);
         assert!(pool.alloc(4).is_some());
         drop(b);

@@ -4,7 +4,7 @@
 //! VM-integrated happens-before sanitizer: its race report and minimal
 //! schedule log are a function of the program, not the jitter seed.
 
-use detlock::{tick, DetBarrier, DetCondvar, DetConfig, DetMutex, DetPool, DetRuntime, DetRwLock};
+use detlock::{tick, DetBarrier, DetCondvar, DetConfig, DetMutex, DetPool, DetRuntime};
 use std::sync::Arc;
 
 mod common;
@@ -17,21 +17,21 @@ fn traced() -> DetRuntime {
     })
 }
 
-/// Mixed-primitive stress: mutexes + a barrier phase + rwlock reads, with
-/// per-run timing perturbations. The full acquisition trace must match —
+/// Mixed-primitive stress: three mutexes (one over a table) + a barrier
+/// phase, with per-run timing perturbations. The full acquisition trace must match —
 /// logical clocks included.
 fn mixed_run(noise_profile: u64) -> RunClocks {
     let rt = traced();
     let m1 = Arc::new(DetMutex::new(&rt, 0i64));
     let m2 = Arc::new(DetMutex::new(&rt, Vec::<i64>::new()));
-    let rw = Arc::new(DetRwLock::new(&rt, [0i64; 8]));
+    let table = Arc::new(DetMutex::new(&rt, [0i64; 8]));
     let bar = Arc::new(DetBarrier::new(&rt, 3));
 
     let mut handles = Vec::new();
     for t in 0..3u64 {
         let m1 = Arc::clone(&m1);
         let m2 = Arc::clone(&m2);
-        let rw = Arc::clone(&rw);
+        let table = Arc::clone(&table);
         let bar = Arc::clone(&bar);
         handles.push(rt.spawn(move || {
             for phase in 0..3u64 {
@@ -50,7 +50,7 @@ fn mixed_run(noise_profile: u64) -> RunClocks {
                             m2.lock().push((t * 100 + i) as i64);
                         }
                         _ => {
-                            let mut g = rw.write();
+                            let mut g = table.lock();
                             g[(i % 8) as usize] += t as i64;
                         }
                     }
