@@ -13,9 +13,13 @@
 #                  points (a long stall between two steps);
 #   (unpinned)     the suite's threads truly overlap on the other cores,
 #                  which is what a window a few instructions wide needs.
-#                  Measured with PR 15's two bugs re-introduced as mutants:
-#                  both pass 30/30 pinned; unpinned, this script stopped on
-#                  them at iterations 3 and 6.
+#                  Measured with two known determinism bugs re-introduced
+#                  as mutants, a tick before the acquisition record and
+#                  `DetCondvar::wait` going `Blocked` before it drops the
+#                  guard: this script stopped on them at iterations 1 and
+#                  8, both times in the unpinned half. The second was a
+#                  clock-only divergence, invisible to a trace that drops
+#                  the clock.
 #
 # Stops at the first failing run and prints its output, which carries the
 # failing test's "first divergence at event ..." line. Run from the

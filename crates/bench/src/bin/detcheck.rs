@@ -25,6 +25,7 @@ use detlock_bench::{lint_workload, machine_config, sanitize_workload, thread_spe
 use detlock_passes::cost::CostModel;
 use detlock_passes::pipeline::{instrument, OptConfig};
 use detlock_passes::plan::Placement;
+use detlock_shim::acq::Acquisition;
 use detlock_vm::determinism::check_determinism;
 use detlock_vm::machine::{CkptControl, ExecMode, Machine, ResumeError};
 use detlock_vm::Sched;
@@ -164,11 +165,8 @@ fn main() {
             failures += 1;
             eprintln!("  det hashes: {:x?}", det.hashes);
             if let Some(d) = &det.divergence {
-                let show = |e: Option<(i64, u32, u64)>| match e {
-                    Some((lock, tid, clock)) => {
-                        format!("lock {lock} acquired by tid {tid} at clock {clock}")
-                    }
-                    None => "beyond the recorded window".to_string(),
+                let show = |e: Option<Acquisition>| {
+                    e.map_or("beyond the recorded window".to_string(), |e| e.to_string())
                 };
                 eprintln!(
                     "  first diverging acquisition: event #{}: seed {} saw {}, seed {} saw {}",

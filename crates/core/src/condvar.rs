@@ -162,7 +162,7 @@ mod tests {
 
     #[test]
     fn producer_consumer_queue_is_deterministic() {
-        fn run(noise: bool) -> Vec<(u64, u32)> {
+        fn run(noise: bool) -> Vec<crate::Acquisition> {
             let rt = DetRuntime::new(crate::runtime::DetConfig {
                 record_trace: true,
                 ..Default::default()
@@ -206,7 +206,7 @@ mod tests {
             for h in handles {
                 h.join();
             }
-            rt.trace_events().iter().map(|e| (e.lock, e.tid)).collect()
+            rt.trace_events()
         }
         let a = run(false);
         let b = run(true);

@@ -84,10 +84,10 @@ pub mod trace;
 
 pub use barrier::{DetBarrier, DetBarrierWaitResult};
 pub use condvar::DetCondvar;
+pub use detlock_shim::acq::{first_divergence, Acquisition};
 pub use error::{panic_message, DetError, StallAction, StallReport, ThreadSnapshot};
 pub use fault::{FaultPlan, InjectedPanic};
 pub use mutex::{DetMutex, DetMutexGuard};
 pub use pool::{DetPool, DetPoolBox};
 pub use registry::{DetTid, ThreadState};
 pub use runtime::{tick, try_tick, DetConfig, DetJoinHandle, DetRuntime};
-pub use trace::{first_divergence, TraceEvent};

@@ -229,7 +229,7 @@ mod tests {
     fn acquisition_order_is_reproducible() {
         // Run the same contended workload twice (fresh runtimes) with
         // injected timing noise; the traces must match event for event.
-        fn run(noise: bool) -> Vec<(u64, u32)> {
+        fn run(noise: bool) -> Vec<crate::Acquisition> {
             let rt = rt_traced();
             let m = Arc::new(DetMutex::new(&rt, 0i64));
             let mut handles = Vec::new();
@@ -251,7 +251,7 @@ mod tests {
             for h in handles {
                 h.join();
             }
-            rt.trace_events().iter().map(|e| (e.lock, e.tid)).collect()
+            rt.trace_events()
         }
         let a = run(false);
         let b = run(true);
@@ -263,7 +263,7 @@ mod tests {
 
     #[test]
     fn two_locks_reproducible() {
-        fn run(extra_sleep_tid: u32) -> Vec<(u64, u32)> {
+        fn run(extra_sleep_tid: u32) -> Vec<crate::Acquisition> {
             let rt = rt_traced();
             let m1 = Arc::new(DetMutex::new(&rt, 0i64));
             let m2 = Arc::new(DetMutex::new(&rt, 0i64));
@@ -290,7 +290,7 @@ mod tests {
             for h in handles {
                 h.join();
             }
-            rt.trace_events().iter().map(|e| (e.lock, e.tid)).collect()
+            rt.trace_events()
         }
         let a = run(0);
         let b = run(1);

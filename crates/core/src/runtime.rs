@@ -41,9 +41,10 @@ pub struct DetConfig {
     /// Record the lock-acquisition trace (see [`crate::trace`]).
     pub record_trace: bool,
     /// Trace retention: `None` keeps every event (the detcheck /
-    /// divergence-diagnosis mode); `Some(n)` keeps a ring of the last `n`
-    /// events so long-running episodes stay O(1) in memory. The trace
-    /// *hash* always covers the complete history either way.
+    /// divergence-diagnosis mode); `Some(n)` keeps the first `n`, so
+    /// long-running episodes stay O(1) in memory and an event's index is
+    /// its index in the whole trace. The trace *hash* always covers the
+    /// complete history either way.
     pub trace_capacity: Option<usize>,
     /// Stall watchdog: when `Some`, a deterministic wait that observes no
     /// arbitration progress for this long triggers `on_stall`. `None`
@@ -236,7 +237,7 @@ impl DetRuntime {
     }
 
     /// Snapshot of the lock-acquisition trace.
-    pub fn trace_events(&self) -> Vec<crate::trace::TraceEvent> {
+    pub fn trace_events(&self) -> Vec<crate::Acquisition> {
         self.inner.trace.snapshot()
     }
 

@@ -32,7 +32,7 @@ pub struct Receipt {
     /// Scheduler spec (`kendo`, `chunk[:SIZE[:COST]]`, `dc-batch`). Part
     /// of the receipt: each policy certifies its own lock order.
     pub scheduler: String,
-    /// FNV-1a hash over the global `(lock, tid)` acquisition sequence.
+    /// FNV-1a hash over the global `(lock, tid, clock)` acquisition sequence.
     pub trace_hash: u64,
     /// Final logical clock of every thread, in tid order.
     pub final_clocks: Vec<u64>,

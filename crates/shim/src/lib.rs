@@ -18,6 +18,8 @@
 //! * [`CachePadded`] — cache-line-aligned wrapper for per-thread clock slots;
 //! * [`hash::Fnv64`] — the one FNV-1a every trace hash, receipt, cache key
 //!   and digest in the workspace folds with;
+//! * [`acq::AcquisitionLog`] — the lock-acquisition record, its hash and
+//!   [`acq::first_divergence`], shared by the runtime and the simulator;
 //! * [`rng::SmallRng`] — a seeded splitmix64/xoshiro-style generator for
 //!   simulator jitter and test-case generation;
 //! * [`json::Json`] — a minimal JSON tree with pretty printing for the
@@ -28,6 +30,7 @@
 
 #![warn(missing_docs)]
 
+pub mod acq;
 pub mod evloop;
 pub mod hash;
 pub mod json;

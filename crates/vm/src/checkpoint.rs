@@ -13,6 +13,7 @@ use crate::sanitizer::Sanitizer;
 use crate::sched::Sched;
 use detlock_ir::module::Module;
 use detlock_ir::types::{BlockId, FuncId, Reg};
+use detlock_shim::acq::AcquisitionLog;
 use detlock_shim::hash::Fnv64;
 use detlock_shim::rng::SmallRng;
 use std::collections::BTreeMap;
@@ -102,9 +103,9 @@ pub(crate) struct RunState {
     /// id order. Ids can come from registers, so they are not dense.
     pub(crate) locks: BTreeMap<i64, LockState>,
     pub(crate) barriers: BTreeMap<u32, BarrierState>,
-    /// FNV-1a over the `(lock, tid)` acquisition sequence so far.
-    pub(crate) hasher: Fnv64,
-    pub(crate) lock_order: Vec<(i64, u32, u64)>,
+    /// The acquisitions so far: their hash, and the first
+    /// `lock_order_limit` of them.
+    pub(crate) log: AcquisitionLog,
     pub(crate) done_count: usize,
     /// Happens-before sanitizer (`None` unless the config sanitizes: the
     /// disabled path costs one null check per hook site). State, so that a
@@ -156,8 +157,7 @@ impl RunState {
             mem: vec![0i64; cfg.mem_words.max(1)],
             locks: BTreeMap::new(),
             barriers: BTreeMap::new(),
-            hasher: Fnv64::new(),
-            lock_order: Vec::new(),
+            log: AcquisitionLog::new(cfg.lock_order_limit),
             done_count: 0,
             san: cfg.sanitize.then(|| Box::new(Sanitizer::new(specs.len()))),
         }
@@ -168,7 +168,7 @@ impl RunState {
 ///
 /// Captures *all* mutable machine state — per-thread frames, registers,
 /// logical clocks, pending acquisitions, jitter-RNG positions, the shared
-/// memory image, lock/barrier tables, and the trace-hash prefix — so that
+/// memory image, lock/barrier tables, and the acquisition log — so that
 /// [`Machine::resume`] continues the run exactly where the snapshot was
 /// taken. Because snapshots are pure reads placed at round boundaries of
 /// the min-clock arbiter (see [`Machine::run_with_checkpoints`]),
@@ -210,12 +210,6 @@ impl Checkpoint {
         self.state.done_count
     }
 
-    /// The trace-hash prefix: the FNV-1a fold over every `(lock, tid)`
-    /// acquisition event that happened before the snapshot.
-    pub fn trace_hash_prefix(&self) -> u64 {
-        self.state.hasher.finish()
-    }
-
     /// The (module, config, thread-count) fingerprint this checkpoint is
     /// valid against.
     pub fn fingerprint(&self) -> u64 {
@@ -235,12 +229,11 @@ impl Checkpoint {
             threads,
             mem,
             // Small next to the two above: the tables hold a handful of
-            // entries, `lock_order` is bounded by `lock_order_limit`.
+            // entries, the log keeps at most `lock_order_limit` records.
             cycle: _,
             locks: _,
             barriers: _,
-            hasher: _,
-            lock_order: _,
+            log: _,
             done_count: _,
             san: _,
         } = &self.state;
@@ -261,10 +254,8 @@ impl Checkpoint {
             mem,
             locks,
             barriers,
-            hasher,
-            // A record of past grants: `hasher` covers their `(lock, tid)`
-            // in full, and the clocks they stamp do not steer the run.
-            lock_order: _,
+            // A record of past grants: its hash covers every one of them.
+            log,
             done_count,
             san,
         } = &self.state;
@@ -275,7 +266,7 @@ impl Checkpoint {
         }
         h.write_u64(*cycle);
         h.write_u64(*done_count as u64);
-        h.write_u64(hasher.finish());
+        h.write_u64(log.hash());
         for &w in mem {
             h.write_u64(w as u64);
         }

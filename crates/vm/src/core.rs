@@ -19,6 +19,7 @@ use detlock_ir::inst::Operand;
 use detlock_ir::module::Module;
 use detlock_ir::types::Reg;
 use detlock_passes::cost::CostModel;
+use detlock_shim::acq::Acquisition;
 
 pub(crate) enum Action {
     None,
@@ -422,8 +423,8 @@ impl<'m> DetCore<'m> {
         let metrics = RunMetrics {
             cycles: self.state.cycle,
             per_thread: self.state.threads.into_iter().map(|t| t.m).collect(),
-            lock_order_hash: self.state.hasher.finish(),
-            lock_order: self.state.lock_order,
+            lock_order_hash: self.state.log.hash(),
+            lock_order: self.state.log.into_kept(),
             ghz: self.cfg.ghz,
         };
         (metrics, self.state.mem, hit_limit, sanitizer)
@@ -606,12 +607,13 @@ impl<'m> DetCore<'m> {
             0
         };
         self.charge(t, self.cost.sync + protocol);
-        self.state.hasher.write(&id.to_le_bytes());
-        self.state.hasher.write(&tid.to_le_bytes());
-        if self.state.lock_order.len() < self.cfg.lock_order_limit {
-            let clock = self.state.threads[t].clock;
-            self.state.lock_order.push((id, tid, clock));
-        }
+        let clock = self.state.threads[t].clock;
+        // `as u64` keeps the id's eight bytes, so the record hashes as the id.
+        self.state.log.push(Acquisition {
+            lock: id as u64,
+            tid,
+            clock,
+        });
     }
 
     fn arrive_barrier(&mut self, t: usize, id: u32) {

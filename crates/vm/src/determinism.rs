@@ -10,6 +10,7 @@ use crate::machine::{run, MachineConfig, ThreadSpec};
 use crate::metrics::RunMetrics;
 use detlock_ir::module::Module;
 use detlock_passes::cost::CostModel;
+use detlock_shim::acq::{first_divergence, Acquisition};
 
 /// Result of a multi-seed determinism probe.
 #[derive(Debug, Clone)]
@@ -36,26 +37,11 @@ pub struct Divergence {
     pub seed_b: u64,
     /// Index of the first differing acquisition.
     pub index: usize,
-    /// `(lock_id, tid, clock)` the reference run acquired at `index`, if
-    /// the recorded (bounded) prefix reaches that far.
-    pub a: Option<(i64, u32, u64)>,
-    /// `(lock_id, tid, clock)` the diverging run acquired at `index`.
-    pub b: Option<(i64, u32, u64)>,
-}
-
-/// First index where two acquisition sequences differ in `(lock, tid)` —
-/// the order weak determinism is about, and all the hash covers; `None` if
-/// one is a prefix of the other and no element disagrees (divergence lies
-/// beyond the recorded window, or the sequences are identical).
-fn first_diff(a: &[(i64, u32, u64)], b: &[(i64, u32, u64)]) -> Option<usize> {
-    let n = a.len().min(b.len());
-    (0..n).find(|&i| a[i].0 != b[i].0 || a[i].1 != b[i].1).or({
-        if a.len() != b.len() {
-            Some(n)
-        } else {
-            None
-        }
-    })
+    /// What the reference run acquired at `index`, if the recorded
+    /// (bounded) prefix reaches that far.
+    pub a: Option<Acquisition>,
+    /// What the diverging run acquired at `index`.
+    pub b: Option<Acquisition>,
 }
 
 /// Run the workload once per seed and compare lock-acquisition orders.
@@ -81,7 +67,7 @@ pub fn check_determinism(
             None => first = Some(metrics),
             Some(reference) => {
                 if divergence.is_none() && metrics.lock_order_hash != reference.lock_order_hash {
-                    let idx = first_diff(&reference.lock_order, &metrics.lock_order);
+                    let idx = first_divergence(&reference.lock_order, &metrics.lock_order);
                     divergence = Some(Divergence {
                         seed_a: seeds[0],
                         seed_b: seed,
@@ -102,30 +88,5 @@ pub fn check_determinism(
         first: first.unwrap(),
         any_hit_limit,
         divergence,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn first_diff_finds_earliest_disagreement() {
-        // The first elements differ only in their clocks, which do not count.
-        let a = [(1i64, 0u32, 1u64), (2, 1, 1), (3, 0, 2)];
-        let b = [(1i64, 0u32, 9u64), (2, 0, 2), (3, 0, 3)];
-        assert_eq!(first_diff(&a, &b), Some(1));
-        assert_eq!(first_diff(&a, &a), None);
-    }
-
-    #[test]
-    fn first_diff_on_prefix_points_past_the_shorter() {
-        let a = [(1i64, 0u32, 1u64), (2, 1, 1)];
-        let b = [(1i64, 0u32, 1u64), (2, 1, 1), (3, 0, 2)];
-        assert_eq!(first_diff(&a, &b), Some(2));
-        assert_eq!(first_diff(&b, &a), Some(2));
-        let empty: [(i64, u32, u64); 0] = [];
-        assert_eq!(first_diff(&empty, &empty), None);
-        assert_eq!(first_diff(&empty, &a), Some(0));
     }
 }

@@ -37,7 +37,7 @@
 //! The machine is split in two. The determinism core (`DetCore`, in
 //! `core.rs`) owns everything that makes a run deterministic and measurable
 //! — thread states, logical clocks, the min-`(clock, tid)` arbiter,
-//! lock/barrier tables, the trace hasher and the sanitizer hooks. How the
+//! lock/barrier tables, the acquisition log and the sanitizer hooks. How the
 //! *next instruction of a ready thread* is fetched, applied, and charged is
 //! delegated to an execution backend: either the tree-walking interpreter
 //! in `interp.rs` (the oracle) or the threaded-code engine in

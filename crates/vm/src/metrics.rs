@@ -1,6 +1,8 @@
 //! Run metrics produced by the simulator and overhead arithmetic used by the
 //! Table I / Table II harnesses.
 
+use detlock_shim::acq::Acquisition;
+
 /// Per-thread counters.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ThreadMetrics {
@@ -33,13 +35,14 @@ pub struct RunMetrics {
     pub cycles: u64,
     /// Per-thread counters.
     pub per_thread: Vec<ThreadMetrics>,
-    /// FNV-1a hash over the global lock-acquisition sequence
-    /// `(lock_id, tid)` — equal hashes across runs ⇒ same order.
+    /// [`AcquisitionLog`](detlock_shim::acq::AcquisitionLog) hash over the
+    /// whole acquisition sequence, clocks included — equal hashes across
+    /// runs ⇒ same order at the same clocks.
     pub lock_order_hash: u64,
-    /// The recorded prefix of the acquisition sequence (bounded), as
-    /// `(lock_id, tid, clock)`: `clock` is the acquirer's logical clock just
-    /// after the grant, the value `detlock-core`'s `Turn::acquired` records.
-    pub lock_order: Vec<(i64, u32, u64)>,
+    /// The first `lock_order_limit` acquisitions. `clock` is the
+    /// acquirer's logical clock just after the grant, the value
+    /// `detlock-core`'s `Turn::acquired` records.
+    pub lock_order: Vec<Acquisition>,
     /// Simulated clock frequency used for the locks/sec conversion.
     pub ghz: f64,
 }

@@ -1,17 +1,16 @@
 //! The timing-independent record of a finished real-thread run, shared by
 //! `runtime_determinism` and `fault_tolerance`.
 //!
-//! The trace hash covers `(lock, tid)` only, so a timing-dependent *number*
-//! of clock bumps is invisible to it as long as the order survives. The
-//! full `(lock, tid, clock)` event list and every thread's final clock are
-//! not so forgiving.
+//! The trace hash covers every `(lock, tid, clock)` record; comparing the
+//! records themselves shows *where* two runs split, and every thread's
+//! final clock covers the ticks after its last acquisition.
 
-use detlock::detlock_core::TraceEvent;
+use detlock::detlock_core::{first_divergence, Acquisition};
 use detlock::DetRuntime;
 
 #[derive(Debug, PartialEq)]
 pub struct RunClocks {
-    events: Vec<TraceEvent>,
+    events: Vec<Acquisition>,
     /// Final logical clock per tid.
     finals: Vec<u64>,
 }
@@ -37,8 +36,7 @@ pub fn run_clocks(rt: &DetRuntime) -> RunClocks {
 /// on a mismatch, show the first diverging acquisition rather than two
 /// full traces.
 pub fn assert_same_clocks(a: &RunClocks, b: &RunClocks, what: &str) {
-    let n = a.events.len().max(b.events.len());
-    if let Some(i) = (0..n).find(|&i| a.events.get(i) != b.events.get(i)) {
+    if let Some(i) = first_divergence(&a.events, &b.events) {
         panic!(
             "{what}: first divergence at event {i} of {}/{}: {:?} vs {:?} (after {:?})",
             a.events.len(),

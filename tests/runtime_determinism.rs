@@ -165,7 +165,7 @@ fn pool_allocation_addresses_reproduce() {
 
 #[test]
 fn nested_spawn_trees_reproduce() {
-    fn run(noise: bool) -> Vec<(u64, u32)> {
+    fn run(noise: bool) -> Vec<detlock::detlock_core::Acquisition> {
         let rt = traced();
         let m = Arc::new(DetMutex::new(&rt, 0i64));
         let rt2 = rt.clone();
@@ -194,7 +194,7 @@ fn nested_spawn_trees_reproduce() {
             *m.lock() += 1;
         }
         parent.join();
-        rt.trace_events().iter().map(|e| (e.lock, e.tid)).collect()
+        rt.trace_events()
     }
     let a = run(false);
     let b = run(true);

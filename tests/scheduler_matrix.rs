@@ -21,6 +21,7 @@ use detlock_passes::pipeline::OptLevel;
 use detlock_passes::plan::Placement;
 use detlock_serve::protocol::JobSpec;
 use detlock_serve::shard::ShardEngine;
+use detlock_shim::acq::{first_divergence, Acquisition};
 use detlock_vm::machine::{ExecMode, Machine};
 use detlock_vm::{ChunkParams, Sched};
 use detlock_workloads::all_benchmarks;
@@ -139,9 +140,7 @@ fn trace_hashes_jitter_seed_invariant_under_every_policy() {
             );
             let order = &runs[0].1;
             for (seed, run) in [1, 31337].iter().zip(&runs[1..]) {
-                if let Some(i) =
-                    (0..order.len().max(run.1.len())).find(|&i| order.get(i) != run.1.get(i))
-                {
+                if let Some(i) = first_divergence(order, &run.1) {
                     panic!(
                         "{}/{sched}: seeds 0 and {seed} first differ at acquisition {i}: \
                          {:?} vs {:?}",
@@ -153,7 +152,7 @@ fn trace_hashes_jitter_seed_invariant_under_every_policy() {
             }
             if sched != Sched::DcBatch {
                 let mut last = std::collections::BTreeMap::new();
-                for &(lock, tid, clock) in order {
+                for &Acquisition { lock, tid, clock } in order {
                     if let Some(prev) = last.insert(lock, clock) {
                         assert!(
                             clock > prev,
