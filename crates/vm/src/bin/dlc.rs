@@ -19,7 +19,8 @@
 //! pass pipeline the selected `--opt`/`--placement` lower to and exits;
 //! `--pass-stats` prints per-pass telemetry after instrumenting;
 //! `--profile` prints, after `--run`, how the simulator got through the
-//! run: rounds executed, cycles advanced in closed form, scheduler calls.
+//! run: rounds executed, cycles advanced in closed form, scheduler calls,
+//! the threads the rounds touched and the threaded engine's run lengths.
 //! `--backend interp|threaded` (or `DETLOCK_BACKEND`) picks the execution
 //! engine; results are identical either way, only the wall-clock time
 //! differs. `--scheduler kendo|chunk[:SIZE[:COST]]|dc-batch` (or
@@ -345,26 +346,36 @@ fn main() {
             );
         }
     }
-    // Also after a cut run: which status the steps found their threads in
-    // is what tells a deadlock from a runaway loop.
+    // Also after a cut run: which status the rounds found the threads
+    // they touched in is what tells a deadlock from a runaway loop.
     if o.profile {
-        let steps: Vec<String> = RoundProfile::STATUS
-            .iter()
-            .zip(profile.steps)
-            .filter(|&(_, n)| n > 0)
-            .map(|(status, n)| format!("{status} {n}"))
-            .collect();
+        let counts = |labels: &[&str], counts: &[u64]| -> String {
+            let parts: Vec<String> = labels
+                .iter()
+                .zip(counts)
+                .filter(|&(_, &n)| n > 0)
+                .map(|(label, n)| format!("{label} {n}"))
+                .collect();
+            parts.join(", ")
+        };
         println!(
             "profile: {} event rounds for {} cycles, {} advanced in closed form ({} of them bump rounds)",
             profile.event_rounds, metrics.cycles, profile.skipped_cycles, profile.collapsed_bumps
         );
         println!(
-            "         {} quiet rounds, {} arbitrated, {} scheduler decisions; steps: {}",
+            "         {} quiet rounds, {} arbitrated, {} scheduler decisions; threads touched: {}",
             profile.quiet_rounds,
             profile.event_rounds - profile.quiet_rounds,
             profile.decide_calls,
-            steps.join(", ")
+            counts(&RoundProfile::STATUS, &profile.steps)
         );
+        if profile.fused_runs.iter().any(|&n| n > 0) {
+            println!(
+                "         dispatches by ops run: {}; {} runs cut to 1 by the limit/snapshot gate",
+                counts(&RoundProfile::RUN_LENGTHS, &profile.fused_runs),
+                profile.gate_cuts
+            );
+        }
     }
     if hit {
         std::process::exit(1);

@@ -1,9 +1,9 @@
 //! The determinism core: everything about a run that does not depend on
 //! how an instruction is executed.
 //!
-//! `DetCore` owns the [`RunState`] and advances it: the round loop and its
-//! next-event time advance, the step of one thread, the lock and barrier
-//! tables, min-`(clock, tid)` arbitration through the `Sched` policy, cost
+//! `DetCore` owns the [`RunState`] and advances it: the event round loop
+//! and its time advance, the issue and synchronization steps, the lock and
+//! barrier tables, min-`(clock, tid)` arbitration through the `Sched` policy, cost
 //! charging with the positional jitter draw, the sanitizer hooks. All it
 //! asks of an execution backend is [`ExecBackend::exec_next`].
 
@@ -54,6 +54,13 @@ pub(crate) enum ExecImpl {
 /// The backend-agnostic core (see the module docs). Everything outside
 /// `state` is fixed for the machine's life or rebuilt from `cfg` and
 /// `state`, which is why a checkpoint holds `state` alone.
+///
+/// While a run is in the core, two of `state`'s per-thread counters are
+/// kept in event form (DESIGN.md §15, "Event rounds"): a `Ready` thread's
+/// countdown is its absolute issue cycle in `due`, with the busy cycles up
+/// to it already in `busy_cycles`, and a waiting thread's wait cycles since
+/// `since` are not yet in `wait_cycles`. [`DetCore::run_state`] and
+/// [`DetCore::into_results`] convert back.
 pub(crate) struct DetCore<'m> {
     pub(crate) module: &'m Module,
     pub(crate) cost: &'m CostModel,
@@ -65,9 +72,17 @@ pub(crate) struct DetCore<'m> {
     /// from retired stores. Consulted on every store retirement and by
     /// the threaded backend's fusion gate.
     pub(crate) chunk: Option<ChunkParams>,
-    /// Scratch view buffer handed to the scheduler, rebuilt in every
-    /// arbitrated round.
+    /// Per thread: the cycle a `Ready` thread issues its next instruction
+    /// at, `u64::MAX` for every other status.
+    due: Vec<u64>,
+    /// Per thread: the first cycle a waiting thread (arbitrating or
+    /// parked) has not yet added to `wait_cycles`.
+    since: Vec<u64>,
+    /// What the scheduler sees, kept equal to the threads' statuses and
+    /// clocks wherever those change.
     views: Vec<ThreadView>,
+    /// Threads in `AcquiringLock`, `AcquiringBarrier` or `ExitWait`.
+    arbitrating: usize,
     /// What the round loop has done so far: about the simulator rather
     /// than the simulated run, so not part of [`RunMetrics`] or of
     /// anything compared for identity.
@@ -75,11 +90,10 @@ pub(crate) struct DetCore<'m> {
     /// Scratch buffer for builtin-call argument evaluation, transient
     /// within one `exec_next`.
     pub(crate) scratch_args: Vec<i64>,
-    /// Checkpoint interval of the driving loop (0 = none), set by the
-    /// caller each run and consulted only to stop the time advance in
-    /// [`DetCore::round`] (and a fused run in the threaded backend) at a
-    /// snapshot boundary.
-    pub(crate) ckpt_every: u64,
+    /// The cycle a time advance (and a fused run in the threaded backend)
+    /// must not pass: the cycle limit or the driving loop's next snapshot
+    /// boundary, whichever comes first. Set by the caller.
+    pub(crate) next_stop: u64,
     /// `mem.len() - 1` when the memory size is a power of two: address
     /// wrapping then becomes a mask instead of a 64-bit `rem_euclid`
     /// division per load/store.
@@ -87,6 +101,8 @@ pub(crate) struct DetCore<'m> {
     /// `threads.len() - 1` when the thread count is a power of two: the
     /// service-order rotation then takes a mask instead of a division.
     rot_mask: Option<u64>,
+    /// First thread in this round's service order.
+    rot_start: usize,
 }
 
 /// The rotation multiplier (64-bit golden ratio; Weyl sequence over tids).
@@ -96,11 +112,11 @@ const ROT_MUL: u64 = 0x9e3779b97f4a7c15;
 /// was executed round by round and how much was advanced in closed form.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RoundProfile {
-    /// Rounds executed in full: one step per thread and, unless the round
-    /// was quiet, a scheduler decision (deterministic modes).
+    /// Rounds executed: the threads that issue and, unless the round was
+    /// quiet, the synchronization a scheduler decision allows.
     pub event_rounds: u64,
     /// Of those, rounds that found no thread at a synchronization
-    /// operation and skipped the arbiter: no view, no lease, no decision.
+    /// operation and skipped the arbiter: no lease, no decision.
     pub quiet_rounds: u64,
     /// Cycles advanced without a round, as counter arithmetic.
     pub skipped_cycles: u64,
@@ -111,9 +127,14 @@ pub struct RoundProfile {
     /// modes: a turn read off the round's lease, or a batch from
     /// [`Sched::decide`](crate::sched::Sched::decide).
     pub decide_calls: u64,
-    /// `step` calls by the status they found the thread in, in the order
-    /// of [`RoundProfile::STATUS`].
+    /// Threads the rounds touched, by the status they were found in, in
+    /// the order of [`RoundProfile::STATUS`]; an issue counts as `ready`.
     pub steps: [u64; 6],
+    /// Dispatches of the threaded backend by how many operations they
+    /// ran, in the buckets of [`RoundProfile::RUN_LENGTHS`]: one per issue.
+    pub fused_runs: [u64; 4],
+    /// Fusible runs the cycle-limit / snapshot gate cut to length 1.
+    pub gate_cuts: u64,
 }
 
 impl RoundProfile {
@@ -126,6 +147,45 @@ impl RoundProfile {
         "exit-wait",
         "done",
     ];
+
+    /// Labels for [`RoundProfile::fused_runs`].
+    pub const RUN_LENGTHS: [&'static str; 4] = ["1", "2-3", "4-7", "8-16"];
+
+    /// Count one dispatch of `len` operations.
+    #[inline]
+    pub(crate) fn count_run(&mut self, len: usize) {
+        self.fused_runs[(len.ilog2() as usize).min(3)] += 1;
+    }
+}
+
+/// The scheduler's view of a thread's status.
+fn phase(status: Status) -> Phase {
+    match status {
+        Status::Done => Phase::Done,
+        Status::Ready => Phase::Runnable,
+        Status::AcquiringLock(_) | Status::AcquiringBarrier(_) | Status::ExitWait => {
+            Phase::Arbitrating
+        }
+        // Parked: no turn participation.
+        Status::InBarrier(_) => Phase::Parked,
+    }
+}
+
+/// Fold a core's event-form counters back into `state` (see [`DetCore`]):
+/// a `Ready` thread's countdown from its issue cycle, giving back the busy
+/// cycles not yet reached, and a waiting thread's waits since its stamp.
+fn settle(state: &mut RunState, due: &[u64], since: &[u64]) {
+    let cycle = state.cycle;
+    for (t, th) in state.threads.iter_mut().enumerate() {
+        match th.status {
+            Status::Ready => {
+                th.pending = due[t] - cycle;
+                th.m.busy_cycles -= th.pending;
+            }
+            Status::Done => {}
+            _ => th.m.wait_cycles += cycle - since[t],
+        }
+    }
 }
 
 impl<'m> DetCore<'m> {
@@ -135,10 +195,32 @@ impl<'m> DetCore<'m> {
         module: &'m Module,
         cost: &'m CostModel,
         cfg: MachineConfig,
-        state: RunState,
+        mut state: RunState,
     ) -> DetCore<'m> {
         let words = state.mem.len();
         let n = state.threads.len();
+        let cycle = state.cycle;
+        let mut due = vec![u64::MAX; n];
+        let since = vec![cycle; n];
+        let mut views = Vec::with_capacity(n);
+        let mut arbitrating = 0;
+        for (t, th) in state.threads.iter_mut().enumerate() {
+            match th.status {
+                Status::Ready => {
+                    due[t] = cycle + th.pending;
+                    th.m.busy_cycles += th.pending;
+                    th.pending = 0;
+                }
+                Status::AcquiringLock(_) | Status::AcquiringBarrier(_) | Status::ExitWait => {
+                    arbitrating += 1;
+                }
+                Status::InBarrier(_) | Status::Done => {}
+            }
+            views.push(ThreadView {
+                phase: phase(th.status),
+                clock: th.clock,
+            });
+        }
         DetCore {
             module,
             cost,
@@ -149,22 +231,34 @@ impl<'m> DetCore<'m> {
             } else {
                 None
             },
+            next_stop: cfg.max_cycles,
             cfg,
             state,
-            views: Vec::new(),
+            due,
+            since,
+            views,
+            arbitrating,
             profile: RoundProfile::default(),
             scratch_args: Vec::new(),
-            ckpt_every: 0,
             mem_mask: words.is_power_of_two().then(|| words as u64 - 1),
             rot_mask: n.is_power_of_two().then(|| n as u64 - 1),
+            rot_start: 0,
         }
     }
 
+    /// The run state as a checkpoint holds it: a clone with the event-form
+    /// counters settled.
+    pub(crate) fn run_state(&self) -> RunState {
+        let mut state = self.state.clone();
+        settle(&mut state, &self.due, &self.since);
+        state
+    }
+
     /// One iteration of the main loop: advance simulated time to the next
-    /// event in closed form, then execute that event's round — one step per
-    /// thread, under one arbiter decision when some thread is at a
-    /// synchronization operation. Returns early, without the round, when
-    /// the advance reaches `max_cycles` or a checkpoint boundary.
+    /// event in closed form, then execute that event's round — the threads
+    /// that issue now and, under one arbiter decision when some thread is
+    /// at a synchronization operation, those it lets synchronize. Returns
+    /// early, without the round, when the advance reaches `next_stop`.
     pub(crate) fn round(&mut self, exec: &ExecImpl) {
         // One enum match per *round*, not per step: `round_inner` is
         // monomorphized per backend, so every `exec_next` call below is a
@@ -176,71 +270,34 @@ impl<'m> DetCore<'m> {
     }
 
     fn round_inner<B: ExecBackend>(&mut self, exec: &B) {
+        debug_assert!(self.event_form_is_consistent());
         let n = self.state.threads.len();
-        // One pass over the threads finds the earliest instruction issue —
-        // the smallest countdown of a Ready thread — and whether any thread
-        // is at a synchronization operation.
-        let mut issue = u64::MAX;
-        let mut arbitrating = false;
-        for th in &self.state.threads {
-            match th.status {
-                Status::Ready => issue = issue.min(th.pending),
-                Status::AcquiringLock(_) | Status::AcquiringBarrier(_) | Status::ExitWait => {
-                    arbitrating = true;
-                }
-                Status::InBarrier(_) | Status::Done => {}
-            }
-        }
-        // Next-event time advance. Until a thread issues an instruction or
-        // a synchronization event fires, a round only moves counters: a
-        // Ready thread counts down, a waiting one accrues a wait cycle and
-        // a blocked turn holder bumps its clock. No RNG is drawn and the
-        // lock and barrier tables stand still, so those rounds are applied
-        // as arithmetic. Stopping at `max_cycles` and at every checkpoint
-        // boundary keeps the advance invisible to snapshots, crash plans
-        // and all metrics.
-        let mut fold = 0;
+        let det = self.cfg.mode.deterministic();
+        // The earliest instruction issue. Until then a round only moves
+        // counters that are kept in event form or, for a blocked turn
+        // holder's bumps, added up here; no RNG is drawn and the lock and
+        // barrier tables stand still.
+        let issue = self.due.iter().copied().min().unwrap_or(u64::MAX);
         let mut turn = None;
-        if arbitrating {
-            let det = self.cfg.mode.deterministic();
-            // Arbitrated round: fill the scheduler's view and advance —
-            // repeatedly while only the turn moves on, which changes who
-            // bumps.
-            self.views.clear();
-            self.views
-                .extend(self.state.threads.iter().map(|th| ThreadView {
-                    phase: match th.status {
-                        Status::Done => Phase::Done,
-                        Status::Ready => Phase::Runnable,
-                        Status::AcquiringLock(_)
-                        | Status::AcquiringBarrier(_)
-                        | Status::ExitWait => Phase::Arbitrating,
-                        // Parked: no turn participation.
-                        Status::InBarrier(_) => Phase::Parked,
-                    },
-                    clock: th.clock,
-                }));
-            // The lease of the view as it stands, once one was taken.
+        if self.arbitrating > 0 {
+            // Arbitrated round: advance repeatedly while only the turn
+            // moves on, which changes who bumps.
             let mut lease = None;
-            while issue > 0 {
+            while issue > self.state.cycle {
                 let (horizon, bumper, l) = self.sync_horizon();
                 if horizon == 0 {
                     lease = l;
                     break;
                 }
-                let stop = self.until_stop();
-                let k = issue.min(horizon).min(stop);
+                let cycle = self.state.cycle;
+                let k = (issue - cycle).min(horizon).min(self.next_stop - cycle);
                 self.advance(k, bumper);
-                if k == stop {
+                if self.state.cycle == self.next_stop {
                     return;
                 }
                 // Bumping short of the horizon keeps the holder's turn;
                 // using all of it may have passed the turn on.
                 lease = if k < horizon { l } else { None };
-                // `u64::MAX` stands for "no Ready thread" and stays.
-                if issue != u64::MAX {
-                    issue -= k;
-                }
             }
             self.profile.event_rounds += 1;
             // Deterministic modes take the round's synchronization decision
@@ -250,7 +307,7 @@ impl<'m> DetCore<'m> {
             if det {
                 self.profile.decide_calls += 1;
                 match lease.unwrap_or_else(|| self.cfg.scheduler.lease(&self.views)) {
-                    Lease::Turn { holder, .. } => turn = Some(holder),
+                    Lease::Turn { holder, .. } => turn = Some(holder as usize),
                     Lease::Idle => {}
                     Lease::Batch => {
                         let Decision::Batch(order) = self.cfg.scheduler.decide(&self.views) else {
@@ -262,28 +319,22 @@ impl<'m> DetCore<'m> {
                     }
                 }
                 debug_assert_eq!(
-                    Decision::Turn(turn),
+                    Decision::Turn(turn.map(|t| t as u32)),
                     self.cfg.scheduler.decide(&self.views),
                     "the lease names the turn `decide` would"
                 );
             }
         } else {
             // Quiet round: with nobody at a synchronization operation no
-            // step reads the turn, and no event can fire before the
-            // earliest issue — the lease is `Idle` or names a Ready holder,
-            // whose bound is its own countdown. So the arbiter is not
-            // asked: the round builds no view, and the cycles up to the
-            // issue are folded into the round's own steps.
-            if issue > 0 {
-                let stop = self.until_stop();
-                if issue >= stop {
-                    self.advance(stop, None);
-                    return;
-                }
-                self.state.cycle += issue;
-                self.profile.skipped_cycles += issue;
-                fold = issue;
+            // event can fire before the earliest issue, so the arbiter is
+            // not asked and time moves straight to the issue.
+            if issue >= self.next_stop {
+                self.profile.skipped_cycles += self.next_stop - self.state.cycle;
+                self.state.cycle = self.next_stop;
+                return;
             }
+            self.profile.skipped_cycles += issue - self.state.cycle;
+            self.state.cycle = issue;
             self.profile.event_rounds += 1;
             self.profile.quiet_rounds += 1;
         }
@@ -291,54 +342,58 @@ impl<'m> DetCore<'m> {
         // lowest-tid bias; in deterministic modes only the turn holder
         // acts on sync events, so there the rotation only orders same-cycle
         // memory accesses.
-        let rot = self
-            .state
-            .cycle
+        let cycle = self.state.cycle;
+        let rot = cycle
             .wrapping_mul(ROT_MUL)
             .wrapping_add(self.cfg.jitter.seed);
-        let start = match self.rot_mask {
+        self.rot_start = match self.rot_mask {
             Some(mask) => rot & mask,
             None => rot % n as u64,
         } as usize;
-        // Every thread is stepped; `step` moves those it does not find
-        // `Ready` to their own slot. Counting the common case here, once
-        // per round, keeps the counter out of the per-step path.
-        self.profile.steps[0] += n as u64;
+        // Only the threads that act are touched: those whose issue cycle
+        // is now, and the arbitrating ones the decision lets act (all of
+        // them without turns). Every other thread's cycle is accounted in
+        // event form.
         for i in 0..n {
             // `start + i < 2n`: a conditional subtraction, not a modulo.
-            let mut t = start + i;
+            let mut t = self.rot_start + i;
             if t >= n {
                 t -= n;
             }
-            self.step(t, fold, turn, exec);
+            if self.due[t] == cycle {
+                self.profile.steps[0] += 1;
+                self.issue(t, exec);
+            } else if self.views[t].phase == Phase::Arbitrating && (!det || turn == Some(t)) {
+                self.sync_step(t, i);
+            }
         }
         self.state.cycle += 1;
     }
 
-    /// Cycles from now to where a time advance has to stop: the cycle
-    /// limit or the next checkpoint boundary, whichever comes first.
-    fn until_stop(&self) -> u64 {
-        let stop = self.cfg.max_cycles - self.state.cycle;
-        if self.ckpt_every == 0 {
-            return stop;
+    /// Whether the event-form bookkeeping agrees with the thread states it
+    /// summarizes (checked every round in debug builds).
+    fn event_form_is_consistent(&self) -> bool {
+        let mut arbitrating = 0;
+        for (t, th) in self.state.threads.iter().enumerate() {
+            let view = ThreadView {
+                phase: phase(th.status),
+                clock: th.clock,
+            };
+            if self.views[t] != view || (th.status == Status::Ready) != (self.due[t] != u64::MAX) {
+                return false;
+            }
+            if th.status == Status::Ready && (self.due[t] < self.state.cycle || th.pending != 0) {
+                return false;
+            }
+            arbitrating += usize::from(view.phase == Phase::Arbitrating);
         }
-        stop.min(self.ckpt_every - self.state.cycle % self.ckpt_every)
+        arbitrating == self.arbitrating
     }
 
     /// `k` rounds in which no thread issues and no synchronization event
     /// fires, as arithmetic; `bumper` is the blocked turn holder that
     /// spends them bumping its clock.
     fn advance(&mut self, k: u64, bumper: Option<usize>) {
-        for th in self.state.threads.iter_mut() {
-            match th.status {
-                Status::Done => {}
-                Status::Ready => {
-                    th.pending -= k;
-                    th.m.busy_cycles += k;
-                }
-                _ => th.m.wait_cycles += k,
-            }
-        }
         if let Some(t) = bumper {
             self.state.threads[t].clock += k;
             self.state.threads[t].m.lock_clock_bumps += k;
@@ -418,128 +473,117 @@ impl<'m> DetCore<'m> {
     }
 
     pub(crate) fn into_results(self) -> (RunMetrics, Vec<i64>, bool, Option<SanitizerReport>) {
-        let hit_limit = self.state.done_count < self.state.threads.len();
-        let sanitizer = self.state.san.map(|s| s.finalize(self.module));
+        let DetCore {
+            module,
+            cfg,
+            mut state,
+            due,
+            since,
+            ..
+        } = self;
+        settle(&mut state, &due, &since);
+        let hit_limit = state.done_count < state.threads.len();
+        let sanitizer = state.san.map(|s| s.finalize(module));
         let metrics = RunMetrics {
-            cycles: self.state.cycle,
-            per_thread: self.state.threads.into_iter().map(|t| t.m).collect(),
-            lock_order_hash: self.state.log.hash(),
-            lock_order: self.state.log.into_kept(),
-            ghz: self.cfg.ghz,
+            cycles: state.cycle,
+            per_thread: state.threads.into_iter().map(|t| t.m).collect(),
+            lock_order_hash: state.log.hash(),
+            lock_order: state.log.into_kept(),
+            ghz: cfg.ghz,
         };
-        (metrics, self.state.mem, hit_limit, sanitizer)
+        (metrics, state.mem, hit_limit, sanitizer)
     }
 
-    /// Reclassify one step from `ready`, where [`DetCore::round`] counted
-    /// it, to the status `step` found the thread in.
-    #[inline]
-    fn count_step(&mut self, status: Status) {
-        self.profile.steps[0] -= 1;
-        self.profile.steps[status.code().0 as usize] += 1;
-    }
-
-    /// One thread's part of an event round. `fold` is the number of cycles
-    /// before this one that the round advances in the same step (nonzero
-    /// only in a quiet round, where it is the smallest countdown): a Ready
-    /// thread counts them down, a parked one waits them out, and the thread
-    /// whose countdown they exhaust issues its next instruction. `turn` is
-    /// the arbiter's decision, `None` in a quiet round, where no thread is
-    /// in a status that reads it.
-    fn step<B: ExecBackend>(&mut self, t: usize, fold: u64, turn: Option<u32>, exec: &B) {
+    /// Thread `t` issues its next instruction this cycle.
+    fn issue<B: ExecBackend>(&mut self, t: usize, exec: &B) {
         let det = self.cfg.mode.deterministic();
-        let tid = t as u32;
-        let status = self.state.threads[t].status;
-        debug_assert!(
-            fold == 0 || matches!(status, Status::Ready | Status::InBarrier(_) | Status::Done),
-            "a round that folds cycles found thread {t} {status:?}"
-        );
-        match status {
-            Status::Done => self.count_step(status),
-            Status::InBarrier(_) => {
-                self.count_step(status);
-                self.state.threads[t].m.wait_cycles += fold + 1;
-            }
-            Status::ExitWait => {
-                self.count_step(status);
-                if !det || turn == Some(tid) {
-                    self.finish(t);
-                } else {
-                    self.state.threads[t].m.wait_cycles += 1;
+        let mut action = exec.exec_next(self, t);
+        // Skipped ticks are free: retry until a real instruction issues
+        // this cycle.
+        while matches!(action, Action::Free) {
+            action = exec.exec_next(self, t);
+        }
+        match action {
+            Action::None | Action::Free => {}
+            Action::Lock(id) => self.start_arbitrating(t, Status::AcquiringLock(id)),
+            Action::Unlock(id) => {
+                let clock = self.state.threads[t].clock;
+                let st = self.state.locks.entry(id).or_default();
+                st.held_by = None;
+                st.release_clock = Some(clock);
+                if det {
+                    self.state.threads[t].clock += 1;
                 }
+                if let Some(san) = self.state.san.as_deref_mut() {
+                    san.release(t as u32, id);
+                }
+                self.charge(t, self.cost.sync);
             }
-            Status::AcquiringBarrier(id) => {
-                self.count_step(status);
-                if !det || turn == Some(tid) {
-                    self.arrive_barrier(t, id);
-                } else {
-                    self.state.threads[t].m.wait_cycles += 1;
+            Action::Barrier(id) => self.start_arbitrating(t, Status::AcquiringBarrier(id)),
+            // Baseline exits resolve at the next step; in deterministic
+            // modes the exit is a det event.
+            Action::Exited => self.start_arbitrating(t, Status::ExitWait),
+        }
+        if self.state.threads[t].status == Status::Ready {
+            self.count_down(t, self.state.cycle + 1);
+        }
+        self.views[t].clock = self.state.threads[t].clock;
+    }
+
+    /// Thread `t`, ready until now, waits from the next cycle on for its
+    /// synchronization event. Its countdown stays in `pending` as the
+    /// issue left it: an exit's last charge is never counted down.
+    fn start_arbitrating(&mut self, t: usize, status: Status) {
+        self.state.threads[t].status = status;
+        self.due[t] = u64::MAX;
+        self.since[t] = self.state.cycle + 1;
+        self.views[t].phase = Phase::Arbitrating;
+        self.arbitrating += 1;
+    }
+
+    /// Thread `t` is `Ready` with `pending` cycles to count down from
+    /// cycle `from` on: it issues at `from + pending`, and those cycles
+    /// are busy cycles, credited now since nothing can interrupt them.
+    fn count_down(&mut self, t: usize, from: u64) {
+        let th = &mut self.state.threads[t];
+        let pending = std::mem::take(&mut th.pending);
+        th.m.busy_cycles += pending;
+        self.due[t] = from + pending;
+    }
+
+    /// Add thread `t`'s waits before cycle `until` to its counter.
+    fn flush_wait(&mut self, t: usize, until: u64) {
+        self.state.threads[t].m.wait_cycles += until - self.since[t];
+        self.since[t] = until;
+    }
+
+    /// The arbitrating thread `t`, `i`-th in this round's service order,
+    /// performs its synchronization event if it can. Deterministic modes
+    /// step only the turn holder.
+    fn sync_step(&mut self, t: usize, i: usize) {
+        let status = self.state.threads[t].status;
+        self.profile.steps[status.code().0 as usize] += 1;
+        match status {
+            Status::ExitWait => self.finish(t),
+            Status::AcquiringBarrier(id) => self.arrive_barrier(t, id, Some(i)),
+            Status::AcquiringLock(id) if self.cfg.mode.deterministic() => {
+                if self.bumps_until_free(t, id) == 0 {
+                    self.grant_lock(t, id);
+                } else if self.cfg.scheduler.bumps_on_contention() {
+                    // Deterministic clock bump and retry (Kendo).
+                    let th = &mut self.state.threads[t];
+                    th.clock += 1;
+                    th.m.lock_clock_bumps += 1;
+                    self.views[t].clock = th.clock;
                 }
             }
             Status::AcquiringLock(id) => {
-                self.count_step(status);
-                if det {
-                    if turn != Some(tid) {
-                        self.state.threads[t].m.wait_cycles += 1;
-                    } else if self.bumps_until_free(t, id) == 0 {
-                        self.grant_lock(t, id);
-                    } else {
-                        if self.cfg.scheduler.bumps_on_contention() {
-                            // Deterministic clock bump and retry (Kendo).
-                            self.state.threads[t].clock += 1;
-                            self.state.threads[t].m.lock_clock_bumps += 1;
-                        }
-                        self.state.threads[t].m.wait_cycles += 1;
-                    }
-                } else if self.grantable(id) {
+                if self.grantable(id) {
                     self.grant_lock(t, id);
-                } else {
-                    self.state.threads[t].m.wait_cycles += 1;
                 }
             }
-            Status::Ready => {
-                let th = &mut self.state.threads[t];
-                if th.pending > fold {
-                    th.pending -= fold + 1;
-                    th.m.busy_cycles += fold + 1;
-                    return;
-                }
-                // The countdown runs out with the fold: `charge` and a
-                // store-retirement interrupt find `pending` at zero.
-                th.pending -= fold;
-                th.m.busy_cycles += fold;
-                let mut action = exec.exec_next(self, t);
-                // Skipped ticks are free: retry until a real instruction
-                // issues this cycle.
-                while matches!(action, Action::Free) {
-                    action = exec.exec_next(self, t);
-                }
-                match action {
-                    Action::None | Action::Free => {}
-                    Action::Lock(id) => {
-                        self.state.threads[t].status = Status::AcquiringLock(id);
-                    }
-                    Action::Unlock(id) => {
-                        let clock = self.state.threads[t].clock;
-                        let st = self.state.locks.entry(id).or_default();
-                        st.held_by = None;
-                        st.release_clock = Some(clock);
-                        if det {
-                            self.state.threads[t].clock += 1;
-                        }
-                        if let Some(san) = self.state.san.as_deref_mut() {
-                            san.release(tid, id);
-                        }
-                        self.charge(t, self.cost.sync);
-                    }
-                    Action::Barrier(id) => {
-                        self.state.threads[t].status = Status::AcquiringBarrier(id);
-                    }
-                    Action::Exited => {
-                        self.state.threads[t].status = Status::ExitWait;
-                        // Baseline exits resolve immediately next step; in
-                        // deterministic modes the exit is a det event.
-                    }
-                }
+            Status::Ready | Status::InBarrier(_) | Status::Done => {
+                unreachable!("thread {t} is not arbitrating: {status:?}")
             }
         }
     }
@@ -557,38 +601,26 @@ impl<'m> DetCore<'m> {
     fn commit_batch(&mut self, order: &[u32]) {
         for &tid in order {
             let t = tid as usize;
-            match self.state.threads[t].status {
-                Status::AcquiringLock(id) => {
-                    // Physical hold state alone gates the grant
-                    // (`uses_release_clocks` is false for batch policies):
-                    // the batch order *is* the logical order.
-                    let held = self.state.locks.entry(id).or_default().held_by;
-                    if held.is_none() {
-                        self.grant_lock(t, id);
-                    } else {
-                        self.state.threads[t].m.wait_cycles += 1;
-                    }
-                }
-                Status::AcquiringBarrier(id) => self.arrive_barrier(t, id),
+            let status = self.state.threads[t].status;
+            self.profile.steps[status.code().0 as usize] += 1;
+            match status {
+                // Physical hold state alone gates the grant
+                // (`uses_release_clocks` is false for batch policies): the
+                // batch order *is* the logical order.
+                Status::AcquiringLock(id) if self.grantable(id) => self.grant_lock(t, id),
+                Status::AcquiringBarrier(id) => self.arrive_barrier(t, id, None),
                 Status::ExitWait => self.finish(t),
                 // A barrier arrival earlier in the batch released this
-                // member back to Ready; it resumes next round.
+                // member back to Ready, and it resumes next round; or its
+                // lock is held, and it waits for a later batch.
                 _ => {}
-            }
-        }
-        for th in self.state.threads.iter_mut() {
-            if matches!(th.status, Status::InBarrier(_)) {
-                th.m.wait_cycles += 1;
             }
         }
     }
 
     fn grant_lock(&mut self, t: usize, id: i64) {
         let tid = t as u32;
-        {
-            let st = self.state.locks.entry(id).or_default();
-            st.held_by = Some(tid);
-        }
+        self.state.locks.entry(id).or_default().held_by = Some(tid);
         if let Some(san) = self.state.san.as_deref_mut() {
             // The frame's ip already points past the Lock instruction the
             // thread blocked on.
@@ -596,18 +628,25 @@ impl<'m> DetCore<'m> {
             let ip = fr.ip.saturating_sub(1);
             san.acquire(tid, id, Frame { ip, ..fr }.site());
         }
+        let cycle = self.state.cycle;
+        self.flush_wait(t, cycle);
+        self.arbitrating -= 1;
+        self.views[t].phase = Phase::Runnable;
+        let th = &mut self.state.threads[t];
         if self.cfg.mode.deterministic() {
-            self.state.threads[t].clock += 1;
+            th.clock += 1;
         }
-        self.state.threads[t].m.lock_acquires += 1;
-        self.state.threads[t].status = Status::Ready;
+        th.m.lock_acquires += 1;
+        th.status = Status::Ready;
         let protocol = if self.cfg.mode.deterministic() {
             self.cfg.det_event_cost
         } else {
             0
         };
         self.charge(t, self.cost.sync + protocol);
+        self.count_down(t, cycle + 1);
         let clock = self.state.threads[t].clock;
+        self.views[t].clock = clock;
         // `as u64` keeps the id's eight bytes, so the record hashes as the id.
         self.state.log.push(Acquisition {
             lock: id as u64,
@@ -616,41 +655,76 @@ impl<'m> DetCore<'m> {
         });
     }
 
-    fn arrive_barrier(&mut self, t: usize, id: u32) {
-        let tid = t as u32;
+    /// Thread `t` arrives at barrier `id`, as the `i`-th thread of a
+    /// round's service order, or in a batch commit (`None`), where the
+    /// commit cycle counts as a wait for a thread that stays parked.
+    fn arrive_barrier(&mut self, t: usize, id: u32, i: Option<usize>) {
+        let cycle = self.state.cycle;
+        self.arbitrating -= 1;
+        self.views[t].phase = Phase::Parked;
+        if i.is_some() {
+            // In a round the arrival cycle is not a wait.
+            self.flush_wait(t, cycle);
+            self.since[t] = cycle + 1;
+        }
         self.state.threads[t].m.barrier_waits += 1;
         self.state.threads[t].status = Status::InBarrier(id);
         let bar = self.state.barriers.entry(id).or_default();
-        bar.arrivals.push(tid);
+        bar.arrivals.push(t as u32);
         let everyone = self.state.threads.len() - self.state.done_count;
-        if bar.arrivals.len() >= everyone {
-            // Release: reconcile clocks to max+1 in deterministic modes.
-            let arrivals = std::mem::take(&mut self.state.barriers.get_mut(&id).unwrap().arrivals);
-            if let Some(san) = self.state.san.as_deref_mut() {
-                san.barrier(&arrivals);
+        if bar.arrivals.len() < everyone {
+            return;
+        }
+        // Release: reconcile clocks to max+1 in deterministic modes.
+        let arrivals = std::mem::take(&mut self.state.barriers.get_mut(&id).unwrap().arrivals);
+        if let Some(san) = self.state.san.as_deref_mut() {
+            san.barrier(&arrivals);
+        }
+        let new_clock = arrivals
+            .iter()
+            .map(|&a| self.state.threads[a as usize].clock)
+            .max()
+            .unwrap_or(0)
+            + 1;
+        let det = self.cfg.mode.deterministic();
+        let n = self.state.threads.len();
+        for a in arrivals {
+            let a = a as usize;
+            // Where each thread's waits end and its countdown starts. A
+            // thread this round's rotation has not reached yet counts down
+            // from this cycle, as its step would have; the releaser and the
+            // threads already stepped (which waited this cycle) count down
+            // from the next, and so does everyone in a commit, where
+            // nobody waits the commit cycle out.
+            let (waited, from) = match i {
+                Some(i) if (a + n - self.rot_start) % n > i => (cycle, cycle),
+                Some(_) => (cycle + 1, cycle + 1),
+                None => (cycle, cycle + 1),
+            };
+            self.flush_wait(a, waited);
+            let th = &mut self.state.threads[a];
+            th.status = Status::Ready;
+            if det {
+                th.clock = new_clock;
             }
-            let new_clock = arrivals
-                .iter()
-                .map(|&a| self.state.threads[a as usize].clock)
-                .max()
-                .unwrap_or(0)
-                + 1;
-            let det = self.cfg.mode.deterministic();
-            for a in arrivals {
-                let th = &mut self.state.threads[a as usize];
-                th.status = Status::Ready;
-                if det {
-                    th.clock = new_clock;
-                }
-                th.pending = self.cost.sync;
-            }
+            th.pending = self.cost.sync;
+            self.views[a] = ThreadView {
+                phase: Phase::Runnable,
+                clock: th.clock,
+            };
+            self.count_down(a, from);
         }
     }
 
     fn finish(&mut self, t: usize) {
-        self.state.threads[t].status = Status::Done;
-        self.state.threads[t].m.finish_cycle = self.state.cycle;
-        self.state.threads[t].m.final_clock = self.state.threads[t].clock;
+        let cycle = self.state.cycle;
+        self.flush_wait(t, cycle);
+        self.arbitrating -= 1;
+        self.views[t].phase = Phase::Done;
+        let th = &mut self.state.threads[t];
+        th.status = Status::Done;
+        th.m.finish_cycle = cycle;
+        th.m.final_clock = th.clock;
         self.state.done_count += 1;
     }
 

@@ -719,12 +719,13 @@ impl ExecBackend for ThreadedBackend {
             let cfg = &core.cfg;
             let cost = core.cost;
             let mem_mask = core.mem_mask;
-            let ckpt_every = core.ckpt_every;
+            let next_stop = core.next_stop;
             let chunk = core.chunk;
             let cycle = core.state.cycle;
             let mem = &mut core.state.mem;
             let san = &mut core.state.san;
             let th = &mut core.state.threads[t];
+            let profile = &mut core.profile;
             let frame = *th.frames.last().unwrap();
             let base = frame.reg_base;
             let lf = &self.prog.funcs[frame.func.index()];
@@ -747,24 +748,32 @@ impl ExecBackend for ThreadedBackend {
                     if let Some(cp) = chunk {
                         w = w.saturating_add(cp.interrupt_cost);
                     }
-                    let fits_limit = cycle.saturating_add(w) < cfg.max_cycles;
-                    let fits_ckpt = ckpt_every == 0 || cycle % ckpt_every + w < ckpt_every;
-                    if fits_limit && fits_ckpt {
+                    if cycle.saturating_add(w) < next_stop {
                         run_len = fuse.len as usize;
+                    } else {
+                        profile.gate_cuts += 1;
                     }
                 }
                 // Two call sites, one callee: inlined with a constant
                 // length, the loop and the countdown arithmetic fold away
                 // for lone ops (worth ~6 % of `vm_compute` ops/s).
                 if run_len == 1 {
-                    return run_fused(
+                    let action = run_fused(
                         lf, pc, 1, frame, th, mem, san, cfg, cost, mem_mask, chunk, t,
                     );
+                    // A skipped lone tick is retried, not issued.
+                    if !matches!(action, Action::Free) {
+                        profile.count_run(1);
+                    }
+                    return action;
                 }
+                profile.count_run(run_len);
                 return run_fused(
                     lf, pc, run_len, frame, th, mem, san, cfg, cost, mem_mask, chunk, t,
                 );
             }
+            // Every other op issues alone.
+            profile.count_run(1);
             match op {
                 Op::Call {
                     func,

@@ -306,24 +306,29 @@ impl<'m> Machine<'m> {
 
     /// The one run loop: rounds until every thread is done or the cycle
     /// limit is reached, with a snapshot handed to `sink` at every multiple
-    /// of `every` cycles (`every = 0`: never). Returns the cycle at which
-    /// the sink aborted the run, if it did.
+    /// of `every` cycles after the one the run starts at (`every = 0`:
+    /// never). Returns the cycle at which the sink aborted the run, if it
+    /// did.
     fn drive(
         &mut self,
         every: u64,
         sink: &mut dyn FnMut(&Checkpoint) -> CkptControl,
     ) -> Option<u64> {
         let n = self.core.state.threads.len();
-        let resumed_at = self.core.state.cycle;
-        self.core.ckpt_every = every;
-        while self.core.state.done_count < n && self.core.state.cycle < self.core.cfg.max_cycles {
+        let max = self.core.cfg.max_cycles;
+        let mut boundary = match every {
+            0 => u64::MAX,
+            e => (self.core.state.cycle / e + 1).saturating_mul(e),
+        };
+        self.core.next_stop = boundary.min(max);
+        while self.core.state.done_count < n && self.core.state.cycle < max {
             let cycle = self.core.state.cycle;
-            if every > 0
-                && cycle.is_multiple_of(every)
-                && cycle != resumed_at
-                && sink(&self.snapshot()) == CkptControl::Abort
-            {
-                return Some(cycle);
+            if cycle == boundary {
+                if sink(&self.snapshot()) == CkptControl::Abort {
+                    return Some(cycle);
+                }
+                boundary = boundary.saturating_add(every);
+                self.core.next_stop = boundary.min(max);
             }
             self.core.round(&self.exec);
         }
@@ -359,7 +364,7 @@ impl<'m> Machine<'m> {
         Checkpoint {
             fingerprint: self.fingerprint,
             sched: self.core.cfg.scheduler,
-            state: self.core.state.clone(),
+            state: self.core.run_state(),
         }
     }
 

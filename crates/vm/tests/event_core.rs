@@ -18,8 +18,9 @@
 //!   other interval, the plain run and every cycle-limit cut must agree
 //!   with it.
 //! * [`round_profile_counts_add_up`] holds the loop's own work counters to
-//!   the identities between them, and the share of rounds that skip the
-//!   arbiter to what the shape predicts.
+//!   the identities between them (rounds, decisions, the threads a round
+//!   touches, the threaded engine's run lengths), and the share of rounds
+//!   that skip the arbiter to what the shape predicts.
 
 use detlock_ir::builder::FunctionBuilder;
 use detlock_ir::inst::{BinOp, CmpOp, Inst, Operand};
@@ -603,14 +604,15 @@ fn a_cycle_limit_inside_a_skip_cuts_where_the_stepper_does() {
 }
 
 /// `RoundProfile` is exact counts, so it is tested by equality: every cycle
-/// is an event round or was advanced in closed form, every event round
-/// steps every thread once (or commits a batch), and the policy is asked
-/// exactly in the rounds that are not quiet.
+/// is an event round or was advanced in closed form, the policy is asked
+/// exactly in the rounds that are not quiet, every issue is one dispatch
+/// of the threaded engine and one instruction of the interpreter, and a
+/// round touches only the threads that act — never a parked or finished
+/// one, and under a turn policy at most one that does not issue.
 #[test]
 fn round_profile_counts_add_up() {
     let cost = CostModel::default();
     for shape in shapes(&cost, stepped_radiosity()) {
-        let n = shape.specs.len() as u64;
         for config in configs() {
             for backend in [Backend::Interp, Backend::Threaded] {
                 let ctx = format!("{} / {} / {backend:?}", shape.name, config.0);
@@ -622,16 +624,36 @@ fn round_profile_counts_add_up() {
                 assert!(p.quiet_rounds <= p.event_rounds, "{ctx}");
                 assert_eq!(p.event_rounds + p.skipped_cycles, metrics.cycles, "{ctx}");
                 let deterministic = matches!(mode, ExecMode::Det | ExecMode::Kendo);
-                // A batch commit is an event round without steps.
-                if !(deterministic && policy == Sched::DcBatch) {
-                    assert_eq!(p.steps.iter().sum::<u64>(), n * p.event_rounds, "{ctx}");
-                }
                 let asked = if deterministic {
                     p.event_rounds - p.quiet_rounds
                 } else {
                     0
                 };
                 assert_eq!(p.decide_calls, asked, "{ctx}");
+                // Every round acts: a thread issues, or the decision lets
+                // one synchronize.
+                let [issues, lock, barrier, parked, exit, done] = p.steps;
+                assert!(
+                    issues + lock + barrier + exit >= p.event_rounds,
+                    "{ctx}: {p:?}"
+                );
+                assert_eq!((parked, done), (0, 0), "{ctx}: {p:?}");
+                if deterministic && policy != Sched::DcBatch {
+                    assert!(
+                        lock + barrier + exit <= p.event_rounds - p.quiet_rounds,
+                        "{ctx}: {p:?}"
+                    );
+                }
+                match backend {
+                    Backend::Interp => {
+                        assert_eq!(issues, metrics.instructions(), "{ctx}");
+                        assert_eq!((p.fused_runs, p.gate_cuts), ([0; 4], 0), "{ctx}");
+                    }
+                    Backend::Threaded => {
+                        assert_eq!(p.fused_runs.iter().sum::<u64>(), issues, "{ctx}");
+                        assert!(issues <= metrics.instructions(), "{ctx}");
+                    }
+                }
                 if config.0 == "det+kendo" {
                     // Ocean's shape idles the arbiter; on the hammer some
                     // thread waits for the lock in most rounds.
