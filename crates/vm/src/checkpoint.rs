@@ -13,6 +13,7 @@ use crate::sanitizer::Sanitizer;
 use crate::sched::Sched;
 use detlock_ir::module::Module;
 use detlock_ir::types::{BlockId, FuncId, Reg};
+use detlock_passes::cost::CostModel;
 use detlock_shim::acq::AcquisitionLog;
 use detlock_shim::hash::Fnv64;
 use detlock_shim::rng::SmallRng;
@@ -176,8 +177,8 @@ impl RunState {
 /// produces byte-identical final metrics (and hence receipts) to the
 /// uninterrupted run.
 ///
-/// A checkpoint is tied to the (module, config, thread-count) it was taken
-/// under via a [`fingerprint`](Checkpoint::fingerprint); `resume` refuses a
+/// A checkpoint is tied to the (module, config, cost model, thread count)
+/// it was taken under via a [`fingerprint`](Checkpoint::fingerprint); `resume` refuses a
 /// mismatched fingerprint rather than silently diverging. It is plain data
 /// (`Clone + Send`), so a serving layer can hand it to another worker —
 /// cross-shard migration is sound exactly when both shards compiled the
@@ -210,8 +211,8 @@ impl Checkpoint {
         self.state.done_count
     }
 
-    /// The (module, config, thread-count) fingerprint this checkpoint is
-    /// valid against.
+    /// The (module, config, cost model, thread count) fingerprint this
+    /// checkpoint is valid against.
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
     }
@@ -327,11 +328,18 @@ impl Checkpoint {
 
 /// Structural fingerprint binding a checkpoint to what it may resume on:
 /// execution mode, scheduling policy and jitter model with their
-/// parameters, memory geometry, cost-relevant config, thread count and the
-/// module's shape — all of which two shards that compiled the same
-/// plan-cache entry agree on. Not the backend: see [`Checkpoint`].
-pub(crate) fn config_fingerprint(cfg: &MachineConfig, module: &Module, n_threads: usize) -> u64 {
+/// parameters, memory geometry, cost-relevant config, the [`CostModel`]
+/// the machine charges instructions by, thread count and the module's
+/// shape — all of which two shards that compiled the same plan-cache entry
+/// agree on. Not the backend: see [`Checkpoint`].
+pub(crate) fn config_fingerprint(
+    cfg: &MachineConfig,
+    cost: &CostModel,
+    module: &Module,
+    n_threads: usize,
+) -> u64 {
     let mut h = Fnv64::new();
+    h.write_u64(cost.fingerprint());
     h.write_u64(match cfg.mode {
         ExecMode::Baseline => 0,
         ExecMode::ClocksOnly => 1,
@@ -375,8 +383,8 @@ pub enum ResumeError {
         /// The policy the resuming config requested.
         requested: Sched,
     },
-    /// The structural fingerprints disagree: different module, config, or
-    /// thread count.
+    /// The structural fingerprints disagree: different module, config,
+    /// cost model or thread count.
     ConfigMismatch {
         /// The checkpoint's fingerprint.
         checkpoint: u64,
@@ -402,7 +410,7 @@ impl std::fmt::Display for ResumeError {
             } => write!(
                 f,
                 "checkpoint fingerprint mismatch: checkpoint 0x{checkpoint:016x} vs machine \
-                 0x{machine:016x} (different module, config, or thread count)"
+                 0x{machine:016x} (different module, config, cost model or thread count)"
             ),
         }
     }

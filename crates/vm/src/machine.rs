@@ -230,8 +230,8 @@ pub enum RunOutcome {
 pub struct Machine<'m> {
     core: DetCore<'m>,
     exec: ExecImpl,
-    /// [`config_fingerprint`] of the config, the module and the thread
-    /// count: stamped on every checkpoint the machine emits.
+    /// [`config_fingerprint`] of the config, the cost model, the module and
+    /// the thread count: stamped on every checkpoint the machine emits.
     fingerprint: u64,
 }
 
@@ -253,7 +253,7 @@ impl<'m> Machine<'m> {
         cfg: MachineConfig,
     ) -> Machine<'m> {
         // A fresh machine is a machine resumed from its cycle-0 state.
-        let fingerprint = config_fingerprint(&cfg, module, threads.len());
+        let fingerprint = config_fingerprint(&cfg, cost, module, threads.len());
         let state = RunState::new(module, threads, &cfg);
         Machine::from_state(module, cost, cfg, fingerprint, state)
     }
@@ -388,7 +388,7 @@ impl<'m> Machine<'m> {
                 requested: cfg.scheduler,
             });
         }
-        let fp = config_fingerprint(&cfg, module, ckpt.state.threads.len());
+        let fp = config_fingerprint(&cfg, cost, module, ckpt.state.threads.len());
         if fp != ckpt.fingerprint {
             return Err(ResumeError::ConfigMismatch {
                 checkpoint: ckpt.fingerprint,

@@ -847,8 +847,8 @@ fn length_one_runs_match_the_interpreter_and_the_fused_run() {
     }
 }
 
-/// Resume refuses a checkpoint taken under a different config, module, or
-/// thread count instead of silently diverging.
+/// Resume refuses a checkpoint taken under a different config, module,
+/// cost model or thread count instead of silently diverging.
 #[test]
 fn resume_refuses_mismatched_fingerprint() {
     let (m, f) = instrumented_counter(8);
@@ -871,9 +871,13 @@ fn resume_refuses_mismatched_fingerprint() {
     // Different memory geometry: refused.
     let smaller = MachineConfig {
         mem_words: 1 << 10,
-        ..config
+        ..config.clone()
     };
     assert!(Machine::resume(&m, &cost, smaller, &ck).is_err());
+    // Different charges (an estimates file): refused.
+    let mut dearer = CostModel::default();
+    dearer.sync += 1;
+    assert!(Machine::resume(&m, &dearer, config, &ck).is_err());
 }
 
 /// `run_with_checkpoints(0, ...)` never calls the sink and matches `run`.
