@@ -349,10 +349,10 @@ fn main() {
     // Also after a cut run: which status the rounds found the threads
     // they touched in is what tells a deadlock from a runaway loop.
     if o.profile {
-        let counts = |labels: &[&str], counts: &[u64]| -> String {
+        let counts = |labels: &[&str], values: &[u64]| -> String {
             let parts: Vec<String> = labels
                 .iter()
-                .zip(counts)
+                .zip(values)
                 .filter(|&(_, &n)| n > 0)
                 .map(|(label, n)| format!("{label} {n}"))
                 .collect();

@@ -3,9 +3,10 @@
 //!
 //! `DetCore` owns the [`RunState`] and advances it: the event round loop
 //! and its time advance, the issue and synchronization steps, the lock and
-//! barrier tables, min-`(clock, tid)` arbitration through the `Sched` policy, cost
-//! charging with the positional jitter draw, the sanitizer hooks. All it
-//! asks of an execution backend is [`ExecBackend::exec_next`].
+//! barrier tables, min-`(clock, tid)` arbitration through the `Sched`
+//! policy, cost charging with the positional jitter draw, the sanitizer
+//! hooks. All it asks of an execution backend is
+//! [`ExecBackend::exec_next`].
 
 use crate::builtins;
 use crate::checkpoint::{Frame, RunState, Status, Thread};
@@ -55,11 +56,11 @@ pub(crate) enum ExecImpl {
 /// `state` is fixed for the machine's life or rebuilt from `cfg` and
 /// `state`, which is why a checkpoint holds `state` alone.
 ///
-/// While a run is in the core, two of `state`'s per-thread counters are
-/// kept in event form (DESIGN.md §15, "Event rounds"): a `Ready` thread's
-/// countdown is its absolute issue cycle in `due`, with the busy cycles up
-/// to it already in `busy_cycles`, and a waiting thread's wait cycles since
-/// `since` are not yet in `wait_cycles`. [`DetCore::run_state`] and
+/// While a run is in the core, each thread's countdown and its busy and
+/// wait counters are kept in event form (DESIGN.md §15, "Event rounds"):
+/// a `Ready` thread's countdown is its absolute issue cycle in `due`, with
+/// the busy cycles up to it already in `busy_cycles`, and a waiting
+/// thread's wait cycles since `since` are not yet in `wait_cycles`. [`DetCore::run_state`] and
 /// [`DetCore::into_results`] convert back.
 pub(crate) struct DetCore<'m> {
     pub(crate) module: &'m Module,
@@ -496,7 +497,6 @@ impl<'m> DetCore<'m> {
 
     /// Thread `t` issues its next instruction this cycle.
     fn issue<B: ExecBackend>(&mut self, t: usize, exec: &B) {
-        let det = self.cfg.mode.deterministic();
         let mut action = exec.exec_next(self, t);
         // Skipped ticks are free: retry until a real instruction issues
         // this cycle.
@@ -511,7 +511,7 @@ impl<'m> DetCore<'m> {
                 let st = self.state.locks.entry(id).or_default();
                 st.held_by = None;
                 st.release_clock = Some(clock);
-                if det {
+                if self.cfg.mode.deterministic() {
                     self.state.threads[t].clock += 1;
                 }
                 if let Some(san) = self.state.san.as_deref_mut() {
@@ -520,7 +520,7 @@ impl<'m> DetCore<'m> {
                 self.charge(t, self.cost.sync);
             }
             Action::Barrier(id) => self.start_arbitrating(t, Status::AcquiringBarrier(id)),
-            // Baseline exits resolve at the next step; in deterministic
+            // Baseline exits resolve in the next round; in deterministic
             // modes the exit is a det event.
             Action::Exited => self.start_arbitrating(t, Status::ExitWait),
         }
