@@ -20,7 +20,9 @@
 //! equality. Wall times appear only in the text pass table: what a change
 //! costs in time is the repo benchmark's to say (`benchmark/`).
 
-use detlock_bench::{machine_config, run_baseline, thread_specs, CliOptions};
+use detlock_bench::{
+    kendo_sweep, machine_config, run_baseline, run_clocks_then_det, thread_specs, CliOptions,
+};
 use detlock_passes::cost::CostModel;
 use detlock_passes::pipeline::{instrument, OptConfig};
 use detlock_passes::plan::Placement;
@@ -32,20 +34,7 @@ use detlock_workloads::Workload;
 fn overheads(w: &Workload, cost: &CostModel, cfg: &OptConfig, seed: u64) -> (f64, f64, usize) {
     let base = run_baseline(w, cost, seed);
     let inst = instrument(&w.module, cost, cfg, Placement::Start, &w.entries);
-    let specs = thread_specs(w);
-    let (clk, h1) = run(
-        &inst.module,
-        cost,
-        &specs,
-        machine_config(w, ExecMode::ClocksOnly, seed),
-    );
-    let (det, h2) = run(
-        &inst.module,
-        cost,
-        &specs,
-        machine_config(w, ExecMode::Det, seed),
-    );
-    assert!(!h1 && !h2);
+    let (clk, det) = run_clocks_then_det(w, &inst.module, cost, seed);
     (
         clk.overhead_pct(&base),
         det.overhead_pct(&base),
@@ -198,23 +187,16 @@ fn main() {
     let mut kendo_rows: Vec<Json> = Vec::new();
     for name in ["radiosity", "water-nsq"] {
         if let Some(w) = detlock_workloads::kendo_dataset(name, opts.threads, scale) {
-            let base = run_baseline(&w, &cost, opts.seed);
-            let specs = thread_specs(&w);
-            for chunk in [128u64, 512, 2048, 8192, 32768] {
-                let mut mc = machine_config(&w, ExecMode::Kendo, opts.seed);
-                mc.scheduler = Sched::Chunk(ChunkParams {
-                    chunk_size: chunk,
-                    ..Default::default()
-                });
-                let (k, hit) = run(&w.module, &cost, &specs, mc);
-                assert!(!hit);
+            let chunks = [128u64, 512, 2048, 8192, 32768];
+            let (_, pcts) = kendo_sweep(&w, &cost, opts.seed, &chunks);
+            for (chunk, pct) in chunks.into_iter().zip(pcts) {
                 if text {
-                    println!("{:<12}{:>10}{:>13.1}%", name, chunk, k.overhead_pct(&base));
+                    println!("{:<12}{:>10}{:>13.1}%", name, chunk, pct);
                 }
                 kendo_rows.push(Json::obj([
                     ("name", name.to_json()),
                     ("chunk", chunk.to_json()),
-                    ("kendo_det_pct", k.overhead_pct(&base).to_json()),
+                    ("kendo_det_pct", pct.to_json()),
                 ]));
             }
         }

@@ -1,18 +1,21 @@
 //! # detlock-bench
 //!
-//! The experiment harness: everything needed to regenerate the paper's
-//! Table I, Table II, Figure 14 and Figure 15 from the workload generators,
-//! the instrumentation pipeline, and the cycle-level simulator.
+//! The experiment harness: the helpers that run the workload generators
+//! through the instrumentation pipeline and the cycle-level simulator, and
+//! the binaries built on them (run with `--release`):
 //!
-//! Binaries (run with `--release`):
-//!
-//! * `table1` — per-benchmark overheads for all six optimization configs in
-//!   both clocks-only and deterministic modes;
-//! * `table2` — DetLock (all opts) vs simulated Kendo;
-//! * `fig14` — the stacked no-opt vs all-opt overhead view of Table I;
-//! * `fig15` — Radiosity with clocks at block start vs block end (the
-//!   ahead-of-time effect);
-//! * `detcheck` — run-to-run determinism probe across jitter seeds.
+//! * `paper` — regenerates EXPERIMENTS.md's paper tables (Table I,
+//!   Table II, Figures 14 and 15, core-count scaling): a stdin → stdout
+//!   filter over the document's generated blocks;
+//! * `ablation` — sweeps of the design constants the paper fixes, plus
+//!   per-pass telemetry and per-scheduler cycles, all simulated counts;
+//! * `perfgate` — holds `ablation --json` to the committed baseline by
+//!   equality and checks a `detload` report's identity facts;
+//! * `detcheck` — run-to-run determinism probe across jitter seeds;
+//! * `detlint` — the static race analysis and translation validator over
+//!   the workloads, with optional sanitizer triage;
+//! * `detserved` / `detload` — the deterministic-execution daemon and its
+//!   load generator ([`loadgen`]).
 
 #![warn(missing_docs)]
 
@@ -21,7 +24,7 @@ pub mod loadgen;
 use detlock_passes::cost::CostModel;
 use detlock_passes::pipeline::{instrument, OptConfig, OptLevel};
 use detlock_passes::plan::Placement;
-use detlock_shim::json::{Json, ToJson};
+use detlock_shim::json::Json;
 use detlock_vm::machine::{run, ExecMode, Jitter, Machine, MachineConfig, ThreadSpec};
 use detlock_vm::metrics::RunMetrics;
 use detlock_vm::sanitizer::SanitizerReport;
@@ -97,34 +100,34 @@ pub fn instrumented(
     )
 }
 
-/// One Table I cell pair: clocks-only and deterministic overhead (percent
-/// over baseline), plus the run cycles behind them.
-#[derive(Debug, Clone)]
+/// One Table I cell pair: clocks-only and deterministic overhead, percent
+/// over the baseline.
+#[derive(Debug, Clone, Copy)]
 pub struct LevelResult {
-    /// Optimization configuration label.
-    pub level: String,
+    /// Optimization configuration.
+    pub level: OptLevel,
     /// Overhead of tick execution alone (Table I upper half).
     pub clocks_pct: f64,
     /// Overhead of ticks + deterministic execution (Table I lower half).
     pub det_pct: f64,
-    /// Cycles of the clocks-only run.
-    pub clocks_cycles: u64,
-    /// Cycles of the deterministic run.
-    pub det_cycles: u64,
-    /// Static ticks the pass inserted.
-    pub ticks_inserted: usize,
 }
 
-impl ToJson for LevelResult {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("level", self.level.to_json()),
-            ("clocks_pct", self.clocks_pct.to_json()),
-            ("det_pct", self.det_pct.to_json()),
-            ("clocks_cycles", self.clocks_cycles.to_json()),
-            ("det_cycles", self.det_cycles.to_json()),
-            ("ticks_inserted", self.ticks_inserted.to_json()),
-        ])
+/// Instrument `w` at `level` with `placement` and measure it against
+/// `base`, the workload's [`run_baseline`].
+pub fn run_level(
+    w: &Workload,
+    cost: &CostModel,
+    seed: u64,
+    base: &RunMetrics,
+    level: OptLevel,
+    placement: Placement,
+) -> LevelResult {
+    let inst = instrumented(w, cost, level, placement);
+    let (clk, det) = run_clocks_then_det(w, &inst.module, cost, seed);
+    LevelResult {
+        level,
+        clocks_pct: clk.overhead_pct(base),
+        det_pct: det.overhead_pct(base),
     }
 }
 
@@ -132,209 +135,99 @@ impl ToJson for LevelResult {
 #[derive(Debug, Clone)]
 pub struct BenchResult {
     /// Benchmark name.
-    pub name: String,
-    /// Baseline run cycles ("Original Exec Time").
-    pub baseline_cycles: u64,
-    /// Baseline simulated milliseconds.
-    pub baseline_ms: f64,
-    /// Lock acquisitions per simulated second in the baseline run.
-    pub locks_per_sec: f64,
+    pub name: &'static str,
+    /// The baseline run: "Original Exec Time" and "Locks/sec".
+    pub baseline: RunMetrics,
     /// Clockable functions found by O1 (Table I row 3).
     pub clockable_functions: usize,
-    /// Results per optimization level, in Table I row order.
+    /// Results per optimization level, in Table I row order, clocks at
+    /// block start.
     pub levels: Vec<LevelResult>,
 }
 
-impl ToJson for BenchResult {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("name", self.name.to_json()),
-            ("baseline_cycles", self.baseline_cycles.to_json()),
-            ("baseline_ms", self.baseline_ms.to_json()),
-            ("locks_per_sec", self.locks_per_sec.to_json()),
-            ("clockable_functions", self.clockable_functions.to_json()),
-            ("levels", self.levels.to_json()),
-        ])
+impl BenchResult {
+    /// The cell pair of Table I row `level`.
+    pub fn level(&self, level: OptLevel) -> &LevelResult {
+        self.levels
+            .iter()
+            .find(|l| l.level == level)
+            .expect("Table I measures every OptLevel")
     }
 }
 
 /// Run the full Table I experiment for one workload.
 pub fn run_benchmark(w: &Workload, cost: &CostModel, seed: u64) -> BenchResult {
-    let base = run_baseline(w, cost, seed);
-    let clockable = instrumented(w, cost, OptLevel::O1, Placement::Start)
-        .stats
-        .clockable_functions;
-
-    let mut levels = Vec::new();
-    for level in OptLevel::table1_rows() {
-        let inst = instrumented(w, cost, level, Placement::Start);
-        let (clk, det) = run_clocks_then_det(w, &inst.module, cost, seed);
-        levels.push(LevelResult {
-            level: level.label().to_string(),
-            clocks_pct: clk.overhead_pct(&base),
-            det_pct: det.overhead_pct(&base),
-            clocks_cycles: clk.cycles,
-            det_cycles: det.cycles,
-            ticks_inserted: inst.stats.ticks_inserted,
-        });
-    }
-
+    let baseline = run_baseline(w, cost, seed);
+    let levels = OptLevel::table1_rows()
+        .into_iter()
+        .map(|level| run_level(w, cost, seed, &baseline, level, Placement::Start))
+        .collect();
     BenchResult {
-        name: w.name.to_string(),
-        baseline_cycles: base.cycles,
-        baseline_ms: base.seconds() * 1e3,
-        locks_per_sec: base.locks_per_sec(),
-        clockable_functions: clockable,
+        name: w.name,
+        baseline,
+        clockable_functions: instrumented(w, cost, OptLevel::O1, Placement::Start)
+            .stats
+            .clockable_functions,
         levels,
     }
 }
 
-/// Table II data for one benchmark: DetLock (all opts) vs simulated Kendo.
-#[derive(Debug, Clone)]
-pub struct KendoComparison {
-    /// Benchmark name.
-    pub name: String,
-    /// Locks per second (baseline run, DetLock dataset).
-    pub locks_per_sec: f64,
-    /// Locks per second of the Kendo dataset (the paper's Kendo rows use
-    /// lower-lock-frequency datasets for radiosity/volrend/raytrace).
-    pub kendo_locks_per_sec: f64,
-    /// DetLock overall overhead (all optimizations, det mode), percent.
-    pub detlock_pct: f64,
-    /// Simulated Kendo overhead, percent.
-    pub kendo_pct: f64,
-    /// The chunk size used for Kendo (the paper notes Kendo tunes this by
-    /// hand per benchmark).
-    pub kendo_chunk: u64,
-}
-
-impl ToJson for KendoComparison {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("name", self.name.to_json()),
-            ("locks_per_sec", self.locks_per_sec.to_json()),
-            ("kendo_locks_per_sec", self.kendo_locks_per_sec.to_json()),
-            ("detlock_pct", self.detlock_pct.to_json()),
-            ("kendo_pct", self.kendo_pct.to_json()),
-            ("kendo_chunk", self.kendo_chunk.to_json()),
-        ])
-    }
-}
-
-/// Run the Table II comparison for one workload. `chunks` are the candidate
-/// Kendo chunk sizes; the best (lowest overhead) is reported, mirroring the
-/// paper's hand-tuned Kendo numbers. As in the paper, Kendo runs its own
-/// dataset (`kendo_w`) with a lower lock frequency where the paper's did.
-pub struct KendoInputs<'a> {
-    /// The DetLock-side workload (Table I dataset).
-    pub detlock: &'a Workload,
-    /// The Kendo-side workload (Kendo's published dataset sizes).
-    pub kendo: &'a Workload,
-}
-
-/// See [`KendoInputs`].
-pub fn run_kendo_comparison(
-    inputs: KendoInputs<'_>,
+/// Simulated Kendo on `w` at each of `chunks`. Kendo runs the
+/// uninstrumented module: `ExecMode::Kendo` (no tick clocks) under the
+/// chunk scheduler, pinned explicitly so the numbers are independent of
+/// `DETLOCK_SCHEDULER`. Returns the baseline run and, per chunk, Kendo's
+/// overhead over it in percent.
+pub fn kendo_sweep(
+    w: &Workload,
     cost: &CostModel,
     seed: u64,
     chunks: &[u64],
-) -> KendoComparison {
-    let w = inputs.detlock;
+) -> (RunMetrics, Vec<f64>) {
     let base = run_baseline(w, cost, seed);
-    let inst = instrumented(w, cost, OptLevel::All, Placement::Start);
     let specs = thread_specs(w);
-    let (det, hit) = run(
-        &inst.module,
-        cost,
-        &specs,
-        machine_config(w, ExecMode::Det, seed),
-    );
-    assert!(!hit);
+    let pcts = chunks
+        .iter()
+        .map(|&chunk| {
+            let mut cfg = machine_config(w, ExecMode::Kendo, seed);
+            cfg.scheduler = Sched::Chunk(ChunkParams {
+                chunk_size: chunk,
+                ..ChunkParams::default()
+            });
+            let (k, hit) = run(&w.module, cost, &specs, cfg);
+            assert!(!hit, "{}: kendo chunk {chunk} hit the cycle limit", w.name);
+            k.overhead_pct(&base)
+        })
+        .collect();
+    (base, pcts)
+}
 
-    let kw = inputs.kendo;
-    let kendo_base = run_baseline(kw, cost, seed);
-    let kendo_specs = thread_specs(kw);
-    let mut best: Option<(f64, u64)> = None;
-    for &chunk in chunks {
-        // Kendo runs the uninstrumented module: `ExecMode::Kendo` (no tick
-        // clocks) under the chunk scheduler, pinned explicitly so Table II
-        // numbers are independent of `DETLOCK_SCHEDULER`.
-        let mut cfg = machine_config(kw, ExecMode::Kendo, seed);
-        cfg.scheduler = Sched::Chunk(ChunkParams {
-            chunk_size: chunk,
-            ..ChunkParams::default()
-        });
-        let (k, hit) = run(&kw.module, cost, &kendo_specs, cfg);
-        assert!(!hit, "{}: kendo chunk {} hit limit", kw.name, chunk);
-        let pct = k.overhead_pct(&kendo_base);
-        if best.is_none_or(|(b, _)| pct < b) {
-            best = Some((pct, chunk));
+/// Table II's Kendo cells for one workload.
+#[derive(Debug, Clone, Copy)]
+pub struct KendoResult {
+    /// Locks per second of the baseline run.
+    pub locks_per_sec: f64,
+    /// The lowest overhead of the sweep, percent.
+    pub pct: f64,
+    /// The first chunk size that reaches it.
+    pub chunk: u64,
+}
+
+/// [`kendo_sweep`]'s best chunk: the paper notes Kendo's chunk size is
+/// balanced by hand per benchmark. Table II runs it on Kendo's own dataset
+/// (`detlock_workloads::kendo_dataset`), with the lower lock frequencies
+/// the paper's Kendo rows used.
+pub fn run_kendo(w: &Workload, cost: &CostModel, seed: u64, chunks: &[u64]) -> KendoResult {
+    let (base, pcts) = kendo_sweep(w, cost, seed, chunks);
+    let mut best = 0;
+    for (i, &pct) in pcts.iter().enumerate() {
+        if pct < pcts[best] {
+            best = i;
         }
     }
-    let (kendo_pct, kendo_chunk) = best.unwrap();
-
-    KendoComparison {
-        name: w.name.to_string(),
+    KendoResult {
         locks_per_sec: base.locks_per_sec(),
-        kendo_locks_per_sec: kendo_base.locks_per_sec(),
-        detlock_pct: det.overhead_pct(&base),
-        kendo_pct,
-        kendo_chunk,
-    }
-}
-
-/// Figure 15 data: Radiosity under O1 with different tick placements.
-#[derive(Debug, Clone)]
-pub struct PlacementResult {
-    /// Benchmark name.
-    pub name: String,
-    /// No-optimization deterministic overhead (left bar).
-    pub none_pct: f64,
-    /// O1 with ticks at block end (middle bar).
-    pub o1_end_pct: f64,
-    /// O1 with ticks at block start (right bar — DetLock's default).
-    pub o1_start_pct: f64,
-    /// Clocks-only portions of the same three bars.
-    pub none_clocks_pct: f64,
-    /// Clocks-only, O1 end placement.
-    pub o1_end_clocks_pct: f64,
-    /// Clocks-only, O1 start placement.
-    pub o1_start_clocks_pct: f64,
-}
-
-impl ToJson for PlacementResult {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("name", self.name.to_json()),
-            ("none_pct", self.none_pct.to_json()),
-            ("o1_end_pct", self.o1_end_pct.to_json()),
-            ("o1_start_pct", self.o1_start_pct.to_json()),
-            ("none_clocks_pct", self.none_clocks_pct.to_json()),
-            ("o1_end_clocks_pct", self.o1_end_clocks_pct.to_json()),
-            ("o1_start_clocks_pct", self.o1_start_clocks_pct.to_json()),
-        ])
-    }
-}
-
-/// Run the Figure 15 experiment on a workload.
-pub fn run_placement(w: &Workload, cost: &CostModel, seed: u64) -> PlacementResult {
-    let base = run_baseline(w, cost, seed);
-    let go = |level: OptLevel, placement: Placement| -> (f64, f64) {
-        let inst = instrumented(w, cost, level, placement);
-        let (clk, det) = run_clocks_then_det(w, &inst.module, cost, seed);
-        (clk.overhead_pct(&base), det.overhead_pct(&base))
-    };
-    let (none_clk, none_det) = go(OptLevel::None, Placement::Start);
-    let (end_clk, end_det) = go(OptLevel::O1, Placement::End);
-    let (start_clk, start_det) = go(OptLevel::O1, Placement::Start);
-    PlacementResult {
-        name: w.name.to_string(),
-        none_pct: none_det,
-        o1_end_pct: end_det,
-        o1_start_pct: start_det,
-        none_clocks_pct: none_clk,
-        o1_end_clocks_pct: end_clk,
-        o1_start_clocks_pct: start_clk,
+        pct: pcts[best],
+        chunk: chunks[best],
     }
 }
 
@@ -413,8 +306,7 @@ pub struct CliOptions {
     pub threads: usize,
     /// Workload scale factor: `Some` only when `--scale` was given on the
     /// command line. Each binary resolves its own default via
-    /// [`CliOptions::scale_or`] (the paper figures want full-size runs, the
-    /// probes and the lint want small datasets).
+    /// [`CliOptions::scale_or`] (each wants a different small dataset).
     pub scale: Option<f64>,
     /// Emit JSON instead of the table format.
     pub json: bool,
@@ -553,13 +445,6 @@ impl CliOptions {
     /// binary's own `default`.
     pub fn scale_or(&self, default: f64) -> f64 {
         self.scale.unwrap_or(default)
-    }
-
-    /// The workloads selected by `--only` (or all five) at the paper's
-    /// full scale unless `--scale` was given. Binaries with a smaller
-    /// default use [`CliOptions::workloads_at`] with their resolved scale.
-    pub fn workloads(&self) -> Vec<Workload> {
-        self.workloads_at(self.scale_or(1.0))
     }
 
     /// The workloads selected by `--only` (or all five) at `scale`.

@@ -7,7 +7,8 @@
 //! typed `SchedulerMismatch` contract regresses, so only the clean path is
 //! exercised).
 
-use std::process::Command;
+use std::io::Write;
+use std::process::{Command, Stdio};
 
 /// Exit code and stdout of one invocation.
 fn run(bin: &str, args: &[&str]) -> (i32, String) {
@@ -83,6 +84,46 @@ fn detcheck_exit_codes() {
     assert_eq!(exit_code(bin, &["--only", "ocean", "--scale", "0.05"]), 0);
     // Unknown flag → usage (2).
     assert_eq!(exit_code(bin, &["--definitely-not-a-flag"]), 2);
+}
+
+#[test]
+fn paper_usage_errors_exit_2_before_simulating() {
+    let bin = env!("CARGO_BIN_EXE_paper");
+    // Every setting is a constant: any argument is a usage error.
+    for args in [&["--scale", "0.1"][..], &["--json"], &["EXPERIMENTS.md"]] {
+        assert_eq!(exit_code(bin, args), 2, "{args:?}");
+    }
+    // The document on stdin; a malformed block is found before the first
+    // run, so none of these simulates anything.
+    let filter = |doc: &str| {
+        let mut child = Command::new(bin)
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::null())
+            .spawn()
+            .expect("spawn paper");
+        child
+            .stdin
+            .take()
+            .expect("piped stdin")
+            .write_all(doc.as_bytes())
+            .expect("write the document");
+        let out = child.wait_with_output().expect("wait for paper");
+        (
+            out.status.code().expect("terminated by signal"),
+            String::from_utf8(out.stdout).expect("UTF-8 stdout"),
+        )
+    };
+    for doc in [
+        "<!-- paper:table3 -->\n<!-- /paper -->\n",
+        "<!-- paper:fig14 -->\n<!-- /paper -->\n<!-- paper:fig14 -->\n<!-- /paper -->\n",
+        "<!-- paper:table1 -->\nno end marker\n",
+    ] {
+        assert_eq!(filter(doc), (2, String::new()), "{doc:?}");
+    }
+    // A document without blocks passes through unchanged.
+    let plain = "# Notes\r\n\nno generated blocks here";
+    assert_eq!(filter(plain), (0, plain.to_string()));
 }
 
 #[test]

@@ -4,8 +4,7 @@
 //! EXPERIMENTS.md; these tests keep the qualitative claims from regressing.
 
 use detlock_bench::{
-    instrumented, machine_config, run_baseline, run_benchmark, run_kendo_comparison, run_placement,
-    thread_specs, KendoInputs,
+    instrumented, machine_config, run_baseline, run_benchmark, run_kendo, run_level, thread_specs,
 };
 use detlock_passes::cost::CostModel;
 use detlock_passes::pipeline::OptLevel;
@@ -25,20 +24,13 @@ fn pin_reference_policy() {
     detlock_vm::Sched::Kendo.set_process_default();
 }
 
-fn level_idx(l: OptLevel) -> usize {
-    OptLevel::table1_rows()
-        .iter()
-        .position(|&x| x == l)
-        .unwrap()
-}
-
 #[test]
 fn water_shape_o2_o4_help_o1_o3_dont() {
     pin_reference_policy();
     let w = by_name("water-nsq", 4, SCALE).unwrap();
     let cost = CostModel::default();
     let r = run_benchmark(&w, &cost, 1);
-    let clk = |l| r.levels[level_idx(l)].clocks_pct;
+    let clk = |l| r.level(l).clocks_pct;
     // Highest unoptimized clock overhead of all benchmarks (paper: 43%).
     assert!(clk(OptLevel::None) > 30.0, "{}", clk(OptLevel::None));
     // O1 and O3 are inert (no calls; imbalanced arms).
@@ -50,7 +42,7 @@ fn water_shape_o2_o4_help_o1_o3_dont() {
     // All ≈ O2's level (paper: 20 vs 23).
     assert!(clk(OptLevel::All) <= clk(OptLevel::O2) + 2.0);
     // Deterministic execution adds almost nothing (paper: +1 point).
-    let det_extra = r.levels[level_idx(OptLevel::All)].det_pct - clk(OptLevel::All);
+    let det_extra = r.level(OptLevel::All).det_pct - clk(OptLevel::All);
     assert!(det_extra < 6.0, "water det extra: {det_extra}");
 }
 
@@ -60,8 +52,8 @@ fn radiosity_shape_highest_det_overhead_o1_strongest() {
     let w = by_name("radiosity", 4, SCALE).unwrap();
     let cost = CostModel::default();
     let r = run_benchmark(&w, &cost, 1);
-    let clk = |l| r.levels[level_idx(l)].clocks_pct;
-    let det = |l| r.levels[level_idx(l)].det_pct;
+    let clk = |l| r.level(l).clocks_pct;
+    let det = |l| r.level(l).det_pct;
     // Clockable functions near the paper's 39.
     assert!(
         (30..=46).contains(&r.clockable_functions),
@@ -69,7 +61,8 @@ fn radiosity_shape_highest_det_overhead_o1_strongest() {
         r.clockable_functions
     );
     // Very high lock frequency (paper: 2.2M/s).
-    assert!(r.locks_per_sec > 1.0e6, "{}", r.locks_per_sec);
+    let locks_per_sec = r.baseline.locks_per_sec();
+    assert!(locks_per_sec > 1.0e6, "{locks_per_sec}");
     // Unoptimized clock overhead is large; O1 cuts it the most, O4 the
     // least; All is the smallest.
     assert!(clk(OptLevel::None) > 25.0);
@@ -91,11 +84,11 @@ fn ocean_shape_negligible_overheads() {
     let cost = CostModel::default();
     let r = run_benchmark(&w, &cost, 1);
     for l in &r.levels {
-        assert!(l.clocks_pct < 5.0, "{}: {}", l.level, l.clocks_pct);
-        assert!(l.det_pct < 6.0, "{}: {}", l.level, l.det_pct);
+        assert!(l.clocks_pct < 5.0, "{:?}: {}", l.level, l.clocks_pct);
+        assert!(l.det_pct < 6.0, "{:?}: {}", l.level, l.det_pct);
     }
     // Lowest lock frequency by orders of magnitude.
-    assert!(r.locks_per_sec < 50_000.0);
+    assert!(r.baseline.locks_per_sec() < 50_000.0);
 }
 
 #[test]
@@ -105,11 +98,11 @@ fn raytrace_volrend_shape_moderate() {
     for name in ["raytrace", "volrend"] {
         let w = by_name(name, 4, SCALE).unwrap();
         let r = run_benchmark(&w, &cost, 1);
-        let none = r.levels[level_idx(OptLevel::None)].clocks_pct;
-        let all = r.levels[level_idx(OptLevel::All)].clocks_pct;
+        let none = r.level(OptLevel::None).clocks_pct;
+        let all = r.level(OptLevel::All).clocks_pct;
         assert!((4.0..25.0).contains(&none), "{name}: {none}");
         assert!(all < none, "{name}");
-        let det_all = r.levels[level_idx(OptLevel::All)].det_pct;
+        let det_all = r.level(OptLevel::All).det_pct;
         assert!(det_all < 15.0, "{name}: {det_all}");
     }
 }
@@ -120,41 +113,27 @@ fn table2_crossover_detlock_beats_kendo_on_radiosity_loses_on_water() {
     let cost = CostModel::default();
     let chunks = [256, 1024, 4096];
 
-    let w = by_name("radiosity", 4, SCALE).unwrap();
-    let kw = detlock_workloads::kendo_dataset("radiosity", 4, SCALE).unwrap();
-    let r = run_kendo_comparison(
-        KendoInputs {
-            detlock: &w,
-            kendo: &kw,
-        },
-        &cost,
-        1,
-        &chunks,
-    );
+    // DetLock's all-opts det overhead on its dataset; Kendo's best chunk
+    // on Kendo's own dataset.
+    let compare = |name: &str| {
+        let w = by_name(name, 4, SCALE).unwrap();
+        let base = run_baseline(&w, &cost, 1);
+        let detlock_pct = run_level(&w, &cost, 1, &base, OptLevel::All, Placement::Start).det_pct;
+        let kw = detlock_workloads::kendo_dataset(name, 4, SCALE).unwrap();
+        (detlock_pct, run_kendo(&kw, &cost, 1, &chunks).pct)
+    };
+
+    let (detlock_pct, kendo_pct) = compare("radiosity");
     assert!(
-        r.detlock_pct < r.kendo_pct,
-        "radiosity: DetLock ({:.1}) must beat Kendo ({:.1}) at high lock rates",
-        r.detlock_pct,
-        r.kendo_pct
+        detlock_pct < kendo_pct,
+        "radiosity: DetLock ({detlock_pct:.1}) must beat Kendo ({kendo_pct:.1}) at high lock rates",
     );
 
-    let w = by_name("water-nsq", 4, SCALE).unwrap();
-    let kw = detlock_workloads::kendo_dataset("water-nsq", 4, SCALE).unwrap();
-    let r = run_kendo_comparison(
-        KendoInputs {
-            detlock: &w,
-            kendo: &kw,
-        },
-        &cost,
-        1,
-        &chunks,
-    );
+    let (detlock_pct, kendo_pct) = compare("water-nsq");
     assert!(
-        r.kendo_pct < r.detlock_pct,
-        "water-nsq: Kendo ({:.1}) must beat DetLock ({:.1}) — its hot loop \
+        kendo_pct < detlock_pct,
+        "water-nsq: Kendo ({kendo_pct:.1}) must beat DetLock ({detlock_pct:.1}) — its hot loop \
          forces clock updates DetLock cannot remove",
-        r.kendo_pct,
-        r.detlock_pct
     );
 }
 
@@ -163,21 +142,25 @@ fn fig15_shape_start_placement_beats_end_beats_nothing() {
     pin_reference_policy();
     let w = by_name("radiosity", 4, 0.15).unwrap();
     let cost = CostModel::default();
-    let r = run_placement(&w, &cost, 1);
+    let base = run_baseline(&w, &cost, 1);
+    let go = |level, placement| run_level(&w, &cost, 1, &base, level, placement);
+    let none = go(OptLevel::None, Placement::Start);
+    let o1_end = go(OptLevel::O1, Placement::End);
+    let o1_start = go(OptLevel::O1, Placement::Start);
     // Paper Figure 15 ordering: no-opt worst, O1-end middle, O1-start best.
     assert!(
-        r.o1_start_pct < r.o1_end_pct,
+        o1_start.det_pct < o1_end.det_pct,
         "ahead-of-time (start) placement must cut deterministic overhead: \
          start {:.1} vs end {:.1}",
-        r.o1_start_pct,
-        r.o1_end_pct
+        o1_start.det_pct,
+        o1_end.det_pct
     );
     assert!(
-        r.o1_start_pct < r.none_pct,
+        o1_start.det_pct < none.det_pct,
         "O1+start must beat no optimization"
     );
     // The clocks-only portion is placement-independent.
-    assert!((r.o1_start_clocks_pct - r.o1_end_clocks_pct).abs() < 2.0);
+    assert!((o1_start.clocks_pct - o1_end.clocks_pct).abs() < 2.0);
 }
 
 #[test]
@@ -248,21 +231,8 @@ fn det_overhead_grows_with_core_count() {
     let measure = |threads: usize| -> (f64, f64) {
         let w = by_name("radiosity", threads, 0.1).unwrap();
         let base = run_baseline(&w, &cost, 1);
-        let inst = instrumented(&w, &cost, OptLevel::All, Placement::Start);
-        let specs = thread_specs(&w);
-        let (clk, _) = detlock_vm::run(
-            &inst.module,
-            &cost,
-            &specs,
-            machine_config(&w, ExecMode::ClocksOnly, 1),
-        );
-        let (det, _) = detlock_vm::run(
-            &inst.module,
-            &cost,
-            &specs,
-            machine_config(&w, ExecMode::Det, 1),
-        );
-        (clk.overhead_pct(&base), det.overhead_pct(&base))
+        let l = run_level(&w, &cost, 1, &base, OptLevel::All, Placement::Start);
+        (l.clocks_pct, l.det_pct)
     };
     let (clk2, det2) = measure(2);
     let (clk8, det8) = measure(8);
