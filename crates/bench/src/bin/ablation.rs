@@ -47,6 +47,7 @@ fn main() {
     // Ablation sweeps re-run every workload dozens of times; default to a
     // reduced dataset unless `--scale` was given explicitly.
     let scale = opts.scale_or(0.2);
+    let threads = opts.threads_or(4);
     let cost = CostModel::default();
     let text = !opts.json;
 
@@ -59,7 +60,7 @@ fn main() {
         );
     }
     let mut o2_rows: Vec<Json> = Vec::new();
-    for w in opts.workloads_at(scale) {
+    for w in opts.workloads_at(threads, scale) {
         let none = overheads(&w, &cost, &OptConfig::none(), opts.seed);
         let mut only2a = OptConfig::none();
         only2a.o2 = true;
@@ -95,7 +96,7 @@ fn main() {
         );
     }
     let mut o1_rows: Vec<Json> = Vec::new();
-    if let Some(w) = detlock_workloads::by_name("radiosity", opts.threads, scale) {
+    if let Some(w) = detlock_workloads::by_name("radiosity", threads, scale) {
         for (rd, sd) in [
             (1.0, 10.0),
             (2.5, 5.0),
@@ -134,7 +135,7 @@ fn main() {
         println!("{:<12}{:>12}{:>12}", "threshold", "ticks", "clk%");
     }
     let mut o4_rows: Vec<Json> = Vec::new();
-    if let Some(w) = detlock_workloads::by_name("water-nsq", opts.threads, scale) {
+    if let Some(w) = detlock_workloads::by_name("water-nsq", threads, scale) {
         for thr in [0u64, 4, 8, 16, 64, 1024] {
             let mut cfg = OptConfig::none();
             cfg.o4 = true;
@@ -157,7 +158,7 @@ fn main() {
         println!("{:<12}{:>12}{:>12}", "bound", "ticks", "clk%");
     }
     let mut o2b_rows: Vec<Json> = Vec::new();
-    if let Some(w) = detlock_workloads::by_name("volrend", opts.threads, scale) {
+    if let Some(w) = detlock_workloads::by_name("volrend", threads, scale) {
         for bound in [0.0, 0.02, 0.1, 0.5] {
             let mut cfg = OptConfig::none();
             cfg.o2 = true;
@@ -186,7 +187,7 @@ fn main() {
     }
     let mut kendo_rows: Vec<Json> = Vec::new();
     for name in ["radiosity", "water-nsq"] {
-        if let Some(w) = detlock_workloads::kendo_dataset(name, opts.threads, scale) {
+        if let Some(w) = detlock_workloads::kendo_dataset(name, threads, scale) {
             let chunks = [128u64, 512, 2048, 8192, 32768];
             let (_, pcts) = kendo_sweep(&w, &cost, opts.seed, &chunks);
             for (chunk, pct) in chunks.into_iter().zip(pcts) {
@@ -208,7 +209,7 @@ fn main() {
         println!("{:<12}{:>12}", "cost", "det%");
     }
     let mut cost_rows: Vec<Json> = Vec::new();
-    if let Some(w) = detlock_workloads::by_name("radiosity", opts.threads, scale) {
+    if let Some(w) = detlock_workloads::by_name("radiosity", threads, scale) {
         let base = run_baseline(&w, &cost, opts.seed);
         let inst = instrument(
             &w.module,
@@ -237,7 +238,7 @@ fn main() {
     // (and, in the text table, where the pipeline spends its time), per
     // workload at the full configuration.
     let mut pass_rows: Vec<Json> = Vec::new();
-    for w in opts.workloads_at(scale) {
+    for w in opts.workloads_at(threads, scale) {
         let inst = instrument(
             &w.module,
             &cost,
@@ -298,7 +299,7 @@ fn main() {
     }
     let mut sched_rows: Vec<Json> = Vec::new();
     let (mut kendo_cyc_total, mut chunk_cyc_total, mut dc_cyc_total) = (0u64, 0u64, 0u64);
-    for w in opts.workloads_at(scale) {
+    for w in opts.workloads_at(threads, scale) {
         let inst = instrument(
             &w.module,
             &cost,
@@ -350,7 +351,7 @@ fn main() {
         (
             "header",
             Json::obj([
-                ("threads", opts.threads.to_json()),
+                ("threads", threads.to_json()),
                 ("scale", scale.to_json()),
                 ("seed", opts.seed.to_json()),
             ]),

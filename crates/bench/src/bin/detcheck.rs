@@ -35,7 +35,7 @@ use detlock_vm::Sched;
 /// typed mismatch — never silently run under the wrong policy. Returns
 /// `false` (exit 3 at the call site) when the refusal contract is broken.
 fn scheduler_restore_refusal_holds(opts: &CliOptions, cost: &CostModel) -> bool {
-    let Some(w) = detlock_workloads::by_name("ocean", opts.threads, 0.02) else {
+    let Some(w) = detlock_workloads::by_name("ocean", opts.threads_or(4), 0.02) else {
         return false;
     };
     let mut cfg = machine_config(&w, ExecMode::Det, opts.seed);
@@ -82,7 +82,7 @@ fn main() {
         "baseline varies with seed",
         "detsan triage"
     );
-    for w in opts.workloads_at(scale) {
+    for w in opts.workloads_at(opts.threads_or(4), scale) {
         // Static pre-pass: the empirical determinism probe below only means
         // anything if the workload is race-free and the instrumentation is
         // faithful to its certificate — check both before spending cycles.

@@ -57,20 +57,21 @@ fn main() {
         true
     });
     let scale = opts.scale_or(0.05); // lint only needs the small dataset
+    let threads = opts.threads_or(4);
     let cost = CostModel::default();
 
     let controls = ["racy-counter", "deadlock-cycle"];
     let mut workloads: Vec<Workload> = match &opts.only {
         Some(name) if controls.contains(&name.as_str()) => Vec::new(),
-        Some(name) => vec![detlock_workloads::by_name(name, opts.threads, scale)
+        Some(name) => vec![detlock_workloads::by_name(name, threads, scale)
             .unwrap_or_else(|| panic!("unknown benchmark `{name}`"))],
-        None => detlock_workloads::all_benchmarks(opts.threads, scale),
+        None => detlock_workloads::all_benchmarks(threads, scale),
     };
     if flags.racy || opts.only.as_deref() == Some("racy-counter") {
-        workloads.push(racy::build(opts.threads, &racy::RacyParams::scaled(scale)));
+        workloads.push(racy::build(threads, &racy::RacyParams::scaled(scale)));
     }
     if flags.racy || opts.only.as_deref() == Some("deadlock-cycle") {
-        workloads.push(racy::build_deadlock(opts.threads));
+        workloads.push(racy::build_deadlock(threads));
     }
 
     let mut out_workloads: Vec<Json> = Vec::new();
@@ -138,7 +139,7 @@ fn main() {
     }
 
     let json = Json::obj([
-        ("threads", opts.threads.to_json()),
+        ("threads", threads.to_json()),
         ("scale", scale.to_json()),
         ("deny_warnings", flags.deny_warnings.to_json()),
         ("sanitize", flags.sanitize.to_json()),

@@ -19,6 +19,7 @@
 //!     [--jobs N] [--threads N] [--scale F] [--seeds A,B,C] \
 //!     [--conns N] [--closed-conns N] [--pipeline D] [--hot-key P] \
 //!     [--net-faults SEED] [--crash-faults SEED] [--cross-backends] \
+//!     [--scheduler kendo|chunk[:SIZE[:COST]]|dc-batch] \
 //!     [--schedulers kendo,chunk,dc-batch] \
 //!     [--json] [--out BENCH_serve.json] [--shutdown]
 //! ```
@@ -57,6 +58,9 @@
 //! threaded — be byte-identical. This is the end-to-end form of the
 //! differential-oracle guarantee: whatever engine the server happens to
 //! run, the receipt is a property of the program, not of the engine.
+//!
+//! Every job asks for the arbitration policy `--scheduler` names (Kendo
+//! by default), on `--threads` simulated cores (2 by default).
 //!
 //! `--schedulers kendo,chunk,dc-batch` re-executes every unique job spec
 //! locally under each listed arbitration policy **twice** and demands the
@@ -205,7 +209,7 @@ impl FromStr for Rate {
     }
 }
 
-/// One `--schedulers` element.
+/// A `--scheduler` operand, or one `--schedulers` element.
 struct Policy(Sched);
 
 impl FromStr for Policy {
@@ -240,11 +244,12 @@ fn main() {
     let mut crash_seed: Option<u64> = None;
     let mut cross_backends = false;
     let mut sched_sweep: Vec<Sched> = Vec::new();
+    let mut scheduler = Sched::Kendo;
     let mut conns = DEFAULT_CONNS;
     let mut closed_conns = 0usize;
     let mut pipeline = 1usize;
     let mut hot_key = 0u32;
-    let mut opts = CliOptions::parse_with(|flag, args, i| {
+    let opts = CliOptions::parse_with(|flag, args, i| {
         match flag {
             "--conns" => conns = parsed_operand::<NonZeroUsize>(args, i).get(),
             "--closed-conns" => closed_conns = parsed_operand(args, i),
@@ -261,6 +266,7 @@ fn main() {
             "--net-faults" => net_seed = Some(parsed_operand(args, i)),
             "--crash-faults" => crash_seed = Some(parsed_operand(args, i)),
             "--cross-backends" => cross_backends = true,
+            "--scheduler" => scheduler = parsed_operand::<Policy>(args, i).0,
             "--schedulers" => {
                 let List(policies) = parsed_operand::<List<Policy>>(args, i);
                 sched_sweep = policies.into_iter().map(|p| p.0).collect();
@@ -280,14 +286,12 @@ fn main() {
         std::process::exit(2);
     }
     let scale = opts.scale_or(0.02); // service jobs are short episodes, not benchmarks
-    if opts.threads == 4 {
-        opts.threads = 2;
-    }
+    let threads = opts.threads_or(2);
 
     // The job grid: workloads × seeds, truncated/cycled to --jobs.
     let names: Vec<String> = match &opts.only {
         Some(name) => vec![name.clone()],
-        None => detlock_workloads::all_benchmarks(opts.threads, scale)
+        None => detlock_workloads::all_benchmarks(threads, scale)
             .iter()
             .map(|w| w.name.to_string())
             .collect(),
@@ -298,12 +302,12 @@ fn main() {
             grid.push(JobSpec {
                 tenant: "detload".to_string(),
                 workload: name.clone(),
-                threads: opts.threads,
+                threads,
                 scale,
                 seed: *seed,
                 opt: OptLevel::All,
                 sanitize: false,
-                scheduler: opts.scheduler,
+                scheduler,
             });
         }
     }
@@ -499,7 +503,7 @@ fn main() {
         ("addr", addr.to_json()),
         ("rates", rates.to_json()),
         ("jobs_per_sweep", jobs.len().to_json()),
-        ("threads", opts.threads.to_json()),
+        ("threads", threads.to_json()),
         ("scale", scale.to_json()),
         ("seeds", opts.seeds.to_json()),
         (

@@ -22,11 +22,11 @@
 //!
 //! `--watchdog-ms 0` disables the stall supervisor. `--shards`, `--queue`
 //! and `--vnodes` must be at least 1. `--backend` picks the execution
-//! engine every shard runs jobs on (byte-identical receipts either way;
-//! also settable via `DETLOCK_BACKEND`). `--scheduler` sets the default arbitration policy
-//! for jobs whose request does not name one (also settable via
-//! `DETLOCK_SCHEDULER`); unlike the backend it is part of job identity,
-//! and per-request `scheduler` fields override it.
+//! engine every shard runs jobs on (`interp` by default; byte-identical
+//! receipts either way). `--scheduler` sets the arbitration policy for
+//! jobs whose request does not name one (`kendo` by default); unlike the
+//! backend it is part of job identity, and per-request `scheduler` fields
+//! override it.
 //! `--checkpoint-interval 0` disables checkpointing (crash recovery then
 //! requeues cold); `--cycle-slice N` preempts jobs every N cycles of
 //! progress so long jobs share shards. `--net-faults` / `--crash-faults`

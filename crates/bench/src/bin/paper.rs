@@ -11,9 +11,9 @@
 //! `<!-- /paper -->` line, which become artifact NAME (`table1`, `table2`,
 //! `fig14`, `fig15` or `scaling`) as markdown tables. Every setting is a
 //! constant — the paper's 4 threads, seed 1, full scale (0.3 for
-//! `scaling`), Kendo arbitration installed over `DETLOCK_SCHEDULER` — so
-//! the output is a function of the source tree alone, and a document that
-//! passes through unchanged holds exactly what the code measures.
+//! `scaling`), Kendo arbitration — so the output is a function of the
+//! source tree alone, and a document that passes through unchanged holds
+//! exactly what the code measures.
 //!
 //! Table I's 65 runs are made once and the other artifacts reuse them:
 //! Figure 14 is its None and All rows, Figure 15 its radiosity None and O1
@@ -29,7 +29,6 @@ use detlock_bench::{run_baseline, run_benchmark, run_kendo, run_level, BenchResu
 use detlock_passes::cost::CostModel;
 use detlock_passes::pipeline::OptLevel;
 use detlock_passes::plan::Placement;
-use detlock_vm::Sched;
 
 /// The artifacts, by marker name.
 const BLOCKS: [&str; 5] = ["table1", "table2", "fig14", "fig15", "scaling"];
@@ -250,8 +249,6 @@ fn main() {
     if let Err(e) = std::io::stdin().read_to_string(&mut doc) {
         usage(&format!("stdin: {e}"));
     }
-    // The paper's reference arbitration, whatever the environment says.
-    Sched::Kendo.set_process_default();
     let cost = CostModel::default();
     let table1_runs = OnceCell::new();
     let runs = || {

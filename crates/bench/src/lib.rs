@@ -42,7 +42,9 @@ pub fn thread_specs(w: &Workload) -> Vec<ThreadSpec> {
         .collect()
 }
 
-/// Simulator configuration for experiment runs.
+/// Simulator configuration for experiment runs: the threaded engine
+/// (results are the interpreter's, bit for bit, in less wall time) and
+/// Kendo arbitration.
 pub fn machine_config(w: &Workload, mode: ExecMode, seed: u64) -> MachineConfig {
     MachineConfig {
         mode,
@@ -51,6 +53,7 @@ pub fn machine_config(w: &Workload, mode: ExecMode, seed: u64) -> MachineConfig 
         max_cycles: 60_000_000_000,
         ghz: 2.66,
         lock_order_limit: 4096,
+        backend: Backend::Threaded,
         ..MachineConfig::default()
     }
 }
@@ -174,8 +177,7 @@ pub fn run_benchmark(w: &Workload, cost: &CostModel, seed: u64) -> BenchResult {
 
 /// Simulated Kendo on `w` at each of `chunks`. Kendo runs the
 /// uninstrumented module: `ExecMode::Kendo` (no tick clocks) under the
-/// chunk scheduler, pinned explicitly so the numbers are independent of
-/// `DETLOCK_SCHEDULER`. Returns the baseline run and, per chunk, Kendo's
+/// chunk scheduler. Returns the baseline run and, per chunk, Kendo's
 /// overhead over it in percent.
 pub fn kendo_sweep(
     w: &Workload,
@@ -299,11 +301,13 @@ pub const DEFAULT_SEEDS: [u64; 5] = [1, 2, 7, 42, 31337];
 
 /// Shared command-line options for the bench binaries. Every binary
 /// accepts the same core flags (`--threads`, `--scale`, `--seed`,
-/// `--seeds`, `--json`, `--out`, `--only`, `--backend`, `--scheduler`);
-/// binaries with extra flags layer them on via [`CliOptions::parse_with`].
+/// `--seeds`, `--json`, `--out`, `--only`); binaries with extra flags
+/// layer them on via [`CliOptions::parse_with`].
 pub struct CliOptions {
-    /// Number of simulated cores/threads.
-    pub threads: usize,
+    /// Number of simulated cores/threads: `Some` only when `--threads` was
+    /// given. Each binary resolves its own default via
+    /// [`CliOptions::threads_or`].
+    pub threads: Option<usize>,
     /// Workload scale factor: `Some` only when `--scale` was given on the
     /// command line. Each binary resolves its own default via
     /// [`CliOptions::scale_or`] (each wants a different small dataset).
@@ -318,15 +322,6 @@ pub struct CliOptions {
     pub out: Option<String>,
     /// Restrict to one benchmark.
     pub only: Option<String>,
-    /// Execution backend (`--backend interp|threaded`, default
-    /// `DETLOCK_BACKEND` or the interpreter). Parsing the flag installs the
-    /// process-wide default, so every machine the binary builds afterwards
-    /// uses it without further plumbing.
-    pub backend: Backend,
-    /// Deterministic scheduling policy (`--scheduler
-    /// kendo|chunk[:SIZE[:COST]]|dc-batch`, default `DETLOCK_SCHEDULER` or
-    /// Kendo). Like `--backend`, parsing installs the process-wide default.
-    pub scheduler: Sched,
 }
 
 /// A command-line usage error: one line on stderr and exit code 2, the
@@ -365,8 +360,7 @@ where
 impl CliOptions {
     /// Parse from `std::env::args` (ignores the binary name). Supported:
     /// `--threads N`, `--scale F`, `--seed N`, `--seeds A,B,C`, `--json`,
-    /// `--out FILE`, `--only NAME`, `--backend interp|threaded`,
-    /// `--scheduler kendo|chunk|dc-batch`.
+    /// `--out FILE`, `--only NAME`.
     pub fn parse() -> CliOptions {
         Self::parse_with(|_, _, _| false)
     }
@@ -377,21 +371,19 @@ impl CliOptions {
     /// returns `true` if it recognized the flag.
     pub fn parse_with(mut extra: impl FnMut(&str, &[String], &mut usize) -> bool) -> CliOptions {
         let mut opts = CliOptions {
-            threads: 4,
+            threads: None,
             scale: None,
             json: false,
             seed: 1,
             seeds: DEFAULT_SEEDS.to_vec(),
             out: None,
             only: None,
-            backend: Backend::resolve(),
-            scheduler: Sched::resolve(),
         };
         let args: Vec<String> = std::env::args().skip(1).collect();
         let mut i = 0;
         while i < args.len() {
             match args[i].as_str() {
-                "--threads" => opts.threads = parsed_operand(&args, &mut i),
+                "--threads" => opts.threads = Some(parsed_operand(&args, &mut i)),
                 "--scale" => opts.scale = Some(parsed_operand(&args, &mut i)),
                 "--seed" => opts.seed = parsed_operand(&args, &mut i),
                 "--seeds" => {
@@ -401,16 +393,6 @@ impl CliOptions {
                         .collect::<Result<_, _>>()
                         .unwrap_or_else(|e| usage_error(format_args!("--seeds A,B,C: {e}")));
                 }
-                "--backend" => {
-                    opts.backend = Backend::parse(operand(&args, &mut i))
-                        .unwrap_or_else(|e| usage_error(format_args!("--backend: {e}")));
-                    opts.backend.set_process_default();
-                }
-                "--scheduler" => {
-                    opts.scheduler = Sched::parse(operand(&args, &mut i))
-                        .unwrap_or_else(|e| usage_error(format_args!("--scheduler: {e}")));
-                    opts.scheduler.set_process_default();
-                }
                 "--json" => opts.json = true,
                 "--out" => opts.out = Some(operand(&args, &mut i).to_string()),
                 "--only" => opts.only = Some(operand(&args, &mut i).to_string()),
@@ -418,9 +400,7 @@ impl CliOptions {
                     if !extra(other, &args, &mut i) {
                         usage_error(format_args!(
                             "unknown option {other} (core flags: --threads N --scale F --seed N \
-                             --seeds A,B,C --json --out FILE --only NAME \
-                             --backend interp|threaded \
-                             --scheduler kendo|chunk[:SIZE[:COST]]|dc-batch)"
+                             --seeds A,B,C --json --out FILE --only NAME)"
                         ));
                     }
                 }
@@ -447,12 +427,19 @@ impl CliOptions {
         self.scale.unwrap_or(default)
     }
 
-    /// The workloads selected by `--only` (or all five) at `scale`.
-    pub fn workloads_at(&self, scale: f64) -> Vec<Workload> {
+    /// The effective thread count: the `--threads` value when given, else
+    /// the binary's own `default`.
+    pub fn threads_or(&self, default: usize) -> usize {
+        self.threads.unwrap_or(default)
+    }
+
+    /// The workloads selected by `--only` (or all five) at `threads` and
+    /// `scale`.
+    pub fn workloads_at(&self, threads: usize, scale: f64) -> Vec<Workload> {
         match &self.only {
-            Some(name) => vec![detlock_workloads::by_name(name, self.threads, scale)
+            Some(name) => vec![detlock_workloads::by_name(name, threads, scale)
                 .unwrap_or_else(|| panic!("unknown benchmark `{name}`"))],
-            None => detlock_workloads::all_benchmarks(self.threads, scale),
+            None => detlock_workloads::all_benchmarks(threads, scale),
         }
     }
 }

@@ -26,6 +26,16 @@ fn exit_code(bin: &str, args: &[&str]) -> i32 {
     run(bin, args).0
 }
 
+/// The one-line complaint of an invocation that must be a usage error.
+fn usage_error(bin: &str, args: &[&str]) -> String {
+    let out = Command::new(bin)
+        .args(args)
+        .output()
+        .unwrap_or_else(|e| panic!("cannot spawn {bin}: {e}"));
+    assert_eq!(out.status.code(), Some(2), "{bin} {args:?}");
+    String::from_utf8_lossy(&out.stderr).into_owned()
+}
+
 #[test]
 fn detlint_exit_codes() {
     let bin = env!("CARGO_BIN_EXE_detlint");
@@ -39,7 +49,13 @@ fn detlint_exit_codes() {
     // Unknown flag, missing operand, unparseable value → usage (2).
     assert_eq!(exit_code(bin, &["--definitely-not-a-flag"]), 2);
     assert_eq!(exit_code(bin, &["--threads"]), 2);
-    assert_eq!(exit_code(bin, &["--scheduler", "fifo"]), 2);
+    let err = usage_error(bin, &["--seed", "x"]);
+    assert!(err.contains("--seed: cannot parse 'x'"), "{err}");
+    // Policy and engine are not shared flags: detlint runs no schedule.
+    for flag in ["--backend", "--scheduler"] {
+        let err = usage_error(bin, &[flag, "threaded"]);
+        assert!(err.contains(&format!("unknown option {flag}")), "{err}");
+    }
     // ... and the same for the binary's own flags.
     assert_eq!(exit_code(bin, &["--sanitize-log"]), 2);
 }
@@ -49,6 +65,8 @@ fn detload_and_detserved_usage_errors_exit_2() {
     let detload = env!("CARGO_BIN_EXE_detload");
     assert_eq!(exit_code(detload, &["--conns"]), 2);
     assert_eq!(exit_code(detload, &["--sweep", "x"]), 2);
+    let err = usage_error(detload, &["--scheduler", "fifo"]);
+    assert!(err.contains("unknown scheduler 'fifo'"), "{err}");
     assert_eq!(
         exit_code(detload, &[]),
         2,

@@ -231,7 +231,9 @@ pub struct JobSpec {
     pub sanitize: bool,
     /// Deterministic scheduling policy. Part of the job's identity: two
     /// submissions differing only in scheduler are *different* jobs with
-    /// different (each internally deterministic) receipts.
+    /// different (each internally deterministic) receipts. A request
+    /// without one parses as [`Sched::Kendo`]; the server then substitutes
+    /// its configured policy.
     pub scheduler: Sched,
 }
 
@@ -308,7 +310,7 @@ impl JobSpec {
             sanitize: v.get("sanitize").and_then(Json::as_bool).unwrap_or(false),
             scheduler: match v.get("scheduler").and_then(Json::as_str) {
                 Some(s) => Sched::parse(s)?,
-                None => Sched::resolve(),
+                None => Sched::Kendo,
             },
         })
     }

@@ -111,12 +111,12 @@ pub struct ServeConfig {
     pub compile_threads: usize,
     /// Execution backend every shard engine runs jobs on. Receipts are
     /// byte-identical across backends; `threaded` just retires jobs
-    /// faster. Defaults to `DETLOCK_BACKEND` (or the interpreter).
+    /// faster. Defaults to the interpreter.
     pub backend: Backend,
     /// Default deterministic scheduler for jobs whose request omits
     /// `scheduler`. Unlike `backend` this is part of job identity:
     /// requests naming a policy explicitly override it per job. Defaults
-    /// to `DETLOCK_SCHEDULER` (or Kendo).
+    /// to Kendo.
     pub scheduler: Sched,
     /// Snapshot a [`Checkpoint`] every this many arbiter cycles while a
     /// job runs (0 disables checkpointing — crashes then requeue cold).
@@ -142,8 +142,8 @@ impl Default for ServeConfig {
             job_cycle_budget: 60_000_000_000,
             watchdog: Some(Duration::from_secs(30)),
             compile_threads: 1,
-            backend: Backend::resolve(),
-            scheduler: Sched::resolve(),
+            backend: Backend::Interp,
+            scheduler: Sched::Kendo,
             checkpoint_interval: 200_000,
             cycle_slice: 0,
             net_faults: None,

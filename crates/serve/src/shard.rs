@@ -156,7 +156,7 @@ pub struct ShardEngine {
     cache: HashMap<String, CachedJob>,
     compile: CompileOpts,
     /// What every job's config starts from (`Det` mode, this shard's
-    /// backend): process-wide defaults are resolved once, not per job.
+    /// backend).
     template: MachineConfig,
     analysis_hits: u64,
     analysis_misses: u64,
@@ -418,7 +418,7 @@ mod tests {
             seed,
             opt: OptLevel::All,
             sanitize: false,
-            scheduler: detlock_vm::Sched::resolve(),
+            scheduler: detlock_vm::Sched::Kendo,
         }
     }
 

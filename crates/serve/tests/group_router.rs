@@ -13,7 +13,7 @@ use detlock_serve::protocol::{Client, JobSpec};
 use detlock_serve::receipt::audit_scheduled;
 use detlock_serve::server::{DetServed, ServeConfig};
 use detlock_shim::json::{Json, ToJson};
-use detlock_vm::{ChunkParams, Sched};
+use detlock_vm::{Backend, ChunkParams, Sched};
 use std::time::Duration;
 
 fn backend_config() -> ServeConfig {
@@ -25,6 +25,7 @@ fn backend_config() -> ServeConfig {
         job_cycle_budget: u64::MAX,
         watchdog: Some(Duration::from_secs(60)),
         compile_threads: 2,
+        backend: Backend::Threaded,
         ..ServeConfig::default()
     }
 }
@@ -38,7 +39,7 @@ fn spec(workload: &str, seed: u64) -> JobSpec {
         seed,
         opt: OptLevel::All,
         sanitize: false,
-        scheduler: detlock_vm::Sched::resolve(),
+        scheduler: Sched::Kendo,
     }
 }
 

@@ -135,6 +135,7 @@ fn test_config() -> ServeConfig {
         job_cycle_budget: u64::MAX,
         watchdog: Some(Duration::from_secs(60)),
         compile_threads: 2,
+        backend: detlock_vm::Backend::Threaded,
         ..ServeConfig::default()
     }
 }
@@ -148,7 +149,7 @@ fn spec(seed: u64) -> JobSpec {
         seed,
         opt: OptLevel::All,
         sanitize: false,
-        scheduler: detlock_vm::Sched::resolve(),
+        scheduler: detlock_vm::Sched::Kendo,
     }
 }
 

@@ -8,6 +8,7 @@ use detlock_serve::protocol::{Client, JobSpec};
 use detlock_serve::receipt::{audit_scheduled, Receipt, AUDIT_PERIOD};
 use detlock_serve::server::{DetServed, ServeConfig};
 use detlock_shim::json::{Json, ToJson};
+use detlock_vm::{Backend, ChunkParams, Sched};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::time::Duration;
@@ -21,8 +22,18 @@ fn test_config() -> ServeConfig {
         job_cycle_budget: u64::MAX,
         watchdog: Some(Duration::from_secs(60)),
         compile_threads: 2,
+        backend: Backend::Threaded,
         ..ServeConfig::default()
     }
+}
+
+/// Every arbitration policy, for the tests whose property holds per policy.
+fn policies() -> [Sched; 3] {
+    [
+        Sched::Kendo,
+        Sched::Chunk(ChunkParams::default()),
+        Sched::DcBatch,
+    ]
 }
 
 fn spec(workload: &str, seed: u64) -> JobSpec {
@@ -34,7 +45,7 @@ fn spec(workload: &str, seed: u64) -> JobSpec {
         seed,
         opt: OptLevel::All,
         sanitize: false,
-        scheduler: detlock_vm::Sched::resolve(),
+        scheduler: Sched::Kendo,
     }
 }
 
@@ -320,52 +331,57 @@ fn backpressure_rejects_with_retry_hint() {
 
 #[test]
 fn killed_shard_mid_run_still_yields_identical_receipt() {
-    let server = DetServed::start(test_config()).unwrap();
-    let addr = server.local_addr().to_string();
+    for sched in policies() {
+        let server = DetServed::start(test_config()).unwrap();
+        let addr = server.local_addr().to_string();
 
-    // Reference receipt from a healthy run.
-    let mut c = Client::connect(&addr).unwrap();
-    let job = spec("ocean", 77);
-    let (_, reference) = run_ok(&mut c, &job);
+        // Reference receipt from a healthy run.
+        let mut c = Client::connect(&addr).unwrap();
+        let job = JobSpec {
+            scheduler: sched,
+            ..spec("ocean", 77)
+        };
+        let (_, reference) = run_ok(&mut c, &job);
 
-    // Fire the same job again and concurrently kill every shard we can
-    // (the server refuses to evict the last one). Whatever shard picks
-    // the job up — possibly after eviction + requeue — the receipt must
-    // not change.
-    let killer = {
-        let addr = addr.clone();
-        std::thread::spawn(move || {
-            let mut k = Client::connect(&addr).unwrap();
-            for s in 0..3 {
-                let _ = k.kill_shard(s);
-            }
-        })
-    };
-    let (resp, rerun) = run_ok(&mut c, &job);
-    killer.join().unwrap();
-    assert_eq!(
-        rerun.canonical(),
-        reference.canonical(),
-        "receipt changed across eviction/requeue: {}",
-        resp.to_string_compact()
-    );
+        // Fire the same job again and concurrently kill every shard we can
+        // (the server refuses to evict the last one). Whatever shard picks
+        // the job up — possibly after eviction + requeue — the receipt must
+        // not change.
+        let killer = {
+            let addr = addr.clone();
+            std::thread::spawn(move || {
+                let mut k = Client::connect(&addr).unwrap();
+                for s in 0..3 {
+                    let _ = k.kill_shard(s);
+                }
+            })
+        };
+        let (resp, rerun) = run_ok(&mut c, &job);
+        killer.join().unwrap();
+        assert_eq!(
+            rerun.canonical(),
+            reference.canonical(),
+            "receipt changed across eviction/requeue: {}",
+            resp.to_string_compact()
+        );
 
-    // Evictions happened (2 of 3 shards die; the last is protected).
-    let stats = c.stats().unwrap();
-    let evictions = stats
-        .get("counters")
-        .and_then(|s| s.get("evictions"))
-        .and_then(Json::as_u64)
-        .unwrap();
-    assert_eq!(evictions, 2);
-    let mismatches = stats
-        .get("counters")
-        .and_then(|s| s.get("receipt_mismatches"))
-        .and_then(Json::as_u64);
-    assert_eq!(mismatches, Some(0));
+        // Evictions happened (2 of 3 shards die; the last is protected).
+        let stats = c.stats().unwrap();
+        let evictions = stats
+            .get("counters")
+            .and_then(|s| s.get("evictions"))
+            .and_then(Json::as_u64)
+            .unwrap();
+        assert_eq!(evictions, 2);
+        let mismatches = stats
+            .get("counters")
+            .and_then(|s| s.get("receipt_mismatches"))
+            .and_then(Json::as_u64);
+        assert_eq!(mismatches, Some(0));
 
-    c.shutdown().unwrap();
-    server.join();
+        c.shutdown().unwrap();
+        server.join();
+    }
 }
 
 #[test]
@@ -443,79 +459,84 @@ fn graceful_drain_finishes_inflight_work_and_rejects_new() {
 
 #[test]
 fn injected_crashes_recover_via_checkpoints_with_identical_receipts() {
-    // Fault-free reference receipts first.
-    let server = DetServed::start(test_config()).unwrap();
-    let addr = server.local_addr().to_string();
-    let mut c = Client::connect(&addr).unwrap();
-    let jobs: Vec<JobSpec> = [("ocean", 21), ("raytrace", 22)]
-        .iter()
-        .map(|&(w, s)| spec(w, s))
-        .collect();
-    let reference: Vec<String> = jobs
-        .iter()
-        .map(|j| run_ok(&mut c, j).1.canonical())
-        .collect();
-    c.shutdown().unwrap();
-    server.join();
+    for sched in policies() {
+        // Fault-free reference receipts first.
+        let server = DetServed::start(test_config()).unwrap();
+        let addr = server.local_addr().to_string();
+        let mut c = Client::connect(&addr).unwrap();
+        let jobs: Vec<JobSpec> = [("ocean", 21), ("raytrace", 22)]
+            .iter()
+            .map(|&(w, s)| JobSpec {
+                scheduler: sched,
+                ..spec(w, s)
+            })
+            .collect();
+        let reference: Vec<String> = jobs
+            .iter()
+            .map(|j| run_ok(&mut c, j).1.canonical())
+            .collect();
+        c.shutdown().unwrap();
+        server.join();
 
-    // Same jobs on a crash-chaos server with aggressive checkpointing.
-    // max_retries is raised because the crash plan needs a few attempts
-    // to decay to zero.
-    let config = ServeConfig {
-        checkpoint_interval: 1500,
-        max_retries: 10,
-        crash_faults: Some(CrashPlan {
-            seed: 7,
-            per_1024: 1024,
-        }),
-        ..test_config()
-    };
-    let server = DetServed::start(config).unwrap();
-    let addr = server.local_addr().to_string();
-    let mut c = Client::connect(&addr).unwrap();
-    let chaotic: Vec<String> = jobs
-        .iter()
-        .map(|j| run_ok(&mut c, j).1.canonical())
-        .collect();
-    assert_eq!(
-        chaotic, reference,
-        "recovered receipts must be byte-identical to fault-free ones"
-    );
+        // Same jobs on a crash-chaos server with aggressive checkpointing.
+        // max_retries is raised because the crash plan needs a few attempts
+        // to decay to zero.
+        let config = ServeConfig {
+            checkpoint_interval: 1500,
+            max_retries: 10,
+            crash_faults: Some(CrashPlan {
+                seed: 7,
+                per_1024: 1024,
+            }),
+            ..test_config()
+        };
+        let server = DetServed::start(config).unwrap();
+        let addr = server.local_addr().to_string();
+        let mut c = Client::connect(&addr).unwrap();
+        let chaotic: Vec<String> = jobs
+            .iter()
+            .map(|j| run_ok(&mut c, j).1.canonical())
+            .collect();
+        assert_eq!(
+            chaotic, reference,
+            "recovered receipts must be byte-identical to fault-free ones"
+        );
 
-    let stats = c.stats().unwrap();
-    let counter = |k: &str| {
-        stats
-            .get("counters")
-            .and_then(|s| s.get(k))
-            .and_then(Json::as_u64)
-            .unwrap()
-    };
-    assert!(counter("crashes_injected") >= 1, "crash plan never fired");
-    assert!(
-        counter("recoveries") >= 1,
-        "crashes must recover warm (from a checkpoint), not cold"
-    );
-    assert_eq!(counter("receipt_mismatches"), 0);
-    let recovery = stats.get("recovery").expect("recovery block");
-    assert!(
-        recovery
-            .get("checkpoints_taken")
-            .and_then(Json::as_u64)
-            .unwrap()
-            >= 1
-    );
-    assert_eq!(
-        recovery.get("crash_faults_active").and_then(Json::as_bool),
-        Some(true)
-    );
+        let stats = c.stats().unwrap();
+        let counter = |k: &str| {
+            stats
+                .get("counters")
+                .and_then(|s| s.get(k))
+                .and_then(Json::as_u64)
+                .unwrap()
+        };
+        assert!(counter("crashes_injected") >= 1, "crash plan never fired");
+        assert!(
+            counter("recoveries") >= 1,
+            "crashes must recover warm (from a checkpoint), not cold"
+        );
+        assert_eq!(counter("receipt_mismatches"), 0);
+        let recovery = stats.get("recovery").expect("recovery block");
+        assert!(
+            recovery
+                .get("checkpoints_taken")
+                .and_then(Json::as_u64)
+                .unwrap()
+                >= 1
+        );
+        assert_eq!(
+            recovery.get("crash_faults_active").and_then(Json::as_bool),
+            Some(true)
+        );
 
-    // Disarm via the control plane and verify the server runs clean again.
-    c.chaos(None, None).unwrap();
-    let (_, clean) = run_ok(&mut c, &jobs[0]);
-    assert_eq!(clean.canonical(), reference[0]);
+        // Disarm via the control plane and verify the server runs clean again.
+        c.chaos(None, None).unwrap();
+        let (_, clean) = run_ok(&mut c, &jobs[0]);
+        assert_eq!(clean.canonical(), reference[0]);
 
-    c.shutdown().unwrap();
-    server.join();
+        c.shutdown().unwrap();
+        server.join();
+    }
 }
 
 #[test]

@@ -14,16 +14,9 @@
 //!   metrics, receipts, and sanitizer reports on every workload × opt
 //!   config × jitter seed.
 //!
-//! Selection is resolved once per [`crate::machine::MachineConfig`]
-//! construction, in priority order: a process-wide override installed by a
-//! `--backend` CLI flag ([`Backend::set_process_default`]), then the
-//! `DETLOCK_BACKEND` environment variable (`interp` | `threaded`), then
-//! [`Backend::Interp`]. The CI backend matrix reruns the whole tier-1 test
-//! suite and the serve smoke test under `DETLOCK_BACKEND=threaded` without
-//! touching a single call site.
-
-use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::OnceLock;
+//! The engine is a [`crate::machine::MachineConfig`] field like any other:
+//! the constructor or a `--backend` flag (`interp` | `threaded`) sets it,
+//! and `MachineConfig::default()` holds [`Backend::Interp`].
 
 /// Which execution engine runs instructions under the determinism core.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -35,14 +28,11 @@ pub enum Backend {
     Threaded,
 }
 
-/// Process-wide override installed by `--backend`: 0 = unset, else tag+1.
-static PROCESS_DEFAULT: AtomicU8 = AtomicU8::new(0);
-
 impl Backend {
-    /// Parse a CLI/env spelling.
+    /// Parse a CLI spelling.
     pub fn parse(s: &str) -> Result<Backend, String> {
         match s {
-            "interp" | "interpreter" => Ok(Backend::Interp),
+            "interp" => Ok(Backend::Interp),
             "threaded" => Ok(Backend::Threaded),
             other => Err(format!(
                 "unknown backend '{other}' (expected 'interp' or 'threaded')"
@@ -56,37 +46,6 @@ impl Backend {
             Backend::Interp => "interp",
             Backend::Threaded => "threaded",
         }
-    }
-
-    /// Install a process-wide default, overriding `DETLOCK_BACKEND`. Called
-    /// by the `--backend` flag of the CLI tools so every machine built
-    /// afterwards (including by library code that never saw the flag) uses
-    /// the requested engine.
-    pub fn set_process_default(self) {
-        PROCESS_DEFAULT.store(self as u8 + 1, Ordering::Relaxed);
-    }
-
-    /// The backend a fresh [`crate::machine::MachineConfig`] gets: the
-    /// process override if installed, else `DETLOCK_BACKEND` (read once and
-    /// cached), else [`Backend::Interp`].
-    ///
-    /// # Panics
-    /// On an unparseable `DETLOCK_BACKEND` value — a misconfigured
-    /// environment should fail loudly, not silently fall back to the
-    /// interpreter.
-    pub fn resolve() -> Backend {
-        match PROCESS_DEFAULT.load(Ordering::Relaxed) {
-            1 => return Backend::Interp,
-            2 => return Backend::Threaded,
-            _ => {}
-        }
-        static ENV: OnceLock<Option<Backend>> = OnceLock::new();
-        ENV.get_or_init(|| {
-            std::env::var("DETLOCK_BACKEND").ok().map(|v| {
-                Backend::parse(&v).unwrap_or_else(|e| panic!("invalid DETLOCK_BACKEND: {e}"))
-            })
-        })
-        .unwrap_or(Backend::Interp)
     }
 }
 
@@ -105,8 +64,9 @@ mod tests {
         for b in [Backend::Interp, Backend::Threaded] {
             assert_eq!(Backend::parse(b.label()), Ok(b));
         }
-        assert_eq!(Backend::parse("interpreter"), Ok(Backend::Interp));
-        assert!(Backend::parse("jit").is_err());
+        for other in ["jit", "interpreter"] {
+            assert!(Backend::parse(other).is_err(), "{other}");
+        }
     }
 
     #[test]

@@ -21,10 +21,10 @@
 //! `--profile` prints, after `--run`, how the simulator got through the
 //! run: rounds executed, cycles advanced in closed form, scheduler calls,
 //! the threads the rounds touched and the threaded engine's run lengths.
-//! `--backend interp|threaded` (or `DETLOCK_BACKEND`) picks the execution
-//! engine; results are identical either way, only the wall-clock time
-//! differs. `--scheduler kendo|chunk[:SIZE[:COST]]|dc-batch` (or
-//! `DETLOCK_SCHEDULER`) picks the deterministic arbitration policy;
+//! `--backend interp|threaded` picks the execution engine; results are
+//! identical either way, only the wall-clock time differs.
+//! `--scheduler kendo|chunk[:SIZE[:COST]]|dc-batch` picks the
+//! deterministic arbitration policy;
 //! different policies legitimately produce different (each internally
 //! deterministic) lock orders. `--mode kendo` with no explicit
 //! `--scheduler` implies `--scheduler chunk`, preserving the historical
@@ -51,7 +51,9 @@ struct Options {
     print_passes: bool,
     pass_stats: bool,
     profile: bool,
-    scheduler_set: bool,
+    backend: Backend,
+    /// `None`: Kendo, or chunk under `--mode kendo`.
+    scheduler: Option<Sched>,
 }
 
 fn usage() -> ! {
@@ -82,7 +84,8 @@ fn parse_options() -> Options {
         print_passes: false,
         pass_stats: false,
         profile: false,
-        scheduler_set: false,
+        backend: Backend::Interp,
+        scheduler: None,
     };
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
@@ -153,20 +156,17 @@ fn parse_options() -> Options {
             }
             "--backend" => {
                 i += 1;
-                match argv.get(i).map(|v| Backend::parse(v)) {
-                    Some(Ok(b)) => b.set_process_default(),
+                o.backend = match argv.get(i).map(|v| Backend::parse(v)) {
+                    Some(Ok(b)) => b,
                     _ => usage(),
-                }
+                };
             }
             "--scheduler" => {
                 i += 1;
-                match argv.get(i).map(|v| Sched::parse(v)) {
-                    Some(Ok(s)) => {
-                        s.set_process_default();
-                        o.scheduler_set = true;
-                    }
+                o.scheduler = match argv.get(i).map(|v| Sched::parse(v)) {
+                    Some(Ok(s)) => Some(s),
                     _ => usage(),
-                }
+                };
             }
             "--print-passes" => o.print_passes = true,
             "--pass-stats" => o.pass_stats = true,
@@ -183,11 +183,6 @@ fn parse_options() -> Options {
     }
     if o.input.is_empty() {
         usage();
-    }
-    // `--mode kendo` historically meant "Kendo with chunked clocks"; keep
-    // that spelling working when no scheduler was named explicitly.
-    if matches!(o.mode, ExecMode::Kendo) && !o.scheduler_set {
-        Sched::Chunk(Default::default()).set_process_default();
     }
     o
 }
@@ -316,9 +311,17 @@ fn main() {
         })
         .collect();
 
+    // `--mode kendo` historically meant "Kendo with chunked clocks"; keep
+    // that spelling working when no scheduler was named explicitly.
+    let scheduler = o.scheduler.unwrap_or(match o.mode {
+        ExecMode::Kendo => Sched::Chunk(Default::default()),
+        _ => Sched::Kendo,
+    });
     let cfg = MachineConfig {
         mode: o.mode,
         jitter: Jitter::default().with_seed(o.seed),
+        backend: o.backend,
+        scheduler,
         ..MachineConfig::default()
     };
     let (metrics, hit, profile) = Machine::new(&out.module, &cost, &threads, cfg).run_profiled();

@@ -18,8 +18,8 @@
 //! Deterministic modes arbitrate through the [`Sched`] policy enum —
 //! [`Sched::Kendo`] (min-clock reference), [`Sched::Chunk`] (chunked
 //! store-counter clocks), or [`Sched::DcBatch`] (deterministic-consistency
-//! batch commits) — selected per [`MachineConfig`] via `--scheduler` /
-//! `DETLOCK_SCHEDULER`.
+//! batch commits) — selected per [`MachineConfig`] (`--scheduler` on the
+//! CLI tools).
 //!
 //! [`determinism::check_determinism`] verifies the weak-determinism
 //! guarantee empirically by rerunning a workload across jitter seeds and

@@ -162,15 +162,13 @@ pub struct MachineConfig {
     /// enabled path costs is the benchmark's `vm.sanitize.slowdown`.
     pub sanitize: bool,
     /// Which execution engine runs instructions (see [`crate::backend`]).
-    /// Defaults to [`Backend::resolve`] — a `--backend` flag or the
-    /// `DETLOCK_BACKEND` env var reroutes every default-constructed config
-    /// in the process. Not part of a [`Checkpoint`]'s fingerprint.
+    /// Defaults to [`Backend::Interp`]. Not part of a [`Checkpoint`]'s
+    /// fingerprint.
     pub backend: Backend,
     /// Which deterministic arbitration policy runs in `Det` / `Kendo`
-    /// modes (see [`crate::sched`]). Defaults to [`Sched::resolve`] — a
-    /// `--scheduler` flag or the `DETLOCK_SCHEDULER` env var reroutes
-    /// every default-constructed config. Unlike the backend, part of a
-    /// [`Checkpoint`]'s fingerprint ([`ResumeError::SchedulerMismatch`]).
+    /// modes (see [`crate::sched`]). Defaults to [`Sched::Kendo`]. Unlike
+    /// the backend, part of a [`Checkpoint`]'s fingerprint
+    /// ([`ResumeError::SchedulerMismatch`]).
     pub scheduler: Sched,
 }
 
@@ -185,8 +183,8 @@ impl Default for MachineConfig {
             lock_order_limit: 100_000,
             det_event_cost: 120,
             sanitize: false,
-            backend: Backend::resolve(),
-            scheduler: Sched::resolve(),
+            backend: Backend::Interp,
+            scheduler: Sched::Kendo,
         }
     }
 }

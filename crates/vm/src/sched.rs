@@ -3,8 +3,9 @@
 //! DetLock's contribution is the *instrumentation* — compiler-placed
 //! logical clocks. The *arbitration policy* that consumes those clocks is
 //! a separate axis: [`Sched`] is that policy. Given a per-round view of
-//! every thread (phase, logical clock), [`Sched::decide`] says who may
-//! perform a synchronization event this round, and two flags
+//! every thread (phase, logical clock), [`Sched::lease`] says who holds
+//! the turn and for how many rounds, or that a batch commits;
+//! [`Sched::decide`] gives that batch's order. Two flags
 //! ([`Sched::bumps_on_contention`], [`Sched::uses_release_clocks`]) fix
 //! the rule for contended acquires. Three policies ship — see the
 //! [`Sched`] variants for each one's determinism argument.
@@ -20,9 +21,9 @@
 //! sequence is jitter-invariant too. A policy that peeked at wall-clock
 //! state (cycles, RNG position, the `pending` countdown) would leak
 //! seed-dependence into the lock order and break the weak-determinism
-//! guarantee. [`Sched::lease`] — for how many rounds a decision stands,
-//! which lets the round loop skip the rounds in between — reads the same
-//! slice and nothing more.
+//! guarantee. [`Sched::lease`] — whose turn it is and for how many rounds
+//! it stands, which lets the round loop skip the rounds in between — reads
+//! the same slice and nothing more.
 //!
 //! Because different policies legitimately produce different lock orders
 //! (and hence different trace hashes, receipts, and sanitizer reports),
@@ -33,12 +34,10 @@
 //! pure function of the view, so that identity check is all a checkpoint
 //! needs to carry.
 //!
-//! Selection mirrors [`crate::backend::Backend`]: a process-wide override
-//! installed by a `--scheduler` CLI flag, then the `DETLOCK_SCHEDULER`
-//! environment variable (`kendo` | `chunk[:SIZE[:COST]]` | `dc-batch`),
-//! then [`Sched::Kendo`].
-
-use std::sync::OnceLock;
+//! A policy is a [`crate::machine::MachineConfig`] field like any other:
+//! the constructor or a `--scheduler` flag (`kendo` |
+//! `chunk[:SIZE[:COST]]` | `dc-batch`) sets it, and
+//! `MachineConfig::default()` holds [`Sched::Kendo`].
 
 /// Chunked store-counter clock parameters (Table II). The paper notes
 /// Kendo must balance chunk size by hand; `chunk_size` is that knob.
@@ -126,9 +125,11 @@ pub enum Lease {
 }
 
 /// Which deterministic scheduling policy arbitrates synchronization. The
-/// enum *is* the policy: the round loop calls [`Sched::decide`] once per
-/// arbitration round in deterministic modes, and every variant is a pure
-/// function of the [`ThreadView`] sequence.
+/// enum *is* the policy: in deterministic modes the round loop asks
+/// [`Sched::lease`] at each arbitrated round for the turn holder (or a
+/// batch), and calls [`Sched::decide`] only for a batch's order and in a
+/// debug assertion that the lease names the turn `decide` would. Every
+/// variant is a pure function of the [`ThreadView`] sequence.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Sched {
     /// Kendo-style arbitration on whatever drives the logical clocks
@@ -178,26 +179,14 @@ pub enum Sched {
     DcBatch,
 }
 
-/// Process-wide overrides installed by `--scheduler`, oldest first; the
-/// last one counts. A policy carries parameters, so it does not fit the
-/// atomic tag `Backend` uses; a chain of write-once cells keeps
-/// [`Sched::resolve`] — run for every default-constructed config, on any
-/// thread — a walk over atomic loads with no lock to contend on.
-struct Override {
-    sched: Sched,
-    newer: OnceLock<Box<Override>>,
-}
-
-static PROCESS_DEFAULT: OnceLock<Box<Override>> = OnceLock::new();
-
 impl Sched {
-    /// Parse a CLI/env spelling: `kendo`, `chunk`, `chunk:SIZE`,
+    /// Parse a CLI spelling: `kendo`, `chunk`, `chunk:SIZE`,
     /// `chunk:SIZE:COST`, `dc-batch`.
     pub fn parse(s: &str) -> Result<Sched, String> {
         match s {
             "kendo" => return Ok(Sched::Kendo),
             "chunk" => return Ok(Sched::Chunk(ChunkParams::default())),
-            "dc-batch" | "dcbatch" | "dc_batch" => return Ok(Sched::DcBatch),
+            "dc-batch" => return Ok(Sched::DcBatch),
             _ => {}
         }
         if let Some(rest) = s.strip_prefix("chunk:") {
@@ -262,49 +251,6 @@ impl Sched {
             Sched::Chunk(p) => [1, p.chunk_size, p.interrupt_cost],
             Sched::DcBatch => [2, 0, 0],
         }
-    }
-
-    /// Install a process-wide default, overriding `DETLOCK_SCHEDULER`.
-    /// Called by the `--scheduler` flag of the CLI tools so every machine
-    /// built afterwards uses the requested policy.
-    pub fn set_process_default(self) {
-        let mut link = Box::new(Override {
-            sched: self,
-            newer: OnceLock::new(),
-        });
-        let mut cell = &PROCESS_DEFAULT;
-        // A taken cell (an earlier override, or one racing this) hands the
-        // link back: queue behind its occupant.
-        while let Err(back) = cell.set(link) {
-            link = back;
-            cell = &cell.get().expect("`set` failed on a full cell").newer;
-        }
-    }
-
-    /// The scheduler a fresh [`crate::machine::MachineConfig`] gets: the
-    /// process override if installed, else `DETLOCK_SCHEDULER` (read once
-    /// and cached), else [`Sched::Kendo`].
-    ///
-    /// # Panics
-    /// On an unparseable `DETLOCK_SCHEDULER` value — a misconfigured
-    /// environment should fail loudly, not silently fall back.
-    pub fn resolve() -> Sched {
-        let mut cell = &PROCESS_DEFAULT;
-        let mut latest = None;
-        while let Some(link) = cell.get() {
-            latest = Some(link.sched);
-            cell = &link.newer;
-        }
-        if let Some(s) = latest {
-            return s;
-        }
-        static ENV: OnceLock<Option<Sched>> = OnceLock::new();
-        ENV.get_or_init(|| {
-            std::env::var("DETLOCK_SCHEDULER").ok().map(|v| {
-                Sched::parse(&v).unwrap_or_else(|e| panic!("invalid DETLOCK_SCHEDULER: {e}"))
-            })
-        })
-        .unwrap_or(Sched::Kendo)
     }
 
     /// The turn (or batch) for this round.
@@ -426,7 +372,6 @@ mod tests {
         ] {
             assert_eq!(Sched::parse(&s.spec()), Ok(s));
         }
-        assert_eq!(Sched::parse("dcbatch"), Ok(Sched::DcBatch));
         assert_eq!(
             Sched::parse("chunk:64"),
             Ok(Sched::Chunk(ChunkParams {
@@ -434,7 +379,9 @@ mod tests {
                 ..ChunkParams::default()
             }))
         );
-        assert!(Sched::parse("fifo").is_err());
+        for other in ["fifo", "dcbatch", "dc_batch"] {
+            assert!(Sched::parse(other).is_err(), "{other}");
+        }
         assert!(Sched::parse("chunk:0").is_err());
         assert!(Sched::parse("chunk:1:2:3").is_err());
     }

@@ -258,8 +258,7 @@ const CHUNK: ChunkParams = ChunkParams {
 };
 
 /// One grid column: label, mode, policy, and whether the mode runs the
-/// instrumented module. Policy and backend are always set explicitly, so
-/// `DETLOCK_SCHEDULER` / `DETLOCK_BACKEND` cannot reroute a cell.
+/// instrumented module.
 type Config = (&'static str, ExecMode, Sched, bool);
 
 fn configs() -> [Config; 6] {

@@ -20,9 +20,8 @@ fn cfg(mode: ExecMode) -> MachineConfig {
     }
 }
 
-/// Kendo-mode config with the chunk scheduler pinned explicitly (these
-/// tests assert chunked-clock behaviour, so they must not inherit
-/// whatever `DETLOCK_SCHEDULER` the environment selects).
+/// Kendo-mode config with the chunk scheduler (these tests assert
+/// chunked-clock behaviour).
 fn kendo_cfg(params: ChunkParams) -> MachineConfig {
     let mut c = cfg(ExecMode::Kendo);
     c.scheduler = Sched::Chunk(params);

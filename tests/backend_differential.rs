@@ -89,6 +89,8 @@ fn det_runs_identical_across_the_full_opt_grid() {
 /// and sanitizer reports. Schedulers legitimately differ from *each
 /// other* — that cross-policy divergence is pinned by the scheduler
 /// matrix suite — but within one policy the backend must not matter.
+/// `None` and `All` are the two extremes of tick placement: every block
+/// ticks, or the fewest blocks do.
 #[test]
 fn det_runs_identical_across_the_scheduler_grid() {
     let cost = CostModel::default();
@@ -100,19 +102,21 @@ fn det_runs_identical_across_the_scheduler_grid() {
     let mut cells = 0u32;
     for w in all_benchmarks(2, 0.02) {
         let specs = thread_specs(&w);
-        let inst = instrumented(&w, &cost, OptLevel::All, Placement::Start);
-        for sched in scheds {
-            for seed in [1u64, 31337] {
-                let mut cfg = machine_config(&w, ExecMode::Det, seed);
-                cfg.scheduler = sched;
-                cfg.sanitize = true;
-                let ctx = format!("{} / {sched} / seed {seed}", w.name);
-                assert_identical(run_both(&inst.module, &cost, &specs, &cfg), &ctx);
-                cells += 1;
+        for level in [OptLevel::None, OptLevel::All] {
+            let inst = instrumented(&w, &cost, level, Placement::Start);
+            for sched in scheds {
+                for seed in [1u64, 31337] {
+                    let mut cfg = machine_config(&w, ExecMode::Det, seed);
+                    cfg.scheduler = sched;
+                    cfg.sanitize = true;
+                    let ctx = format!("{} / {level:?} / {sched} / seed {seed}", w.name);
+                    assert_identical(run_both(&inst.module, &cost, &specs, &cfg), &ctx);
+                    cells += 1;
+                }
             }
         }
     }
-    assert!(cells >= 30, "scheduler grid shrank to {cells} cells");
+    assert!(cells >= 60, "scheduler grid shrank to {cells} cells");
 }
 
 /// The mode the differential covers after `mode`. The match is exhaustive,

@@ -1,7 +1,8 @@
 //! Property sweep: resume-from-checkpoint must be indistinguishable from
 //! run-from-zero.
 //!
-//! For every serving workload × two jitter seeds, the job is re-executed
+//! For every serving workload × two jitter seeds × every arbitration
+//! policy, the job is re-executed
 //! as a maximal-interruption chain — preempted at *every* checkpoint
 //! boundary and resumed from the snapshot — at randomized (seeded)
 //! checkpoint intervals. The final receipt must be byte-identical to the
@@ -12,6 +13,7 @@
 use detlock_passes::pipeline::OptLevel;
 use detlock_serve::protocol::JobSpec;
 use detlock_serve::shard::{ExecOpts, ExecOutcome, PreemptReason, ShardEngine};
+use detlock_vm::{ChunkParams, Sched};
 
 /// splitmix64, the repo-wide idiom for seeded-but-stateless draws.
 fn mix(seed: u64, a: u64, b: u64) -> u64 {
@@ -33,11 +35,16 @@ fn spec(workload: &str, seed: u64) -> JobSpec {
         seed,
         opt: OptLevel::All,
         sanitize: false,
-        // Inherits `DETLOCK_SCHEDULER`: the resume-equals-from-zero
-        // property must hold under every policy, so the CI scheduler
-        // matrix runs this whole suite once per policy.
-        scheduler: detlock_vm::Sched::resolve(),
+        scheduler: Sched::Kendo,
     }
+}
+
+fn policies() -> [Sched; 3] {
+    [
+        Sched::Kendo,
+        Sched::Chunk(ChunkParams::default()),
+        Sched::DcBatch,
+    ]
 }
 
 /// Run `spec` as a preempt-at-every-checkpoint resume chain and return
@@ -78,24 +85,32 @@ fn resume_from_checkpoint_matches_run_from_zero_across_the_workload_grid() {
         .collect();
     assert!(workloads.len() >= 5, "workload registry shrank");
     let mut chains = 0u64;
-    for (wi, name) in workloads.iter().enumerate() {
-        for jitter_seed in [1u64, 7] {
-            let job = spec(name, jitter_seed);
-            let reference = match engine.execute_resumable(&job, u64::MAX, ExecOpts::default()) {
-                ExecOutcome::Done { receipt, .. } => receipt.canonical(),
-                _ => panic!("uninterrupted run failed for {name}"),
-            };
-            // Two randomized (seeded, reproducible) checkpoint intervals
-            // per cell, drawn from [500, 8000).
-            for k in 0..2u64 {
-                let interval = 500 + mix(0xC4EC, wi as u64, jitter_seed * 2 + k) % 7500;
-                let (canonical, rounds) = run_interrupted(&mut engine, &job, interval);
-                assert_eq!(
-                    canonical, reference,
-                    "{name} seed {jitter_seed} interval {interval}: \
-                     resumed receipt diverged from run-from-zero"
-                );
-                chains += rounds;
+    // The property holds per policy: each chain is compared against its
+    // own policy's run from zero.
+    for sched in policies() {
+        for (wi, name) in workloads.iter().enumerate() {
+            for jitter_seed in [1u64, 7] {
+                let job = JobSpec {
+                    scheduler: sched,
+                    ..spec(name, jitter_seed)
+                };
+                let reference = match engine.execute_resumable(&job, u64::MAX, ExecOpts::default())
+                {
+                    ExecOutcome::Done { receipt, .. } => receipt.canonical(),
+                    _ => panic!("uninterrupted {sched} run failed for {name}"),
+                };
+                // Two randomized (seeded, reproducible) checkpoint intervals
+                // per cell, drawn from [500, 8000).
+                for k in 0..2u64 {
+                    let interval = 500 + mix(0xC4EC, wi as u64, jitter_seed * 2 + k) % 7500;
+                    let (canonical, rounds) = run_interrupted(&mut engine, &job, interval);
+                    assert_eq!(
+                        canonical, reference,
+                        "{name}/{sched} seed {jitter_seed} interval {interval}: \
+                         resumed receipt diverged from run-from-zero"
+                    );
+                    chains += rounds;
+                }
             }
         }
     }
@@ -241,15 +256,9 @@ fn checkpoint_interval_does_not_leak_into_the_receipt() {
 /// is compared against its own policy's reference.
 #[test]
 fn resume_chains_match_run_from_zero_under_every_scheduler() {
-    use detlock_vm::Sched;
     let mut engine = ShardEngine::new(0);
-    let scheds = [
-        Sched::Kendo,
-        Sched::Chunk(detlock_vm::ChunkParams::default()),
-        Sched::DcBatch,
-    ];
     for name in ["ocean", "radiosity"] {
-        for sched in scheds {
+        for sched in policies() {
             let mut job = spec(name, 5);
             job.scheduler = sched;
             let reference = match engine.execute_resumable(&job, u64::MAX, ExecOpts::default()) {
@@ -277,7 +286,6 @@ fn restore_under_a_different_scheduler_is_a_typed_error() {
     use detlock_bench::{machine_config, thread_specs};
     use detlock_passes::cost::CostModel;
     use detlock_vm::machine::{CkptControl, ExecMode, Machine, ResumeError, RunOutcome};
-    use detlock_vm::Sched;
 
     let w = detlock_workloads::by_name("ocean", 2, 0.02).unwrap();
     let cost = CostModel::default();

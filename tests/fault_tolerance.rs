@@ -355,7 +355,7 @@ fn serve_spec(workload: &str, seed: u64) -> JobSpec {
         seed,
         opt: detlock_passes::pipeline::OptLevel::All,
         sanitize: false,
-        scheduler: detlock_vm::Sched::resolve(),
+        scheduler: detlock_vm::Sched::Kendo,
     }
 }
 

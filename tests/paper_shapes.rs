@@ -2,6 +2,8 @@
 //! in which direction each optimization moves each benchmark, where the
 //! DetLock/Kendo crossover falls. Absolute percentages live in
 //! EXPERIMENTS.md; these tests keep the qualitative claims from regressing.
+//! They are claims about the paper's reference arbitration, Kendo
+//! min-clock turns, which is the policy `MachineConfig::default()` holds.
 
 use detlock_bench::{
     instrumented, machine_config, run_baseline, run_benchmark, run_kendo, run_level, thread_specs,
@@ -14,19 +16,8 @@ use detlock_workloads::by_name;
 
 const SCALE: f64 = 0.1;
 
-/// The shapes this suite pins are claims about the paper's reference
-/// arbitration (Kendo min-clock turns). Alternative policies legitimately
-/// move the numbers — dc-batch costs ~2x in simulated cycles — so the
-/// suite pins the policy itself and stays green under the CI scheduler
-/// matrix (`DETLOCK_SCHEDULER`) instead of re-testing the paper's claims
-/// against a policy the paper never measured.
-fn pin_reference_policy() {
-    detlock_vm::Sched::Kendo.set_process_default();
-}
-
 #[test]
 fn water_shape_o2_o4_help_o1_o3_dont() {
-    pin_reference_policy();
     let w = by_name("water-nsq", 4, SCALE).unwrap();
     let cost = CostModel::default();
     let r = run_benchmark(&w, &cost, 1);
@@ -48,7 +39,6 @@ fn water_shape_o2_o4_help_o1_o3_dont() {
 
 #[test]
 fn radiosity_shape_highest_det_overhead_o1_strongest() {
-    pin_reference_policy();
     let w = by_name("radiosity", 4, SCALE).unwrap();
     let cost = CostModel::default();
     let r = run_benchmark(&w, &cost, 1);
@@ -79,7 +69,6 @@ fn radiosity_shape_highest_det_overhead_o1_strongest() {
 
 #[test]
 fn ocean_shape_negligible_overheads() {
-    pin_reference_policy();
     let w = by_name("ocean", 4, SCALE).unwrap();
     let cost = CostModel::default();
     let r = run_benchmark(&w, &cost, 1);
@@ -93,7 +82,6 @@ fn ocean_shape_negligible_overheads() {
 
 #[test]
 fn raytrace_volrend_shape_moderate() {
-    pin_reference_policy();
     let cost = CostModel::default();
     for name in ["raytrace", "volrend"] {
         let w = by_name(name, 4, SCALE).unwrap();
@@ -109,7 +97,6 @@ fn raytrace_volrend_shape_moderate() {
 
 #[test]
 fn table2_crossover_detlock_beats_kendo_on_radiosity_loses_on_water() {
-    pin_reference_policy();
     let cost = CostModel::default();
     let chunks = [256, 1024, 4096];
 
@@ -139,7 +126,6 @@ fn table2_crossover_detlock_beats_kendo_on_radiosity_loses_on_water() {
 
 #[test]
 fn fig15_shape_start_placement_beats_end_beats_nothing() {
-    pin_reference_policy();
     let w = by_name("radiosity", 4, 0.15).unwrap();
     let cost = CostModel::default();
     let base = run_baseline(&w, &cost, 1);
@@ -165,7 +151,6 @@ fn fig15_shape_start_placement_beats_end_beats_nothing() {
 
 #[test]
 fn locks_per_sec_spread_matches_paper_ordering() {
-    pin_reference_policy();
     // Paper Table I ordering: radiosity ≫ volrend > raytrace > water ≫ ocean.
     let cost = CostModel::default();
     let rate = |name: &str| {
@@ -185,7 +170,6 @@ fn locks_per_sec_spread_matches_paper_ordering() {
 
 #[test]
 fn kendo_mode_also_deterministic_on_workloads() {
-    pin_reference_policy();
     // Table II's comparison is only fair if the simulated Kendo is itself
     // deterministic.
     let cost = CostModel::default();
@@ -201,7 +185,6 @@ fn kendo_mode_also_deterministic_on_workloads() {
 
 #[test]
 fn clocks_only_never_deterministic_claim_is_not_made() {
-    pin_reference_policy();
     // Sanity that instrumentation alone does NOT give determinism — the
     // runtime arbitration is load-bearing.
     let cost = CostModel::default();
@@ -223,7 +206,6 @@ fn clocks_only_never_deterministic_claim_is_not_made() {
 
 #[test]
 fn det_overhead_grows_with_core_count() {
-    pin_reference_policy();
     // Extension shape (scaling binary): deterministic-execution overhead
     // rises with thread count — more clocks to pass, higher aggregate lock
     // rate — while instrumentation overhead stays flat.
