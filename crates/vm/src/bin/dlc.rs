@@ -374,7 +374,7 @@ fn main() {
         );
         if profile.fused_runs.iter().any(|&n| n > 0) {
             println!(
-                "         dispatches by ops run: {}; {} runs cut to 1 by the limit/snapshot gate",
+                "         dispatches by ops run: {}; {} runs cut short by the limit/snapshot gate",
                 counts(&RoundProfile::RUN_LENGTHS, &profile.fused_runs),
                 profile.gate_cuts
             );

@@ -70,8 +70,7 @@ pub(crate) struct DetCore<'m> {
     pub(crate) state: RunState,
     /// Chunked store-counter parameters, hoisted out of `cfg.scheduler`:
     /// `Some` iff the mode is deterministic and the policy drives clocks
-    /// from retired stores. Consulted on every store retirement and by
-    /// the threaded backend's fusion gate.
+    /// from retired stores. Consulted on every store retirement.
     pub(crate) chunk: Option<ChunkParams>,
     /// Per thread: the cycle a `Ready` thread issues its next instruction
     /// at, `u64::MAX` for every other status.
@@ -91,9 +90,10 @@ pub(crate) struct DetCore<'m> {
     /// Scratch buffer for builtin-call argument evaluation, transient
     /// within one `exec_next`.
     pub(crate) scratch_args: Vec<i64>,
-    /// The cycle a time advance (and a fused run in the threaded backend)
-    /// must not pass: the cycle limit or the driving loop's next snapshot
-    /// boundary, whichever comes first. Set by the caller.
+    /// The cycle a time advance must not pass, and that no op the threaded
+    /// backend runs after a dispatch's head may issue at: the cycle limit
+    /// or the driving loop's next snapshot boundary, whichever comes
+    /// first. Set by the caller.
     pub(crate) next_stop: u64,
     /// `mem.len() - 1` when the memory size is a power of two: address
     /// wrapping then becomes a mask instead of a 64-bit `rem_euclid`
@@ -134,7 +134,8 @@ pub struct RoundProfile {
     /// Dispatches of the threaded backend by how many operations they
     /// ran, in the buckets of [`RoundProfile::RUN_LENGTHS`]: one per issue.
     pub fused_runs: [u64; 4],
-    /// Fusible runs the cycle-limit / snapshot gate cut to length 1.
+    /// Dispatches the cycle-limit / snapshot gate cut short: the next
+    /// thread-private op would have issued at or after the stop.
     pub gate_cuts: u64,
 }
 
@@ -150,7 +151,7 @@ impl RoundProfile {
     ];
 
     /// Labels for [`RoundProfile::fused_runs`].
-    pub const RUN_LENGTHS: [&'static str; 4] = ["1", "2-3", "4-7", "8-16"];
+    pub const RUN_LENGTHS: [&'static str; 4] = ["1", "2-3", "4-7", "8+"];
 
     /// Count one dispatch of `len` operations.
     #[inline]
@@ -854,9 +855,9 @@ pub(crate) fn charge_thread(th: &mut Thread, jitter: &Jitter, cost: u64) {
 
 /// The countdown a charge of `cost` earns: draws the jitter RNG exactly
 /// like [`charge_thread`] but leaves `pending` and `busy_cycles` for the
-/// caller — the fused-run path in the threaded backend accumulates several
-/// charges (in program order, preserving the positional draw sequence)
-/// into one combined countdown.
+/// caller — a dispatch of the threaded backend accumulates several charges
+/// (in program order, preserving the positional draw sequence) into one
+/// combined countdown.
 #[inline]
 pub(crate) fn charge_amount(th: &mut Thread, jitter: &Jitter, cost: u64) -> u64 {
     let extra = if jitter.prob_den > 0

@@ -17,6 +17,17 @@
 //! thesis applied to our own VM: pay for determinism machinery once, at
 //! compile time.
 //!
+//! One dispatch runs the op at the thread's `pc` on its natural cycle and
+//! then every following thread-private op — ALU, const, mov, cmp, `br`,
+//! `condbr`, `switch`, `call`, a `ret` that is not the thread's last frame,
+//! a tick in a mode that skips ticks — across blocks and frames, stopping
+//! before the next op anything outside the thread can observe (an
+//! executing tick, a load or store, lock, unlock, barrier, a builtin, the
+//! final `ret`) or the first op that would issue at or after `next_stop`.
+//! The op kinds decide where a run stops and the exact issue cycle decides
+//! where the gate cuts it, so nothing about runs is computed at lowering
+//! time (DESIGN.md §15, "Fused dispatch").
+//!
 //! The lowering is *shape-preserving*: function, block, and instruction
 //! indices are identical to the source module (the flat `pc` is internal —
 //! frames still carry source-relative `(func, block, ip)` coordinates), so
@@ -32,13 +43,10 @@
 //! the whole module to find its entry, and that key costs 7–9× what the
 //! lowering itself does (DESIGN.md §15, "The lowering").
 
-use crate::checkpoint::{Frame, Thread};
+use crate::checkpoint::Frame;
 use crate::core::{
     charge_amount, charge_thread, mem_index_of, retire_stores, Action, DetCore, ExecBackend,
 };
-use crate::machine::MachineConfig;
-use crate::sanitizer::Sanitizer;
-use crate::sched::ChunkParams;
 use detlock_ir::inst::{BinOp, CmpOp, Inst, Operand, Terminator};
 use detlock_ir::module::Module;
 use detlock_ir::types::{BlockId, FuncId, Reg};
@@ -151,30 +159,14 @@ pub(crate) enum Op {
     RetVoid,
 }
 
-/// Static fusion info for the run of operations starting at one flat `pc`
-/// (see [`run_fused`]): `len` operations can be dispatched in one step, and
-/// `cost_sum` bounds their combined charge. `len == 1` means "no fusion
-/// here" — the op runs alone.
-#[derive(Clone, Copy)]
-pub(crate) struct Fuse {
-    pub(crate) len: u8,
-    pub(crate) cost_sum: u32,
-}
-
-/// Cap on fused-run length: bounds the schedule-divergence window the
-/// checkpoint/limit gate has to reason about, and keeps `cost_sum` small.
-const FUSE_MAX: usize = 16;
-
 /// A lowered function: every block's instructions plus its terminator,
 /// flattened into one array. Block `b` occupies `starts[b] ..=
 /// starts[b] + insts_len`, the last slot being the terminator, so the
 /// executor's fetch is `ops[starts[block] + ip]` — `ip` stays
 /// source-relative (shape preservation) while the fetch is flat.
-/// `fuse[pc]` describes the statically fusible run starting at each op.
 pub(crate) struct LFunc {
     pub(crate) ops: Vec<Op>,
     pub(crate) starts: Vec<u32>,
-    pub(crate) fuse: Vec<Fuse>,
 }
 
 /// A module lowered to threaded code: same function/block/instruction
@@ -192,15 +184,12 @@ pub fn lower(module: &Module, cost: &CostModel) -> ThreadedProgram {
         .map(|f| {
             let mut ops = Vec::with_capacity(f.blocks.iter().map(|b| b.insts.len() + 1).sum());
             let mut starts = Vec::with_capacity(f.blocks.len());
-            let mut block_ends = Vec::with_capacity(f.blocks.len());
             for b in &f.blocks {
                 starts.push(ops.len() as u32);
                 ops.extend(b.insts.iter().map(|i| lower_inst(module, cost, i)));
                 ops.push(lower_term(&b.term));
-                block_ends.push(ops.len());
             }
-            let fuse = fuse_table(&ops, &starts, &block_ends, cost);
-            LFunc { ops, starts, fuse }
+            LFunc { ops, starts }
         })
         .collect();
     ThreadedProgram { funcs }
@@ -342,332 +331,6 @@ fn lower_term(term: &Terminator) -> Op {
     }
 }
 
-/// Register-only operations: they touch nothing another thread (or the
-/// sanitizer, or the arbiter) can observe, so executing them a few cycles
-/// early inside a fused run is invisible — the combined countdown restores
-/// the exact unfused timing before anything observable happens next.
-fn is_pure(op: &Op) -> bool {
-    matches!(
-        op,
-        Op::Const { .. }
-            | Op::MovR { .. }
-            | Op::MovI { .. }
-            | Op::BinR { .. }
-            | Op::BinI { .. }
-            | Op::CmpR { .. }
-            | Op::CmpI { .. }
-    )
-}
-
-/// Operations that may *head* a fused run: the head executes at its natural
-/// cycle (fusion only moves the ops *after* it), so one externally visible
-/// op — a memory access (sanitizer event, store retirement) or a tick
-/// (logical-clock bump the arbiter reads) — is allowed there and only
-/// there.
-fn is_head(op: &Op) -> bool {
-    is_pure(op)
-        || matches!(
-            op,
-            Op::Load { .. }
-                | Op::StoreR { .. }
-                | Op::StoreI { .. }
-                | Op::Tick { .. }
-                | Op::TickDyn { .. }
-        )
-}
-
-/// Terminators a fused run may end with: pure frame-coordinate updates.
-/// `Ret` is excluded — popping the last frame changes the thread's status
-/// (an arbiter-visible event that must land on its natural cycle).
-fn is_tail(op: &Op) -> bool {
-    matches!(op, Op::Br { .. } | Op::CondBr { .. } | Op::Switch { .. })
-}
-
-/// The charge [`run_fused`] applies for `op` — used to bound a fused run's
-/// combined countdown at lowering time.
-fn fuse_cost(op: &Op, cost: &CostModel) -> u64 {
-    match op {
-        Op::BinR { cost: c, .. } | Op::BinI { cost: c, .. } => *c,
-        Op::Load { .. } => cost.load,
-        Op::StoreR { .. } | Op::StoreI { .. } => cost.store,
-        Op::Tick { .. } => cost.tick,
-        Op::TickDyn { .. } => cost.tick + cost.tick_dyn_extra,
-        _ => cost.alu,
-    }
-}
-
-/// Compute the per-`pc` fusion table: the maximal run starting at each op
-/// that is one optional externally-visible head followed by register-only
-/// ops, optionally closing with the block's branch terminator, capped at
-/// [`FUSE_MAX`]. `cost_sum` saturates; the runtime gate treats a huge sum
-/// as "never fits", which degrades to unfused execution — always correct.
-fn fuse_table(ops: &[Op], starts: &[u32], block_ends: &[usize], cost: &CostModel) -> Vec<Fuse> {
-    let mut fuse = vec![
-        Fuse {
-            len: 1,
-            cost_sum: 0
-        };
-        ops.len()
-    ];
-    for (b, &end) in block_ends.iter().enumerate() {
-        let start = starts[b] as usize;
-        for j in start..end {
-            if !is_head(&ops[j]) || j == end - 1 {
-                continue;
-            }
-            let mut k = 1usize;
-            let mut sum = fuse_cost(&ops[j], cost) as u128;
-            let mut i = j + 1;
-            while i < end - 1 && k < FUSE_MAX && is_pure(&ops[i]) {
-                sum += fuse_cost(&ops[i], cost) as u128;
-                k += 1;
-                i += 1;
-            }
-            if i == end - 1 && k < FUSE_MAX && is_tail(&ops[i]) {
-                sum += fuse_cost(&ops[i], cost) as u128;
-                k += 1;
-            }
-            if k > 1 {
-                fuse[j] = Fuse {
-                    len: k as u8,
-                    cost_sum: u32::try_from(sum).unwrap_or(u32::MAX),
-                };
-            }
-        }
-    }
-    fuse
-}
-
-/// Execute the run of `len` ops starting at `pc` in one dispatch: the one
-/// copy of every fusable op's semantics. Dispatching a single op is the
-/// `len == 1` case — `pending` is 0 at entry, so the combined countdown
-/// below degenerates to that op's own charge.
-///
-/// Why `len > 1` is invisible: only the head op can touch anything outside
-/// the thread (memory + sanitizer, store retirement, or a tick's clock
-/// bump), and it executes at its natural cycle. The register-only tail executes
-/// "early", but registers and frame coordinates are thread-private, and
-/// the combined countdown `Σ charge_i + (executed − 1)` makes the *next*
-/// externally visible step land on exactly the cycle the unfused schedule
-/// would reach it — with identical positional RNG draws, identical
-/// per-cycle `busy_cycles` accrual (one here, the rest via the countdown),
-/// and identical `pending` whenever another component can read it (the
-/// caller's gate keeps checkpoint boundaries and the cycle limit outside
-/// the divergence window).
-#[allow(clippy::too_many_arguments)]
-#[inline(always)]
-fn run_fused(
-    lf: &LFunc,
-    pc: usize,
-    len: usize,
-    frame: Frame,
-    th: &mut Thread,
-    mem: &mut [i64],
-    san: &mut Option<Box<Sanitizer>>,
-    cfg: &MachineConfig,
-    cost: &CostModel,
-    mem_mask: Option<u64>,
-    chunk: Option<ChunkParams>,
-    t: usize,
-) -> Action {
-    let base = frame.reg_base;
-    let mut fr = frame;
-    let mut pending_sum = 0u64;
-    let mut executed = 0u64;
-    for op in &lf.ops[pc..pc + len] {
-        match op {
-            Op::Const { dst, value } | Op::MovI { dst, value } => {
-                fr.ip += 1;
-                th.m.instructions += 1;
-                th.regs[base + dst.index()] = *value;
-                pending_sum += charge_amount(th, &cfg.jitter, cost.alu);
-                executed += 1;
-            }
-            Op::MovR { dst, src } => {
-                fr.ip += 1;
-                th.m.instructions += 1;
-                th.regs[base + dst.index()] = th.regs[base + src.index()];
-                pending_sum += charge_amount(th, &cfg.jitter, cost.alu);
-                executed += 1;
-            }
-            Op::BinR {
-                op,
-                dst,
-                lhs,
-                rhs,
-                cost: c,
-            } => {
-                fr.ip += 1;
-                th.m.instructions += 1;
-                let a = th.regs[base + lhs.index()];
-                let b = th.regs[base + rhs.index()];
-                th.regs[base + dst.index()] = op.apply(a, b);
-                pending_sum += charge_amount(th, &cfg.jitter, *c);
-                executed += 1;
-            }
-            Op::BinI {
-                op,
-                dst,
-                lhs,
-                imm,
-                cost: c,
-            } => {
-                fr.ip += 1;
-                th.m.instructions += 1;
-                let a = th.regs[base + lhs.index()];
-                th.regs[base + dst.index()] = op.apply(a, *imm);
-                pending_sum += charge_amount(th, &cfg.jitter, *c);
-                executed += 1;
-            }
-            Op::CmpR { op, dst, lhs, rhs } => {
-                fr.ip += 1;
-                th.m.instructions += 1;
-                let a = th.regs[base + lhs.index()];
-                let b = th.regs[base + rhs.index()];
-                th.regs[base + dst.index()] = op.apply(a, b);
-                pending_sum += charge_amount(th, &cfg.jitter, cost.alu);
-                executed += 1;
-            }
-            Op::CmpI { op, dst, lhs, imm } => {
-                fr.ip += 1;
-                th.m.instructions += 1;
-                let a = th.regs[base + lhs.index()];
-                th.regs[base + dst.index()] = op.apply(a, *imm);
-                pending_sum += charge_amount(th, &cfg.jitter, cost.alu);
-                executed += 1;
-            }
-            // Head-only ops below: `fuse_table` admits them at position 0
-            // alone, so they run at their natural cycle and `frame` is
-            // still the correct sanitizer site.
-            Op::Load { dst, addr, offset } => {
-                fr.ip += 1;
-                th.m.instructions += 1;
-                let a = th.regs[base + addr.index()].wrapping_add(*offset);
-                let idx = mem_index_of(mem_mask, mem.len(), a);
-                let v = mem[idx];
-                if let Some(s) = san.as_deref_mut() {
-                    s.access(t as u32, idx, false, frame.site());
-                }
-                th.regs[base + dst.index()] = v;
-                pending_sum += charge_amount(th, &cfg.jitter, cost.load);
-                executed += 1;
-            }
-            Op::StoreR { src, addr, offset } => {
-                fr.ip += 1;
-                th.m.instructions += 1;
-                let a = th.regs[base + addr.index()].wrapping_add(*offset);
-                let v = th.regs[base + src.index()];
-                let idx = mem_index_of(mem_mask, mem.len(), a);
-                mem[idx] = v;
-                if let Some(s) = san.as_deref_mut() {
-                    s.access(t as u32, idx, true, frame.site());
-                }
-                pending_sum += charge_amount(th, &cfg.jitter, cost.store);
-                retire_stores(th, chunk, 1);
-                executed += 1;
-            }
-            Op::StoreI {
-                value,
-                addr,
-                offset,
-            } => {
-                fr.ip += 1;
-                th.m.instructions += 1;
-                let a = th.regs[base + addr.index()].wrapping_add(*offset);
-                let idx = mem_index_of(mem_mask, mem.len(), a);
-                mem[idx] = *value;
-                if let Some(s) = san.as_deref_mut() {
-                    s.access(t as u32, idx, true, frame.site());
-                }
-                pending_sum += charge_amount(th, &cfg.jitter, cost.store);
-                retire_stores(th, chunk, 1);
-                executed += 1;
-            }
-            Op::Tick { amount } => {
-                fr.ip += 1;
-                if cfg.mode.executes_ticks() {
-                    th.m.instructions += 1;
-                    th.m.ticks_executed += 1;
-                    th.clock += amount;
-                    pending_sum += charge_amount(th, &cfg.jitter, cost.tick);
-                    executed += 1;
-                }
-                // Else (Baseline / Kendo: the binary was never
-                // instrumented): free skip, zero accounting — the rest of
-                // the run issues within the same step, exactly where the
-                // `Action::Free` retry of a lone tick lands.
-            }
-            Op::TickDyn {
-                base: tick_base,
-                per_unit,
-                size,
-            } => {
-                fr.ip += 1;
-                if cfg.mode.executes_ticks() {
-                    th.m.instructions += 1;
-                    th.m.ticks_executed += 1;
-                    let s = match *size {
-                        Operand::Reg(r) => th.regs[base + r.index()],
-                        Operand::Imm(v) => v,
-                    }
-                    .max(0) as u64;
-                    th.clock += tick_base + per_unit * s;
-                    pending_sum += charge_amount(th, &cfg.jitter, cost.tick + cost.tick_dyn_extra);
-                    executed += 1;
-                }
-            }
-            // Tail terminators: pure frame-coordinate updates.
-            Op::Br { target } => {
-                th.m.instructions += 1;
-                pending_sum += charge_amount(th, &cfg.jitter, cost.alu);
-                executed += 1;
-                fr.block = *target;
-                fr.ip = 0;
-            }
-            Op::CondBr {
-                cond,
-                then_bb,
-                else_bb,
-            } => {
-                th.m.instructions += 1;
-                pending_sum += charge_amount(th, &cfg.jitter, cost.alu);
-                executed += 1;
-                let c = th.regs[base + cond.index()];
-                fr.block = if c != 0 { *then_bb } else { *else_bb };
-                fr.ip = 0;
-            }
-            Op::Switch {
-                disc,
-                cases,
-                default,
-            } => {
-                th.m.instructions += 1;
-                pending_sum += charge_amount(th, &cfg.jitter, cost.alu);
-                executed += 1;
-                let d = th.regs[base + disc.index()];
-                fr.block = cases
-                    .iter()
-                    .find(|(v, _)| *v == d)
-                    .map(|(_, b)| *b)
-                    .unwrap_or(*default);
-                fr.ip = 0;
-            }
-            _ => unreachable!("fuse_table admits only pure, head, and tail ops"),
-        }
-    }
-    *th.frames.last_mut().unwrap() = fr;
-    if executed == 0 {
-        // A lone tick in a mode that skips ticks (every longer run has an
-        // executing op behind its head): no cycle, the stepper retries.
-        return Action::Free;
-    }
-    th.m.busy_cycles += 1;
-    // `+=`, not `=`: a chunk-clock store retirement above may already have
-    // deposited its interrupt countdown.
-    th.pending += pending_sum + (executed - 1);
-    Action::None
-}
-
 /// The threaded-code [`ExecBackend`]: dispatches over the pre-decoded
 /// [`ThreadedProgram`] while driving the shared determinism core.
 pub(crate) struct ThreadedBackend {
@@ -710,14 +373,30 @@ impl ThreadedBackend {
 }
 
 impl ExecBackend for ThreadedBackend {
+    /// One dispatch: the op at the thread's `pc` at its natural cycle, then
+    /// every following thread-private op up to the next one another
+    /// thread, the arbiter or the sanitizer can observe, or up to the
+    /// first op whose own issue cycle reaches `next_stop` (DESIGN.md §15,
+    /// "Fused dispatch").
+    ///
+    /// Why that is invisible: the ops after the head touch only registers
+    /// and frames, which nothing outside the thread reads; their charges
+    /// draw the jitter RNG in program order; and the combined countdown
+    /// puts the next observable op on exactly the cycle the unfused
+    /// schedule issues it at. `next` is that issue cycle for the op the
+    /// loop looks at, so the gate `next >= next_stop` keeps every op that
+    /// would issue at or after a snapshot or the cycle limit for a later
+    /// dispatch, and a snapshot sees the state the per-op schedule has
+    /// there.
     fn exec_next(&self, core: &mut DetCore<'_>, t: usize) -> Action {
-        // Fast path: one flat fetch, then direct work on disjoint field
-        // borrows of the core — every metric increment, RNG draw, and
-        // sanitizer site matches the interpreter's exactly (that contract
-        // is what the differential suite pins down).
-        {
+        // Fast path: direct work on disjoint field borrows of the core —
+        // every metric increment, RNG draw and sanitizer site matches the
+        // interpreter's exactly (the differential suite pins that).
+        'fast: {
             let cfg = &core.cfg;
             let cost = core.cost;
+            let jitter = &cfg.jitter;
+            let ticks = cfg.mode.executes_ticks();
             let mem_mask = core.mem_mask;
             let next_stop = core.next_stop;
             let chunk = core.chunk;
@@ -726,135 +405,311 @@ impl ExecBackend for ThreadedBackend {
             let san = &mut core.state.san;
             let th = &mut core.state.threads[t];
             let profile = &mut core.profile;
-            let frame = *th.frames.last().unwrap();
-            let base = frame.reg_base;
-            let lf = &self.prog.funcs[frame.func.index()];
-            let pc = lf.starts[frame.block.index()] as usize + frame.ip;
-            let op = &lf.ops[pc];
-            // Every head or tail op goes through the run loop: the whole
-            // statically-identified run in one step when nothing can
-            // observe the difference, else the op alone — see `run_fused`
-            // for the invisibility argument and the gate conditions it
-            // depends on.
-            if is_head(op) || is_tail(op) {
-                let fuse = lf.fuse[pc];
-                let mut run_len = 1;
-                if fuse.len > 1 {
-                    // Upper bound on the divergence window: every charge is
-                    // at most `cost + max_extra`, plus the chunk-clock
-                    // store-retirement interrupt the head may incur.
-                    let mut w =
-                        fuse.cost_sum as u64 + fuse.len as u64 * (cfg.jitter.max_extra.max(1) + 1);
-                    if let Some(cp) = chunk {
-                        w = w.saturating_add(cp.interrupt_cost);
+            debug_assert_eq!(th.pending, 0, "a ready thread's countdown is in `due`");
+            let mut fr = *th.frames.last().expect("a ready thread has a frame");
+            let mut base = fr.reg_base;
+            let mut lf = &self.prog.funcs[fr.func.index()];
+            let mut start = lf.starts[fr.block.index()] as usize;
+            // The issue cycle of the op under `pc`, had every op so far
+            // issued alone.
+            let mut next = cycle;
+            let mut executed = 0u64;
+            // An op anything outside the thread can observe runs only at
+            // the head of a dispatch.
+            macro_rules! head {
+                () => {
+                    if executed > 0 {
+                        break;
                     }
-                    if cycle.saturating_add(w) < next_stop {
-                        run_len = fuse.len as usize;
-                    } else {
-                        profile.gate_cuts += 1;
-                    }
-                }
-                // Two call sites, one callee: inlined with a constant
-                // length, the loop and the countdown arithmetic fold away
-                // for lone ops (worth ~6 % of `vm_compute` ops/s).
-                if run_len == 1 {
-                    let action = run_fused(
-                        lf, pc, 1, frame, th, mem, san, cfg, cost, mem_mask, chunk, t,
-                    );
-                    // A skipped lone tick is retried, not issued.
-                    if !matches!(action, Action::Free) {
-                        profile.count_run(1);
-                    }
-                    return action;
-                }
-                profile.count_run(run_len);
-                return run_fused(
-                    lf, pc, run_len, frame, th, mem, san, cfg, cost, mem_mask, chunk, t,
-                );
+                };
             }
-            // Every other op issues alone.
-            profile.count_run(1);
-            match op {
-                Op::Call {
-                    func,
-                    num_regs,
-                    args,
-                    dst,
-                } => {
-                    th.frames.last_mut().unwrap().ip += 1;
+            // A thread-private op joins the run only if it would issue
+            // before the stop. The head issues at `cycle`, which a round
+            // never reaches `next_stop` at, so this never cuts it.
+            macro_rules! private {
+                () => {
+                    if next >= next_stop {
+                        profile.gate_cuts += 1;
+                        break;
+                    }
+                };
+            }
+            // A head that ends its dispatch on an action for the core.
+            macro_rules! sync {
+                ($action:expr) => {{
+                    head!();
+                    fr.ip += 1;
                     th.m.instructions += 1;
-                    // Grow the register file first, then evaluate arguments
-                    // straight into the callee's slots: the caller's
-                    // registers live below `reg_base`, so the resize cannot
-                    // disturb them and no temporary vector is needed.
-                    let reg_base = th.regs.len();
-                    th.regs.resize(reg_base + *num_regs as usize, 0);
-                    for (i, &a) in args.iter().enumerate() {
-                        let v = match a {
+                    *th.frames.last_mut().expect("a ready thread has a frame") = fr;
+                    profile.count_run(1);
+                    return $action;
+                }};
+            }
+            // Apply an op's charge: it issued at `next`, so the op after
+            // it issues one cycle and the charge later. Every op the loop
+            // charges is one instruction, counted at the end.
+            macro_rules! charge {
+                ($cost:expr) => {{
+                    next += 1 + charge_amount(th, jitter, $cost);
+                    executed += 1;
+                }};
+            }
+            loop {
+                match &lf.ops[start + fr.ip] {
+                    Op::Const { dst, value } | Op::MovI { dst, value } => {
+                        private!();
+                        fr.ip += 1;
+                        th.regs[base + dst.index()] = *value;
+                        charge!(cost.alu);
+                    }
+                    Op::MovR { dst, src } => {
+                        private!();
+                        fr.ip += 1;
+                        th.regs[base + dst.index()] = th.regs[base + src.index()];
+                        charge!(cost.alu);
+                    }
+                    Op::BinR {
+                        op,
+                        dst,
+                        lhs,
+                        rhs,
+                        cost: c,
+                    } => {
+                        private!();
+                        fr.ip += 1;
+                        let a = th.regs[base + lhs.index()];
+                        let b = th.regs[base + rhs.index()];
+                        th.regs[base + dst.index()] = op.apply(a, b);
+                        charge!(*c);
+                    }
+                    Op::BinI {
+                        op,
+                        dst,
+                        lhs,
+                        imm,
+                        cost: c,
+                    } => {
+                        private!();
+                        fr.ip += 1;
+                        let a = th.regs[base + lhs.index()];
+                        th.regs[base + dst.index()] = op.apply(a, *imm);
+                        charge!(*c);
+                    }
+                    Op::CmpR { op, dst, lhs, rhs } => {
+                        private!();
+                        fr.ip += 1;
+                        let a = th.regs[base + lhs.index()];
+                        let b = th.regs[base + rhs.index()];
+                        th.regs[base + dst.index()] = op.apply(a, b);
+                        charge!(cost.alu);
+                    }
+                    Op::CmpI { op, dst, lhs, imm } => {
+                        private!();
+                        fr.ip += 1;
+                        let a = th.regs[base + lhs.index()];
+                        th.regs[base + dst.index()] = op.apply(a, *imm);
+                        charge!(cost.alu);
+                    }
+                    Op::Load { dst, addr, offset } => {
+                        head!();
+                        let site = fr.site();
+                        fr.ip += 1;
+                        let a = th.regs[base + addr.index()].wrapping_add(*offset);
+                        let idx = mem_index_of(mem_mask, mem.len(), a);
+                        let v = mem[idx];
+                        if let Some(s) = san.as_deref_mut() {
+                            s.access(t as u32, idx, false, site);
+                        }
+                        th.regs[base + dst.index()] = v;
+                        charge!(cost.load);
+                    }
+                    Op::StoreR { src, addr, offset } => {
+                        head!();
+                        let site = fr.site();
+                        fr.ip += 1;
+                        let a = th.regs[base + addr.index()].wrapping_add(*offset);
+                        let v = th.regs[base + src.index()];
+                        let idx = mem_index_of(mem_mask, mem.len(), a);
+                        mem[idx] = v;
+                        if let Some(s) = san.as_deref_mut() {
+                            s.access(t as u32, idx, true, site);
+                        }
+                        charge!(cost.store);
+                        // A chunk-clock interrupt delays the next op too.
+                        retire_stores(th, chunk, 1);
+                        next += std::mem::take(&mut th.pending);
+                    }
+                    Op::StoreI {
+                        value,
+                        addr,
+                        offset,
+                    } => {
+                        head!();
+                        let site = fr.site();
+                        fr.ip += 1;
+                        let a = th.regs[base + addr.index()].wrapping_add(*offset);
+                        let idx = mem_index_of(mem_mask, mem.len(), a);
+                        mem[idx] = *value;
+                        if let Some(s) = san.as_deref_mut() {
+                            s.access(t as u32, idx, true, site);
+                        }
+                        charge!(cost.store);
+                        retire_stores(th, chunk, 1);
+                        next += std::mem::take(&mut th.pending);
+                    }
+                    // In a mode that skips ticks the binary never contained
+                    // them: no instruction, no cycle, and private.
+                    Op::Tick { .. } | Op::TickDyn { .. } if !ticks => {
+                        private!();
+                        fr.ip += 1;
+                    }
+                    // An executing tick moves the clock the arbiter reads.
+                    Op::Tick { amount } => {
+                        head!();
+                        fr.ip += 1;
+                        th.m.ticks_executed += 1;
+                        th.clock += amount;
+                        charge!(cost.tick);
+                    }
+                    Op::TickDyn {
+                        base: tick_base,
+                        per_unit,
+                        size,
+                    } => {
+                        head!();
+                        fr.ip += 1;
+                        th.m.ticks_executed += 1;
+                        let s = match *size {
                             Operand::Reg(r) => th.regs[base + r.index()],
                             Operand::Imm(v) => v,
+                        }
+                        .max(0) as u64;
+                        th.clock += tick_base + per_unit * s;
+                        charge!(cost.tick + cost.tick_dyn_extra);
+                    }
+                    // Frame and register-file updates: private.
+                    Op::Call {
+                        func,
+                        num_regs,
+                        args,
+                        dst,
+                    } => {
+                        private!();
+                        fr.ip += 1;
+                        // Grow the register file first, then evaluate
+                        // arguments straight into the callee's slots: the
+                        // caller's registers live below `reg_base`, so the
+                        // resize cannot disturb them.
+                        let reg_base = th.regs.len();
+                        th.regs.resize(reg_base + *num_regs as usize, 0);
+                        for (i, &a) in args.iter().enumerate() {
+                            th.regs[reg_base + i] = match a {
+                                Operand::Reg(r) => th.regs[base + r.index()],
+                                Operand::Imm(v) => v,
+                            };
+                        }
+                        *th.frames.last_mut().expect("a ready thread has a frame") = fr;
+                        fr = Frame {
+                            func: *func,
+                            block: BlockId(0),
+                            ip: 0,
+                            reg_base,
+                            ret_dst: *dst,
                         };
-                        th.regs[reg_base + i] = v;
+                        th.frames.push(fr);
+                        charge!(cost.call);
+                        base = reg_base;
+                        lf = &self.prog.funcs[func.index()];
+                        start = 0;
                     }
-                    th.frames.push(Frame {
-                        func: *func,
-                        block: BlockId(0),
-                        ip: 0,
-                        reg_base,
-                        ret_dst: *dst,
-                    });
-                    charge_thread(th, &cfg.jitter, cost.call);
-                    return Action::None;
-                }
-                Op::LockR(r) => {
-                    th.frames.last_mut().unwrap().ip += 1;
-                    th.m.instructions += 1;
-                    return Action::Lock(th.regs[base + r.index()]);
-                }
-                Op::LockI(v) => {
-                    th.frames.last_mut().unwrap().ip += 1;
-                    th.m.instructions += 1;
-                    return Action::Lock(*v);
-                }
-                Op::UnlockR(r) => {
-                    th.frames.last_mut().unwrap().ip += 1;
-                    th.m.instructions += 1;
-                    return Action::Unlock(th.regs[base + r.index()]);
-                }
-                Op::UnlockI(v) => {
-                    th.frames.last_mut().unwrap().ip += 1;
-                    th.m.instructions += 1;
-                    return Action::Unlock(*v);
-                }
-                Op::Barrier(id) => {
-                    th.frames.last_mut().unwrap().ip += 1;
-                    th.m.instructions += 1;
-                    return Action::Barrier(*id);
-                }
-                // Same metric/charge order as the interpreter; `ip` dies
-                // with the frame.
-                ret @ (Op::RetR(_) | Op::RetI(_) | Op::RetVoid) => {
-                    th.m.instructions += 1;
-                    charge_thread(th, &cfg.jitter, cost.alu);
-                    let v = match ret {
-                        Op::RetR(r) => Some(th.regs[base + r.index()]),
-                        Op::RetI(v) => Some(*v),
-                        _ => None,
-                    };
-                    let popped = th.frames.pop().unwrap();
-                    th.regs.truncate(popped.reg_base);
-                    if th.frames.is_empty() {
-                        return Action::Exited;
+                    Op::Br { target } => {
+                        private!();
+                        charge!(cost.alu);
+                        fr.block = *target;
+                        fr.ip = 0;
+                        start = lf.starts[target.index()] as usize;
                     }
-                    if let (Some(dst), Some(v)) = (popped.ret_dst, v) {
-                        let caller_base = th.frames.last().unwrap().reg_base;
-                        th.regs[caller_base + dst.index()] = v;
+                    Op::CondBr {
+                        cond,
+                        then_bb,
+                        else_bb,
+                    } => {
+                        private!();
+                        charge!(cost.alu);
+                        let c = th.regs[base + cond.index()];
+                        fr.block = if c != 0 { *then_bb } else { *else_bb };
+                        fr.ip = 0;
+                        start = lf.starts[fr.block.index()] as usize;
                     }
-                    return Action::None;
+                    Op::Switch {
+                        disc,
+                        cases,
+                        default,
+                    } => {
+                        private!();
+                        charge!(cost.alu);
+                        let d = th.regs[base + disc.index()];
+                        fr.block = cases
+                            .iter()
+                            .find(|(v, _)| *v == d)
+                            .map(|(_, b)| *b)
+                            .unwrap_or(*default);
+                        fr.ip = 0;
+                        start = lf.starts[fr.block.index()] as usize;
+                    }
+                    // Same metric/charge order as the interpreter; `ip`
+                    // dies with the frame.
+                    ret @ (Op::RetR(_) | Op::RetI(_) | Op::RetVoid) => {
+                        let v = match ret {
+                            Op::RetR(r) => Some(th.regs[base + r.index()]),
+                            Op::RetI(v) => Some(*v),
+                            _ => None,
+                        };
+                        if th.frames.len() == 1 {
+                            // The thread's last frame: its exit is a status
+                            // change the arbiter acts on.
+                            head!();
+                            th.m.instructions += 1;
+                            charge_thread(th, jitter, cost.alu);
+                            th.frames.pop();
+                            th.regs.truncate(fr.reg_base);
+                            profile.count_run(1);
+                            return Action::Exited;
+                        }
+                        private!();
+                        charge!(cost.alu);
+                        th.frames.pop();
+                        th.regs.truncate(fr.reg_base);
+                        let ret_dst = fr.ret_dst;
+                        fr = *th.frames.last().expect("a non-final return has a caller");
+                        base = fr.reg_base;
+                        lf = &self.prog.funcs[fr.func.index()];
+                        start = lf.starts[fr.block.index()] as usize;
+                        if let (Some(dst), Some(v)) = (ret_dst, v) {
+                            th.regs[base + dst.index()] = v;
+                        }
+                    }
+                    Op::LockR(r) => sync!(Action::Lock(th.regs[base + r.index()])),
+                    Op::LockI(v) => sync!(Action::Lock(*v)),
+                    Op::UnlockR(r) => sync!(Action::Unlock(th.regs[base + r.index()])),
+                    Op::UnlockI(v) => sync!(Action::Unlock(*v)),
+                    Op::Barrier(id) => sync!(Action::Barrier(*id)),
+                    Op::CallBuiltin { .. } => {
+                        head!();
+                        // Past any skipped ticks, for the slow path below.
+                        *th.frames.last_mut().expect("a ready thread has a frame") = fr;
+                        profile.count_run(1);
+                        break 'fast;
+                    }
                 }
-                Op::CallBuiltin { .. } => {} // falls through to the slow path
-                _ => unreachable!("head and tail ops took the run loop above"),
             }
+            *th.frames.last_mut().expect("a ready thread has a frame") = fr;
+            th.m.instructions += executed;
+            // One busy cycle now, the rest of the run as the countdown.
+            th.m.busy_cycles += 1;
+            th.pending = next - cycle - 1;
+            profile.count_run(executed as usize);
+            return Action::None;
         }
         self.exec_builtin(core, t)
     }
@@ -910,40 +765,136 @@ mod tests {
         }
     }
 
-    #[test]
-    fn fuse_table_is_well_formed() {
-        let m = sample();
+    /// `leaf(a) = a + 1`, and a `main` that reaches every kind of op the
+    /// dispatch loop tells apart: an instrumentation tick, `br` and
+    /// `condbr` into new blocks, a call and its non-final `ret`, a load, a
+    /// store, lock, unlock, barrier, a memset and the final `ret`.
+    fn fusion_sample() -> Module {
+        let mut m = Module::new();
+        let mut fb = FunctionBuilder::new("leaf", 1);
+        fb.block("entry");
+        let a = fb.param(0);
+        let b = fb.add(a, 1);
+        fb.ret(b);
+        let leaf = fb.finish_into(&mut m);
+        let mut fb = FunctionBuilder::new("main", 0);
+        fb.block("entry");
+        let test = fb.create_block("test");
+        let body = fb.create_block("body");
+        let x = fb.iconst(1);
+        fb.push(Inst::Tick { amount: 3 });
+        let y = fb.add(x, 2);
+        fb.br(test);
+        fb.switch_to(test);
+        let c = fb.cmp(CmpOp::Lt, y, 10);
+        fb.cond_br(c, body, test);
+        fb.switch_to(body);
+        let z = fb.call(leaf, vec![y.into()]);
+        let w = fb.add(z, 100);
+        let v = fb.load(w, 0);
+        fb.store(w, 1, v);
+        let n = fb.add(v, 8);
+        fb.lock(1i64);
+        fb.unlock(1i64);
+        fb.barrier(detlock_ir::types::BarrierId(0));
+        fb.builtin_void(Builtin::Memset, vec![w.into(), 0.into(), n.into()], Some(2));
+        fb.ret_void();
+        fb.finish_into(&mut m);
+        m
+    }
+
+    /// Where each dispatch of `fusion_sample`'s `main` leaves the thread,
+    /// as `(func, block, ip, action)`, with the stop `gap` cycles after the
+    /// cycle every dispatch issues at.
+    fn dispatches(mode: crate::machine::ExecMode, gap: u64) -> Vec<(u32, u32, u32, &'static str)> {
+        use crate::checkpoint::RunState;
+        use crate::machine::{MachineConfig, ThreadSpec};
+        let m = fusion_sample();
         let cost = CostModel::default();
-        let p = lower(&m, &cost);
-        for (lf, f) in p.funcs.iter().zip(&m.functions) {
-            assert_eq!(lf.fuse.len(), lf.ops.len());
-            for b in 0..f.blocks.len() {
-                let start = lf.starts[b] as usize;
-                let end = start + f.blocks[b].insts.len() + 1;
-                for pc in start..end {
-                    let fu = lf.fuse[pc];
-                    let k = fu.len as usize;
-                    assert!((1..=FUSE_MAX).contains(&k));
-                    if k == 1 {
-                        continue;
-                    }
-                    assert!(pc + k <= end, "run leaves its block");
-                    assert!(is_head(&lf.ops[pc]), "run head must be a head op");
-                    let mut sum = fuse_cost(&lf.ops[pc], &cost);
-                    for i in pc + 1..pc + k {
-                        if i == end - 1 {
-                            assert!(is_tail(&lf.ops[i]), "terminator slot needs a tail op");
-                        } else {
-                            assert!(is_pure(&lf.ops[i]), "run middles must be register-only");
-                        }
-                        sum += fuse_cost(&lf.ops[i], &cost);
-                    }
-                    assert_eq!(fu.cost_sum as u64, sum, "cost bound drifted");
-                }
-            }
+        let cfg = MachineConfig {
+            mode,
+            ..MachineConfig::default()
+        };
+        let specs = [ThreadSpec {
+            func: FuncId(1),
+            args: vec![],
+        }];
+        let state = RunState::new(&m, &specs, &cfg);
+        let mut core = DetCore::new(&m, &cost, cfg, state);
+        core.next_stop = gap;
+        let engine = ThreadedBackend {
+            prog: lower(&m, &cost),
+        };
+        let mut stops = Vec::new();
+        loop {
+            let action = match engine.exec_next(&mut core, 0) {
+                Action::None => "",
+                Action::Lock(_) => "lock",
+                Action::Unlock(_) => "unlock",
+                Action::Barrier(_) => "barrier",
+                Action::Exited => "exit",
+                Action::Free => "free",
+            };
+            let th = &mut core.state.threads[0];
+            // What the core's countdown does between two issues.
+            th.pending = 0;
+            let Some(fr) = th.frames.last() else {
+                stops.push((0, 0, 0, action));
+                return stops;
+            };
+            let (func, block, ip) = fr.site();
+            stops.push((func, block, ip, action));
         }
-        // The sample opens with const+add: if that stops fusing, the test
-        // has gone vacuous.
-        assert!(p.funcs[0].fuse[0].len >= 2, "const+add should fuse");
+    }
+
+    /// The fusion rule, position by position: a dispatch crosses `br` and
+    /// `condbr` into the next block, `call` into the callee, a non-final
+    /// `ret` back to the caller and a tick the mode skips; it stops before
+    /// an executing tick, a load, a store, lock, unlock, barrier, a
+    /// builtin and the final `ret`. With the stop one cycle away every
+    /// dispatch is a single op. The differential suite cannot see a lost
+    /// fusion (the numbers stay right), so this pins it.
+    #[test]
+    fn dispatches_run_up_to_the_next_observable_op() {
+        use crate::machine::ExecMode;
+        // main's blocks: 0 entry, 1 test, 2 body (load at ip 2).
+        let tail = [
+            (1, 2, 3, ""), // the load, up to the store
+            (1, 2, 5, ""), // the store and the add, up to the lock
+            (1, 2, 6, "lock"),
+            (1, 2, 7, "unlock"),
+            (1, 2, 8, "barrier"),
+            (1, 2, 9, ""), // the memset, alone
+            (0, 0, 0, "exit"),
+        ];
+        // Det executes the tick, so it heads a run of its own: then add,
+        // br, cmp, condbr, call, leaf's add and ret, and the caller's add.
+        let det = dispatches(ExecMode::Det, u64::MAX);
+        assert_eq!(det[..2], [(1, 0, 1, ""), (1, 2, 2, "")]);
+        assert_eq!(det[2..], tail);
+        // Baseline skips it, so const joins that run.
+        let baseline = dispatches(ExecMode::Baseline, u64::MAX);
+        assert_eq!(baseline[..1], [(1, 2, 2, "")]);
+        assert_eq!(baseline[1..], tail);
+        // The gate: a stop one cycle on admits nothing after the head, so
+        // a dispatch is one op — a skipped tick still joins its successor.
+        let stepped = dispatches(ExecMode::Baseline, 1);
+        assert_eq!(
+            stepped[..11],
+            [
+                (1, 0, 1, ""), // const
+                (1, 0, 3, ""), // skipped tick + add
+                (1, 1, 0, ""), // br
+                (1, 1, 1, ""), // cmp
+                (1, 2, 0, ""), // condbr
+                (0, 0, 0, ""), // call
+                (0, 0, 1, ""), // leaf's add
+                (1, 2, 1, ""), // ret
+                (1, 2, 2, ""), // add
+                (1, 2, 3, ""), // load
+                (1, 2, 4, ""), // store
+            ]
+        );
+        assert_eq!(stepped[11..], tail[1..]);
     }
 }

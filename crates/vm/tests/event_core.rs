@@ -16,7 +16,10 @@
 //!   loop against itself: a checkpoint interval of 1 clamps every time
 //!   advance to one cycle, so that run is the per-cycle stepper, and every
 //!   other interval, the plain run and every cycle-limit cut must agree
-//!   with it.
+//!   with it. The first takes the interpreter's stepped run as the oracle
+//!   for both engines, so the threaded engine's dispatches, which run
+//!   thread-private ops ahead of their cycle, are held to the per-op
+//!   state at every boundary.
 //! * [`round_profile_counts_add_up`] holds the loop's own work counters to
 //!   the identities between them (rounds, decisions, the threads a round
 //!   touches, the threaded engine's run lengths), and the share of rounds
@@ -490,32 +493,45 @@ fn stream(
 /// multi-cycle advances short and one that almost never does.
 const INTERVALS: [u64; 2] = [7, 1000];
 
+/// The oracle is the interpreter's interval-1 run: both engines, at every
+/// interval, must match its state at each of their boundaries. Each
+/// engine is held to the interpreter's stream and not only to its own,
+/// because an engine that moved state across a boundary would agree with
+/// itself at every interval. The threaded engine is also run at interval
+/// 1, where each dispatch is a single op.
 #[test]
 fn checkpoint_interval_one_is_the_stepped_oracle() {
     let cost = CostModel::default();
+    let keep = |c: u64| INTERVALS.iter().any(|&e| c.is_multiple_of(e));
     for mut shape in shapes(&cost, stepped_radiosity()) {
         shape.mem_words = shape.mem_words.min(STEPPED_MEM);
         for config in configs() {
             for seed in SEEDS {
-                for backend in [Backend::Interp, Backend::Threaded] {
+                let (module, mut cfg) = cell(&shape, config, seed, Backend::Interp);
+                // Radiosity's shadow memory is a map entry per touched
+                // word, cloned by every snapshot: with it, interval 1
+                // costs ten times the rest of this test.
+                cfg.sanitize = shape.name != "radiosity";
+                let (stepped, oracle) = stream(module, &cost, &shape.specs, &cfg, 1, keep);
+                for (backend, intervals) in [
+                    (Backend::Interp, &INTERVALS[..]),
+                    (Backend::Threaded, &[1, INTERVALS[0], INTERVALS[1]][..]),
+                ] {
                     let ctx = format!("{} / {} / seed {seed} / {backend:?}", shape.name, config.0);
-                    let (module, mut cfg) = cell(&shape, config, seed, backend);
-                    // Radiosity's shadow memory is a map entry per touched
-                    // word, cloned by every snapshot: with it, interval 1
-                    // costs ten times the rest of this test.
-                    cfg.sanitize = shape.name != "radiosity";
-                    let (stepped, oracle) = stream(module, &cost, &shape.specs, &cfg, 1, |c| {
-                        INTERVALS.iter().any(|&e| c.is_multiple_of(e))
-                    });
-                    for every in INTERVALS {
+                    let cfg = MachineConfig {
+                        backend,
+                        ..cfg.clone()
+                    };
+                    for &every in intervals {
                         let (outcome, digests) =
-                            stream(module, &cost, &shape.specs, &cfg, every, |_| true);
+                            stream(module, &cost, &shape.specs, &cfg, every, keep);
                         assert_eq!(outcome, stepped, "every {every} vs every 1: {ctx}");
                         for (cycle, digest) in digests {
                             assert_eq!(
                                 Some(&digest),
                                 oracle.get(&cycle),
-                                "state at cycle {cycle}, every {every} vs every 1: {ctx}"
+                                "state at cycle {cycle}, every {every} vs the interpreter's \
+                                 every 1: {ctx}"
                             );
                         }
                     }

@@ -778,71 +778,142 @@ fn checkpoint_digests_fingerprint_machine_state() {
     assert_ne!(a, c, "jitter RNG position is machine state");
 }
 
-/// A checkpoint interval of 4 closes the threaded engine's `fits_ckpt`
-/// gate for good — a fused run's window is at least `len · (max_extra + 1)
-/// ≥ 8` cycles — so every dispatch is a run of length 1. That path must
-/// agree with the interpreter at every boundary (deep state digests) and
-/// with the freely fusing threaded run at the end (metrics incl. the trace
-/// hash, final memory): under `Det`; under `Baseline` on the instrumented
-/// module, where a lone skipped tick is the `Action::Free` case; and under
-/// a chunk policy small enough that store-retirement interrupts land on
-/// `pending` before the run's own charge does.
+/// `worker(tid, iters)`: per iteration, `mid(i)` — which calls a
+/// three-op `leaf` twice — then the result added to a shared word under
+/// lock 0. Instrumented with every optimization, so Function Clocking
+/// charges the callees at their call sites and no tick runs inside them: a
+/// threaded dispatch runs from the call through both leaves and back.
+fn call_heavy() -> (Module, FuncId) {
+    let mut m = Module::new();
+    let mut fb = FunctionBuilder::new("leaf", 1);
+    fb.block("entry");
+    let a = fb.param(0);
+    let b = fb.mul(a, 3);
+    let c = fb.add(b, 1);
+    fb.ret(c);
+    let leaf = fb.finish_into(&mut m);
+    let mut fb = FunctionBuilder::new("mid", 1);
+    fb.block("entry");
+    let a = fb.param(0);
+    let x = fb.call(leaf, vec![a.into()]);
+    let y = fb.call(leaf, vec![x.into()]);
+    fb.ret(y);
+    let mid = fb.finish_into(&mut m);
+    let mut fb = FunctionBuilder::new("worker", 2);
+    fb.block("entry");
+    let head = fb.create_block("head");
+    let body = fb.create_block("body");
+    let done = fb.create_block("done");
+    let iters = fb.param(1);
+    let i = fb.iconst(0);
+    fb.br(head);
+    fb.switch_to(head);
+    let c = fb.cmp(CmpOp::Lt, i, iters);
+    fb.cond_br(c, body, done);
+    fb.switch_to(body);
+    let r = fb.call(mid, vec![i.into()]);
+    fb.lock(0i64);
+    let addr = fb.iconst(100);
+    let v = fb.load(addr, 0);
+    let v2 = fb.add(v, r);
+    fb.store(addr, 0, v2);
+    fb.unlock(0i64);
+    fb.bin_to(BinOp::Add, i, i, 1);
+    fb.br(head);
+    fb.switch_to(done);
+    fb.ret_void();
+    let f = fb.finish_into(&mut m);
+    let out = detlock_passes::pipeline::instrument(
+        &m,
+        &CostModel::default(),
+        &detlock_passes::pipeline::OptConfig::all(),
+        detlock_passes::plan::Placement::Start,
+        &[f],
+    );
+    (out.module, f)
+}
+
+/// The threaded engine's stop gate, at the boundaries it is tightest at.
+/// At a checkpoint interval of 1 every dispatch is a single op (the op
+/// after the head would issue at or after the next boundary). At 4 short
+/// runs straddle boundaries, and on [`call_heavy`] boundaries land inside
+/// a callee's run and right after a non-final `ret`. Either way the
+/// engine must agree with the interpreter at every boundary (deep state
+/// digests) and with its own run without snapshots at the end (metrics
+/// incl. the trace hash, final memory): under `Det`; under `Baseline` on
+/// the instrumented module, where ticks are skipped; and under a chunk
+/// policy small enough that store-retirement interrupts land on the
+/// countdown.
 #[test]
 fn length_one_runs_match_the_interpreter_and_the_fused_run() {
-    const EVERY: u64 = 4;
-    let (m, f) = instrumented_counter(8);
     let cost = CostModel::default();
-    let threads = counter_threads(f, 3, 12);
+    let (counter, f) = instrumented_counter(8);
+    let (calls, g) = call_heavy();
     let chunk = ChunkParams {
         chunk_size: 2,
         interrupt_cost: 7,
     };
-    for (mode, scheduler) in [
-        (ExecMode::Det, Sched::Kendo),
-        (ExecMode::Baseline, Sched::Kendo),
-        (ExecMode::Det, Sched::Chunk(chunk)),
+    for (name, m, threads) in [
+        ("counter", &counter, counter_threads(f, 3, 12)),
+        ("call-heavy", &calls, counter_threads(g, 3, 12)),
     ] {
-        let config = |backend| MachineConfig {
-            scheduler,
-            backend,
-            mem_words: 256,
-            ..cfg(mode)
-        };
-        let stepped = |backend| {
-            let mut digests = Vec::new();
-            let machine = Machine::new(&m, &cost, &threads, config(backend));
-            match machine.run_with_checkpoints(EVERY, &mut |ck| {
-                digests.push((ck.cycle(), ck.digest()));
-                CkptControl::Continue
-            }) {
-                RunOutcome::Finished {
-                    metrics,
-                    memory,
-                    hit_limit: false,
-                    ..
-                } => (digests, metrics, memory),
-                other => panic!("{mode:?}/{scheduler}: {other:?}"),
+        for every in [1, 4] {
+            for (mode, scheduler) in [
+                (ExecMode::Det, Sched::Kendo),
+                (ExecMode::Baseline, Sched::Kendo),
+                (ExecMode::Det, Sched::Chunk(chunk)),
+            ] {
+                let ctx = format!("{name} / every {every} / {mode:?} / {scheduler}");
+                let config = |backend| MachineConfig {
+                    scheduler,
+                    backend,
+                    mem_words: 256,
+                    ..cfg(mode)
+                };
+                let stepped = |backend| {
+                    let mut digests = Vec::new();
+                    let mut regs = Vec::new();
+                    let machine = Machine::new(m, &cost, &threads, config(backend));
+                    match machine.run_with_checkpoints(every, &mut |ck| {
+                        digests.push((ck.cycle(), ck.digest()));
+                        regs.push(ck.approx_bytes());
+                        CkptControl::Continue
+                    }) {
+                        RunOutcome::Finished {
+                            metrics,
+                            memory,
+                            hit_limit: false,
+                            ..
+                        } => (digests, regs, metrics, memory),
+                        other => panic!("{ctx}: {other:?}"),
+                    }
+                };
+                let (digests, regs, metrics, memory) = stepped(Backend::Threaded);
+                let (ref_digests, _, ref_metrics, ref_memory) = stepped(Backend::Interp);
+                assert!(digests.len() > 100, "{ctx}");
+                assert!(digests == ref_digests, "{ctx}: state diverged");
+                assert_eq!(metrics, ref_metrics, "{ctx}");
+                assert_eq!(memory, ref_memory, "{ctx}");
+
+                let (fused_metrics, fused_memory, hit) =
+                    Machine::new(m, &cost, &threads, config(Backend::Threaded)).run_with_memory();
+                assert!(!hit);
+                assert_eq!(metrics, fused_metrics, "{ctx}");
+                assert_eq!(memory, fused_memory, "{ctx}");
+
+                let t0 = &metrics.per_thread[0];
+                assert_eq!(t0.ticks_executed > 0, mode == ExecMode::Det, "{ctx}");
+                assert!(t0.retired_stores >= 4 * chunk.chunk_size, "{ctx}");
+                // A callee's registers sit on top of its caller's, so a
+                // snapshot with more registers than the first (every
+                // thread in its entry frame) caught a thread in a call.
+                assert_eq!(
+                    regs.iter().any(|r| r > &regs[0]),
+                    name == "call-heavy",
+                    "{ctx}"
+                );
             }
-        };
-        let (digests, metrics, memory) = stepped(Backend::Threaded);
-        let (ref_digests, ref_metrics, ref_memory) = stepped(Backend::Interp);
-        assert!(digests.len() > 100, "{mode:?}/{scheduler}");
-        assert!(
-            digests == ref_digests,
-            "{mode:?}/{scheduler}: state diverged"
-        );
-        assert_eq!(metrics, ref_metrics, "{mode:?}/{scheduler}");
-        assert_eq!(memory, ref_memory, "{mode:?}/{scheduler}");
-
-        let (fused_metrics, fused_memory, hit) =
-            Machine::new(&m, &cost, &threads, config(Backend::Threaded)).run_with_memory();
-        assert!(!hit);
-        assert_eq!(metrics, fused_metrics, "{mode:?}/{scheduler}");
-        assert_eq!(memory, fused_memory, "{mode:?}/{scheduler}");
-
-        let t0 = &metrics.per_thread[0];
-        assert_eq!(t0.ticks_executed > 0, mode == ExecMode::Det);
-        assert!(t0.retired_stores >= 4 * chunk.chunk_size);
+        }
     }
 }
 

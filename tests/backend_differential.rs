@@ -272,3 +272,84 @@ fn deadlock_control_identical_across_backends() {
     );
     assert_identical(results, "deadlock control");
 }
+
+/// `threads` threads × `iters` × {lock 1, load/add/store one word, unlock,
+/// 8 ALU ops}: the benchmark's lock hammer.
+fn lock_hammer(threads: usize, iters: i64) -> detlock_workloads::Workload {
+    use detlock_ir::builder::FunctionBuilder;
+    use detlock_ir::inst::{BinOp, CmpOp};
+    let mut module = detlock_ir::Module::new();
+    let mut fb = FunctionBuilder::new("lockhammer", 1);
+    fb.block("entry");
+    let head = fb.create_block("loop.cond");
+    let body = fb.create_block("loop.body");
+    let done = fb.create_block("done");
+    let iters_reg = fb.param(0);
+    let i = fb.iconst(0);
+    let word = fb.iconst(8);
+    fb.br(head);
+    fb.switch_to(head);
+    let c = fb.cmp(CmpOp::Lt, i, iters_reg);
+    fb.cond_br(c, body, done);
+    fb.switch_to(body);
+    fb.lock(1i64);
+    let v = fb.load(word, 0);
+    let v2 = fb.add(v, 1);
+    fb.store(word, 0, v2);
+    fb.unlock(1i64);
+    fb.compute(8);
+    fb.bin_to(BinOp::Add, i, i, 1);
+    fb.br(head);
+    fb.switch_to(done);
+    fb.ret_void();
+    let entry = fb.finish_into(&mut module);
+    detlock_workloads::Workload {
+        name: "lockhammer",
+        module,
+        entries: vec![entry],
+        threads: (0..threads)
+            .map(|_| detlock_workloads::ThreadPlan {
+                func: entry,
+                args: vec![iters],
+            })
+            .collect(),
+        mem_words: 1 << 10,
+    }
+}
+
+/// The threaded engine's dispatches, pinned: the run-length histogram
+/// (`RoundProfile::fused_runs`) of radiosity (4 threads, scale 0.05) and of
+/// the lock hammer, `Det` + Kendo, every optimization, one seed. This
+/// oracle cannot see fusion lost — every simulated number stays right and
+/// only the wall time moves — so the counts are held exactly. A dispatch
+/// runs up to the next load, store, executing tick, lock, unlock, barrier,
+/// builtin or final `ret`, across branches, calls and returns: radiosity's
+/// small diamonds and calls take half the dispatches that block-local runs
+/// did (226 261 before), while the hammer's ops are mostly observable.
+#[test]
+fn threaded_dispatch_counts_are_pinned() {
+    let cost = CostModel::default();
+    let radiosity = detlock_workloads::by_name("radiosity", 4, 0.05).expect("known workload");
+    for (w, runs) in [
+        (radiosity, [942, 52_788, 38_356, 21_401]),
+        (lock_hammer(4, 100), [2_804, 804, 404, 400]),
+    ] {
+        let inst = instrumented(&w, &cost, OptLevel::All, Placement::Start);
+        let cfg = machine_config(&w, ExecMode::Det, 1);
+        let (_, hit, profile) =
+            Machine::new(&inst.module, &cost, &thread_specs(&w), cfg).run_profiled();
+        assert!(!hit, "{}", w.name);
+        assert_eq!(
+            profile.steps[0],
+            runs.iter().sum::<u64>(),
+            "{}: one dispatch per issue",
+            w.name
+        );
+        assert_eq!(
+            (profile.fused_runs, profile.gate_cuts),
+            (runs, 0),
+            "{}",
+            w.name
+        );
+    }
+}
