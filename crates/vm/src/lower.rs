@@ -391,7 +391,7 @@ impl ExecBackend for ThreadedBackend {
     fn exec_next(&self, core: &mut DetCore<'_>, t: usize) -> Action {
         // Fast path: direct work on disjoint field borrows of the core —
         // every metric increment, RNG draw and sanitizer site matches the
-        // interpreter's exactly (the differential suite pins that).
+        // interpreter's exactly (the determinism matrix pins that).
         'fast: {
             let cfg = &core.cfg;
             let cost = core.cost;
@@ -852,7 +852,7 @@ mod tests {
     /// `ret` back to the caller and a tick the mode skips; it stops before
     /// an executing tick, a load, a store, lock, unlock, barrier, a
     /// builtin and the final `ret`. With the stop one cycle away every
-    /// dispatch is a single op. The differential suite cannot see a lost
+    /// dispatch is a single op. The determinism matrix cannot see a lost
     /// fusion (the numbers stay right), so this pins it.
     #[test]
     fn dispatches_run_up_to_the_next_observable_op() {

@@ -39,7 +39,7 @@ use detlock_vm::machine::{
 use detlock_vm::{Backend, ChunkParams, Sched};
 use detlock_workloads::radiosity::{self, RadiosityParams};
 use detlock_workloads::util::{mixed_compute, scratch_base, single_block_leaf};
-use detlock_workloads::{racy, Workload};
+use detlock_workloads::{micro, racy, Workload};
 use std::collections::HashMap;
 use std::fmt::Write;
 
@@ -84,57 +84,6 @@ impl Shape {
             .collect();
         Shape::new(name, w.module, &w.entries, specs, w.mem_words, cost)
     }
-}
-
-/// `threads` × `iters` × {lock 1, increment one shared word, unlock, 8 ALU
-/// ops} and, with `with_barrier`, a barrier closing every iteration: one
-/// synchronization per ~13 instructions, so some thread is waiting on
-/// nearly every cycle.
-fn hammer(
-    name: &'static str,
-    threads: usize,
-    iters: i64,
-    with_barrier: bool,
-    cost: &CostModel,
-) -> Shape {
-    let mut module = Module::new();
-    let mut fb = FunctionBuilder::new(name, 1);
-    fb.block("entry");
-    let head = fb.create_block("loop.cond");
-    let body = fb.create_block("loop.body");
-    let done = fb.create_block("done");
-    let iters_reg = fb.param(0);
-    let i = fb.iconst(0);
-    let word = fb.iconst(8);
-    fb.br(head);
-
-    fb.switch_to(head);
-    let c = fb.cmp(CmpOp::Lt, i, iters_reg);
-    fb.cond_br(c, body, done);
-
-    fb.switch_to(body);
-    fb.lock(1i64);
-    let v = fb.load(word, 0);
-    let v2 = fb.add(v, 1);
-    fb.store(word, 0, v2);
-    fb.unlock(1i64);
-    fb.compute(8);
-    if with_barrier {
-        fb.barrier(BarrierId(0));
-    }
-    fb.bin_to(BinOp::Add, i, i, 1);
-    fb.br(head);
-
-    fb.switch_to(done);
-    fb.ret_void();
-    let entry = fb.finish_into(&mut module);
-    let specs = (0..threads)
-        .map(|_| ThreadSpec {
-            func: entry,
-            args: vec![iters],
-        })
-        .collect();
-    Shape::new(name, module, &[entry], specs, 1 << 10, cost)
 }
 
 /// `threads` × `timesteps` × {a sweep of rows, each a block of grid
@@ -227,8 +176,8 @@ fn stencil(threads: usize, timesteps: i64, cost: &CostModel) -> Shape {
 /// golden table runs scale 0.05, the stepped runs [`stepped_radiosity`].
 fn shapes(cost: &CostModel, radiosity: Workload) -> Vec<Shape> {
     vec![
-        hammer("lock-hammer", 4, 100, false, cost),
-        hammer("barrier-hammer", 3, 60, true, cost),
+        Shape::from_workload("lock-hammer", micro::lock_hammer(4, 100), cost),
+        Shape::from_workload("barrier-hammer", micro::barrier_hammer(3, 60), cost),
         Shape::from_workload("radiosity", radiosity, cost),
         Shape::from_workload("deadlock-control", racy::build_deadlock(3), cost),
         stencil(3, 5, cost),

@@ -15,7 +15,8 @@
 //! | [`radiosity`] | task queue at very high rate, clockable compute | 2,211,621 |
 //! | [`volrend`] | ray batches + opacity ladder | 443,070 |
 //!
-//! [`micro`] generates random structured CFGs for property tests;
+//! [`micro`] generates random structured CFGs for property tests and
+//! builds the two arbiter stressors (lock and barrier hammers);
 //! [`racy`] is a deliberately racy counter used as detlint's negative
 //! control (it is *not* part of [`all_benchmarks`]).
 

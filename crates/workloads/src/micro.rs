@@ -1,12 +1,73 @@
-//! Micro CFG generators used by property tests and the pass test-suite:
-//! random structured control flow (nested diamonds, loops, call chains)
-//! over which pass invariants must hold.
+//! Micro programs for property tests and the pass test-suite: random
+//! structured control flow (nested diamonds, loops, call chains) over which
+//! pass invariants must hold, and the two arbiter stressors
+//! ([`lock_hammer`], [`barrier_hammer`]).
 
 use crate::util::GenRng;
+use crate::{ThreadPlan, Workload};
 use detlock_ir::builder::FunctionBuilder;
 use detlock_ir::inst::{BinOp, CmpOp, Operand};
-use detlock_ir::types::FuncId;
+use detlock_ir::types::{BarrierId, FuncId};
 use detlock_ir::Module;
+
+/// `threads` threads × `iters` × {lock 1, load/add/store one word, unlock,
+/// 8 ALU ops}: one acquisition per ~13 instructions, so some thread is
+/// waiting on nearly every cycle. Race-free: the word is only touched under
+/// lock 1.
+pub fn lock_hammer(threads: usize, iters: i64) -> Workload {
+    hammer("lockhammer", threads, iters, false)
+}
+
+/// [`lock_hammer`] with a barrier closing every iteration.
+pub fn barrier_hammer(threads: usize, iters: i64) -> Workload {
+    hammer("barrierhammer", threads, iters, true)
+}
+
+fn hammer(name: &'static str, threads: usize, iters: i64, with_barrier: bool) -> Workload {
+    let mut module = Module::new();
+    let mut fb = FunctionBuilder::new(name, 1);
+    fb.block("entry");
+    let head = fb.create_block("loop.cond");
+    let body = fb.create_block("loop.body");
+    let done = fb.create_block("done");
+    let iters_reg = fb.param(0);
+    let i = fb.iconst(0);
+    let word = fb.iconst(8);
+    fb.br(head);
+
+    fb.switch_to(head);
+    let c = fb.cmp(CmpOp::Lt, i, iters_reg);
+    fb.cond_br(c, body, done);
+
+    fb.switch_to(body);
+    fb.lock(1i64);
+    let v = fb.load(word, 0);
+    let v2 = fb.add(v, 1);
+    fb.store(word, 0, v2);
+    fb.unlock(1i64);
+    fb.compute(8);
+    if with_barrier {
+        fb.barrier(BarrierId(0));
+    }
+    fb.bin_to(BinOp::Add, i, i, 1);
+    fb.br(head);
+
+    fb.switch_to(done);
+    fb.ret_void();
+    let entry = fb.finish_into(&mut module);
+    Workload {
+        name,
+        module,
+        entries: vec![entry],
+        threads: (0..threads)
+            .map(|_| ThreadPlan {
+                func: entry,
+                args: vec![iters],
+            })
+            .collect(),
+        mem_words: 1 << 10,
+    }
+}
 
 /// Shape knobs for random structured functions.
 #[derive(Debug, Clone)]
@@ -165,6 +226,13 @@ mod tests {
         for seed in 1..30 {
             let (m, _) = random_module(seed, 3, &MicroParams::default());
             verify_module(&m).unwrap_or_else(|e| panic!("seed {seed}: {e:?}"));
+        }
+    }
+
+    #[test]
+    fn hammers_verify() {
+        for w in [lock_hammer(4, 100), barrier_hammer(3, 60)] {
+            verify_module(&w.module).unwrap_or_else(|e| panic!("{}: {e:?}", w.name));
         }
     }
 
