@@ -51,7 +51,6 @@ pub fn machine_config(w: &Workload, mode: ExecMode, seed: u64) -> MachineConfig 
         mem_words: w.mem_words,
         jitter: Jitter::default().with_seed(seed),
         max_cycles: 60_000_000_000,
-        ghz: 2.66,
         lock_order_limit: 4096,
         backend: Backend::Threaded,
         ..MachineConfig::default()

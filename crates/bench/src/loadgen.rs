@@ -585,9 +585,9 @@ impl Tally<'_> {
                     continue; // background load: just regenerate
                 }
                 // A shed is a definitive "later" from a live server, not a
-                // casualty: it consumes no reissue attempt (mirroring
-                // `RetryingClient`). The phase deadline bounds the waiting —
-                // a job still shed at the deadline surfaces as unanswered.
+                // casualty: it consumes no reissue attempt. The phase
+                // deadline bounds the waiting — a job still shed at the
+                // deadline surfaces as unanswered.
                 let backoff = result
                     .get("retry_after_ms")
                     .and_then(Json::as_u64)

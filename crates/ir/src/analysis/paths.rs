@@ -41,8 +41,8 @@ pub struct PathSet {
 }
 
 /// Result of [`enumerate_paths_recorded`]: like [`PathSet`] but the block
-/// sequence of every path is retained, so callers (the divergence audit,
-/// the translation validator) can point at the concrete worst path.
+/// sequence of every path is retained, so a caller (the translation
+/// validator) can point at the concrete worst path.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RecordedPaths {
     /// Accumulated value of every complete path (aligned with `routes`).

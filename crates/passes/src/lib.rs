@@ -23,8 +23,7 @@
 //! materialization into the split module in place, with per-pass telemetry
 //! and per-pass delta certificates;
 //! [`cost`] holds the cycle model and the *instructions estimate file*
-//! parser; [`divergence`] audits how far a plan's path totals stray from
-//! the true costs.
+//! parser.
 //!
 //! ```
 //! use detlock_ir::{FunctionBuilder, Module};
@@ -49,7 +48,6 @@
 pub mod cache;
 pub mod cert;
 pub mod cost;
-pub mod divergence;
 pub mod materialize;
 pub mod opt1;
 pub mod opt2a;

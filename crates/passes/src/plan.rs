@@ -231,8 +231,8 @@ pub fn block_clock_amount(block: &Block, cost: &CostModel, clocked: &[Option<u64
 
 /// [`block_clock_amount`] of every block of `func`, indexed by block. A
 /// block's amount depends on the block and the clocked set alone, so
-/// whoever sums amounts along paths (O1's tightness test, the divergence
-/// audit, the validator) costs each block here once, not once per visit.
+/// whoever sums amounts along paths (O1's tightness test, the validator)
+/// costs each block here once, not once per visit.
 pub fn block_clock_amounts(func: &Function, cost: &CostModel, clocked: &[Option<u64>]) -> Vec<u64> {
     func.blocks
         .iter()

@@ -4,7 +4,7 @@
 //! *shard group* scales past that by running several such processes and
 //! putting a [`GroupRouter`] in front. The router speaks the same wire
 //! protocol as a single server (v1 and v2), so clients — including
-//! [`crate::client::RetryingClient`] and `detload` — need no changes.
+//! `detload` — need no changes.
 //!
 //! Routing is a consistent-hash [`HashRing`] over [`JobSpec::identity_key`]:
 //! every field an episode's outcome depends on hashes to a stable backend,
@@ -302,7 +302,7 @@ impl Backend {
 }
 
 /// The retryable shed a client sees when its backend died mid-request:
-/// the retry (e.g. `RetryingClient`) re-routes around the dead process.
+/// the client's retry re-routes around the dead process.
 fn failover_shed() -> Json {
     Json::obj([
         ("ok", false.to_json()),

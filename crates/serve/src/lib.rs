@@ -32,7 +32,6 @@
 
 #![warn(missing_docs)]
 
-pub mod client;
 pub mod conn;
 pub mod group;
 pub mod netfault;
@@ -43,7 +42,6 @@ pub mod server;
 pub mod shard;
 pub mod stats;
 
-pub use client::{ClientError, ClientStats, RetryPolicy, RetryingClient};
 pub use netfault::{CrashPlan, InjectedCrash, NetFaultPlan, WireFault};
 pub use protocol::{Client, JobSpec};
 pub use receipt::Receipt;

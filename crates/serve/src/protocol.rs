@@ -25,8 +25,7 @@
 //! Failures answer `{"ok":false,"error":…}`. Load-shedding refusals are
 //! **typed**: they add `"error_kind":"shed"` plus `"reason":"queue_full"`
 //! (retryable; carries `retry_after_ms`) or `"reason":"draining"` (not
-//! retryable — the server is going away). [`crate::client::RetryingClient`]
-//! understands both.
+//! retryable — the server is going away).
 //!
 //! ## Protocol v2: negotiation, batching, pipelining
 //!
@@ -345,8 +344,7 @@ impl Client {
         Client::connect_with_timeout(addr, Duration::from_secs(120))
     }
 
-    /// Connect with an explicit per-request read timeout (the retrying
-    /// client uses this to bound each attempt).
+    /// Connect with an explicit per-request read timeout.
     pub fn connect_with_timeout(addr: &str, read_timeout: Duration) -> io::Result<Client> {
         let stream = TcpStream::connect(addr)?;
         stream.set_read_timeout(Some(read_timeout))?;

@@ -198,8 +198,8 @@ impl<W> Entry<W> {
 /// function of the job, so every re-sighting of a key — another tenant,
 /// shard, sweep or process — must repeat the first one byte for byte.
 ///
-/// A client only [`record`](ReceiptLedger::record)s. A group router also
-/// counts requests, to send the ones the audit schedule picks to a second
+/// A group router [`record`](ReceiptLedger::record)s receipts and counts
+/// requests, to send the ones the audit schedule picks to a second
 /// process. A server also consults the table at admission, where the same
 /// premise makes it a memo: a request for an identity whose first
 /// execution is in flight parks on it as a `W`, and one for a finished
@@ -277,11 +277,6 @@ impl<W> ReceiptLedger<W> {
         Some(e.requests)
     }
 
-    /// The canonical receipt on record for `key`, if any.
-    pub(crate) fn receipt(&self, key: &str) -> Option<&str> {
-        self.seen.get(key)?.canonical.as_deref()
-    }
-
     /// `key`'s row, made empty if it has none and the table is not full.
     fn row(&mut self, key: String) -> Option<&mut Entry<W>> {
         let full = self.seen.len() >= RECEIPT_MEMORY;
@@ -351,11 +346,12 @@ mod tests {
     #[test]
     fn count_numbers_the_requests_of_the_row_record_fills() {
         let mut l = ReceiptLedger::<()>::default();
+        let receipt = |l: &ReceiptLedger<()>| l.seen["k"].canonical.clone();
         assert_eq!(l.count("k".into()), Some(1));
-        assert_eq!(l.receipt("k"), None);
+        assert_eq!(receipt(&l), None);
         assert_eq!(l.record("k".into(), "r"), Sighting::First);
         assert_eq!(l.count("k".into()), Some(2));
-        assert_eq!(l.receipt("k"), Some("r"));
+        assert_eq!(receipt(&l).as_deref(), Some("r"));
         for i in 0..RECEIPT_MEMORY {
             l.count(format!("fill{i}"));
         }

@@ -7,7 +7,6 @@
 //! identical; CI's serve-load job runs the true multi-process shape.)
 
 use detlock_passes::pipeline::OptLevel;
-use detlock_serve::client::{RetryPolicy, RetryingClient};
 use detlock_serve::group::{GroupConfig, GroupRouter};
 use detlock_serve::protocol::{Client, JobSpec};
 use detlock_serve::receipt::audit_scheduled;
@@ -262,18 +261,22 @@ fn dead_backend_fails_over_without_losing_determinism() {
     // Take a backend down; its keys must re-route, and the receipts the
     // substitutes produce must match the ledger from the warm sweep.
     group.backends.remove(2).shutdown_and_join();
-    let mut retrying = RetryingClient::new(
-        &addr,
-        RetryPolicy {
-            max_attempts: 8,
-            base_backoff: Duration::from_millis(10),
-            max_backoff: Duration::from_millis(200),
-            ..RetryPolicy::default()
-        },
-    );
+    // A job whose backend died mid-request is answered with the typed
+    // retryable shed; wait out its `retry_after_ms` and ask again.
+    let mut failover = |j: &JobSpec| -> Json {
+        for _ in 0..20 {
+            let resp = client.run(j).expect("failover request");
+            if resp.get("error_kind").and_then(Json::as_str) != Some("shed") {
+                return resp;
+            }
+            let ms = resp.get("retry_after_ms").and_then(Json::as_u64).unwrap();
+            std::thread::sleep(Duration::from_millis(ms));
+        }
+        panic!("{} still shed after 20 tries", j.identity_key());
+    };
     let mut after = Vec::new();
     for j in &jobs {
-        let (receipt, b) = receipt_and_backend(&retrying.run(j).expect("failover request"));
+        let (receipt, b) = receipt_and_backend(&failover(j));
         assert_ne!(b, 2, "dead backend cannot have answered");
         after.push(receipt);
     }

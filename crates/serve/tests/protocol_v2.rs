@@ -6,7 +6,6 @@
 //! the same cases, so a failure here reproduces exactly.
 
 use detlock_passes::pipeline::OptLevel;
-use detlock_serve::client::RetryingClient;
 use detlock_serve::netfault::NetFaultPlan;
 use detlock_serve::protocol::{batch_request, parse_batch, Client, FrameBuffer, JobSpec};
 use detlock_serve::server::{DetServed, ServeConfig};
@@ -205,35 +204,6 @@ fn drive_pipelined(addr: &str, frames: &[Json]) -> Vec<Json> {
         .into_iter()
         .map(|r| r.expect("pipelined request never definitively answered"))
         .collect()
-}
-
-#[test]
-fn retrying_batch_client_is_idempotent_under_faults() {
-    let server = DetServed::start(test_config()).unwrap();
-    let addr = server.local_addr().to_string();
-    let jobs: Vec<JobSpec> = (0..5).map(|i| spec(7100 + i)).collect();
-
-    let mut admin = Client::connect(&addr).unwrap();
-    let armed = admin.chaos(Some(&NetFaultPlan::new(0xFA02)), None).unwrap();
-    assert_eq!(armed.get("ok").and_then(Json::as_bool), Some(true));
-
-    // Same batch twice through the retrying client: the second round must
-    // replay every receipt byte-for-byte (counted as duplicates, never
-    // mismatches), even while wire faults force whole-batch reissues.
-    let mut client = RetryingClient::connect(&addr);
-    let first = client.run_batch(&jobs).expect("first batch");
-    let second = client.run_batch(&jobs).expect("second batch");
-    let receipt = |v: &Json| v.get("receipt").expect("receipt").to_string_compact();
-    assert_eq!(
-        first.iter().map(receipt).collect::<Vec<_>>(),
-        second.iter().map(receipt).collect::<Vec<_>>(),
-        "batch replay changed a receipt"
-    );
-    assert_eq!(client.stats().receipt_mismatches, 0);
-    assert_eq!(client.stats().duplicate_receipts, jobs.len() as u64);
-
-    admin.chaos(None, None).unwrap();
-    server.shutdown_and_join();
 }
 
 #[test]

@@ -35,6 +35,7 @@ use detlock_passes::pipeline::{instrument, OptConfig, OptLevel};
 use detlock_passes::plan::Placement;
 use detlock_passes::{render_pass_table, PassPipeline};
 use detlock_vm::machine::{ExecMode, Jitter, Machine, MachineConfig, RoundProfile, ThreadSpec};
+use detlock_vm::metrics::GHZ;
 use detlock_vm::{Backend, Sched};
 
 struct Options {
@@ -332,7 +333,7 @@ fn main() {
             "\nrun: {} cycles ({:.3} simulated ms at {:.2} GHz)",
             metrics.cycles,
             metrics.seconds() * 1e3,
-            metrics.ghz
+            GHZ
         );
         println!(
             "     {} instructions, {} lock acquisitions ({:.0} locks/sec), {} wait cycles",

@@ -337,33 +337,45 @@ impl Checkpoint {
 /// parameters, memory geometry, cost-relevant config, the [`CostModel`]
 /// the machine charges instructions by, thread count and the module's
 /// shape — all of which two shards that compiled the same plan-cache entry
-/// agree on. Not the backend: see [`Checkpoint`].
+/// agree on. Free: the backend (see [`Checkpoint`]) and the cycle limit.
+/// Every field is named, so a new one fails to compile until classified.
 pub(crate) fn config_fingerprint(
     cfg: &MachineConfig,
     cost: &CostModel,
     module: &Module,
     n_threads: usize,
 ) -> u64 {
+    let MachineConfig {
+        mode,
+        mem_words,
+        jitter,
+        max_cycles: _,
+        lock_order_limit,
+        det_event_cost,
+        sanitize,
+        backend: _,
+        scheduler,
+    } = cfg;
     let mut h = Fnv64::new();
     h.write_u64(cost.fingerprint());
-    h.write_u64(match cfg.mode {
+    h.write_u64(match mode {
         ExecMode::Baseline => 0,
         ExecMode::ClocksOnly => 1,
         ExecMode::Det => 2,
         ExecMode::Kendo => 3,
     });
-    for v in cfg.scheduler.fingerprint_words() {
+    for v in scheduler.fingerprint_words() {
         h.write_u64(v);
     }
-    h.write_u64(cfg.jitter.seed);
-    h.write_u64(cfg.jitter.prob_num as u64);
-    h.write_u64(cfg.jitter.prob_den as u64);
-    h.write_u64(cfg.jitter.max_extra);
-    h.write_u64(cfg.mem_words as u64);
-    h.write_u64(cfg.det_event_cost);
-    h.write_u64(cfg.lock_order_limit as u64);
+    h.write_u64(jitter.seed);
+    h.write_u64(jitter.prob_num as u64);
+    h.write_u64(jitter.prob_den as u64);
+    h.write_u64(jitter.max_extra);
+    h.write_u64(*mem_words as u64);
+    h.write_u64(*det_event_cost);
+    h.write_u64(*lock_order_limit as u64);
     h.write_u64(n_threads as u64);
-    h.write_u64(cfg.sanitize as u64);
+    h.write_u64(*sanitize as u64);
     h.write_u64(module.functions.len() as u64);
     for f in &module.functions {
         h.write_u64(f.blocks.len() as u64);

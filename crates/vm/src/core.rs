@@ -477,7 +477,6 @@ impl<'m> DetCore<'m> {
     pub(crate) fn into_results(self) -> (RunMetrics, Vec<i64>, bool, Option<SanitizerReport>) {
         let DetCore {
             module,
-            cfg,
             mut state,
             due,
             since,
@@ -491,7 +490,6 @@ impl<'m> DetCore<'m> {
             per_thread: state.threads.into_iter().map(|t| t.m).collect(),
             lock_order_hash: state.log.hash(),
             lock_order: state.log.into_kept(),
-            ghz: cfg.ghz,
         };
         (metrics, state.mem, hit_limit, sanitizer)
     }

@@ -145,8 +145,6 @@ pub struct MachineConfig {
     pub jitter: Jitter,
     /// Safety stop: the run fails (`hit_cycle_limit`) past this many cycles.
     pub max_cycles: u64,
-    /// Simulated core frequency (paper testbed: 2.66 GHz).
-    pub ghz: f64,
     /// How many acquisition events to keep verbatim (hash covers all).
     pub lock_order_limit: usize,
     /// Protocol cost charged per deterministic lock acquisition in `Det` /
@@ -179,7 +177,6 @@ impl Default for MachineConfig {
             mem_words: 1 << 16,
             jitter: Jitter::default(),
             max_cycles: 20_000_000_000,
-            ghz: 2.66,
             lock_order_limit: 100_000,
             det_event_cost: 120,
             sanitize: false,

@@ -3,6 +3,9 @@
 
 use detlock_shim::acq::Acquisition;
 
+/// Simulated core frequency in GHz: the paper's testbed ran at 2.66 GHz.
+pub const GHZ: f64 = 2.66;
+
 /// Per-thread counters.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ThreadMetrics {
@@ -43,8 +46,6 @@ pub struct RunMetrics {
     /// acquirer's logical clock just after the grant, the value
     /// `detlock-core`'s `Turn::acquired` records.
     pub lock_order: Vec<Acquisition>,
-    /// Simulated clock frequency used for the locks/sec conversion.
-    pub ghz: f64,
 }
 
 impl RunMetrics {
@@ -70,7 +71,7 @@ impl RunMetrics {
 
     /// Simulated seconds of the run.
     pub fn seconds(&self) -> f64 {
-        self.cycles as f64 / (self.ghz * 1e9)
+        self.cycles as f64 / (GHZ * 1e9)
     }
 
     /// Lock acquisitions per simulated second (the paper's "Locks/sec").
@@ -106,7 +107,6 @@ mod tests {
             }],
             lock_order_hash: 0,
             lock_order: vec![],
-            ghz: 2.66,
         }
     }
 

@@ -330,112 +330,3 @@ fn table_chaos_under_fault_delays_is_seed_invariant() {
     assert_eq!(s0, reference_state);
     assert_eq!(o0, reference_obs);
 }
-
-// ---------------------------------------------------------------------------
-// Network chaos at the serving edge: the runtime above proves the *engine*
-// shrugs off injected timing faults; these prove the *service* shrugs off
-// injected wire faults. A client retrying through drops, truncated frames,
-// stalled partial writes and delays must end up with exactly one receipt
-// per job identity — retries may re-execute (execution is deterministic,
-// so re-execution is unobservable), but no retry may ever observe a
-// different receipt.
-
-use detlock_serve::client::{RetryPolicy, RetryingClient};
-use detlock_serve::netfault::NetFaultPlan;
-use detlock_serve::protocol::JobSpec;
-use detlock_serve::server::{DetServed, ServeConfig};
-use detlock_shim::json::Json;
-
-fn serve_spec(workload: &str, seed: u64) -> JobSpec {
-    JobSpec {
-        tenant: "net-chaos".to_string(),
-        workload: workload.to_string(),
-        threads: 2,
-        scale: 0.02,
-        seed,
-        opt: detlock_passes::pipeline::OptLevel::All,
-        sanitize: false,
-        scheduler: detlock_vm::Sched::Kendo,
-    }
-}
-
-/// Client retry under connection drops/resets yields one receipt per job
-/// identity, with no duplicate execution observable in the results.
-#[test]
-fn retrying_client_under_wire_chaos_observes_exactly_one_receipt_per_job() {
-    let server = DetServed::start(ServeConfig {
-        shards: 2,
-        checkpoint_interval: 2000,
-        // Heavy drop/truncate chaos from boot: ~1/4 of data-plane
-        // responses vanish or arrive cut mid-frame (an abrupt close is
-        // the portable stand-in for a TCP reset).
-        net_faults: Some(NetFaultPlan {
-            drop_per_1024: 192,
-            truncate_per_1024: 96,
-            partial_per_1024: 64,
-            delay_per_1024: 128,
-            max_delay_ms: 5,
-            ..NetFaultPlan::new(0xFA17)
-        }),
-        ..ServeConfig::default()
-    })
-    .expect("bind");
-    let addr = server.local_addr().to_string();
-
-    let jobs: Vec<JobSpec> = (0..3).map(|i| serve_spec("ocean", 60 + i)).collect();
-    let mut client = RetryingClient::new(
-        &addr,
-        RetryPolicy {
-            max_attempts: 24,
-            base_backoff: std::time::Duration::from_millis(1),
-            ..RetryPolicy::default()
-        },
-    );
-    // Each job submitted repeatedly: with faults armed the client retries
-    // through reconnects; the dedup map cross-checks every re-answer.
-    for _ in 0..4 {
-        for job in &jobs {
-            let resp = client.run(job).expect("job must complete through chaos");
-            assert_eq!(resp.get("ok").and_then(Json::as_bool), Some(true));
-        }
-    }
-    let cs = client.stats();
-    assert_eq!(
-        cs.receipt_mismatches, 0,
-        "a retry observed a different receipt: duplicate execution was observable"
-    );
-    assert_eq!(
-        cs.duplicate_receipts,
-        jobs.len() as u64 * 3,
-        "every identity must have been re-answered and byte-compared"
-    );
-    assert_eq!(cs.unanswered, 0);
-    for job in &jobs {
-        assert!(
-            client.receipt_for(&job.identity_key()).is_some(),
-            "missing receipt for {}",
-            job.identity_key()
-        );
-    }
-
-    // Disarm chaos over the (always reliable) control plane and confirm
-    // the server counted its own mischief.
-    let mut control = detlock_serve::protocol::Client::connect(&addr).unwrap();
-    control.chaos(None, None).unwrap();
-    let stats = control.stats().unwrap();
-    let injected = stats
-        .get("counters")
-        .and_then(|c| c.get("net_faults_injected"))
-        .and_then(Json::as_u64)
-        .unwrap();
-    assert!(injected >= 1, "fault plan never fired");
-    assert_eq!(
-        stats
-            .get("counters")
-            .and_then(|c| c.get("receipt_mismatches"))
-            .and_then(Json::as_u64),
-        Some(0)
-    );
-    control.shutdown().unwrap();
-    server.join();
-}

@@ -6,6 +6,7 @@
 //! seeds), so every run exercises the same programs and failures name the
 //! exact seed to replay.
 
+use detlock_analyze::validate::validate;
 use detlock_ir::analysis::cfg::Cfg;
 use detlock_ir::analysis::dom::DomTree;
 use detlock_ir::analysis::loops::LoopInfo;
@@ -15,9 +16,8 @@ use detlock_ir::parse::parse_module;
 use detlock_ir::verify::verify_module;
 use detlock_ir::{BlockId, CmpOp, FuncId, Function, FunctionBuilder, Inst, Module};
 use detlock_passes::cost::CostModel;
-use detlock_passes::divergence::{audit, is_exact};
 use detlock_passes::opt1::{compute_clocked, is_clockable, tight_average, ClockableParams};
-use detlock_passes::pipeline::{instrument, OptConfig, OptLevel};
+use detlock_passes::pipeline::{instrument, Instrumented, OptConfig, OptLevel};
 use detlock_passes::plan::{block_clock_amount, Placement};
 use detlock_shim::rng::SmallRng;
 use detlock_vm::determinism::check_determinism;
@@ -70,6 +70,15 @@ fn random_programs_instrument_cleanly() {
     }
 }
 
+/// The translation validator accepts `out` as compiled from `m` with no
+/// finding of any severity: its path-sum obligation holds every acyclic
+/// path's planned clock to the true cost within the cert's bounds, and a
+/// function over the path cap would be a warning.
+fn assert_validates(m: &Module, out: &Instrumented, cost: &CostModel, what: &str) {
+    let report = validate(m, &out.module, &out.cert, cost);
+    assert!(report.findings.is_empty(), "{what}:\n{report}");
+}
+
 /// The unoptimized plan and the O2a-only plan are *exact*: every
 /// acyclic path's planned clock equals its true cost.
 #[test]
@@ -78,41 +87,26 @@ fn precise_configs_have_zero_divergence() {
         let (m, driver) = random_module(seed, 3, &micro_params());
         let cost = CostModel::default();
 
-        let base = instrument(&m, &cost, &OptConfig::none(), Placement::Start, &[driver]);
-        assert!(
-            is_exact(&audit(&base.module, &base.plan, &cost, 1 << 14)),
-            "seed {seed}"
-        );
-
         let mut o2a_only = OptConfig::none();
         o2a_only.o2 = true;
         o2a_only.opt2b.max_divergence = 0.0; // disable the approximate half
-        let o2a = instrument(&m, &cost, &o2a_only, Placement::Start, &[driver]);
-        assert!(
-            is_exact(&audit(&o2a.module, &o2a.plan, &cost, 1 << 14)),
-            "seed {seed}"
-        );
+        for (name, config) in [("none", OptConfig::none()), ("O2a", o2a_only)] {
+            let out = instrument(&m, &cost, &config, Placement::Start, &[driver]);
+            assert!(out.cert.is_exact(), "seed {seed} {name}: inexact cert");
+            assert_validates(&m, &out, &cost, &format!("seed {seed} {name}"));
+        }
     }
 }
 
-/// The full pipeline's divergence stays bounded on random programs.
+/// The full pipeline's divergence stays within its cert's bounds on
+/// random programs.
 #[test]
 fn full_pipeline_divergence_bounded() {
     for seed in seed_sweep("full_pipeline_divergence_bounded", 24, 1, 10_000) {
         let (m, driver) = random_module(seed, 3, &micro_params());
         let cost = CostModel::default();
         let out = instrument(&m, &cost, &OptConfig::all(), Placement::Start, &[driver]);
-        for d in audit(&out.module, &out.plan, &cost, 1 << 14)
-            .iter()
-            .flatten()
-        {
-            assert!(
-                d.max_frac <= 0.6,
-                "seed {seed}: function {:?} diverged by {:.3}",
-                d.func,
-                d.max_frac
-            );
-        }
+        assert_validates(&m, &out, &cost, &format!("seed {seed}"));
     }
 }
 
