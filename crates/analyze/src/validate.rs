@@ -35,7 +35,9 @@
 
 use crate::{Finding, Report, Severity};
 use detlock_ir::analysis::manager::AnalysisManager;
-use detlock_ir::analysis::paths::{enumerate_paths, enumerate_paths_recorded, PathError, Step};
+use detlock_ir::analysis::paths::{
+    enumerate_paths, enumerate_paths_recorded, PathError, PathStats, Step,
+};
 use detlock_ir::inst::{Inst, Operand};
 use detlock_ir::module::{Function, Module};
 use detlock_ir::types::{BlockId, FuncId};
@@ -46,8 +48,8 @@ use detlock_passes::pass::{PASS_MATERIALIZE, PASS_O1, PASS_SPLIT};
 use detlock_passes::plan::{block_clock_amounts, split_module, Placement};
 use detlock_passes::PlanCert;
 
-/// Path-enumeration cap for the validator (a checker may spend more than
-/// the optimizer's 4096).
+/// Path-enumeration cap for the validator's path-sum check (a checker may
+/// walk more paths than the optimizer's 4096-path threshold admits).
 const MAX_PATHS: usize = 65536;
 
 fn finding(severity: Severity, rule: &'static str, func: &str, message: String) -> Finding {
@@ -298,7 +300,10 @@ fn structural_mismatch(a: &Function, b: &Function) -> Option<String> {
 }
 
 /// Obligation 4: the claimed O1 mean re-derives from the baseline function
-/// under the cert's own thresholds.
+/// under the cert's own thresholds. O1 summarizes the path totals in one
+/// pass over the blocks (`path_stats`); this check enumerates them, so the
+/// mean is derived twice, independently, and only the decision rule
+/// (`tight_average`) is shared.
 #[allow(clippy::too_many_arguments)]
 fn check_clocked_mean(
     pre_func: &Function,
@@ -319,7 +324,7 @@ fn check_clocked_mean(
         |b| amounts[b.index()],
         |_, _| Step::Follow,
     ) {
-        Ok(paths) => tight_average(&paths.totals, &cert.clockable),
+        Ok(paths) => tight_average(&PathStats::of(&paths.totals), &cert.clockable),
         Err(_) => None, // loops / too many paths: O1 must not have clocked it
     };
     if rederived != Some(mean) {
@@ -387,7 +392,6 @@ fn check_path_sums(
                     match e {
                         PathError::TooManyPaths => format!("more than {MAX_PATHS} acyclic paths"),
                         PathError::Cycle => "cycle not cut by back edges".to_string(),
-                        PathError::Aborted => "enumeration aborted".to_string(),
                     }
                 ),
             ));

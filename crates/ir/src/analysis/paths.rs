@@ -1,14 +1,27 @@
-//! Bounded enumeration of acyclic paths through a CFG region.
+//! Acyclic paths through a CFG region: summarized, or enumerated.
 //!
-//! Optimization 1 (*Function Clocking*) needs the clock totals of *all
+//! Optimization 1 (*Function Clocking*) decides on the clock totals of *all
 //! paths* through a loop-free function (paper Fig. 4, `getClocksOfAllPaths`);
-//! Optimization 3 (*Averaging of Clocks*) needs the totals of all paths
+//! Optimization 3 (*Averaging of Clocks*) on the totals of all paths
 //! emanating from a block through the region it dominates (paper Fig. 11,
-//! `getClocksOfAllOpt3Paths`). Both are served by [`enumerate_paths`], which
-//! walks the CFG from a start block, accumulating a caller-supplied per-block
-//! value, with a caller-supplied per-edge policy deciding how far paths
-//! extend. The walk calls `block_value` once per *visit*, so callers look
-//! the value up in a per-block table rather than compute it there.
+//! `getClocksOfAllOpt3Paths`). Both read only the set's count, mean, range
+//! and standard deviation, so both take [`path_stats`]: one depth-first
+//! pass over the blocks that keeps, per block, the count, sum, sum of
+//! squares, minimum and maximum of the totals of the paths leaving it
+//! (the DAG recurrence of Ball & Larus's path numbering). Its cost is
+//! linear in the region's edges, not in its paths.
+//!
+//! The translation validator needs the paths themselves: the totals, to
+//! re-derive an O1 mean by a walk independent of the summary, and each
+//! route, to point at the worst one. [`enumerate_paths`] and
+//! [`enumerate_paths_recorded`] walk every path, up to a cap.
+//!
+//! All three take a start block, a per-block value accumulated along a
+//! path, and a per-edge policy, and agree on what a path is: it ends at a
+//! block with no successors, or at the source of a [`Step::StopBefore`]
+//! edge (one path per such edge). They give `Err` alike: when a
+//! [`Step::Follow`] edge closes a cycle, or when more than `max_paths` paths
+//! exist.
 
 use crate::analysis::cfg::Cfg;
 use crate::types::BlockId;
@@ -23,11 +36,83 @@ pub enum Step {
     /// truncated path — it represents a real dynamic continuation whose
     /// remainder lies outside the region.
     StopBefore,
-    /// Enter `to`, add its value, and end the path there.
-    StopAfter,
-    /// The whole enumeration is invalid (e.g. region contains a construct
-    /// the optimization cannot handle).
-    Abort,
+}
+
+/// Count, moments and range of a set of path totals: everything the
+/// tightness test (`detlock_passes::opt1::tight_average`) reads. The
+/// moments are exact integers, so a summary does not depend on the order
+/// its paths were found in.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PathStats {
+    /// Number of paths.
+    pub count: u64,
+    /// Sum of the totals.
+    pub sum: u128,
+    /// Sum of the squared totals.
+    pub sum_sq: u128,
+    /// Smallest total (0 when `count` is 0).
+    pub min: u64,
+    /// Largest total (0 when `count` is 0).
+    pub max: u64,
+}
+
+impl PathStats {
+    /// The summary of an explicit list of totals, for callers that
+    /// enumerate.
+    pub fn of(totals: &[u64]) -> PathStats {
+        let mut stats = PathStats::default();
+        for &t in totals {
+            stats.add(PathStats::point(t));
+        }
+        stats
+    }
+
+    /// One path of total `t`.
+    fn point(t: u64) -> PathStats {
+        let t2 = t as u128;
+        PathStats {
+            count: 1,
+            sum: t2,
+            sum_sq: t2 * t2,
+            min: t,
+            max: t,
+        }
+    }
+
+    /// Fold the paths of `other` into `self`.
+    fn add(&mut self, other: PathStats) {
+        if self.count == 0 {
+            *self = other;
+            return;
+        }
+        self.count += other.count;
+        self.sum += other.sum;
+        self.sum_sq += other.sum_sq;
+        self.min = self.min.min(other.min);
+        self.max = self.max.max(other.max);
+    }
+
+    /// Every total raised by `v`: `(t + v)² = t² + 2vt + v²`.
+    fn shifted(self, v: u64) -> PathStats {
+        let (v2, n) = (v as u128, self.count as u128);
+        PathStats {
+            count: self.count,
+            sum: self.sum + v2 * n,
+            sum_sq: self.sum_sq + 2 * v2 * self.sum + v2 * v2 * n,
+            min: self.min + v,
+            max: self.max + v,
+        }
+    }
+}
+
+/// Result of [`path_stats`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PathSummary {
+    /// The totals of every path from the start block.
+    pub stats: PathStats,
+    /// Every block that appears on at least one path (start included;
+    /// `StopBefore` targets excluded). Sorted ascending.
+    pub touched: Vec<BlockId>,
 }
 
 /// Result of a successful enumeration.
@@ -48,21 +133,110 @@ pub struct RecordedPaths {
     /// Accumulated value of every complete path (aligned with `routes`).
     pub totals: Vec<u64>,
     /// Block sequence of every path (start block first). A `StopBefore`
-    /// edge's truncated path ends at the edge source; a `StopAfter` path
-    /// includes the edge target.
+    /// edge's truncated path ends at the edge source.
     pub routes: Vec<Vec<BlockId>>,
 }
 
-/// Why an enumeration failed.
+/// Why a summary or an enumeration failed. Both fail on the same regions,
+/// but where a region has a cycle *and* too many paths the two may name
+/// different reasons.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PathError {
-    /// The per-edge policy returned [`Step::Abort`].
-    Aborted,
     /// More than `max_paths` paths exist.
     TooManyPaths,
     /// A block repeated within a single path (cycle not filtered by the
     /// policy).
     Cycle,
+}
+
+/// DFS colour of a block in [`path_stats`].
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Visit {
+    New,
+    /// On the DFS stack: a `Follow` edge into it closes a cycle.
+    Open,
+    /// Its summary is final.
+    Done,
+}
+
+/// Summarize all paths from `start` in one pass over the blocks.
+///
+/// Takes the same arguments as [`enumerate_paths`] and succeeds exactly
+/// when it does, with `stats == PathStats::of(&totals)` and the same
+/// touched set. Each block reachable along `Follow` edges is finished
+/// after its successors, and its value is read once. A block's summary is
+/// the sum over its successor edges, in `cfg.succs` order: a `Follow`
+/// edge contributes its target's summary, a `StopBefore` edge one path of
+/// total zero, and a block with no successors one path of total zero;
+/// then every total is raised by the block's value. The first block whose
+/// path count passes `max_paths` ends the pass with `TooManyPaths` (every
+/// path from it extends to a distinct path from `start`), so the cap is a
+/// semantic threshold, not a bound on cost.
+///
+/// The moments are exact while every total stays below 2^50 (then
+/// `count · sum_sq` fits in `u128` for up to 4 096 paths).
+pub fn path_stats(
+    cfg: &Cfg,
+    start: BlockId,
+    max_paths: usize,
+    mut block_value: impl FnMut(BlockId) -> u64,
+    mut decide: impl FnMut(BlockId, BlockId) -> Step,
+) -> Result<PathSummary, PathError> {
+    let mut visit = vec![Visit::New; cfg.len()];
+    // While a block is open: the summary of its successor edges so far.
+    let mut stats = vec![PathStats::default(); cfg.len()];
+    // (block, index of the next successor to take).
+    let mut stack = Vec::with_capacity(cfg.len());
+    stack.push((start, 0usize));
+    visit[start.index()] = Visit::Open;
+
+    while let Some(top) = stack.last_mut() {
+        let (from, next) = *top;
+        let b = from.index();
+        let succs = cfg.succs(from);
+        let Some(&to) = succs.get(next) else {
+            // Every successor is in: close the block.
+            if succs.is_empty() {
+                stats[b] = PathStats::point(0);
+            }
+            if stats[b].count > max_paths as u64 {
+                return Err(PathError::TooManyPaths);
+            }
+            stats[b] = stats[b].shifted(block_value(from));
+            visit[b] = Visit::Done;
+            stack.pop();
+            if let Some(&(parent, _)) = stack.last() {
+                let closed = stats[b];
+                stats[parent.index()].add(closed);
+            }
+            continue;
+        };
+        top.1 += 1;
+        match decide(from, to) {
+            Step::StopBefore => stats[b].add(PathStats::point(0)),
+            Step::Follow => match visit[to.index()] {
+                Visit::Open => return Err(PathError::Cycle),
+                Visit::Done => {
+                    let done = stats[to.index()];
+                    stats[b].add(done);
+                }
+                Visit::New => {
+                    visit[to.index()] = Visit::Open;
+                    stack.push((to, 0));
+                }
+            },
+        }
+    }
+    let mut touched = Vec::with_capacity(cfg.len());
+    touched.extend(
+        (0..cfg.len() as u32)
+            .map(BlockId)
+            .filter(|b| visit[b.index()] == Visit::Done),
+    );
+    Ok(PathSummary {
+        stats: stats[start.index()],
+        touched,
+    })
 }
 
 /// One block on the partial path the walk is extending.
@@ -74,24 +248,23 @@ struct Frame {
     next_succ: usize,
 }
 
-/// The one depth-first walk behind both public enumerations. `path_end`
-/// sees every complete path in DFS order: its total, the frames from
-/// `start` to the last block walked into, and the target of the `StopAfter`
-/// edge that ended it, if one did. Returns, per block, whether any path
-/// entered it.
+/// The one depth-first walk behind both enumerations. `path_end` sees
+/// every complete path in DFS order: its total and the frames from `start`
+/// to the block it ends at. Returns, per block, whether any path entered
+/// it.
 fn walk(
     cfg: &Cfg,
     start: BlockId,
     max_paths: usize,
     mut block_value: impl FnMut(BlockId) -> u64,
     mut decide: impl FnMut(BlockId, BlockId) -> Step,
-    mut path_end: impl FnMut(u64, &[Frame], Option<BlockId>),
+    mut path_end: impl FnMut(u64, &[Frame]),
 ) -> Result<Vec<bool>, PathError> {
     let mut touched = vec![false; cfg.len()];
     let mut on_path = vec![false; cfg.len()];
     let mut paths = 0usize;
-    let mut end = |total: u64, stack: &[Frame], last: Option<BlockId>| {
-        path_end(total, stack, last);
+    let mut end = |total: u64, stack: &[Frame]| {
+        path_end(total, stack);
         paths += 1;
         if paths > max_paths {
             Err(PathError::TooManyPaths)
@@ -114,34 +287,27 @@ fn walk(
         let Some(&to) = succs.get(top.next_succ) else {
             // All successors processed; terminal blocks end their path.
             if succs.is_empty() {
-                end(acc, &stack, None)?;
+                end(acc, &stack)?;
             }
             on_path[from.index()] = false;
             stack.pop();
             continue;
         };
         top.next_succ += 1;
-        let step = decide(from, to);
-        match step {
-            Step::Abort => return Err(PathError::Aborted),
+        match decide(from, to) {
             // The path ends at `from`; record its total as-is.
-            Step::StopBefore => end(acc, &stack, None)?,
-            Step::StopAfter | Step::Follow => {
+            Step::StopBefore => end(acc, &stack)?,
+            Step::Follow => {
                 if on_path[to.index()] {
                     return Err(PathError::Cycle);
                 }
-                let acc = acc + block_value(to);
                 touched[to.index()] = true;
-                if step == Step::StopAfter {
-                    end(acc, &stack, Some(to))?;
-                } else {
-                    on_path[to.index()] = true;
-                    stack.push(Frame {
-                        block: to,
-                        acc,
-                        next_succ: 0,
-                    });
-                }
+                on_path[to.index()] = true;
+                stack.push(Frame {
+                    block: to,
+                    acc: acc + block_value(to),
+                    next_succ: 0,
+                });
             }
         }
     }
@@ -155,8 +321,10 @@ fn walk(
 /// * `max_paths` — enumeration cap to bound the (potentially exponential)
 ///   walk; exceeded ⇒ `Err(TooManyPaths)`.
 ///
-/// A path ends when it reaches a block with no successors, or when every
-/// outgoing edge is `StopBefore`, or along a `StopAfter` edge.
+/// A path ends when it reaches a block with no successors, or along each
+/// `StopBefore` edge. The walk calls `block_value` once per *visit*, so
+/// callers look the value up in a per-block table rather than compute it
+/// there.
 pub fn enumerate_paths(
     cfg: &Cfg,
     start: BlockId,
@@ -165,7 +333,7 @@ pub fn enumerate_paths(
     decide: impl FnMut(BlockId, BlockId) -> Step,
 ) -> Result<PathSet, PathError> {
     let mut totals = Vec::new();
-    let touched = walk(cfg, start, max_paths, block_value, decide, |total, _, _| {
+    let touched = walk(cfg, start, max_paths, block_value, decide, |total, _| {
         totals.push(total)
     })?;
     let touched = (0..cfg.len() as u32)
@@ -192,9 +360,9 @@ pub fn enumerate_paths_recorded(
         max_paths,
         block_value,
         decide,
-        |total, stack, last| {
+        |total, stack| {
             totals.push(total);
-            routes.push(stack.iter().map(|f| f.block).chain(last).collect());
+            routes.push(stack.iter().map(|f| f.block).collect());
         },
     )?;
     Ok(RecordedPaths { totals, routes })
@@ -265,38 +433,6 @@ mod tests {
     }
 
     #[test]
-    fn stop_after_includes_target_then_ends() {
-        let f = diamond();
-        let cfg = Cfg::compute(&f);
-        let ps = enumerate_paths(&cfg, BlockId(0), 100, val, |_, to| {
-            if to == BlockId(3) {
-                Step::StopAfter
-            } else {
-                Step::Follow
-            }
-        })
-        .unwrap();
-        let mut totals = ps.totals.clone();
-        totals.sort();
-        assert_eq!(totals, vec![7, 8]);
-        assert!(ps.touched.contains(&BlockId(3)));
-    }
-
-    #[test]
-    fn abort_propagates() {
-        let f = diamond();
-        let cfg = Cfg::compute(&f);
-        let r = enumerate_paths(&cfg, BlockId(0), 100, val, |_, to| {
-            if to == BlockId(2) {
-                Step::Abort
-            } else {
-                Step::Follow
-            }
-        });
-        assert_eq!(r.unwrap_err(), PathError::Aborted);
-    }
-
-    #[test]
     fn cycle_detected_when_policy_follows_back_edge() {
         let mut fb = FunctionBuilder::new("l", 1);
         fb.block("entry");
@@ -312,14 +448,13 @@ mod tests {
         assert_eq!(r.unwrap_err(), PathError::Cycle);
     }
 
-    #[test]
-    fn too_many_paths() {
-        // Chain of k diamonds => 2^k paths; cap below that.
+    /// Chain of `k` diamonds: 2^k paths.
+    fn diamond_chain(k: i64) -> Function {
         let mut fb = FunctionBuilder::new("many", 1);
         fb.block("entry");
         let mut prev_merge = BlockId(0);
         let p = fb.param(0);
-        for i in 0..8 {
+        for i in 0..k {
             let t = fb.create_block(format!("t{i}"));
             let e = fb.create_block(format!("e{i}"));
             let m = fb.create_block(format!("m{i}"));
@@ -334,7 +469,13 @@ mod tests {
         }
         fb.switch_to(prev_merge);
         fb.ret_void();
-        let f = fb.finish().unwrap();
+        fb.finish().unwrap()
+    }
+
+    #[test]
+    fn too_many_paths() {
+        // Chain of 8 diamonds => 256 paths; cap below that.
+        let f = diamond_chain(8);
         let cfg = Cfg::compute(&f);
         let r = enumerate_paths(&cfg, BlockId(0), 10, |_| 1, |_, _| Step::Follow);
         assert_eq!(r.unwrap_err(), PathError::TooManyPaths);
@@ -371,17 +512,6 @@ mod tests {
         .unwrap();
         for route in &rp.routes {
             assert!(!route.contains(&BlockId(3)));
-        }
-        let rp2 = enumerate_paths_recorded(&cfg, BlockId(0), 100, val, |_, to| {
-            if to == BlockId(3) {
-                Step::StopAfter
-            } else {
-                Step::Follow
-            }
-        })
-        .unwrap();
-        for route in &rp2.routes {
-            assert_eq!(*route.last().unwrap(), BlockId(3));
         }
     }
 
@@ -474,5 +604,105 @@ mod tests {
         let mut t = ps.totals.clone();
         t.sort_unstable();
         assert_eq!(t, vec![1, 7]); // truncated at entry; entry+then+merge
+    }
+
+    /// `path_stats` against the enumeration it summarizes: the same
+    /// verdict, and on success the same touched set and the moments of the
+    /// enumerated totals.
+    fn summary_agrees(
+        cfg: &Cfg,
+        max_paths: usize,
+        decide: impl Fn(BlockId, BlockId) -> Step,
+    ) -> Result<PathSummary, PathError> {
+        let sum = path_stats(cfg, BlockId(0), max_paths, val, &decide);
+        match enumerate_paths(cfg, BlockId(0), max_paths, val, &decide) {
+            Ok(ps) => {
+                let sum = sum.as_ref().expect("enumeration succeeded");
+                assert_eq!(sum.stats, PathStats::of(&ps.totals));
+                assert_eq!(sum.touched, ps.touched);
+            }
+            Err(_) => assert!(sum.is_err(), "enumeration failed, summary did not"),
+        }
+        sum
+    }
+
+    #[test]
+    fn summary_of_a_diamond() {
+        let f = diamond();
+        let cfg = Cfg::compute(&f);
+        let s = summary_agrees(&cfg, 100, |_, _| Step::Follow).unwrap();
+        assert_eq!(
+            s.stats,
+            PathStats {
+                count: 2,
+                sum: 15,
+                sum_sq: 49 + 64,
+                min: 7,
+                max: 8
+            }
+        );
+        assert_eq!(s.touched.len(), 4);
+        // Stopping before the merge, before the else-arm, and everywhere.
+        let merge = summary_agrees(&cfg, 100, |_, to| {
+            if to == BlockId(3) {
+                Step::StopBefore
+            } else {
+                Step::Follow
+            }
+        });
+        assert_eq!(merge.unwrap().stats, PathStats::of(&[3, 4]));
+        let arm = summary_agrees(&cfg, 100, |_, to| {
+            if to == BlockId(2) {
+                Step::StopBefore
+            } else {
+                Step::Follow
+            }
+        });
+        assert_eq!(arm.unwrap().stats, PathStats::of(&[1, 7]));
+        let all = summary_agrees(&cfg, 100, |_, _| Step::StopBefore).unwrap();
+        assert_eq!(all.stats, PathStats::of(&[1, 1]));
+        assert_eq!(all.touched, vec![BlockId(0)]);
+    }
+
+    #[test]
+    fn summary_refuses_cycles_and_counts_over_the_cap() {
+        let f = mutual_loop();
+        let cfg = Cfg::compute(&f);
+        let cut = summary_agrees(&cfg, 100, |from, to| {
+            if from == BlockId(2) && to == BlockId(1) {
+                Step::StopBefore
+            } else {
+                Step::Follow
+            }
+        });
+        assert_eq!(cut.unwrap().stats, PathStats::of(&[6, 7]));
+        let followed = summary_agrees(&cfg, 100, |_, _| Step::Follow);
+        assert_eq!(followed.unwrap_err(), PathError::Cycle);
+
+        let f = diamond_chain(8);
+        let cfg = Cfg::compute(&f);
+        assert_eq!(
+            summary_agrees(&cfg, 256, |_, _| Step::Follow)
+                .unwrap()
+                .stats
+                .count,
+            256
+        );
+        let over = summary_agrees(&cfg, 255, |_, _| Step::Follow);
+        assert_eq!(over.unwrap_err(), PathError::TooManyPaths);
+        // No successors: one path, which a cap of zero refuses.
+        let leaf = path_stats(&cfg, BlockId(24), 0, val, |_, _| Step::Follow);
+        assert_eq!(leaf.unwrap_err(), PathError::TooManyPaths);
+    }
+
+    #[test]
+    fn shifted_moments_are_the_moments_of_the_shifted_totals() {
+        let totals = [3u64, 9, 9, 14];
+        let raised: Vec<u64> = totals.iter().map(|t| t + 11).collect();
+        assert_eq!(PathStats::of(&totals).shifted(11), PathStats::of(&raised));
+        let mut merged = PathStats::of(&totals[..1]);
+        merged.add(PathStats::of(&totals[1..]));
+        assert_eq!(merged, PathStats::of(&totals));
+        assert_eq!(PathStats::of(&[]), PathStats::default());
     }
 }

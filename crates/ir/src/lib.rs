@@ -14,7 +14,7 @@
 //! The crate also provides the CFG analyses the paper's optimizations rely
 //! on: predecessor/successor maps and reverse post-order ([`analysis::cfg`]),
 //! dominators ([`analysis::dom`]), natural loops ([`analysis::loops`]),
-//! bounded path enumeration ([`analysis::paths`]) and the module call graph
+//! acyclic path summaries and enumeration ([`analysis::paths`]) and the module call graph
 //! ([`analysis::callgraph`]), plus text/Graphviz dumps ([`dot`]) used to
 //! reproduce the paper's running-example figures. [`analysis::manager`]
 //! lazily computes and caches the per-function CFG, dominator and loop

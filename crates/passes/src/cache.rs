@@ -4,9 +4,9 @@
 //! The cache key is an FNV-1a digest of everything the pipeline's output is
 //! a pure function of: every function's canonical IR text (block order
 //! included, so reordering blocks changes the key), the full [`OptConfig`]
-//! (flags and every threshold, including the O1/O3 path cap that selects
-//! the route-enumeration policy), the [`Placement`], the entry-function
-//! set, and the [`CostModel`] fingerprint. The cached value is the complete
+//! (flags and every threshold, including the O1/O3 path-count threshold),
+//! the [`Placement`], the entry-function set, and the [`CostModel`]
+//! fingerprint. The cached value is the complete
 //! [`Instrumented`] artifact — materialized module, plan, per-pass certs
 //! and stats — so a hit is byte-identical to a recompile.
 //!

@@ -11,11 +11,18 @@
 //! The greedy fixpoint (`UpdateClockableFuncList`) repeats over the module
 //! until no new function becomes clockable, so non-leaf functions whose
 //! callees all became clocked get promoted too.
+//!
+//! The paper's `getClocksOfAllPaths` is never materialized: the tightness
+//! test reads only the count, mean, range and standard deviation of the
+//! path totals, and [`path_stats`] derives those in one pass over the
+//! blocks. The translation validator re-derives a claimed mean from an
+//! enumeration of the paths instead; the two derivations share only
+//! [`tight_average`], the decision rule.
 
 use crate::cost::CostModel;
 use crate::plan::block_clock_amounts;
 use detlock_ir::analysis::manager::AnalysisManager;
-use detlock_ir::analysis::paths::{enumerate_paths, Step};
+use detlock_ir::analysis::paths::{path_stats, PathStats, Step};
 use detlock_ir::inst::Inst;
 use detlock_ir::module::{Function, Module};
 use detlock_ir::types::FuncId;
@@ -27,7 +34,9 @@ pub struct ClockableParams {
     pub range_divisor: f64,
     /// Path-total standard deviation must be ≤ `mean / std_divisor`.
     pub std_divisor: f64,
-    /// Cap on enumerated paths; functions with more are not clockable.
+    /// Functions (and O3 regions) with more than this many acyclic paths
+    /// are not clockable. A semantic threshold, not a bound on cost: the
+    /// paths are counted in one pass over the blocks, never walked.
     pub max_paths: usize,
 }
 
@@ -42,24 +51,17 @@ impl Default for ClockableParams {
 }
 
 /// The tightness test shared with Optimization 3 (paper Fig. 4 lines 5–12):
-/// returns the rounded mean when the totals qualify.
-pub fn tight_average(totals: &[u64], params: &ClockableParams) -> Option<u64> {
-    if totals.is_empty() {
+/// returns the rounded mean when the path totals summarized by `stats`
+/// qualify. Mean, range and variance come from the exact integer moments;
+/// the variance is `(n·Σt² − (Σt)²) / n²`.
+pub fn tight_average(stats: &PathStats, params: &ClockableParams) -> Option<u64> {
+    if stats.count == 0 {
         return None;
     }
-    let n = totals.len() as f64;
-    let mean = totals.iter().map(|&t| t as f64).sum::<f64>() / n;
-    let max = *totals.iter().max().unwrap() as f64;
-    let min = *totals.iter().min().unwrap() as f64;
-    let range = max - min;
-    let var = totals
-        .iter()
-        .map(|&t| {
-            let d = t as f64 - mean;
-            d * d
-        })
-        .sum::<f64>()
-        / n;
+    let n = stats.count as f64;
+    let mean = stats.sum as f64 / n;
+    let range = (stats.max - stats.min) as f64;
+    let var = (stats.count as u128 * stats.sum_sq - stats.sum * stats.sum) as f64 / (n * n);
     let std = var.sqrt();
     if range > mean / params.range_divisor || std > mean / params.std_divisor {
         return None;
@@ -82,10 +84,10 @@ pub fn is_clockable(
 /// [`is_clockable`] reading the CFG and loop info from a shared
 /// [`AnalysisManager`]: neither changes across the O1 fixpoint's rounds
 /// (only the clocked set does), so every round after the first gets them
-/// from the cache. The paths are walked afresh on every call: a function
-/// reaches the walk only once every callee is clocked, its block amounts are
-/// final from then on, and so only a function that is loop-free and
-/// call-clean yet not tight is ever walked twice.
+/// from the cache. The paths are summarized afresh on every call: a
+/// function reaches the summary only once every callee is clocked, its
+/// block amounts are final from then on, and so only a function that is
+/// loop-free and call-clean yet not tight is ever summarized twice.
 pub fn is_clockable_with(
     func: &Function,
     fid: FuncId,
@@ -120,12 +122,11 @@ pub fn is_clockable_with(
             }
         }
     }
-    // getClocksOfAllPaths(f): each block costed once, then one walk that
-    // only adds. `tight_average` sums in f64, so the totals' DFS order is
-    // part of the result.
+    // getClocksOfAllPaths(f), summarized: each block costed once, then one
+    // pass over the blocks.
     let cfg = am.cfg(fid, func);
     let amounts = block_clock_amounts(func, cost, clocked);
-    let paths = enumerate_paths(
+    let paths = path_stats(
         &cfg,
         func.entry(),
         params.max_paths,
@@ -133,7 +134,7 @@ pub fn is_clockable_with(
         |_, _| Step::Follow,
     )
     .ok()?;
-    tight_average(&paths.totals, params)
+    tight_average(&paths.stats, params)
 }
 
 /// `UpdateClockableFuncList` (paper Fig. 4): the greedy fixpoint. `entries`
@@ -191,18 +192,27 @@ mod tests {
     #[test]
     fn tight_average_behaviour() {
         let p = params();
+        let avg = |totals: &[u64]| tight_average(&PathStats::of(totals), &p);
         // Identical totals: always tight.
-        assert_eq!(tight_average(&[10, 10, 10], &p), Some(10));
+        assert_eq!(avg(&[10, 10, 10]), Some(10));
         // Paper's O3 example: 37, 38, 38, 29 → mean 35.5, range 9? The paper
         // reports range 8 (37-29) and accepts; with max=38 range is 9, still
         // below mean/2.5 = 14.2, std 3.77 < 7.1 → accepted, mean rounds to 36.
-        assert_eq!(tight_average(&[37, 38, 38, 29], &p), Some(36));
+        assert_eq!(avg(&[37, 38, 38, 29]), Some(36));
         // Wildly divergent paths rejected by the range rule.
-        assert_eq!(tight_average(&[10, 100], &p), None);
+        assert_eq!(avg(&[10, 100]), None);
         // Empty rejected.
-        assert_eq!(tight_average(&[], &p), None);
+        assert_eq!(avg(&[]), None);
         // Single path always tight.
-        assert_eq!(tight_average(&[42], &p), Some(42));
+        assert_eq!(avg(&[42]), Some(42));
+        // Range 8 = 20/2.5 and std 4 = 20/5 sit on both bounds and pass; a
+        // stricter std divisor fails them on the std rule alone.
+        assert_eq!(avg(&[16, 24]), Some(20));
+        let strict = ClockableParams {
+            std_divisor: 5.5,
+            ..p
+        };
+        assert_eq!(tight_average(&PathStats::of(&[16, 24]), &strict), None);
     }
 
     #[test]

@@ -11,13 +11,17 @@
 //! when any of that node's successors is not dominated by the start block
 //! (the node's own clock is still included — the paper's example includes
 //! the `_Z17intersection_type...` merge node but stops before `for.inc`).
+//!
+//! A region's paths are summarized, not enumerated: [`path_stats`] gives
+//! the count, moments and range [`tight_average`] decides on, and the
+//! region's blocks, in one pass over them.
 
 use crate::opt1::{tight_average, ClockableParams};
 use crate::plan::FuncPlan;
 use detlock_ir::analysis::cfg::Cfg;
 use detlock_ir::analysis::dom::DomTree;
 use detlock_ir::analysis::loops::LoopInfo;
-use detlock_ir::analysis::paths::{enumerate_paths, PathSet, Step};
+use detlock_ir::analysis::paths::{path_stats, PathSummary, Step};
 use detlock_ir::types::BlockId;
 
 /// Context for one function's Opt3 run.
@@ -49,11 +53,11 @@ impl<'a> Opt3<'a> {
         !plan.is_pinned(bb) && self.cfg.succs(bb).len() >= 2
     }
 
-    /// `getClocksOfAllOpt3Paths`: enumerate paths from `bb` per the region
-    /// rules above. Returns `None` when enumeration aborts (too many paths)
-    /// or the region is trivial (single block).
-    fn region_paths(&self, bb: BlockId, plan: &FuncPlan) -> Option<PathSet> {
-        let ps = enumerate_paths(
+    /// `getClocksOfAllOpt3Paths`: summarize the paths from `bb` per the
+    /// region rules above. Returns `None` when the region has too many paths
+    /// or is trivial (single block).
+    fn region_paths(&self, bb: BlockId, plan: &FuncPlan) -> Option<PathSummary> {
+        let ps = path_stats(
             self.cfg,
             bb,
             self.params.max_paths,
@@ -95,7 +99,7 @@ impl<'a> Opt3<'a> {
             let mut advanced = false;
             if self.meets_requirements(bb, plan) {
                 if let Some(ps) = self.region_paths(bb, plan) {
-                    if let Some(avg) = tight_average(&ps.totals, &self.params) {
+                    if let Some(avg) = tight_average(&ps.stats, &self.params) {
                         // setClock(bb, avg); removeClock(all touched).
                         for &tb in &ps.touched {
                             plan.set_clock(tb, 0);

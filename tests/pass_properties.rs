@@ -10,15 +10,20 @@ use detlock_analyze::validate::validate;
 use detlock_ir::analysis::cfg::Cfg;
 use detlock_ir::analysis::dom::DomTree;
 use detlock_ir::analysis::loops::LoopInfo;
-use detlock_ir::analysis::paths::{enumerate_paths, enumerate_paths_recorded, Step};
+use detlock_ir::analysis::paths::{
+    enumerate_paths, enumerate_paths_recorded, path_stats, PathError, PathStats, Step,
+};
 use detlock_ir::dot::function_to_text;
 use detlock_ir::parse::parse_module;
 use detlock_ir::verify::verify_module;
 use detlock_ir::{BlockId, CmpOp, FuncId, Function, FunctionBuilder, Inst, Module};
 use detlock_passes::cost::CostModel;
 use detlock_passes::opt1::{compute_clocked, is_clockable, tight_average, ClockableParams};
+use detlock_passes::opt3::apply_opt3;
 use detlock_passes::pipeline::{instrument, Instrumented, OptConfig, OptLevel};
-use detlock_passes::plan::{block_clock_amount, Placement};
+use detlock_passes::plan::{
+    base_plan, block_clock_amount, block_clock_amounts, split_module, FuncPlan, Placement,
+};
 use detlock_shim::rng::SmallRng;
 use detlock_vm::determinism::check_determinism;
 use detlock_vm::machine::{run, ExecMode, Jitter, MachineConfig, ThreadSpec};
@@ -177,7 +182,7 @@ fn reference_clocked(
                     .sum()
             })
             .collect();
-        tight_average(&totals, params)
+        tight_average(&PathStats::of(&totals), params)
     };
     let mut clocked = vec![None; module.functions.len()];
     let mut modified = true;
@@ -244,10 +249,27 @@ fn function_clocking_matches_reference() {
 
 /// A chain of `k` diamonds with arms one instruction apart: 2^k paths.
 fn diamond_chain(k: usize) -> Module {
+    let mut m = Module::new();
+    m.add_function(chain_function(k, false));
+    m
+}
+
+/// `diamond_chain`'s function; with `fork`, one more branch in front of
+/// the chain, whose other arm returns at once: 2^k + 1 paths.
+fn chain_function(k: usize, fork: bool) -> Function {
     let mut fb = FunctionBuilder::new("chain", 1);
     fb.block("entry");
     let p = fb.param(0);
     fb.compute(64);
+    if fork {
+        let first = fb.create_block("first");
+        let out = fb.create_block("out");
+        let c = fb.cmp(CmpOp::Lt, p, 0);
+        fb.cond_br(c, first, out);
+        fb.switch_to(out);
+        fb.ret_void();
+        fb.switch_to(first);
+    }
     for i in 0..k {
         let t = fb.create_block(format!("t{i}"));
         let e = fb.create_block(format!("e{i}"));
@@ -263,9 +285,7 @@ fn diamond_chain(k: usize) -> Module {
         fb.switch_to(m);
     }
     fb.ret_void();
-    let mut m = Module::new();
-    fb.finish_into(&mut m);
-    m
+    fb.finish().unwrap()
 }
 
 /// The path cap is `> max_paths`: exactly 4 096 paths are evaluated (and
@@ -318,6 +338,314 @@ fn function_clocking_promotes_caller_in_second_sweep() {
         got[0],
         Some(block_clock_amount(&caller.blocks[0], &cost, &[None, None]) + leaf)
     );
+}
+
+/// The passes' path summary against the enumeration the validator keeps:
+/// `path_stats` and `enumerate_paths` under the same arguments must agree
+/// on `Ok` versus `Err`, and on success give the same touched set and
+/// `stats == PathStats::of(&totals)`. Returns the summary's verdict.
+fn assert_summary_matches(
+    cfg: &Cfg,
+    start: BlockId,
+    max_paths: usize,
+    value: impl Fn(BlockId) -> u64,
+    decide: impl Fn(BlockId, BlockId) -> Step,
+    what: &str,
+) -> Result<PathStats, PathError> {
+    let summary = path_stats(cfg, start, max_paths, &value, &decide);
+    let paths = enumerate_paths(cfg, start, max_paths, &value, &decide);
+    match (&summary, paths) {
+        (Ok(s), Ok(p)) => {
+            assert_eq!(s.stats, PathStats::of(&p.totals), "{what}: stats");
+            assert_eq!(s.touched, p.touched, "{what}: touched");
+        }
+        (Err(_), Err(_)) => {}
+        (s, p) => panic!("{what}: summary {s:?}, enumeration {p:?}"),
+    }
+    summary.map(|s| s.stats)
+}
+
+/// `path_stats` summarizes exactly the paths `enumerate_paths` walks: from
+/// every block of random programs (loop-free and loopy), under O1's policy
+/// (follow every edge) and O3's (stop before back edges, blocks the start
+/// does not dominate, pinned blocks and deeper loops), at the default cap
+/// and a small one; and on hand-built edge cases.
+#[test]
+fn paths_summary_matches_enumeration() {
+    let cost = CostModel::default();
+    let params = ClockableParams::default();
+    let (mut ok, mut err) = (0, 0);
+    for loop_pct in [0, 35] {
+        let shape = MicroParams {
+            loop_pct,
+            ..micro_params()
+        };
+        for seed in seed_sweep("paths_summary_matches_enumeration", 12, 1, 10_000) {
+            let (m, driver) = random_module(seed, 3, &shape);
+            let clocked = compute_clocked(&m, &cost, &[driver], &params);
+            let split = split_module(&m, &clocked);
+            let plans = base_plan(&split, &cost, &clocked);
+            for ((fid, f), plan) in split.iter_funcs().zip(&plans) {
+                let cfg = Cfg::compute(f);
+                let dom = DomTree::compute(&cfg);
+                let loops = LoopInfo::compute(&cfg, &dom);
+                let amounts = block_clock_amounts(f, &cost, &clocked);
+                let value = |b: BlockId| amounts[b.index()];
+                for start in f.block_ids() {
+                    let o3 = |from: BlockId, to: BlockId| {
+                        if loops.is_back_edge(from, to)
+                            || !dom.dominates(start, to)
+                            || plan.is_pinned(to)
+                            || loops.depth(to) > loops.depth(start)
+                        {
+                            Step::StopBefore
+                        } else {
+                            Step::Follow
+                        }
+                    };
+                    for cap in [8, params.max_paths] {
+                        let what =
+                            format!("seed {seed} loop_pct {loop_pct} {fid} from {start} cap {cap}");
+                        let verdicts = [
+                            assert_summary_matches(
+                                &cfg,
+                                start,
+                                cap,
+                                value,
+                                |_, _| Step::Follow,
+                                &format!("{what} O1"),
+                            ),
+                            assert_summary_matches(
+                                &cfg,
+                                start,
+                                cap,
+                                value,
+                                o3,
+                                &format!("{what} O3"),
+                            ),
+                        ];
+                        for v in verdicts {
+                            if v.is_ok() {
+                                ok += 1;
+                            } else {
+                                err += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert!(ok > 4000 && err > 800, "{ok} summaries, {err} refusals");
+
+    let one = |_: BlockId| 1;
+    let follow = |_: BlockId, _: BlockId| Step::Follow;
+    // `condbr r, bbX, bbX`, and a switch repeating its targets.
+    let mut fb = FunctionBuilder::new("repeats", 1);
+    let entry = fb.block("entry");
+    let a = fb.create_block("a");
+    let b = fb.create_block("b");
+    let exit = fb.create_block("exit");
+    let p = fb.param(0);
+    fb.switch(p, vec![(0, b), (1, a), (2, b), (3, exit)], a);
+    fb.switch_to(a);
+    fb.compute(3);
+    fb.br(exit);
+    fb.switch_to(b);
+    let c = fb.cmp(CmpOp::Gt, p, 0);
+    fb.cond_br(c, exit, exit);
+    fb.switch_to(exit);
+    fb.ret_void();
+    let f = fb.finish().unwrap();
+    let cfg = Cfg::compute(&f);
+    let value = |x: BlockId| block_clock_amount(f.block(x), &cost, &[]);
+    let s = assert_summary_matches(&cfg, entry, 4096, value, follow, "repeats").unwrap();
+    assert_eq!(s.count, cfg.succs(entry).len() as u64);
+    assert_summary_matches(&cfg, b, 4096, value, follow, "condbr to one block").unwrap();
+    let stop_at_exit = |_: BlockId, to: BlockId| {
+        if to == exit {
+            Step::StopBefore
+        } else {
+            Step::Follow
+        }
+    };
+    assert_summary_matches(&cfg, entry, 4096, value, stop_at_exit, "repeats, exit cut").unwrap();
+
+    // A reachable cycle: refused when followed, summarized when cut.
+    let mut fb = FunctionBuilder::new("cycle", 1);
+    fb.block("entry");
+    let head = fb.create_block("head");
+    let body = fb.create_block("body");
+    let out = fb.create_block("out");
+    let p = fb.param(0);
+    fb.br(head);
+    fb.switch_to(head);
+    let c = fb.cmp(CmpOp::Gt, p, 0);
+    fb.cond_br(c, body, out);
+    fb.switch_to(body);
+    fb.br(head);
+    fb.switch_to(out);
+    fb.ret_void();
+    let f = fb.finish().unwrap();
+    let cfg = Cfg::compute(&f);
+    let r = assert_summary_matches(&cfg, f.entry(), 4096, one, follow, "cycle");
+    assert_eq!(r, Err(PathError::Cycle));
+    let cut = |from: BlockId, to: BlockId| {
+        if from == body && to == head {
+            Step::StopBefore
+        } else {
+            Step::Follow
+        }
+    };
+    let s = assert_summary_matches(&cfg, f.entry(), 4096, one, cut, "cycle, cut").unwrap();
+    assert_eq!(s, PathStats::of(&[3, 3]));
+
+    // The cap is `> max_paths`: 4 096 paths pass, 4 097 do not.
+    for (fork, cap, want) in [
+        (false, 4096, Ok(4096)),
+        (true, 4096, Err(PathError::TooManyPaths)),
+        (true, 4097, Ok(4097)),
+    ] {
+        let f = chain_function(12, fork);
+        let cfg = Cfg::compute(&f);
+        let value = |x: BlockId| block_clock_amount(f.block(x), &cost, &[]);
+        let what = format!("2^12 paths, fork {fork}, cap {cap}");
+        let got = assert_summary_matches(&cfg, f.entry(), cap, value, follow, &what);
+        assert_eq!(got.map(|s| s.count), want, "{what}");
+    }
+
+    // 2^40 paths are refused by their count: each block's value is read at
+    // most once, and the pass stops a dozen diamonds from the end.
+    let f = chain_function(40, false);
+    let cfg = Cfg::compute(&f);
+    let reads = std::cell::Cell::new(0usize);
+    let r = path_stats(
+        &cfg,
+        f.entry(),
+        4096,
+        |_| {
+            reads.set(reads.get() + 1);
+            1
+        },
+        follow,
+    );
+    assert_eq!(r.unwrap_err(), PathError::TooManyPaths);
+    assert!(reads.get() < 3 * 14, "{} block values read", reads.get());
+    assert_summary_matches(&cfg, f.entry(), 4096, one, follow, "2^40").unwrap_err();
+}
+
+/// Optimization 3 as specified, kept as the oracle for `apply_opt3`: the
+/// same DFS from the entry, with each region's paths enumerated by
+/// `enumerate_paths` and handed to `tight_average` as a list.
+fn reference_opt3(
+    cfg: &Cfg,
+    dom: &DomTree,
+    loops: &LoopInfo,
+    params: &ClockableParams,
+    plan: &mut FuncPlan,
+) {
+    let mut visited = vec![false; cfg.len()];
+    let mut stack = vec![BlockId(0)];
+    visited[0] = true;
+    while let Some(bb) = stack.pop() {
+        let region = if !plan.is_pinned(bb) && cfg.succs(bb).len() >= 2 {
+            enumerate_paths(
+                cfg,
+                bb,
+                params.max_paths,
+                |b| plan.clock(b),
+                |from, to| {
+                    if loops.is_back_edge(from, to)
+                        || !dom.dominates(bb, to)
+                        || plan.is_pinned(to)
+                        || loops.depth(to) > loops.depth(bb)
+                    {
+                        Step::StopBefore
+                    } else {
+                        Step::Follow
+                    }
+                },
+            )
+            .ok()
+            .filter(|ps| ps.touched.len() >= 2)
+        } else {
+            None
+        };
+        let averaged = region.and_then(|ps| {
+            tight_average(&PathStats::of(&ps.totals), params).map(|avg| (ps.touched, avg))
+        });
+        let next: Vec<BlockId> = match averaged {
+            Some((touched, avg)) => {
+                for &tb in &touched {
+                    plan.set_clock(tb, 0);
+                    visited[tb.index()] = true;
+                }
+                plan.set_clock(bb, avg);
+                touched
+                    .iter()
+                    .flat_map(|&tb| cfg.succs(tb).iter().copied())
+                    .filter(|s| !touched.contains(s))
+                    .collect()
+            }
+            None => cfg.succs(bb).to_vec(),
+        };
+        for s in next {
+            if !visited[s.index()] {
+                visited[s.index()] = true;
+                stack.push(s);
+            }
+        }
+    }
+}
+
+/// `apply_opt3` produces the reference's plan exactly, on the SPLASH-2
+/// modules and on random programs, loop-free and loopy, at the paper's
+/// thresholds and at loose ones (so that uneven regions are averaged too).
+#[test]
+fn averaging_matches_reference() {
+    let cost = CostModel::default();
+    let tight = ClockableParams::default();
+    let loose = ClockableParams {
+        range_divisor: 1.2,
+        std_divisor: 2.0,
+        ..tight
+    };
+    let mut modules: Vec<(String, Module, Vec<FuncId>)> =
+        detlock_workloads::all_benchmarks(4, 0.05)
+            .into_iter()
+            .map(|w| (w.name.to_string(), w.module, w.entries))
+            .collect();
+    for loop_pct in [0, 35] {
+        let shape = MicroParams {
+            loop_pct,
+            ..micro_params()
+        };
+        for seed in seed_sweep("averaging_matches_reference", 16, 1, 10_000) {
+            let (m, driver) = random_module(seed, 3, &shape);
+            modules.push((format!("seed {seed} loop_pct {loop_pct}"), m, vec![driver]));
+        }
+    }
+    let mut averaged = 0;
+    for (name, m, entries) in &modules {
+        let clocked = compute_clocked(m, &cost, entries, &tight);
+        let split = split_module(m, &clocked);
+        let plans = base_plan(&split, &cost, &clocked);
+        for ((fid, f), base) in split.iter_funcs().zip(&plans) {
+            let cfg = Cfg::compute(f);
+            let dom = DomTree::compute(&cfg);
+            let loops = LoopInfo::compute(&cfg, &dom);
+            for (label, params) in [("tight", tight), ("loose", loose)] {
+                let mut got = base.clone();
+                apply_opt3(&cfg, &dom, &loops, params, &mut got);
+                let mut want = base.clone();
+                reference_opt3(&cfg, &dom, &loops, &params, &mut want);
+                assert_eq!(got.block_clock, want.block_clock, "{name} {fid} {label}");
+                assert_eq!(got.pinned, want.pinned, "{name} {fid} {label}");
+                averaged += (got.block_clock != base.block_clock) as usize;
+            }
+        }
+    }
+    assert!(averaged > 150, "{averaged} plans averaged");
 }
 
 /// Dominator-tree sanity on random CFGs: the entry dominates every
