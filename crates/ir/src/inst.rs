@@ -114,6 +114,25 @@ impl BinOp {
             BinOp::Max => "max",
         }
     }
+
+    /// The operation whose [`mnemonic`](Self::mnemonic) is `m`, if any.
+    pub(crate) fn from_mnemonic(m: &[u8]) -> Option<BinOp> {
+        Some(match m {
+            b"add" => BinOp::Add,
+            b"sub" => BinOp::Sub,
+            b"mul" => BinOp::Mul,
+            b"div" => BinOp::Div,
+            b"rem" => BinOp::Rem,
+            b"and" => BinOp::And,
+            b"or" => BinOp::Or,
+            b"xor" => BinOp::Xor,
+            b"shl" => BinOp::Shl,
+            b"shr" => BinOp::Shr,
+            b"min" => BinOp::Min,
+            b"max" => BinOp::Max,
+            _ => return None,
+        })
+    }
 }
 
 /// Comparison predicates; results are `1` (true) or `0` (false).
@@ -153,6 +172,19 @@ impl CmpOp {
             CmpOp::Gt => "gt",
             CmpOp::Ge => "ge",
         }
+    }
+
+    /// The predicate whose [`mnemonic`](Self::mnemonic) is `m`, if any.
+    pub(crate) fn from_mnemonic(m: &[u8]) -> Option<CmpOp> {
+        Some(match m {
+            b"eq" => CmpOp::Eq,
+            b"ne" => CmpOp::Ne,
+            b"lt" => CmpOp::Lt,
+            b"le" => CmpOp::Le,
+            b"gt" => CmpOp::Gt,
+            b"ge" => CmpOp::Ge,
+            _ => return None,
+        })
     }
 }
 
@@ -198,6 +230,21 @@ impl Builtin {
             Builtin::Log => "log",
             Builtin::Rand => "rand",
         }
+    }
+
+    /// The builtin whose [`name`](Self::name) is `name`, if any.
+    pub(crate) fn from_name(name: &[u8]) -> Option<Builtin> {
+        Some(match name {
+            b"memset" => Builtin::Memset,
+            b"memcpy" => Builtin::Memcpy,
+            b"sqrt" => Builtin::Sqrt,
+            b"sin" => Builtin::Sin,
+            b"cos" => Builtin::Cos,
+            b"exp" => Builtin::Exp,
+            b"log" => Builtin::Log,
+            b"rand" => Builtin::Rand,
+            _ => return None,
+        })
     }
 
     /// All builtins, for table construction.
@@ -616,6 +663,38 @@ mod tests {
             value: 1
         }
         .is_sync());
+    }
+
+    /// Each spelling the printer writes reads back as its variant, and a
+    /// near miss reads as nothing.
+    #[test]
+    fn spellings_round_trip() {
+        use BinOp::*;
+        for op in [Add, Sub, Mul, Div, Rem, And, Or, Xor, Shl, Shr, Min, Max] {
+            assert_eq!(BinOp::from_mnemonic(op.mnemonic().as_bytes()), Some(op));
+        }
+        for op in [
+            CmpOp::Eq,
+            CmpOp::Ne,
+            CmpOp::Lt,
+            CmpOp::Le,
+            CmpOp::Gt,
+            CmpOp::Ge,
+        ] {
+            assert_eq!(CmpOp::from_mnemonic(op.mnemonic().as_bytes()), Some(op));
+        }
+        for &b in Builtin::all() {
+            assert_eq!(Builtin::from_name(b.name().as_bytes()), Some(b));
+        }
+        for miss in ["ad", "addd", "Add", ""] {
+            assert_eq!(BinOp::from_mnemonic(miss.as_bytes()), None, "{miss}");
+        }
+        for miss in ["lq", "cmp.lq", "cmp.lt", "l"] {
+            assert_eq!(CmpOp::from_mnemonic(miss.as_bytes()), None, "{miss}");
+        }
+        for miss in ["Sqrt", "sqr", "sqrtt", "add"] {
+            assert_eq!(Builtin::from_name(miss.as_bytes()), None, "{miss}");
+        }
     }
 
     #[test]
