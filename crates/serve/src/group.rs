@@ -101,6 +101,13 @@ impl HashRing {
     }
 }
 
+/// The ring labels of a group's `n` backends: each backend's position in
+/// the `--route` list, not its address. A backend's port changes from run
+/// to run; where its keys land must not.
+fn ring_labels(n: usize) -> Vec<String> {
+    (0..n).map(|i| format!("backend{i}")).collect()
+}
+
 /// Group router configuration.
 #[derive(Debug, Clone)]
 pub struct GroupConfig {
@@ -664,7 +671,10 @@ fn router_loop(listener: TcpListener, wake_rx: evloop::WakeRx, shared: &Arc<Rout
         return;
     }
     let mut state = RouterState {
-        ring: HashRing::new(&shared.config.backends, shared.config.vnodes),
+        ring: HashRing::new(
+            &ring_labels(shared.config.backends.len()),
+            shared.config.vnodes,
+        ),
         backends: shared
             .config
             .backends
@@ -800,13 +810,9 @@ fn router_loop(listener: TcpListener, wake_rx: evloop::WakeRx, shared: &Arc<Rout
 mod tests {
     use super::*;
 
-    fn labels(n: usize) -> Vec<String> {
-        (0..n).map(|i| format!("127.0.0.1:90{i:02}")).collect()
-    }
-
     #[test]
     fn ring_routes_deterministically_and_spreads() {
-        let ring = HashRing::new(&labels(3), 32);
+        let ring = HashRing::new(&ring_labels(3), 32);
         let mut hits = [0usize; 3];
         for i in 0..600 {
             let key = format!("ocean/t2/s{}/seed{}/all/kendo", i, i);
@@ -824,7 +830,7 @@ mod tests {
 
     #[test]
     fn ring_next_distinct_names_a_different_backend() {
-        let ring = HashRing::new(&labels(3), 16);
+        let ring = HashRing::new(&ring_labels(3), 16);
         for i in 0..100 {
             let key = format!("k{i}");
             let p = ring.route(&key);
@@ -841,13 +847,13 @@ mod tests {
             alive[t] = false;
             assert_eq!(ring.next_distinct(&key, p, &alive), None);
         }
-        let solo = HashRing::new(&labels(1), 16);
+        let solo = HashRing::new(&ring_labels(1), 16);
         assert_eq!(solo.next_distinct("k", 0, &[true]), None);
     }
 
     #[test]
     fn ring_failover_walks_past_dead_backends() {
-        let ring = HashRing::new(&labels(3), 32);
+        let ring = HashRing::new(&ring_labels(3), 32);
         for i in 0..100 {
             let key = format!("k{i}");
             let owner = ring.route(&key);
@@ -865,8 +871,8 @@ mod tests {
     fn ring_removal_only_remaps_owned_keys() {
         // Consistent hashing's defining property: removing backend 2 must
         // not move any key owned by 0 or 1.
-        let three = HashRing::new(&labels(3), 64);
-        let two = HashRing::new(&labels(2), 64);
+        let three = HashRing::new(&ring_labels(3), 64);
+        let two = HashRing::new(&ring_labels(2), 64);
         for i in 0..500 {
             let key = format!("job/{i}");
             let before = three.route(&key);
