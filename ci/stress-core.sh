@@ -13,13 +13,10 @@
 #                  points (a long stall between two steps);
 #   (unpinned)     the suite's threads truly overlap on the other cores,
 #                  which is what a window a few instructions wide needs.
-#                  Measured with two known determinism bugs re-introduced
-#                  as mutants, a tick before the acquisition record and
-#                  `DetCondvar::wait` going `Blocked` before it drops the
-#                  guard: this script stopped on them at iterations 1 and
-#                  8, both times in the unpinned half. The second was a
-#                  clock-only divergence, invisible to a trace that drops
-#                  the clock.
+#                  Measured with a known determinism bug re-introduced as
+#                  a mutant, a tick before the acquisition record: this
+#                  script stopped on it at iteration 1, in the unpinned
+#                  half.
 #
 # Stops at the first failing run and prints its output, which carries the
 # failing test's "first divergence at event ..." line. Run from the

@@ -52,8 +52,8 @@ impl DetBarrier {
 
     /// Deterministically wait for all `n` threads.
     ///
-    /// Raises a [`crate::DetError`] panic (stall report or eviction) if the
-    /// watchdog declares the wait dead.
+    /// Raises a [`crate::DetError`] panic (a stall report) if the watchdog
+    /// declares the wait dead.
     pub fn wait(&self) -> DetBarrierWaitResult {
         det_event(&self.rt, Some(self.id), |turn| {
             let (reg, me) = (turn.reg(), turn.me);

@@ -27,14 +27,6 @@ pub enum StallAction {
     /// the `DetError` payload, which the runtime's panic safety net turns
     /// into an `Err` at the joining parent.
     Error,
-    /// Graceful degradation: deterministically retire the wedged thread
-    /// from arbitration (state [`ThreadState::Evicted`]) so the remaining
-    /// threads make progress. The evicted thread's next deterministic event
-    /// fails with [`DetError::Evicted`]. Determinism of the *current run*
-    /// is preserved for the surviving threads' relative order, but the run
-    /// as a whole is no longer reproducible — eviction is triggered by
-    /// wall-clock time.
-    Evict,
 }
 
 /// Per-thread state captured in a [`StallReport`].
@@ -48,8 +40,8 @@ pub struct ThreadSnapshot {
     pub state: ThreadState,
     /// Number of deterministic events this thread has entered.
     pub events: u64,
-    /// Runtime-assigned id of the lock/barrier/condvar the thread is
-    /// currently waiting on, if any.
+    /// Runtime-assigned id of the lock or barrier the thread is currently
+    /// waiting on, if any.
     pub waiting_on: Option<u64>,
 }
 
@@ -130,12 +122,6 @@ pub enum DetError {
     /// The stall watchdog fired in [`StallAction::Error`] mode (or a
     /// blocked wait timed out without global progress).
     Stalled(Box<StallReport>),
-    /// The calling thread was evicted from arbitration by the watchdog
-    /// ([`StallAction::Evict`]) and attempted another deterministic event.
-    Evicted {
-        /// The evicted thread's tid.
-        tid: DetTid,
-    },
     /// The OS refused to spawn the backing thread.
     SpawnFailed {
         /// The underlying I/O error.
@@ -179,10 +165,6 @@ impl fmt::Display for DetError {
                 panic_message(payload.as_ref())
             ),
             DetError::Stalled(report) => write!(f, "{report}"),
-            DetError::Evicted { tid } => write!(
-                f,
-                "thread {tid} was evicted from deterministic arbitration by the stall watchdog"
-            ),
             DetError::SpawnFailed { source } => {
                 write!(f, "failed to spawn OS thread: {source}")
             }
@@ -207,7 +189,6 @@ impl fmt::Debug for DetError {
             DetError::Stalled(r) => {
                 write!(f, "Stalled(waiter={}, culprit={:?})", r.waiter, r.culprit)
             }
-            DetError::Evicted { tid } => write!(f, "Evicted {{ tid: {tid} }}"),
             DetError::SpawnFailed { source } => write!(f, "SpawnFailed {{ source: {source:?} }}"),
         }
     }

@@ -1,6 +1,7 @@
 //! The deterministic event — the one place the runtime's protocol is
-//! written down. Every primitive (mutex, condvar, barrier, spawn, join) is [`det_event`] around its own at-turn transition; the ones that
-//! block finish that transition with [`Turn::park`].
+//! written down. Every primitive (mutex, barrier, spawn, join) is
+//! [`det_event`] around its own at-turn transition; the ones that block
+//! finish that transition with [`Turn::park`].
 //!
 //! What lives here, and nowhere else:
 //!
@@ -44,8 +45,8 @@ pub(crate) struct Turn<'a> {
 /// turn up at that point and must end in [`Turn::park`].
 ///
 /// Errors — no registered thread, a thread of another runtime, a stalled
-/// or evicted turn wait, or whatever `at_turn` returns — leave the thread
-/// active with `waiting_on` cleared; infallible entry points
+/// turn wait, or whatever `at_turn` returns — leave the thread active
+/// with `waiting_on` cleared; infallible entry points
 /// [`crate::runtime::raise`] them.
 pub(crate) fn det_event<R>(
     rt: &DetRuntime,
@@ -72,9 +73,10 @@ pub(crate) fn det_event<R>(
 }
 
 /// The turn wait of the exit event. No fault point, and it never fails: a
-/// thread that is no longer `Active` (evicted) or whose wait errors skips
-/// arbitration and *force-exits* — an imperfectly ordered exit clock is
-/// strictly better than a slot that never reaches `Finished`.
+/// thread whose wait errors *force-exits* — an imperfectly ordered exit
+/// clock is strictly better than a slot that never reaches `Finished`. A
+/// spawned thread that retired itself ([`DetRuntime::retire_current`])
+/// reaches its closure's exit already `Finished` and skips the wait.
 pub(crate) fn wait_exit_turn(inner: &Inner, me: DetTid) {
     if inner.registry.state(me) == ThreadState::Active {
         let _ = inner.registry.wait_for_turn(me);
@@ -116,8 +118,8 @@ impl Turn<'_> {
     }
 
     /// Reactivate parked threads at `clock`, inside this event. Only those
-    /// still `Blocked`: one that gave up on a stall (or was retired) must
-    /// not be resurrected into arbitration on a clock nobody advances.
+    /// still `Blocked`: one that gave up on a stall must not be resurrected
+    /// into arbitration on a clock nobody advances.
     pub(crate) fn reactivate(&self, tids: &[DetTid], clock: u64) {
         let reg = self.reg();
         reg.transition(|_| {
@@ -135,10 +137,10 @@ impl Turn<'_> {
     /// `st` is the primitive's state lock, held since before the thread
     /// went `Blocked` (so the waker, which takes the same lock, sees it
     /// parked); `cv` is the condvar the waker notifies. If the watchdog
-    /// declares the wait dead and does not resolve it by eviction,
-    /// `withdraw` removes the thread from the primitive's wait list and
-    /// the thread reactivates itself before the error propagates, so a
-    /// late waker cannot wake a ghost.
+    /// declares the wait dead (and does not abort), `withdraw` removes the
+    /// thread from the primitive's wait list and the thread reactivates
+    /// itself before the error propagates, so a late waker cannot wake a
+    /// ghost.
     pub(crate) fn park<S>(
         &self,
         cv: &Condvar,
@@ -150,16 +152,14 @@ impl Turn<'_> {
         while reg.state(me) != ThreadState::Active {
             let timed_out = cv.wait_for(st, timer.poll_interval());
             if timed_out && reg.state(me) != ThreadState::Active && timer.expired(reg) {
-                // `Ok`: the culprit was evicted; the waker may now run.
-                if let Err(e) = reg.on_blocked_stall(me) {
-                    withdraw(st);
-                    reg.transition(|_| {
-                        if reg.state(me) == ThreadState::Blocked {
-                            reg.set_state(me, ThreadState::Active);
-                        }
-                    });
-                    return Err(e);
-                }
+                let e = reg.on_blocked_stall(me);
+                withdraw(st);
+                reg.transition(|_| {
+                    if reg.state(me) == ThreadState::Blocked {
+                        reg.set_state(me, ThreadState::Active);
+                    }
+                });
+                return Err(e);
             }
         }
         Ok(())
@@ -211,24 +211,5 @@ pub(crate) mod tests {
             (child.state, child.waiting_on),
             (ThreadState::Finished, None)
         );
-    }
-
-    #[test]
-    fn evicted_thread_fails_typed_and_clears_waiting_on() {
-        let rt = stall_rt(StallAction::Evict);
-        let m = Arc::new(DetMutex::new(&rt, 0));
-        let (m2, (tx, rx)) = (Arc::clone(&m), mpsc::channel());
-        let h = rt.spawn(move || {
-            *m2.lock() += 1; // proceeds once the watchdog evicts main
-            tx.send(()).unwrap();
-        });
-        rx.recv().unwrap();
-        assert!(matches!(
-            raised(|| drop(m.lock())),
-            Some(DetError::Evicted { tid: 0 })
-        ));
-        let main = &rt.thread_snapshots()[0];
-        assert_eq!((main.state, main.waiting_on), (ThreadState::Evicted, None));
-        assert!(matches!(h.try_join(), Err(DetError::Evicted { tid: 0 })));
     }
 }

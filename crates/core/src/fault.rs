@@ -92,8 +92,7 @@ impl FaultPlan {
     }
 
     /// Inject a panic when `tid` enters its `event`-th deterministic event
-    /// (0-based; spawn, lock, barrier, condvar wait/signal, and
-    /// join entries all count).
+    /// (0-based; spawn, lock, barrier, and join entries all count).
     pub fn with_panic_at(mut self, tid: DetTid, event: u64) -> FaultPlan {
         self.panics.push((tid, event));
         self

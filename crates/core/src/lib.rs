@@ -13,14 +13,14 @@
 //! ## Protocol (Kendo's algorithm, as adopted by DetLock)
 //!
 //! Every deterministic thread owns a logical clock. A *deterministic event*
-//! (lock acquisition, barrier arrival, condvar wait/signal, spawn,
-//! join, exit) executes only at the thread's **turn**: when its
-//! `(clock, tid)` is minimal over all active threads. Lock acquisition at
-//! the turn additionally requires the lock to be *logically* free — its
-//! last release clock must precede the acquirer's clock — otherwise the
-//! acquirer bumps its clock by one and retries; because bumps happen only
-//! while holding the turn, the whole clock trajectory (and hence the
-//! acquisition order) is timing-independent.
+//! (lock acquisition, barrier arrival, spawn, join, exit) executes only
+//! at the thread's **turn**: when its `(clock, tid)` is minimal over all
+//! active threads. Lock acquisition at the turn additionally requires the
+//! lock to be *logically* free — its last release clock must precede the
+//! acquirer's clock — otherwise the acquirer bumps its clock by one and
+//! retries; because bumps happen only while holding the turn, the whole
+//! clock trajectory (and hence the acquisition order) is
+//! timing-independent.
 //!
 //! Why the physical state a turn-holder observes is deterministic: clocks
 //! are monotone in program order, so when every other active thread's clock
@@ -32,7 +32,7 @@
 //! acquirer treats it exactly like "held", which is also what a rerun with
 //! different timing observes.
 //!
-//! Threads that block (barrier, join, condvar) deactivate *at their turn*
+//! Threads that block (barrier, join) deactivate *at their turn*
 //! and are reactivated inside another thread's deterministic event, so the
 //! active set itself changes deterministically.
 //!
@@ -72,7 +72,6 @@
 #![warn(missing_docs)]
 
 pub mod barrier;
-pub mod condvar;
 pub mod error;
 mod event;
 pub mod fault;
@@ -83,7 +82,6 @@ pub mod runtime;
 pub mod trace;
 
 pub use barrier::{DetBarrier, DetBarrierWaitResult};
-pub use condvar::DetCondvar;
 pub use detlock_shim::acq::{first_divergence, Acquisition};
 pub use error::{panic_message, DetError, StallAction, StallReport, ThreadSnapshot};
 pub use fault::{FaultPlan, InjectedPanic};

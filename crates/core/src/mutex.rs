@@ -136,8 +136,7 @@ pub struct DetMutexGuard<'a, T: ?Sized> {
 }
 
 // SAFETY: through `&DetMutexGuard` another thread reaches only `&T`
-// (`Deref`, which needs `T: Sync`), the read-only `tid`, and the
-// `&DetMutex<T>` of `DetMutexGuard::mutex`, which is `Sync` for `T: Send`.
+// (`Deref`, which needs `T: Sync`) and the read-only `tid`.
 unsafe impl<T: ?Sized + Send + Sync> Sync for DetMutexGuard<'_, T> {}
 
 impl<'a, T: ?Sized> DetMutexGuard<'a, T> {
@@ -147,12 +146,6 @@ impl<'a, T: ?Sized> DetMutexGuard<'a, T> {
             tid,
             _not_send: PhantomData,
         }
-    }
-
-    /// The mutex this guard locks (used by [`crate::condvar::DetCondvar`]
-    /// to re-acquire after a wait).
-    pub fn mutex(guard: &DetMutexGuard<'a, T>) -> &'a DetMutex<T> {
-        guard.mutex
     }
 }
 

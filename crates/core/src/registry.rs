@@ -1,12 +1,12 @@
 //! Per-thread logical clocks and the thread registry.
 //!
 //! Every registered thread owns a cache-line-padded atomic clock slot and a
-//! state (`Active`, `Blocked`, `Finished`, `Evicted`). Deterministic events
+//! state (`Active`, `Blocked`, `Finished`). Deterministic events
 //! use [`Registry::wait_for_turn`]: spin until this thread's `(clock, tid)`
 //! is the minimum over all *active* threads — Kendo's turn rule as adopted
 //! by DetLock.
 //!
-//! State transitions (spawn, exit, block, unblock, evict) are rare; they
+//! State transitions (spawn, exit, block, unblock) are rare; they
 //! take the transition mutex and bump a seqlock epoch so that arbitration
 //! scans observe a consistent snapshot of the active set. Clock ticks are
 //! plain atomic adds — the hot path the compiler pass emits costs one
@@ -21,9 +21,8 @@
 //! ([`Registry::with_watchdog`]), arbitration spins track the current
 //! minimum `(clock, tid)` candidate; if the candidate makes no progress for
 //! the configured timeout, the runtime captures a [`StallReport`] and
-//! applies the configured [`StallAction`] — abort with diagnostics, surface
-//! [`DetError::Stalled`], or deterministically evict the culprit so the
-//! survivors proceed. Blocked waits (join, condvar, barrier) use the
+//! applies the configured [`StallAction`] — abort with diagnostics or
+//! surface [`DetError::Stalled`]. Blocked waits (join, barrier) use the
 //! coarser [`Registry::activity_stamp`]: if *no* clock or event counter in
 //! the whole registry moves for a full timeout, the wait is stalled.
 //!
@@ -44,15 +43,11 @@ pub enum ThreadState {
     Inactive = 0,
     /// Participates in deterministic arbitration.
     Active = 1,
-    /// Deterministically deactivated (barrier, join, condvar wait):
-    /// excluded from arbitration until deterministically reactivated.
+    /// Deterministically deactivated (barrier, join): excluded from
+    /// arbitration until deterministically reactivated.
     Blocked = 2,
     /// Exited; excluded forever.
     Finished = 3,
-    /// Forcibly retired by the stall watchdog ([`StallAction::Evict`]):
-    /// excluded from arbitration forever; the thread's next deterministic
-    /// event fails with [`DetError::Evicted`].
-    Evicted = 4,
 }
 
 impl ThreadState {
@@ -61,7 +56,6 @@ impl ThreadState {
             1 => ThreadState::Active,
             2 => ThreadState::Blocked,
             3 => ThreadState::Finished,
-            4 => ThreadState::Evicted,
             _ => ThreadState::Inactive,
         }
     }
@@ -82,7 +76,7 @@ struct Slot {
     /// Deterministic events entered by this thread (diagnostics + fault
     /// injection coordinate).
     events: AtomicU64,
-    /// Lock/barrier/condvar id currently waited on ([`NOT_WAITING`] if
+    /// Lock/barrier id currently waited on ([`NOT_WAITING`] if
     /// none); diagnostics only.
     waiting_on: AtomicU64,
 }
@@ -98,7 +92,7 @@ pub struct Registry {
     watchdog: Option<(Duration, StallAction)>,
 }
 
-/// Progress tracker for *blocked* waits (join, condvar, barrier). The wait
+/// Progress tracker for *blocked* waits (join, barrier). The wait
 /// is declared stalled when the registry-wide [`Registry::activity_stamp`]
 /// is unchanged for the watchdog timeout. Obtain via
 /// [`Registry::stall_timer`]; call [`StallTimer::expired`] between timed
@@ -332,11 +326,6 @@ impl Registry {
         }
     }
 
-    /// Forcibly retire `tid` from arbitration ([`ThreadState::Evicted`]).
-    pub fn evict(&self, tid: DetTid) {
-        self.transition(|_| self.set_state(tid, ThreadState::Evicted));
-    }
-
     /// The minimum `(clock, tid)` over active threads, if any — the thread
     /// currently holding (or about to take) the turn. Diagnostic scan, not
     /// epoch-validated.
@@ -367,33 +356,24 @@ impl Registry {
     }
 
     /// Apply the configured [`StallAction`] for a *blocked* wait whose
-    /// [`StallTimer`] expired. `Ok(())` means the stall was handled by
-    /// evicting the arbitration culprit and the caller should resume
-    /// waiting; `Err` carries the report for the waiter to surface.
-    pub fn on_blocked_stall(&self, waiter: DetTid) -> Result<(), DetError> {
+    /// [`StallTimer`] expired: abort, or return the error for the waiter
+    /// to surface.
+    pub fn on_blocked_stall(&self, waiter: DetTid) -> DetError {
         self.apply_stall(waiter, self.min_active().map(|(_, t)| t))
     }
 
     /// Apply the configured [`StallAction`] to `waiter`'s stalled wait,
     /// with `candidate` the minimum-clock active thread that made no
-    /// progress. `Ok(())`: the candidate was evicted — whatever the waiter
-    /// waits on may now make progress, resume waiting.
-    fn apply_stall(&self, waiter: DetTid, candidate: Option<DetTid>) -> Result<(), DetError> {
-        let action = self.watchdog.map(|(_, a)| a).unwrap_or_default();
-        let culprit = candidate.filter(|&t| t != waiter);
-        if let (StallAction::Evict, Some(c)) = (action, culprit) {
-            self.evict(c);
-            return Ok(());
-        }
-        // `Evict` with no other active thread to retire means the registry
-        // is inconsistent; eviction cannot help, so report like `Error`.
-        let report = self.stall_report(waiter, culprit);
-        match action {
+    /// progress: abort with the report, or return it as
+    /// [`DetError::Stalled`].
+    fn apply_stall(&self, waiter: DetTid, candidate: Option<DetTid>) -> DetError {
+        let report = self.stall_report(waiter, candidate.filter(|&t| t != waiter));
+        match self.watchdog.map(|(_, a)| a).unwrap_or_default() {
             StallAction::Abort => {
                 eprintln!("{report}");
                 std::process::abort();
             }
-            _ => Err(DetError::Stalled(Box::new(report))),
+            StallAction::Error => DetError::Stalled(Box::new(report)),
         }
     }
 
@@ -437,15 +417,8 @@ impl Registry {
     /// Backs off spin → yield → park, and (when the watchdog is enabled)
     /// tracks whether the minimum-clock candidate makes progress; a
     /// stalled candidate triggers the configured [`StallAction`]. Returns
-    /// [`DetError::Evicted`] if this thread was evicted, or
     /// [`DetError::Stalled`] under [`StallAction::Error`].
     pub fn wait_for_turn(&self, tid: DetTid) -> Result<(), DetError> {
-        // An evicted thread is out of arbitration entirely — its absence
-        // from the active set would otherwise make the scan succeed
-        // vacuously.
-        if self.state(tid) == ThreadState::Evicted {
-            return Err(DetError::Evicted { tid });
-        }
         let mut spins = 0u64;
         // (start, last candidate) once the watchdog arms in the slow phase.
         let mut watch: Option<(Instant, Option<(u64, DetTid)>)> = None;
@@ -464,11 +437,8 @@ impl Registry {
                     }
                 }
             }
-            // Slow-phase bookkeeping only: eviction check + watchdog.
+            // Slow-phase bookkeeping only: the watchdog.
             if spins >= 64 && spins.is_multiple_of(128) {
-                if self.state(tid) == ThreadState::Evicted {
-                    return Err(DetError::Evicted { tid });
-                }
                 if let Some((timeout, _)) = self.watchdog {
                     let cand = self.min_active();
                     match &mut watch {
@@ -478,8 +448,7 @@ impl Registry {
                                 *start = Instant::now();
                                 *last = cand;
                             } else if start.elapsed() >= timeout {
-                                self.apply_stall(tid, cand.map(|(_, t)| t))?;
-                                watch = None;
+                                return Err(self.apply_stall(tid, cand.map(|(_, t)| t)));
                             }
                         }
                     }
@@ -554,15 +523,12 @@ mod tests {
     }
 
     #[test]
-    fn blocked_finished_and_evicted_excluded_from_arbitration() {
+    fn blocked_and_finished_excluded_from_arbitration() {
         let r = Registry::new(4);
         let a = r.register(0).unwrap();
         let b = r.register(0).unwrap();
-        let c = r.register(0).unwrap();
         r.transition(|_| r.set_state(a, ThreadState::Blocked));
-        r.evict(c);
         assert!(r.has_turn(b), "blocked thread must not hold the turn open");
-        assert_eq!(r.state(c), ThreadState::Evicted);
         r.transition(|_| {
             r.set_state(a, ThreadState::Finished);
             r.set_exit_clock(a, 42)
@@ -622,21 +588,6 @@ mod tests {
             }
             other => panic!("expected Stalled, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn watchdog_evict_mode_unwedges_the_waiter() {
-        let r = Registry::with_watchdog(2, Some(Duration::from_millis(40)), StallAction::Evict);
-        let a = r.register(0).unwrap();
-        let b = r.register(10).unwrap();
-        // a is wedged; the watchdog evicts it and b proceeds.
-        r.wait_for_turn(b).unwrap();
-        assert_eq!(r.state(a), ThreadState::Evicted);
-        // The evicted thread's own next wait fails typed.
-        assert!(matches!(
-            r.wait_for_turn(a),
-            Err(DetError::Evicted { tid }) if tid == a
-        ));
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! travels to the parent — [`DetJoinHandle::join`] re-raises it,
 //! [`DetJoinHandle::try_join`] returns it as
 //! [`DetError::ChildPanicked`]. Runtime-internal failures (capacity,
-//! stalls, eviction) surface as typed [`DetError`] values; infallible
+//! stalls) surface as typed [`DetError`] values; infallible
 //! entry points raise them as panics *carrying the `DetError` payload*, so
 //! even through the panic channel the error stays machine-readable.
 
@@ -599,26 +599,26 @@ mod tests {
 
     #[test]
     fn cross_runtime_handle_misuse_is_a_typed_error() {
-        use crate::{DetBarrier, DetCondvar, DetMutex};
+        use crate::{DetBarrier, DetMutex, DetPool};
         // A thread registered with runtime B using a handle or primitive
         // of runtime A must get WrongRuntime — in release builds too — not
         // silently arbitrate in B's registry and tick A's.
         let rt_a = DetRuntime::with_defaults();
         let h = rt_a.spawn(|| 41);
         let m = DetMutex::new(&rt_a, 0);
-        let cv = DetCondvar::new(&rt_a);
+        let pool = DetPool::new(&rt_a, 1);
         let bar = DetBarrier::new(&rt_a, 1);
         let clock_a = rt_a.clock();
+        let rt_a2 = rt_a.clone();
         let misuses = std::thread::spawn(move || {
             let rt_b = DetRuntime::with_defaults();
-            let m_b = DetMutex::new(&rt_b, 0);
             let wrong = |f: &mut dyn FnMut()| matches!(raised(f), Some(DetError::WrongRuntime));
             let verdicts = [
                 matches!(h.try_join(), Err(DetError::WrongRuntime)),
                 wrong(&mut || drop(m.lock())),
                 wrong(&mut || drop(m.try_lock())),
-                wrong(&mut || drop(cv.wait(m_b.lock()))),
-                wrong(&mut || cv.signal()),
+                matches!(rt_a2.try_spawn(|| 0), Err(DetError::WrongRuntime)),
+                wrong(&mut || drop(pool.alloc(0u64))),
                 wrong(&mut || {
                     bar.wait();
                 }),

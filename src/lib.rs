@@ -19,7 +19,7 @@
 //!
 //! | Crate | Role |
 //! |---|---|
-//! | [`detlock_core`] | The runtime: [`detlock_core::DetRuntime`], [`detlock_core::DetMutex`], [`detlock_core::DetBarrier`],[`detlock_core::DetCondvar`], [`detlock_core::DetPool`], [`detlock_core::tick`] |
+//! | [`detlock_core`] | The runtime: [`detlock_core::DetRuntime`], [`detlock_core::DetMutex`], [`detlock_core::DetBarrier`], [`detlock_core::DetPool`], [`detlock_core::tick`] |
 //! | [`detlock_ir`] | Executable mini compiler IR + CFG analyses |
 //! | [`detlock_passes`] | The instrumentation pass: clock insertion + optimizations O1–O4 |
 //! | [`detlock_vm`] | Deterministic cycle-level multicore simulator (the measurement substrate) |
@@ -91,6 +91,6 @@ pub use detlock_vm;
 pub use detlock_workloads;
 
 pub use detlock_core::{
-    panic_message, tick, try_tick, DetBarrier, DetCondvar, DetConfig, DetError, DetJoinHandle,
-    DetMutex, DetPool, DetRuntime, FaultPlan, InjectedPanic, StallAction,
+    panic_message, tick, try_tick, DetBarrier, DetConfig, DetError, DetJoinHandle, DetMutex,
+    DetPool, DetRuntime, FaultPlan, InjectedPanic, StallAction,
 };

@@ -4,7 +4,7 @@
 //! VM-integrated happens-before sanitizer: its race report and minimal
 //! schedule log are a function of the program, not the jitter seed.
 
-use detlock::{tick, DetBarrier, DetCondvar, DetConfig, DetMutex, DetPool, DetRuntime};
+use detlock::{tick, DetBarrier, DetConfig, DetMutex, DetPool, DetRuntime};
 use std::sync::Arc;
 
 mod common;
@@ -72,50 +72,6 @@ fn mixed_primitives_reproduce_across_noise_profiles() {
     let a = mixed_run(0);
     assert_same_clocks(&mixed_run(5), &a, "noise profile 5");
     assert_same_clocks(&mixed_run(11), &a, "noise profile 11");
-}
-
-#[test]
-fn producer_consumers_with_condvar_reproduce() {
-    fn run(noise: bool) -> RunClocks {
-        let rt = traced();
-        let q = Arc::new(DetMutex::new(&rt, std::collections::VecDeque::<u64>::new()));
-        let cv = Arc::new(DetCondvar::new(&rt));
-        let mut handles = Vec::new();
-        for t in 0..2u64 {
-            let q = Arc::clone(&q);
-            let cv = Arc::clone(&cv);
-            handles.push(rt.spawn(move || {
-                let mut got = 0;
-                while got < 15 {
-                    tick(4 + t);
-                    let mut g = q.lock();
-                    while g.is_empty() {
-                        g = cv.wait(g);
-                    }
-                    let _ = g.pop_front();
-                    got += 1;
-                    drop(g);
-                    if noise {
-                        std::thread::sleep(std::time::Duration::from_micros(20 * (t + 1)));
-                    }
-                }
-            }));
-        }
-        let q2 = Arc::clone(&q);
-        let cv2 = Arc::clone(&cv);
-        handles.push(rt.spawn(move || {
-            for i in 0..30u64 {
-                tick(6);
-                q2.lock().push_back(i);
-                cv2.signal();
-            }
-        }));
-        for h in handles {
-            h.join();
-        }
-        run_clocks(&rt)
-    }
-    assert_same_clocks(&run(true), &run(false), "sleeping consumers");
 }
 
 #[test]
