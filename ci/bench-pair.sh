@@ -21,7 +21,9 @@
 # Every run's result line goes to target/bench-pair/<workload>.jsonl, the
 # traced runs' to target/bench-pair/<workload>.trace.jsonl.
 # Nothing under benchmark/ is written but the build directory its own
-# manifest names. Run from the repository root; ≈1 min per pair.
+# manifest names: cargo rewrites benchmark/Cargo.lock on every build, so the
+# script copies it aside first and puts it back byte for byte on exit,
+# uncommitted edits included. Run from the repository root; ≈1 min per pair.
 set -euo pipefail
 
 [ "$#" -ge 1 ] && [ "$#" -le 3 ] || { echo "usage: $0 <workload> [pairs=10] [parent=HEAD]" >&2; exit 2; }
@@ -38,6 +40,11 @@ trace_log="$out/$workload.trace.jsonl"
 mapfile -t decl < <(python3 -c 'import json; b = json.load(open("BENCHMARK.json")); print(b["run_seconds"], *b["command"], sep="\n")')
 seconds="${decl[0]}"
 cmd=("${decl[@]:1}")
+
+mkdir -p "$out"
+lock="benchmark/Cargo.lock"
+cp -p "$lock" "$out/Cargo.lock.saved"
+trap 'cp -p "$out/Cargo.lock.saved" "$root/$lock"' EXIT
 
 if [ ! -d "$parent_dir" ]; then
   mkdir -p "$parent_dir"

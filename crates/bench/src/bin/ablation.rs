@@ -15,10 +15,10 @@
 //! ```
 //!
 //! Every number in the `--json` report is a simulated count, so two runs
-//! at the same `{threads, scale, seed}` header are byte-identical and
-//! `perfgate` holds the report to `ci/baselines/BENCH_passes.json` by
-//! equality. Wall times appear only in the text pass table: what a change
-//! costs in time is the repo benchmark's to say (`benchmark/`).
+//! at the same `{threads, scale, seed}` header are byte-identical and CI
+//! diffs the report against `ci/baselines/BENCH_passes.json`. Wall times
+//! appear only in the text pass table: what a change costs in time is the
+//! repo benchmark's to say (`benchmark/`).
 
 use detlock_bench::{
     kendo_sweep, machine_config, run_baseline, run_clocks_then_det, thread_specs, CliOptions,

@@ -18,9 +18,8 @@
 //!     [--ready-file PATH] [--rate JOBS_PER_SEC | --sweep R1,R2,...] \
 //!     [--jobs N] [--threads N] [--scale F] [--seeds A,B,C] \
 //!     [--conns N] [--closed-conns N] [--pipeline D] [--hot-key P] \
-//!     [--net-faults SEED] [--crash-faults SEED] [--cross-backends] \
+//!     [--net-faults SEED] [--crash-faults SEED] \
 //!     [--scheduler kendo|chunk[:SIZE[:COST]]|dc-batch] \
-//!     [--schedulers kendo,chunk,dc-batch] \
 //!     [--json] [--out BENCH_serve.json] [--shutdown]
 //! ```
 //!
@@ -52,31 +51,19 @@
 //! happened on the server — otherwise the sweep exercised nothing and
 //! detload exits nonzero.
 //!
-//! `--cross-backends` additionally re-executes every unique job spec
-//! locally on *both* execution backends (interpreter and threaded-code)
-//! and demands all three receipts — server's, local interp, local
-//! threaded — be byte-identical. This is the end-to-end form of the
-//! differential-oracle guarantee: whatever engine the server happens to
-//! run, the receipt is a property of the program, not of the engine.
-//!
 //! Every job asks for the arbitration policy `--scheduler` names (Kendo
-//! by default), on `--threads` simulated cores (2 by default).
-//!
-//! `--schedulers kendo,chunk,dc-batch` re-executes every unique job spec
-//! locally under each listed arbitration policy **twice** and demands the
-//! two receipts per policy be byte-identical. Unlike backends, policies
-//! legitimately differ from each other — the sweep certifies that each is
-//! internally deterministic, not that they agree.
+//! by default), on `--threads` simulated cores (2 by default). That a
+//! receipt is the same on either execution engine, and stable under each
+//! policy, is a property of the program rather than of the serving path:
+//! the determinism matrix (`tests/matrix.rs`) holds it.
 
 use detlock_bench::loadgen::{Ledger, LoadGen, LoadOptions, PhaseReport};
 use detlock_bench::{operand, parsed_operand, CliOptions};
 use detlock_passes::pipeline::OptLevel;
 use detlock_serve::netfault::{CrashPlan, NetFaultPlan};
 use detlock_serve::protocol::{Client, JobSpec};
-use detlock_serve::shard::ShardEngine;
 use detlock_shim::json::{Json, ToJson};
-use detlock_vm::{Backend, Sched};
-use std::collections::HashSet;
+use detlock_vm::Sched;
 use std::num::NonZeroUsize;
 use std::str::FromStr;
 use std::time::{Duration, Instant};
@@ -179,15 +166,6 @@ fn pass_json(phases: &[PhaseReport], ledger: &Ledger) -> Json {
     ])
 }
 
-/// Execute `spec` locally and return the canonical receipt (or the error,
-/// which then fails the comparison it feeds).
-fn local_receipt(engine: &mut ShardEngine, spec: &JobSpec) -> String {
-    engine
-        .execute(spec, u64::MAX)
-        .map(|r| r.canonical())
-        .unwrap_or_else(|e| format!("local execution failed: {e}"))
-}
-
 fn verdict(ok: bool, pass: &'static str) -> &'static str {
     if ok {
         pass
@@ -209,7 +187,7 @@ impl FromStr for Rate {
     }
 }
 
-/// A `--scheduler` operand, or one `--schedulers` element.
+/// A `--scheduler` operand.
 struct Policy(Sched);
 
 impl FromStr for Policy {
@@ -219,8 +197,8 @@ impl FromStr for Policy {
     }
 }
 
-/// A comma-separated operand (`--sweep`, `--schedulers`). Never empty:
-/// the empty string is not a `T`.
+/// A comma-separated operand (`--sweep`). Never empty: the empty string
+/// is not a `T`.
 struct List<T>(Vec<T>);
 
 impl<T: FromStr> FromStr for List<T> {
@@ -242,8 +220,6 @@ fn main() {
     let mut do_shutdown = false;
     let mut net_seed: Option<u64> = None;
     let mut crash_seed: Option<u64> = None;
-    let mut cross_backends = false;
-    let mut sched_sweep: Vec<Sched> = Vec::new();
     let mut scheduler = Sched::Kendo;
     let mut conns = DEFAULT_CONNS;
     let mut closed_conns = 0usize;
@@ -265,12 +241,7 @@ fn main() {
             "--jobs" => jobs_target = parsed_operand(args, i),
             "--net-faults" => net_seed = Some(parsed_operand(args, i)),
             "--crash-faults" => crash_seed = Some(parsed_operand(args, i)),
-            "--cross-backends" => cross_backends = true,
             "--scheduler" => scheduler = parsed_operand::<Policy>(args, i).0,
-            "--schedulers" => {
-                let List(policies) = parsed_operand::<List<Policy>>(args, i);
-                sched_sweep = policies.into_iter().map(|p| p.0).collect();
-            }
             "--shutdown" => do_shutdown = true,
             _ => return false,
         }
@@ -316,13 +287,6 @@ fn main() {
     } else {
         grid.iter().cycle().take(jobs_target).cloned().collect()
     };
-    // Each distinct job once, for the local re-execution sweeps.
-    let mut seen = HashSet::new();
-    let unique: Vec<(String, &JobSpec)> = jobs
-        .iter()
-        .map(|spec| (spec.identity_key(), spec))
-        .filter(|(key, _)| seen.insert(key.clone()))
-        .collect();
 
     let total_conns = conns + closed_conns;
     eprintln!(
@@ -398,62 +362,6 @@ fn main() {
         }
     }
     let identical = mismatches.is_empty();
-
-    // Cross-backend differential: every unique spec is re-executed locally
-    // on both engines; the server's pass-1 receipt, the local interp
-    // receipt and the local threaded receipt must be one byte string.
-    let mut backend_compared = 0u64;
-    let mut backend_mismatches: Vec<Json> = Vec::new();
-    if cross_backends {
-        let mut interp = ShardEngine::new(usize::MAX - 1).with_backend(Backend::Interp);
-        let mut threaded = ShardEngine::new(usize::MAX).with_backend(Backend::Threaded);
-        for (key, spec) in &unique {
-            let Some(server) = ledger1.receipts.get(key) else {
-                continue;
-            };
-            let local = [&mut interp, &mut threaded].map(|engine| local_receipt(engine, spec));
-            backend_compared += 1;
-            if local.iter().any(|r| r != server) {
-                backend_mismatches.push(Json::obj([
-                    ("job", key.to_json()),
-                    ("server", server.to_json()),
-                    ("interp", local[0].to_json()),
-                    ("threaded", local[1].to_json()),
-                ]));
-            }
-        }
-    }
-    let backends_identical = backend_mismatches.is_empty();
-
-    // Scheduler sweep: every unique job spec re-executed locally under
-    // each listed policy, twice per policy. The two receipts per policy
-    // must be byte-identical (internal determinism); the policies may —
-    // and on contended workloads do — differ from one another.
-    let mut sched_compared = 0u64;
-    let mut sched_mismatches: Vec<Json> = Vec::new();
-    if !sched_sweep.is_empty() {
-        let mut engine = ShardEngine::new(usize::MAX - 2);
-        for (_, spec) in &unique {
-            for &sched in &sched_sweep {
-                let mut spec = (*spec).clone();
-                spec.scheduler = sched;
-                let pair = [
-                    local_receipt(&mut engine, &spec),
-                    local_receipt(&mut engine, &spec),
-                ];
-                sched_compared += 1;
-                if pair[0] != pair[1] {
-                    sched_mismatches.push(Json::obj([
-                        ("job", spec.identity_key().to_json()),
-                        ("scheduler", sched.spec().to_json()),
-                        ("run1", pair[0].to_json()),
-                        ("run2", pair[1].to_json()),
-                    ]));
-                }
-            }
-        }
-    }
-    let schedulers_stable = sched_mismatches.is_empty();
 
     let server_stats = Client::connect(&addr)
         .and_then(|mut c| c.stats())
@@ -536,27 +444,6 @@ fn main() {
         ("receipts_compared", compared.to_json()),
         ("receipts_identical", identical.to_json()),
         ("mismatches", Json::Arr(mismatches)),
-        (
-            "cross_backends",
-            Json::obj([
-                ("enabled", cross_backends.to_json()),
-                ("backend_receipts_compared", backend_compared.to_json()),
-                ("backend_receipts_identical", backends_identical.to_json()),
-                ("backend_mismatches", Json::Arr(backend_mismatches)),
-            ]),
-        ),
-        (
-            "schedulers",
-            Json::obj([
-                (
-                    "swept",
-                    Json::Arr(sched_sweep.iter().map(|s| s.spec().to_json()).collect()),
-                ),
-                ("sched_receipts_compared", sched_compared.to_json()),
-                ("sched_receipts_stable", schedulers_stable.to_json()),
-                ("sched_mismatches", Json::Arr(sched_mismatches)),
-            ]),
-        ),
         ("server_stats", server_stats),
     ]);
     opts.emit_json(&report);
@@ -565,18 +452,6 @@ fn main() {
             "receipts: {compared} compared, {}",
             verdict(identical, "all identical")
         );
-        if cross_backends {
-            eprintln!(
-                "cross-backend receipts: {backend_compared} specs x (server, interp, threaded), {}",
-                verdict(backends_identical, "all identical")
-            );
-        }
-        if !sched_sweep.is_empty() {
-            eprintln!(
-                "scheduler sweep: {sched_compared} (spec, policy) cells x 2 runs, {}",
-                verdict(schedulers_stable, "all per-policy receipts stable")
-            );
-        }
     }
 
     if do_shutdown {
@@ -596,12 +471,6 @@ fn main() {
     }
     if crash_seed.is_some() && recoveries == 0 {
         failures.push("crash chaos requested but zero checkpoint recoveries happened");
-    }
-    if cross_backends && (!backends_identical || backend_compared == 0) {
-        failures.push("cross-backend receipt mismatch (or nothing comparable)");
-    }
-    if !sched_sweep.is_empty() && (!schedulers_stable || sched_compared == 0) {
-        failures.push("per-scheduler receipt instability (or nothing comparable)");
     }
     if !failures.is_empty() {
         eprintln!("detload: FAIL ({})", failures.join("; "));

@@ -8,9 +8,8 @@
 //!   Table II, Figures 14 and 15, core-count scaling): a stdin → stdout
 //!   filter over the document's generated blocks;
 //! * `ablation` — sweeps of the design constants the paper fixes, plus
-//!   per-pass telemetry and per-scheduler cycles, all simulated counts;
-//! * `perfgate` — holds `ablation --json` to the committed baseline by
-//!   equality and checks a `detload` report's identity facts;
+//!   per-pass telemetry and per-scheduler cycles, all simulated counts
+//!   (CI diffs its `--json` report against the committed baseline);
 //! * `detcheck` — run-to-run determinism probe across jitter seeds;
 //! * `detlint` — the static race analysis and translation validator over
 //!   the workloads, with optional sanitizer triage;
@@ -324,7 +323,7 @@ pub struct CliOptions {
 }
 
 /// A command-line usage error: one line on stderr and exit code 2, the
-/// code `dlc` and `perfgate` use for the same thing.
+/// code `dlc` uses for the same thing.
 fn usage_error(what: std::fmt::Arguments<'_>) -> ! {
     eprintln!("usage: {what}");
     std::process::exit(2)

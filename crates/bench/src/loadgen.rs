@@ -154,7 +154,8 @@ pub struct PhaseReport {
 }
 
 impl PhaseReport {
-    /// The curve-point JSON `perfgate` consumes.
+    /// One point of the report's `latency_curve` (observability output:
+    /// nothing gates it).
     pub fn to_json(&self) -> Json {
         Json::obj([
             ("offered_qps", self.offered_qps.to_json()),

@@ -40,7 +40,7 @@ pub struct DetConfig {
     pub max_threads: usize,
     /// Record the lock-acquisition trace (see [`crate::trace`]).
     pub record_trace: bool,
-    /// Trace retention: `None` keeps every event (the detcheck /
+    /// Trace retention: `None` keeps every event (the real-thread suites'
     /// divergence-diagnosis mode); `Some(n)` keeps the first `n`, so
     /// long-running episodes stay O(1) in memory and an event's index is
     /// its index in the whole trace. The trace *hash* always covers the

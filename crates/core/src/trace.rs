@@ -12,7 +12,8 @@
 //! recorded and is O(1) to read, so a long-running service hands out
 //! *determinism receipts* without buffering the episode. Retention is the
 //! first `capacity` events ([`TraceRecorder::with_capacity`]); `None`
-//! keeps them all, the mode `detcheck` and divergence pinpointing need.
+//! keeps them all, the mode the real-thread determinism suites need to
+//! name the first diverging acquisition.
 
 use detlock_shim::acq::{Acquisition, AcquisitionLog};
 use detlock_shim::sync::Mutex;

@@ -23,7 +23,7 @@ use detlock_vm::{Backend, ChunkParams, Sched};
 use detlock_workloads::racy::{self, RacyParams};
 use detlock_workloads::{micro, Workload};
 use std::cell::RefCell;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// The three arbitration policies.
@@ -60,7 +60,7 @@ pub fn splash() -> Vec<&'static str> {
 
 /// Which engine executes the run. `Alternate` switches at every resume of
 /// a chain, starting with the interpreter.
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Engine {
     Interp,
     Threaded,
@@ -153,7 +153,8 @@ impl Cell {
     }
 
     /// A serving-layer job for a Table I workload: `Det` at every
-    /// optimization on a shard engine's default engine, the interpreter.
+    /// optimization on the interpreter. A job runs on one engine, the
+    /// one `engine` names; `Alternate` is not a job.
     pub fn job(input: &'static str) -> Cell {
         Cell {
             engine: Engine::Interp,
@@ -166,7 +167,7 @@ impl Cell {
     pub fn spec(&self) -> JobSpec {
         let job = self.mode == ExecMode::Det
             && self.placement == Placement::Start
-            && self.engine == Engine::Interp;
+            && self.engine != Engine::Alternate;
         let opt = self.level.filter(|_| job);
         JobSpec {
             tenant: "matrix".to_string(),
@@ -275,9 +276,15 @@ fn program(cell: &Cell) -> Arc<Program> {
 }
 
 thread_local! {
-    /// The test thread's long-lived shard engine, and the cells it has run.
-    static SHARED: RefCell<(ShardEngine, BTreeSet<String>)> =
-        RefCell::new((ShardEngine::new(0), BTreeSet::new()));
+    /// The test thread's long-lived shard engine per execution engine, and
+    /// the cells they have run.
+    static SHARED: RefCell<(HashMap<Engine, ShardEngine>, BTreeSet<String>)> =
+        RefCell::default();
+}
+
+/// A shard engine that runs every job on `engine`.
+fn shard(id: usize, engine: Engine) -> ShardEngine {
+    ShardEngine::new(id).with_backend(engine.backend(0))
 }
 
 /// The cell's outcome, run on first use.
@@ -285,7 +292,10 @@ pub fn outcome(cell: &Cell) -> Arc<Outcome> {
     static OUTCOMES: Memo<Outcome> = Mutex::new(BTreeMap::new());
     memo(&OUTCOMES, format!("{cell:?}"), || match cell.host {
         Host::Machine => run_machine(cell),
-        Host::Shared | Host::Again => SHARED.with_borrow_mut(|(engine, ran)| {
+        Host::Shared | Host::Again => SHARED.with_borrow_mut(|(engines, ran)| {
+            let engine = engines
+                .entry(cell.engine)
+                .or_insert_with(|| shard(0, cell.engine));
             let first = format!(
                 "{:?}",
                 Cell {
@@ -299,7 +309,7 @@ pub fn outcome(cell: &Cell) -> Arc<Outcome> {
             ran.insert(first);
             run_job(engine, cell)
         }),
-        Host::Fresh => run_job(&mut ShardEngine::new(1), cell),
+        Host::Fresh => run_job(&mut shard(1, cell.engine), cell),
     })
 }
 

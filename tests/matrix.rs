@@ -278,19 +278,26 @@ fn kendo_and_dc_batch_order_locks_differently_somewhere() {
 }
 
 /// A job executed twice on one shard engine and once on a fresh one gives
-/// one receipt, and the receipt names its policy.
+/// one receipt, the same on either execution engine, and the receipt names
+/// its policy.
 #[test]
 fn receipts_stable_per_scheduler_across_seeds_and_engines() {
     let cells = grid(splash(), Cell::job)
         .across(policies(), |c, s| c.sched = s)
-        .across([1, 7, 31337], |c, s| c.seed = s);
-    assert!(cells.len() >= 45, "grid shrank to {} cells", cells.len());
+        .across([1, 7, 31337], |c, s| c.seed = s)
+        .across([Engine::Interp, Engine::Threaded], |c, e| c.engine = e);
+    assert!(cells.len() >= 90, "grid shrank to {} cells", cells.len());
     for c in cells {
         let [first, again, fresh] =
             [Host::Shared, Host::Again, Host::Fresh].map(|host| Cell { host, ..c });
         let o = outcome(&first);
         assert_same((&first, &o), (&again, &outcome(&again)));
         assert_same((&first, &o), (&fresh, &outcome(&fresh)));
+        let interp = Cell {
+            engine: Engine::Interp,
+            ..first
+        };
+        assert_same((&interp, &outcome(&interp)), (&first, &o));
         let named = &o.receipt.as_ref().expect("a job").scheduler;
         assert!(*named == c.sched.spec(), "the receipt names {named}: {c:?}");
     }
