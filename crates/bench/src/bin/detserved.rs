@@ -10,8 +10,7 @@
 //!     [--addr HOST:PORT] [--shards N] [--queue N] [--max-retries N] \
 //!     [--budget CYCLES] [--watchdog-ms MS] \
 //!     [--backend interp|threaded] [--scheduler kendo|chunk|dc-batch] \
-//!     [--checkpoint-interval CYCLES] \
-//!     [--cycle-slice CYCLES] [--net-faults SEED] [--crash-faults SEED] \
+//!     [--checkpoint-interval CYCLES] [--net-faults SEED] [--crash-faults SEED] \
 //!     [--ready-file PATH]
 //!
 //! # router mode (multi-process shard group)
@@ -28,9 +27,7 @@
 //! backend it is part of job identity, and per-request `scheduler` fields
 //! override it.
 //! `--checkpoint-interval 0` disables checkpointing (crash recovery then
-//! requeues cold); `--cycle-slice N` preempts jobs every N cycles of
-//! progress so long jobs share shards. `--net-faults` / `--crash-faults`
-//! boot the server with seeded fault plans already armed (clients can
+//! requeues cold). `--net-faults` / `--crash-faults` boot the server with seeded fault plans already armed (clients can
 //! also arm/disarm them at runtime via the `chaos` op). `--ready-file
 //! PATH` atomically publishes the bound address to `PATH` *after* the
 //! listener is accepting — a race-free readiness marker for scripts that
@@ -102,7 +99,6 @@ fn main() {
                 cfg.watchdog = (ms > 0).then(|| Duration::from_millis(ms));
             }
             "--checkpoint-interval" => cfg.checkpoint_interval = parsed_operand(&args, &mut i),
-            "--cycle-slice" => cfg.cycle_slice = parsed_operand(&args, &mut i),
             "--net-faults" => {
                 cfg.net_faults = Some(NetFaultPlan::new(parsed_operand(&args, &mut i)))
             }
@@ -137,7 +133,7 @@ fn main() {
     }
     eprintln!(
         "shards={} queue={} max_retries={} budget={} watchdog={:?} backend={} \
-         scheduler={} checkpoint_interval={} cycle_slice={} net_faults={:?} \
+         scheduler={} checkpoint_interval={} net_faults={:?} \
          crash_faults={:?}",
         cfg.shards,
         cfg.queue_capacity,
@@ -147,7 +143,6 @@ fn main() {
         cfg.backend,
         cfg.scheduler,
         cfg.checkpoint_interval,
-        cfg.cycle_slice,
         cfg.net_faults.map(|p| p.seed),
         cfg.crash_faults.map(|p| p.seed),
     );

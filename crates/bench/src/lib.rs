@@ -10,7 +10,6 @@
 //! * `ablation` — sweeps of the design constants the paper fixes, plus
 //!   per-pass telemetry and per-scheduler cycles, all simulated counts
 //!   (CI diffs its `--json` report against the committed baseline);
-//! * `detcheck` — run-to-run determinism probe across jitter seeds;
 //! * `detlint` — the static race analysis and translation validator over
 //!   the workloads, with optional sanitizer triage;
 //! * `detserved` / `detload` — the deterministic-execution daemon and its
@@ -264,28 +263,25 @@ pub fn lint_workload(
 }
 
 /// Run `w`'s *source* (uninstrumented) module under deterministic
-/// arbitration with the `detsan` happens-before sanitizer enabled, at
-/// jitter seed `seed`. The source module keeps `(function, block, inst)`
-/// coordinates aligned with the static analysis (instrumentation inserts
-/// ticks that shift instruction indices); `Det` mode works uninstrumented
-/// because its logical clocks advance on synchronization events alone.
-pub fn sanitize_workload(w: &Workload, cost: &CostModel, seed: u64) -> SanitizerReport {
-    let mut cfg = machine_config(w, ExecMode::Det, seed);
-    cfg.sanitize = true;
-    let (_, _, hit, report) = Machine::new(&w.module, cost, &thread_specs(w), cfg).run_sanitized();
-    assert!(!hit, "{}: sanitized run hit the cycle limit", w.name);
-    report.expect("sanitize flag was set")
-}
-
-/// [`sanitize_workload`] swept across `seeds` and merged into one report.
-/// The canonical race set is seed-invariant by construction (see
-/// [`detlock_vm::sanitizer`]); the sweep exists so triage verdicts rest on
-/// observed schedules rather than the invariance argument alone.
+/// arbitration with the `detsan` happens-before sanitizer enabled, once
+/// per jitter seed in `seeds`, and merge the reports. The source module
+/// keeps `(function, block, inst)` coordinates aligned with the static
+/// analysis (instrumentation inserts ticks that shift instruction
+/// indices); `Det` mode works uninstrumented because its logical clocks
+/// advance on synchronization events alone. The canonical race set is
+/// seed-invariant by construction (see [`detlock_vm::sanitizer`]); the
+/// sweep exists so triage verdicts rest on observed schedules rather than
+/// the invariance argument alone.
 pub fn sanitize_workload_sweep(w: &Workload, cost: &CostModel, seeds: &[u64]) -> SanitizerReport {
     assert!(!seeds.is_empty());
     let mut merged: Option<SanitizerReport> = None;
     for &seed in seeds {
-        let r = sanitize_workload(w, cost, seed);
+        let mut cfg = machine_config(w, ExecMode::Det, seed);
+        cfg.sanitize = true;
+        let (_, _, hit, report) =
+            Machine::new(&w.module, cost, &thread_specs(w), cfg).run_sanitized();
+        assert!(!hit, "{}: sanitized run hit the cycle limit", w.name);
+        let r = report.expect("sanitize flag was set");
         match &mut merged {
             None => merged = Some(r),
             Some(m) => m.merge(&r),

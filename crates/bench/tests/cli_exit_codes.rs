@@ -1,10 +1,7 @@
 //! The exit-code contract of the CLI front-ends, as documented in
 //! README.md ("Exit codes"). CI and editor integrations key off these
 //! numbers, so they are pinned by test: 0 = clean, 1 = findings /
-//! violations, 2 = usage error (every CLI), 3 = broken scheduler/checkpoint
-//! refusal (detcheck; unreachable here unless the typed
-//! `SchedulerMismatch` contract regresses, so only the clean path is
-//! exercised).
+//! violations, 2 = usage error (every CLI).
 
 use std::io::Write;
 use std::process::{Command, Stdio};
@@ -91,15 +88,6 @@ fn the_compile_pool_flag_is_a_usage_error() {
     ] {
         assert_eq!(exit_code(bin, &["--compile-threads", "2"]), 2, "{bin}");
     }
-}
-
-#[test]
-fn detcheck_exit_codes() {
-    let bin = env!("CARGO_BIN_EXE_detcheck");
-    // Lint-clean + seed-invariant workload → 0.
-    assert_eq!(exit_code(bin, &["--only", "ocean", "--scale", "0.05"]), 0);
-    // Unknown flag → usage (2).
-    assert_eq!(exit_code(bin, &["--definitely-not-a-flag"]), 2);
 }
 
 #[test]

@@ -1,9 +1,9 @@
 //! End-to-end detlint acceptance: the shipped workloads are statically
 //! race-clean and every Table I instrumentation config validates against its
-//! certificate; the deliberately racy control is flagged and the sanitizer
-//! witnesses the flagged race; and validator-accepted configs actually run
-//! deterministically (identical lock-order fingerprints across jitter
-//! seeds).
+//! certificate; the sanitizer's triage confirms every static verdict (the
+//! deliberately racy control is flagged and witnessed); and
+//! validator-accepted configs actually run deterministically (identical
+//! lock-order fingerprints across jitter seeds).
 
 use detlock_analyze::races::analyze_races;
 use detlock_analyze::triage::{triage, Verdict};
@@ -36,27 +36,6 @@ fn splash_workloads_lint_clean() {
     }
 }
 
-#[test]
-fn racy_counter_is_flagged_and_vm_confirmed() {
-    let cost = CostModel::default();
-    let w = racy::build(4, &racy::RacyParams::scaled(SCALE));
-    let report = analyze_races(&w.module, &race_threads(&w));
-    assert!(
-        report
-            .findings
-            .iter()
-            .any(|f| f.severity == Severity::Error && f.rule == "race"),
-        "the racy counter must produce an error[race]:\n{report}"
-    );
-    // What `detlint --confirm` prints: a happens-before witness at a
-    // statically flagged site.
-    let dyn_report = sanitize_workload_sweep(&w, &cost, &[1, 2, 7, 42, 31337]);
-    assert!(
-        triage(&report, &dyn_report).witness().is_some(),
-        "the sanitizer must witness the statically flagged race:\n{report}"
-    );
-}
-
 /// Triage acceptance: every static `race` finding on the racy counter is
 /// dynamically `confirmed` (with a happens-before witness), the SPLASH
 /// workloads stay silent under the sanitizer, and the deadlock control —
@@ -66,9 +45,18 @@ fn sanitizer_triage_matches_the_static_verdicts() {
     let cost = CostModel::default();
     let seeds = [1, 7, 42];
 
-    // Racy control: every static race finding must be confirmed.
+    // Racy control: flagged statically as an `error[race]`, and every
+    // static race finding confirmed with a happens-before witness (what
+    // `detlint --confirm` prints).
     let w = racy::build(4, &racy::RacyParams::scaled(SCALE));
     let report = analyze_races(&w.module, &race_threads(&w));
+    assert!(
+        report
+            .findings
+            .iter()
+            .any(|f| f.severity == Severity::Error && f.rule == "race"),
+        "the racy counter must produce an error[race]:\n{report}"
+    );
     let dyn_report = sanitize_workload_sweep(&w, &cost, &seeds);
     assert!(!dyn_report.races.is_empty());
     let tri = triage(&report, &dyn_report);

@@ -247,11 +247,6 @@ impl DetRuntime {
         self.inner.trace.hash()
     }
 
-    /// Clear the recorded trace.
-    pub fn trace_clear(&self) {
-        self.inner.trace.clear()
-    }
-
     /// Diagnostic snapshot of every deterministic thread (tid, clock,
     /// state, event count, waited-on lock) — the same data a
     /// [`crate::StallReport`] carries.

@@ -68,12 +68,6 @@ impl TraceRecorder {
     pub fn hash(&self) -> u64 {
         self.log.lock().hash()
     }
-
-    /// Drop all recorded events and reset the hash to the empty-trace
-    /// value.
-    pub fn clear(&self) {
-        self.log.lock().clear();
-    }
 }
 
 #[cfg(test)]
@@ -135,34 +129,18 @@ mod tests {
     }
 
     #[test]
-    fn clear_resets_hash_to_empty() {
-        let t = TraceRecorder::with_capacity(true, Some(1));
+    fn one_record_is_snapshotted_and_moves_the_hash() {
+        let t = TraceRecorder::new(true);
         let empty_hash = t.hash();
         t.record(3, 2, 7);
         assert_ne!(t.hash(), empty_hash);
-        t.clear();
-        assert!(t.is_empty());
-        assert_eq!(t.hash(), empty_hash);
-        // The retention bound survives the reset.
-        t.record(3, 2, 7);
-        t.record(4, 2, 8);
-        assert_eq!(t.snapshot().len(), 1);
-    }
-
-    #[test]
-    fn snapshot_and_clear() {
-        let t = TraceRecorder::new(true);
-        t.record(3, 2, 7);
-        let s = t.snapshot();
         assert_eq!(
-            s,
+            t.snapshot(),
             vec![Acquisition {
                 lock: 3,
                 tid: 2,
                 clock: 7
             }]
         );
-        t.clear();
-        assert!(t.is_empty());
     }
 }

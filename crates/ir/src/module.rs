@@ -67,12 +67,6 @@ impl Function {
         &self.blocks[id.index()]
     }
 
-    /// Mutably borrow a block.
-    #[inline]
-    pub fn block_mut(&mut self, id: BlockId) -> &mut Block {
-        &mut self.blocks[id.index()]
-    }
-
     /// Iterate over `(BlockId, &Block)`.
     pub fn iter_blocks(&self) -> impl Iterator<Item = (BlockId, &Block)> {
         self.blocks

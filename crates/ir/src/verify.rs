@@ -136,17 +136,6 @@ pub fn verify_module(module: &Module) -> Result<(), Vec<VerifyError>> {
     }
 }
 
-/// Verify a single function against its module context.
-pub fn verify_function(module: &Module, fid: FuncId) -> Result<(), Vec<VerifyError>> {
-    let mut errors = Vec::new();
-    verify_function_inner(module, fid, module.func(fid), &mut errors);
-    if errors.is_empty() {
-        Ok(())
-    } else {
-        Err(errors)
-    }
-}
-
 fn verify_function_inner(
     module: &Module,
     fid: FuncId,

@@ -138,11 +138,6 @@ impl CostModel {
             .unwrap_or(Estimate::flat(self.call))
     }
 
-    /// Override a builtin estimate.
-    pub fn set_builtin(&mut self, name: impl Into<String>, est: Estimate) {
-        self.builtins.insert(name.into(), est);
-    }
-
     /// Static cost of one instruction, charging size-dependent builtins only
     /// their `base` part (the `per_unit` part becomes a dynamic tick) and
     /// builtins with a *constant* size argument their full folded cost.

@@ -61,18 +61,17 @@
 //! resume-from-checkpoint provably reproduces run-from-zero. Retries are
 //! bounded; a job whose exclusion set covers every live shard fails
 //! instead of livelocking. Total cycle-budget exhaustion is deterministic
-//! and therefore never retried; the optional per-attempt `cycle_slice` is
-//! a *preemption* (the job continues from its checkpoint) and consumes no
-//! retry budget. Graceful drain refuses new admissions with a typed
-//! `draining` shed and lets in-flight jobs finish; `drain_flushed` counts
-//! the ones that had taken a checkpoint before they finished.
+//! and therefore never retried. Graceful drain refuses new admissions
+//! with a typed `draining` shed and lets in-flight jobs finish;
+//! `drain_flushed` counts the ones that had taken a checkpoint before they
+//! finished.
 
 use crate::conn::{accept_backlog, raw_fd, FramedConn, SlotKind, SlotTable};
 use crate::netfault::{CrashPlan, NetFaultPlan, WireFault};
 use crate::protocol::{error_json, parse_request, JobSpec, WireRequest};
 use crate::queue::{backoff_deadline, AdmissionQueue, SubmitError};
 use crate::receipt::{Admission, Receipt, ReceiptLedger, Sighting};
-use crate::shard::{ExecOpts, ExecOutcome, PreemptReason, ShardEngine};
+use crate::shard::{ExecOpts, ExecOutcome, ShardEngine};
 use crate::stats::{Counters, LatencyHistogram};
 use detlock_passes::pipeline::CompileOpts;
 use detlock_passes::stats::{fold_pass_stats, PassStats};
@@ -121,10 +120,6 @@ pub struct ServeConfig {
     /// Snapshot a [`Checkpoint`] every this many arbiter cycles while a
     /// job runs (0 disables checkpointing — crashes then requeue cold).
     pub checkpoint_interval: u64,
-    /// Preempt a job after this many cycles of progress per attempt (0
-    /// disables). Preempted jobs continue from their checkpoint and do
-    /// not consume retry budget. Requires `checkpoint_interval > 0`.
-    pub cycle_slice: u64,
     /// Initial wire-fault plan (normally set at runtime via the `chaos`
     /// op instead).
     pub net_faults: Option<NetFaultPlan>,
@@ -145,7 +140,6 @@ impl Default for ServeConfig {
             backend: Backend::Interp,
             scheduler: Sched::Kendo,
             checkpoint_interval: 200_000,
-            cycle_slice: 0,
             net_faults: None,
             crash_faults: None,
         }
@@ -284,10 +278,8 @@ struct ShardSlot {
     completed: AtomicU64,
     /// Jobs this shard resumed from a migrated checkpoint.
     recoveries: AtomicU64,
-    /// Jobs this shard had to requeue (crash, eviction, preemption).
+    /// Jobs this shard had to requeue (crash or eviction).
     requeues: AtomicU64,
-    /// Cycle-slice preemptions taken on this shard.
-    preemptions: AtomicU64,
     /// Checkpoints snapshotted by this shard's engine (mirrored).
     checkpoints: AtomicU64,
     /// Analysis-cache hits/misses across every compilation on this shard
@@ -370,7 +362,6 @@ impl Shared {
                     ("completed", Counters::get(&s.completed).to_json()),
                     ("recoveries", Counters::get(&s.recoveries).to_json()),
                     ("requeues", Counters::get(&s.requeues).to_json()),
-                    ("preemptions", Counters::get(&s.preemptions).to_json()),
                     ("checkpoints", Counters::get(&s.checkpoints).to_json()),
                     (
                         "analysis_hits",
@@ -421,7 +412,6 @@ impl Shared {
                 "checkpoint_interval",
                 self.config.checkpoint_interval.to_json(),
             ),
-            ("cycle_slice", self.config.cycle_slice.to_json()),
             ("checkpoints_taken", checkpoints_total.to_json()),
             (
                 "recoveries",
@@ -526,7 +516,6 @@ impl DetServed {
                 completed: AtomicU64::new(0),
                 recoveries: AtomicU64::new(0),
                 requeues: AtomicU64::new(0),
-                preemptions: AtomicU64::new(0),
                 checkpoints: AtomicU64::new(0),
                 analysis_hits: AtomicU64::new(0),
                 analysis_misses: AtomicU64::new(0),
@@ -1176,10 +1165,10 @@ fn shard_worker(id: usize, shared: &Arc<Shared>) {
         let crash = shared.crash_faults.lock().map(|plan| (plan, job.attempts));
         let opts = ExecOpts {
             checkpoint_every: shared.config.checkpoint_interval,
-            cycle_slice: shared.config.cycle_slice,
             resume_from,
             crash,
             evicted: Some(&slot.evicted),
+            ..ExecOpts::default()
         };
         let exec_start = Instant::now();
         let outcome = engine.execute_resumable(&job.spec, shared.config.job_cycle_budget, opts);
@@ -1253,24 +1242,10 @@ fn shard_worker(id: usize, shared: &Arc<Shared>) {
                     },
                 );
             }
-            ExecOutcome::Preempted {
-                checkpoint,
-                reason: PreemptReason::SliceExhausted,
-            } => {
-                // Not a failure: the job yields the shard and continues
-                // from its checkpoint. No retry budget consumed, no
-                // exclusion, no backoff.
-                Counters::bump(&shared.counters.preemptions);
-                Counters::bump(&slot.preemptions);
-                job.checkpoint = Some(checkpoint);
-                shared.queue.requeue(job);
-            }
-            ExecOutcome::Preempted {
-                checkpoint,
-                reason: PreemptReason::Evicted,
-            } => {
-                // The eviction flag raced clear of the check above (it was
-                // observed inside the run); same path as evicted-after-run.
+            ExecOutcome::Preempted { checkpoint, .. } => {
+                // The server slices no job, so a preemption is an eviction
+                // that raced clear of the check above (it was observed
+                // inside the run); same path as evicted-after-run.
                 job.checkpoint = Some(checkpoint);
                 requeue_with_backoff(shared, job, id, true, seq);
                 break;

@@ -50,9 +50,6 @@ pub struct Counters {
     pub recoveries: AtomicU64,
     /// Cold requeues: the job had no checkpoint and reran from zero.
     pub cold_requeues: AtomicU64,
-    /// Cycle-slice preemptions (job yielded its shard at a checkpoint
-    /// boundary and continued later; not a failure, not a retry).
-    pub preemptions: AtomicU64,
     /// Wire faults injected into data-plane responses by the active
     /// `NetFaultPlan`.
     pub net_faults_injected: AtomicU64,
@@ -106,7 +103,6 @@ impl ToJson for Counters {
                 "cold_requeues",
                 Counters::get(&self.cold_requeues).to_json(),
             ),
-            ("preemptions", Counters::get(&self.preemptions).to_json()),
             (
                 "net_faults_injected",
                 Counters::get(&self.net_faults_injected).to_json(),

@@ -636,11 +636,10 @@ fn stats_snapshot_has_the_advertised_shape() {
     assert!(exec.get("p99_us").and_then(Json::as_u64).unwrap() > 0);
 
     // Recovery/chaos observability: the block and its counters exist, and
-    // per-shard rows carry recovery/requeue/preemption/checkpoint counts.
+    // per-shard rows carry recovery/requeue/checkpoint counts.
     let recovery = stats.get("recovery").expect("recovery block");
     for k in [
         "checkpoint_interval",
-        "cycle_slice",
         "checkpoints_taken",
         "recoveries",
         "cold_requeues",
@@ -656,7 +655,7 @@ fn stats_snapshot_has_the_advertised_shape() {
         recovery.get("net_faults_active").and_then(Json::as_bool),
         Some(false)
     );
-    for k in ["recoveries", "requeues", "preemptions", "checkpoints"] {
+    for k in ["recoveries", "requeues", "checkpoints"] {
         assert!(
             shards
                 .iter()
@@ -673,7 +672,6 @@ fn stats_snapshot_has_the_advertised_shape() {
         "shed_draining",
         "recoveries",
         "cold_requeues",
-        "preemptions",
         "net_faults_injected",
         "crashes_injected",
         "drain_flushed",

@@ -83,11 +83,6 @@ impl AcquisitionLog {
         &self.kept
     }
 
-    /// Forget every record; the limit stays.
-    pub fn clear(&mut self) {
-        *self = AcquisitionLog::new(self.limit);
-    }
-
     /// The first `limit` records, by value.
     pub fn into_kept(self) -> Vec<Acquisition> {
         self.kept

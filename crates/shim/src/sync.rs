@@ -151,11 +151,6 @@ impl RawMutex {
     pub fn unlock(&self) {
         self.locked.store(false, Ordering::Release);
     }
-
-    /// Whether the lock is currently held (diagnostic only).
-    pub fn is_locked(&self) -> bool {
-        self.locked.load(Ordering::Relaxed)
-    }
 }
 
 #[cfg(test)]

@@ -25,9 +25,10 @@
 //! happened first), the *set* of flagged `(word, site, site)` pairs equals
 //! the full set of HB-unordered conflicting pairs, independent of the
 //! jitter seed. Canonical reports are therefore byte-identical across
-//! seeds — the property `tests/runtime_determinism.rs` checks. (The usual
-//! weak-determinism caveat applies: if control flow branches on racy data
-//! the executed sites themselves can differ between schedules.)
+//! seeds — the property the determinism matrix's sanitizer tests check
+//! (`tests/matrix.rs`). (The usual weak-determinism caveat applies: if
+//! control flow branches on racy data the executed sites themselves can
+//! differ between schedules.)
 //!
 //! # Minimal schedule log
 //!

@@ -1,5 +1,5 @@
-//! The timing-independent record of a finished real-thread run, shared by
-//! `runtime_determinism` and `fault_tolerance`.
+//! The timing-independent record of a finished real-thread run, for
+//! `fault_tolerance`'s reproducibility checks.
 //!
 //! The trace hash covers every `(lock, tid, clock)` record; comparing the
 //! records themselves shows *where* two runs split, and every thread's

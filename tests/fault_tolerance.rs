@@ -60,6 +60,7 @@ fn chaos_run(plan: FaultPlan) -> (u64, RunClocks) {
     for h in handles {
         h.join();
     }
+    assert!(rt.trace_len() > 0, "the chaos run recorded no acquisition");
     (rt.trace_hash(), run_clocks(&rt))
 }
 

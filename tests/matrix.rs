@@ -11,8 +11,8 @@
 //!   spec: metrics, the acquisition list, final memory, sanitizer reports,
 //!   cycle-limit cuts and every checkpoint digest agree;
 //! * **seed invariance** — under `Det`, per policy, the acquisition list
-//!   (clocks included) is a function of the program, never of the jitter
-//!   seed;
+//!   (clocks included) and the sanitizer's report are a function of the
+//!   program, never of the jitter seed;
 //! * **resume equals run** — a run interrupted at every checkpoint ends
 //!   where the uninterrupted run ends, on one engine, the threaded engine,
 //!   alternating engines and with the sanitizer on;
@@ -191,37 +191,68 @@ fn report(o: &Outcome) -> SanitizerReport {
 
 /// The sanitizer sees execution through `(function, block, instruction)`
 /// sites, so equal reports show that the threaded engine keeps source
-/// coordinates.
+/// coordinates. Under `Det` the happens-before relation follows the
+/// synchronization order alone, so a report is also the same under every
+/// jitter seed.
 #[test]
 fn sanitizer_reports_identical_across_backends() {
+    let seeds = [1, 31337];
     let cells = grid(splash(), Cell::det)
-        .across([1, 31337], |c, s| c.seed = s)
+        .across(seeds, |c, s| c.seed = s)
         .each(sanitized);
-    for (c, o) in cells.iter().zip(engine_invariant(&cells)) {
-        assert!(o.sanitizer.is_some(), "no report: {c:?}");
+    let outcomes = engine_invariant(&cells);
+    for (cs, os) in cells.chunks(seeds.len()).zip(outcomes.chunks(seeds.len())) {
+        let first = report(&os[0]);
+        for (c, o) in cs.iter().zip(os).skip(1) {
+            let r = report(o);
+            assert_eq!(r.canonical(), first.canonical(), "report varies: {c:?}");
+            assert_eq!(r.minimal_log(), first.minimal_log(), "log varies: {c:?}");
+        }
     }
 }
 
 /// The racy counter's race (the witness `detlint --confirm` prints) is the
-/// same on both engines.
+/// same on both engines and under every seed, and its minimal schedule log
+/// holds one ordering constraint per racy pair and nothing else.
 #[test]
 fn racy_counter_witness_identical_across_backends() {
-    let racy = grid(vec!["racy-counter"], Cell::det).each(sanitized);
-    let races = report(&engine_invariant(&racy)[0]);
+    let racy = grid(vec!["racy-counter"], Cell::det)
+        .each(sanitized)
+        .across([1, 7, 99], |c, s| c.seed = s);
+    let reports: Vec<_> = engine_invariant(&racy).iter().map(|o| report(o)).collect();
+    let races = &reports[0];
     assert!(!races.races.is_empty(), "the racy counter lost its race");
+    assert_eq!(
+        races.minimal_log().matches("constraint ").count(),
+        races.races.len(),
+        "the minimal log is not one constraint per racy pair"
+    );
+    for (c, r) in racy.iter().zip(&reports).skip(1) {
+        assert_eq!(r.canonical(), races.canonical(), "report varies: {c:?}");
+        assert_eq!(r.minimal_log(), races.minimal_log(), "log varies: {c:?}");
+    }
 }
 
-/// The negative control: a lock-order cycle with no race, on both engines.
+/// The negative control: a lock-order cycle with no race, on both engines
+/// and under every seed.
 #[test]
 fn deadlock_control_identical_across_backends() {
     let deadlock = grid(vec!["deadlock-control"], Cell::det)
         .each(sanitized)
-        .each(|c| c.seed = 7);
-    let cycle = report(&engine_invariant(&deadlock)[0]);
+        .across([1, 7, 99], |c, s| c.seed = s);
+    let reports: Vec<_> = engine_invariant(&deadlock)
+        .iter()
+        .map(|o| report(o))
+        .collect();
+    let cycle = &reports[0];
     assert!(
         cycle.races.is_empty() && !cycle.lock_cycles.is_empty(),
         "the deadlock control changed shape: expected no races, one lock cycle"
     );
+    for (c, r) in deadlock.iter().zip(&reports).skip(1) {
+        assert_eq!(r.canonical(), cycle.canonical(), "report varies: {c:?}");
+        assert_eq!(r.minimal_log(), cycle.minimal_log(), "log varies: {c:?}");
+    }
 }
 
 /// A cycle limit stops the run at the same state on both engines: each
