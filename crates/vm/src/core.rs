@@ -7,6 +7,14 @@
 //! policy, cost charging with the positional jitter draw, the sanitizer
 //! hooks. All it asks of an execution backend is
 //! [`ExecBackend::exec_next`].
+//!
+//! A backend that runs ahead — the threaded engine runs an executing tick
+//! inside a dispatch, after its head — moves the thread's clock before the
+//! arbiter may see it. It leaves each such clock in the core's `published`
+//! list with the cycle the per-op schedule shows it at (the tick's issue
+//! cycle + 1), and the core hands it to the scheduler's view before the
+//! first lease at or after that cycle; the arbitrated advance stops there,
+//! as it stops at an issue (DESIGN.md §15, "Event rounds").
 
 use crate::builtins;
 use crate::checkpoint::{Frame, RunState, Status, Thread};
@@ -41,6 +49,12 @@ pub(crate) enum Action {
 /// updates — so that every observable artifact (trace hash, receipt,
 /// metrics, sanitizer report, checkpoint digest) is backend-invariant.
 pub(crate) trait ExecBackend {
+    /// Whether a dispatch may run an executing tick after its head. Such a
+    /// dispatch leaves the head's clock in the thread's view and each later
+    /// tick's clock in [`DetCore::published`]; otherwise the view takes the
+    /// thread's clock when the issue ends.
+    const RUNS_AHEAD: bool;
+
     /// Fetch, apply, and charge the next instruction (or terminator) of
     /// thread `t`. Returns the synchronization action, if any.
     fn exec_next(&self, core: &mut DetCore<'_>, t: usize) -> Action;
@@ -79,8 +93,17 @@ pub(crate) struct DetCore<'m> {
     /// parked) has not yet added to `wait_cycles`.
     since: Vec<u64>,
     /// What the scheduler sees, kept equal to the threads' statuses and
-    /// clocks wherever those change.
-    views: Vec<ThreadView>,
+    /// clocks wherever those change, except for the clocks still in
+    /// `published`.
+    pub(crate) views: Vec<ThreadView>,
+    /// Per thread: the clocks of the ticks a dispatch ran after its head,
+    /// as `(the cycle the view takes it at, clock)` in cycle order. Only a
+    /// `Ready` thread has any: all are due by its next issue, which drops
+    /// them.
+    pub(crate) published: Vec<Vec<(u64, u64)>>,
+    /// A lower bound on the earliest cycle in `published` (`u64::MAX`:
+    /// none), exact after [`DetCore::publish`].
+    pub(crate) next_publication: u64,
     /// Threads in `AcquiringLock`, `AcquiringBarrier` or `ExitWait`.
     arbitrating: usize,
     /// What the round loop has done so far: about the simulator rather
@@ -137,6 +160,12 @@ pub struct RoundProfile {
     /// Dispatches the cycle-limit / snapshot gate cut short: the next
     /// thread-private op would have issued at or after the stop.
     pub gate_cuts: u64,
+    /// Executing ticks the threaded backend ran after a dispatch's head,
+    /// whose clocks reached the arbiter as publications.
+    pub ticks_published: u64,
+    /// Arbitrated advance steps cut short by a publication: the earliest
+    /// came before the next issue, the lease's horizon and the stop.
+    pub publication_stops: u64,
 }
 
 impl RoundProfile {
@@ -239,6 +268,8 @@ impl<'m> DetCore<'m> {
             due,
             since,
             views,
+            published: vec![Vec::new(); n],
+            next_publication: u64::MAX,
             arbitrating,
             profile: RoundProfile::default(),
             scratch_args: Vec::new(),
@@ -283,23 +314,36 @@ impl<'m> DetCore<'m> {
         let mut turn = None;
         if self.arbitrating > 0 {
             // Arbitrated round: advance repeatedly while only the turn
-            // moves on, which changes who bumps.
+            // moves on, which changes who bumps, or a published clock
+            // reaches the views, which may change it.
             let mut lease = None;
             while issue > self.state.cycle {
+                if B::RUNS_AHEAD {
+                    self.publish();
+                }
                 let (horizon, bumper, l) = self.sync_horizon();
                 if horizon == 0 {
                     lease = l;
                     break;
                 }
                 let cycle = self.state.cycle;
-                let k = (issue - cycle).min(horizon).min(self.next_stop - cycle);
+                let mut k = (issue - cycle).min(horizon).min(self.next_stop - cycle);
+                if B::RUNS_AHEAD && self.next_publication - cycle < k {
+                    k = self.next_publication - cycle;
+                    self.profile.publication_stops += 1;
+                }
                 self.advance(k, bumper);
                 if self.state.cycle == self.next_stop {
                     return;
                 }
                 // Bumping short of the horizon keeps the holder's turn;
-                // using all of it may have passed the turn on.
-                lease = if k < horizon { l } else { None };
+                // using all of it may have passed the turn on, and so may
+                // a clock published for this cycle.
+                lease = if k < horizon && self.next_publication > self.state.cycle {
+                    l
+                } else {
+                    None
+                };
             }
             self.profile.event_rounds += 1;
             // Deterministic modes take the round's synchronization decision
@@ -308,7 +352,16 @@ impl<'m> DetCore<'m> {
             // consult it (their grants are first come, first served).
             if det {
                 self.profile.decide_calls += 1;
-                match lease.unwrap_or_else(|| self.cfg.scheduler.lease(&self.views)) {
+                let lease = match lease {
+                    Some(lease) => lease,
+                    None => {
+                        if B::RUNS_AHEAD {
+                            self.publish();
+                        }
+                        self.cfg.scheduler.lease(&self.views)
+                    }
+                };
+                match lease {
                     Lease::Turn { holder, .. } => turn = Some(holder as usize),
                     Lease::Idle => {}
                     Lease::Batch => {
@@ -372,14 +425,44 @@ impl<'m> DetCore<'m> {
         self.state.cycle += 1;
     }
 
+    /// Hand the views every clock published for a cycle up to now, and
+    /// make `next_publication` exact.
+    fn publish(&mut self) {
+        let cycle = self.state.cycle;
+        if self.next_publication > cycle {
+            return;
+        }
+        let mut next = u64::MAX;
+        for (view, published) in self.views.iter_mut().zip(&mut self.published) {
+            let due = published.partition_point(|&(at, _)| at <= cycle);
+            if due > 0 {
+                view.clock = published[due - 1].1;
+                published.drain(..due);
+            }
+            if let Some(&(at, _)) = published.first() {
+                next = next.min(at);
+            }
+        }
+        self.next_publication = next;
+    }
+
     /// Whether the event-form bookkeeping agrees with the thread states it
-    /// summarizes (checked every round in debug builds).
+    /// summarizes (checked every round in debug builds). A thread with
+    /// clocks still to publish shows an older clock; the last one it will
+    /// show is its own.
     fn event_form_is_consistent(&self) -> bool {
         let mut arbitrating = 0;
         for (t, th) in self.state.threads.iter().enumerate() {
+            let shown = match self.published[t].last() {
+                Some(&(_, clock)) if th.status == Status::Ready && clock == th.clock => {
+                    self.views[t].clock
+                }
+                Some(_) => return false,
+                None => th.clock,
+            };
             let view = ThreadView {
                 phase: phase(th.status),
-                clock: th.clock,
+                clock: shown,
             };
             if self.views[t] != view || (th.status == Status::Ready) != (self.due[t] != u64::MAX) {
                 return false;
@@ -526,7 +609,11 @@ impl<'m> DetCore<'m> {
         if self.state.threads[t].status == Status::Ready {
             self.count_down(t, self.state.cycle + 1);
         }
-        self.views[t].clock = self.state.threads[t].clock;
+        // A dispatch that ran ticks ahead has set the view to the head's
+        // clock already; the rest is published.
+        if !B::RUNS_AHEAD || self.published[t].is_empty() {
+            self.views[t].clock = self.state.threads[t].clock;
+        }
     }
 
     /// Thread `t`, ready until now, waits from the next cycle on for its

@@ -14,6 +14,8 @@ use detlock_ir::types::{BlockId, Reg};
 pub(crate) struct InterpBackend;
 
 impl ExecBackend for InterpBackend {
+    const RUNS_AHEAD: bool = false;
+
     #[inline]
     fn exec_next(&self, core: &mut DetCore<'_>, t: usize) -> Action {
         core.interp_exec_next(t)

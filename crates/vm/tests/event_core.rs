@@ -22,7 +22,8 @@
 //!   state at every boundary.
 //! * [`round_profile_counts_add_up`] holds the loop's own work counters to
 //!   the identities between them (rounds, decisions, the threads a round
-//!   touches, the threaded engine's run lengths), and the share of rounds
+//!   touches, the threaded engine's run lengths and published ticks), and
+//!   the share of rounds
 //!   that skip the arbiter to what the shape predicts.
 
 use detlock_ir::builder::FunctionBuilder;
@@ -608,6 +609,15 @@ fn round_profile_counts_add_up() {
                         "{ctx}: {p:?}"
                     );
                 }
+                // Only the threaded engine runs ticks after a dispatch's
+                // head, and only ticks a mode executes are published.
+                let publications = (p.ticks_published, p.publication_stops);
+                if backend == Backend::Interp
+                    || matches!(mode, ExecMode::Baseline | ExecMode::Kendo)
+                {
+                    assert_eq!(publications, (0, 0), "{ctx}");
+                }
+                assert!(p.ticks_published <= metrics.ticks_executed(), "{ctx}");
                 match backend {
                     Backend::Interp => {
                         assert_eq!(issues, metrics.instructions(), "{ctx}");

@@ -526,17 +526,18 @@ fn hammer_schedules_are_pinned() {
 /// the lock hammer, `Det` + Kendo, every optimization, one seed. No outcome
 /// can see fusion lost — every simulated number stays right and only the
 /// wall time moves — so the counts are held exactly. A dispatch runs up to
-/// the next load, store, executing tick, lock, unlock, barrier, builtin or
-/// final `ret`, across branches, calls and returns: radiosity's small
-/// diamonds and calls take half the dispatches that block-local runs did
-/// (226 261 before), while the hammer's ops are mostly observable.
+/// the next load, store, lock, unlock, barrier, builtin or final `ret`,
+/// across branches, calls, returns and executing ticks, whose clocks the
+/// core publishes to the arbiter: radiosity takes 90 362 dispatches (113 487
+/// while a tick headed its own, 226 261 with block-local runs) and the
+/// hammer 2 408 (4 412).
 #[test]
 fn threaded_dispatch_counts_are_pinned() {
     let cost = CostModel::default();
     let radiosity = detlock_workloads::by_name("radiosity", 4, 0.05).expect("known workload");
     for (w, runs) in [
-        (radiosity, [942, 52_788, 38_356, 21_401]),
-        (workload("lockhammer"), [2_804, 804, 404, 400]),
+        (radiosity, [292, 39_211, 18_756, 32_103]),
+        (workload("lockhammer"), [804, 1_200, 0, 404]),
     ] {
         let inst = instrumented(&w, &cost, OptLevel::All, Placement::Start);
         let cfg = machine_config(&w, ExecMode::Det, 1);
