@@ -1168,7 +1168,6 @@ fn shard_worker(id: usize, shared: &Arc<Shared>) {
             resume_from,
             crash,
             evicted: Some(&slot.evicted),
-            ..ExecOpts::default()
         };
         let exec_start = Instant::now();
         let outcome = engine.execute_resumable(&job.spec, shared.config.job_cycle_budget, opts);
@@ -1194,7 +1193,7 @@ fn shard_worker(id: usize, shared: &Arc<Shared>) {
             // starts from our latest checkpoint when we managed to take
             // one, so the eviction costs at most one interval of work.
             job.checkpoint = match outcome {
-                ExecOutcome::Preempted { checkpoint, .. } => Some(checkpoint),
+                ExecOutcome::Preempted { checkpoint } => Some(checkpoint),
                 ExecOutcome::Done {
                     last_checkpoint, ..
                 } => last_checkpoint,
@@ -1242,10 +1241,9 @@ fn shard_worker(id: usize, shared: &Arc<Shared>) {
                     },
                 );
             }
-            ExecOutcome::Preempted { checkpoint, .. } => {
-                // The server slices no job, so a preemption is an eviction
-                // that raced clear of the check above (it was observed
-                // inside the run); same path as evicted-after-run.
+            ExecOutcome::Preempted { checkpoint } => {
+                // An eviction that raced clear of the check above (it was
+                // observed inside the run); same path as evicted-after-run.
                 job.checkpoint = Some(checkpoint);
                 requeue_with_backoff(shared, job, id, true, seq);
                 break;

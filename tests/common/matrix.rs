@@ -14,7 +14,7 @@ use detlock_passes::pipeline::OptLevel;
 use detlock_passes::plan::Placement;
 use detlock_serve::protocol::JobSpec;
 use detlock_serve::receipt::Receipt;
-use detlock_serve::shard::{ExecOpts, ExecOutcome, PreemptReason, ShardEngine};
+use detlock_serve::shard::{ExecOpts, ExecOutcome, ShardEngine};
 use detlock_vm::checkpoint::Checkpoint;
 use detlock_vm::machine::{CkptControl, ExecMode, Machine, RunOutcome, ThreadSpec};
 use detlock_vm::metrics::RunMetrics;
@@ -24,6 +24,7 @@ use detlock_workloads::racy::{self, RacyParams};
 use detlock_workloads::{micro, Workload};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::sync::atomic::AtomicBool;
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// The three arbitration policies.
@@ -376,11 +377,14 @@ fn run_job(engine: &mut ShardEngine, cell: &Cell) -> Outcome {
     let (every, stop) = cell.ckpt.interval();
     let mut resumes = 0;
     let mut resume_from = None;
+    // A chain that stops at every boundary is a job evicted before each
+    // attempt: the attempt stops at its first boundary, one interval on.
+    let evicted = AtomicBool::new(stop);
     loop {
         let opts = ExecOpts {
             checkpoint_every: every,
-            cycle_slice: if stop { every } else { 0 },
             resume_from: resume_from.take(),
+            evicted: Some(&evicted),
             ..ExecOpts::default()
         };
         match engine.execute_resumable(&spec, cell.limit.unwrap_or(u64::MAX), opts) {
@@ -394,11 +398,10 @@ fn run_job(engine: &mut ShardEngine, cell: &Cell) -> Outcome {
                     ..Outcome::default()
                 }
             }
-            ExecOutcome::Preempted {
-                checkpoint,
-                reason: PreemptReason::SliceExhausted,
-            } => (resume_from, resumes) = (Some(checkpoint), resumes + 1),
-            _ => panic!("{cell:?}: the job failed or was evicted"),
+            ExecOutcome::Preempted { checkpoint } => {
+                (resume_from, resumes) = (Some(checkpoint), resumes + 1)
+            }
+            _ => panic!("{cell:?}: the job failed"),
         }
         assert!(resumes < 100_000, "{cell:?}: no end to the chain");
     }
