@@ -1046,3 +1046,133 @@ fn ticks_that_cross_a_bumping_waiter_match_the_interpreter() {
         );
     }
 }
+
+/// `iters` rounds of a tick, then a load, an add and a store of word
+/// `word`, in a block of their own, from the builder's current block.
+fn tick_load_store_loop(fb: &mut FunctionBuilder, word: i64, iters: i64) {
+    let head = fb.create_block("head");
+    let body = fb.create_block("body");
+    let done = fb.create_block("done");
+    let i = fb.iconst(0);
+    let addr = fb.iconst(word);
+    fb.br(head);
+    fb.switch_to(head);
+    let c = fb.cmp(CmpOp::Lt, i, iters);
+    fb.cond_br(c, body, done);
+    fb.switch_to(body);
+    fb.push(Inst::Tick { amount: 1 });
+    let v = fb.load(addr, 0);
+    let v2 = fb.add(v, 1);
+    fb.store(addr, 0, v2);
+    fb.bin_to(BinOp::Add, i, i, 1);
+    fb.br(head);
+    fb.switch_to(done);
+}
+
+/// Every thread takes lock 1 and, holding it, increments word 8 forty
+/// times: while one runs its loads and stores every other thread waits on
+/// the lock it physically holds.
+fn memory_under_a_held_lock() -> (Module, Vec<FuncId>) {
+    let mut m = Module::new();
+    let mut fb = FunctionBuilder::new("holder", 0);
+    fb.block("entry");
+    fb.lock(1i64);
+    tick_load_store_loop(&mut fb, 8, 40);
+    fb.unlock(1i64);
+    fb.ret_void();
+    let holder = fb.finish_into(&mut m);
+    (m, vec![holder; 3])
+}
+
+/// A racy word: `looper` increments word 8 sixty times without a lock;
+/// `writer` computes (and, where ticks run, moves its clock to 20), then
+/// asks for lock 2, which nobody ever holds, and stores 1000 to word 8.
+/// The writer waits on a free lock while the looper runs; its grant comes
+/// in the middle of the looper's loop, so where its store lands among the
+/// looper's is the final value of the word.
+fn racy_word_and_a_free_lock() -> (Module, Vec<FuncId>) {
+    let mut m = Module::new();
+    let mut fb = FunctionBuilder::new("looper", 0);
+    fb.block("entry");
+    tick_load_store_loop(&mut fb, 8, 60);
+    fb.ret_void();
+    let looper = fb.finish_into(&mut m);
+    let mut fb = FunctionBuilder::new("writer", 0);
+    fb.block("entry");
+    fb.push(Inst::Tick { amount: 20 });
+    fb.compute(12);
+    fb.lock(2i64);
+    let addr = fb.iconst(8);
+    fb.store(addr, 0, 1000i64);
+    fb.unlock(2i64);
+    fb.ret_void();
+    let writer = fb.finish_into(&mut m);
+    (m, vec![looper, writer])
+}
+
+/// The threaded engine against the interpreter where some threads are
+/// blocked while another runs loads and stores: everything a run produces
+/// (cycles, per-thread metrics, trace hash, final memory, the sanitizer's
+/// report) agrees, over three seeds, in `Baseline`, `Det` + Kendo and
+/// `Det` + a chunk policy whose store interrupts move the clock inside
+/// the loops. In the first program every other thread waits on a lock the
+/// runner holds; in the second a waiter on a free lock is granted in the
+/// middle of the runner's loop and writes the word it loops over, so a
+/// load or store run ahead of that grant moves the final memory.
+#[test]
+fn loads_and_stores_beside_blocked_threads_match_the_interpreter() {
+    let cost = CostModel::default();
+    let chunk = ChunkParams {
+        chunk_size: 4,
+        interrupt_cost: 7,
+    };
+    for (name, (m, funcs)) in [
+        ("held lock", memory_under_a_held_lock()),
+        ("free lock", racy_word_and_a_free_lock()),
+    ] {
+        let threads: Vec<ThreadSpec> = funcs
+            .into_iter()
+            .map(|func| ThreadSpec { func, args: vec![] })
+            .collect();
+        for (mode, scheduler) in [
+            (ExecMode::Baseline, Sched::Kendo),
+            (ExecMode::Det, Sched::Kendo),
+            (ExecMode::Det, Sched::Chunk(chunk)),
+        ] {
+            for seed in [1, 2, 3] {
+                let ctx = format!("{name} / {mode:?} / {scheduler} / seed {seed}");
+                let run = |backend| {
+                    let config = MachineConfig {
+                        backend,
+                        scheduler,
+                        sanitize: true,
+                        jitter: Jitter::default().with_seed(seed),
+                        mem_words: 64,
+                        ..cfg(mode)
+                    };
+                    let (metrics, memory, hit, report) =
+                        Machine::new(&m, &cost, &threads, config).run_sanitized();
+                    assert!(!hit, "{ctx}: {backend:?}");
+                    (metrics, memory, report.expect("sanitized"))
+                };
+                let (threaded, threaded_mem, threaded_report) = run(Backend::Threaded);
+                let (interp, interp_mem, interp_report) = run(Backend::Interp);
+                assert_eq!(threaded.cycles, interp.cycles, "{ctx}");
+                assert_eq!(threaded.lock_order_hash, interp.lock_order_hash, "{ctx}");
+                assert_eq!(threaded.per_thread, interp.per_thread, "{ctx}");
+                assert_eq!(threaded_mem, interp_mem, "{ctx}");
+                assert_eq!(threaded_report, interp_report, "{ctx}");
+                assert_eq!(threaded, interp, "{ctx}");
+                let word = interp_mem[8];
+                if name == "held lock" {
+                    assert_eq!(word, 120, "{ctx}");
+                } else {
+                    // The writer's store landed inside the loop: neither
+                    // before the looper's first load nor after its last store.
+                    assert!(word != 1000 && word != 1060, "{ctx}: word 8 reads {word}");
+                    assert!(!interp_report.races.is_empty(), "{ctx}");
+                }
+            }
+        }
+    }
+}
