@@ -376,11 +376,13 @@ fn main() {
         if profile.fused_runs.iter().any(|&n| n > 0) {
             println!(
                 "         dispatches by ops run: {}; {} runs cut short by the limit/snapshot gate; \
-                 {} ticks published, {} advance steps cut short by a publication",
+                 {} ticks published, {} advance steps cut short by a publication; \
+                 {} loads and stores run after a head",
                 counts(&RoundProfile::RUN_LENGTHS, &profile.fused_runs),
                 profile.gate_cuts,
                 profile.ticks_published,
-                profile.publication_stops
+                profile.publication_stops,
+                profile.memops_run_ahead
             );
         }
     }

@@ -192,30 +192,3 @@ fn placement_changes_timing_not_clock_totals() {
         );
     }
 }
-
-#[test]
-fn det_mode_final_memory_is_seed_invariant() {
-    // Weak determinism's payoff: identical program *state* across timing
-    // perturbations, not just identical lock orders.
-    let cost = CostModel::default();
-    for w in all_benchmarks(4, 0.03) {
-        let inst = instrument(
-            &w.module,
-            &cost,
-            &OptConfig::all(),
-            Placement::Start,
-            &w.entries,
-        );
-        let mem_of = |seed: u64| {
-            let mut c = cfg(&w, ExecMode::Det);
-            c.jitter = c.jitter.with_seed(seed);
-            let (_, mem, hit) =
-                detlock_vm::Machine::new(&inst.module, &cost, &specs(&w), c).run_with_memory();
-            assert!(!hit, "{}", w.name);
-            mem
-        };
-        let a = mem_of(1);
-        let b = mem_of(31337);
-        assert_eq!(a, b, "{}: deterministic final memory diverged", w.name);
-    }
-}
