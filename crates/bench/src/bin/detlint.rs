@@ -5,8 +5,7 @@
 //! ```text
 //! cargo run -p detlock-bench --release --bin detlint -- \
 //!     [--threads N] [--scale F] [--only NAME] [--racy] [--confirm] \
-//!     [--sanitize] [--sanitize-log FILE] [--deny-warnings] [--json] \
-//!     [--out FILE]
+//!     [--sanitize] [--deny-warnings] [--json] [--out FILE]
 //! ```
 //!
 //! Exit status is 1 when any error-severity finding exists, or any warning
@@ -16,15 +15,14 @@
 //! over the seed sweep: every static `race`/`may-race` finding gets a
 //! triage verdict (`confirmed` / `unobserved` / `refuted-by-HB`), dynamic
 //! races and deadlock-prone lock cycles the static pass missed become
-//! `detsan/*` findings, and `--sanitize-log FILE` writes the minimal
-//! schedule log. `--confirm` attaches the sanitizer's happens-before
+//! `detsan/*` findings. `--confirm` attaches the sanitizer's happens-before
 //! witness to each race-flagged workload (sweeping the sanitizer over that
 //! workload itself when `--sanitize` was not given). `--out FILE` writes
 //! the JSON report regardless of `--json`.
 
 use detlock_analyze::triage::{dynamic_findings, triage, TriageReport};
 use detlock_analyze::{Report, Severity};
-use detlock_bench::{lint_workload, operand, sanitize_workload_sweep, CliOptions};
+use detlock_bench::{lint_workload, sanitize_workload_sweep, CliOptions};
 use detlock_passes::cost::CostModel;
 use detlock_passes::plan::Placement;
 use detlock_shim::json::{Json, ToJson};
@@ -36,21 +34,16 @@ struct LintFlags {
     racy: bool,
     confirm: bool,
     sanitize: bool,
-    sanitize_log: Option<String>,
     deny_warnings: bool,
 }
 
 fn main() {
     let mut flags = LintFlags::default();
-    let opts = CliOptions::parse_with(|flag, args, i| {
+    let opts = CliOptions::parse_with(|flag, _, _| {
         match flag {
             "--racy" => flags.racy = true,
             "--confirm" => flags.confirm = true,
             "--sanitize" => flags.sanitize = true,
-            "--sanitize-log" => {
-                flags.sanitize_log = Some(operand(args, i).to_string());
-                flags.sanitize = true;
-            }
             "--deny-warnings" => flags.deny_warnings = true,
             _ => return false,
         }
@@ -77,7 +70,6 @@ fn main() {
     let mut out_workloads: Vec<Json> = Vec::new();
     let mut errors = 0usize;
     let mut warnings = 0usize;
-    let mut minimal_logs = String::new();
 
     for w in &workloads {
         let mut report = lint_workload(w, &cost, Placement::Start);
@@ -92,10 +84,6 @@ fn main() {
         });
         if let Some((dyn_report, _)) = &sanitized {
             report.extend(dynamic_findings(dyn_report));
-            if flags.sanitize_log.is_some() {
-                minimal_logs.push_str(&format!("# workload: {}\n", w.name));
-                minimal_logs.push_str(&dyn_report.minimal_log());
-            }
         }
         errors += report.count(Severity::Error);
         warnings += report.count(Severity::Warning);
@@ -132,10 +120,6 @@ fn main() {
             fields.push(("triage", tri.to_json()));
         }
         out_workloads.push(Json::obj(fields));
-    }
-
-    if let Some(path) = &flags.sanitize_log {
-        std::fs::write(path, &minimal_logs).expect("write --sanitize-log file");
     }
 
     let json = Json::obj([

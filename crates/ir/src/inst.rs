@@ -16,7 +16,7 @@ use crate::types::{BarrierId, BlockId, FuncId, Reg};
 use std::fmt;
 
 /// A right-hand-side operand: either a register or an immediate.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum Operand {
     /// Read the value of a register.
     Reg(Reg),
@@ -264,7 +264,7 @@ impl Builtin {
 
 /// A non-terminator instruction.
 #[allow(missing_docs)] // field names (dst/src/lhs/rhs/addr/...) are idiomatic
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub enum Inst {
     /// `dst = imm`
     Const { dst: Reg, value: i64 },
@@ -459,7 +459,7 @@ impl fmt::Display for Inst {
 
 /// A block terminator.
 #[allow(missing_docs)] // field names are idiomatic
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub enum Terminator {
     /// Unconditional branch.
     Br { target: BlockId },

@@ -18,6 +18,7 @@ use detlock_shim::acq::AcquisitionLog;
 use detlock_shim::hash::Fnv64;
 use detlock_shim::rng::SmallRng;
 use std::collections::BTreeMap;
+use std::hash::{DefaultHasher, Hash, Hasher};
 
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum Status {
@@ -335,10 +336,12 @@ impl Checkpoint {
 /// Structural fingerprint binding a checkpoint to what it may resume on:
 /// execution mode, scheduling policy and jitter model with their
 /// parameters, memory geometry, cost-relevant config, the [`CostModel`]
-/// the machine charges instructions by, thread count and the module's
-/// shape — all of which two shards that compiled the same plan-cache entry
-/// agree on. Free: the backend (see [`Checkpoint`]) and the cycle limit.
-/// Every field is named, so a new one fails to compile until classified.
+/// the machine charges instructions by, thread count and the module's code
+/// (every instruction and terminator with its operands and tick amounts;
+/// not names) — all of which two shards that compiled the same plan-cache
+/// entry agree on. Free: the backend (see [`Checkpoint`]) and the cycle
+/// limit. Every field is named, so a new one fails to compile until
+/// classified.
 pub(crate) fn config_fingerprint(
     cfg: &MachineConfig,
     cost: &CostModel,
@@ -377,12 +380,16 @@ pub(crate) fn config_fingerprint(
     h.write_u64(n_threads as u64);
     h.write_u64(*sanitize as u64);
     h.write_u64(module.functions.len() as u64);
+    let mut code = DefaultHasher::new();
     for f in &module.functions {
-        h.write_u64(f.blocks.len() as u64);
-        h.write_u64(f.num_regs as u64);
-        let insts: usize = f.blocks.iter().map(|b| b.insts.len()).sum();
-        h.write_u64(insts as u64);
+        code.write_u32(f.num_regs);
+        code.write_usize(f.blocks.len());
+        for b in &f.blocks {
+            b.insts.hash(&mut code);
+            b.term.hash(&mut code);
+        }
     }
+    h.write_u64(code.finish());
     h.finish()
 }
 

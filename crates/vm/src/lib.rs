@@ -19,16 +19,14 @@
 //! [`Sched::Kendo`] (min-clock reference), [`Sched::Chunk`] (chunked
 //! store-counter clocks), or [`Sched::DcBatch`] (deterministic-consistency
 //! batch commits) — selected per [`MachineConfig`] (`--scheduler` on the
-//! CLI tools).
-//!
-//! [`determinism::check_determinism`] verifies the weak-determinism
-//! guarantee empirically by rerunning a workload across jitter seeds and
-//! comparing lock-acquisition-order fingerprints.
+//! CLI tools). The workspace's determinism matrix (`tests/matrix.rs`)
+//! judges that every deterministic mode orders locks the same under every
+//! jitter seed, and that the two FCFS modes do not.
 //!
 //! [`sanitizer`] is `detsan`: a FastTrack-style happens-before sanitizer
 //! the machine drives on every memory and synchronization operation when
-//! [`MachineConfig::sanitize`] is set, reporting precise races, deadlock-
-//! prone lock-order cycles, and the minimal schedule log.
+//! [`MachineConfig::sanitize`] is set, reporting precise races and
+//! deadlock-prone lock-order cycles.
 
 #![warn(missing_docs)]
 
@@ -36,7 +34,6 @@ pub mod backend;
 pub mod builtins;
 pub mod checkpoint;
 mod core;
-pub mod determinism;
 mod interp;
 pub mod lower;
 pub mod machine;
@@ -45,7 +42,6 @@ pub mod sanitizer;
 pub mod sched;
 
 pub use backend::Backend;
-pub use determinism::{check_determinism, DeterminismReport, Divergence};
 pub use lower::ThreadedProgram;
 pub use machine::{
     run, Checkpoint, CkptControl, ExecMode, Jitter, Machine, MachineConfig, ResumeError,

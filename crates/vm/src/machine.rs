@@ -63,6 +63,7 @@ use crate::sched::Sched;
 use detlock_ir::module::Module;
 use detlock_ir::types::FuncId;
 use detlock_passes::cost::CostModel;
+use std::cell::OnceCell;
 
 pub use crate::checkpoint::{Checkpoint, ResumeError};
 pub use crate::core::RoundProfile;
@@ -227,7 +228,9 @@ pub struct Machine<'m> {
     exec: ExecImpl,
     /// [`config_fingerprint`] of the config, the cost model, the module and
     /// the thread count: stamped on every checkpoint the machine emits.
-    fingerprint: u64,
+    /// Hashing the module's code costs about 40 ns an instruction, so a
+    /// fresh machine pays it at its first snapshot, never if it takes none.
+    fingerprint: OnceCell<u64>,
 }
 
 fn make_exec(module: &Module, cost: &CostModel, backend: Backend) -> ExecImpl {
@@ -248,16 +251,15 @@ impl<'m> Machine<'m> {
         cfg: MachineConfig,
     ) -> Machine<'m> {
         // A fresh machine is a machine resumed from its cycle-0 state.
-        let fingerprint = config_fingerprint(&cfg, cost, module, threads.len());
         let state = RunState::new(module, threads, &cfg);
-        Machine::from_state(module, cost, cfg, fingerprint, state)
+        Machine::from_state(module, cost, cfg, OnceCell::new(), state)
     }
 
     fn from_state(
         module: &'m Module,
         cost: &'m CostModel,
         cfg: MachineConfig,
-        fingerprint: u64,
+        fingerprint: OnceCell<u64>,
         state: RunState,
     ) -> Machine<'m> {
         Machine {
@@ -357,7 +359,10 @@ impl<'m> Machine<'m> {
     /// Take a [`Checkpoint`] of the current state (a pure read).
     pub fn snapshot(&self) -> Checkpoint {
         Checkpoint {
-            fingerprint: self.fingerprint,
+            fingerprint: *self.fingerprint.get_or_init(|| {
+                let core = &self.core;
+                config_fingerprint(&core.cfg, core.cost, core.module, core.state.threads.len())
+            }),
             sched: self.core.cfg.scheduler,
             state: self.core.run_state(),
         }
@@ -368,9 +373,7 @@ impl<'m> Machine<'m> {
     /// checkpoint was taken under — the scheduling policy and the
     /// structural fingerprint are checked and a mismatch is refused with a
     /// typed [`ResumeError`] rather than allowed to silently diverge (the
-    /// [`Backend`] is the one config knob allowed to differ). The caller
-    /// is responsible for passing the *same* compiled module
-    /// (byte-identical compiles, e.g. from a shared plan cache, qualify).
+    /// [`Backend`] is the one config knob allowed to differ).
     pub fn resume(
         module: &'m Module,
         cost: &'m CostModel,
@@ -391,7 +394,7 @@ impl<'m> Machine<'m> {
             });
         }
         let state = ckpt.state.clone();
-        Ok(Machine::from_state(module, cost, cfg, fp, state))
+        Ok(Machine::from_state(module, cost, cfg, fp.into(), state))
     }
 }
 

@@ -29,19 +29,6 @@
 //! (`tests/matrix.rs`). (The usual weak-determinism caveat applies: if
 //! control flow branches on racy data the executed sites themselves can
 //! differ between schedules.)
-//!
-//! # Minimal schedule log
-//!
-//! Following "Efficient Deterministic Replay Using Complete Race
-//! Detection" (Guo et al., PAPERS.md), a complete race detector is exactly
-//! the machinery that shrinks a replay log: every release→acquire edge is
-//! already reproduced by the deterministic arbiter, so only the ordering
-//! of *racy* access pairs needs pinning. [`SanitizerReport::minimal_log`]
-//! emits one constraint per unordered pair, direction-normalized to the
-//! canonical (sorted) order — a normalization that pins a canonical
-//! deterministic schedule rather than a recording of the observed run.
-//! For a race-free program the log is empty, which is the whole point:
-//! this artifact is the foundation ROADMAP item 3's `detdebug` replays.
 
 use detlock_ir::module::Module;
 use detlock_shim::hash::Fnv64;
@@ -624,8 +611,7 @@ pub struct SanitizerReport {
     pub lock_cycles: Vec<LockCycle>,
     /// Per-site observation stats (sorted), for triage.
     pub sites: Vec<SiteStat>,
-    /// Total lock acquisitions observed (the full replay log's length —
-    /// what the minimal log compresses away).
+    /// Total lock acquisitions observed.
     pub acquires: u64,
     /// Total lock releases observed.
     pub releases: u64,
@@ -715,37 +701,6 @@ impl SanitizerReport {
         }
         out
     }
-
-    /// The compressed minimal schedule log (`detsan.log`): one ordering
-    /// constraint per racy access pair, direction-normalized to canonical
-    /// order. Everything else is reproduced by the deterministic arbiter,
-    /// so a replayer needs only these lines (empty for race-free runs).
-    pub fn minimal_log(&self) -> String {
-        let mut out = String::new();
-        out.push_str("# detsan minimal schedule log v1\n");
-        out.push_str(&format!(
-            "# constraints={} (full sync log would hold {} acquire entries)\n",
-            self.races.len(),
-            self.acquires
-        ));
-        for r in &self.races {
-            out.push_str(&format!(
-                "constraint word={} first=t{}@{}/bb{}#{}:{} second=t{}@{}/bb{}#{}:{}\n",
-                r.word,
-                r.a.tid,
-                r.a.func,
-                r.a.block,
-                r.a.inst,
-                if r.a.write { "W" } else { "R" },
-                r.b.tid,
-                r.b.func,
-                r.b.block,
-                r.b.inst,
-                if r.b.write { "W" } else { "R" },
-            ));
-        }
-        out
-    }
 }
 
 impl ToJson for SanitizerReport {
@@ -763,7 +718,6 @@ impl ToJson for SanitizerReport {
             ("acquires", Json::Int(self.acquires as i64)),
             ("releases", Json::Int(self.releases as i64)),
             ("barrier_releases", Json::Int(self.barrier_releases as i64)),
-            ("minimal_log", Json::Str(self.minimal_log())),
         ])
     }
 }

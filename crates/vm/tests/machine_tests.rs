@@ -6,7 +6,6 @@ use detlock_ir::inst::{BinOp, CmpOp, Inst, Operand};
 use detlock_ir::types::{BarrierId, FuncId};
 use detlock_ir::Module;
 use detlock_passes::cost::CostModel;
-use detlock_vm::determinism::check_determinism;
 use detlock_vm::machine::{
     run, Checkpoint, CkptControl, ExecMode, Jitter, Machine, MachineConfig, RunOutcome, ThreadSpec,
 };
@@ -141,47 +140,6 @@ fn locks_are_mutually_exclusive_and_all_acquires_counted() {
     assert_eq!(metrics.lock_order.len(), 200);
 }
 
-#[test]
-fn baseline_lock_order_varies_with_seed() {
-    let (m, f) = counter_program(60, 3);
-    let cost = CostModel::default();
-    let report = check_determinism(
-        &m,
-        &cost,
-        &counter_threads(f, 4, 60),
-        &cfg(ExecMode::Baseline),
-        &[1, 2, 3, 4, 5],
-    );
-    assert!(!report.any_hit_limit);
-    assert!(
-        !report.deterministic,
-        "baseline should be timing-dependent: {:?}",
-        report.hashes
-    );
-    // A violated probe pinpoints the first diverging acquisition so the
-    // operator can see *where* the orders split, not just that they did.
-    let d = report.divergence.expect("divergence located");
-    assert_eq!(d.seed_a, 1);
-    assert!(d.a.is_some() || d.b.is_some());
-    assert_ne!(d.a, d.b);
-}
-
-#[test]
-fn clocks_only_mode_is_still_nondeterministic() {
-    // Without instrumentation in the module, ClocksOnly == Baseline; the
-    // point is that the lock discipline (FCFS) remains timing-dependent.
-    let (m, f) = counter_program(60, 3);
-    let cost = CostModel::default();
-    let report = check_determinism(
-        &m,
-        &cost,
-        &counter_threads(f, 4, 60),
-        &cfg(ExecMode::ClocksOnly),
-        &[7, 8, 9, 10],
-    );
-    assert!(!report.deterministic);
-}
-
 /// Instrument the counter program so Det mode has clocks to arbitrate on.
 fn instrumented_counter(compute: usize) -> (Module, FuncId) {
     let (m, f) = counter_program(0, compute);
@@ -194,114 +152,6 @@ fn instrumented_counter(compute: usize) -> (Module, FuncId) {
         &[f],
     );
     (out.module, f)
-}
-
-#[test]
-fn det_mode_is_deterministic_across_seeds() {
-    let (m, f) = instrumented_counter(8);
-    let cost = CostModel::default();
-    let report = check_determinism(
-        &m,
-        &cost,
-        &counter_threads(f, 4, 40),
-        &cfg(ExecMode::Det),
-        &[1, 2, 3, 4, 5, 99, 12345],
-    );
-    assert!(!report.any_hit_limit, "deadlock or runaway");
-    assert!(
-        report.deterministic,
-        "det mode must be seed-invariant: {:?}",
-        report.hashes
-    );
-    assert_eq!(report.first.lock_acquires(), 160);
-}
-
-#[test]
-fn det_mode_differs_from_unbalanced_compute_still_deterministic() {
-    // Unequal per-thread work: thread 0 computes more between locks. The
-    // order is no longer round-robin but must still be seed-invariant.
-    let mut m = Module::new();
-    let mut fb = FunctionBuilder::new("worker", 2); // (extra, iters)
-    fb.block("entry");
-    let head = fb.create_block("head");
-    let body = fb.create_block("body");
-    let heavy = fb.create_block("heavy");
-    let light = fb.create_block("light");
-    let lock_bb = fb.create_block("lock");
-    let done = fb.create_block("done");
-    let extra = fb.param(0);
-    let iters = fb.param(1);
-    let i = fb.iconst(0);
-    fb.br(head);
-    fb.switch_to(head);
-    let c = fb.cmp(CmpOp::Lt, i, iters);
-    fb.cond_br(c, body, done);
-    fb.switch_to(body);
-    let is_heavy = fb.cmp(CmpOp::Gt, extra, 0);
-    fb.cond_br(is_heavy, heavy, light);
-    fb.switch_to(heavy);
-    fb.compute(30);
-    fb.br(lock_bb);
-    fb.switch_to(light);
-    fb.compute(4);
-    fb.br(lock_bb);
-    fb.switch_to(lock_bb);
-    fb.lock(7i64);
-    let a = fb.iconst(50);
-    let v = fb.load(a, 0);
-    let v2 = fb.add(v, 1);
-    fb.store(a, 0, v2);
-    fb.unlock(7i64);
-    fb.bin_to(BinOp::Add, i, i, 1);
-    fb.br(head);
-    fb.switch_to(done);
-    fb.ret_void();
-    let f = fb.finish_into(&mut m);
-
-    let cost = CostModel::default();
-    let out = detlock_passes::pipeline::instrument(
-        &m,
-        &cost,
-        &detlock_passes::pipeline::OptConfig::none(),
-        detlock_passes::plan::Placement::Start,
-        &[f],
-    );
-    let threads: Vec<ThreadSpec> = (0..4)
-        .map(|t| ThreadSpec {
-            func: f,
-            args: vec![(t == 0) as i64, 30],
-        })
-        .collect();
-    let report = check_determinism(
-        &out.module,
-        &cost,
-        &threads,
-        &cfg(ExecMode::Det),
-        &[3, 1416, 55],
-    );
-    assert!(!report.any_hit_limit);
-    assert!(report.deterministic, "{:?}", report.hashes);
-}
-
-#[test]
-fn kendo_mode_is_deterministic_across_seeds() {
-    // Kendo runs the *uninstrumented* module (clocks from stores). The
-    // counter program stores once per iteration inside the lock plus the
-    // compute filler; give it store traffic via memset.
-    let (m, f) = counter_program(0, 6);
-    let cost = CostModel::default();
-    let report = check_determinism(
-        &m,
-        &cost,
-        &counter_threads(f, 4, 40),
-        &kendo_cfg(ChunkParams {
-            chunk_size: 8,
-            interrupt_cost: 30,
-        }),
-        &[1, 2, 3, 42],
-    );
-    assert!(!report.any_hit_limit);
-    assert!(report.deterministic, "{:?}", report.hashes);
 }
 
 #[test]

@@ -1,17 +1,20 @@
 //! End-to-end pipeline on the Radiosity workload: generate the IR, run the
 //! DetLock pass at each optimization level, execute on the simulated
 //! quad-core, and print the overhead/diagnostics the paper reports for its
-//! hardest benchmark — including the run-to-run determinism check.
+//! hardest benchmark — including the run-to-run determinism check, which
+//! exits 1 if it fails.
 //!
 //! ```text
 //! cargo run --release --example radiosity_sim [scale]
 //! ```
 
+use detlock_ir::Module;
 use detlock_passes::cost::CostModel;
 use detlock_passes::pipeline::{instrument, OptConfig, OptLevel};
 use detlock_passes::plan::Placement;
-use detlock_vm::determinism::check_determinism;
+use detlock_shim::acq::first_divergence;
 use detlock_vm::machine::{run, ExecMode, Jitter, MachineConfig, ThreadSpec};
+use detlock_vm::RunMetrics;
 use detlock_workloads::radiosity::{build, RadiosityParams};
 
 fn main() {
@@ -81,30 +84,40 @@ fn main() {
         Placement::Start,
         &w.entries,
     );
-    let report = check_determinism(
-        &inst.module,
-        &cost,
-        &specs,
-        &cfg(ExecMode::Det),
-        &[1, 7, 42, 1234],
-    );
-    println!(
-        "\ndeterminism across 4 timing seeds: {} (order hash {:#018x})",
-        if report.deterministic { "PASS" } else { "FAIL" },
-        report.hashes[0]
-    );
-    let base_report = check_determinism(
-        &w.module,
-        &cost,
-        &specs,
-        &cfg(ExecMode::Baseline),
-        &[1, 7, 42, 1234],
-    );
+    let seeds = [1, 7, 42, 1234];
+    let orders = |module: &Module, mode| {
+        seeds.map(|seed| {
+            let mut cfg = cfg(mode);
+            cfg.jitter = cfg.jitter.with_seed(seed);
+            let (m, hit) = run(module, &cost, &specs, cfg);
+            assert!(!hit);
+            m
+        })
+    };
+    // The first acquisition at which a seed's run departs from the first
+    // seed's, if any: past the recorded prefix when only the hashes differ.
+    let divergence = |runs: &[RunMetrics]| {
+        runs[1..].iter().find_map(|m| {
+            let differs = m.lock_order_hash != runs[0].lock_order_hash;
+            first_divergence(&runs[0].lock_order, &m.lock_order)
+                .or(differs.then_some(m.lock_order.len()))
+        })
+    };
+    let det = orders(&inst.module, ExecMode::Det);
+    let split = divergence(&det);
+    match split {
+        None => println!(
+            "\ndeterminism across 4 timing seeds: PASS (order hash {:#018x})",
+            det[0].lock_order_hash
+        ),
+        Some(i) => println!("\ndeterminism across 4 timing seeds: FAIL at acquisition {i}"),
+    }
+    let base = orders(&w.module, ExecMode::Baseline);
     println!(
         "baseline (nondeterministic) orders across the same seeds differ: {}",
-        !base_report.deterministic
+        divergence(&base).is_some()
     );
-    if !report.deterministic {
+    if split.is_some() {
         std::process::exit(1);
     }
 }

@@ -224,7 +224,7 @@ pub fn assert_same(a: (&Cell, &Outcome), b: (&Cell, &Outcome)) {
     let ((ca, a), (cb, b)) = (a, b);
     let hash = |o: &Outcome| o.metrics.as_ref().map(|m| m.lock_order_hash);
     // The serialized forms the tools print, not only the structure.
-    let text = |o: &Outcome| (o.sanitizer.as_ref()).map(|r| (r.canonical(), r.minimal_log()));
+    let text = |o: &Outcome| o.sanitizer.as_ref().map(SanitizerReport::canonical);
     let receipt = |o: &Outcome| o.receipt.as_ref().map(Receipt::canonical);
     let fields = [
         ("cycle-limit flag", a.hit_limit == b.hit_limit),
@@ -232,7 +232,7 @@ pub fn assert_same(a: (&Cell, &Outcome), b: (&Cell, &Outcome)) {
         ("run metrics", a.metrics == b.metrics),
         ("final memory", a.memory == b.memory),
         ("sanitizer report", a.sanitizer == b.sanitizer),
-        ("canonical report or minimal log", text(a) == text(b)),
+        ("canonical report", text(a) == text(b)),
         ("receipt", receipt(a) == receipt(b)),
     ];
     if let Some((what, _)) = fields.iter().find(|(_, same)| !same) {

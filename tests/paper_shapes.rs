@@ -5,13 +5,10 @@
 //! They are claims about the paper's reference arbitration, Kendo
 //! min-clock turns, which is the policy `MachineConfig::default()` holds.
 
-use detlock_bench::{
-    instrumented, machine_config, run_baseline, run_benchmark, run_kendo, run_level, thread_specs,
-};
+use detlock_bench::{run_baseline, run_benchmark, run_kendo, run_level};
 use detlock_passes::cost::CostModel;
 use detlock_passes::pipeline::OptLevel;
 use detlock_passes::plan::Placement;
-use detlock_vm::machine::ExecMode;
 use detlock_workloads::by_name;
 
 const SCALE: f64 = 0.1;
@@ -166,42 +163,6 @@ fn locks_per_sec_spread_matches_paper_ordering() {
     assert!(volrend > raytrace, "{volrend} vs {raytrace}");
     assert!(raytrace > water, "{raytrace} vs {water}");
     assert!(water > ocean * 3.0, "{water} vs {ocean}");
-}
-
-#[test]
-fn kendo_mode_also_deterministic_on_workloads() {
-    // Table II's comparison is only fair if the simulated Kendo is itself
-    // deterministic.
-    let cost = CostModel::default();
-    let w = by_name("radiosity", 4, 0.05).unwrap();
-    let specs = thread_specs(&w);
-    let mut cfg = machine_config(&w, ExecMode::Kendo, 0);
-    cfg.scheduler = detlock_vm::Sched::Chunk(Default::default());
-    let report =
-        detlock_vm::determinism::check_determinism(&w.module, &cost, &specs, &cfg, &[1, 5, 23]);
-    assert!(!report.any_hit_limit);
-    assert!(report.deterministic, "{:x?}", report.hashes);
-}
-
-#[test]
-fn clocks_only_never_deterministic_claim_is_not_made() {
-    // Sanity that instrumentation alone does NOT give determinism — the
-    // runtime arbitration is load-bearing.
-    let cost = CostModel::default();
-    let w = by_name("radiosity", 4, 0.05).unwrap();
-    let inst = instrumented(&w, &cost, OptLevel::All, Placement::Start);
-    let specs = thread_specs(&w);
-    let report = detlock_vm::determinism::check_determinism(
-        &inst.module,
-        &cost,
-        &specs,
-        &machine_config(&w, ExecMode::ClocksOnly, 0),
-        &[1, 5, 23, 99],
-    );
-    assert!(
-        !report.deterministic,
-        "clocks-only mode should remain timing-dependent"
-    );
 }
 
 #[test]

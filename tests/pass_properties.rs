@@ -24,8 +24,8 @@ use detlock_passes::pipeline::{instrument, Instrumented, OptConfig, OptLevel};
 use detlock_passes::plan::{
     base_plan, block_clock_amount, block_clock_amounts, split_module, FuncPlan, Placement,
 };
+use detlock_shim::acq::first_divergence;
 use detlock_shim::rng::SmallRng;
-use detlock_vm::determinism::check_determinism;
 use detlock_vm::machine::{run, ExecMode, Jitter, MachineConfig, ThreadSpec};
 use detlock_workloads::micro::{random_module, MicroParams};
 
@@ -894,13 +894,23 @@ fn random_contended_programs_are_deterministic() {
             max_cycles: 500_000_000,
             ..MachineConfig::default()
         };
-        let report = check_determinism(&out.module, &cost, &threads, &cfg, &[1, 99, 4242]);
-        assert!(!report.any_hit_limit, "seed {seed}");
-        assert!(
-            report.deterministic,
-            "seed {seed}: hashes: {:x?}",
-            report.hashes
-        );
+        let runs = [1, 99, 4242].map(|jitter| {
+            let cfg = MachineConfig {
+                jitter: cfg.jitter.with_seed(jitter),
+                ..cfg.clone()
+            };
+            let (m, hit) = run(&out.module, &cost, &threads, cfg);
+            assert!(!hit, "seed {seed}, jitter {jitter}");
+            m
+        });
+        for m in &runs[1..] {
+            assert_eq!(
+                first_divergence(&runs[0].lock_order, &m.lock_order),
+                None,
+                "seed {seed}"
+            );
+            assert_eq!(runs[0].lock_order_hash, m.lock_order_hash, "seed {seed}");
+        }
     }
 }
 
