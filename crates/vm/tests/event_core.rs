@@ -637,11 +637,13 @@ fn round_profile_counts_add_up() {
                     }
                 }
                 if config.0 == "det+kendo" {
-                    // Ocean's shape idles the arbiter; on the hammer some
-                    // thread waits for the lock in most rounds.
+                    // Ocean's shape idles the arbiter: it is asked in under
+                    // 1 % of the cycles. On the hammer some thread waits
+                    // for the lock in most rounds.
                     match shape.name {
                         "stencil" => {
-                            assert!(100 * p.quiet_rounds >= 99 * p.event_rounds, "{ctx}: {p:?}")
+                            let arbitrated = p.event_rounds - p.quiet_rounds;
+                            assert!(100 * arbitrated < metrics.cycles, "{ctx}: {p:?}")
                         }
                         "lock-hammer" => {
                             assert!(2 * p.quiet_rounds < p.event_rounds, "{ctx}: {p:?}");
