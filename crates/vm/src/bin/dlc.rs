@@ -385,6 +385,17 @@ fn main() {
                 profile.memops_run_ahead
             );
         }
+        if !profile.private_sites.is_empty() {
+            let per_thread: Vec<String> = profile
+                .private_sites
+                .iter()
+                .map(|n| n.to_string())
+                .collect();
+            println!(
+                "         load/store sites private to their thread, per thread: {}",
+                per_thread.join(" ")
+            );
+        }
     }
     if hit {
         std::process::exit(1);

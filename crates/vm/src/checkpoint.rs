@@ -189,7 +189,7 @@ impl RunState {
 /// a snapshot taken under one resumes under the other (the
 /// checkpoint/restore tests pin this down). The [`Sched`] is: two policies
 /// continue a run with genuinely different schedules, so a different one
-/// is refused with a typed [`ResumeError::SchedulerMismatch`].
+/// is refused with a typed [`ResumeError::ConfigMismatch`].
 ///
 /// [`Machine`]: crate::machine::Machine
 /// [`Machine::resume`]: crate::machine::Machine::resume
@@ -397,19 +397,11 @@ pub(crate) fn config_fingerprint(
 /// checkpoint.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ResumeError {
-    /// The checkpoint was taken under a different scheduling policy (or
-    /// the same policy with different parameters). The scheduler *defines*
-    /// the schedule: resuming under another would continue the run with a
-    /// different lock order than it started with, silently breaking
-    /// receipt and trace-hash stability.
-    SchedulerMismatch {
-        /// The policy the checkpoint was taken under.
-        checkpoint: Sched,
-        /// The policy the resuming config requested.
-        requested: Sched,
-    },
-    /// The structural fingerprints disagree: different module, config,
-    /// cost model or thread count.
+    /// The structural fingerprints disagree: different module, config
+    /// (the scheduling policy and its parameters included), cost model or
+    /// thread count. The scheduler *defines* the schedule: resuming under
+    /// another would continue the run with a different lock order than it
+    /// started with.
     ConfigMismatch {
         /// The checkpoint's fingerprint.
         checkpoint: u64,
@@ -421,21 +413,14 @@ pub enum ResumeError {
 impl std::fmt::Display for ResumeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ResumeError::SchedulerMismatch {
-                checkpoint,
-                requested,
-            } => write!(
-                f,
-                "checkpoint was taken under scheduler '{checkpoint}' but resume requested \
-                 '{requested}' (schedulers define the schedule and are not interchangeable)"
-            ),
             ResumeError::ConfigMismatch {
                 checkpoint,
                 machine,
             } => write!(
                 f,
                 "checkpoint fingerprint mismatch: checkpoint 0x{checkpoint:016x} vs machine \
-                 0x{machine:016x} (different module, config, cost model or thread count)"
+                 0x{machine:016x} (different module, config, scheduler, cost model or thread \
+                 count)"
             ),
         }
     }

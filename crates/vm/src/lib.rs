@@ -38,6 +38,7 @@ mod interp;
 pub mod lower;
 pub mod machine;
 pub mod metrics;
+mod privacy;
 pub mod sanitizer;
 pub mod sched;
 

@@ -29,8 +29,9 @@
 //! (and hence different trace hashes, receipts, and sanitizer reports),
 //! the scheduler is part of the job identity: receipts are
 //! scheduler-keyed, and a [`crate::machine::Checkpoint`] refuses to
-//! resume under a different scheduler (see
-//! [`crate::machine::ResumeError::SchedulerMismatch`]). Every policy is a
+//! resume under a different scheduler: its fingerprint folds the policy
+//! and its parameters (see
+//! [`crate::machine::ResumeError::ConfigMismatch`]). Every policy is a
 //! pure function of the view, so that identity check is all a checkpoint
 //! needs to carry.
 //!
