@@ -4,7 +4,7 @@
 //! The `compiler_pipeline` example uses these to reproduce the paper's
 //! Figures 3–13 (the Radiosity running example at each optimization stage).
 
-use crate::module::Function;
+use crate::module::{Function, Module};
 use crate::types::BlockId;
 use std::fmt::Write as _;
 
@@ -29,6 +29,19 @@ pub fn function_to_text(func: &Function, clock: impl Fn(BlockId) -> Option<u64>)
     }
     let _ = writeln!(out, "}}");
     out
+}
+
+/// Feed `module`'s canonical text to `write`: the function count as a
+/// little-endian `u64`, then each function's unannotated
+/// [`function_to_text`] (name, params, blocks in order, every instruction
+/// and terminator) followed by a `0xff` separator. The plan cache's key
+/// and the golden suite's pin both hash exactly these bytes.
+pub fn write_module_text(module: &Module, mut write: impl FnMut(&[u8])) {
+    write(&(module.functions.len() as u64).to_le_bytes());
+    for func in &module.functions {
+        write(function_to_text(func, |_| None).as_bytes());
+        write(&[0xff]);
+    }
 }
 
 /// Emit a Graphviz `digraph` for a function. Nodes are labelled

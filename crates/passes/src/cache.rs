@@ -24,7 +24,7 @@
 use crate::cost::CostModel;
 use crate::pipeline::{Instrumented, OptConfig};
 use crate::plan::Placement;
-use detlock_ir::dot::function_to_text;
+use detlock_ir::dot::write_module_text;
 use detlock_ir::module::Module;
 use detlock_ir::types::FuncId;
 use detlock_shim::hash::Fnv64;
@@ -42,13 +42,7 @@ pub fn plan_key(
     entries: &[FuncId],
 ) -> u64 {
     let mut h = Fnv64::new();
-    h.write_u64(module.functions.len() as u64);
-    for func in &module.functions {
-        // `function_to_text` prints name, params, blocks in order and every
-        // instruction/terminator — the canonical serialization.
-        h.write(function_to_text(func, |_| None).as_bytes());
-        h.write(&[0xff]); // function separator
-    }
+    write_module_text(module, |bytes| h.write(bytes));
     h.write(&[
         config.o1 as u8,
         config.o2 as u8,
