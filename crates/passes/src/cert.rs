@@ -32,19 +32,6 @@ pub struct PassCert {
     pub o4_latch_threshold: Option<u64>,
 }
 
-impl PassCert {
-    /// A delta cert claiming no divergence at all (precise passes).
-    pub fn exact(pass: &'static str, slack: Vec<u64>) -> PassCert {
-        debug_assert!(slack.iter().all(|&s| s == 0), "{pass} claimed slack");
-        PassCert {
-            pass,
-            frac_bound: 0.0,
-            o2b_slack: slack,
-            o4_latch_threshold: None,
-        }
-    }
-}
-
 /// What the instrumentation pipeline claims about its output.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlanCert {
@@ -84,49 +71,6 @@ pub struct PlanCert {
 }
 
 impl PlanCert {
-    /// Build the certificate for a finished plan under `config`.
-    /// `o2b_moved` is the per-function approximate mass O2b reported moving
-    /// (all zeros when O2 did not run).
-    ///
-    /// Synthesizes the per-pass delta certs the pipeline would have
-    /// collected and composes them via [`PlanCert::from_passes`].
-    pub fn new(config: &OptConfig, plan: &ModulePlan, o2b_moved: Vec<u64>) -> PlanCert {
-        debug_assert_eq!(o2b_moved.len(), plan.funcs.len());
-        let zeros = vec![0u64; plan.funcs.len()];
-        let mut pass_certs = Vec::new();
-        if config.o2 || o2b_moved.iter().any(|&m| m > 0) {
-            pass_certs.push(PassCert::exact(crate::pass::PASS_O2A, zeros.clone()));
-            pass_certs.push(PassCert {
-                pass: crate::pass::PASS_O2B,
-                frac_bound: 0.0,
-                o2b_slack: o2b_moved,
-                o4_latch_threshold: None,
-            });
-        }
-        if config.o3 {
-            // tight_average admits range ≤ mean/rd, so a region path's true
-            // cost sits within `range` of the charged mean while being at
-            // least `mean·(1 − 1/rd)`; the worst relative error is therefore
-            // range/min ≤ (mean/rd)/(mean·(1 − 1/rd)) = 1/(rd − 1), not the
-            // naive 1/rd.
-            pass_certs.push(PassCert {
-                pass: crate::pass::PASS_O3,
-                frac_bound: 1.0 / (config.clockable.range_divisor - 1.0),
-                o2b_slack: zeros.clone(),
-                o4_latch_threshold: None,
-            });
-        }
-        if config.o4 {
-            pass_certs.push(PassCert {
-                pass: crate::pass::PASS_O4,
-                frac_bound: 0.0,
-                o2b_slack: zeros,
-                o4_latch_threshold: Some(config.opt4.threshold),
-            });
-        }
-        PlanCert::from_passes(config, plan, pass_certs)
-    }
-
     /// Compose per-pass delta certs into the module certificate: fractional
     /// bounds and absolute slacks add, the latch threshold is the largest
     /// any pass claimed.
@@ -194,7 +138,7 @@ impl PlanCert {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::{OptConfig, OptLevel};
+    use crate::pass::{PASS_O2A, PASS_O2B, PASS_O3, PASS_O4};
     use crate::plan::FuncPlan;
 
     fn dummy_plan() -> ModulePlan {
@@ -214,26 +158,38 @@ mod tests {
         }
     }
 
+    fn delta(pass: &'static str, frac_bound: f64, slack: [u64; 2], latch: Option<u64>) -> PassCert {
+        PassCert {
+            pass,
+            frac_bound,
+            o2b_slack: slack.to_vec(),
+            o4_latch_threshold: latch,
+        }
+    }
+
+    fn compose(passes: Vec<PassCert>) -> PlanCert {
+        PlanCert::from_passes(&OptConfig::all(), &dummy_plan(), passes)
+    }
+
     #[test]
-    fn exactness_tracks_config() {
-        let plan = dummy_plan();
-        let none = vec![0, 0];
-        assert!(PlanCert::new(&OptConfig::none(), &plan, none.clone()).is_exact());
-        assert!(PlanCert::new(&OptConfig::only(OptLevel::O1), &plan, none.clone()).is_exact());
-        // O2 with no approximate move applied is exact (2a is exact and 2b
-        // reported nothing moved)...
-        let c = PlanCert::new(&OptConfig::only(OptLevel::O2), &plan, none.clone());
+    fn exactness_follows_the_pass_certs() {
+        assert!(compose(vec![]).is_exact());
+        // O2a and an O2b that moved nothing are exact...
+        let c = compose(vec![
+            delta(PASS_O2A, 0.0, [0, 0], None),
+            delta(PASS_O2B, 0.0, [0, 0], None),
+        ]);
         assert!(c.is_exact());
         assert_eq!(c.frac_bound, 0.0);
-        // ...but any reported 2b move makes the cert approximate.
-        let c = PlanCert::new(&OptConfig::only(OptLevel::O2), &plan, vec![3, 0]);
+        // ...but any reported O2b move makes the cert approximate.
+        let c = compose(vec![delta(PASS_O2B, 0.0, [3, 0], None)]);
         assert!(!c.is_exact());
         assert_eq!(c.o2b_slack, vec![3, 0]);
-        // O3 contributes the tight-average fractional bound.
-        let c = PlanCert::new(&OptConfig::only(OptLevel::O3), &plan, none.clone());
+        // A fractional bound or a latch threshold does too.
+        let c = compose(vec![delta(PASS_O3, 0.25, [0, 0], None)]);
         assert!(!c.is_exact());
-        assert!(c.frac_bound > 0.0);
-        let c = PlanCert::new(&OptConfig::only(OptLevel::O4), &plan, none);
+        assert_eq!(c.frac_bound, 0.25);
+        let c = compose(vec![delta(PASS_O4, 0.0, [0, 0], Some(16))]);
         assert!(!c.is_exact());
         assert_eq!(c.o4_latch_threshold, Some(16));
         assert_eq!(c.frac_bound, 0.0);
@@ -241,41 +197,41 @@ mod tests {
 
     #[test]
     fn cert_copies_the_plan() {
-        let plan = dummy_plan();
-        let c = PlanCert::new(&OptConfig::all(), &plan, vec![0, 0]);
+        let c = compose(vec![]);
         assert_eq!(c.clocked, vec![None, Some(7)]);
         assert_eq!(c.block_clock, vec![vec![3, 0, 5], vec![0]]);
         assert_eq!(c.placement, Placement::Start);
+        assert_eq!(c.clockable, OptConfig::all().clockable);
     }
 
     #[test]
     fn pass_certs_compose_and_name_suspects() {
-        let plan = dummy_plan();
-        let c = PlanCert::new(&OptConfig::all(), &plan, vec![4, 0]);
-        // All four plan passes contributed a delta cert.
-        let names: Vec<&str> = c.pass_certs.iter().map(|p| p.pass).collect();
-        assert_eq!(
-            names,
-            vec![
-                crate::pass::PASS_O2A,
-                crate::pass::PASS_O2B,
-                crate::pass::PASS_O3,
-                crate::pass::PASS_O4
-            ]
-        );
-        // Composed obligations match the deltas.
-        assert_eq!(c.o2b_slack, vec![4, 0]);
-        assert!(c.frac_bound > 0.0);
+        let c = compose(vec![
+            delta(PASS_O2A, 0.0, [0, 0], None),
+            delta(PASS_O2B, 0.0, [4, 0], None),
+            delta(PASS_O3, 0.25, [1, 0], None),
+            delta(PASS_O4, 0.125, [0, 0], Some(16)),
+        ]);
+        // Fractional bounds and slacks add; the latch threshold is the
+        // largest claimed.
+        assert_eq!(c.o2b_slack, vec![5, 0]);
+        assert_eq!(c.frac_bound, 0.375);
         assert_eq!(c.o4_latch_threshold, Some(16));
-        // Function 0 has O2b slack: it is the primary suspect there; in
-        // function 1 suspicion falls to the fractional claimant (O3).
-        assert_eq!(c.suspect_for_path_sum(0), Some(crate::pass::PASS_O2B));
-        assert_eq!(c.suspect_for_path_sum(1), Some(crate::pass::PASS_O3));
+        assert_eq!(c.pass_certs.len(), 4);
+        // Function 0: the largest slack claimant is the primary suspect; in
+        // function 1 suspicion falls to the first fractional claimant.
+        assert_eq!(c.suspect_for_path_sum(0), Some(PASS_O2B));
+        assert_eq!(c.suspect_for_path_sum(1), Some(PASS_O3));
         // A fully precise cert names nobody.
-        let c = PlanCert::new(&OptConfig::only(OptLevel::O1), &plan, vec![0, 0]);
+        let c = compose(vec![delta(PASS_O2A, 0.0, [0, 0], None)]);
         assert_eq!(c.suspect_for_path_sum(0), None);
-        // O4-only: the latch claimant is the suspect.
-        let c = PlanCert::new(&OptConfig::only(OptLevel::O4), &plan, vec![0, 0]);
-        assert_eq!(c.suspect_for_path_sum(0), Some(crate::pass::PASS_O4));
+        // Latch-only: the latch claimant is the suspect.
+        let c = compose(vec![delta(PASS_O4, 0.0, [0, 0], Some(16))]);
+        assert_eq!(c.suspect_for_path_sum(0), Some(PASS_O4));
+        let c = compose(vec![
+            delta(PASS_O4, 0.0, [0, 0], Some(8)),
+            delta(PASS_O4, 0.0, [0, 0], Some(16)),
+        ]);
+        assert_eq!(c.o4_latch_threshold, Some(16));
     }
 }

@@ -10,17 +10,9 @@ use crate::plan::{ModulePlan, Placement};
 use detlock_ir::inst::Inst;
 use detlock_ir::module::Module;
 
-/// Insert tick instructions into a copy of the split module according to
-/// the plan. The input module must be the same split module the plan was
-/// computed against.
-pub fn materialize(split: &Module, plan: &ModulePlan, cost: &CostModel) -> Module {
-    let mut out = split.clone();
-    materialize_in_place(&mut out, plan, cost);
-    out
-}
-
-/// [`materialize`] without the copy: the pipeline owns the split module
-/// and rewrites it into the instrumented one.
+/// Insert tick instructions into the split module according to the plan.
+/// The module must be the same split module the plan was computed against;
+/// the pipeline owns it and rewrites it into the instrumented one.
 pub fn materialize_in_place(split: &mut Module, plan: &ModulePlan, cost: &CostModel) {
     for (func, fplan) in split.functions.iter_mut().zip(&plan.funcs) {
         for (block, &amount) in func.blocks.iter_mut().zip(&fplan.block_clock) {
@@ -87,23 +79,25 @@ mod tests {
         m
     }
 
-    fn plan_for(m: &Module, placement: Placement, clocks: Vec<u64>) -> ModulePlan {
-        ModulePlan {
+    /// [`simple_module`] with its one block's clock `clock` materialized
+    /// at `placement`.
+    fn materialized(placement: Placement, clock: u64) -> Module {
+        let mut m = simple_module();
+        let plan = ModulePlan {
             placement,
-            clocked: vec![None; m.functions.len()],
+            clocked: vec![None],
             funcs: vec![FuncPlan {
-                pinned: vec![false; clocks.len()],
-                block_clock: clocks,
+                block_clock: vec![clock],
+                pinned: vec![false],
             }],
-        }
+        };
+        materialize_in_place(&mut m, &plan, &CostModel::default());
+        m
     }
 
     #[test]
     fn start_placement_puts_tick_first() {
-        let m = simple_module();
-        let cost = CostModel::default();
-        let plan = plan_for(&m, Placement::Start, vec![12]);
-        let out = materialize(&m, &plan, &cost);
+        let out = materialized(Placement::Start, 12);
         assert!(verify_module(&out).is_ok());
         let b = &out.functions[0].blocks[0];
         assert_eq!(b.insts[0], Inst::Tick { amount: 12 });
@@ -111,20 +105,14 @@ mod tests {
 
     #[test]
     fn end_placement_puts_tick_last() {
-        let m = simple_module();
-        let cost = CostModel::default();
-        let plan = plan_for(&m, Placement::End, vec![12]);
-        let out = materialize(&m, &plan, &cost);
+        let out = materialized(Placement::End, 12);
         let b = &out.functions[0].blocks[0];
         assert!(matches!(b.insts.last(), Some(Inst::Tick { amount: 12 })));
     }
 
     #[test]
     fn zero_clock_emits_no_tick() {
-        let m = simple_module();
-        let cost = CostModel::default();
-        let plan = plan_for(&m, Placement::Start, vec![0]);
-        let out = materialize(&m, &plan, &cost);
+        let out = materialized(Placement::Start, 0);
         let static_ticks = out.functions[0].blocks[0]
             .insts
             .iter()
@@ -135,10 +123,7 @@ mod tests {
 
     #[test]
     fn dynamic_tick_inserted_before_builtin() {
-        let m = simple_module();
-        let cost = CostModel::default();
-        let plan = plan_for(&m, Placement::Start, vec![5]);
-        let out = materialize(&m, &plan, &cost);
+        let out = materialized(Placement::Start, 5);
         let insts = &out.functions[0].blocks[0].insts;
         let dyn_pos = insts
             .iter()
@@ -156,10 +141,8 @@ mod tests {
 
     #[test]
     fn strip_ticks_round_trip() {
+        let out = materialized(Placement::Start, 12);
         let m = simple_module();
-        let cost = CostModel::default();
-        let plan = plan_for(&m, Placement::Start, vec![12]);
-        let out = materialize(&m, &plan, &cost);
         let stripped = strip_ticks(&out);
         for (a, b) in m.functions[0].blocks[0]
             .insts
