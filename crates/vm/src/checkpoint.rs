@@ -10,7 +10,6 @@
 use crate::machine::{ExecMode, MachineConfig, ThreadSpec};
 use crate::metrics::ThreadMetrics;
 use crate::sanitizer::Sanitizer;
-use crate::sched::Sched;
 use detlock_ir::module::Module;
 use detlock_ir::types::{BlockId, FuncId, Reg};
 use detlock_passes::cost::CostModel;
@@ -194,10 +193,10 @@ impl RunState {
 /// [`Machine`]: crate::machine::Machine
 /// [`Machine::resume`]: crate::machine::Machine::resume
 /// [`Machine::run_with_checkpoints`]: crate::machine::Machine::run_with_checkpoints
+/// [`Sched`]: crate::sched::Sched
 #[derive(Clone)]
 pub struct Checkpoint {
     pub(crate) fingerprint: u64,
-    pub(crate) sched: Sched,
     pub(crate) state: RunState,
 }
 
@@ -216,12 +215,6 @@ impl Checkpoint {
     /// checkpoint is valid against.
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
-    }
-
-    /// The scheduling policy the snapshot was taken under — the only
-    /// policy it may resume on.
-    pub fn scheduler(&self) -> Sched {
-        self.sched
     }
 
     /// Approximate heap footprint in bytes (memory image + registers),
@@ -263,9 +256,6 @@ impl Checkpoint {
         } = &self.state;
         let mut h = Fnv64::new();
         h.write_u64(self.fingerprint);
-        for w in self.sched.fingerprint_words() {
-            h.write_u64(w);
-        }
         h.write_u64(*cycle);
         h.write_u64(*done_count as u64);
         h.write_u64(log.hash());
@@ -432,7 +422,7 @@ impl std::error::Error for ResumeError {}
 mod tests {
     use super::*;
     use crate::machine::{CkptControl, Machine};
-    use crate::sched::ChunkParams;
+    use crate::sched::{ChunkParams, Sched};
     use detlock_ir::builder::FunctionBuilder;
     use detlock_ir::inst::{BinOp, CmpOp};
     use detlock_passes::cost::CostModel;
