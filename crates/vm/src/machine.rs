@@ -250,10 +250,12 @@ impl<'m> Machine<'m> {
         threads: &[ThreadSpec],
         cfg: MachineConfig,
     ) -> Machine<'m> {
-        // The sanitizer sees every access in per-op order, and a resumed
-        // machine has no thread specs: both keep every mask at 0. The proof
-        // runs first, so the lowering reuses the memory it frees.
-        let privacy = (cfg.backend == Backend::Threaded && !cfg.sanitize)
+        // A resumed machine has no thread specs and keeps every mask at 0.
+        // Sanitized runs take the proof too: a private word's accesses are
+        // stamped with its one thread's own vector-clock entry, which no
+        // other thread's event moves mid-dispatch. The proof runs first,
+        // so the lowering reuses the memory it frees.
+        let privacy = (cfg.backend == Backend::Threaded)
             .then(|| crate::privacy::prove(module, threads, cfg.mem_words.max(1)));
         // A fresh machine is a machine resumed from its cycle-0 state.
         let state = RunState::new(module, threads, &cfg);
@@ -373,7 +375,6 @@ impl<'m> Machine<'m> {
                 let core = &self.core;
                 config_fingerprint(&core.cfg, core.cost, core.module, core.state.threads.len())
             }),
-            sched: self.core.cfg.scheduler,
             state: self.core.run_state(),
         }
     }
