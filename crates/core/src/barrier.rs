@@ -22,21 +22,6 @@ pub struct DetBarrier {
     cv: Condvar,
 }
 
-/// Returned by [`DetBarrier::wait`]; the *leader* is the deterministically
-/// last arriver (useful for single-thread phase work, like
-/// `std::sync::Barrier`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DetBarrierWaitResult {
-    is_leader: bool,
-}
-
-impl DetBarrierWaitResult {
-    /// True for exactly one thread per barrier generation.
-    pub fn is_leader(&self) -> bool {
-        self.is_leader
-    }
-}
-
 impl DetBarrier {
     /// Create a barrier for `n` threads.
     pub fn new(rt: &DetRuntime, n: usize) -> DetBarrier {
@@ -54,14 +39,13 @@ impl DetBarrier {
     ///
     /// Raises a [`crate::DetError`] panic (a stall report) if the watchdog
     /// declares the wait dead.
-    pub fn wait(&self) -> DetBarrierWaitResult {
+    pub fn wait(&self) {
         det_event(&self.rt, Some(self.id), |turn| {
             let (reg, me) = (turn.reg(), turn.me);
             let mut arrived = self.arrived.lock();
             reg.transition(|_| reg.set_state(me, ThreadState::Blocked));
             arrived.push(me);
-            let is_leader = arrived.len() == self.n;
-            if is_leader {
+            if arrived.len() == self.n {
                 // Reconcile every participant's clock and release them all.
                 let all = std::mem::take(&mut *arrived);
                 let clock = all.iter().map(|&t| reg.clock(t)).max().unwrap() + 1;
@@ -70,7 +54,7 @@ impl DetBarrier {
             } else {
                 turn.park(&self.cv, &mut arrived, |a| a.retain(|&t| t != me))?;
             }
-            Ok(Some(DetBarrierWaitResult { is_leader }))
+            Ok(Some(()))
         })
         .unwrap_or_else(|e| raise(e))
     }
@@ -106,30 +90,6 @@ mod tests {
     }
 
     #[test]
-    fn exactly_one_leader_per_generation() {
-        let rt = DetRuntime::with_defaults();
-        let bar = Arc::new(DetBarrier::new(&rt, 3));
-        let leaders = Arc::new(AtomicUsize::new(0));
-        let mut handles = Vec::new();
-        for t in 0..3u64 {
-            let bar = Arc::clone(&bar);
-            let leaders = Arc::clone(&leaders);
-            handles.push(rt.spawn(move || {
-                for round in 0..5 {
-                    tick(3 + t + round);
-                    if bar.wait().is_leader() {
-                        leaders.fetch_add(1, Ordering::SeqCst);
-                    }
-                }
-            }));
-        }
-        for h in handles {
-            h.join();
-        }
-        assert_eq!(leaders.load(Ordering::SeqCst), 5);
-    }
-
-    #[test]
     fn clocks_reconciled_after_barrier() {
         let rt = DetRuntime::with_defaults();
         let bar = Arc::new(DetBarrier::new(&rt, 2));
@@ -151,42 +111,6 @@ mod tests {
         let cb = b.join();
         assert_eq!(ca, cb, "clocks must be equal right after the barrier");
         assert!(ca > 1000);
-    }
-
-    #[test]
-    fn leader_is_deterministic_across_runs() {
-        fn run() -> Vec<u32> {
-            let rt = DetRuntime::with_defaults();
-            let bar = Arc::new(DetBarrier::new(&rt, 3));
-            let order: Arc<detlock_shim::sync::Mutex<Vec<u32>>> =
-                Arc::new(detlock_shim::sync::Mutex::new(Vec::new()));
-            let mut handles = Vec::new();
-            for t in 0..3u32 {
-                let bar = Arc::clone(&bar);
-                let order = Arc::clone(&order);
-                let rt2 = rt.clone();
-                handles.push(rt.spawn(move || {
-                    for round in 0..8u64 {
-                        tick(2 + ((t as u64 + round) % 5));
-                        if t == 1 && round % 3 == 0 {
-                            std::thread::sleep(std::time::Duration::from_micros(100));
-                        }
-                        if bar.wait().is_leader() {
-                            order.lock().push(rt2.current_tid());
-                        }
-                    }
-                }));
-            }
-            for h in handles {
-                h.join();
-            }
-            let v = order.lock().clone();
-            v
-        }
-        let a = run();
-        let b = run();
-        assert_eq!(a.len(), 8);
-        assert_eq!(a, b, "leader sequence must be timing-independent");
     }
 
     #[test]

@@ -74,13 +74,9 @@ pub(crate) fn det_event<R>(
 
 /// The turn wait of the exit event. No fault point, and it never fails: a
 /// thread whose wait errors *force-exits* — an imperfectly ordered exit
-/// clock is strictly better than a slot that never reaches `Finished`. A
-/// spawned thread that retired itself ([`DetRuntime::retire_current`])
-/// reaches its closure's exit already `Finished` and skips the wait.
+/// clock is strictly better than a slot that never reaches `Finished`.
 pub(crate) fn wait_exit_turn(inner: &Inner, me: DetTid) {
-    if inner.registry.state(me) == ThreadState::Active {
-        let _ = inner.registry.wait_for_turn(me);
-    }
+    let _ = inner.registry.wait_for_turn(me);
 }
 
 /// Count the event and apply the configured fault plan (seeded delay

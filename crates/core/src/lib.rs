@@ -81,7 +81,7 @@ pub mod registry;
 pub mod runtime;
 pub mod trace;
 
-pub use barrier::{DetBarrier, DetBarrierWaitResult};
+pub use barrier::DetBarrier;
 pub use detlock_shim::acq::{first_divergence, Acquisition};
 pub use error::{panic_message, DetError, StallAction, StallReport, ThreadSnapshot};
 pub use fault::{FaultPlan, InjectedPanic};

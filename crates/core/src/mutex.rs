@@ -85,25 +85,6 @@ impl<T> DetMutex<T> {
         DetMutexGuard::new(self, tid)
     }
 
-    /// Deterministic `try_lock`: a deterministic event whose *outcome* is
-    /// also deterministic — at the caller's turn, returns `Some` exactly
-    /// when the mutex is logically free (physically free with its last
-    /// release in the caller's logical past). Unlike [`DetMutex::lock`] it
-    /// never bumps the clock to chase a logically-future release; it
-    /// reports failure instead, which is what a timing-independent
-    /// `try_lock` has to mean.
-    pub fn try_lock(&self) -> Option<DetMutexGuard<'_, T>> {
-        det_event(&self.rt, Some(self.id), |turn| {
-            let tid = self.admit(turn.clock()).then(|| turn.acquired(self.id));
-            if tid.is_none() {
-                turn.reg().tick(turn.me, 1); // the attempt is an event either way
-            }
-            Ok(Some(tid))
-        })
-        .unwrap_or_else(|e| raise(e))
-        .map(|tid| DetMutexGuard::new(self, tid))
-    }
-
     /// Consume the mutex, returning the inner value.
     pub fn into_inner(self) -> T {
         self.data.into_inner()
@@ -318,89 +299,5 @@ mod tests {
             *m2.lock() + 1
         });
         assert_eq!(h.join(), 1);
-    }
-}
-
-#[cfg(test)]
-mod try_lock_tests {
-    use super::*;
-    use crate::runtime::{tick, DetConfig};
-    use std::sync::Arc;
-
-    #[test]
-    fn try_lock_succeeds_when_free() {
-        let rt = DetRuntime::with_defaults();
-        let m = DetMutex::new(&rt, 5);
-        let g = m.try_lock().expect("free mutex");
-        assert_eq!(*g, 5);
-        drop(g);
-        assert!(m.try_lock().is_some());
-    }
-
-    #[test]
-    fn try_lock_fails_when_logically_held() {
-        // The hold must span the child's attempt in *logical* time — real
-        // time is irrelevant (that is the whole point): main acquires at
-        // clock ~1 and releases at clock ~102, while the child attempts at
-        // clock ~3. Whether main has physically released by then or not,
-        // the child deterministically observes "held".
-        let rt = DetRuntime::with_defaults();
-        let m = Arc::new(DetMutex::new(&rt, 0));
-        let g = m.lock();
-        let m2 = Arc::clone(&m);
-        let h = rt.spawn(move || {
-            tick(1);
-            m2.try_lock().is_none()
-        });
-        tick(100); // main's clock races past the child's attempt point
-        drop(g); // release clock ≈ 102 — logically after the attempt
-        assert!(h.join(), "try_lock inside the logical hold must fail");
-    }
-
-    #[test]
-    fn try_lock_outcomes_reproducible() {
-        fn run(noise: bool) -> Vec<(u32, bool)> {
-            let rt = DetRuntime::new(DetConfig {
-                record_trace: true,
-                ..DetConfig::default()
-            });
-            let m = Arc::new(DetMutex::new(&rt, 0i64));
-            let log: Arc<detlock_shim::sync::Mutex<Vec<(u32, u64, bool)>>> =
-                Arc::new(detlock_shim::sync::Mutex::new(Vec::new()));
-            let mut handles = Vec::new();
-            for t in 0..3u32 {
-                let m = Arc::clone(&m);
-                let log = Arc::clone(&log);
-                let rt2 = rt.clone();
-                handles.push(rt.spawn(move || {
-                    for i in 0..30u64 {
-                        tick(3 + (t as u64 + i) % 4);
-                        if noise && i % 8 == t as u64 {
-                            std::thread::sleep(std::time::Duration::from_micros(70));
-                        }
-                        match m.try_lock() {
-                            Some(mut g) => {
-                                *g += 1;
-                                // Hold across some work so others' attempts
-                                // can fail.
-                                tick(2);
-                                log.lock().push((t, rt2.clock(), true));
-                            }
-                            None => log.lock().push((t, rt2.clock(), false)),
-                        }
-                    }
-                }));
-            }
-            for h in handles {
-                h.join();
-            }
-            let mut v: Vec<(u32, u64, bool)> = log.lock().clone();
-            // Per-thread outcome sequences ordered by that thread's clock.
-            v.sort();
-            v.into_iter().map(|(t, _, ok)| (t, ok)).collect()
-        }
-        let a = run(false);
-        let b = run(true);
-        assert_eq!(a, b, "try_lock outcomes must be timing-independent");
     }
 }

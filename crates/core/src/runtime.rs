@@ -218,19 +218,6 @@ impl DetRuntime {
         })
     }
 
-    /// Deterministically retire the calling thread from arbitration without
-    /// exiting the OS thread. Call this on the *main* thread when it will
-    /// stop participating in deterministic synchronization (otherwise its
-    /// stalled clock blocks every other thread's events). Joining threads
-    /// deactivates main automatically while blocked, so a main that spawns
-    /// then immediately joins does not need this.
-    pub fn retire_current(&self) {
-        let (inner, me) = current();
-        assert!(Arc::ptr_eq(&inner, &self.inner));
-        det_exit(&self.inner, me);
-        CURRENT.with(|c| *c.borrow_mut() = None);
-    }
-
     /// Number of recorded lock acquisitions (when tracing is on).
     pub fn trace_len(&self) -> usize {
         self.inner.trace.len()
@@ -507,21 +494,6 @@ mod tests {
     }
 
     #[test]
-    fn retire_current_releases_workers() {
-        let rt = DetRuntime::with_defaults();
-        let h = rt.spawn(|| {
-            tick(1);
-            5
-        });
-        // Retire main: workers proceed even though main's clock is 0 and it
-        // never ticks again. Then the handle can still be joined via the
-        // std handle path... join() requires registration, so join first.
-        let v = h.join();
-        rt.retire_current();
-        assert_eq!(v, 5);
-    }
-
-    #[test]
     fn child_panic_propagates_through_join() {
         let rt = DetRuntime::with_defaults();
         let h = rt.spawn(|| -> u32 { panic!("child exploded") });
@@ -606,25 +578,23 @@ mod tests {
         let clock_a = rt_a.clock();
         let rt_a2 = rt_a.clone();
         let misuses = std::thread::spawn(move || {
-            let rt_b = DetRuntime::with_defaults();
+            let _rt_b = DetRuntime::with_defaults();
             let wrong = |f: &mut dyn FnMut()| matches!(raised(f), Some(DetError::WrongRuntime));
             let verdicts = [
                 matches!(h.try_join(), Err(DetError::WrongRuntime)),
                 wrong(&mut || drop(m.lock())),
-                wrong(&mut || drop(m.try_lock())),
                 matches!(rt_a2.try_spawn(|| 0), Err(DetError::WrongRuntime)),
                 wrong(&mut || drop(pool.alloc(0u64))),
                 wrong(&mut || {
                     bar.wait();
                 }),
             ];
-            rt_b.retire_current();
             verdicts
         })
         .join()
         .unwrap();
         assert_eq!(
-            misuses, [true; 6],
+            misuses, [true; 5],
             "expected WrongRuntime from every foreign use"
         );
         // Runtime A is unharmed: nothing ticked its clocks, its detached
