@@ -10,8 +10,7 @@
 //!     [--addr HOST:PORT] [--shards N] [--queue N] [--max-retries N] \
 //!     [--budget CYCLES] [--watchdog-ms MS] \
 //!     [--backend interp|threaded] [--scheduler kendo|chunk|dc-batch] \
-//!     [--checkpoint-interval CYCLES] [--net-faults SEED] [--crash-faults SEED] \
-//!     [--ready-file PATH]
+//!     [--checkpoint-interval CYCLES] [--ready-file PATH]
 //!
 //! # router mode (multi-process shard group)
 //! cargo run -p detlock-bench --release --bin detserved -- \
@@ -27,11 +26,12 @@
 //! backend it is part of job identity, and per-request `scheduler` fields
 //! override it.
 //! `--checkpoint-interval 0` disables checkpointing (crash recovery then
-//! requeues cold). `--net-faults` / `--crash-faults` boot the server with seeded fault plans already armed (clients can
-//! also arm/disarm them at runtime via the `chaos` op). `--ready-file
-//! PATH` atomically publishes the bound address to `PATH` *after* the
-//! listener is accepting — a race-free readiness marker for scripts that
-//! would otherwise have to sleep-poll the port.
+//! requeues cold). The server boots with no fault plan armed; clients arm
+//! and disarm seeded wire and crash plans with the `chaos` op (`detload
+//! --net-faults` / `--crash-faults` do). `--ready-file PATH` atomically
+//! publishes the bound address to `PATH` *after* the listener is
+//! accepting — a race-free readiness marker for scripts that would
+//! otherwise have to sleep-poll the port.
 //!
 //! With `--route`, the binary becomes a [`GroupRouter`] instead: a
 //! consistent-hash front for a multi-process shard group. `--vnodes`
@@ -41,7 +41,6 @@
 
 use detlock_bench::{operand, parsed_operand};
 use detlock_serve::group::{GroupConfig, GroupRouter};
-use detlock_serve::netfault::{CrashPlan, NetFaultPlan};
 use detlock_serve::server::{DetServed, ServeConfig};
 use detlock_vm::{Backend, Sched};
 use std::io::Write;
@@ -99,12 +98,6 @@ fn main() {
                 cfg.watchdog = (ms > 0).then(|| Duration::from_millis(ms));
             }
             "--checkpoint-interval" => cfg.checkpoint_interval = parsed_operand(&args, &mut i),
-            "--net-faults" => {
-                cfg.net_faults = Some(NetFaultPlan::new(parsed_operand(&args, &mut i)))
-            }
-            "--crash-faults" => {
-                cfg.crash_faults = Some(CrashPlan::new(parsed_operand(&args, &mut i)))
-            }
             other => usage(&format!("unknown option {other}")),
         }
         i += 1;
@@ -133,8 +126,7 @@ fn main() {
     }
     eprintln!(
         "shards={} queue={} max_retries={} budget={} watchdog={:?} backend={} \
-         scheduler={} checkpoint_interval={} net_faults={:?} \
-         crash_faults={:?}",
+         scheduler={} checkpoint_interval={}",
         cfg.shards,
         cfg.queue_capacity,
         cfg.max_retries,
@@ -143,8 +135,6 @@ fn main() {
         cfg.backend,
         cfg.scheduler,
         cfg.checkpoint_interval,
-        cfg.net_faults.map(|p| p.seed),
-        cfg.crash_faults.map(|p| p.seed),
     );
     server.join();
     eprintln!("detserved: drained and stopped");

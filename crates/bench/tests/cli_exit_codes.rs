@@ -71,6 +71,11 @@ fn detload_and_detserved_usage_errors_exit_2() {
     let detserved = env!("CARGO_BIN_EXE_detserved");
     assert_eq!(exit_code(detserved, &["--shards", "x"]), 2);
     assert_eq!(exit_code(detserved, &["--definitely-not-a-flag"]), 2);
+    // Fault plans are armed through the `chaos` op (detload's flags), not
+    // at boot.
+    for flag in ["--net-faults", "--crash-faults"] {
+        assert_eq!(exit_code(detserved, &[flag, "5"]), 2, "{flag}");
+    }
     // Zero where at least one is needed is a usage error, not a panic in
     // the admission queue or (behind `--route`) the hash ring.
     assert_eq!(exit_code(detserved, &["--queue", "0"]), 2);

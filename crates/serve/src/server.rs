@@ -120,11 +120,6 @@ pub struct ServeConfig {
     /// Snapshot a [`Checkpoint`] every this many arbiter cycles while a
     /// job runs (0 disables checkpointing — crashes then requeue cold).
     pub checkpoint_interval: u64,
-    /// Initial wire-fault plan (normally set at runtime via the `chaos`
-    /// op instead).
-    pub net_faults: Option<NetFaultPlan>,
-    /// Initial shard-crash plan (normally set via `chaos`).
-    pub crash_faults: Option<CrashPlan>,
 }
 
 impl Default for ServeConfig {
@@ -140,8 +135,6 @@ impl Default for ServeConfig {
             backend: Backend::Interp,
             scheduler: Sched::Kendo,
             checkpoint_interval: 200_000,
-            net_faults: None,
-            crash_faults: None,
         }
     }
 }
@@ -535,8 +528,8 @@ impl DetServed {
             shutdown: AtomicBool::new(false),
             in_flight: AtomicU64::new(0),
             ledger: Mutex::new(ReceiptLedger::default()),
-            net_faults: Mutex::new(config.net_faults),
-            crash_faults: Mutex::new(config.crash_faults),
+            net_faults: Mutex::new(None),
+            crash_faults: Mutex::new(None),
             conn_counter: AtomicU64::new(0),
             open_conns: AtomicU64::new(0),
             peak_conns: AtomicU64::new(0),

@@ -477,21 +477,22 @@ fn injected_crashes_recover_via_checkpoints_with_identical_receipts() {
         c.shutdown().unwrap();
         server.join();
 
-        // Same jobs on a crash-chaos server with aggressive checkpointing.
-        // max_retries is raised because the crash plan needs a few attempts
-        // to decay to zero.
+        // Same jobs on a crash-chaos server with aggressive checkpointing,
+        // the crash plan armed before the first job. max_retries is raised
+        // because the crash plan needs a few attempts to decay to zero.
         let config = ServeConfig {
             checkpoint_interval: 1500,
             max_retries: 10,
-            crash_faults: Some(CrashPlan {
-                seed: 7,
-                per_1024: 1024,
-            }),
             ..test_config()
         };
         let server = DetServed::start(config).unwrap();
         let addr = server.local_addr().to_string();
         let mut c = Client::connect(&addr).unwrap();
+        let plan = CrashPlan {
+            seed: 7,
+            per_1024: 1024,
+        };
+        c.chaos(None, Some(&plan)).unwrap();
         let chaotic: Vec<String> = jobs
             .iter()
             .map(|j| run_ok(&mut c, j).1.canonical())
