@@ -115,6 +115,29 @@ impl OptLevel {
         ]
     }
 
+    /// Parse a CLI and wire spelling: `none`, `o1` … `o4`, `all`.
+    pub fn parse(s: &str) -> Result<OptLevel, String> {
+        OptLevel::table1_rows()
+            .into_iter()
+            .find(|level| level.name() == s)
+            .ok_or_else(|| {
+                format!("unknown opt '{s}' (expected 'none', 'o1', 'o2', 'o3', 'o4' or 'all')")
+            })
+    }
+
+    /// The canonical spelling (accepted back by [`OptLevel::parse`]); also
+    /// the `opt` field of a job's identity key and receipt.
+    pub fn name(self) -> &'static str {
+        match self {
+            OptLevel::None => "none",
+            OptLevel::O1 => "o1",
+            OptLevel::O2 => "o2",
+            OptLevel::O3 => "o3",
+            OptLevel::O4 => "o4",
+            OptLevel::All => "all",
+        }
+    }
+
     /// Row label as printed in Table I.
     pub fn label(self) -> &'static str {
         match self {
@@ -297,6 +320,16 @@ mod tests {
         let entry = fb.finish_into(&mut m);
         let _ = (leaf, work);
         (m, entry)
+    }
+
+    #[test]
+    fn parse_round_trips_names() {
+        for level in OptLevel::table1_rows() {
+            assert_eq!(OptLevel::parse(level.name()), Ok(level));
+        }
+        for other in ["bogus", "O1", "o5", ""] {
+            assert!(OptLevel::parse(other).is_err(), "{other}");
+        }
     }
 
     #[test]

@@ -236,37 +236,7 @@ pub struct JobSpec {
     pub scheduler: Sched,
 }
 
-/// Parse an [`OptLevel`] from its lowercase wire name.
-pub fn opt_from_str(s: &str) -> Option<OptLevel> {
-    Some(match s {
-        "none" => OptLevel::None,
-        "o1" => OptLevel::O1,
-        "o2" => OptLevel::O2,
-        "o3" => OptLevel::O3,
-        "o4" => OptLevel::O4,
-        "all" => OptLevel::All,
-        _ => return None,
-    })
-}
-
-/// The lowercase wire name of an [`OptLevel`].
-pub fn opt_to_str(level: OptLevel) -> &'static str {
-    match level {
-        OptLevel::None => "none",
-        OptLevel::O1 => "o1",
-        OptLevel::O2 => "o2",
-        OptLevel::O3 => "o3",
-        OptLevel::O4 => "o4",
-        OptLevel::All => "all",
-    }
-}
-
 impl JobSpec {
-    /// The wire name of this job's optimization level.
-    pub fn opt_label(&self) -> &'static str {
-        opt_to_str(self.opt)
-    }
-
     /// Cache / receipt-identity key: every field an episode's outcome
     /// depends on (tenant excluded — two tenants running the same job must
     /// get the same receipt, and the server checks exactly that).
@@ -277,7 +247,7 @@ impl JobSpec {
             self.threads,
             self.scale.to_bits(),
             self.seed,
-            self.opt_label(),
+            self.opt.name(),
             self.scheduler.spec()
         )
     }
@@ -291,10 +261,6 @@ impl JobSpec {
                 .ok_or_else(|| format!("missing or non-string `{k}`"))
         };
         let workload = str_field("workload")?;
-        let opt_name = v
-            .get("opt")
-            .map(|o| o.as_str().ok_or("non-string `opt`").map(str::to_string))
-            .unwrap_or_else(|| Ok("all".to_string()))?;
         Ok(JobSpec {
             tenant: v
                 .get("tenant")
@@ -305,7 +271,10 @@ impl JobSpec {
             threads: v.get("threads").and_then(Json::as_u64).unwrap_or(4) as usize,
             scale: v.get("scale").and_then(Json::as_f64).unwrap_or(0.05),
             seed: v.get("seed").and_then(Json::as_u64).unwrap_or(1),
-            opt: opt_from_str(&opt_name).ok_or_else(|| format!("unknown opt `{opt_name}`"))?,
+            opt: match v.get("opt") {
+                Some(o) => OptLevel::parse(o.as_str().ok_or("non-string `opt`")?)?,
+                None => OptLevel::All,
+            },
             sanitize: v.get("sanitize").and_then(Json::as_bool).unwrap_or(false),
             scheduler: match v.get("scheduler").and_then(Json::as_str) {
                 Some(s) => Sched::parse(s)?,
@@ -324,7 +293,7 @@ impl ToJson for JobSpec {
             ("threads", self.threads.to_json()),
             ("scale", self.scale.to_json()),
             ("seed", self.seed.to_json()),
-            ("opt", self.opt_label().to_json()),
+            ("opt", self.opt.name().to_json()),
             ("sanitize", self.sanitize.to_json()),
             ("scheduler", self.scheduler.spec().to_json()),
         ])
@@ -611,13 +580,5 @@ mod tests {
             WireRequest::unknown_op_reply(None).to_string_compact(),
             r#"{"ok":false,"error":"missing `op`"}"#
         );
-    }
-
-    #[test]
-    fn opt_names_round_trip() {
-        for level in OptLevel::table1_rows() {
-            assert_eq!(opt_from_str(opt_to_str(level)), Some(level));
-        }
-        assert_eq!(opt_from_str("bogus"), None);
     }
 }

@@ -50,7 +50,7 @@ impl Receipt {
             threads: spec.threads,
             scale: spec.scale,
             seed: spec.seed,
-            opt: spec.opt_label().to_string(),
+            opt: spec.opt.name().to_string(),
             scheduler: spec.scheduler.spec(),
             trace_hash: m.lock_order_hash,
             final_clocks: m.per_thread.iter().map(|t| t.final_clock).collect(),

@@ -124,7 +124,7 @@ fn cache_key(spec: &JobSpec) -> String {
         spec.workload,
         spec.threads,
         spec.scale.to_bits(),
-        spec.opt_label()
+        spec.opt.name()
     )
 }
 

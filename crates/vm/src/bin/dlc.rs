@@ -94,13 +94,8 @@ fn parse_options() -> Options {
         match argv[i].as_str() {
             "--opt" => {
                 i += 1;
-                o.opt = match argv.get(i).map(String::as_str) {
-                    Some("none") => OptLevel::None,
-                    Some("o1") => OptLevel::O1,
-                    Some("o2") => OptLevel::O2,
-                    Some("o3") => OptLevel::O3,
-                    Some("o4") => OptLevel::O4,
-                    Some("all") => OptLevel::All,
+                o.opt = match argv.get(i).map(|v| OptLevel::parse(v)) {
+                    Some(Ok(level)) => level,
                     _ => usage(),
                 };
             }
