@@ -19,6 +19,7 @@
 //!   determinism rather than a liability.
 
 use crate::registry::DetTid;
+use detlock_shim::rng::mix;
 use std::fmt;
 
 /// Payload of an injected panic (downcast it from
@@ -53,18 +54,6 @@ pub struct FaultPlan {
     max_delay_us: u64,
     /// `(tid, event-index)` pairs that panic on entry.
     panics: Vec<(DetTid, u64)>,
-}
-
-fn mix(seed: u64, tid: DetTid, event: u64) -> u64 {
-    // splitmix64 over the three coordinates: cheap, stateless, and the
-    // same (tid, event) always maps to the same draw for a given seed.
-    let mut z = seed
-        .wrapping_add((tid as u64).wrapping_mul(0x9e3779b97f4a7c15))
-        .wrapping_add(event.wrapping_mul(0xbf58476d1ce4e5b9))
-        .wrapping_add(0x94d049bb133111eb);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-    z ^ (z >> 31)
 }
 
 impl FaultPlan {
@@ -103,9 +92,9 @@ impl FaultPlan {
         if self.delay_num == 0 {
             return None;
         }
-        let draw = mix(self.seed, tid, event);
+        let draw = mix(self.seed, u64::from(tid), event);
         if (draw % self.delay_den as u64) < self.delay_num as u64 {
-            let span = mix(self.seed ^ 0xd1b54a32d192ed03, tid, event);
+            let span = mix(self.seed ^ 0xd1b54a32d192ed03, u64::from(tid), event);
             Some(1 + span % self.max_delay_us)
         } else {
             None

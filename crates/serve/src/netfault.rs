@@ -26,6 +26,7 @@
 
 use detlock_shim::hash::Fnv64;
 use detlock_shim::json::{Json, ToJson};
+use detlock_shim::rng::mix;
 
 /// What to do to one wire frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,16 +53,6 @@ pub enum WireFault {
         /// Delay in milliseconds.
         ms: u64,
     },
-}
-
-fn mix(seed: u64, a: u64, b: u64) -> u64 {
-    let mut z = seed
-        .wrapping_add(a.wrapping_mul(0x9e3779b97f4a7c15))
-        .wrapping_add(b.wrapping_mul(0xbf58476d1ce4e5b9))
-        .wrapping_add(0x94d049bb133111eb);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-    z ^ (z >> 31)
 }
 
 /// Seeded wire-fault schedule (see module docs). Rates are per-1024:

@@ -13,12 +13,28 @@ pub struct SmallRng {
     s: [u64; 4],
 }
 
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e3779b97f4a7c15);
-    let mut z = *state;
+/// splitmix64's output function.
+fn finalize(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
     z ^ (z >> 31)
+}
+
+fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9e3779b97f4a7c15);
+    finalize(*state)
+}
+
+/// A seeded but stateless draw: splitmix64 over the coordinates `(a, b)`.
+/// The same `(seed, a, b)` always maps to the same value, so a fault
+/// schedule keyed on e.g. `(tid, event)` or `(conn, response)` needs no
+/// generator state. Committed schedules pin its values.
+pub fn mix(seed: u64, a: u64, b: u64) -> u64 {
+    finalize(
+        seed.wrapping_add(a.wrapping_mul(0x9e3779b97f4a7c15))
+            .wrapping_add(b.wrapping_mul(0xbf58476d1ce4e5b9))
+            .wrapping_add(0x94d049bb133111eb),
+    )
 }
 
 impl SmallRng {
@@ -83,6 +99,13 @@ impl SmallRng {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn mix_known_answers() {
+        assert_eq!(mix(0, 0, 0), 0x2848d6a4a7b28bc1);
+        assert_eq!(mix(0xC4EC, 3, 5), 0x2e57a42fa7ae88d4);
+        assert_eq!(mix(7, 1, 2), 0x03eb69234afc2d54);
+    }
 
     #[test]
     fn same_seed_same_stream() {

@@ -34,6 +34,7 @@ use detlock_passes::cost::CostModel;
 use detlock_passes::pipeline::{instrument, OptConfig};
 use detlock_passes::plan::Placement;
 use detlock_shim::acq::AcquisitionLog;
+use detlock_shim::hash::Fnv64;
 use detlock_vm::machine::{
     CkptControl, ExecMode, Jitter, Machine, MachineConfig, RunOutcome, ThreadSpec,
 };
@@ -251,16 +252,6 @@ fn cell(
     (module, cfg)
 }
 
-fn fnv_words(words: &[i64]) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    for w in words {
-        for b in w.to_le_bytes() {
-            h = (h ^ b as u64).wrapping_mul(0x100000001b3);
-        }
-    }
-    h
-}
-
 /// One golden row: shape, config, jitter seed, then total cycles, the
 /// lock-order hash, the hash of final memory and, per thread,
 /// `[busy_cycles, wait_cycles, lock_clock_bumps, final_clock, finish_cycle]`.
@@ -366,7 +357,9 @@ fn golden_table() {
                             ]
                         })
                         .collect();
-                    (m.cycles, m.lock_order_hash, fnv_words(&mem), threads)
+                    let mut words = Fnv64::new();
+                    mem.iter().for_each(|&w| words.write_u64(w as u64));
+                    (m.cycles, m.lock_order_hash, words.finish(), threads)
                 };
                 let got = run(Backend::Interp);
                 let ctx = format!("{} / {} / seed {seed}", shape.name, config.0);

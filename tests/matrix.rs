@@ -38,6 +38,7 @@ use detlock_passes::cost::CostModel;
 use detlock_passes::pipeline::OptLevel;
 use detlock_passes::plan::Placement;
 use detlock_shim::acq::{first_divergence, Acquisition};
+use detlock_shim::rng::mix;
 use detlock_vm::machine::{Checkpoint, CkptControl, ExecMode, Machine, MachineConfig, ResumeError};
 use detlock_vm::sanitizer::SanitizerReport;
 use detlock_vm::{ChunkParams, Sched};
@@ -409,17 +410,6 @@ fn policies_never_collide_in_identity_space() {
         keys.len() == policies().len(),
         "identity collision: {keys:?}"
     );
-}
-
-/// splitmix64, the repo-wide idiom for seeded-but-stateless draws.
-fn mix(seed: u64, a: u64, b: u64) -> u64 {
-    let mut z = seed
-        .wrapping_add(a.wrapping_mul(0x9e3779b97f4a7c15))
-        .wrapping_add(b.wrapping_mul(0xbf58476d1ce4e5b9))
-        .wrapping_add(0x94d049bb133111eb);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-    z ^ (z >> 31)
 }
 
 /// Every workload × policy × two seeds as a job interrupted at every

@@ -25,6 +25,7 @@ use detlock_passes::plan::{
     base_plan, block_clock_amount, block_clock_amounts, split_module, FuncPlan, Placement,
 };
 use detlock_shim::acq::first_divergence;
+use detlock_shim::hash::Fnv64;
 use detlock_shim::rng::SmallRng;
 use detlock_vm::machine::{run, ExecMode, Jitter, MachineConfig, ThreadSpec};
 use detlock_workloads::micro::{random_module, MicroParams};
@@ -39,11 +40,7 @@ fn micro_params() -> MicroParams {
 
 /// Draw `cases` seeds from `lo..hi`, deterministically per test name.
 fn seed_sweep(test: &str, cases: u64, lo: u64, hi: u64) -> Vec<u64> {
-    let mut h = 0xcbf29ce484222325u64;
-    for b in test.bytes() {
-        h = (h ^ b as u64).wrapping_mul(0x100000001b3);
-    }
-    let mut rng = SmallRng::seed_from_u64(h);
+    let mut rng = SmallRng::seed_from_u64(Fnv64::of(test.as_bytes()));
     (0..cases).map(|_| rng.gen_range(lo..hi)).collect()
 }
 
