@@ -496,26 +496,6 @@ impl Terminator {
             tail,
         }
     }
-
-    /// Rewrite every successor through `f` (used by block splitting).
-    pub fn map_targets(&mut self, mut f: impl FnMut(BlockId) -> BlockId) {
-        match self {
-            Terminator::Br { target } => *target = f(*target),
-            Terminator::CondBr {
-                then_bb, else_bb, ..
-            } => {
-                *then_bb = f(*then_bb);
-                *else_bb = f(*else_bb);
-            }
-            Terminator::Switch { cases, default, .. } => {
-                for (_, b) in cases.iter_mut() {
-                    *b = f(*b);
-                }
-                *default = f(*default);
-            }
-            Terminator::Ret { .. } => {}
-        }
-    }
 }
 
 /// Iterator over a terminator's successors, from
@@ -607,17 +587,6 @@ mod tests {
             default: BlockId(5),
         };
         assert!(s.successors().eq([BlockId(3), BlockId(4), BlockId(5)]));
-    }
-
-    #[test]
-    fn map_targets_rewrites_all() {
-        let mut t = Terminator::Switch {
-            disc: Reg(0),
-            cases: vec![(0, BlockId(1))],
-            default: BlockId(2),
-        };
-        t.map_targets(|b| BlockId(b.0 + 10));
-        assert!(t.successors().eq([BlockId(11), BlockId(12)]));
     }
 
     #[test]

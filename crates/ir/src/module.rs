@@ -22,16 +22,6 @@ impl Block {
         self.term.successors()
     }
 
-    /// Index of the first direct-call instruction, if any.
-    pub fn first_call(&self) -> Option<usize> {
-        self.insts.iter().position(|i| i.is_call())
-    }
-
-    /// Whether the block contains any direct call.
-    pub fn has_call(&self) -> bool {
-        self.first_call().is_some()
-    }
-
     /// Whether the block contains a synchronization intrinsic.
     pub fn has_sync(&self) -> bool {
         self.insts.iter().any(|i| i.is_sync())
@@ -161,11 +151,6 @@ impl Module {
             .map(|(i, f)| (FuncId(i as u32), f))
     }
 
-    /// Ids of every function.
-    pub fn func_ids(&self) -> impl Iterator<Item = FuncId> {
-        (0..self.functions.len() as u32).map(FuncId)
-    }
-
     /// Find a function id by name.
     pub fn func_by_name(&self, name: &str) -> Option<FuncId> {
         self.iter_funcs()
@@ -217,7 +202,6 @@ mod tests {
         });
         assert_eq!(m.func(id).name, "main");
         assert_eq!(m.func_by_name("main"), Some(id));
-        assert_eq!(m.func_ids().count(), 1);
     }
 
     #[test]
@@ -238,7 +222,5 @@ mod tests {
         assert_eq!(f.callees(), vec![crate::types::FuncId(7)]);
         assert!(!f.is_leaf());
         assert_eq!(f.tick_count(), 1);
-        assert!(f.block(BlockId(0)).has_call());
-        assert_eq!(f.block(BlockId(0)).first_call(), Some(0));
     }
 }
