@@ -4,6 +4,24 @@
 //! for data-dependent control flow and to model the instruction mix of the
 //! SPLASH-2 kernels, not for numerical accuracy.
 
+use detlock_ir::Builtin;
+
+/// The value of a builtin that only computes, from its first argument `x`;
+/// `None` for `memset` and `memcpy`, which write memory. Both engines
+/// evaluate pure builtins through this one function.
+#[inline]
+pub fn pure(builtin: Builtin, x: i64) -> Option<i64> {
+    Some(match builtin {
+        Builtin::Sqrt => isqrt(x),
+        Builtin::Sin => fixed_sin(x),
+        Builtin::Cos => fixed_cos(x),
+        Builtin::Exp => fixed_exp(x),
+        Builtin::Log => ilog2(x),
+        Builtin::Rand => xorshift64(x),
+        Builtin::Memset | Builtin::Memcpy => return None,
+    })
+}
+
 /// Integer square root (floor).
 pub fn isqrt(x: i64) -> i64 {
     if x <= 0 {
