@@ -456,19 +456,17 @@ impl Registry {
             }
         }
     }
-
-    /// Non-blocking turn probe (used by lock retry loops that interleave a
-    /// clock bump per failed attempt).
-    pub fn has_turn(&self, tid: DetTid) -> bool {
-        let my_clock = self.clock(tid);
-        matches!(self.scan_is_min(tid, my_clock), Some(true))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::Arc;
+
+    /// Whether `tid` holds the turn at its current clock, scanned once.
+    fn has_turn(r: &Registry, tid: DetTid) -> bool {
+        matches!(r.scan_is_min(tid, r.clock(tid)), Some(true))
+    }
 
     #[test]
     fn register_assigns_sequential_tids() {
@@ -490,7 +488,7 @@ mod tests {
         }
         // Crucially the seqlock epoch is even again: scans still complete
         // (a panic inside `transition` would have wedged them forever).
-        assert!(r.has_turn(0));
+        assert!(has_turn(&r, 0));
         // And a third attempt fails identically rather than corrupting.
         assert!(matches!(
             r.register(0),
@@ -515,11 +513,11 @@ mod tests {
         let a = r.register(0).unwrap();
         let b = r.register(0).unwrap();
         // Equal clocks: lower tid wins.
-        assert!(r.has_turn(a));
-        assert!(!r.has_turn(b));
+        assert!(has_turn(&r, a));
+        assert!(!has_turn(&r, b));
         r.tick(a, 10);
-        assert!(!r.has_turn(a));
-        assert!(r.has_turn(b));
+        assert!(!has_turn(&r, a));
+        assert!(has_turn(&r, b));
     }
 
     #[test]
@@ -528,12 +526,15 @@ mod tests {
         let a = r.register(0).unwrap();
         let b = r.register(0).unwrap();
         r.transition(|_| r.set_state(a, ThreadState::Blocked));
-        assert!(r.has_turn(b), "blocked thread must not hold the turn open");
+        assert!(
+            has_turn(&r, b),
+            "blocked thread must not hold the turn open"
+        );
         r.transition(|_| {
             r.set_state(a, ThreadState::Finished);
             r.set_exit_clock(a, 42)
         });
-        assert!(r.has_turn(b));
+        assert!(has_turn(&r, b));
         assert_eq!(r.exit_clock(a), 42);
     }
 

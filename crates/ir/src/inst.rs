@@ -344,11 +344,6 @@ impl Inst {
         )
     }
 
-    /// True for direct calls (the pass splits blocks around these).
-    pub fn is_call(&self) -> bool {
-        matches!(self, Inst::Call { .. })
-    }
-
     /// True for the clock-update pseudo-instructions.
     pub fn is_tick(&self) -> bool {
         matches!(self, Inst::Tick { .. } | Inst::TickDyn { .. })
@@ -614,18 +609,12 @@ mod tests {
     }
 
     #[test]
-    fn sync_and_call_classification() {
+    fn sync_and_tick_classification() {
         assert!(Inst::Lock {
             id: Operand::Imm(0)
         }
         .is_sync());
         assert!(Inst::Barrier { id: BarrierId(0) }.is_sync());
-        assert!(Inst::Call {
-            func: FuncId(0),
-            args: vec![],
-            dst: None
-        }
-        .is_call());
         assert!(Inst::Tick { amount: 3 }.is_tick());
         assert!(!Inst::Const {
             dst: Reg(0),

@@ -322,7 +322,7 @@ mod tests {
         assert_eq!(f.blocks[0].insts.len(), 2);
         assert!(f.blocks[1].name.contains("call1"));
         assert_eq!(f.blocks[1].insts.len(), 1);
-        assert!(f.blocks[1].insts[0].is_call());
+        assert!(matches!(f.blocks[1].insts[0], Inst::Call { .. }));
         assert_eq!(f.blocks[2].insts.len(), 3);
         assert!(f.blocks[3].name.contains("call2"));
         assert!(matches!(f.blocks[3].term, Terminator::Ret { .. }));
@@ -346,7 +346,7 @@ mod tests {
         assert_eq!(f.blocks.len(), 3);
         // Original id: empty first segment (no insts before the call).
         assert_eq!(f.blocks[0].insts.len(), 0);
-        assert!(f.blocks[1].insts[0].is_call());
+        assert!(matches!(f.blocks[1].insts[0], Inst::Call { .. }));
         assert_eq!(f.blocks[2].name, "split.lor.lhs.false23");
         assert_eq!(f.blocks[2].insts.len(), 5);
     }
@@ -523,11 +523,15 @@ mod tests {
         let call_blocks = f
             .blocks
             .iter()
-            .filter(|b| b.insts.iter().any(|i| i.is_call()))
+            .filter(|b| b.insts.iter().any(|i| matches!(i, Inst::Call { .. })))
             .count();
         assert_eq!(call_blocks, 2);
         for b in &f.blocks {
-            let calls = b.insts.iter().filter(|i| i.is_call()).count();
+            let calls = b
+                .insts
+                .iter()
+                .filter(|i| matches!(i, Inst::Call { .. }))
+                .count();
             assert!(calls <= 1);
             if calls == 1 {
                 assert_eq!(b.insts.len(), 1);

@@ -40,17 +40,6 @@ impl<T: ?Sized> Mutex<T> {
         }
     }
 
-    /// Try to acquire without blocking.
-    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        match self.inner.try_lock() {
-            Ok(g) => Some(MutexGuard { inner: Some(g) }),
-            Err(std::sync::TryLockError::Poisoned(e)) => Some(MutexGuard {
-                inner: Some(e.into_inner()),
-            }),
-            Err(std::sync::TryLockError::WouldBlock) => None,
-        }
-    }
-
     /// Mutable access without locking.
     pub fn get_mut(&mut self) -> &mut T {
         self.inner.get_mut().unwrap_or_else(|e| e.into_inner())
@@ -163,7 +152,6 @@ mod tests {
         let m = Mutex::new(1);
         *m.lock() += 1;
         assert_eq!(*m.lock(), 2);
-        assert!(m.try_lock().is_some());
     }
 
     #[test]
